@@ -323,12 +323,45 @@ func BenchmarkEvaluateExitBlocks(b *testing.B) {
 	reportPerStepN(b, c.PredictionSteps())
 }
 
-func BenchmarkEvaluateExitPathBlocks(b *testing.B) {
+func BenchmarkEvaluateExitPathBlocks(b *testing.B) { benchExitBlocks(b, "path:d7-o5-l6-c6-f3:leh2") }
+
+// The real GLOBAL and PER, ideal PATH and real CTTB rows replay the
+// other paper predictors through their own block kernels.
+
+// benchExitBlocks replays spec's exit predictor over the exprc columns.
+// One untimed replay first grows the predictor's tables (ideal maps and
+// slot slices, undo rings) to the trace's working set, which Reset keeps,
+// so allocs/op is the steady-state count whatever b.N is.
+func benchExitBlocks(b *testing.B, spec string) {
 	c := benchColumnarTrace(b, "exprc")
-	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	p := engine.MustBuildExit(spec)
+	if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerStepN(b, c.PredictionSteps())
+}
+
+func BenchmarkEvaluateExitGlobalBlocks(b *testing.B) { benchExitBlocks(b, "global:d7-c14-i14:leh2") }
+
+func BenchmarkEvaluateExitPerBlocks(b *testing.B) { benchExitBlocks(b, "per:d7-h12-t14-i14:leh2") }
+
+func BenchmarkEvaluateExitIdealPathBlocks(b *testing.B) { benchExitBlocks(b, "ipath:d7:leh2") }
+
+func BenchmarkEvaluateIndirectCTTBBlocks(b *testing.B) {
+	c := benchColumnarTrace(b, "minilisp")
+	buf := engine.MustBuildTarget("cttb:d7-o4-l4-c5-f3")
+	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil { // warm-up, as benchExitBlocks
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,6 +404,9 @@ func BenchmarkEvaluateTaskBlocks(b *testing.B) {
 func BenchmarkEvaluateExitSpecBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "exprc")
 	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil { // warm-up, as benchExitBlocks
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
@@ -383,6 +419,9 @@ func BenchmarkEvaluateExitSpecBlocks(b *testing.B) {
 func BenchmarkEvaluateTaskSpecBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "exprc")
 	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil { // warm-up, as benchExitBlocks
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil {

@@ -4,7 +4,7 @@
 //
 // Two extensions are shown:
 //
-//  1. a custom Automaton ("first-exit-sticky": never changes its mind —
+//  1. a custom automaton ("first-exit-sticky": never changes its mind —
 //     a deliberately bad idea that quantifies what hysteresis buys), and
 //  2. a custom ExitPredictor (a two-level tournament choosing between a
 //     PATH and a PER component per task — beyond anything in the paper).
@@ -94,10 +94,11 @@ func (t *tournament) Reset() {
 
 func (t *tournament) States() int { return t.path.States() + t.per.States() + len(t.chooser) }
 
-// stickyPath wires the custom automaton into the stock real PATH
-// predictor machinery via a custom AutomatonKind... the kind factory is
-// internal, so instead we show the leaner route: an ExitPredictor that
-// maps ideal path contexts to sticky automata directly.
+// stickyPath wires the custom automaton into an ideal PATH predictor.
+// The built-in AutomatonKinds are closed (packed transition functions
+// over the tables' uint16 entries), so the example takes the leaner
+// route: an ExitPredictor that maps ideal path contexts to sticky
+// automata directly.
 type stickyPath struct {
 	depth int
 	hist  core.PathHistory

@@ -6,16 +6,6 @@ import (
 	"multiscalar/internal/tfg"
 )
 
-// Automaton is a multi-way prediction automaton: the per-entry state of a
-// pattern history table, generalizing the 2-bit saturating counter of
-// scalar branch prediction to the up-to-four-way exit choice (§5.1).
-type Automaton interface {
-	// Predict returns the predicted exit number in [0, tfg.MaxExits).
-	Predict() int
-	// Update trains the automaton with the actual exit number.
-	Update(actual int)
-}
-
 // TiePolicy selects how voting-counter automata resolve ties between
 // equally-high counters.
 type TiePolicy uint8
@@ -35,11 +25,42 @@ func (p TiePolicy) String() string {
 	return "RANDOM"
 }
 
-// AutomatonKind identifies one of the seven automata compared in the
-// paper's Figure 6 and acts as a factory for fresh automaton state.
+// autClass is the transition family of an automaton kind.
+type autClass uint8
+
+const (
+	classLE  autClass = iota // last exit
+	classLEH                 // last exit with hysteresis
+	classVC                  // voting counters
+)
+
+// AutomatonKind identifies one of the seven multi-way prediction
+// automata compared in the paper's Figure 6 — the per-entry state of a
+// pattern history table, generalizing the 2-bit saturating counter of
+// scalar branch prediction to the up-to-four-way exit choice (§5.1).
+//
+// An automaton's whole state is one packed uint16 (see the layout
+// below); a kind is the pure transition function over it, so a PHT is a
+// flat []uint16 and an undo-log checkpoint is a copy of one word.
+//
+// Packed layout. Bit 15 (autTouched) marks an entry that has been
+// allocated — every live state has it set, so a zero word is an
+// untouched PHT slot. The remaining bits hold the training state:
+//
+//	LE:   bits 0-1 last exit
+//	LEH:  bits 0-1 stored exit, bits 8-9 hysteresis counter
+//	VC:   bits 3i..3i+2 counter of exit i (i = 0..3), bits 12-13 MRU
+//	      exit
+//
+// A fresh voting counter's MRU field reads exit 0. The paper's model has
+// no MRU exit until the first update, but the two agree: MRU breaks a
+// tie toward exit 0 only when exit 0 is tied, and then exit 0 is also
+// the lowest tied exit, which is what a missing MRU exit picks.
 type AutomatonKind struct {
-	name string
-	make func(r *rng) Automaton
+	name  string
+	class autClass
+	max   uint16 // saturation value: LEH 1 or 3, VC 3 or 7
+	tie   TiePolicy
 	// Bits is the storage cost per PHT entry in bits, used for sizing
 	// comparisons (an LEH-2 entry is 4 bits: 2-bit exit + 2-bit counter).
 	Bits int
@@ -48,42 +69,31 @@ type AutomatonKind struct {
 // Name returns the kind's display name (e.g. "LEH-2bit", "3bit-VC-MRU").
 func (k AutomatonKind) Name() string { return k.name }
 
-// New creates a fresh automaton of this kind. r supplies randomness for
-// TieRandom voting counters and may be nil for other kinds.
-func (k AutomatonKind) New(r *rng) Automaton { return k.make(r) }
-
 // The automata of Figure 6.
 var (
 	// LE records only the last exit taken (a degenerate 1-bit-per-counter
 	// voting scheme); highest miss rate in the paper.
-	LE = AutomatonKind{name: "LE", Bits: 2,
-		make: func(*rng) Automaton { le := lastExit(0); return &le }}
+	LE = AutomatonKind{name: "LE", class: classLE, Bits: 2}
 
 	// LEH1 is last-exit with a 1-bit hysteresis counter.
-	LEH1 = AutomatonKind{name: "LEH-1bit", Bits: 3,
-		make: func(*rng) Automaton { return &leh{max: 1} }}
+	LEH1 = AutomatonKind{name: "LEH-1bit", class: classLEH, max: 1, Bits: 3}
 
 	// LEH2 is last-exit with a 2-bit hysteresis counter — the paper's
 	// recommended automaton (ties the 3-bit voting counters with fewer
 	// bits).
-	LEH2 = AutomatonKind{name: "LEH-2bit", Bits: 4,
-		make: func(*rng) Automaton { return &leh{max: 3} }}
+	LEH2 = AutomatonKind{name: "LEH-2bit", class: classLEH, max: 3, Bits: 4}
 
 	// VC2MRU is four 2-bit voting counters with MRU tie-breaking.
-	VC2MRU = AutomatonKind{name: "2bit-VC-MRU", Bits: 10,
-		make: func(r *rng) Automaton { return &votingCounters{max: 3, tie: TieMRU, mru: -1, rng: r} }}
+	VC2MRU = AutomatonKind{name: "2bit-VC-MRU", class: classVC, max: 3, tie: TieMRU, Bits: 10}
 
 	// VC2Random is four 2-bit voting counters with random tie-breaking.
-	VC2Random = AutomatonKind{name: "2bit-VC-RANDOM", Bits: 8,
-		make: func(r *rng) Automaton { return &votingCounters{max: 3, tie: TieRandom, mru: -1, rng: r} }}
+	VC2Random = AutomatonKind{name: "2bit-VC-RANDOM", class: classVC, max: 3, tie: TieRandom, Bits: 8}
 
 	// VC3MRU is four 3-bit voting counters with MRU tie-breaking.
-	VC3MRU = AutomatonKind{name: "3bit-VC-MRU", Bits: 14,
-		make: func(r *rng) Automaton { return &votingCounters{max: 7, tie: TieMRU, mru: -1, rng: r} }}
+	VC3MRU = AutomatonKind{name: "3bit-VC-MRU", class: classVC, max: 7, tie: TieMRU, Bits: 14}
 
 	// VC3Random is four 3-bit voting counters with random tie-breaking.
-	VC3Random = AutomatonKind{name: "3bit-VC-RANDOM", Bits: 12,
-		make: func(r *rng) Automaton { return &votingCounters{max: 7, tie: TieRandom, mru: -1, rng: r} }}
+	VC3Random = AutomatonKind{name: "3bit-VC-RANDOM", class: classVC, max: 7, tie: TieRandom, Bits: 12}
 )
 
 // AllAutomata lists the seven automata of Figure 6 in the paper's legend
@@ -100,83 +110,37 @@ func AutomatonKindByName(name string) (AutomatonKind, error) {
 	return AutomatonKind{}, fmt.Errorf("core: unknown automaton kind %q", name)
 }
 
-// autState is implemented by every built-in automaton: the complete
-// mutable training state packed into one word, so the speculative-update
-// undo log can checkpoint and restore an automaton without allocation.
-// The pack excludes configuration (max, tie policy, rng pointer) — only
-// what Update mutates. Update never consumes the tie-break RNG (only
-// Predict does, on TieRandom ties), so the RNG stream needs no rollback.
-type autState interface {
-	packState() uint64
-	unpackState(uint64)
-}
+const (
+	// autTouched marks an allocated automaton; a fresh one is exactly
+	// autTouched (exit 0, counters 0, MRU exit 0).
+	autTouched uint16 = 1 << 15
 
-// lastExit predicts whatever exit was taken last time (LE).
-type lastExit int8
+	lehCtrShift        = 8
+	vcMRUShift         = 12
+	vcCtrBits          = 3
+	vcCtrMask   uint16 = 1<<vcCtrBits - 1
+)
 
-func (a *lastExit) Predict() int      { return int(*a) }
-func (a *lastExit) Update(actual int) { *a = lastExit(actual) }
-
-func (a *lastExit) packState() uint64  { return uint64(uint8(*a)) }
-func (a *lastExit) unpackState(v uint64) { *a = lastExit(int8(uint8(v))) }
-
-// leh is last-exit with hysteresis (LEH): the stored exit is replaced only
-// when the saturating confidence counter has decayed to zero and the
-// prediction is wrong again.
-type leh struct {
-	exit int8
-	ctr  int8
-	max  int8 // counter saturation value: 1 for LEH-1bit, 3 for LEH-2bit
-}
-
-func (a *leh) Predict() int { return int(a.exit) }
-
-func (a *leh) Update(actual int) {
-	if int(a.exit) == actual {
-		if a.ctr < a.max {
-			a.ctr++
-		}
-		return
+// predict returns the exit predicted by packed state s. Only a voting
+// counter with TieRandom that sees a tie draws from r (one draw per tied
+// predict), so the tie-break stream advances exactly as the paper's
+// per-automaton model would.
+func (k *AutomatonKind) predict(s uint16, r *rng) int {
+	if k.class != classVC {
+		return int(s & 3)
 	}
-	if a.ctr == 0 {
-		a.exit = int8(actual)
-		return
-	}
-	a.ctr--
+	return k.predictVC(s, r)
 }
 
-func (a *leh) packState() uint64 {
-	return uint64(uint8(a.exit)) | uint64(uint8(a.ctr))<<8
-}
-
-func (a *leh) unpackState(v uint64) {
-	a.exit = int8(uint8(v))
-	a.ctr = int8(uint8(v >> 8))
-}
-
-// votingCounters keeps one saturating counter per exit; the exit with the
-// strictly highest counter is predicted, with ties broken by policy. On
-// update the actual exit's counter is incremented and all others are
-// decremented (§5.1).
-type votingCounters struct {
-	ctr [tfg.MaxExits]int8
-	max int8
-	tie TiePolicy
-	mru int8 // most recently used exit; -1 before first update
-	rng *rng
-}
-
-func (a *votingCounters) Predict() int {
-	best := a.ctr[0]
-	for _, c := range a.ctr[1:] {
-		if c > best {
-			best = c
-		}
+func (k *AutomatonKind) predictVC(s uint16, r *rng) int {
+	best := uint16(0)
+	for i := 0; i < tfg.MaxExits; i++ {
+		best = max(best, s>>(vcCtrBits*i)&vcCtrMask)
 	}
 	var ties [tfg.MaxExits]int
 	n := 0
-	for i, c := range a.ctr {
-		if c == best {
+	for i := 0; i < tfg.MaxExits; i++ {
+		if s>>(vcCtrBits*i)&vcCtrMask == best {
 			ties[n] = i
 			n++
 		}
@@ -184,48 +148,90 @@ func (a *votingCounters) Predict() int {
 	if n == 1 {
 		return ties[0]
 	}
-	switch a.tie {
-	case TieMRU:
-		if a.mru >= 0 {
-			for _, t := range ties[:n] {
-				if int(a.mru) == t {
-					return t
-				}
+	if k.tie == TieMRU {
+		mru := int(s >> vcMRUShift & 3)
+		for _, t := range ties[:n] {
+			if t == mru {
+				return t
 			}
 		}
 		return ties[0]
-	default: // TieRandom
-		if a.rng != nil {
-			return ties[a.rng.intn(n)]
-		}
-		return ties[0]
 	}
+	if r != nil {
+		return ties[r.intn(n)]
+	}
+	return ties[0]
 }
 
-func (a *votingCounters) Update(actual int) {
-	for i := range a.ctr {
-		if i == actual {
-			if a.ctr[i] < a.max {
-				a.ctr[i]++
+// update returns s trained with the actual exit. LE remembers it; LEH
+// replaces its stored exit only when the hysteresis counter has decayed
+// to zero and the prediction is wrong again; voting counters increment
+// the actual exit's counter, decrement all others and record the MRU
+// exit (§5.1).
+func (k *AutomatonKind) update(s uint16, exit int) uint16 {
+	switch k.class {
+	case classLE:
+		return s&^3 | uint16(exit)
+	case classLEH:
+		return k.updateLEH(s, exit)
+	}
+	return k.updateVC(s, exit)
+}
+
+func (k *AutomatonKind) updateLEH(s uint16, exit int) uint16 {
+	ctr := s >> lehCtrShift & 3
+	switch {
+	case int(s&3) == exit:
+		if ctr < k.max {
+			ctr++
+		}
+	case ctr == 0:
+		return s&^3 | uint16(exit)
+	default:
+		ctr--
+	}
+	return s&^(3<<lehCtrShift) | ctr<<lehCtrShift
+}
+
+func (k *AutomatonKind) updateVC(s uint16, exit int) uint16 {
+	out := autTouched | uint16(exit)<<vcMRUShift
+	for i := 0; i < tfg.MaxExits; i++ {
+		c := s >> (vcCtrBits * i) & vcCtrMask
+		if i == exit {
+			if c < k.max {
+				c++
 			}
-		} else if a.ctr[i] > 0 {
-			a.ctr[i]--
+		} else if c > 0 {
+			c--
 		}
+		out |= c << (vcCtrBits * i)
 	}
-	a.mru = int8(actual)
+	return out
 }
 
-func (a *votingCounters) packState() uint64 {
-	v := uint64(uint8(a.mru)) << (8 * tfg.MaxExits)
-	for i, c := range a.ctr {
-		v |= uint64(uint8(c)) << (8 * uint(i))
+// flipBit returns s with one training-state bit inverted — an upset in
+// the PHT RAM. The victim is one of the stored exit's two bits or a
+// counter bit, chosen by rnd; counters stay within [0, max] because max
+// is all-ones for every kind. The touched bit is never hit.
+func (k *AutomatonKind) flipBit(s uint16, rnd func(int) int) uint16 {
+	switch k.class {
+	case classLE:
+		return s ^ 1<<rnd(2)
+	case classLEH:
+		ctrBits := 1
+		if k.max == 3 {
+			ctrBits = 2
+		}
+		b := rnd(2 + ctrBits)
+		if b < 2 {
+			return s ^ 1<<b
+		}
+		return s ^ 1<<(lehCtrShift+b-2)
 	}
-	return v
-}
-
-func (a *votingCounters) unpackState(v uint64) {
-	for i := range a.ctr {
-		a.ctr[i] = int8(uint8(v >> (8 * uint(i))))
+	ctrBits := 2
+	if k.max == 7 {
+		ctrBits = 3
 	}
-	a.mru = int8(uint8(v >> (8 * tfg.MaxExits)))
+	i := rnd(tfg.MaxExits)
+	return s ^ 1<<(vcCtrBits*i+rnd(ctrBits))
 }

@@ -79,8 +79,12 @@ type ExitPredictor interface {
 // Aliased or untrained automata can emit exit numbers the current task
 // does not have; hardware would resolve these against the 4-entry header,
 // which we model by clamping.
-func clampExit(exit int, t *tfg.Task) int {
-	if n := t.NumExits(); exit >= n {
+func clampExit(exit int, t *tfg.Task) int { return clampExits(exit, t.NumExits()) }
+
+// clampExits is clampExit against an exit count n, as the block kernels
+// read it from the trace dictionary.
+func clampExits(exit, n int) int {
+	if exit >= n {
 		if n == 0 {
 			return 0
 		}

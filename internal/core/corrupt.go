@@ -13,65 +13,22 @@ package core
 // returns whether any state was actually corrupted (a predictor that has
 // touched no state yet has nothing to corrupt).
 
-// bitFlipper is implemented by automaton kinds that support single-bit
-// state corruption. All built-in kinds implement it; custom kinds that do
-// not are simply skipped by corruptPHT.
-type bitFlipper interface {
-	flipBit(rnd func(int) int)
-}
-
-// flipBit flips one of the two stored exit-number bits.
-func (a *lastExit) flipBit(rnd func(int) int) {
-	*a = lastExit(int8(*a) ^ int8(1<<rnd(2)))
-}
-
-// flipBit flips a bit of the stored exit (2 bits) or of the hysteresis
-// counter. Counter values stay within [0, max] because max is all-ones
-// for both LEH variants (1 and 3).
-func (a *leh) flipBit(rnd func(int) int) {
-	ctrBits := 1
-	if a.max == 3 {
-		ctrBits = 2
-	}
-	b := rnd(2 + ctrBits)
-	if b < 2 {
-		a.exit ^= 1 << b
-		return
-	}
-	a.ctr ^= 1 << (b - 2)
-}
-
-// flipBit flips a bit of one voting counter. Counter values stay within
-// [0, max] because max is all-ones for both VC variants (3 and 7).
-func (a *votingCounters) flipBit(rnd func(int) int) {
-	ctrBits := 2
-	if a.max == 7 {
-		ctrBits = 3
-	}
-	a.ctr[rnd(len(a.ctr))] ^= 1 << rnd(ctrBits)
-}
-
-// corruptPHT flips a random bit in a random allocated PHT automaton,
-// scanning forward from a random start so sparse tables still find a
-// victim in one call. It reports false when the table holds no corruptible
-// state yet.
-func corruptPHT(pht []Automaton, rnd func(int) int) bool {
-	n := len(pht)
+// corrupt flips a random training-state bit of a random allocated PHT
+// entry, scanning forward from a random start so sparse tables still
+// find a victim in one call. It reports false when the table holds no
+// touched entry yet.
+func (t *pht) corrupt(rnd func(int) int) bool {
+	n := len(t.states)
 	if n == 0 {
 		return false
 	}
 	start := rnd(n)
 	for i := 0; i < n; i++ {
-		a := pht[(start+i)%n]
-		if a == nil {
-			continue
+		j := (start + i) % n
+		if s := t.states[j]; s != 0 {
+			t.states[j] = t.kind.flipBit(s, rnd)
+			return true
 		}
-		f, ok := a.(bitFlipper)
-		if !ok {
-			return false
-		}
-		f.flipBit(rnd)
-		return true
 	}
 	return false
 }
@@ -86,19 +43,20 @@ func (h *PathHistory) FlipBit(rnd func(int) int) {
 // CorruptCounter implements the fault layer's counter-corruption hook:
 // a single bit flip in one allocated PHT automaton.
 func (p *PathExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(rnd)
 }
 
 // CorruptHistory implements the fault layer's history-corruption hook:
 // a single bit flip in the path history register.
 func (p *PathExit) CorruptHistory(rnd func(int) int) bool {
-	p.hist.FlipBit(rnd)
+	p.path.hist.FlipBit(rnd)
+	p.path.resync()
 	return true
 }
 
 // CorruptCounter flips a bit in one allocated PHT automaton.
 func (p *GlobalExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(rnd)
 }
 
 // CorruptHistory flips one bit of the global exit history register (a
@@ -113,7 +71,7 @@ func (p *GlobalExit) CorruptHistory(rnd func(int) int) bool {
 
 // CorruptCounter flips a bit in one allocated PHT automaton.
 func (p *PerExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(rnd)
 }
 
 // CorruptHistory flips one bit of a random per-task history register.
@@ -155,7 +113,8 @@ func (b *CTTB) CorruptEntry(rnd func(int) int) bool {
 
 // CorruptHistory flips one bit of the buffer's path history register.
 func (b *CTTB) CorruptHistory(rnd func(int) int) bool {
-	b.hist.FlipBit(rnd)
+	b.path.hist.FlipBit(rnd)
+	b.path.resync()
 	return true
 }
 

@@ -29,12 +29,12 @@ func TestCorruptPHTEmpty(t *testing.T) {
 func TestCorruptCounterFlipsPrediction(t *testing.T) {
 	// A single LE automaton trained to exit 0: flipping its stored exit
 	// bit must change the prediction.
-	le := LE.New(nil)
+	le := newPacked(LE, nil)
 	le.Update(0)
 	if got := le.Predict(); got != 0 {
 		t.Fatalf("trained LE predicts %d, want 0", got)
 	}
-	le.(*lastExit).flipBit(fixedRnd(0))
+	le.s = LE.flipBit(le.s, fixedRnd(0))
 	if got := le.Predict(); got == 0 {
 		t.Fatal("bit flip left the LE prediction unchanged")
 	}
@@ -45,15 +45,13 @@ func TestAutomataFlipBitStaysInRange(t *testing.T) {
 	// predictions must stay valid exit numbers and updates must not
 	// panic.
 	for _, kind := range AllAutomata {
-		r := newRNG(7)
-		a := kind.New(r)
+		a := newPacked(kind, seeded(7))
 		for trial := 0; trial < 200; trial++ {
 			a.Update(trial % 4)
-			f, ok := a.(bitFlipper)
-			if !ok {
-				t.Fatalf("%s does not support bit flips", kind.Name())
+			a.s = kind.flipBit(a.s, fixedRnd(trial, trial/2, trial/3))
+			if a.s&autTouched == 0 {
+				t.Fatalf("%s: bit flip cleared the touched bit", kind.Name())
 			}
-			f.flipBit(fixedRnd(trial, trial/2, trial/3))
 			if got := a.Predict(); got < 0 || got > 3 {
 				t.Fatalf("%s predicts %d after bit flip, outside [0,3]", kind.Name(), got)
 			}

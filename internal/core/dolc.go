@@ -79,11 +79,6 @@ func (d DOLC) Validate() error {
 	if d.IndexBits() > 30 {
 		return fmt.Errorf("core: DOLC %v: index of %d bits is unreasonably large", d, d.IndexBits())
 	}
-	if d.Depth >= 2 && d.Older == 0 && d.Depth > 1 {
-		// Legal but pointless: older tasks contribute nothing. Allowed —
-		// the paper's 1-0-7-7(1) point has O=0 at D=1.
-		_ = d
-	}
 	return nil
 }
 
@@ -117,6 +112,85 @@ func (d DOLC) Index(h *PathHistory, current isa.Addr) uint32 {
 		v >>= uint(bits)
 	}
 	return uint32(folded)
+}
+
+// dolcPath is a path history register that keeps the older fields of a
+// DOLC intermediate index assembled as a shift register, so each step's
+// index costs one XOR fold instead of a walk over D history entries.
+// Push shifts the previous last task into the register as the youngest
+// older field; index appends the last task's L bits and the current
+// task's C bits and folds. Every index equals DOLC.Index over the same
+// history, including the 64-bit truncation of very long intermediate
+// indexes (pinned by test).
+type dolcPath struct {
+	hist PathHistory
+
+	depth                int
+	older, last, current uint   // field widths O, L, C
+	olderM, lastM, currM uint64 // field masks (zero for absent fields)
+	olderRegM            uint64 // the (D-1)·O bits of the older register
+	bits                 uint   // folded index width
+	mask                 uint64
+	folds                int
+
+	olderReg uint64 // O-bit fields of Current_Task-D … -2, oldest highest
+}
+
+func newDOLCPath(d DOLC) dolcPath {
+	p := dolcPath{
+		depth: d.Depth,
+		older: uint(d.Older), last: uint(d.Last), current: uint(d.Current),
+		currM: 1<<uint(d.Current) - 1,
+		bits:  uint(d.IndexBits()),
+		folds: max(d.Folds, 1),
+	}
+	p.mask = 1<<p.bits - 1
+	if d.Depth >= 1 {
+		p.lastM = 1<<uint(d.Last) - 1
+	}
+	if d.Depth >= 2 {
+		p.olderM = 1<<uint(d.Older) - 1
+		p.olderRegM = ^uint64(0)
+		if w := (d.Depth - 1) * d.Older; w < 64 {
+			p.olderRegM = 1<<uint(w) - 1
+		}
+	}
+	return p
+}
+
+// index returns the DOLC index of the current task under the history.
+func (p *dolcPath) index(current isa.Addr) uint32 {
+	v := (p.olderReg<<p.last|uint64(p.hist.ring[p.hist.head])&p.lastM)<<p.current | uint64(current)&p.currM
+	f := v & p.mask
+	for i := 1; i < p.folds; i++ {
+		v >>= p.bits
+		f ^= v & p.mask
+	}
+	return uint32(f)
+}
+
+// push shifts a completed task into the history.
+func (p *dolcPath) push(addr isa.Addr) {
+	last := uint64(p.hist.ring[p.hist.head])
+	p.olderReg = (p.olderReg<<p.older | last&p.olderM) & p.olderRegM
+	p.hist.Push(addr)
+}
+
+// resync rebuilds the older register from the history ring after the
+// ring changed behind push's back (undo-log repair, fault injection,
+// reset).
+func (p *dolcPath) resync() {
+	p.olderReg = 0
+	for i := p.depth; i >= 2; i-- {
+		p.olderReg = p.olderReg<<p.older | uint64(p.hist.At(i))&p.olderM
+	}
+	p.olderReg &= p.olderRegM
+}
+
+// reset clears the history register.
+func (p *dolcPath) reset() {
+	p.hist.Reset()
+	p.olderReg = 0
 }
 
 // ParseDOLC parses a configuration written as "D-O-L-C-F" (five

@@ -143,3 +143,45 @@ func TestPaperDOLCFamiliesAreConsistent(t *testing.T) {
 		}
 	}
 }
+
+// The predictors' incremental index (dolcPath) must equal DOLC.Index over
+// the same history at every step: across depths 0–MaxHistoryDepth, with
+// intermediate indexes wider than 64 bits, and after the ring is changed
+// behind push's back and resynced (undo-log repair, fault injection).
+func TestDOLCPathMatchesIndex(t *testing.T) {
+	cfgs := []DOLC{
+		MustDOLC(0, 0, 0, 12, 1),
+		MustDOLC(0, 0, 0, 14, 2),
+		MustDOLC(1, 0, 7, 7, 1),
+		MustDOLC(2, 4, 4, 4, 1),
+		MustDOLC(7, 5, 6, 6, 3),
+		MustDOLC(7, 4, 4, 5, 3),
+		MustDOLC(9, 3, 4, 4, 2),
+		MustDOLC(MaxHistoryDepth, 0, 8, 8, 1),
+		MustDOLC(MaxHistoryDepth, 8, 10, 10, 5),  // 100-bit intermediate
+		MustDOLC(MaxHistoryDepth, 16, 16, 16, 8), // 192-bit intermediate
+	}
+	r := newRNG(42)
+	for _, d := range cfgs {
+		p := newDOLCPath(d)
+		for step := 0; step < 2000; step++ {
+			cur := isa.Addr(r.next())
+			if got, want := p.index(cur), d.Index(&p.hist, cur); got != want {
+				t.Fatalf("%v step %d: dolcPath index %#x, DOLC.Index %#x", d, step, got, want)
+			}
+			switch r.intn(16) {
+			case 0:
+				var log undoRing
+				logPathHist(&log, &p.hist)
+				p.push(cur)
+				undoPathHistApply(&p.hist, &log.buf[0])
+				p.resync()
+			case 1:
+				p.hist.FlipBit(func(n int) int { return r.intn(n) })
+				p.resync()
+			default:
+				p.push(cur)
+			}
+		}
+	}
+}

@@ -187,16 +187,20 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 	return res, nil
 }
 
+// The kernels below implement ExitBlockReplayer / TargetBlockReplayer
+// for the built-in predictors. Each inlines its PredictExit/UpdateExit
+// (or Lookup/Train/Advance) pair over the block's flat columns, with the
+// task header fields read from the block dictionary instead of chased
+// through *tfg.Task, and computes the step's table index, fold or key
+// once for both the prediction and the training.
+
 // ReplayExitBlock implements ExitBlockReplayer for the real PATH
-// predictor: the block loop inlines PredictExit/UpdateExit (same
-// automaton, history and pending-train sequence — single-exit skip,
-// clamping and training latency included) with the task header fields
-// read from the block dictionary instead of chased through *tfg.Task.
+// predictor: single-exit skip, clamping and training latency included.
 func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
-	taskIdx, exits := blk.TaskIdx, blk.Exits
-	for i := 0; i < blk.N; i++ {
-		e := exits[i]
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
 		if e == trace.HaltExit {
 			continue
 		}
@@ -210,29 +214,177 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 				misses++
 			}
 		} else {
-			pred := p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Predict()
-			// clampExit against the dictionary's exit count.
-			if n := int(ent.NumExits); pred >= n {
-				if n == 0 {
-					pred = 0
-				} else {
-					pred = n - 1
-				}
-			} else if pred < 0 {
-				pred = 0
-			}
-			if pred != int(e) {
+			idx := p.path.index(ent.Addr)
+			if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
 				misses++
 			}
 			if p.opts.TrainLatency == 0 {
-				p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Update(int(e))
+				p.pht.update(idx, int(e), nil)
 			} else {
-				p.pendPush(p.dolc.Index(&p.hist, ent.Addr), int(e))
+				p.pendPush(idx, int(e))
 			}
 		}
 		if !(p.opts.SkipSingleExitHistory && single) {
-			p.hist.Push(ent.Addr)
+			p.path.push(ent.Addr)
 		}
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the real GLOBAL
+// predictor.
+func (p *GlobalExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		idx := p.index(ent.Addr)
+		if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.pht.update(idx, int(e), nil)
+		p.hist = p.hist.Push(int(e), p.depth)
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the real PER
+// predictor.
+func (p *PerExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		h := p.hrtIndex(ent.Addr)
+		idx := p.phtIndex(ent.Addr, p.hrt[h])
+		if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.pht.update(idx, int(e), nil)
+		p.hrt[h] = p.hrt[h].Push(int(e), p.depth)
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the ideal GLOBAL
+// predictor: one map lookup per step.
+func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		idx, pred := p.table.predict(exitKey{addr: ent.Addr, hist: p.hist})
+		if clampExits(pred, int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.table.train(idx, int(e), nil)
+		p.hist = p.hist.Push(int(e), p.depth)
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the ideal PER
+// predictor: one history read, one table lookup and one history write
+// per step.
+func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		h := p.hists[ent.Addr]
+		idx, pred := p.table.predict(exitKey{addr: ent.Addr, hist: h})
+		if clampExits(pred, int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.table.train(idx, int(e), nil)
+		p.hists[ent.Addr] = h.Push(int(e), p.depth)
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the ideal PATH
+// predictor: one path key and one map lookup per step.
+func (p *IdealPath) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx := blk.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		idx, pred := p.table.predict(MakePathKey(&p.hist, ent.Addr, p.depth))
+		if clampExits(pred, int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.table.train(idx, int(e), nil)
+		p.hist.Push(ent.Addr)
+	}
+	return steps, misses
+}
+
+// ReplayTargetBlock implements TargetBlockReplayer for the real CTTB:
+// Lookup and Train on an indirect step share one DOLC index.
+func (b *CTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
+	for i, e := range exits {
+		ent := &entries[taskIdx[i]]
+		if e != trace.HaltExit && ent.Indirect[e] {
+			target := entries[targetIdx[i]].Addr
+			steps++
+			idx := b.path.index(ent.Addr)
+			if got, ok := b.lookupAt(idx); !ok || got != target {
+				misses++
+			}
+			b.trainAt(idx, target, nil)
+		}
+		b.path.push(ent.Addr)
+	}
+	return steps, misses
+}
+
+// ReplayTargetBlock implements TargetBlockReplayer for the ideal CTTB:
+// Lookup and Train on an indirect step share one path key.
+func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
+	for i, e := range exits {
+		ent := &entries[taskIdx[i]]
+		if e != trace.HaltExit && ent.Indirect[e] {
+			target := entries[targetIdx[i]].Addr
+			steps++
+			idx, _ := b.entries.lookup(MakePathKey(&b.hist, ent.Addr, b.depth), ttbEntry{})
+			slot := &b.entries.slots[idx]
+			if !slot.valid || slot.target != target {
+				misses++
+			}
+			slot.train(target)
+		}
+		b.hist.Push(ent.Addr)
 	}
 	return steps, misses
 }

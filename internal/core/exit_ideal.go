@@ -9,7 +9,10 @@ import (
 
 // The ideal predictors implement the paper's alias-free limit study
 // (§5.2): "ideal" means no two distinct prediction contexts ever share an
-// automaton. They are map-backed, with exact keys.
+// automaton. They are map-backed, with exact keys: each map holds a
+// context's slot in a flat slice of packed automata (a slotMap), so a
+// context costs no heap object of its own and an undo-log entry names a
+// slot by index instead of by pointer.
 //
 // At depth 0 all three schemes degenerate to one automaton per static
 // task ("no correlation is exploited").
@@ -22,14 +25,114 @@ type exitKey struct {
 	hist ExitHistory
 }
 
+// slotMap is the storage of an ideal (alias-free) table: an exact-key
+// map from context to slot index plus the flat slot slice it indexes,
+// and each slot's key so an undo entry can name a context by its slot.
+// Slots are appended on first touch and never move.
+type slotMap[K comparable, E any] struct {
+	index map[K]uint32
+	slots []E
+	keys  []K
+}
+
+func newSlotMap[K comparable, E any]() slotMap[K, E] {
+	return slotMap[K, E]{index: make(map[K]uint32)}
+}
+
+// find returns k's slot, if it has one.
+func (m *slotMap[K, E]) find(k K) (uint32, bool) {
+	i, ok := m.index[k]
+	return i, ok
+}
+
+// lookup returns k's slot, appending one initialized to fresh when k is
+// new.
+func (m *slotMap[K, E]) lookup(k K, fresh E) (idx uint32, created bool) {
+	if i, ok := m.index[k]; ok {
+		return i, false
+	}
+	i := uint32(len(m.slots))
+	m.slots = append(m.slots, fresh)
+	m.keys = append(m.keys, k)
+	m.index[k] = i
+	return i, true
+}
+
+// drop undoes the creation of slot idx. Repair drains the undo log
+// newest-first, so every logged create younger than this one is already
+// gone and idx is normally the last slot, which is truncated away. Only
+// an unlogged create made since (a lookup materializing a context, which
+// repair deliberately keeps) can sit above it; then idx stays allocated
+// but unreachable.
+func (m *slotMap[K, E]) drop(idx uint32) {
+	delete(m.index, m.keys[idx])
+	if int(idx) == len(m.slots)-1 {
+		m.slots = m.slots[:idx]
+		m.keys = m.keys[:idx]
+	}
+}
+
+// contexts returns the number of live contexts.
+func (m *slotMap[K, E]) contexts() int { return len(m.index) }
+
+// reset empties the table, keeping its storage for reuse.
+func (m *slotMap[K, E]) reset() {
+	clear(m.index)
+	m.slots = m.slots[:0]
+	m.keys = m.keys[:0]
+}
+
+// idealPHT is the automaton table shared by the ideal exit predictors:
+// a slotMap of packed automata plus the kind and its tie-break RNG.
+type idealPHT[K comparable] struct {
+	slotMap[K, uint16]
+	kind AutomatonKind
+	seed uint32
+	rng  rng
+}
+
+func newIdealPHT[K comparable](kind AutomatonKind, seed uint32) idealPHT[K] {
+	return idealPHT[K]{slotMap: newSlotMap[K, uint16](), kind: kind, seed: seed, rng: newRNG(seed)}
+}
+
+func (t *idealPHT[K]) reset() {
+	t.slotMap.reset()
+	t.rng = newRNG(t.seed)
+}
+
+// predict returns the raw prediction of k's automaton (created on first
+// touch) and its slot.
+func (t *idealPHT[K]) predict(k K) (idx uint32, exit int) {
+	idx, _ = t.lookup(k, autTouched)
+	return idx, t.kind.predict(t.slots[idx], &t.rng)
+}
+
+// train updates slot idx with the actual exit, logging the prior word
+// when log is non-nil.
+func (t *idealPHT[K]) train(idx uint32, exit int, log *undoRing) {
+	if log != nil {
+		log.push(specUndo{kind: undoIdealState, idx: idx, prev: uint32(t.slots[idx])})
+	}
+	t.slots[idx] = t.kind.update(t.slots[idx], exit)
+}
+
+// update trains k's automaton, creating it (and logging the creation)
+// when k is new.
+func (t *idealPHT[K]) update(k K, exit int, log *undoRing) {
+	idx, created := t.lookup(k, autTouched)
+	if created && log != nil {
+		log.push(specUndo{kind: undoIdealCreate, idx: idx})
+	}
+	t.train(idx, exit, log)
+}
+
 // IdealGlobal is the ideal GLOBAL scheme: a single exit-number history
 // register shared by all tasks, paired with the current task address.
 type IdealGlobal struct {
+	name  string
 	depth int
-	kind  AutomatonKind
-	rng   *rng
 	hist  ExitHistory
-	table map[exitKey]Automaton
+	table idealPHT[exitKey]
 	undo  undoRing
 }
 
@@ -43,58 +146,39 @@ func NewIdealGlobal(depth int, kind AutomatonKind) *IdealGlobal {
 	if depth < 0 || depth > MaxHistoryDepth {
 		panic(fmt.Sprintf("core: IdealGlobal depth %d out of range", depth))
 	}
-	return &IdealGlobal{depth: depth, kind: kind, rng: newRNG(1), table: make(map[exitKey]Automaton)}
+	return &IdealGlobal{
+		name:  fmt.Sprintf("GLOBAL-ideal(d=%d,%s)", depth, kind.Name()),
+		depth: depth, table: newIdealPHT[exitKey](kind, 1),
+	}
 }
 
 // Name implements ExitPredictor.
-func (p *IdealGlobal) Name() string {
-	return fmt.Sprintf("GLOBAL-ideal(d=%d,%s)", p.depth, p.kind.Name())
-}
+func (p *IdealGlobal) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *IdealGlobal) States() int { return len(p.table) }
+func (p *IdealGlobal) States() int { return p.table.contexts() }
 
 // Reset implements ExitPredictor.
 func (p *IdealGlobal) Reset() {
 	p.hist = 0
-	p.table = make(map[exitKey]Automaton)
+	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(1)
-}
-
-func (p *IdealGlobal) automaton(t *tfg.Task) Automaton {
-	k := exitKey{addr: t.Start, hist: p.hist}
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-	}
-	return a
 }
 
 // PredictExit implements ExitPredictor.
 func (p *IdealGlobal) PredictExit(t *tfg.Task) int {
-	return clampExit(p.automaton(t).Predict(), t)
+	_, e := p.table.predict(exitKey{addr: t.Start, hist: p.hist})
+	return clampExit(e, t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *IdealGlobal) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *IdealGlobal) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	k := exitKey{addr: t.Start, hist: p.hist}
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-		if log != nil {
-			log.push(specUndo{kind: undoMapCreateExit, addr: k.addr, prev: uint64(k.hist)})
-		}
-	}
+	p.table.update(exitKey{addr: t.Start, hist: p.hist}, exit, log)
 	if log != nil {
-		log.push(specUndo{kind: undoMapState, aut: a, prev: a.(autState).packState()})
-		log.push(specUndo{kind: undoExitHist, prev: uint64(p.hist)})
+		log.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
 	}
-	a.Update(exit)
 	p.hist = p.hist.Push(exit, p.depth)
 }
 
@@ -102,11 +186,10 @@ func (p *IdealGlobal) updateExit(t *tfg.Task, exit int, log *undoRing) {
 // PAp): one exit-history register and one table of automata per static
 // task, with no aliasing anywhere.
 type IdealPer struct {
+	name  string
 	depth int
-	kind  AutomatonKind
-	rng   *rng
 	hists map[isa.Addr]ExitHistory
-	table map[exitKey]Automaton
+	table idealPHT[exitKey]
 	undo  undoRing
 }
 
@@ -117,39 +200,30 @@ func NewIdealPer(depth int, kind AutomatonKind) *IdealPer {
 		panic(fmt.Sprintf("core: IdealPer depth %d out of range", depth))
 	}
 	return &IdealPer{
-		depth: depth, kind: kind, rng: newRNG(2),
+		name:  fmt.Sprintf("PER-ideal(d=%d,%s)", depth, kind.Name()),
+		depth: depth,
 		hists: make(map[isa.Addr]ExitHistory),
-		table: make(map[exitKey]Automaton),
+		table: newIdealPHT[exitKey](kind, 2),
 	}
 }
 
 // Name implements ExitPredictor.
-func (p *IdealPer) Name() string { return fmt.Sprintf("PER-ideal(d=%d,%s)", p.depth, p.kind.Name()) }
+func (p *IdealPer) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *IdealPer) States() int { return len(p.table) }
+func (p *IdealPer) States() int { return p.table.contexts() }
 
 // Reset implements ExitPredictor.
 func (p *IdealPer) Reset() {
-	p.hists = make(map[isa.Addr]ExitHistory)
-	p.table = make(map[exitKey]Automaton)
+	clear(p.hists)
+	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(2)
-}
-
-func (p *IdealPer) automaton(t *tfg.Task) Automaton {
-	k := exitKey{addr: t.Start, hist: p.hists[t.Start]}
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-	}
-	return a
 }
 
 // PredictExit implements ExitPredictor.
 func (p *IdealPer) PredictExit(t *tfg.Task) int {
-	return clampExit(p.automaton(t).Predict(), t)
+	_, e := p.table.predict(exitKey{addr: t.Start, hist: p.hists[t.Start]})
+	return clampExit(e, t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -157,20 +231,10 @@ func (p *IdealPer) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil
 
 func (p *IdealPer) updateExit(t *tfg.Task, exit int, log *undoRing) {
 	h := p.hists[t.Start]
-	k := exitKey{addr: t.Start, hist: h}
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-		if log != nil {
-			log.push(specUndo{kind: undoMapCreateExit, addr: k.addr, prev: uint64(k.hist)})
-		}
-	}
+	p.table.update(exitKey{addr: t.Start, hist: h}, exit, log)
 	if log != nil {
-		log.push(specUndo{kind: undoMapState, aut: a, prev: a.(autState).packState()})
-		log.push(specUndo{kind: undoPerHist, addr: t.Start, prev: uint64(h)})
+		log.push(specUndo{kind: undoPerHist, addr: t.Start, prev: uint32(h)})
 	}
-	a.Update(exit)
 	p.hists[t.Start] = h.Push(exit, p.depth)
 }
 
@@ -178,11 +242,10 @@ func (p *IdealPer) updateExit(t *tfg.Task, exit int, log *undoRing) {
 // sequence of the depth most recent task start addresses plus the current
 // task — unique path identification with no aliasing.
 type IdealPath struct {
+	name  string
 	depth int
-	kind  AutomatonKind
-	rng   *rng
 	hist  PathHistory
-	table map[PathKey]Automaton
+	table idealPHT[PathKey]
 	undo  undoRing
 }
 
@@ -192,55 +255,38 @@ func NewIdealPath(depth int, kind AutomatonKind) *IdealPath {
 	if depth < 0 || depth > MaxHistoryDepth {
 		panic(fmt.Sprintf("core: IdealPath depth %d out of range", depth))
 	}
-	return &IdealPath{depth: depth, kind: kind, rng: newRNG(3), table: make(map[PathKey]Automaton)}
+	return &IdealPath{
+		name:  fmt.Sprintf("PATH-ideal(d=%d,%s)", depth, kind.Name()),
+		depth: depth, table: newIdealPHT[PathKey](kind, 3),
+	}
 }
 
 // Name implements ExitPredictor.
-func (p *IdealPath) Name() string { return fmt.Sprintf("PATH-ideal(d=%d,%s)", p.depth, p.kind.Name()) }
+func (p *IdealPath) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *IdealPath) States() int { return len(p.table) }
+func (p *IdealPath) States() int { return p.table.contexts() }
 
 // Reset implements ExitPredictor.
 func (p *IdealPath) Reset() {
 	p.hist.Reset()
-	p.table = make(map[PathKey]Automaton)
+	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(3)
-}
-
-func (p *IdealPath) automaton(t *tfg.Task) Automaton {
-	k := MakePathKey(&p.hist, t.Start, p.depth)
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-	}
-	return a
 }
 
 // PredictExit implements ExitPredictor.
 func (p *IdealPath) PredictExit(t *tfg.Task) int {
-	return clampExit(p.automaton(t).Predict(), t)
+	_, e := p.table.predict(MakePathKey(&p.hist, t.Start, p.depth))
+	return clampExit(e, t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *IdealPath) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *IdealPath) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	k := MakePathKey(&p.hist, t.Start, p.depth)
-	a := p.table[k]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.table[k] = a
-		if log != nil {
-			log.push(specUndo{kind: undoMapCreatePath, key: k})
-		}
-	}
+	p.table.update(MakePathKey(&p.hist, t.Start, p.depth), exit, log)
 	if log != nil {
-		log.push(specUndo{kind: undoMapState, aut: a, prev: a.(autState).packState()})
 		logPathHist(log, &p.hist)
 	}
-	a.Update(exit)
 	p.hist.Push(t.Start)
 }

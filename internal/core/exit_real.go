@@ -7,6 +7,63 @@ import (
 	"multiscalar/internal/tfg"
 )
 
+// pht is the pattern history table of a real exit predictor: one packed
+// automaton (see AutomatonKind) per entry, zero while the entry has never
+// been touched, plus the tie-break RNG its voting counters draw from.
+type pht struct {
+	kind    AutomatonKind
+	states  []uint16
+	touched int
+	seed    uint32
+	rng     rng
+}
+
+func newPHT(kind AutomatonKind, size int, seed uint32) pht {
+	return pht{kind: kind, states: make([]uint16, size), seed: seed, rng: newRNG(seed)}
+}
+
+// reset clears the table in place and reseeds the tie-break RNG.
+func (t *pht) reset() {
+	clear(t.states)
+	t.touched = 0
+	t.rng = newRNG(t.seed)
+}
+
+// predict returns entry idx's raw prediction, marking the entry touched
+// on its first lookup: States counts every entry a prediction reads.
+func (t *pht) predict(idx uint32) int {
+	s := t.states[idx]
+	if s == 0 {
+		s = autTouched
+		t.states[idx] = s
+		t.touched++
+	}
+	return t.kind.predict(s, &t.rng)
+}
+
+// update trains entry idx with the actual exit. With a non-nil log the
+// prior word is recorded first; a logged zero means this update
+// allocated the entry, and undoing it frees the entry again.
+func (t *pht) update(idx uint32, exit int, log *undoRing) {
+	s := t.states[idx]
+	if log != nil {
+		log.push(specUndo{kind: undoPHT, idx: idx, prev: uint32(s)})
+	}
+	if s == 0 {
+		s = autTouched
+		t.touched++
+	}
+	t.states[idx] = t.kind.update(s, exit)
+}
+
+// undo restores entry idx to a logged prior word.
+func (t *pht) undo(idx uint32, prev uint16) {
+	if prev == 0 {
+		t.touched--
+	}
+	t.states[idx] = prev
+}
+
 // Options for real (table-backed) exit predictors.
 type PathExitOptions struct {
 	// SkipSingleExit enables the paper's §6.1 optimization: tasks with a
@@ -33,15 +90,13 @@ type PathExitOptions struct {
 // history table of automata indexed by the DOLC fold of the path history
 // and current task address.
 type PathExit struct {
+	name string
 	dolc DOLC
-	kind AutomatonKind
 	opts PathExitOptions
-	rng  *rng
 
-	hist    PathHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	path dolcPath
+	pht  pht
+	undo undoRing
 
 	// Pending automaton updates when TrainLatency > 0, kept in a
 	// fixed-size ring (head index + live count) so a full FIFO costs
@@ -69,14 +124,14 @@ func NewPathExit(d DOLC, kind AutomatonKind, opts PathExitOptions) (*PathExit, e
 	}
 	p := &PathExit{
 		dolc: d,
-		kind: kind,
 		opts: opts,
-		rng:  newRNG(opts.Seed + 0x5f0d),
-		pht:  make([]Automaton, d.TableSize()),
+		path: newDOLCPath(d),
+		pht:  newPHT(kind, d.TableSize(), opts.Seed+0x5f0d),
 	}
 	if opts.TrainLatency > 0 {
 		p.pending = make([]pendingTrain, opts.TrainLatency+1)
 	}
+	p.name = fmt.Sprintf("PATH-real(%v,%s)", d, kind.Name())
 	return p, nil
 }
 
@@ -92,28 +147,24 @@ func MustPathExit(d DOLC, kind AutomatonKind, opts PathExitOptions) *PathExit {
 }
 
 // Name implements ExitPredictor.
-func (p *PathExit) Name() string {
-	return fmt.Sprintf("PATH-real(%v,%s)", p.dolc, p.kind.Name())
-}
+func (p *PathExit) Name() string { return p.name }
 
 // DOLC returns the predictor's index configuration.
 func (p *PathExit) DOLC() DOLC { return p.dolc }
 
 // SizeBits returns the PHT storage in bits (entries × automaton width).
-func (p *PathExit) SizeBits() int { return p.dolc.TableSize() * p.kind.Bits }
+func (p *PathExit) SizeBits() int { return p.dolc.TableSize() * p.pht.kind.Bits }
 
 // States implements ExitPredictor: the number of distinct PHT entries
 // touched (Figure 11's "real implementation" series).
-func (p *PathExit) States() int { return p.touched }
+func (p *PathExit) States() int { return p.pht.touched }
 
 // Reset implements ExitPredictor.
 func (p *PathExit) Reset() {
-	p.hist.Reset()
-	p.pht = make([]Automaton, p.dolc.TableSize())
-	p.touched = 0
+	p.path.reset()
+	p.pht.reset()
 	p.pendHead, p.pendN = 0, 0
 	p.undo.reset()
-	p.rng = newRNG(p.opts.Seed + 0x5f0d)
 }
 
 // specErr reports why this predictor cannot run under speculative
@@ -127,26 +178,12 @@ func (p *PathExit) specErr() error {
 	return nil
 }
 
-func (p *PathExit) slotAt(idx uint32) Automaton {
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
-func (p *PathExit) slot(t *tfg.Task) Automaton {
-	return p.slotAt(p.dolc.Index(&p.hist, t.Start))
-}
-
 // PredictExit implements ExitPredictor.
 func (p *PathExit) PredictExit(t *tfg.Task) int {
 	if p.opts.SkipSingleExit && t.SingleExit() {
 		return 0
 	}
-	return clampExit(p.slot(t).Predict(), t)
+	return clampExit(p.pht.predict(p.path.index(t.Start)), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -169,7 +206,7 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 			p.pendHead = 0
 		}
 		p.pendN--
-		p.slotAt(u.idx).Update(int(u.exit))
+		p.pht.update(u.idx, int(u.exit), nil)
 	}
 }
 
@@ -180,32 +217,19 @@ func (p *PathExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 	single := t.SingleExit()
 	if !(p.opts.SkipSingleExit && single) {
 		if p.opts.TrainLatency == 0 {
-			idx := p.dolc.Index(&p.hist, t.Start)
-			a := p.pht[idx]
-			if a == nil {
-				a = p.kind.New(p.rng)
-				p.pht[idx] = a
-				p.touched++
-				if log != nil {
-					log.push(specUndo{kind: undoAutCreate, idx: idx})
-				}
-			}
-			if log != nil {
-				log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
-			}
-			a.Update(exit)
+			p.pht.update(p.path.index(t.Start), exit, log)
 		} else {
 			// Capture the context index now; train once the outcome has
 			// "travelled back" TrainLatency tasks later. (log is always
 			// nil here: specErr refuses TrainLatency under speculation.)
-			p.pendPush(p.dolc.Index(&p.hist, t.Start), exit)
+			p.pendPush(p.path.index(t.Start), exit)
 		}
 	}
 	if !(p.opts.SkipSingleExitHistory && single) {
 		if log != nil {
-			logPathHist(log, &p.hist)
+			logPathHist(log, &p.path.hist)
 		}
-		p.hist.Push(t.Start)
+		p.path.push(t.Start)
 	}
 }
 
@@ -214,16 +238,14 @@ func (p *PathExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 // GLOBAL in its ideal form, arguing real PATH already beat ideal GLOBAL).
 // The PHT index is the XOR-fold of (exit history ++ current task bits).
 type GlobalExit struct {
+	name      string
 	depth     int
 	current   int // bits of the current task address
 	indexBits int
-	kind      AutomatonKind
-	rng       *rng
 
-	hist    ExitHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	hist ExitHistory
+	pht  pht
+	undo undoRing
 }
 
 // NewGlobalExit builds a real GLOBAL exit predictor: depth 2-bit exit
@@ -237,27 +259,23 @@ func NewGlobalExit(depth, currentBits, indexBits int, kind AutomatonKind) (*Glob
 		return nil, fmt.Errorf("core: GlobalExit index bits %d out of range", indexBits)
 	}
 	return &GlobalExit{
+		name:  fmt.Sprintf("GLOBAL-real(d=%d,c=%d,i=%d,%s)", depth, currentBits, indexBits, kind.Name()),
 		depth: depth, current: currentBits, indexBits: indexBits,
-		kind: kind, rng: newRNG(11),
-		pht: make([]Automaton, 1<<uint(indexBits)),
+		pht: newPHT(kind, 1<<uint(indexBits), 11),
 	}, nil
 }
 
 // Name implements ExitPredictor.
-func (p *GlobalExit) Name() string {
-	return fmt.Sprintf("GLOBAL-real(d=%d,c=%d,i=%d,%s)", p.depth, p.current, p.indexBits, p.kind.Name())
-}
+func (p *GlobalExit) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *GlobalExit) States() int { return p.touched }
+func (p *GlobalExit) States() int { return p.pht.touched }
 
 // Reset implements ExitPredictor.
 func (p *GlobalExit) Reset() {
 	p.hist = 0
-	p.pht = make([]Automaton, 1<<uint(p.indexBits))
-	p.touched = 0
+	p.pht.reset()
 	p.undo.reset()
-	p.rng = newRNG(11)
 }
 
 func (p *GlobalExit) index(addr isa.Addr) uint32 {
@@ -271,41 +289,19 @@ func (p *GlobalExit) index(addr isa.Addr) uint32 {
 	return uint32(folded)
 }
 
-func (p *GlobalExit) slot(t *tfg.Task) Automaton {
-	idx := p.index(t.Start)
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
 // PredictExit implements ExitPredictor.
 func (p *GlobalExit) PredictExit(t *tfg.Task) int {
-	return clampExit(p.slot(t).Predict(), t)
+	return clampExit(p.pht.predict(p.index(t.Start)), t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *GlobalExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	idx := p.index(t.Start)
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-		if log != nil {
-			log.push(specUndo{kind: undoAutCreate, idx: idx})
-		}
-	}
+	p.pht.update(p.index(t.Start), exit, log)
 	if log != nil {
-		log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
-		log.push(specUndo{kind: undoExitHist, prev: uint64(p.hist)})
+		log.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
 	}
-	a.Update(exit)
 	p.hist = p.hist.Push(exit, p.depth)
 }
 
@@ -314,17 +310,15 @@ func (p *GlobalExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 // indexed by task address bits, and a PHT indexed by (task bits ++ that
 // task's history), folded.
 type PerExit struct {
+	name      string
 	depth     int
 	hrtBits   int
 	taskBits  int // task address bits mixed into the PHT index
 	indexBits int
-	kind      AutomatonKind
-	rng       *rng
 
-	hrt     []ExitHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	hrt  []ExitHistory
+	pht  pht
+	undo undoRing
 }
 
 // NewPerExit builds a real PER exit predictor.
@@ -336,28 +330,24 @@ func NewPerExit(depth, hrtBits, taskBits, indexBits int, kind AutomatonKind) (*P
 		return nil, fmt.Errorf("core: PerExit table sizes out of range")
 	}
 	return &PerExit{
+		name:  fmt.Sprintf("PER-real(d=%d,h=%d,i=%d,%s)", depth, hrtBits, indexBits, kind.Name()),
 		depth: depth, hrtBits: hrtBits, taskBits: taskBits, indexBits: indexBits,
-		kind: kind, rng: newRNG(13),
 		hrt: make([]ExitHistory, 1<<uint(hrtBits)),
-		pht: make([]Automaton, 1<<uint(indexBits)),
+		pht: newPHT(kind, 1<<uint(indexBits), 13),
 	}, nil
 }
 
 // Name implements ExitPredictor.
-func (p *PerExit) Name() string {
-	return fmt.Sprintf("PER-real(d=%d,h=%d,i=%d,%s)", p.depth, p.hrtBits, p.indexBits, p.kind.Name())
-}
+func (p *PerExit) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *PerExit) States() int { return p.touched }
+func (p *PerExit) States() int { return p.pht.touched }
 
 // Reset implements ExitPredictor.
 func (p *PerExit) Reset() {
-	p.hrt = make([]ExitHistory, 1<<uint(p.hrtBits))
-	p.pht = make([]Automaton, 1<<uint(p.indexBits))
-	p.touched = 0
+	clear(p.hrt)
+	p.pht.reset()
 	p.undo.reset()
-	p.rng = newRNG(13)
 }
 
 func (p *PerExit) hrtIndex(addr isa.Addr) uint32 {
@@ -375,41 +365,19 @@ func (p *PerExit) phtIndex(addr isa.Addr, hist ExitHistory) uint32 {
 	return uint32(folded)
 }
 
-func (p *PerExit) slot(t *tfg.Task) Automaton {
-	idx := p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)])
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
 // PredictExit implements ExitPredictor.
 func (p *PerExit) PredictExit(t *tfg.Task) int {
-	return clampExit(p.slot(t).Predict(), t)
+	return clampExit(p.pht.predict(p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)])), t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *PerExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *PerExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	idx := p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)])
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-		if log != nil {
-			log.push(specUndo{kind: undoAutCreate, idx: idx})
-		}
-	}
 	h := p.hrtIndex(t.Start)
+	p.pht.update(p.phtIndex(t.Start, p.hrt[h]), exit, log)
 	if log != nil {
-		log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
-		log.push(specUndo{kind: undoHRT, idx: h, prev: uint64(p.hrt[h])})
+		log.push(specUndo{kind: undoHRT, idx: h, prev: uint32(p.hrt[h])})
 	}
-	a.Update(exit)
 	p.hrt[h] = p.hrt[h].Push(exit, p.depth)
 }

@@ -31,7 +31,7 @@ func (h *PathHistory) Push(addr isa.Addr) {
 // models a cleared history register at startup.
 func (h *PathHistory) At(i int) isa.Addr {
 	idx := h.head - i + 1
-	for idx < 0 {
+	if idx < 0 { // i <= MaxHistoryDepth, so one wrap suffices
 		idx += len(h.ring)
 	}
 	return h.ring[idx]

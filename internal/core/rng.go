@@ -8,11 +8,11 @@ type rng struct{ state uint32 }
 
 // newRNG returns a generator seeded with seed (0 is replaced by a fixed
 // non-zero constant, since xorshift has an all-zero fixed point).
-func newRNG(seed uint32) *rng {
+func newRNG(seed uint32) rng {
 	if seed == 0 {
 		seed = 0x9e3779b9
 	}
-	return &rng{state: seed}
+	return rng{state: seed}
 }
 
 // next returns the next 32-bit pseudo-random value.

@@ -26,7 +26,7 @@ import (
 // Repair is a bounded drain of an in-place undo log — never a
 // re-simulation — so rollback-heavy replay stays allocation-free per
 // step. Every logged mutation records the exact prior word of state
-// (automaton pack, history register, table entry), and draining newest
+// (packed automaton, history register, table entry), and draining newest
 // to oldest restores predictor tables precisely to the mark. The only
 // speculative effects that survive a repair are allocations performed by
 // wrong-path *lookups* (PHT entries and map contexts materialized on
@@ -92,31 +92,27 @@ type SpecTaskPredictor interface {
 // Undo-log entry kinds. Each predictor interprets its own entries via
 // applyUndo; kinds are shared so the ring stays one flat struct type.
 const (
-	undoAutState      uint8 = iota // pht[idx]: restore packed automaton state
-	undoAutCreate                  // pht[idx]: entry was created by this update — remove
-	undoPathHist                   // PathHistory: restore overwritten slot + head
-	undoExitHist                   // ExitHistory register: restore prev word
-	undoHRT                        // PerExit hrt[idx]: restore prev word
-	undoPerHist                    // IdealPer hists[addr]: restore prev word
-	undoMapState                   // ideal table: restore packed state through aut
-	undoMapCreateExit              // ideal exit table: delete exitKey{addr, prev}
-	undoMapCreatePath              // ideal path table: delete PathKey
-	undoTTBEntry                   // CTTB entries[idx]: restore packed entry
-	undoTTBIdeal                   // IdealCTTB: restore packed entry through ttb
-	undoTTBCreate                  // IdealCTTB: delete PathKey
+	undoPHT         uint8 = iota // real PHT states[idx]: restore prev word (0 frees the entry)
+	undoPathHist                 // PathHistory: restore overwritten slot + head
+	undoExitHist                 // ExitHistory register: restore prev word
+	undoHRT                      // PerExit hrt[idx]: restore prev word
+	undoPerHist                  // IdealPer hists[addr]: restore prev word
+	undoIdealState               // ideal exit table slot idx: restore prev word
+	undoIdealCreate              // ideal table (exit or CTTB): drop slot idx and its key
+	undoTTBEntry                 // CTTB entries[idx]: restore target addr, counter|valid prev
+	undoTTBIdeal                 // IdealCTTB slot idx: likewise
 )
 
-// specUndo is one logged inverse operation. prev carries the packed
-// prior state (automaton pack, history word, or TTB entry pack); idx,
-// addr, key and the pointers give the entry its location.
+// specUndo is one logged inverse operation: idx and addr locate the
+// entry, prev (with addr, for a CTTB target) holds its prior state. Every
+// prior state fits 32 bits — a packed automaton, an exit history of at
+// most 2·MaxHistoryDepth bits, a CTTB counter and valid bit — so an
+// entry is 16 bytes of plain data the garbage collector never scans.
 type specUndo struct {
 	kind uint8
 	idx  uint32
 	addr isa.Addr
-	prev uint64
-	aut  Automaton
-	ttb  *ttbEntry
-	key  PathKey
+	prev uint32
 }
 
 // undoApplier is implemented by every spec-capable predictor: apply one
@@ -165,8 +161,7 @@ func (r *undoRing) grow() {
 }
 
 // repairTo drains entries newest-first down to mark m, applying each
-// inverse through ap. Entries are cleared as they drain so rolled-back
-// automaton and map-entry pointers do not pin garbage.
+// inverse through ap.
 func (r *undoRing) repairTo(m SpecMark, ap undoApplier) (frames int) {
 	keep := int(uint64(m) - r.base)
 	drained := r.n - keep
@@ -175,9 +170,7 @@ func (r *undoRing) repairTo(m SpecMark, ap undoApplier) (frames int) {
 		if i >= len(r.buf) {
 			i -= len(r.buf)
 		}
-		e := &r.buf[i]
-		ap.applyUndo(e)
-		*e = specUndo{}
+		ap.applyUndo(&r.buf[i])
 		r.n--
 	}
 	return drained
@@ -190,13 +183,6 @@ func (r *undoRing) commitTo(m SpecMark) {
 	if drop > r.n {
 		drop = r.n
 	}
-	for i := 0; i < drop; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		r.buf[j] = specUndo{}
-	}
 	r.head += drop
 	if r.head >= len(r.buf) {
 		r.head -= len(r.buf)
@@ -206,16 +192,7 @@ func (r *undoRing) commitTo(m SpecMark) {
 }
 
 // reset clears the log (predictor Reset).
-func (r *undoRing) reset() {
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		r.buf[j] = specUndo{}
-	}
-	r.head, r.n, r.base = 0, 0, 0
-}
+func (r *undoRing) reset() { r.head, r.n, r.base = 0, 0, 0 }
 
 // logPathHist records the inverse of an imminent hist.Push(addr): the
 // head position and the ring slot the push will overwrite.
@@ -234,18 +211,19 @@ func undoPathHistApply(h *PathHistory, e *specUndo) {
 	h.head = int(e.idx)
 }
 
-func packTTBEntry(e *ttbEntry) uint64 {
-	v := uint64(uint32(e.target)) | uint64(uint8(e.ctr))<<32
+// ttbUndo logs entry e, at slot idx, for restoration by undoTTB.
+func ttbUndo(kind uint8, idx uint32, e *ttbEntry) specUndo {
+	u := specUndo{kind: kind, idx: idx, addr: e.target, prev: uint32(uint8(e.ctr))}
 	if e.valid {
-		v |= 1 << 40
+		u.prev |= 1 << 8
 	}
-	return v
+	return u
 }
 
-func unpackTTBEntry(e *ttbEntry, v uint64) {
-	e.target = isa.Addr(uint32(v))
-	e.ctr = int8(uint8(v >> 32))
-	e.valid = v&(1<<40) != 0
+func undoTTB(e *ttbEntry, u *specUndo) {
+	e.target = u.addr
+	e.ctr = int8(uint8(u.prev))
+	e.valid = u.prev&(1<<8) != 0
 }
 
 // --- PathExit ---
@@ -264,13 +242,11 @@ func (p *PathExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *PathExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoPHT:
+		p.pht.undo(e.idx, uint16(e.prev))
 	case undoPathHist:
-		undoPathHistApply(&p.hist, e)
+		undoPathHistApply(&p.path.hist, e)
+		p.path.resync()
 	}
 }
 
@@ -290,11 +266,8 @@ func (p *GlobalExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *GlobalExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoPHT:
+		p.pht.undo(e.idx, uint16(e.prev))
 	case undoExitHist:
 		p.hist = ExitHistory(e.prev)
 	}
@@ -316,11 +289,8 @@ func (p *PerExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *PerExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoPHT:
+		p.pht.undo(e.idx, uint16(e.prev))
 	case undoHRT:
 		p.hrt[e.idx] = ExitHistory(e.prev)
 	}
@@ -342,10 +312,10 @@ func (p *IdealGlobal) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealGlobal) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreateExit:
-		delete(p.table, exitKey{addr: e.addr, hist: ExitHistory(e.prev)})
+	case undoIdealState:
+		p.table.slots[e.idx] = uint16(e.prev)
+	case undoIdealCreate:
+		p.table.drop(e.idx)
 	case undoExitHist:
 		p.hist = ExitHistory(e.prev)
 	}
@@ -367,10 +337,10 @@ func (p *IdealPer) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealPer) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreateExit:
-		delete(p.table, exitKey{addr: e.addr, hist: ExitHistory(e.prev)})
+	case undoIdealState:
+		p.table.slots[e.idx] = uint16(e.prev)
+	case undoIdealCreate:
+		p.table.drop(e.idx)
 	case undoPerHist:
 		p.hists[e.addr] = ExitHistory(e.prev)
 	}
@@ -392,10 +362,10 @@ func (p *IdealPath) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealPath) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreatePath:
-		delete(p.table, e.key)
+	case undoIdealState:
+		p.table.slots[e.idx] = uint16(e.prev)
+	case undoIdealCreate:
+		p.table.drop(e.idx)
 	case undoPathHist:
 		undoPathHistApply(&p.hist, e)
 	}
@@ -408,8 +378,8 @@ func (b *CTTB) SpecTrain(current, target isa.Addr) { b.train(current, target, &b
 
 // SpecAdvance implements SpecTargetBuffer.
 func (b *CTTB) SpecAdvance(current isa.Addr) {
-	logPathHist(&b.undo, &b.hist)
-	b.hist.Push(current)
+	logPathHist(&b.undo, &b.path.hist)
+	b.path.push(current)
 }
 
 // MarkTarget implements SpecTargetBuffer.
@@ -426,12 +396,13 @@ func (b *CTTB) applyUndo(e *specUndo) {
 	case undoTTBEntry:
 		ent := &b.entries[e.idx]
 		wasValid := ent.valid
-		unpackTTBEntry(ent, e.prev)
+		undoTTB(ent, e)
 		if wasValid && !ent.valid {
 			b.touched--
 		}
 	case undoPathHist:
-		undoPathHistApply(&b.hist, e)
+		undoPathHistApply(&b.path.hist, e)
+		b.path.resync()
 	}
 }
 
@@ -440,13 +411,12 @@ func (b *CTTB) applyUndo(e *specUndo) {
 // SpecTrain implements SpecTargetBuffer.
 func (b *IdealCTTB) SpecTrain(current, target isa.Addr) {
 	k := MakePathKey(&b.hist, current, b.depth)
-	e := b.entries[k]
-	if e == nil {
-		e = &ttbEntry{}
-		b.entries[k] = e
-		b.undo.push(specUndo{kind: undoTTBCreate, key: k})
+	i, created := b.entries.lookup(k, ttbEntry{})
+	e := &b.entries.slots[i]
+	if created {
+		b.undo.push(specUndo{kind: undoIdealCreate, idx: i})
 	} else {
-		b.undo.push(specUndo{kind: undoTTBIdeal, ttb: e, prev: packTTBEntry(e)})
+		b.undo.push(ttbUndo(undoTTBIdeal, i, e))
 	}
 	e.train(target)
 }
@@ -469,9 +439,9 @@ func (b *IdealCTTB) CommitTarget(m SpecMark) { b.undo.commitTo(m) }
 func (b *IdealCTTB) applyUndo(e *specUndo) {
 	switch e.kind {
 	case undoTTBIdeal:
-		unpackTTBEntry(e.ttb, e.prev)
-	case undoTTBCreate:
-		delete(b.entries, e.key)
+		undoTTB(&b.entries.slots[e.idx], e)
+	case undoIdealCreate:
+		b.entries.drop(e.idx)
 	case undoPathHist:
 		undoPathHistApply(&b.hist, e)
 	}

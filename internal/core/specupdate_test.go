@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"multiscalar/internal/trace"
 )
@@ -10,9 +11,13 @@ import (
 // specExitFamilies builds one fresh exit predictor per supported family.
 func specExitFamilies() map[string]func() ExitPredictor {
 	return map[string]func() ExitPredictor{
-		"path-real":   func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) },
-		"path-skip":   func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true}) },
-		"path-vcrand": func() ExitPredictor { return MustPathExit(MustDOLC(3, 5, 5, 5, 1), VC3Random, PathExitOptions{Seed: 7}) },
+		"path-real": func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) },
+		"path-skip": func() ExitPredictor {
+			return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true})
+		},
+		"path-vcrand": func() ExitPredictor {
+			return MustPathExit(MustDOLC(3, 5, 5, 5, 1), VC3Random, PathExitOptions{Seed: 7})
+		},
 		"global-real": func() ExitPredictor { p, _ := NewGlobalExit(4, 6, 10, LEH2); return p },
 		"per-real":    func() ExitPredictor { p, _ := NewPerExit(4, 6, 6, 10, LEH2); return p },
 		"iglobal":     func() ExitPredictor { return NewIdealGlobal(4, LEH2) },
@@ -203,5 +208,83 @@ func TestSpecRepairRestoresExactState(t *testing.T) {
 		if clean.States() != dirty.States() {
 			t.Errorf("%s: States diverge after repairs: %d vs %d", name, clean.States(), dirty.States())
 		}
+	}
+}
+
+// Speculative sessions never leave unreachable ideal-table slots: every
+// logged create is repaired newest-first, so each dropped slot is the
+// last one and is truncated away (see slotMap.drop).
+func TestSpecIdealTablesStayDense(t *testing.T) {
+	_, tr := synthGraph()
+	for _, lag := range []int{0, 1, 4} {
+		for name, mk := range specExitFamilies() {
+			p := mk()
+			if _, err := EvaluateExitSpec(tr, p, lag); err != nil {
+				t.Fatalf("%s lag %d: %v", name, lag, err)
+			}
+			var slots, states int
+			switch q := p.(type) {
+			case *IdealGlobal:
+				slots, states = len(q.table.slots), q.States()
+			case *IdealPer:
+				slots, states = len(q.table.slots), q.States()
+			case *IdealPath:
+				slots, states = len(q.table.slots), q.States()
+			default:
+				continue
+			}
+			if slots != states {
+				t.Errorf("%s lag %d: %d slots for %d live contexts", name, lag, slots, states)
+			}
+		}
+		for name, mk := range specTaskFamilies() {
+			p := mk()
+			if _, err := EvaluateTaskSpec(tr, p, lag); err != nil {
+				t.Fatalf("%s lag %d: %v", name, lag, err)
+			}
+			var buf TargetBuffer
+			switch q := p.(type) {
+			case *HeaderPredictor:
+				buf = q.Buffer()
+			case *CTTBOnly:
+				buf = q.Buffer()
+			}
+			if b, ok := buf.(*IdealCTTB); ok && len(b.entries.slots) != b.States() {
+				t.Errorf("%s lag %d: %d CTTB slots for %d live contexts", name, lag, len(b.entries.slots), b.States())
+			}
+		}
+	}
+}
+
+// A speculative update that creates its context (no lookup before it)
+// is undone completely: the context, its slot and its history shift.
+func TestSpecRepairUndoesIdealCreate(t *testing.T) {
+	g, _ := synthGraph()
+	task := g.TaskAt(10) // task A: two exits, so no predictor skips it
+	for name, mk := range specExitFamilies() {
+		p := mk()
+		p.Reset()
+		sp := p.(SpecExitPredictor)
+		m := sp.MarkExit()
+		sp.SpecUpdateExit(task, 1)
+		if p.States() == 0 {
+			t.Fatalf("%s: speculative update touched no state", name)
+		}
+		sp.RepairExit(m)
+		if got := p.States(); got != 0 {
+			t.Errorf("%s: %d states survive repair of a creating update", name, got)
+		}
+		fresh := mk()
+		fresh.Reset()
+		if a, b := p.PredictExit(task), fresh.PredictExit(task); a != b {
+			t.Errorf("%s: repaired predictor predicts %d, fresh one %d", name, a, b)
+		}
+	}
+}
+
+// The undo ring is plain data: 16-byte entries without pointers.
+func TestSpecUndoEntryIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(specUndo{}); got != 16 {
+		t.Errorf("specUndo is %d bytes, want 16", got)
 	}
 }

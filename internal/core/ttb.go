@@ -71,9 +71,10 @@ func (e *ttbEntry) train(actual isa.Addr) {
 // Depth=0 the index degenerates to current-task bits only, which is
 // exactly the naive TTB the paper shows to perform poorly.
 type CTTB struct {
+	name string
 	dolc DOLC
 
-	hist    PathHistory
+	path    dolcPath
 	entries []ttbEntry
 	touched int
 	undo    undoRing
@@ -85,7 +86,11 @@ func NewCTTB(d DOLC) (*CTTB, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return &CTTB{dolc: d, entries: make([]ttbEntry, d.TableSize())}, nil
+	name := fmt.Sprintf("CTTB(%v)", d)
+	if d.Depth == 0 {
+		name = fmt.Sprintf("TTB(%v)", d)
+	}
+	return &CTTB{name: name, dolc: d, path: newDOLCPath(d), entries: make([]ttbEntry, d.TableSize())}, nil
 }
 
 // MustCTTB is NewCTTB for statically-known configurations. It panics iff
@@ -106,12 +111,7 @@ func NewTTB(indexBits int) *CTTB {
 }
 
 // Name implements TargetBuffer.
-func (b *CTTB) Name() string {
-	if b.dolc.Depth == 0 {
-		return fmt.Sprintf("TTB(%v)", b.dolc)
-	}
-	return fmt.Sprintf("CTTB(%v)", b.dolc)
-}
+func (b *CTTB) Name() string { return b.name }
 
 // DOLC returns the buffer's index configuration.
 func (b *CTTB) DOLC() DOLC { return b.dolc }
@@ -126,15 +126,19 @@ func (b *CTTB) States() int { return b.touched }
 
 // Reset implements TargetBuffer.
 func (b *CTTB) Reset() {
-	b.hist.Reset()
-	b.entries = make([]ttbEntry, b.dolc.TableSize())
+	b.path.reset()
+	clear(b.entries)
 	b.touched = 0
 	b.undo.reset()
 }
 
 // Lookup implements TargetBuffer.
 func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	e := &b.entries[b.dolc.Index(&b.hist, current)]
+	return b.lookupAt(b.path.index(current))
+}
+
+func (b *CTTB) lookupAt(idx uint32) (isa.Addr, bool) {
+	e := &b.entries[idx]
 	if !e.valid {
 		if obs.On() {
 			obsCTTBMisses.Inc()
@@ -151,10 +155,13 @@ func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
 func (b *CTTB) Train(current isa.Addr, actual isa.Addr) { b.train(current, actual, nil) }
 
 func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
-	idx := b.dolc.Index(&b.hist, current)
+	b.trainAt(b.path.index(current), actual, log)
+}
+
+func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 	e := &b.entries[idx]
 	if log != nil {
-		log.push(specUndo{kind: undoTTBEntry, idx: idx, prev: packTTBEntry(e)})
+		log.push(ttbUndo(undoTTBEntry, idx, e))
 	}
 	if !e.valid {
 		b.touched++
@@ -169,14 +176,15 @@ func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
 }
 
 // Advance implements TargetBuffer.
-func (b *CTTB) Advance(current isa.Addr) { b.hist.Push(current) }
+func (b *CTTB) Advance(current isa.Addr) { b.path.push(current) }
 
 // IdealCTTB is the alias-free CTTB limit: entries keyed by the exact
 // (path, current task) context, with unbounded capacity (Figure 8).
 type IdealCTTB struct {
+	name    string
 	depth   int
 	hist    PathHistory
-	entries map[PathKey]*ttbEntry
+	entries slotMap[PathKey, ttbEntry]
 	undo    undoRing
 }
 
@@ -191,40 +199,39 @@ func NewIdealCTTB(depth int) *IdealCTTB {
 	if depth < 0 || depth > MaxHistoryDepth {
 		panic(fmt.Sprintf("core: IdealCTTB depth %d out of range", depth))
 	}
-	return &IdealCTTB{depth: depth, entries: make(map[PathKey]*ttbEntry)}
+	return &IdealCTTB{
+		name:    fmt.Sprintf("CTTB-ideal(d=%d)", depth),
+		depth:   depth,
+		entries: newSlotMap[PathKey, ttbEntry](),
+	}
 }
 
 // Name implements TargetBuffer.
-func (b *IdealCTTB) Name() string { return fmt.Sprintf("CTTB-ideal(d=%d)", b.depth) }
+func (b *IdealCTTB) Name() string { return b.name }
 
 // States implements TargetBuffer.
-func (b *IdealCTTB) States() int { return len(b.entries) }
+func (b *IdealCTTB) States() int { return b.entries.contexts() }
 
 // Reset implements TargetBuffer.
 func (b *IdealCTTB) Reset() {
 	b.hist.Reset()
-	b.entries = make(map[PathKey]*ttbEntry)
+	b.entries.reset()
 	b.undo.reset()
 }
 
 // Lookup implements TargetBuffer.
 func (b *IdealCTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	e := b.entries[MakePathKey(&b.hist, current, b.depth)]
-	if e == nil || !e.valid {
+	i, ok := b.entries.find(MakePathKey(&b.hist, current, b.depth))
+	if !ok || !b.entries.slots[i].valid {
 		return 0, false
 	}
-	return e.target, true
+	return b.entries.slots[i].target, true
 }
 
 // Train implements TargetBuffer.
 func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) {
-	k := MakePathKey(&b.hist, current, b.depth)
-	e := b.entries[k]
-	if e == nil {
-		e = &ttbEntry{}
-		b.entries[k] = e
-	}
-	e.train(actual)
+	i, _ := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
+	b.entries.slots[i].train(actual)
 }
 
 // Advance implements TargetBuffer.

@@ -12,14 +12,14 @@ import (
 // into results: the byte-invariance test in internal/experiments holds
 // rendered output identical with observability on or off.
 var (
-	obsRunsTotal  = obs.Default().Counter("engine.run.total")
-	obsRunErrors  = obs.Default().Counter("engine.run.errors")
-	obsRunSeconds = obs.Default().Histogram("engine.run.seconds", nil)
-	obsQueueWait  = obs.Default().Histogram("engine.run.queue_wait_seconds", nil)
-	obsBusyNanos  = obs.Default().Counter("engine.worker.busy_nanos")
-	obsGrids      = obs.Default().Counter("engine.grid.total")
-	obsGridRuns   = obs.Default().Counter("engine.grid.runs")
-	obsGridSecs   = obs.Default().Histogram("engine.grid.seconds", nil)
+	obsRunsTotal   = obs.Default().Counter("engine.run.total")
+	obsRunErrors   = obs.Default().Counter("engine.run.errors")
+	obsRunSeconds  = obs.Default().Histogram("engine.run.seconds", nil)
+	obsQueueWait   = obs.Default().Histogram("engine.run.queue_wait_seconds", nil)
+	obsBusyNanos   = obs.Default().Counter("engine.worker.busy_nanos")
+	obsGrids       = obs.Default().Counter("engine.grid.total")
+	obsGridRuns    = obs.Default().Counter("engine.grid.runs")
+	obsGridSecs    = obs.Default().Histogram("engine.grid.seconds", nil)
 	obsGridWorkers = obs.Default().Gauge("engine.grid.workers")
 
 	// Pool metrics (the serving-side scheduler in pool.go). Sheds and

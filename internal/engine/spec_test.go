@@ -112,12 +112,12 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"composed:path:d7-o5-l6-c6-f3:leh2:ras0:cttb:d7-o4-l4-c5-f3",        // RAS must be positive
 		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:noras:cttb:d7-o4-l4-c5-f3", // contradictory
 		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:junk",  // trailing
-		"path:d7-o5-l6-c6-f3:leh2:rlat8",        // rlat without spec
-		"perfect:rlat8",                         // likewise on perfect
-		"path:d7-o5-l6-c6-f3:leh2:lat4:spec",    // lat conflicts with spec
-		"path:d7-o5-l6-c6-f3:leh2:spec:nosse",   // spec flags must come last
-		"composed:path:d7-o5-l6-c6-f3:leh2:spec:ras8", // likewise before ras
-		"path:d7-o5-l6-c6-f3:leh2:spec:spec:junk",     // trailing after flags
+		"path:d7-o5-l6-c6-f3:leh2:rlat8",                                    // rlat without spec
+		"perfect:rlat8",                                                     // likewise on perfect
+		"path:d7-o5-l6-c6-f3:leh2:lat4:spec",                                // lat conflicts with spec
+		"path:d7-o5-l6-c6-f3:leh2:spec:nosse",                               // spec flags must come last
+		"composed:path:d7-o5-l6-c6-f3:leh2:spec:ras8",                       // likewise before ras
+		"path:d7-o5-l6-c6-f3:leh2:spec:spec:junk",                           // trailing after flags
 	}
 	for _, s := range bad {
 		if sp, err := Parse(s); err == nil {

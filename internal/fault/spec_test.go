@@ -51,17 +51,17 @@ func TestParseSpecAllAndOverride(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, s := range []string{
-		"ctr",          // no value
-		"=0.5",         // no key
-		"ctr=",         // empty value
-		"bogus=0.1",    // unknown kind
-		"ctr=lots",     // unparseable rate
-		"ctr=1.5",      // rate beyond 1
-		"ctr=-0.1",     // negative rate
-		"all=NaN",      // NaN rate
-		"seed=-1",      // negative seed
-		"seed=0x10",    // non-decimal seed
-		"ctr=0.1 ras",  // missing separator
+		"ctr",         // no value
+		"=0.5",        // no key
+		"ctr=",        // empty value
+		"bogus=0.1",   // unknown kind
+		"ctr=lots",    // unparseable rate
+		"ctr=1.5",     // rate beyond 1
+		"ctr=-0.1",    // negative rate
+		"all=NaN",     // NaN rate
+		"seed=-1",     // negative seed
+		"seed=0x10",   // non-decimal seed
+		"ctr=0.1 ras", // missing separator
 	} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", s)

@@ -29,9 +29,9 @@ func TestProgSymbolsEmpty(t *testing.T) {
 func TestProgSymbols(t *testing.T) {
 	p := program.New()
 	p.Code = []isa.Instr{{Op: isa.J, TargetA: 0}}
-	p.Entry = 5                                      // outside text
-	p.Labels["x"] = 9                                // outside text
-	p.Functions["f"] = 0                             // no matching label
+	p.Entry = 5                                            // outside text
+	p.Labels["x"] = 9                                      // outside text
+	p.Functions["f"] = 0                                   // no matching label
 	p.DataSymbols["d"] = program.DataSym{Addr: 2, Size: 8} // outside DataSize
 	p.DataSize = 4
 	p.Lines = []int{1, 2} // not parallel to Code
@@ -53,8 +53,8 @@ func TestProgSymbols(t *testing.T) {
 func TestProgLayoutFallthrough(t *testing.T) {
 	p := program.New()
 	p.Code = []isa.Instr{
-		{Op: isa.Add},               // @0 falls through into @1
-		{Op: isa.J, TargetA: 1},     // @1 is a leader and a run interior
+		{Op: isa.Add},           // @0 falls through into @1
+		{Op: isa.J, TargetA: 1}, // @1 is a leader and a run interior
 	}
 	diags := runProgLayout(&Context{Prog: p})
 	if countCheck(diags, CheckFallthrough) != 1 {

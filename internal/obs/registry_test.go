@@ -75,8 +75,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	h.Observe(0.01)   // exactly on second -> bucket 1
 	h.Observe(0.05)   // -> bucket 2
 	h.Observe(0.1)    // exactly on last bound -> bucket 2
-	h.Observe(5)   // beyond every bound -> +Inf bucket
-	h.Observe(1e6) // far beyond -> +Inf bucket
+	h.Observe(5)      // beyond every bound -> +Inf bucket
+	h.Observe(1e6)    // far beyond -> +Inf bucket
 
 	want := []int64{2, 2, 2, 2}
 	for i, w := range want {

@@ -47,9 +47,15 @@ func equivColumnar(tb testing.TB, name string) *trace.Columnar {
 var equivExitSpecs = []string{
 	"path:d7-o5-l6-c6-f3:leh2",
 	"path:d2-o4-l5-c5:vc2rand:seed7",
+	"path:d7-o5-l6-c6-f3:leh2:lat4",
 	"global:d7-c14-i14:leh2",
+	"global:d4-c8-i10:vc3rand",
 	"per:d7-h12-t14-i14:leh2",
+	"per:d3-h8-t8-i10:vc2mru",
 	"ipath:d7:leh2",
+	"ipath:d3:vc3rand",
+	"iglobal:d7:leh2",
+	"iper:d7:le",
 }
 
 var equivTargetSpecs = []string{
@@ -316,6 +322,30 @@ func TestBlockReplayAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocks(c.Blocks(), bp) }); allocs > 2 {
 		t.Errorf("EvaluateIndirectBlocks: %.1f allocs per %d-step replay, want <= 2 (the cursor)", allocs, c.Len())
+	}
+
+	// The real table-backed predictors replay through their own block
+	// kernels over flat packed PHTs: a handful of allocations per replay
+	// (the cursor and result), none per step.
+	for _, spec := range []string{
+		"path:d7-o5-l6-c6-f3:leh2",
+		"global:d7-c14-i14:leh2",
+		"per:d7-h12-t14-i14:leh2",
+	} {
+		p := engine.MustBuildExit(spec)
+		if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitBlocks(c.Blocks(), p) }); allocs > 8 {
+			t.Errorf("EvaluateExitBlocks(%s): %.1f allocs per %d-step replay, want <= 8", spec, allocs, c.Len())
+		}
+	}
+	cttb := engine.MustBuildTarget("cttb:d7-o4-l4-c5-f3")
+	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), cttb); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocks(c.Blocks(), cttb) }); allocs > 8 {
+		t.Errorf("EvaluateIndirectBlocks(cttb): %.1f allocs per %d-step replay, want <= 8", allocs, c.Len())
 	}
 
 	tp := &probeTask{}

@@ -1,9 +1,18 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, race-enabled tests (with a per-package
-# watchdog so a hung test cannot wedge CI), a fuzz smoke over the
-# hardened parsers, and the static analyzer over every built-in workload
-# (zero error diagnostics required). Run from the repository root.
+# Tier-1 verification: formatting, build, vet, race-enabled tests (with a
+# per-package watchdog so a hung test cannot wedge CI; the bench/ harness
+# module included), a fuzz smoke over the hardened parsers, and the
+# static analyzer over every built-in workload (zero error diagnostics
+# required). Run from the repository root.
 set -eu
+
+echo "==> gofmt -l (every Go source file formatted)"
+unformatted=$(gofmt -l ./*.go bench cmd examples internal scripts)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
@@ -16,6 +25,9 @@ go run ./scripts/detlint
 
 echo "==> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
+
+echo "==> bench harness: go vet + go test -race (its own module, built against this checkout)"
+(cd bench && go vet ./... && go test -race -timeout 10m ./...)
 
 echo "==> fuzz smoke (5s per target)"
 go test ./internal/core -run '^$' -fuzz FuzzRAS -fuzztime 5s >/dev/null

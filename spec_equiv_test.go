@@ -232,12 +232,12 @@ func (p *specProbeTask) Name() string { return "spec-probe-task" }
 func (p *specProbeTask) Predict(t *tfg.Task) core.Prediction {
 	return core.Prediction{Exit: 0, Target: p.last}
 }
-func (p *specProbeTask) Update(t *tfg.Task, o core.Outcome)      { p.last = o.Target }
-func (p *specProbeTask) Reset()                                  { p.last = 0 }
+func (p *specProbeTask) Update(t *tfg.Task, o core.Outcome)         { p.last = o.Target }
+func (p *specProbeTask) Reset()                                     { p.last = 0 }
 func (p *specProbeTask) SpecUpdate(t *tfg.Task, pr core.Prediction) { p.last = pr.Target }
-func (p *specProbeTask) MarkTask() core.TaskMark                 { return core.TaskMark{} }
-func (p *specProbeTask) RepairTask(core.TaskMark) bool           { return false }
-func (p *specProbeTask) CommitTask(core.TaskMark)                {}
+func (p *specProbeTask) MarkTask() core.TaskMark                    { return core.TaskMark{} }
+func (p *specProbeTask) RepairTask(core.TaskMark) bool              { return false }
+func (p *specProbeTask) CommitTask(core.TaskMark)                   {}
 
 // TestSpecBlockReplayAllocationBound pins the spec-mode allocation
 // contract two ways. With stateless probes, a spec replay of tens of
