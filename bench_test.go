@@ -154,151 +154,23 @@ func BenchmarkHeaderPredictorStep(b *testing.B) {
 	}
 }
 
-// ---- replay loops (the sweep substrate's hot path) -----------------------
+// ---- block kernels (the sweep substrate's hot path) ---------------------
 //
-// BenchmarkEvaluate{Exit,Indirect,Task} isolate the replay loop itself:
-// the predictor is a minimal probe, so ns/op measures the per-step loop
-// machinery (map lookups, exit decoding, ByKind accounting) that the
-// resolved fast path eliminates. The ...Unresolved twins run the
-// reference path over the same trace, so the fast-path speedup is the
-// ratio of each pair. The Composed/Path variants replay a real paper
-// predictor for end-to-end numbers. All of these feed the benchdiff
-// regression gate (scripts/benchdiff, BENCH_baseline.json).
+// The ...Blocks benchmarks replay truncated workload traces through the
+// block-wise kernels over the columnar encoding — the only production
+// replay path. With the probes' block fast paths, interface dispatch
+// costs one call per 4096-step block, so BenchmarkEvaluate{Exit,
+// Indirect,Task}Blocks measure the loop machinery itself; the real
+// predictor rows (PATH, GLOBAL, PER, ideal PATH, CTTB and the composed
+// task predictor) give the end-to-end per-step cost. All of these feed
+// the benchdiff regression gate (scripts/benchdiff, BENCH_baseline.json).
 
 const benchReplaySteps = 120000
 
-// benchResolvedTrace returns the shared truncated trace and its resolved
-// sidecar (workload.CachedTrace memoizes both process-wide).
-func benchResolvedTrace(b *testing.B, name string) (*trace.Trace, *trace.Resolved) {
-	b.Helper()
-	tr, err := workload.CachedTrace(name, benchReplaySteps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := tr.Resolved()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr, rt
-}
-
-// reportPerStep converts whole-replay ns/op into ns/step.
-func reportPerStep(b *testing.B, tr *trace.Trace) {
-	reportPerStepN(b, tr.PredictionSteps())
-}
-
+// reportPerStepN converts whole-replay ns/op into ns/step.
 func reportPerStepN(b *testing.B, predSteps int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(predSteps)), "ns/step")
 }
-
-func BenchmarkEvaluateExit(b *testing.B) {
-	tr, rt := benchResolvedTrace(b, "exprc")
-	p := &probeExit{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateExitResolved(rt, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateExitUnresolved(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "exprc")
-	p := &probeExit{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateExitUnresolved(tr, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateExitPath(b *testing.B) {
-	tr, rt := benchResolvedTrace(b, "exprc")
-	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateExitResolved(rt, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateExitPathUnresolved(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "exprc")
-	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateExitUnresolved(tr, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateIndirect(b *testing.B) {
-	tr, rt := benchResolvedTrace(b, "minilisp")
-	buf := &probeBuf{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateIndirectResolved(rt, buf)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateIndirectUnresolved(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "minilisp")
-	buf := &probeBuf{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateIndirectUnresolved(tr, buf)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateTask(b *testing.B) {
-	tr, rt := benchResolvedTrace(b, "exprc")
-	p := &probeTask{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateTaskResolved(rt, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateTaskUnresolved(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "exprc")
-	p := &probeTask{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateTaskUnresolved(tr, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateTaskComposed(b *testing.B) {
-	tr, rt := benchResolvedTrace(b, "minilisp")
-	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateTaskResolved(rt, p)
-	}
-	reportPerStep(b, tr)
-}
-
-func BenchmarkEvaluateTaskComposedUnresolved(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "minilisp")
-	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateTaskUnresolved(tr, p)
-	}
-	reportPerStep(b, tr)
-}
-
-// ---- block kernels (columnar replay) -------------------------------------
-//
-// The ...Blocks benchmarks replay the same workloads through the
-// block-wise kernels over the columnar encoding. With the probes' block
-// fast paths, interface dispatch costs one call per 4096-step block
-// instead of two per step — the floor the resolved path could not cross.
-// BenchmarkEvaluateExitPathBlocks replays the real PATH predictor
-// through its inlined ReplayExitBlock for the end-to-end number.
 
 // benchColumnarTrace returns the shared truncated columnar trace
 // (workload.CachedColumnar memoizes process-wide).
@@ -392,6 +264,24 @@ func BenchmarkEvaluateTaskBlocks(b *testing.B) {
 	reportPerStepN(b, c.PredictionSteps())
 }
 
+// BenchmarkEvaluateTaskComposedBlocks replays the standard composed task
+// predictor (PATH exit, RAS, CTTB) — the predictor sweep and serve cells
+// run — over the indirect-heavy minilisp columns.
+func BenchmarkEvaluateTaskComposedBlocks(b *testing.B) {
+	c := benchColumnarTrace(b, "minilisp")
+	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	if _, err := core.EvaluateTaskBlocks(c.Blocks(), p); err != nil { // warm-up, as benchExitBlocks
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EvaluateTaskBlocks(c.Blocks(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerStepN(b, c.PredictionSteps())
+}
+
 // ---- speculative-update kernels ------------------------------------------
 //
 // The ...SpecBlocks benchmarks replay the block kernels in speculative-
@@ -434,14 +324,14 @@ func BenchmarkEvaluateTaskSpecBlocks(b *testing.B) {
 // BenchmarkColumnarEncode measures columnar encoding of an existing
 // trace (the cost a cache miss pays once per (workload, cap) pair).
 func BenchmarkColumnarEncode(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "exprc")
+	tr := benchColumnarTrace(b, "exprc").Materialize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := trace.FromTrace(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportPerStep(b, tr)
+	reportPerStepN(b, tr.PredictionSteps())
 }
 
 // BenchmarkColumnarDecode measures decoding an MSTC stream from memory
@@ -461,22 +351,6 @@ func BenchmarkColumnarDecode(b *testing.B) {
 		}
 	}
 	reportPerStepN(b, c.PredictionSteps())
-}
-
-// BenchmarkTraceResolve measures the one-time sidecar construction cost
-// that the fast path amortizes over every replay of a trace.
-func BenchmarkTraceResolve(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "exprc")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Rebind the steps to a fresh Trace so each iteration resolves
-		// (Resolved memoizes per trace).
-		fresh := &trace.Trace{Graph: tr.Graph, Steps: tr.Steps}
-		if _, err := fresh.Resolved(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerStep(b, tr)
 }
 
 // ---- substrate -----------------------------------------------------------

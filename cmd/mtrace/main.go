@@ -255,7 +255,7 @@ func cmdStat(args []string) error {
 	fmt.Printf("columnar encoding: %d bytes on disk (%.3f B/step), %d bytes in memory (%.2f B/step)\n",
 		enc.Len(), float64(enc.Len())/float64(max(steps, 1)),
 		c.Footprint(), float64(c.Footprint())/float64(max(steps, 1)))
-	fmt.Printf("legacy array-of-structs equivalent: %d bytes in memory (%d B/step + resolved sidecar)\n",
+	fmt.Printf("legacy array-of-structs equivalent: %d bytes in memory (%d B/step)\n",
 		steps*12, 12)
 	return nil
 }

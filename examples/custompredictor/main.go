@@ -136,15 +136,12 @@ func (s *stickyPath) UpdateExit(t *tfg.Task, exit int) {
 }
 
 func main() {
-	w, err := workload.ByName("minilisp")
+	const name = "minilisp"
+	col, err := workload.CachedColumnar(name, 800000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace, err := w.TraceN(800000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("workload %s: %d dynamic tasks\n\n", w.Name, trace.Len())
+	fmt.Printf("workload %s: %d dynamic tasks\n\n", name, col.Len())
 
 	preds := []core.ExitPredictor{
 		&stickyPath{depth: 7, table: map[core.PathKey]*sticky{}},
@@ -153,7 +150,13 @@ func main() {
 		newTournament(7),
 	}
 	fmt.Println("exit prediction over the same trace:")
-	for _, res := range core.EvaluateExitAll(trace, preds) {
+	for _, p := range preds {
+		// Custom predictors have no block fast path; the kernel's generic
+		// per-step loop drives their PredictExit/UpdateExit calls.
+		res, err := core.EvaluateExitBlocks(col.Blocks(), p)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-28s %6.2f%% misses  (%d states)\n", res.Name, 100*res.MissRate(), res.States)
 	}
 	fmt.Println("\nsticky shows what LEH hysteresis buys; the tournament tracks")

@@ -16,6 +16,7 @@ import (
 	"multiscalar/internal/engine"
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/taskform"
+	"multiscalar/internal/trace"
 )
 
 // A loop whose exit behaviour alternates with data: i%3 selects between
@@ -70,12 +71,19 @@ func main() {
 		fmt.Printf("  task @%-3d %-6s exits=%d\n", addr, task.Name, task.NumExits())
 	}
 
-	trace, stats, err := functional.Run(graph, functional.Config{})
+	tr, stats, err := functional.Run(graph, functional.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("executed %d instructions as %d dynamic tasks (%.1f instr/task)\n",
-		stats.Instrs, trace.Len(), stats.InstrsPerTask())
+		stats.Instrs, tr.Len(), stats.InstrsPerTask())
+
+	// Replay runs over the columnar encoding of the trace: each predictor
+	// consumes it block by block through the core replay kernels.
+	col, err := trace.FromTrace(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The paper's recommended configuration: a path-based exit predictor
 	// (depth 7, DOLC-folded 14-bit index, LEH-2 automata) with a return
@@ -84,14 +92,20 @@ func main() {
 	// repo — msim's -pred flag takes the same strings.
 	pred := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
 
-	res := core.EvaluateTask(trace, pred)
+	res, err := core.EvaluateTaskBlocks(col.Blocks(), pred)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("task predictions: %d, misses: %d (%.2f%%)\n",
 		res.Steps, res.Misses, 100*res.MissRate())
 
 	// Compare against a history-less predictor (the Table 4 "Simple" row:
 	// a depth-0 DOLC indexes the PHT by task address alone).
 	simple := engine.MustBuild("composed:path:d0-o0-l0-c14:leh2:ras32:cttb:d7-o4-l4-c5-f3")
-	sres := core.EvaluateTask(trace, simple)
+	sres, err := core.EvaluateTaskBlocks(col.Blocks(), simple)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("without path history: %.2f%% misses — path history removes %.0f%% of them\n",
 		100*sres.MissRate(), 100*(1-res.MissRate()/sres.MissRate()))
 }

@@ -17,6 +17,7 @@ import (
 	"multiscalar/internal/msl"
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/taskform"
+	"multiscalar/internal/trace"
 )
 
 // A miniature interpreter-style workload in MSL: a register machine
@@ -90,15 +91,19 @@ func main() {
 	fmt.Printf("compiled: %d instructions, %d static tasks\n", len(prog.Code), graph.NumTasks())
 
 	m := functional.NewMachine(graph, functional.Config{})
-	trace, err := m.Run(functional.Config{})
+	tr, err := m.Run(functional.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	outSym := prog.DataSymbols["out"]
 	fmt.Printf("executed %d instructions, %d dynamic tasks; out = %d\n",
-		m.Stats().Instrs, trace.Len(), m.Mem()[outSym.Addr])
+		m.Stats().Instrs, tr.Len(), m.Mem()[outSym.Addr])
+	col, err := trace.FromTrace(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	kinds := trace.DynamicExitKinds()
+	kinds := col.DynamicExitKinds()
 	total := 0
 	for _, n := range kinds {
 		total += n
@@ -113,15 +118,18 @@ func main() {
 	// Exit prediction is easy here (the interpreter loop is regular);
 	// the hard problem is the dispatch target — the indirect branch
 	// through the opcode jump table. That is the CTTB's job.
-	exitRes := core.EvaluateExit(trace, core.NewIdealPath(7, core.LEH2))
+	exitRes, err := core.EvaluateExitBlocks(col.Blocks(), core.NewIdealPath(7, core.LEH2))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nexit prediction (ideal PATH, depth 7): %.2f%% misses\n", 100*exitRes.MissRate())
 
 	fmt.Println("dispatch-target prediction (ideal CTTB) vs history depth:")
-	var bufs []core.TargetBuffer
 	for d := 0; d <= 8; d++ {
-		bufs = append(bufs, core.NewIdealCTTB(d))
-	}
-	for d, res := range core.EvaluateIndirectAll(trace, bufs) {
+		res, err := core.EvaluateIndirectBlocks(col.Blocks(), core.NewIdealCTTB(d))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  depth %d: %6.2f%% target misses over %d indirect exits (%d contexts)\n",
 			d, 100*res.MissRate(), res.Steps, res.States)
 	}

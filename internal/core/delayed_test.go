@@ -4,8 +4,8 @@ import "testing"
 
 func TestDelayedUpdateZeroIsTransparent(t *testing.T) {
 	_, tr := synthGraph()
-	plain := EvaluateExit(tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}))
-	wrapped := EvaluateExit(tr, NewDelayedUpdate(
+	plain := evalExit(t, tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}))
+	wrapped := evalExit(t, tr, NewDelayedUpdate(
 		MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 0))
 	if plain.Misses != wrapped.Misses {
 		t.Fatalf("zero-delay wrapper changed behaviour: %d vs %d", plain.Misses, wrapped.Misses)
@@ -49,11 +49,11 @@ func TestTrainLatencyPreservesHistoryAdvance(t *testing.T) {
 	// cost almost nothing on a learnable pattern — the property the
 	// ablation demonstrates at scale.
 	_, tr := synthGraph()
-	immediate := EvaluateExit(tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2,
+	immediate := evalExit(t, tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2,
 		PathExitOptions{}))
-	lagged := EvaluateExit(tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2,
+	lagged := evalExit(t, tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2,
 		PathExitOptions{TrainLatency: 4}))
-	fullLag := EvaluateExit(tr, NewDelayedUpdate(
+	fullLag := evalExit(t, tr, NewDelayedUpdate(
 		MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 4))
 	if lagged.Misses > immediate.Misses+20 {
 		t.Fatalf("train latency too costly: %d vs %d misses", lagged.Misses, immediate.Misses)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"multiscalar/internal/isa"
 	"multiscalar/internal/trace"
 )
@@ -28,51 +25,15 @@ func (r ExitResult) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Steps)
 }
 
-// EvaluateExit replays a trace through an exit predictor, scoring every
-// prediction step. The predictor is Reset first.
-//
-// Replay runs over the trace's resolved sidecar (trace.Resolved) when the
-// trace resolves cleanly — allocation-free, no per-step map lookups. A
-// trace that fails resolution (e.g. deliberately corrupted in fault
-// studies) replays through the unresolved reference path, preserving its
-// exact historical behavior. Both paths produce identical results; the
-// equivalence is enforced by tests over every workload.
-func EvaluateExit(tr *trace.Trace, p ExitPredictor) ExitResult {
-	if rt, err := tr.Resolved(); err == nil {
-		return EvaluateExitResolved(rt, p)
-	}
-	return EvaluateExitUnresolved(tr, p)
-}
+// The evaluators in this file are the reference replays: they walk an
+// array-of-structs trace and resolve each step's task through the TFG
+// map as they go. Production replay runs the block kernels of
+// evalblocks.go over the columnar encoding; these loops are the
+// differential-testing oracle the kernels are checked against, kept as
+// plain as possible so a reader can verify them by eye.
 
-// EvaluateExitResolved is EvaluateExit's fast path over a pre-resolved
-// trace: per-step task pointers come from the sidecar, so the loop does
-// no map lookups and allocates nothing.
-func EvaluateExitResolved(rt *trace.Resolved, p ExitPredictor) ExitResult {
-	p.Reset()
-	res := ExitResult{Name: p.Name()}
-	steps, misses := 0, 0
-	for i := range rt.Steps {
-		s := &rt.Steps[i]
-		if s.Exit == trace.HaltExit {
-			continue
-		}
-		pred := p.PredictExit(s.Task)
-		steps++
-		if pred != int(s.Exit) {
-			misses++
-		}
-		p.UpdateExit(s.Task, int(s.Exit))
-	}
-	res.Steps, res.Misses = steps, misses
-	res.States = p.States()
-	recordExitResult(res)
-	return res
-}
-
-// EvaluateExitUnresolved is the reference replay, resolving each step's
-// task through the TFG map as it goes. It is retained as the fallback
-// for traces that fail resolution and as the differential-testing oracle
-// for the resolved fast path.
+// EvaluateExitUnresolved replays a trace through an exit predictor,
+// scoring every prediction step. The predictor is Reset first.
 func EvaluateExitUnresolved(tr *trace.Trace, p ExitPredictor) ExitResult {
 	p.Reset()
 	res := ExitResult{Name: p.Name()}
@@ -93,25 +54,6 @@ func EvaluateExitUnresolved(tr *trace.Trace, p ExitPredictor) ExitResult {
 	return res
 }
 
-// EvaluateExitAll evaluates many exit predictors over one trace in
-// parallel (each predictor replays independently; the trace is read-only).
-func EvaluateExitAll(tr *trace.Trace, preds []ExitPredictor) []ExitResult {
-	results := make([]ExitResult, len(preds))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, p := range preds {
-		wg.Add(1)
-		go func(i int, p ExitPredictor) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = EvaluateExit(tr, p)
-		}(i, p)
-	}
-	wg.Wait()
-	return results
-}
-
 // TargetResult summarizes a target-buffer study (Figures 8, 12): address
 // prediction accuracy over the dynamic steps whose actual exit is an
 // indirect branch or indirect call.
@@ -130,47 +72,12 @@ func (r TargetResult) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Steps)
 }
 
-// EvaluateIndirect replays a trace through a target buffer, scoring and
-// training it only on steps whose actual exit is indirect (the paper's
-// §5.3 / §6.4.1 methodology: the buffer serves indirect exits; other exit
-// types are handled by the header and RAS and do not compete for buffer
-// space). The buffer's path history still advances on every step.
-//
-// Like EvaluateExit, replay uses the resolved fast path when the trace
-// resolves cleanly and the unresolved reference path otherwise.
-func EvaluateIndirect(tr *trace.Trace, b TargetBuffer) TargetResult {
-	if rt, err := tr.Resolved(); err == nil {
-		return EvaluateIndirectResolved(rt, b)
-	}
-	return EvaluateIndirectUnresolved(tr, b)
-}
-
-// EvaluateIndirectResolved is EvaluateIndirect's fast path: the
-// indirect-exit test is a pre-decoded flag rather than a map lookup plus
-// exit-table chase.
-func EvaluateIndirectResolved(rt *trace.Resolved, b TargetBuffer) TargetResult {
-	b.Reset()
-	res := TargetResult{Name: b.Name()}
-	steps, misses := 0, 0
-	for i := range rt.Steps {
-		s := &rt.Steps[i]
-		if s.Indirect {
-			steps++
-			if got, ok := b.Lookup(s.Addr); !ok || got != s.Target {
-				misses++
-			}
-			b.Train(s.Addr, s.Target)
-		}
-		b.Advance(s.Addr)
-	}
-	res.Steps, res.Misses = steps, misses
-	res.States = b.States()
-	recordTargetResult(res)
-	return res
-}
-
-// EvaluateIndirectUnresolved is the reference replay for EvaluateIndirect
-// (fallback and differential-testing oracle).
+// EvaluateIndirectUnresolved replays a trace through a target buffer,
+// scoring and training it only on steps whose actual exit is indirect
+// (the paper's §5.3 / §6.4.1 methodology: the buffer serves indirect
+// exits; other exit types are handled by the header and RAS and do not
+// compete for buffer space). The buffer's path history still advances on
+// every step.
 func EvaluateIndirectUnresolved(tr *trace.Trace, b TargetBuffer) TargetResult {
 	b.Reset()
 	res := TargetResult{Name: b.Name()}
@@ -190,25 +97,6 @@ func EvaluateIndirectUnresolved(tr *trace.Trace, b TargetBuffer) TargetResult {
 	res.States = b.States()
 	recordTargetResult(res)
 	return res
-}
-
-// EvaluateIndirectAll evaluates many target buffers over one trace in
-// parallel.
-func EvaluateIndirectAll(tr *trace.Trace, bufs []TargetBuffer) []TargetResult {
-	results := make([]TargetResult, len(bufs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, b := range bufs {
-		wg.Add(1)
-		go func(i int, b TargetBuffer) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = EvaluateIndirect(tr, b)
-		}(i, b)
-	}
-	wg.Wait()
-	return results
 }
 
 // TaskResult summarizes a full task-prediction study (Table 3): the
@@ -251,59 +139,8 @@ func (r TaskResult) ExitMissRate() float64 {
 	return float64(r.ExitMisses) / float64(r.Steps)
 }
 
-// EvaluateTask replays a trace through a full task predictor, scoring the
-// predicted next-task address on every prediction step.
-//
-// Like EvaluateExit, replay uses the resolved fast path when the trace
-// resolves cleanly and the unresolved reference path otherwise.
-func EvaluateTask(tr *trace.Trace, p TaskPredictor) TaskResult {
-	if rt, err := tr.Resolved(); err == nil {
-		return EvaluateTaskResolved(rt, p)
-	}
-	return EvaluateTaskUnresolved(tr, p)
-}
-
-// EvaluateTaskResolved is EvaluateTask's fast path: task pointers and
-// exit kinds come pre-decoded from the sidecar, and the per-kind
-// accounting accumulates into a fixed ControlKind-indexed array that is
-// converted to the result map only once, at the end — zero allocations
-// and zero map operations per step.
-func EvaluateTaskResolved(rt *trace.Resolved, p TaskPredictor) TaskResult {
-	p.Reset()
-	res := TaskResult{Name: p.Name()}
-	var byKind [isa.NumControlKinds]KindMisses
-	steps, exitMisses, misses := 0, 0, 0
-	for i := range rt.Steps {
-		s := &rt.Steps[i]
-		if s.Exit == trace.HaltExit {
-			continue
-		}
-		pred := p.Predict(s.Task)
-		steps++
-		km := &byKind[s.Kind]
-		km.Steps++
-		if pred.Exit >= 0 && pred.Exit != int(s.Exit) {
-			exitMisses++
-		}
-		if pred.Target != s.Target {
-			misses++
-			km.Misses++
-		}
-		p.Update(s.Task, Outcome{Exit: int(s.Exit), Target: s.Target})
-	}
-	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
-	res.ByKind = make(map[isa.ControlKind]KindMisses)
-	for k := range byKind {
-		if byKind[k].Steps > 0 {
-			res.ByKind[isa.ControlKind(k)] = byKind[k]
-		}
-	}
-	recordTaskResult(res)
-	return res
-}
-
-// EvaluateTaskUnresolved is the reference replay for EvaluateTask
-// (fallback and differential-testing oracle).
+// EvaluateTaskUnresolved replays a trace through a full task predictor,
+// scoring the predicted next-task address on every prediction step.
 func EvaluateTaskUnresolved(tr *trace.Trace, p TaskPredictor) TaskResult {
 	p.Reset()
 	res := TaskResult{Name: p.Name(), ByKind: make(map[isa.ControlKind]KindMisses)}
@@ -329,23 +166,4 @@ func EvaluateTaskUnresolved(tr *trace.Trace, p TaskPredictor) TaskResult {
 	}
 	recordTaskResult(res)
 	return res
-}
-
-// EvaluateTaskAll evaluates many task predictors over one trace in
-// parallel.
-func EvaluateTaskAll(tr *trace.Trace, preds []TaskPredictor) []TaskResult {
-	results := make([]TaskResult, len(preds))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, p := range preds {
-		wg.Add(1)
-		go func(i int, p TaskPredictor) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = EvaluateTask(tr, p)
-		}(i, p)
-	}
-	wg.Wait()
-	return results
 }

@@ -13,13 +13,13 @@ import (
 // resolution is a dictionary index instead of a map lookup, and nothing
 // beyond the current block is ever resident.
 //
-// The kernels issue exactly the same predictor call sequence as the
-// resolved and unresolved replay loops in eval.go, so all three paths
-// produce identical results (enforced by TestReplayEquivalence over
+// These kernels are the only production replay path. They issue exactly
+// the same predictor call sequence as the reference loops in eval.go, so
+// both produce identical results (enforced by TestReplayEquivalence over
 // every workload × spec cell). Predictors that additionally implement
 // the *BlockReplayer interfaces replay whole blocks through a single
-// devirtualized call — the interface-dispatch-per-step floor that
-// bounded PR 5's fast path is paid once per 4096 steps instead.
+// devirtualized call, so interface dispatch is paid once per 4096 steps
+// instead of twice per step.
 
 // ExitBlockReplayer is implemented by exit predictors that can replay a
 // whole block themselves. ReplayExitBlock must issue the same
@@ -41,9 +41,9 @@ type TaskBlockReplayer interface {
 	ReplayTaskBlock(b *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int)
 }
 
-// EvaluateExitBlocks replays a block source through an exit predictor.
-// It is EvaluateExitResolved over columns: same Reset-first contract,
-// same call sequence, same result.
+// EvaluateExitBlocks replays a block source through an exit predictor,
+// scoring every prediction step. The predictor is Reset first; the call
+// sequence and result match EvaluateExitUnresolved.
 func EvaluateExitBlocks(src trace.BlockSource, p ExitPredictor) (ExitResult, error) {
 	p.Reset()
 	res := ExitResult{Name: p.Name()}
@@ -87,7 +87,7 @@ func EvaluateExitBlocks(src trace.BlockSource, p ExitPredictor) (ExitResult, err
 
 // EvaluateIndirectBlocks replays a block source through a target buffer:
 // Lookup/Train on steps whose taken exit is indirect, Advance on every
-// step (halt steps included — exactly the EvaluateIndirectResolved
+// step (halt steps included — exactly the EvaluateIndirectUnresolved
 // sequence).
 func EvaluateIndirectBlocks(src trace.BlockSource, b TargetBuffer) (TargetResult, error) {
 	b.Reset()
@@ -130,8 +130,9 @@ func EvaluateIndirectBlocks(src trace.BlockSource, b TargetBuffer) (TargetResult
 }
 
 // EvaluateTaskBlocks replays a block source through a full task
-// predictor, with the per-kind accounting accumulating into a fixed
-// array exactly as EvaluateTaskResolved does.
+// predictor. The per-kind accounting accumulates into a fixed
+// ControlKind-indexed array that becomes the result map once, at the
+// end: no map operations and no allocations per step.
 func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, error) {
 	p.Reset()
 	res := TaskResult{Name: p.Name()}

@@ -6,10 +6,10 @@ import (
 )
 
 // Speculative-update replay: the evaluators below mirror the idealized
-// loops of eval.go and evalblocks.go, with each predictor call routed
-// through a SpecExitSession / SpecTaskSession so training happens at
-// prediction time with the predicted outcome and mispredicts repair
-// through the undo log. Scoring is unchanged — a step's prediction is
+// loops of eval.go (oracle) and evalblocks.go (kernels), with each
+// predictor call routed through a SpecExitSession / SpecTaskSession so
+// training happens at prediction time with the predicted outcome and
+// mispredicts repair through the undo log. Scoring is unchanged — a step's prediction is
 // scored against its actual outcome exactly as in idealized mode — so a
 // spec result differs from the idealized one only through wrong-path
 // training and delayed resolution, never through different bookkeeping.
@@ -21,48 +21,10 @@ import (
 // session window and undo rings are preallocated and repair is a
 // bounded in-place drain.
 
-// EvaluateExitSpec replays a trace through an exit predictor in
-// speculative-update mode with the given resolution lag. The predictor
-// is Reset first. Like EvaluateExit it prefers the resolved sidecar and
-// falls back to the unresolved reference path.
-func EvaluateExitSpec(tr *trace.Trace, p ExitPredictor, lag int) (ExitResult, error) {
-	if rt, err := tr.Resolved(); err == nil {
-		return EvaluateExitSpecResolved(rt, p, lag)
-	}
-	return EvaluateExitSpecUnresolved(tr, p, lag)
-}
-
-// EvaluateExitSpecResolved is EvaluateExitSpec over the resolved fast
-// path.
-func EvaluateExitSpecResolved(rt *trace.Resolved, p ExitPredictor, lag int) (ExitResult, error) {
-	p.Reset()
-	s, err := NewSpecExitSession(p, lag)
-	if err != nil {
-		return ExitResult{}, err
-	}
-	res := ExitResult{Name: p.Name()}
-	steps, misses := 0, 0
-	for i := range rt.Steps {
-		st := &rt.Steps[i]
-		if st.Exit == trace.HaltExit {
-			continue
-		}
-		pred := s.Step(st.Task, int(st.Exit))
-		steps++
-		if pred != int(st.Exit) {
-			misses++
-		}
-	}
-	s.Finish()
-	res.Steps, res.Misses = steps, misses
-	res.States = p.States()
-	res.Rollbacks, res.RepairFrames = s.Rollbacks(), s.RepairFrames()
-	recordExitResult(res)
-	return res, nil
-}
-
-// EvaluateExitSpecUnresolved is the unresolved reference replay for
-// speculative-update mode (fallback and differential-testing oracle).
+// EvaluateExitSpecUnresolved replays a trace through an exit predictor
+// in speculative-update mode with the given resolution lag. The
+// predictor is Reset first. It is the differential-testing oracle for
+// EvaluateExitSpecBlocks.
 func EvaluateExitSpecUnresolved(tr *trace.Trace, p ExitPredictor, lag int) (ExitResult, error) {
 	p.Reset()
 	s, err := NewSpecExitSession(p, lag)
@@ -89,8 +51,8 @@ func EvaluateExitSpecUnresolved(tr *trace.Trace, p ExitPredictor, lag int) (Exit
 }
 
 // EvaluateExitSpecBlocks replays a block source through an exit
-// predictor in speculative-update mode: the streaming/columnar
-// counterpart of EvaluateExitSpecResolved.
+// predictor in speculative-update mode: the production counterpart of
+// EvaluateExitSpecUnresolved over cached columns or a stream.
 func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (ExitResult, error) {
 	p.Reset()
 	s, err := NewSpecExitSession(p, lag)
@@ -130,58 +92,9 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 	return res, nil
 }
 
-// EvaluateTaskSpec replays a trace through a full task predictor in
-// speculative-update mode with the given resolution lag.
-func EvaluateTaskSpec(tr *trace.Trace, p TaskPredictor, lag int) (TaskResult, error) {
-	if rt, err := tr.Resolved(); err == nil {
-		return EvaluateTaskSpecResolved(rt, p, lag)
-	}
-	return EvaluateTaskSpecUnresolved(tr, p, lag)
-}
-
-// EvaluateTaskSpecResolved is EvaluateTaskSpec over the resolved fast
-// path.
-func EvaluateTaskSpecResolved(rt *trace.Resolved, p TaskPredictor, lag int) (TaskResult, error) {
-	p.Reset()
-	s, err := NewSpecTaskSession(p, lag)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	res := TaskResult{Name: p.Name()}
-	var byKind [isa.NumControlKinds]KindMisses
-	steps, exitMisses, misses := 0, 0, 0
-	for i := range rt.Steps {
-		st := &rt.Steps[i]
-		if st.Exit == trace.HaltExit {
-			continue
-		}
-		pred := s.Step(st.Task, Outcome{Exit: int(st.Exit), Target: st.Target})
-		steps++
-		km := &byKind[st.Kind]
-		km.Steps++
-		if pred.Exit >= 0 && pred.Exit != int(st.Exit) {
-			exitMisses++
-		}
-		if pred.Target != st.Target {
-			misses++
-			km.Misses++
-		}
-	}
-	s.Finish()
-	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
-	res.ByKind = make(map[isa.ControlKind]KindMisses)
-	for k := range byKind {
-		if byKind[k].Steps > 0 {
-			res.ByKind[isa.ControlKind(k)] = byKind[k]
-		}
-	}
-	res.Rollbacks, res.RepairFrames, res.RASDamage = s.Rollbacks(), s.RepairFrames(), s.RASDamage()
-	recordTaskResult(res)
-	return res, nil
-}
-
-// EvaluateTaskSpecUnresolved is the unresolved reference replay for
-// speculative-update task mode.
+// EvaluateTaskSpecUnresolved replays a trace through a full task
+// predictor in speculative-update mode with the given resolution lag:
+// the differential-testing oracle for EvaluateTaskSpecBlocks.
 func EvaluateTaskSpecUnresolved(tr *trace.Trace, p TaskPredictor, lag int) (TaskResult, error) {
 	p.Reset()
 	s, err := NewSpecTaskSession(p, lag)

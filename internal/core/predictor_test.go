@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"multiscalar/internal/isa"
@@ -71,6 +72,69 @@ func synthGraph() (*tfg.Graph, *trace.Trace) {
 	return g, tr
 }
 
+// The eval* helpers replay a trace through the block kernels — the
+// production replay path — and hold every result to the unresolved
+// oracle, so each predictor test here is also a differential test.
+
+func columnar(t testing.TB, tr *trace.Trace) *trace.Columnar {
+	t.Helper()
+	c, err := trace.FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func evalExit(t testing.TB, tr *trace.Trace, p ExitPredictor) ExitResult {
+	t.Helper()
+	got, err := EvaluateExitBlocks(columnar(t, tr).Blocks(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := EvaluateExitUnresolved(tr, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: blocks %+v != oracle %+v", p.Name(), got, want)
+	}
+	return got
+}
+
+func evalTask(t testing.TB, tr *trace.Trace, p TaskPredictor) TaskResult {
+	t.Helper()
+	got, err := EvaluateTaskBlocks(columnar(t, tr).Blocks(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := EvaluateTaskUnresolved(tr, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: blocks %+v != oracle %+v", p.Name(), got, want)
+	}
+	return got
+}
+
+func evalExitSpec(t testing.TB, tr *trace.Trace, p ExitPredictor, lag int) ExitResult {
+	t.Helper()
+	got, err := EvaluateExitSpecBlocks(columnar(t, tr).Blocks(), p, lag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvaluateExitSpecUnresolved(tr, p, lag)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s lag %d: blocks %+v != oracle %+v (%v)", p.Name(), lag, got, want, err)
+	}
+	return got
+}
+
+func evalTaskSpec(t testing.TB, tr *trace.Trace, p TaskPredictor, lag int) TaskResult {
+	t.Helper()
+	got, err := EvaluateTaskSpecBlocks(columnar(t, tr).Blocks(), p, lag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvaluateTaskSpecUnresolved(tr, p, lag)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s lag %d: blocks %+v != oracle %+v (%v)", p.Name(), lag, got, want, err)
+	}
+	return got
+}
+
 func TestIdealPredictorsLearnPeriodicPattern(t *testing.T) {
 	_, tr := synthGraph()
 	for _, p := range []ExitPredictor{
@@ -78,7 +142,7 @@ func TestIdealPredictorsLearnPeriodicPattern(t *testing.T) {
 		NewIdealPer(4, LEH2),
 		NewIdealPath(4, LEH2),
 	} {
-		res := EvaluateExit(tr, p)
+		res := evalExit(t, tr, p)
 		// The pattern is fully periodic with period ≤ 8 task steps; depth
 		// 4 captures it up to warm-up misses.
 		if res.MissRate() > 0.12 {
@@ -90,9 +154,9 @@ func TestIdealPredictorsLearnPeriodicPattern(t *testing.T) {
 
 func TestIdealDepthZeroEqualsPerTaskAutomaton(t *testing.T) {
 	_, tr := synthGraph()
-	g := EvaluateExit(tr, NewIdealGlobal(0, LEH2))
-	p := EvaluateExit(tr, NewIdealPer(0, LEH2))
-	pa := EvaluateExit(tr, NewIdealPath(0, LEH2))
+	g := evalExit(t, tr, NewIdealGlobal(0, LEH2))
+	p := evalExit(t, tr, NewIdealPer(0, LEH2))
+	pa := evalExit(t, tr, NewIdealPath(0, LEH2))
 	if g.Misses != p.Misses || p.Misses != pa.Misses {
 		t.Fatalf("depth-0 schemes must coincide: %d %d %d", g.Misses, p.Misses, pa.Misses)
 	}
@@ -107,8 +171,8 @@ func TestRealPathMatchesIdealOnTinyGraph(t *testing.T) {
 	// must equal ideal at equal depth (with full low-order address bits).
 	real := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{})
 	ideal := NewIdealPath(4, LEH2)
-	r1 := EvaluateExit(tr, real)
-	r2 := EvaluateExit(tr, ideal)
+	r1 := evalExit(t, tr, real)
+	r2 := evalExit(t, tr, ideal)
 	if r1.Misses != r2.Misses {
 		t.Fatalf("alias-free real (%d misses) must match ideal (%d misses)", r1.Misses, r2.Misses)
 	}
@@ -117,11 +181,11 @@ func TestRealPathMatchesIdealOnTinyGraph(t *testing.T) {
 func TestSingleExitOptimizationSkipsPHT(t *testing.T) {
 	_, tr := synthGraph()
 	with := MustPathExit(MustDOLC(2, 5, 5, 5, 1), LEH2, PathExitOptions{SkipSingleExit: true})
-	res := EvaluateExit(tr, with)
+	res := evalExit(t, tr, with)
 	// C, D and E are single-exit: they must never touch the PHT, and are
 	// always predicted correctly.
 	without := MustPathExit(MustDOLC(2, 5, 5, 5, 1), LEH2, PathExitOptions{})
-	res2 := EvaluateExit(tr, without)
+	res2 := evalExit(t, tr, without)
 	if res.States >= res2.States {
 		t.Fatalf("optimization should touch fewer PHT entries: %d vs %d", res.States, res2.States)
 	}
@@ -132,7 +196,7 @@ func TestHeaderPredictorFullPipeline(t *testing.T) {
 	pred := NewHeaderPredictor("t",
 		MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true}),
 		NewRAS(8), MustCTTB(MustDOLC(2, 4, 4, 4, 1)))
-	res := EvaluateTask(tr, pred)
+	res := evalTask(t, tr, pred)
 	if res.Steps != tr.PredictionSteps() {
 		t.Fatalf("scored %d steps", res.Steps)
 	}
@@ -153,7 +217,7 @@ func TestHeaderPredictorWithoutRASMissesReturns(t *testing.T) {
 	pred := NewHeaderPredictor("no-ras",
 		MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}),
 		nil, nil)
-	res := EvaluateTask(tr, pred)
+	res := evalTask(t, tr, pred)
 	km := res.ByKind[isa.KindReturn]
 	if km.Steps == 0 || km.Misses != km.Steps {
 		t.Fatalf("without a RAS every return must miss: %d/%d", km.Misses, km.Steps)
@@ -166,7 +230,7 @@ func TestCTTBOnlyPredictorLearnsButLagsHeader(t *testing.T) {
 	head := NewHeaderPredictor("h",
 		MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true}),
 		NewRAS(8), MustCTTB(MustDOLC(2, 4, 4, 4, 1)))
-	results := EvaluateTaskAll(tr, []TaskPredictor{only, head})
+	results := []TaskResult{evalTask(t, tr, only), evalTask(t, tr, head)}
 	if results[0].MissRate() < results[1].MissRate() {
 		t.Fatalf("CTTB-only (%.2f%%) should not beat the header predictor (%.2f%%)",
 			100*results[0].MissRate(), 100*results[1].MissRate())
@@ -182,8 +246,8 @@ func TestEvaluateDeterminism(t *testing.T) {
 	mk := func() ExitPredictor {
 		return MustPathExit(MustDOLC(3, 5, 5, 5, 1), VC2Random, PathExitOptions{Seed: 7})
 	}
-	a := EvaluateExit(tr, mk())
-	b := EvaluateExit(tr, mk())
+	a := evalExit(t, tr, mk())
+	b := evalExit(t, tr, mk())
 	if a.Misses != b.Misses || a.States != b.States {
 		t.Fatalf("evaluation must be deterministic: %+v vs %+v", a, b)
 	}
@@ -203,14 +267,14 @@ func TestClampExit(t *testing.T) {
 func TestResetRestoresInitialBehaviour(t *testing.T) {
 	_, tr := synthGraph()
 	p := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{})
-	first := EvaluateExit(tr, p)
-	second := EvaluateExit(tr, p) // EvaluateExit resets internally
+	first := evalExit(t, tr, p)
+	second := evalExit(t, tr, p) // replay resets internally
 	if first.Misses != second.Misses {
 		t.Fatalf("reset predictor should replay identically: %d vs %d", first.Misses, second.Misses)
 	}
 	for _, ip := range []ExitPredictor{NewIdealGlobal(3, LEH2), NewIdealPer(3, LEH2), NewIdealPath(3, LEH2)} {
-		a := EvaluateExit(tr, ip)
-		b := EvaluateExit(tr, ip)
+		a := evalExit(t, tr, ip)
+		b := evalExit(t, tr, ip)
 		if a.Misses != b.Misses {
 			t.Fatalf("%s: reset not clean: %d vs %d", ip.Name(), a.Misses, b.Misses)
 		}

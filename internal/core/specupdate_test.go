@@ -53,11 +53,8 @@ func specTaskFamilies() map[string]func() TaskPredictor {
 func TestSpecLagZeroMatchesIdealizedExit(t *testing.T) {
 	_, tr := synthGraph()
 	for name, mk := range specExitFamilies() {
-		ideal := EvaluateExit(tr, mk())
-		spec, err := EvaluateExitSpec(tr, mk(), 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		ideal := evalExit(t, tr, mk())
+		spec := evalExitSpec(t, tr, mk(), 0)
 		if spec.Rollbacks != spec.Misses {
 			t.Errorf("%s: lag-0 rollbacks %d != misses %d", name, spec.Rollbacks, spec.Misses)
 		}
@@ -71,11 +68,8 @@ func TestSpecLagZeroMatchesIdealizedExit(t *testing.T) {
 func TestSpecLagZeroMatchesIdealizedTask(t *testing.T) {
 	_, tr := synthGraph()
 	for name, mk := range specTaskFamilies() {
-		ideal := EvaluateTask(tr, mk())
-		spec, err := EvaluateTaskSpec(tr, mk(), 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		ideal := evalTask(t, tr, mk())
+		spec := evalTaskSpec(t, tr, mk(), 0)
 		if spec.Rollbacks < spec.Misses {
 			t.Errorf("%s: rollbacks %d < misses %d (full-outcome mismatches include target misses)",
 				name, spec.Rollbacks, spec.Misses)
@@ -87,17 +81,14 @@ func TestSpecLagZeroMatchesIdealizedTask(t *testing.T) {
 	}
 }
 
-// At positive lag the resolved and unresolved replay paths must agree
-// exactly, and repeated runs must be deterministic.
+// At positive lag the block kernels and the unresolved oracle must
+// agree exactly, and repeated runs must be deterministic.
 func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 	_, tr := synthGraph()
-	rt, err := tr.Resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := columnar(t, tr)
 	for _, lag := range []int{1, 3, 7} {
 		for name, mk := range specExitFamilies() {
-			a, err := EvaluateExitSpecResolved(rt, mk(), lag)
+			a, err := EvaluateExitSpecBlocks(c.Blocks(), mk(), lag)
 			if err != nil {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
@@ -105,17 +96,17 @@ func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
-			c, err := EvaluateExitSpecResolved(rt, mk(), lag)
+			again, err := EvaluateExitSpecBlocks(c.Blocks(), mk(), lag)
 			if err != nil {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
-			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
-				t.Errorf("%s lag %d: paths disagree:\n resolved   %+v\n unresolved %+v\n again      %+v",
-					name, lag, a, b, c)
+			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, again) {
+				t.Errorf("%s lag %d: paths disagree:\n blocks     %+v\n unresolved %+v\n again      %+v",
+					name, lag, a, b, again)
 			}
 		}
 		for name, mk := range specTaskFamilies() {
-			a, err := EvaluateTaskSpecResolved(rt, mk(), lag)
+			a, err := EvaluateTaskSpecBlocks(c.Blocks(), mk(), lag)
 			if err != nil {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
@@ -124,7 +115,7 @@ func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
 			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s lag %d: paths disagree:\n resolved   %+v\n unresolved %+v", name, lag, a, b)
+				t.Errorf("%s lag %d: paths disagree:\n blocks     %+v\n unresolved %+v", name, lag, a, b)
 			}
 		}
 	}
@@ -135,10 +126,7 @@ func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 // collapse to chance).
 func TestSpecLagRollsBackAndRecovers(t *testing.T) {
 	_, tr := synthGraph()
-	res, err := EvaluateExitSpec(tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evalExitSpec(t, tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 4)
 	if res.Rollbacks == 0 {
 		t.Fatal("expected rollbacks on a mispredicting trace")
 	}
@@ -219,9 +207,7 @@ func TestSpecIdealTablesStayDense(t *testing.T) {
 	for _, lag := range []int{0, 1, 4} {
 		for name, mk := range specExitFamilies() {
 			p := mk()
-			if _, err := EvaluateExitSpec(tr, p, lag); err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
+			evalExitSpec(t, tr, p, lag)
 			var slots, states int
 			switch q := p.(type) {
 			case *IdealGlobal:
@@ -239,9 +225,7 @@ func TestSpecIdealTablesStayDense(t *testing.T) {
 		}
 		for name, mk := range specTaskFamilies() {
 			p := mk()
-			if _, err := EvaluateTaskSpec(tr, p, lag); err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
+			evalTaskSpec(t, tr, p, lag)
 			var buf TargetBuffer
 			switch q := p.(type) {
 			case *HeaderPredictor:

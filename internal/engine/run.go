@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -74,7 +73,7 @@ type Run struct {
 	// of a cached trace: functional simulation pipelines into the replay
 	// kernels and the full trace is never resident, so step counts can
 	// exceed memory. Replay modes only; streaming runs cannot inject
-	// faults (the fault harness checksums a materialized trace).
+	// faults (faulted runs checksum the resident trace columns).
 	Stream bool
 	// Label optionally names the run in formatted output; Result.Label
 	// falls back to the canonical spec string.
@@ -189,7 +188,7 @@ func run(r Run, res *Result) (err error) {
 	}
 	if r.Stream && fs.Enabled() {
 		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "the fault harness checksums a materialized trace; streaming runs cannot inject"}
+			Reason: "faulted runs checksum the resident trace columns, which a stream never holds; streaming runs cannot inject"}
 	}
 
 	if mode == ModeTiming {
@@ -253,92 +252,61 @@ func run(r Run, res *Result) (err error) {
 		return replayBlocks(sp, mode, WithProgress(src, r.Status), res)
 	}
 
-	if !fs.Enabled() {
-		// Fault-free replays run block-wise over the columnar cache — the
-		// call sequences (and therefore results) are identical to the
-		// materialized paths; only traces that cannot columnar-encode
-		// fall through to the legacy array-of-structs replay.
-		c, err := workload.CachedColumnar(r.Workload, r.MaxSteps)
-		if err == nil {
-			r.Status.SetTotal(int64(c.Len()))
-			return replayBlocks(sp, mode, WithProgress(c.Blocks(), r.Status), res)
-		}
-		if !errors.Is(err, trace.ErrNotColumnar) {
-			return err
-		}
-	}
-
-	tr, err := workload.CachedTrace(r.Workload, r.MaxSteps)
+	c, err := workload.CachedColumnar(r.Workload, r.MaxSteps)
 	if err != nil {
 		return err
 	}
-	// The legacy array-of-structs replay is not block-wise, so progress
-	// lands in one credit at completion — total is still published up
-	// front so surfaces can show the denominator.
-	r.Status.SetTotal(int64(tr.Len()))
-	switch mode {
-	case ModeExit:
-		p, err := sp.BuildExit()
-		if err != nil {
-			return err
-		}
-		if sp.SpecUpdate() {
-			if res.Exit, err = core.EvaluateExitSpec(tr, p, sp.SpecLag()); err != nil {
-				return err
-			}
-			break
-		}
-		res.Exit = core.EvaluateExit(tr, p)
-	case ModeTarget:
-		b, err := sp.BuildTarget()
-		if err != nil {
-			return err
-		}
-		res.Target = core.EvaluateIndirect(tr, b)
-	case ModeTask:
-		p, err := sp.BuildTask()
-		if err != nil {
-			return err
-		}
-		if p == nil {
-			return &UnsupportedError{Feature: "perfect predictor",
-				Reason: "only meaningful in timing runs (it has no replayable state)"}
-		}
-		if !fs.Enabled() {
-			if sp.SpecUpdate() {
-				res.Task, err = core.EvaluateTaskSpec(tr, p, sp.SpecLag())
-				if err != nil {
-					return err
-				}
-			} else {
-				res.Task = core.EvaluateTask(tr, p)
-			}
-			r.Status.AddSteps(int64(tr.Len()))
-			return nil
-		}
-		// Faulted task replay: wrap in the injector and hold the run to
-		// the recovery invariants — the trace oracle must come through
-		// untouched and unshortened (panics are caught by the outer
-		// recover and surface as *fault.PanicError).
-		inj, err := fault.New(fs, p)
-		if err != nil {
-			return err
-		}
-		sum := fault.Checksum(tr)
-		res.Task = core.EvaluateTask(tr, inj)
-		res.Injection, res.Faulted = inj.Stats(), true
-		if want := tr.PredictionSteps(); res.Task.Steps != want {
-			return fmt.Errorf("engine: faulted replay scored %d steps, oracle has %d", res.Task.Steps, want)
-		}
-		if fault.Checksum(tr) != sum {
-			return fmt.Errorf("engine: trace contents changed during faulted replay")
-		}
-		if err := tr.Validate(); err != nil {
-			return fmt.Errorf("engine: trace no longer validates after faulted replay: %w", err)
-		}
+	r.Status.SetTotal(int64(c.Len()))
+	src := WithProgress(c.Blocks(), r.Status)
+	if fs.Enabled() {
+		return replayFaulted(sp, fs, c, src, res)
 	}
-	r.Status.AddSteps(int64(tr.Len()))
+	return replayBlocks(sp, mode, src, res)
+}
+
+// replayFaulted evaluates a faulted task run over the cached columns: the
+// predictor is wrapped in the injector and the run is held to the
+// recovery invariants — every prediction step scored, the shared columns
+// untouched, and the trace still valid against its TFG. Panics are caught
+// by run's recover and surface as *fault.PanicError.
+func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSource, res *Result) error {
+	p, err := buildReplayTask(sp)
+	if err != nil {
+		return err
+	}
+	inj, err := fault.New(fs, p)
+	if err != nil {
+		return err
+	}
+	sum := fault.Checksum(c)
+	if res.Task, err = core.EvaluateTaskBlocks(src, inj); err != nil {
+		return err
+	}
+	res.Injection, res.Faulted = inj.Stats(), true
+	if want := c.PredictionSteps(); res.Task.Steps != want {
+		return fmt.Errorf("engine: faulted replay scored %d steps, oracle has %d", res.Task.Steps, want)
+	}
+	if fault.Checksum(c) != sum {
+		return fmt.Errorf("engine: trace contents changed during faulted replay")
+	}
+	if err := c.Materialize().Validate(); err != nil {
+		return fmt.Errorf("engine: trace no longer validates after faulted replay: %w", err)
+	}
 	return nil
+}
+
+// buildReplayTask builds the task predictor of a replay run, refusing the
+// perfect predictor (it exists only inside the timing model).
+func buildReplayTask(sp *Spec) (core.TaskPredictor, error) {
+	p, err := sp.BuildTask()
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, &UnsupportedError{Feature: "perfect predictor",
+			Reason: "only meaningful in timing runs (it has no replayable state)"}
+	}
+	return p, nil
 }
 
 // replayBlocks evaluates one replay-mode run through the block-wise
@@ -365,13 +333,9 @@ func replayBlocks(sp *Spec, mode Mode, src trace.BlockSource, res *Result) error
 		res.Target, err = core.EvaluateIndirectBlocks(src, b)
 		return err
 	case ModeTask:
-		p, err := sp.BuildTask()
+		p, err := buildReplayTask(sp)
 		if err != nil {
 			return err
-		}
-		if p == nil {
-			return &UnsupportedError{Feature: "perfect predictor",
-				Reason: "only meaningful in timing runs (it has no replayable state)"}
 		}
 		if sp.SpecUpdate() {
 			res.Task, err = core.EvaluateTaskSpecBlocks(src, p, sp.SpecLag())

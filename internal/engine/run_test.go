@@ -21,7 +21,7 @@ func TestDoTaskEndToEnd(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	tr, err := workload.CachedTrace("exprc", steps)
+	tr, err := workload.CachedColumnar("exprc", steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
-	"multiscalar/internal/isa"
-	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/stats"
-	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 	"multiscalar/internal/workload"
 )
@@ -90,36 +86,11 @@ func ByName(name string) (Runner, error) {
 	return Runner{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, names)
 }
 
-// getTrace fetches a workload trace honouring cfg.MaxSteps, through the
-// process-level trace cache (each (workload, truncation) pair is decoded
-// once no matter how many experiments replay it).
-func getTrace(w *workload.Workload, cfg Config) (*trace.Trace, error) {
-	return workload.CachedTrace(w.Name, cfg.MaxSteps)
-}
-
-// traceStats is the statistics view the table/figure experiments need:
-// both trace.Columnar and trace.Trace provide it, so stats-only
-// experiments can run off the columns without materializing steps.
-type traceStats interface {
-	Len() int
-	DistinctTasks() int
-	DynamicExitHistogram() [tfg.MaxExits + 1]int
-	DynamicExitKinds() map[isa.ControlKind]int
-}
-
-// getTraceStats is getTrace for experiments that only need column-level
-// statistics (lengths, histograms): it serves the columnar cache and
-// avoids materializing the array-of-structs view entirely. Workloads
-// that cannot columnar-encode fall back to the materialized trace.
-func getTraceStats(w *workload.Workload, cfg Config) (traceStats, error) {
-	c, err := workload.CachedColumnar(w.Name, cfg.MaxSteps)
-	if err == nil {
-		return c, nil
-	}
-	if !errors.Is(err, trace.ErrNotColumnar) {
-		return nil, err
-	}
-	return workload.CachedTrace(w.Name, cfg.MaxSteps)
+// getTrace fetches a workload's columnar trace honouring cfg.MaxSteps,
+// through the process-level trace cache (each (workload, truncation)
+// pair is simulated once no matter how many experiments replay it).
+func getTrace(w *workload.Workload, cfg Config) (*trace.Columnar, error) {
+	return workload.CachedColumnar(w.Name, cfg.MaxSteps)
 }
 
 // execute runs an evaluation grid through the engine's deterministic
@@ -231,17 +202,6 @@ func AllSpecs() []string {
 // workloadCol renders the canonical workload column header ("exprc(gcc)").
 func workloadCol(w *workload.Workload) string {
 	return fmt.Sprintf("%s(%s)", w.Name, w.Analog)
-}
-
-// fullStats returns the cached full-trace execution stats for a workload
-// (Table 2 needs instruction counts, not just steps). The columnar memo
-// carries the stats, so this never materializes the step array.
-func fullStats(w *workload.Workload) (functional.Stats, error) {
-	if _, st, err := w.Columnar(); err == nil || !errors.Is(err, trace.ErrNotColumnar) {
-		return st, err
-	}
-	_, st, err := w.Trace()
-	return st, err
 }
 
 // writeTables renders a sequence of tables.

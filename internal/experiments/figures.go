@@ -22,7 +22,7 @@ func Figure3(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		tr, err := getTraceStats(wl, cfg)
+		tr, err := getTrace(wl, cfg)
 		if err != nil {
 			return err
 		}
@@ -61,7 +61,7 @@ func Figure4(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		tr, err := getTraceStats(wl, cfg)
+		tr, err := getTrace(wl, cfg)
 		if err != nil {
 			return err
 		}

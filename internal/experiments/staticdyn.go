@@ -106,10 +106,10 @@ func StaticDynData(cfg Config) ([]StaticDynRow, error) {
 	return out, nil
 }
 
-// perTaskCounts replays the standard composed predictor over the trace,
-// accounting misses per static task, and returns the predictor for
-// post-run state inspection (the RAS overflow counter).
-func perTaskCounts(tr *trace.Trace) (map[isa.Addr]*StaticDynGroup, core.TaskPredictor, error) {
+// perTaskCounts replays the standard composed predictor over the
+// columnar trace, accounting misses per static task, and returns the
+// predictor for post-run state inspection (the RAS overflow counter).
+func perTaskCounts(c *trace.Columnar) (map[isa.Addr]*StaticDynGroup, core.TaskPredictor, error) {
 	sp, err := engine.Parse(StdSpec())
 	if err != nil {
 		return nil, nil, err
@@ -121,49 +121,40 @@ func perTaskCounts(tr *trace.Trace) (map[isa.Addr]*StaticDynGroup, core.TaskPred
 	p.Reset()
 	counts := map[isa.Addr]*StaticDynGroup{}
 	at := func(a isa.Addr) *StaticDynGroup {
-		c := counts[a]
-		if c == nil {
-			c = &StaticDynGroup{}
-			counts[a] = c
+		g := counts[a]
+		if g == nil {
+			g = &StaticDynGroup{}
+			counts[a] = g
 		}
-		return c
+		return g
 	}
-	if rt, err := tr.Resolved(); err == nil {
-		for i := range rt.Steps {
-			s := &rt.Steps[i]
-			if s.Exit == trace.HaltExit {
+	cur := c.Blocks()
+	// A cursor over resident columns never returns an error.
+	for b, _ := cur.NextBlock(); b != nil; b, _ = cur.NextBlock() {
+		entries := b.Dict.Entries
+		for i := 0; i < b.N; i++ {
+			e := b.Exits[i]
+			if e == trace.HaltExit {
 				continue
 			}
-			pred := p.Predict(s.Task)
-			c := at(s.Addr)
-			c.Steps++
-			if pred.Target != s.Target {
-				c.Misses++
+			ent := &entries[b.TaskIdx[i]]
+			target := entries[b.TargetIdx[i]].Addr
+			pred := p.Predict(ent.Task)
+			cnt := at(ent.Addr)
+			cnt.Steps++
+			if pred.Target != target {
+				cnt.Misses++
 			}
-			p.Update(s.Task, core.Outcome{Exit: int(s.Exit), Target: s.Target})
+			p.Update(ent.Task, core.Outcome{Exit: int(e), Target: target})
 		}
-		return counts, p, nil
-	}
-	for _, s := range tr.Steps {
-		if s.Exit == trace.HaltExit {
-			continue
-		}
-		t := tr.Graph.TaskAt(s.Task)
-		pred := p.Predict(t)
-		c := at(s.Task)
-		c.Steps++
-		if pred.Target != s.Target {
-			c.Misses++
-		}
-		p.Update(t, core.Outcome{Exit: int(s.Exit), Target: s.Target})
 	}
 	return counts, p, nil
 }
 
 // correlate joins one workload's static report with its measured
 // per-task miss counts.
-func correlate(name string, rt lint.ReportTarget, tr *trace.Trace) (StaticDynRow, error) {
-	counts, p, err := perTaskCounts(tr)
+func correlate(name string, rt lint.ReportTarget, c *trace.Columnar) (StaticDynRow, error) {
+	counts, p, err := perTaskCounts(c)
 	if err != nil {
 		return StaticDynRow{}, err
 	}

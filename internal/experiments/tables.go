@@ -20,13 +20,13 @@ func Table2(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		tr, err := getTraceStats(wl, cfg)
+		tr, err := getTrace(wl, cfg)
 		if err != nil {
 			return err
 		}
 		instrPerTask := "-"
 		if cfg.MaxSteps == 0 {
-			st, err := fullStats(wl)
+			_, st, err := wl.Columnar()
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -110,24 +111,29 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v", e.Value)
 }
 
-// Checksum fingerprints a trace's prediction-relevant contents. The
+// Checksum fingerprints a trace's prediction-relevant contents: one
+// 9-byte record per step (task address, exit, target address — zero
+// after a halt), read through the columns and their dictionary. The
 // harness (and the engine's faulted runs) compare checksums before and
 // after a replay to prove the injector never wrote through to shared
 // trace state.
-func Checksum(tr *trace.Trace) uint64 {
+func Checksum(c *trace.Columnar) uint64 {
 	h := fnv.New64a()
 	var buf [9]byte
-	for _, s := range tr.Steps {
-		buf[0] = byte(s.Task)
-		buf[1] = byte(s.Task >> 8)
-		buf[2] = byte(s.Task >> 16)
-		buf[3] = byte(s.Task >> 24)
-		buf[4] = byte(s.Exit)
-		buf[5] = byte(s.Target)
-		buf[6] = byte(s.Target >> 8)
-		buf[7] = byte(s.Target >> 16)
-		buf[8] = byte(s.Target >> 24)
-		h.Write(buf[:])
+	cur := c.Blocks()
+	// A cursor over resident columns never returns an error.
+	for b, _ := cur.NextBlock(); b != nil; b, _ = cur.NextBlock() {
+		entries := b.Dict.Entries
+		for i := 0; i < b.N; i++ {
+			exit, target := b.Exits[i], uint32(0)
+			if exit != trace.HaltExit {
+				target = uint32(entries[b.TargetIdx[i]].Addr)
+			}
+			binary.LittleEndian.PutUint32(buf[0:], uint32(entries[b.TaskIdx[i]].Addr))
+			buf[4] = byte(exit)
+			binary.LittleEndian.PutUint32(buf[5:], target)
+			h.Write(buf[:])
+		}
 	}
 	return h.Sum64()
 }
@@ -135,14 +141,19 @@ func Checksum(tr *trace.Trace) uint64 {
 // replayFaulted replays the trace through the injector, recovering any
 // panic into the report. The oracle (the trace) drives control flow; the
 // injector only predicts, exactly as the sequencer's prediction hardware
-// only ever hints.
-func replayFaulted(tr *trace.Trace, inj *Injector, rep *Report) {
+// only ever hints. The injector has no block fast path, so the kernel's
+// generic per-step loop drives its Predict/Update calls.
+func replayFaulted(c *trace.Columnar, inj *Injector, rep *Report) {
 	defer func() {
 		if v := recover(); v != nil {
 			rep.Panicked = &PanicError{Value: v}
 		}
 	}()
-	res := core.EvaluateTask(tr, inj)
+	res, err := core.EvaluateTaskBlocks(c.Blocks(), inj)
+	if err != nil {
+		rep.Diverged = err
+		return
+	}
 	rep.FaultedMisses = res.Misses
 	if res.Steps != rep.Steps {
 		rep.Diverged = fmt.Errorf("faulted replay scored %d steps, oracle has %d", res.Steps, rep.Steps)
@@ -150,15 +161,19 @@ func replayFaulted(tr *trace.Trace, inj *Injector, rep *Report) {
 }
 
 // CheckRecovery runs the full recovery-validation harness: a fault-free
-// baseline replay of mk()'s predictor over tr, then a faulted replay of a
-// fresh predictor under spec, verifying along the way that the trace
-// oracle is never mutated. The returned report carries both miss counts
-// and the injection stats; call Report.Check for the invariant verdict.
-func CheckRecovery(tr *trace.Trace, mk func() core.TaskPredictor, spec Spec) (Report, error) {
-	rep := Report{Spec: spec, Steps: tr.PredictionSteps()}
+// baseline replay of mk()'s predictor over the columnar trace c, then a
+// faulted replay of a fresh predictor under spec, verifying along the way
+// that the trace oracle is never mutated. The returned report carries
+// both miss counts and the injection stats; call Report.Check for the
+// invariant verdict.
+func CheckRecovery(c *trace.Columnar, mk func() core.TaskPredictor, spec Spec) (Report, error) {
+	rep := Report{Spec: spec, Steps: c.PredictionSteps()}
 
-	sum := Checksum(tr)
-	base := core.EvaluateTask(tr, mk())
+	sum := Checksum(c)
+	base, err := core.EvaluateTaskBlocks(c.Blocks(), mk())
+	if err != nil {
+		return rep, err
+	}
 	rep.BaselineMisses = base.Misses
 
 	inj, err := New(spec, mk())
@@ -166,14 +181,14 @@ func CheckRecovery(tr *trace.Trace, mk func() core.TaskPredictor, spec Spec) (Re
 		return rep, err
 	}
 	rep.Predictor = inj.Name()
-	replayFaulted(tr, inj, &rep)
+	replayFaulted(c, inj, &rep)
 	rep.Injection = inj.Stats()
 
-	if rep.Diverged == nil && Checksum(tr) != sum {
+	if rep.Diverged == nil && Checksum(c) != sum {
 		rep.Diverged = fmt.Errorf("trace contents changed during faulted replay")
 	}
 	if rep.Diverged == nil {
-		if err := tr.Validate(); err != nil {
+		if err := c.Materialize().Validate(); err != nil {
 			rep.Diverged = fmt.Errorf("trace no longer validates against its TFG: %w", err)
 		}
 	}

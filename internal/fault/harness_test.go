@@ -1,14 +1,17 @@
 package fault_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/fault"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // TestRecoveryInvariants is the acceptance test for the fault subsystem:
@@ -32,6 +35,37 @@ func TestRecoveryInvariants(t *testing.T) {
 				t.Fatalf("%s: empty trace", wname)
 			}
 		}
+	}
+}
+
+// TestChecksumMatchesStepRecords pins Checksum's definition: FNV-64a
+// over one 9-byte record per step (task, exit, target, little-endian),
+// computed here from the materialized steps. Any changed step changes
+// the sum.
+func TestChecksumMatchesStepRecords(t *testing.T) {
+	c := testTrace(t, "exprc", 3000)
+	sum := func(steps []trace.Step) uint64 {
+		h := fnv.New64a()
+		for _, s := range steps {
+			var rec [9]byte
+			binary.LittleEndian.PutUint32(rec[0:], uint32(s.Task))
+			rec[4] = byte(s.Exit)
+			binary.LittleEndian.PutUint32(rec[5:], uint32(s.Target))
+			h.Write(rec[:])
+		}
+		return h.Sum64()
+	}
+	tr := c.Materialize()
+	if got, want := fault.Checksum(c), sum(tr.Steps); got != want {
+		t.Fatalf("Checksum = %#x, want %#x", got, want)
+	}
+	tr.Steps[100].Target = tr.Steps[0].Task
+	changed, err := trace.FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fault.Checksum(changed) == fault.Checksum(c) {
+		t.Fatal("a changed target left the checksum unchanged")
 	}
 }
 

@@ -11,19 +11,25 @@ import (
 	"multiscalar/internal/workload"
 )
 
-// testTrace returns a bounded trace for a workload (cached by the
-// workload registry across tests).
-func testTrace(t testing.TB, name string, steps int) *trace.Trace {
+// testTrace returns a bounded columnar trace for a workload (memoized
+// process-wide by the workload trace cache).
+func testTrace(t testing.TB, name string, steps int) *trace.Columnar {
 	t.Helper()
-	w, err := workload.ByName(name)
+	c, err := workload.CachedColumnar(name, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := w.TraceN(steps)
+	return c
+}
+
+// evalTask replays c through p over the block kernels.
+func evalTask(t testing.TB, c *trace.Columnar, p core.TaskPredictor) core.TaskResult {
+	t.Helper()
+	res, err := core.EvaluateTaskBlocks(c.Blocks(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return res
 }
 
 // fullSpec is the composed predictor every fault kind can reach:
@@ -47,9 +53,9 @@ func TestNewRejectsBadInput(t *testing.T) {
 
 func TestDisabledInjectorIsTransparent(t *testing.T) {
 	tr := testTrace(t, "exprc", 4000)
-	base := core.EvaluateTask(tr, fullPredictor())
+	base := evalTask(t, tr, fullPredictor())
 	inj := fault.MustNew(fault.Spec{}, fullPredictor())
-	got := core.EvaluateTask(tr, inj)
+	got := evalTask(t, tr, inj)
 	if got.Misses != base.Misses || got.Steps != base.Steps {
 		t.Fatalf("disabled injector changed the result: %+v vs %+v", got, base)
 	}
@@ -72,7 +78,7 @@ func TestInjectorDeterminismAndReset(t *testing.T) {
 
 	// TaskResult holds a map, so compare the scalar (steps, misses) pair.
 	run := func(inj *fault.Injector) ([2]int, fault.Stats) {
-		res := core.EvaluateTask(tr, inj)
+		res := evalTask(t, tr, inj)
 		return [2]int{res.Steps, res.Misses}, inj.Stats()
 	}
 
@@ -107,7 +113,7 @@ func TestInjectorDeterminismAndReset(t *testing.T) {
 func TestUpdateDropsAreCounted(t *testing.T) {
 	tr := testTrace(t, "exprc", 4000)
 	inj := fault.MustNew(fault.MustSpec("upd=1"), fullPredictor())
-	res := core.EvaluateTask(tr, inj)
+	res := evalTask(t, tr, inj)
 	st := inj.Stats()
 	if st.Kind[fault.KindUpdate].Injected != res.Steps {
 		t.Fatalf("upd=1 dropped %d updates over %d steps", st.Kind[fault.KindUpdate].Injected, res.Steps)
@@ -115,7 +121,7 @@ func TestUpdateDropsAreCounted(t *testing.T) {
 
 	// With every update lost the predictor never trains; it must miss at
 	// least as much as the trained baseline.
-	base := core.EvaluateTask(tr, fullPredictor())
+	base := evalTask(t, tr, fullPredictor())
 	if res.Misses < base.Misses {
 		t.Fatalf("untrained predictor missed less (%d) than trained baseline (%d)", res.Misses, base.Misses)
 	}
@@ -129,7 +135,7 @@ func TestEveryKindInjects(t *testing.T) {
 	// (upd itself is covered by TestUpdateDropsAreCounted).
 	tr := testTrace(t, "exprc", 4000)
 	inj := fault.MustNew(fault.MustSpec("ctr=1,hist=1,ras=1,ttb=1"), fullPredictor())
-	core.EvaluateTask(tr, inj)
+	evalTask(t, tr, inj)
 	st := inj.Stats()
 	for _, k := range []fault.Kind{fault.KindCounter, fault.KindHistory, fault.KindRAS, fault.KindTTB} {
 		if st.Kind[k].Rolled == 0 {

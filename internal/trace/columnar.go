@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
@@ -19,13 +20,12 @@ const BlockSteps = 4096
 // can reference: step columns store 16-bit dictionary indices, which is
 // what makes the in-memory encoding 5 bytes per step. Traces over
 // programs with more than 64Ki distinct task/target addresses are not
-// columnar-encodable and replay through the resolved fallback path.
+// columnar-encodable and cannot be replayed.
 const DictLimit = 1 << 16
 
 // ErrNotColumnar marks a trace that cannot be columnar-encoded (unknown
 // task addresses, out-of-range exits, or a dictionary past DictLimit).
-// Callers fall back to the array-of-structs replay paths, exactly as
-// resolution failures fall back to the unresolved reference loop.
+// There is no other replay path: callers report the wrapped error.
 var ErrNotColumnar = errors.New("trace: not columnar-encodable")
 
 // DictEntry is one interned address of a columnar trace: the address
@@ -92,9 +92,9 @@ type BlockSource interface {
 
 // Columnar is the struct-of-arrays encoding of a dynamic task trace:
 // three parallel columns (task-index, exit, target-index) over a shared
-// address dictionary. At 5 bytes per step it replaces the 36 bytes per
-// step of the array-of-structs Trace plus its resolved sidecar, and its
-// Blocks cursor feeds the block-wise replay kernels in internal/core.
+// address dictionary. At 5 bytes per step it replaces the 12 bytes per
+// step of the array-of-structs Trace, and its Blocks cursor feeds the
+// block-wise replay kernels in internal/core.
 //
 // Like Trace, a Columnar is shared read-only across concurrent replays.
 type Columnar struct {
@@ -135,7 +135,7 @@ func (c *Columnar) Footprint() int {
 	}
 	dict := 0
 	if c.Dict != nil {
-		dict = len(c.Dict.Entries) * 24
+		dict = len(c.Dict.Entries) * int(unsafe.Sizeof(DictEntry{}))
 	}
 	return header + dict + 2*len(c.taskIdx) + len(c.exits) + 2*len(c.targetIdx)
 }
@@ -176,8 +176,8 @@ func (cur *Cursor) NextBlock() (*Block, error) {
 
 // Prefix returns a view of the first n steps, sharing the dictionary and
 // column backing arrays (the functional simulator is deterministic, so a
-// capped run is exactly a prefix of the full run — the same sharing
-// CachedTrace does for Steps). n is clamped to [0, Len].
+// capped run is exactly a prefix of the full run). n is clamped to
+// [0, Len].
 func (c *Columnar) Prefix(n int) *Columnar {
 	if n >= c.Len() {
 		return c
@@ -266,10 +266,10 @@ func (c *Columnar) DynamicExitKinds() map[isa.ControlKind]int {
 // capture side of the streaming pipeline: generators append a segment at
 // a time and never need the whole trace in array-of-structs form.
 //
-// With a non-nil graph, Append validates every step the way sidecar
-// resolution does (task exists, exit in range, kind in enumeration) so
-// the resulting columns are safe for the no-bounds-check replay kernels;
-// all validation failures wrap ErrNotColumnar.
+// With a non-nil graph, Append validates every step (task exists, exit
+// in range, kind in enumeration) so the resulting columns are safe for
+// the no-bounds-check replay kernels; all validation failures wrap
+// ErrNotColumnar.
 type Encoder struct {
 	g     *tfg.Graph
 	dict  *Dict

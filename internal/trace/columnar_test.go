@@ -11,6 +11,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"multiscalar/internal/isa"
 )
@@ -56,6 +57,23 @@ func TestColumnarStatsMatchTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.DynamicExitKinds(), tr.DynamicExitKinds()) {
 		t.Errorf("DynamicExitKinds = %v, want %v", c.DynamicExitKinds(), tr.DynamicExitKinds())
+	}
+}
+
+// TestColumnarFootprint pins the resident-byte accounting on a
+// hand-built trace: two dictionary entries (addresses 1 and 2) at the
+// 32-byte DictEntry size of a 64-bit host, five steps at 5 bytes each,
+// and the 128-byte header. A prefix view owns none of its backing.
+func TestColumnarFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("DictEntry size is pinned for 64-bit hosts")
+	}
+	c := mustColumnar(t, pingPong(2))
+	if got, want := c.Footprint(), 128+2*32+5*5; got != want {
+		t.Errorf("Footprint = %d, want %d", got, want)
+	}
+	if got := c.Prefix(3).Footprint(); got != 128 {
+		t.Errorf("prefix Footprint = %d, want the 128-byte header", got)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
@@ -34,17 +33,13 @@ type Step struct {
 	Target isa.Addr
 }
 
-// Trace is a dynamic task trace bound to the TFG it was produced from.
-// Traces are shared read-only across concurrent replays; the resolved
-// fast-replay sidecar (Resolved) is memoized in place under the same
-// contract.
+// Trace is a dynamic task trace bound to the TFG it was produced from:
+// the array-of-structs form the functional simulator emits and the
+// reference replays walk. Replay proper runs over its columnar encoding
+// (Columnar). Traces are shared read-only across concurrent replays.
 type Trace struct {
 	Graph *tfg.Graph
 	Steps []Step
-
-	resolveOnce sync.Once
-	resolved    *Resolved
-	resolveErr  error
 }
 
 // Len returns the number of dynamic task steps, including the final halt

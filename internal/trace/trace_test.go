@@ -34,6 +34,19 @@ func pingPong(n int) *Trace {
 	return tr
 }
 
+func TestHalted(t *testing.T) {
+	if !pingPong(2).Halted() {
+		t.Error("complete trace not Halted")
+	}
+	cut := &Trace{Graph: graph(), Steps: []Step{{Task: 1, Exit: 0, Target: 2}}}
+	if cut.Halted() {
+		t.Error("capped trace reports Halted")
+	}
+	if (&Trace{Graph: graph()}).Halted() {
+		t.Error("empty trace reports Halted")
+	}
+}
+
 func TestValidateAccepts(t *testing.T) {
 	if err := pingPong(3).Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

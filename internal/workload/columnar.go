@@ -14,8 +14,7 @@ import (
 // obsCacheBytes gauges the heap bytes held by the columnar trace cache —
 // the actual resident cost of the cache layer. Materialized
 // array-of-structs views are derived, transient artifacts and are not
-// counted (the satellite fix: counting struct bytes would over-report
-// the cache several-fold now that columns are the primitive).
+// counted.
 var obsCacheBytes = obs.Default().Gauge("workload.trace_cache.bytes")
 
 // runColumnar executes the workload's program on a fresh machine,
@@ -110,16 +109,24 @@ type colCacheEntry struct {
 
 var colCache sync.Map // colCacheKey -> *colCacheEntry
 
-// CachedColumnar is CachedTrace over the columnar encoding: the named
-// workload's trace truncated to maxSteps tasks (0 = full), memoized
-// process-wide, shared read-only. The clamp and prefix semantics match
-// CachedTrace exactly — oversized caps alias the one full-columnar memo,
-// and truncations requested after the full columns exist are served as
-// prefix views sharing the column backing arrays and dictionary.
+// CachedColumnar returns the named workload's dynamic task trace in
+// columnar form, truncated to maxSteps tasks (0 = the full trace) and
+// memoized process-wide, so each (workload, truncation) pair is
+// simulated at most once no matter how many experiments or concurrent
+// workers replay it. The returned trace is shared: replays must treat it
+// as read-only (the block kernels do; faulted runs prove it with
+// checksums).
+//
+// A cap at or beyond the full run's length is the full trace: such
+// requests clamp to the one full-columnar memo instead of simulating and
+// storing a duplicate per distinct cap. Truncations requested after the
+// full columns exist are prefix views sharing its column backing arrays
+// and dictionary — the functional simulator is deterministic, so a
+// capped run is exactly a prefix of the full run — and cost no
+// simulation at all.
 //
 // A workload whose trace cannot be columnar-encoded (more than 64Ki
-// distinct addresses) reports trace.ErrNotColumnar; callers fall back to
-// CachedTrace.
+// distinct addresses) reports an error wrapping trace.ErrNotColumnar.
 func CachedColumnar(name string, maxSteps int) (*trace.Columnar, error) {
 	w, err := ByName(name)
 	if err != nil {

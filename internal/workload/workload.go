@@ -10,12 +10,10 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"multiscalar/internal/msl"
 	"multiscalar/internal/obs"
@@ -79,10 +77,6 @@ type Workload struct {
 	trace     *trace.Trace
 	stats     functional.Stats
 	traceErr  error
-	// full mirrors the successfully-memoized full trace for lock-free
-	// "is it already materialized?" checks outside traceOnce (truncation
-	// requests consult it to clamp and to share the Steps backing array).
-	full atomic.Pointer[trace.Trace]
 }
 
 var (
@@ -164,58 +158,25 @@ func (w *Workload) Graph() (*tfg.Graph, error) {
 	return w.graph, w.err
 }
 
-// Trace returns the workload's full dynamic task trace (computed once and
-// cached; all predictor studies replay this shared trace).
+// Trace returns the workload's full dynamic task trace in
+// array-of-structs form, materialized once from the columnar memo (see
+// Columnar) for callers that need Steps: validation, serialization and
+// the reference replays.
 func (w *Workload) Trace() (*trace.Trace, functional.Stats, error) {
-	w.traceOnce.Do(w.fullTrace)
-	return w.trace, w.stats, w.traceErr
-}
-
-// fullTrace is the body of the full-trace memoization. The columnar
-// memo is the primitive: generation (simulation, halt check, self-check)
-// happens there once, and the array-of-structs view is materialized from
-// the columns. A workload whose trace cannot be columnar-encoded falls
-// back to direct legacy generation. Must be called under traceOnce.
-func (w *Workload) fullTrace() {
-	c, stats, err := w.Columnar()
-	if err == nil {
-		w.trace, w.stats = c.Materialize(), stats
-		w.full.Store(w.trace)
-		return
-	}
-	if !errors.Is(err, trace.ErrNotColumnar) {
-		w.traceErr = err
-		return
-	}
-	g, gerr := w.Graph()
-	if gerr != nil {
-		w.traceErr = gerr
-		return
-	}
-	simulations.Add(1)
-	m := functional.NewMachine(g, functional.Config{})
-	tr, err := m.Run(functional.Config{})
-	if err != nil {
-		w.traceErr = fmt.Errorf("workload %s: %w", w.Name, err)
-		return
-	}
-	if !m.Stats().Halted {
-		w.traceErr = fmt.Errorf("workload %s: did not halt", w.Name)
-		return
-	}
-	if w.Check != nil {
-		if err := w.Check(m, g.Prog); err != nil {
-			w.traceErr = fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
+	w.traceOnce.Do(func() {
+		c, stats, err := w.Columnar()
+		if err != nil {
+			w.traceErr = err
 			return
 		}
-	}
-	w.trace, w.stats = tr, m.Stats()
-	w.full.Store(tr)
+		w.trace, w.stats = c.Materialize(), stats
+	})
+	return w.trace, w.stats, w.traceErr
 }
 
 // TraceN runs the workload for at most maxSteps dynamic tasks. Unlike
 // Trace, each call re-executes the functional simulator; callers that
-// replay the same truncation repeatedly should use CachedTrace.
+// replay the same truncation repeatedly should use CachedColumnar.
 func (w *Workload) TraceN(maxSteps int) (*trace.Trace, error) {
 	g, err := w.Graph()
 	if err != nil {
@@ -224,114 +185,6 @@ func (w *Workload) TraceN(maxSteps int) (*trace.Trace, error) {
 	simulations.Add(1)
 	tr, _, err := functional.Run(g, functional.Config{MaxSteps: maxSteps})
 	return tr, err
-}
-
-// traceCacheKey identifies one memoized truncated trace.
-type traceCacheKey struct {
-	name     string
-	maxSteps int
-}
-
-// traceCacheEntry generates its trace exactly once, even under
-// concurrent demand from many evaluation workers.
-type traceCacheEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-var traceCache sync.Map // traceCacheKey -> *traceCacheEntry
-
-// CachedTrace returns the named workload's dynamic task trace truncated
-// to maxSteps tasks (0 = the full trace), memoized process-wide so each
-// (workload, truncation) pair is simulated at most once no matter how
-// many experiments or concurrent workers replay it. The returned trace is
-// shared: replays must treat it as read-only (predictor evaluation does;
-// the fault harness proves it with checksums).
-//
-// A cap at or beyond the full run's length is the full trace: such
-// requests clamp to the full-trace memo (every oversized maxSteps returns
-// the same *trace.Trace) instead of simulating and storing a duplicate
-// copy per distinct cap. Genuine truncations requested after the full
-// trace has materialized share its Steps backing array — the functional
-// simulator is deterministic, so a capped run is exactly a prefix of the
-// full run — and cost no simulation at all.
-func CachedTrace(name string, maxSteps int) (*trace.Trace, error) {
-	w, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if maxSteps <= 0 {
-		return w.cachedFullTrace()
-	}
-	if full := w.full.Load(); full != nil && maxSteps >= full.Len() {
-		if obs.On() {
-			obsCacheHits.Inc()
-		}
-		return full, nil
-	}
-	e, _ := traceCache.LoadOrStore(traceCacheKey{name: w.Name, maxSteps: maxSteps}, &traceCacheEntry{})
-	entry := e.(*traceCacheEntry)
-	generated := false
-	entry.once.Do(func() {
-		generated = true
-		if full := w.full.Load(); full != nil {
-			// maxSteps < full.Len() here (the clamp above handled the
-			// rest): serve the prefix off the full trace's backing array.
-			entry.tr = &trace.Trace{Graph: full.Graph, Steps: full.Steps[:maxSteps:maxSteps]}
-			if obs.On() {
-				obsCacheHits.Inc()
-			}
-			return
-		}
-		// The columnar cache is the generation primitive: materialize the
-		// array-of-structs view from it (hit/miss accounting happens
-		// there). Workloads that cannot columnar-encode simulate legacy.
-		if c, cerr := CachedColumnar(w.Name, maxSteps); cerr == nil {
-			entry.tr = c.Materialize()
-		} else if !errors.Is(cerr, trace.ErrNotColumnar) {
-			entry.err = cerr
-			return
-		} else {
-			start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-			entry.tr, entry.err = w.TraceN(maxSteps)
-			if obs.On() {
-				obsCacheMisses.Inc()
-				obsDecodeSecs.Observe(time.Since(start).Seconds())
-			}
-		}
-		if entry.err == nil && entry.tr.Halted() {
-			// The cap never bit — the run completed, so this IS the full
-			// trace. Alias the full-trace memo (simulating it once if
-			// needed) so every oversized cap shares one trace.
-			if full, ferr := w.cachedFullTrace(); ferr == nil {
-				entry.tr = full
-			}
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return entry.tr, entry.err
-}
-
-// cachedFullTrace is CachedTrace's full-trace arm: the traceOnce memo
-// with cache-hit/miss accounting.
-func (w *Workload) cachedFullTrace() (*trace.Trace, error) {
-	generated := false
-	w.traceOnce.Do(func() {
-		generated = true
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		w.fullTrace()
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return w.trace, w.traceErr
 }
 
 // readWord fetches a named scalar from machine memory (a helper for

@@ -156,15 +156,16 @@ func TestExitKindCoverage(t *testing.T) {
 	}
 }
 
-// TestCachedTraceMemoizes checks the process-level trace cache: repeated
-// and concurrent demands for the same (workload, truncation) pair share
-// one simulated trace, while distinct truncations stay distinct.
-func TestCachedTraceMemoizes(t *testing.T) {
-	a, err := CachedTrace("compressb", 5000)
+// TestCachedColumnarMemoizes checks the process-level trace cache:
+// repeated and concurrent demands for the same (workload, truncation)
+// pair share one simulated trace, while distinct truncations stay
+// distinct.
+func TestCachedColumnarMemoizes(t *testing.T) {
+	a, err := CachedColumnar("compressb", 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CachedTrace("compressb", 5000)
+	b, err := CachedColumnar("compressb", 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCachedTraceMemoizes(t *testing.T) {
 	if a.Len() != 5000 {
 		t.Fatalf("trace length %d, want 5000", a.Len())
 	}
-	c, err := CachedTrace("compressb", 6000)
+	c, err := CachedColumnar("compressb", 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +184,22 @@ func TestCachedTraceMemoizes(t *testing.T) {
 	}
 
 	// Concurrent first-touch of a fresh key must also converge on one
-	// trace (the entry's once-guard; -race patrols the rest).
+	// trace and one simulation (the entry's once-guard; -race patrols
+	// the rest).
+	before := Simulations()
 	var wg sync.WaitGroup
-	got := make([]*trace.Trace, 8)
+	got := make([]*trace.Columnar, 8)
 	for i := range got {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := CachedTrace("boolmin", 4321)
+			c, err := CachedColumnar("boolmin", 4321)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got[i] = tr
+			got[i] = c
 		}()
 	}
 	wg.Wait()
@@ -205,33 +208,36 @@ func TestCachedTraceMemoizes(t *testing.T) {
 			t.Fatalf("goroutine %d got a different trace", i)
 		}
 	}
+	if n := Simulations() - before; n > 1 {
+		t.Fatalf("8 concurrent demands ran %d simulations, want at most 1", n)
+	}
 
-	if _, err := CachedTrace("nope", 100); err == nil {
+	if _, err := CachedColumnar("nope", 100); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
-// TestCachedTraceOversizedClampsToFull is the regression test for the
-// duplicate-trace bug: a cap at or beyond the full run's length used to
-// re-run the functional simulator and store a separate full-length copy
-// per distinct cap. Every such request must now return the one memoized
+// TestCachedColumnarOversizedClampsToFull is the regression test for
+// the duplicate-trace bug: a cap at or beyond the full run's length must
+// not re-run the functional simulator and store a separate full-length
+// copy per distinct cap. Every such request returns the one memoized
 // full trace.
-func TestCachedTraceOversizedClampsToFull(t *testing.T) {
+func TestCachedColumnarOversizedClampsToFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload execution in -short mode")
 	}
 	// Ask with an oversized cap first: even when the full trace has not
-	// been materialized yet, the completed (halted) capped run must alias
-	// the full-trace memo rather than stay a private copy.
+	// been encoded yet, the completed (halted) capped run must alias the
+	// full-trace memo rather than stay a private copy.
 	huge := 1 << 30
-	a, err := CachedTrace("exprc", huge)
+	a, err := CachedColumnar("exprc", huge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Halted() {
 		t.Fatal("oversized cap did not run to completion")
 	}
-	full, err := CachedTrace("exprc", 0)
+	full, err := CachedColumnar("exprc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,41 +245,54 @@ func TestCachedTraceOversizedClampsToFull(t *testing.T) {
 		t.Fatal("oversized cap stored a duplicate of the full trace")
 	}
 	// Distinct oversized caps — including exactly the full length — all
-	// land on the same *trace.Trace.
+	// land on the same *trace.Columnar, without simulating.
+	before := Simulations()
 	for _, n := range []int{full.Len(), full.Len() + 1, huge, huge + 7} {
-		tr, err := CachedTrace("exprc", n)
+		c, err := CachedColumnar("exprc", n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr != full {
+		if c != full {
 			t.Fatalf("cap %d returned a different trace than the full memo", n)
 		}
 	}
+	if n := Simulations() - before; n != 0 {
+		t.Fatalf("oversized caps ran %d simulations", n)
+	}
 }
 
-// TestCachedTraceTruncationSharesBacking: once the full trace exists, a
-// genuine truncation is served as a prefix of its Steps array (the
-// simulator is deterministic, so the capped run is exactly that prefix)
-// instead of re-simulating.
-func TestCachedTraceTruncationSharesBacking(t *testing.T) {
+// TestCachedColumnarTruncationSharesBacking: once the full trace exists,
+// a genuine truncation is served as a prefix view of its columns and
+// dictionary (the simulator is deterministic, so the capped run is
+// exactly that prefix) instead of re-simulating.
+func TestCachedColumnarTruncationSharesBacking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload execution in -short mode")
 	}
-	full, err := CachedTrace("exprc", 0)
+	full, err := CachedColumnar("exprc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := CachedTrace("exprc", 1234)
+	before := Simulations()
+	p, err := CachedColumnar("exprc", 1234)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := Simulations() - before; n != 0 {
+		t.Fatalf("truncation of a cached trace ran %d simulations", n)
 	}
 	if p.Len() != 1234 {
 		t.Fatalf("truncation length %d, want 1234", p.Len())
 	}
-	if &p.Steps[0] != &full.Steps[0] {
-		t.Fatal("truncation does not share the full trace's backing array")
+	if p.Dict != full.Dict {
+		t.Fatal("truncation does not share the full trace's dictionary")
 	}
-	if err := p.Validate(); err != nil {
+	pb, _ := p.Blocks().NextBlock()
+	fb, _ := full.Blocks().NextBlock()
+	if &pb.TaskIdx[0] != &fb.TaskIdx[0] || &pb.Exits[0] != &fb.Exits[0] || &pb.TargetIdx[0] != &fb.TargetIdx[0] {
+		t.Fatal("truncation does not share the full trace's column backing arrays")
+	}
+	if err := p.Materialize().Validate(); err != nil {
 		t.Fatalf("shared-prefix truncation does not validate: %v", err)
 	}
 }

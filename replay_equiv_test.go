@@ -1,9 +1,10 @@
 package multiscalar_test
 
-// Differential tests for the resolved-trace fast replay path: every
-// Evaluate* result — counts, miss breakdowns, States, ByKind — must be
-// identical between the resolved fast path and the unresolved reference
-// path, on every workload, and the fast path must not allocate per step.
+// Differential tests for the block replay kernels: every Evaluate*
+// result — counts, miss breakdowns, States, ByKind — must be identical
+// between the block kernels (the production replay path) and the
+// unresolved reference oracle, on every workload, and the kernels must
+// not allocate per step.
 
 import (
 	"reflect"
@@ -22,17 +23,12 @@ import (
 // the replay loops are step-position-independent).
 const equivSteps = 60000
 
-func equivTrace(tb testing.TB, name string) (*trace.Trace, *trace.Resolved) {
+// equivTrace returns the workload's cached columnar trace and its
+// materialized array-of-structs view, the oracle's input.
+func equivTrace(tb testing.TB, name string) (*trace.Columnar, *trace.Trace) {
 	tb.Helper()
-	tr, err := workload.CachedTrace(name, equivSteps)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rt, err := tr.Resolved()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return tr, rt
+	c := equivColumnar(tb, name)
+	return c, c.Materialize()
 }
 
 func equivColumnar(tb testing.TB, name string) *trace.Columnar {
@@ -75,57 +71,36 @@ func TestReplayEquivalence(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			tr, rt := equivTrace(t, name)
-			c := equivColumnar(t, name)
+			c, tr := equivTrace(t, name)
 			for _, spec := range equivExitSpecs {
-				slow := core.EvaluateExitUnresolved(tr, engine.MustBuildExit(spec))
-				fast := core.EvaluateExitResolved(rt, engine.MustBuildExit(spec))
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("exit %s: unresolved %+v != resolved %+v", spec, slow, fast)
-				}
+				oracle := core.EvaluateExitUnresolved(tr, engine.MustBuildExit(spec))
 				blocks, err := core.EvaluateExitBlocks(c.Blocks(), engine.MustBuildExit(spec))
 				if err != nil {
 					t.Fatalf("exit %s: block replay: %v", spec, err)
 				}
-				if !reflect.DeepEqual(slow, blocks) {
-					t.Errorf("exit %s: unresolved %+v != blocks %+v", spec, slow, blocks)
+				if !reflect.DeepEqual(oracle, blocks) {
+					t.Errorf("exit %s: oracle %+v != blocks %+v", spec, oracle, blocks)
 				}
 			}
 			for _, spec := range equivTargetSpecs {
-				slow := core.EvaluateIndirectUnresolved(tr, engine.MustBuildTarget(spec))
-				fast := core.EvaluateIndirectResolved(rt, engine.MustBuildTarget(spec))
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("target %s: unresolved %+v != resolved %+v", spec, slow, fast)
-				}
+				oracle := core.EvaluateIndirectUnresolved(tr, engine.MustBuildTarget(spec))
 				blocks, err := core.EvaluateIndirectBlocks(c.Blocks(), engine.MustBuildTarget(spec))
 				if err != nil {
 					t.Fatalf("target %s: block replay: %v", spec, err)
 				}
-				if !reflect.DeepEqual(slow, blocks) {
-					t.Errorf("target %s: unresolved %+v != blocks %+v", spec, slow, blocks)
+				if !reflect.DeepEqual(oracle, blocks) {
+					t.Errorf("target %s: oracle %+v != blocks %+v", spec, oracle, blocks)
 				}
 			}
 			for _, spec := range equivTaskSpecs {
-				slow := core.EvaluateTaskUnresolved(tr, engine.MustBuild(spec))
-				fast := core.EvaluateTaskResolved(rt, engine.MustBuild(spec))
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("task %s: unresolved %+v != resolved %+v", spec, slow, fast)
-				}
+				oracle := core.EvaluateTaskUnresolved(tr, engine.MustBuild(spec))
 				blocks, err := core.EvaluateTaskBlocks(c.Blocks(), engine.MustBuild(spec))
 				if err != nil {
 					t.Fatalf("task %s: block replay: %v", spec, err)
 				}
-				if !reflect.DeepEqual(slow, blocks) {
-					t.Errorf("task %s: unresolved %+v != blocks %+v", spec, slow, blocks)
+				if !reflect.DeepEqual(oracle, blocks) {
+					t.Errorf("task %s: oracle %+v != blocks %+v", spec, oracle, blocks)
 				}
-			}
-			// The public entry points take the fast path on a resolvable
-			// trace and must agree with the reference too.
-			spec := equivTaskSpecs[0]
-			auto := core.EvaluateTask(tr, engine.MustBuild(spec))
-			slow := core.EvaluateTaskUnresolved(tr, engine.MustBuild(spec))
-			if !reflect.DeepEqual(auto, slow) {
-				t.Errorf("EvaluateTask %s: %+v != unresolved %+v", spec, auto, slow)
 			}
 			// A generated-on-the-fly stream must replay identically to the
 			// cached columns (same steps, same blocks, never materialized).
@@ -145,28 +120,6 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Errorf("streamed %+v != cached columnar %+v", streamed, cached)
 			}
 		})
-	}
-}
-
-// TestReplayFallsBackOnCorruptTrace: a trace that fails resolution must
-// replay through the reference path with its historical behavior intact
-// (here: an out-of-range exit index that the exit replay tolerates).
-func TestReplayFallsBackOnCorruptTrace(t *testing.T) {
-	g := &tfg.Graph{Tasks: map[isa.Addr]*tfg.Task{
-		1: {Start: 1, Blocks: []isa.Addr{1}, Exits: []tfg.ExitSpec{{Kind: isa.KindBranch, Target: 1, HasTarget: true}}},
-	}}
-	g.Finalize()
-	tr := &trace.Trace{Graph: g, Steps: []trace.Step{
-		{Task: 1, Exit: 0, Target: 1},
-		{Task: 1, Exit: 3, Target: 1}, // out of range: resolution fails
-		{Task: 1, Exit: trace.HaltExit},
-	}}
-	if _, err := tr.Resolved(); err == nil {
-		t.Fatal("corrupt trace resolved")
-	}
-	res := core.EvaluateExit(tr, engine.MustBuildExit(equivExitSpecs[0]))
-	if res.Steps != 2 {
-		t.Fatalf("fallback replay scored %d steps, want 2", res.Steps)
 	}
 }
 
@@ -210,9 +163,8 @@ func (b *probeBuf) States() int                          { return b.n }
 // The probes also implement the core.*BlockReplayer fast paths, issuing
 // the same logical call sequence inline. Benchmarks use them to measure
 // the one-interface-call-per-block floor; the equivalence tests above
-// pin the real predictors' fast paths (PathExit) against the generic
-// loops, and these probe implementations are covered by
-// TestBlockReplayAllocationFree.
+// pin the real predictors' fast paths against the oracle, and these
+// probe implementations are covered by TestBlockReplayAllocationFree.
 
 func (p *probeExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	for i := 0; i < blk.N; i++ {
@@ -275,36 +227,10 @@ func (p *probeTask) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumControlKin
 	return steps, exitMisses, misses
 }
 
-// TestResolvedReplayAllocationFree pins the tentpole's allocation
-// contract: the resolved replay loops allocate nothing per step. Exit and
-// indirect replay allocate nothing at all; task replay allocates only the
-// end-of-run ByKind map (a small constant independent of trace length).
-func TestResolvedReplayAllocationFree(t *testing.T) {
-	_, rt := equivTrace(t, "exprc")
-
-	ep := &probeExit{}
-	core.EvaluateExitResolved(rt, ep) // warm any lazy state
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitResolved(rt, ep) }); allocs != 0 {
-		t.Errorf("EvaluateExitResolved: %.1f allocs per %d-step replay, want 0", allocs, rt.Len())
-	}
-
-	bp := &probeBuf{}
-	core.EvaluateIndirectResolved(rt, bp)
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectResolved(rt, bp) }); allocs != 0 {
-		t.Errorf("EvaluateIndirectResolved: %.1f allocs per %d-step replay, want 0", allocs, rt.Len())
-	}
-
-	tp := &probeTask{}
-	core.EvaluateTaskResolved(rt, tp)
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateTaskResolved(rt, tp) }); allocs > 8 {
-		t.Errorf("EvaluateTaskResolved: %.1f allocs per %d-step replay, want <= 8 (the ByKind map)", allocs, rt.Len())
-	}
-}
-
-// TestBlockReplayAllocationFree pins the same contract on the block
-// kernels: replaying N steps costs a constant few allocations (the
-// cursor and, for task replay, the end-of-run ByKind map) — never
-// per-step or per-block ones.
+// TestBlockReplayAllocationFree pins the kernels' allocation contract:
+// replaying N steps costs a constant few allocations (the cursor and,
+// for task replay, the end-of-run ByKind map) — never per-step or
+// per-block ones.
 func TestBlockReplayAllocationFree(t *testing.T) {
 	c := equivColumnar(t, "exprc")
 

@@ -45,7 +45,7 @@ type Baseline struct {
 }
 
 var (
-	benchRE   = flag.String("bench", "^(BenchmarkEvaluate|BenchmarkTraceResolve|BenchmarkColumnar)", "benchmark regex passed to go test -bench")
+	benchRE   = flag.String("bench", "^(BenchmarkEvaluate|BenchmarkColumnar)", "benchmark regex passed to go test -bench")
 	benchtime = flag.String("benchtime", "3x", "go test -benchtime per benchmark")
 	count     = flag.Int("count", 1, "go test -count; the best (minimum) of the runs is kept per benchmark")
 	baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline file, relative to the working directory")

@@ -43,6 +43,11 @@ go run ./cmd/mlint -w exprc -fault all=1e-3,seed=7 >/dev/null
 echo "==> mlint predictor spec check"
 go run ./cmd/mlint -w exprc -pred composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3 >/dev/null
 
+echo "==> examples (every examples/* program runs to completion)"
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+
 echo "==> mbench parallel smoke (-workers 4, truncated traces)"
 go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers 4 -journal '' >/dev/null
 

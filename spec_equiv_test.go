@@ -1,11 +1,11 @@
 package multiscalar_test
 
-// Differential oracle for speculative-update mode: spec runs must be
-// deterministic across the resolved, unresolved, block, and streamed
-// replay paths and across engine worker counts, and with a resolution
-// lag of zero they must be byte-identical to the idealized evaluators
-// (a committed speculative update trains exactly what the idealized
-// update would have).
+// Differential oracle for speculative-update mode: spec runs must agree
+// between the block kernels and the unresolved oracle, between streamed
+// and cached blocks, and across engine worker counts, and with a
+// resolution lag of zero they must be byte-identical to the idealized
+// kernels (a committed speculative update trains exactly what the
+// idealized update would have).
 
 import (
 	"reflect"
@@ -33,22 +33,17 @@ var specEquivTaskSpecs = []string{
 	"cttb:d7-o4-l4-c5-f3",
 }
 
-// TestSpecReplayEquivalence: every spec-mode evaluator path agrees
-// exactly, per workload, at zero and positive lag.
+// TestSpecReplayEquivalence: the spec-mode block kernels agree exactly
+// with the oracle, per workload, at zero and positive lag.
 func TestSpecReplayEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			tr, rt := equivTrace(t, name)
-			c := equivColumnar(t, name)
+			c, tr := equivTrace(t, name)
 			for _, lag := range []int{0, 3} {
 				for _, spec := range specEquivExitSpecs {
-					slow, err := core.EvaluateExitSpecUnresolved(tr, engine.MustBuildExit(spec), lag)
-					if err != nil {
-						t.Fatalf("exit %s lag %d: %v", spec, lag, err)
-					}
-					fast, err := core.EvaluateExitSpecResolved(rt, engine.MustBuildExit(spec), lag)
+					oracle, err := core.EvaluateExitSpecUnresolved(tr, engine.MustBuildExit(spec), lag)
 					if err != nil {
 						t.Fatalf("exit %s lag %d: %v", spec, lag, err)
 					}
@@ -56,17 +51,13 @@ func TestSpecReplayEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("exit %s lag %d: %v", spec, lag, err)
 					}
-					if !reflect.DeepEqual(slow, fast) || !reflect.DeepEqual(slow, blocks) {
-						t.Errorf("exit %s lag %d: paths disagree:\n unresolved %+v\n resolved   %+v\n blocks     %+v",
-							spec, lag, slow, fast, blocks)
+					if !reflect.DeepEqual(oracle, blocks) {
+						t.Errorf("exit %s lag %d: paths disagree:\n oracle %+v\n blocks %+v",
+							spec, lag, oracle, blocks)
 					}
 				}
 				for _, spec := range specEquivTaskSpecs {
-					slow, err := core.EvaluateTaskSpecUnresolved(tr, engine.MustBuild(spec), lag)
-					if err != nil {
-						t.Fatalf("task %s lag %d: %v", spec, lag, err)
-					}
-					fast, err := core.EvaluateTaskSpecResolved(rt, engine.MustBuild(spec), lag)
+					oracle, err := core.EvaluateTaskSpecUnresolved(tr, engine.MustBuild(spec), lag)
 					if err != nil {
 						t.Fatalf("task %s lag %d: %v", spec, lag, err)
 					}
@@ -74,9 +65,9 @@ func TestSpecReplayEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("task %s lag %d: %v", spec, lag, err)
 					}
-					if !reflect.DeepEqual(slow, fast) || !reflect.DeepEqual(slow, blocks) {
-						t.Errorf("task %s lag %d: paths disagree:\n unresolved %+v\n resolved   %+v\n blocks     %+v",
-							spec, lag, slow, fast, blocks)
+					if !reflect.DeepEqual(oracle, blocks) {
+						t.Errorf("task %s lag %d: paths disagree:\n oracle %+v\n blocks %+v",
+							spec, lag, oracle, blocks)
 					}
 				}
 			}
@@ -101,7 +92,7 @@ func TestSpecReplayEquivalence(t *testing.T) {
 }
 
 // TestSpecLagZeroIsIdealized: with rlat0 and no resolution lag, a spec
-// replay is byte-identical to the idealized evaluator on every workload
+// replay is byte-identical to the idealized kernel on every workload
 // (only the rollback accounting, which idealized mode leaves at zero,
 // may differ). The default 32-deep RAS never wraps on these workloads,
 // so repairs restore it exactly.
@@ -110,10 +101,13 @@ func TestSpecLagZeroIsIdealized(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			tr, _ := equivTrace(t, name)
+			c := equivColumnar(t, name)
 			for _, spec := range specEquivExitSpecs {
-				ideal := core.EvaluateExit(tr, engine.MustBuildExit(spec))
-				got, err := core.EvaluateExitSpec(tr, engine.MustBuildExit(spec), 0)
+				ideal, err := core.EvaluateExitBlocks(c.Blocks(), engine.MustBuildExit(spec))
+				if err != nil {
+					t.Fatalf("exit %s: %v", spec, err)
+				}
+				got, err := core.EvaluateExitSpecBlocks(c.Blocks(), engine.MustBuildExit(spec), 0)
 				if err != nil {
 					t.Fatalf("exit %s: %v", spec, err)
 				}
@@ -123,8 +117,11 @@ func TestSpecLagZeroIsIdealized(t *testing.T) {
 				}
 			}
 			for _, spec := range specEquivTaskSpecs {
-				ideal := core.EvaluateTask(tr, engine.MustBuild(spec))
-				got, err := core.EvaluateTaskSpec(tr, engine.MustBuild(spec), 0)
+				ideal, err := core.EvaluateTaskBlocks(c.Blocks(), engine.MustBuild(spec))
+				if err != nil {
+					t.Fatalf("task %s: %v", spec, err)
+				}
+				got, err := core.EvaluateTaskSpecBlocks(c.Blocks(), engine.MustBuild(spec), 0)
 				if err != nil {
 					t.Fatalf("task %s: %v", spec, err)
 				}
