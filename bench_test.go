@@ -287,14 +287,32 @@ func BenchmarkEvaluateTaskComposedBlocks(b *testing.B) {
 // The ...SpecBlocks benchmarks replay the block kernels in speculative-
 // update mode (lag 4) with real paper predictors, so every mispredict
 // drains the predictor-owned undo ring through a checkpoint repair —
-// rollback-heavy by construction. The gap to the idealized
-// BenchmarkEvaluateExitPathBlocks twin is the speculation tax; benchdiff
+// rollback-heavy by construction. Each runs the predictor's fused
+// speculative step; the gap to its idealized ...Blocks twin (PATH,
+// GLOBAL, PER, ideal PATH; the composed row's twin is
+// BenchmarkEvaluateTaskComposedBlocks) is the speculation tax. benchdiff
 // holds allocs/op at the idealized level (repair never allocates).
 
 func BenchmarkEvaluateExitSpecBlocks(b *testing.B) {
+	benchExitSpecBlocks(b, "path:d7-o5-l6-c6-f3:leh2")
+}
+
+func BenchmarkEvaluateExitSpecGlobalBlocks(b *testing.B) {
+	benchExitSpecBlocks(b, "global:d7-c14-i14:leh2")
+}
+
+func BenchmarkEvaluateExitSpecPerBlocks(b *testing.B) {
+	benchExitSpecBlocks(b, "per:d7-h12-t14-i14:leh2")
+}
+
+func BenchmarkEvaluateExitSpecIdealPathBlocks(b *testing.B) { benchExitSpecBlocks(b, "ipath:d7:leh2") }
+
+// benchExitSpecBlocks is benchExitBlocks in speculative-update mode at
+// lag 4, warm-up replay included.
+func benchExitSpecBlocks(b *testing.B, spec string) {
 	c := benchColumnarTrace(b, "exprc")
-	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
-	if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil { // warm-up, as benchExitBlocks
+	p := engine.MustBuildExit(spec)
+	if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -378,8 +396,20 @@ func BenchmarkFunctionalInterp(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 }
 
-// BenchmarkTimingSim measures the ring timing model's throughput.
-func BenchmarkTimingSim(b *testing.B) {
+// BenchmarkTimingSim measures the ring timing model's throughput with
+// perfect inter-task prediction.
+func BenchmarkTimingSim(b *testing.B) { benchTimingSim(b, "perfect") }
+
+// BenchmarkTimingSimSpec adds the standard composed predictor under
+// speculative update with an 8-cycle repair latency: the timing model's
+// per-task session step, rollbacks included.
+func BenchmarkTimingSimSpec(b *testing.B) {
+	benchTimingSim(b, "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8")
+}
+
+// benchTimingSim runs 30,000 boolmin tasks through the ring timing model
+// with spec's predictor.
+func benchTimingSim(b *testing.B, spec string) {
 	w, err := workload.ByName("boolmin")
 	if err != nil {
 		b.Fatal(err)
@@ -388,9 +418,18 @@ func BenchmarkTimingSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sp, err := engine.Parse(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := sp.BuildTask()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := timing.Config{MaxSteps: 30000, SpecUpdate: sp.SpecUpdate(), SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Run(g, nil, timing.Config{MaxSteps: 30000}); err != nil {
+		if _, err := timing.Run(g, p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"multiscalar/internal/tfg"
 )
@@ -133,35 +134,44 @@ func (k *AutomatonKind) predict(s uint16, r *rng) int {
 }
 
 func (k *AutomatonKind) predictVC(s uint16, r *rng) int {
-	best := uint16(0)
-	for i := 0; i < tfg.MaxExits; i++ {
-		best = max(best, s>>(vcCtrBits*i)&vcCtrMask)
-	}
-	var ties [tfg.MaxExits]int
-	n := 0
-	for i := 0; i < tfg.MaxExits; i++ {
-		if s>>(vcCtrBits*i)&vcCtrMask == best {
-			ties[n] = i
-			n++
-		}
-	}
-	if n == 1 {
-		return ties[0]
+	ties := vcTies[s&vcCtrsMask]
+	if ties&(ties-1) == 0 {
+		return bits.TrailingZeros8(ties)
 	}
 	if k.tie == TieMRU {
-		mru := int(s >> vcMRUShift & 3)
-		for _, t := range ties[:n] {
-			if t == mru {
-				return t
-			}
+		if mru := s >> vcMRUShift & 3; ties>>mru&1 != 0 {
+			return int(mru)
 		}
-		return ties[0]
+		return bits.TrailingZeros8(ties)
 	}
 	if r != nil {
-		return ties[r.intn(n)]
+		// The j-th lowest tied exit, j drawn uniformly among the ties.
+		for j := r.intn(bits.OnesCount8(ties)); j > 0; j-- {
+			ties &= ties - 1
+		}
 	}
-	return ties[0]
+	return bits.TrailingZeros8(ties)
 }
+
+// vcCtrsMask covers the four 3-bit voting counters of a packed state.
+const vcCtrsMask = 1<<(vcCtrBits*tfg.MaxExits) - 1
+
+// vcTies maps the counter field of a voting-counter state to the set of
+// exits tied at the highest count (bit i for exit i).
+var vcTies = func() (t [vcCtrsMask + 1]uint8) {
+	for s := range t {
+		best := 0
+		for i := 0; i < tfg.MaxExits; i++ {
+			best = max(best, s>>(vcCtrBits*i)&int(vcCtrMask))
+		}
+		for i := 0; i < tfg.MaxExits; i++ {
+			if s>>(vcCtrBits*i)&int(vcCtrMask) == best {
+				t[s] |= 1 << i
+			}
+		}
+	}
+	return t
+}()
 
 // update returns s trained with the actual exit. LE remembers it; LEH
 // replaces its stored exit only when the hysteresis counter has decayed
@@ -194,19 +204,17 @@ func (k *AutomatonKind) updateLEH(s uint16, exit int) uint16 {
 }
 
 func (k *AutomatonKind) updateVC(s uint16, exit int) uint16 {
-	out := autTouched | uint16(exit)<<vcMRUShift
-	for i := 0; i < tfg.MaxExits; i++ {
-		c := s >> (vcCtrBits * i) & vcCtrMask
-		if i == exit {
-			if c < k.max {
-				c++
-			}
-		} else if c > 0 {
-			c--
-		}
-		out |= c << (vcCtrBits * i)
+	// Decrement every non-zero counter at once (a counter's low bit in
+	// nz is set when any of its three bits is), then put the actual
+	// exit's counter back, incremented up to max.
+	c := s & vcCtrsMask
+	nz := (c | c>>1 | c>>2) & 0x249
+	sh := uint(vcCtrBits * exit)
+	e := c >> sh & vcCtrMask
+	if e < k.max {
+		e++
 	}
-	return out
+	return autTouched | uint16(exit)<<vcMRUShift | (c-nz)&^(vcCtrMask<<sh) | e<<sh
 }
 
 // flipBit returns s with one training-state bit inverted — an upset in

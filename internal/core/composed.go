@@ -17,10 +17,14 @@ type HeaderPredictor struct {
 	ras  *RAS
 	buf  TargetBuffer
 
-	// Spec-capable views of exit/buf, resolved once by specInit when a
-	// speculative-update session adopts this predictor.
+	// Spec-capable views of exit/buf, resolved at construction: the
+	// public protocol's and the fused kernels' (nil where a component
+	// lacks one; specInit refuses a session when the public one is
+	// missing).
 	specExit SpecExitPredictor
 	specBuf  SpecTargetBuffer
+	exitK    exitSpecKernel
+	bufK     targetSpecKernel
 }
 
 // NewHeaderPredictor composes a task predictor from an exit predictor, a
@@ -31,7 +35,14 @@ func NewHeaderPredictor(name string, exit ExitPredictor, ras *RAS, buf TargetBuf
 	if name == "" {
 		name = fmt.Sprintf("header(%s)", exit.Name())
 	}
-	return &HeaderPredictor{name: name, exit: exit, ras: ras, buf: buf}
+	p := &HeaderPredictor{name: name, exit: exit, ras: ras, buf: buf}
+	p.specExit, _ = exit.(SpecExitPredictor)
+	p.exitK, _ = exit.(exitSpecKernel)
+	if buf != nil {
+		p.specBuf, _ = buf.(SpecTargetBuffer)
+		p.bufK, _ = buf.(targetSpecKernel)
+	}
+	return p
 }
 
 // Name implements TaskPredictor.
@@ -106,12 +117,22 @@ func (p *HeaderPredictor) Update(t *tfg.Task, o Outcome) {
 	}
 }
 
-// specInit resolves the spec-capable component views; a speculative-
-// update session calls it once at adoption and fails cleanly when a
-// component cannot checkpoint-repair.
+// trainRAS pushes or pops the return address stack along an exit's
+// control kind, as Update does inline.
+func (p *HeaderPredictor) trainRAS(spec *tfg.ExitSpec) {
+	switch {
+	case spec.Kind.IsCall():
+		p.ras.Push(spec.Return)
+	case spec.Kind == isa.KindReturn:
+		p.ras.Pop()
+	}
+}
+
+// specInit checks that every component can checkpoint-repair; a
+// speculative-update session calls it once at adoption and fails cleanly
+// when one cannot.
 func (p *HeaderPredictor) specInit() error {
-	se, ok := p.exit.(SpecExitPredictor)
-	if !ok {
+	if p.specExit == nil {
 		return fmt.Errorf("core: %s: exit predictor %s does not support speculative update", p.name, p.exit.Name())
 	}
 	if c, ok := p.exit.(interface{ specErr() error }); ok {
@@ -119,13 +140,8 @@ func (p *HeaderPredictor) specInit() error {
 			return err
 		}
 	}
-	p.specExit = se
-	if p.buf != nil {
-		sb, ok := p.buf.(SpecTargetBuffer)
-		if !ok {
-			return fmt.Errorf("core: %s: target buffer %s does not support speculative update", p.name, p.buf.Name())
-		}
-		p.specBuf = sb
+	if p.buf != nil && p.specBuf == nil {
+		return fmt.Errorf("core: %s: target buffer %s does not support speculative update", p.name, p.buf.Name())
 	}
 	return nil
 }
@@ -145,12 +161,7 @@ func (p *HeaderPredictor) SpecUpdate(t *tfg.Task, pr Prediction) {
 			p.specBuf.SpecTrain(t.Start, pr.Target)
 		}
 		if p.ras != nil {
-			switch {
-			case spec.Kind.IsCall():
-				p.ras.Push(spec.Return)
-			case spec.Kind == isa.KindReturn:
-				p.ras.Pop()
-			}
+			p.trainRAS(&spec)
 		}
 	}
 	if p.specBuf != nil {
@@ -191,6 +202,59 @@ func (p *HeaderPredictor) CommitTask(m TaskMark) {
 	}
 }
 
+// specLogs implements taskSpecKernel: fused when the exit predictor and
+// the buffer (if any) are built-in.
+func (p *HeaderPredictor) specLogs() (exit, buf *undoRing, ras *RAS, ok bool) {
+	if p.exitK == nil || (p.buf != nil && p.bufK == nil) {
+		return nil, nil, nil, false
+	}
+	if p.bufK != nil {
+		buf = p.bufK.specLog()
+	}
+	return p.exitK.specLog(), buf, p.ras, true
+}
+
+// specStepTask implements taskSpecKernel: Predict and SpecUpdate in one
+// pass, each component indexed once.
+func (p *HeaderPredictor) specStepTask(t *tfg.Task, f *specFrame) Prediction {
+	e := p.exitK.specStepExit(t.Start, len(t.Exits), f)
+	spec := &t.Exits[e]
+	pred := Prediction{Exit: e}
+	indirect := spec.Kind.IsIndirect()
+	switch {
+	case spec.HasTarget:
+		pred.Target = spec.Target
+	case !indirect && p.ras != nil: // RETURN
+		pred.Target, _ = p.ras.Top()
+	}
+	if p.ras != nil {
+		p.trainRAS(spec)
+	}
+	if p.bufK != nil {
+		// Only a task with an indirect exit can train the buffer, now
+		// or in a catch-up.
+		pred.Target = p.bufK.specStepTarget(t.Start, indirect && !spec.HasTarget, indirect, t.HasIndirectExit(), pred.Target, f)
+	}
+	return pred
+}
+
+// squashTask implements taskSpecKernel. The components hold disjoint
+// state, so each repairs and replays the whole window in turn.
+func (p *HeaderPredictor) squashTask(m TaskMark, w *specWindow) (rasDamaged bool) {
+	p.exitK.squashExit(m.exit, w)
+	if p.bufK != nil {
+		p.bufK.squashTarget(m.buf, w, false)
+	}
+	if p.ras != nil {
+		rasDamaged = p.ras.Repair(m.ras)
+		for k := 0; k < w.n; k++ {
+			f := w.at(k)
+			p.trainRAS(&f.task.Exits[f.exit])
+		}
+	}
+	return rasDamaged
+}
+
 // CTTBOnly is the header-less task predictor of §5.4 / Table 3: the next
 // task address is predicted directly from a (large) correlated target
 // buffer for every task step, with all exit types competing for buffer
@@ -199,12 +263,18 @@ type CTTBOnly struct {
 	name string
 	buf  TargetBuffer
 
+	// Spec-capable views of buf, resolved at construction (see
+	// HeaderPredictor).
 	specBuf SpecTargetBuffer
+	bufK    targetSpecKernel
 }
 
 // NewCTTBOnly builds a CTTB-only task predictor over the given buffer.
 func NewCTTBOnly(buf TargetBuffer) *CTTBOnly {
-	return &CTTBOnly{name: fmt.Sprintf("cttb-only(%s)", buf.Name()), buf: buf}
+	p := &CTTBOnly{name: fmt.Sprintf("cttb-only(%s)", buf.Name()), buf: buf}
+	p.specBuf, _ = buf.(SpecTargetBuffer)
+	p.bufK, _ = buf.(targetSpecKernel)
+	return p
 }
 
 // Name implements TaskPredictor.
@@ -234,13 +304,11 @@ func (p *CTTBOnly) Update(t *tfg.Task, o Outcome) {
 	p.buf.Advance(t.Start)
 }
 
-// specInit resolves the spec-capable buffer view; see HeaderPredictor.
+// specInit checks the buffer can checkpoint-repair; see HeaderPredictor.
 func (p *CTTBOnly) specInit() error {
-	sb, ok := p.buf.(SpecTargetBuffer)
-	if !ok {
+	if p.specBuf == nil {
 		return fmt.Errorf("core: %s: target buffer %s does not support speculative update", p.name, p.buf.Name())
 	}
-	p.specBuf = sb
 	return nil
 }
 
@@ -264,3 +332,23 @@ func (p *CTTBOnly) RepairTask(m TaskMark) bool {
 
 // CommitTask implements SpecTaskPredictor.
 func (p *CTTBOnly) CommitTask(m TaskMark) { p.specBuf.CommitTarget(m.buf) }
+
+// specLogs implements taskSpecKernel: fused when the buffer is built-in.
+func (p *CTTBOnly) specLogs() (exit, buf *undoRing, ras *RAS, ok bool) {
+	if p.bufK == nil {
+		return nil, nil, nil, false
+	}
+	return nil, p.bufK.specLog(), nil, true
+}
+
+// specStepTask implements taskSpecKernel: Predict and SpecUpdate share
+// one buffer index.
+func (p *CTTBOnly) specStepTask(t *tfg.Task, f *specFrame) Prediction {
+	return Prediction{Exit: -1, Target: p.bufK.specStepTarget(t.Start, true, t.NumExits() > 0, true, 0, f)}
+}
+
+// squashTask implements taskSpecKernel (no RAS: never inexact).
+func (p *CTTBOnly) squashTask(m TaskMark, w *specWindow) bool {
+	p.bufK.squashTarget(m.buf, w, true)
+	return false
+}

@@ -172,6 +172,7 @@ func TestDOLCPathMatchesIndex(t *testing.T) {
 			switch r.intn(16) {
 			case 0:
 				var log undoRing
+				log.reserve()
 				logPathHist(&log, &p.hist)
 				p.push(cur)
 				undoPathHistApply(&p.hist, &log.buf[0])

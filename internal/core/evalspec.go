@@ -9,10 +9,15 @@ import (
 // loops of eval.go (oracle) and evalblocks.go (kernels), with each
 // predictor call routed through a SpecExitSession / SpecTaskSession so
 // training happens at prediction time with the predicted outcome and
-// mispredicts repair through the undo log. Scoring is unchanged — a step's prediction is
-// scored against its actual outcome exactly as in idealized mode — so a
-// spec result differs from the idealized one only through wrong-path
-// training and delayed resolution, never through different bookkeeping.
+// mispredicts repair through the undo log. Scoring is unchanged — a
+// step's prediction is scored against its actual outcome exactly as in
+// idealized mode — so a spec result differs from the idealized one only
+// through wrong-path training and delayed resolution, never through
+// different bookkeeping.
+//
+// The block evaluators run the built-in predictors' fused kernels; the
+// Unresolved oracles always drive the public Mark/SpecUpdate/Repair/
+// Commit protocol, so the differential tests compare the two.
 //
 // With lag 0 every result is byte-identical to the idealized evaluator
 // (modulo the Rollbacks/RepairFrames accounting, which idealized mode
@@ -27,7 +32,7 @@ import (
 // EvaluateExitSpecBlocks.
 func EvaluateExitSpecUnresolved(tr *trace.Trace, p ExitPredictor, lag int) (ExitResult, error) {
 	p.Reset()
-	s, err := NewSpecExitSession(p, lag)
+	s, err := newSpecExitSession(p, lag, false)
 	if err != nil {
 		return ExitResult{}, err
 	}
@@ -76,8 +81,13 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 			if e == trace.HaltExit {
 				continue
 			}
-			t := entries[taskIdx[i]].Task
-			pred := s.Step(t, int(e))
+			ent := &entries[taskIdx[i]]
+			var pred int
+			if s.kern != nil {
+				pred = s.step(ent.Task, ent.Addr, int(ent.NumExits), int(e))
+			} else {
+				pred = s.Step(ent.Task, int(e))
+			}
 			steps++
 			if pred != int(e) {
 				misses++
@@ -97,7 +107,7 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 // the differential-testing oracle for EvaluateTaskSpecBlocks.
 func EvaluateTaskSpecUnresolved(tr *trace.Trace, p TaskPredictor, lag int) (TaskResult, error) {
 	p.Reset()
-	s, err := NewSpecTaskSession(p, lag)
+	s, err := newSpecTaskSession(p, lag, false)
 	if err != nil {
 		return TaskResult{}, err
 	}

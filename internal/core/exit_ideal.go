@@ -116,14 +116,14 @@ func (t *idealPHT[K]) train(idx uint32, exit int, log *undoRing) {
 	t.slots[idx] = t.kind.update(t.slots[idx], exit)
 }
 
-// update trains k's automaton, creating it (and logging the creation)
-// when k is new.
-func (t *idealPHT[K]) update(k K, exit int, log *undoRing) {
+// slot returns k's slot for an update, creating it (and logging the
+// creation) when k is new.
+func (t *idealPHT[K]) slot(k K, log *undoRing) uint32 {
 	idx, created := t.lookup(k, autTouched)
 	if created && log != nil {
 		log.push(specUndo{kind: undoIdealCreate, idx: idx})
 	}
-	t.train(idx, exit, log)
+	return idx
 }
 
 // IdealGlobal is the ideal GLOBAL scheme: a single exit-number history
@@ -133,7 +133,7 @@ type IdealGlobal struct {
 	depth int
 	hist  ExitHistory
 	table idealPHT[exitKey]
-	undo  undoRing
+	exitUndo
 }
 
 // NewIdealGlobal returns an alias-free GLOBAL exit predictor of the given
@@ -172,12 +172,28 @@ func (p *IdealGlobal) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *IdealGlobal) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
+func (p *IdealGlobal) UpdateExit(t *tfg.Task, exit int) {
+	p.train(p.table.slot(exitKey{addr: t.Start, hist: p.hist}, nil), exit, nil, nil)
+}
 
-func (p *IdealGlobal) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	p.table.update(exitKey{addr: t.Start, hist: p.hist}, exit, log)
-	if log != nil {
-		log.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
+// specStepExit implements exitSpecKernel: one key, one map lookup; the
+// frame keeps the global history the step started from and its slot.
+func (p *IdealGlobal) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	idx, e := p.table.predict(exitKey{addr: addr, hist: p.hist})
+	f.exitAux = uint64(p.hist)<<32 | uint64(idx)
+	pred := clampExits(e, nexits)
+	p.train(idx, pred, &p.undo, nil)
+	return pred
+}
+
+// train is the index→train helper: slot idx learns exit, which then
+// shifts into the global history (the slot write logged on log, the
+// history on histLog).
+func (p *IdealGlobal) train(idx uint32, exit int, log, histLog *undoRing) {
+	p.table.train(idx, exit, log)
+	if histLog != nil {
+		histLog.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
 	}
 	p.hist = p.hist.Push(exit, p.depth)
 }
@@ -190,7 +206,7 @@ type IdealPer struct {
 	depth int
 	hists map[isa.Addr]ExitHistory
 	table idealPHT[exitKey]
-	undo  undoRing
+	exitUndo
 }
 
 // NewIdealPer returns an alias-free PER exit predictor. It panics on a
@@ -227,15 +243,33 @@ func (p *IdealPer) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *IdealPer) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
-
-func (p *IdealPer) updateExit(t *tfg.Task, exit int, log *undoRing) {
+func (p *IdealPer) UpdateExit(t *tfg.Task, exit int) {
 	h := p.hists[t.Start]
-	p.table.update(exitKey{addr: t.Start, hist: h}, exit, log)
-	if log != nil {
-		log.push(specUndo{kind: undoPerHist, addr: t.Start, prev: uint32(h)})
+	p.train(t.Start, h, p.table.slot(exitKey{addr: t.Start, hist: h}, nil), exit, nil, nil)
+}
+
+// specStepExit implements exitSpecKernel: one history read, one table
+// lookup, one history write; the frame keeps the task's history from
+// before the step and its slot.
+func (p *IdealPer) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	h := p.hists[addr]
+	idx, e := p.table.predict(exitKey{addr: addr, hist: h})
+	f.exitAux = uint64(h)<<32 | uint64(idx)
+	pred := clampExits(e, nexits)
+	p.train(addr, h, idx, pred, &p.undo, nil)
+	return pred
+}
+
+// train is the index→train helper: slot idx learns exit, which then
+// shifts into history h of the task at addr (the slot write logged on
+// log, the history on histLog).
+func (p *IdealPer) train(addr isa.Addr, h ExitHistory, idx uint32, exit int, log, histLog *undoRing) {
+	p.table.train(idx, exit, log)
+	if histLog != nil {
+		histLog.push(specUndo{kind: undoPerHist, addr: addr, prev: uint32(h)})
 	}
-	p.hists[t.Start] = h.Push(exit, p.depth)
+	p.hists[addr] = h.Push(exit, p.depth)
 }
 
 // IdealPath is the ideal PATH scheme: the prediction context is the exact
@@ -246,7 +280,7 @@ type IdealPath struct {
 	depth int
 	hist  PathHistory
 	table idealPHT[PathKey]
-	undo  undoRing
+	exitUndo
 }
 
 // NewIdealPath returns an alias-free PATH exit predictor. It panics on a
@@ -281,12 +315,28 @@ func (p *IdealPath) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *IdealPath) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
+func (p *IdealPath) UpdateExit(t *tfg.Task, exit int) {
+	p.train(t.Start, p.table.slot(MakePathKey(&p.hist, t.Start, p.depth), nil), exit, nil, nil)
+}
 
-func (p *IdealPath) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	p.table.update(MakePathKey(&p.hist, t.Start, p.depth), exit, log)
-	if log != nil {
-		logPathHist(log, &p.hist)
+// specStepExit implements exitSpecKernel: one path key, one map lookup;
+// the frame keeps the slot for the catch-up.
+func (p *IdealPath) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	idx, e := p.table.predict(MakePathKey(&p.hist, addr, p.depth))
+	pred := clampExits(e, nexits)
+	p.train(addr, idx, pred, &p.undo, nil)
+	f.exitAux = uint64(idx)
+	return pred
+}
+
+// train is the index→train helper: slot idx learns exit, then addr
+// shifts into the path history (the slot write logged on log, the
+// history on histLog).
+func (p *IdealPath) train(addr isa.Addr, idx uint32, exit int, log, histLog *undoRing) {
+	p.table.train(idx, exit, log)
+	if histLog != nil {
+		logPathHist(histLog, &p.hist)
 	}
-	p.hist.Push(t.Start)
+	p.hist.Push(addr)
 }

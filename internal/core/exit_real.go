@@ -96,7 +96,7 @@ type PathExit struct {
 
 	path dolcPath
 	pht  pht
-	undo undoRing
+	exitUndo
 
 	// Pending automaton updates when TrainLatency > 0, kept in a
 	// fixed-size ring (head index + live count) so a full FIFO costs
@@ -187,7 +187,14 @@ func (p *PathExit) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *PathExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
+func (p *PathExit) UpdateExit(t *tfg.Task, exit int) {
+	var idx uint32
+	single := t.SingleExit()
+	if !(p.opts.SkipSingleExit && single) {
+		idx = p.path.index(t.Start)
+	}
+	p.train(t.Start, single, idx, exit, nil, nil)
+}
 
 // pendPush enqueues a delayed automaton update and, once the FIFO holds
 // more than TrainLatency entries, trains the oldest — the same order as
@@ -210,26 +217,48 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 	}
 }
 
-// updateExit is the single training path for both idealized and
-// speculative update: with a nil log it is the paper's immediate update;
-// with a log every mutation records its inverse for checkpoint repair.
-func (p *PathExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	single := t.SingleExit()
+// specStepExit implements exitSpecKernel: PredictExit and
+// SpecUpdateExit over one DOLC index, which the frame keeps for the
+// catch-up (phtSkipped when a single-exit task skips the PHT).
+func (p *PathExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	single := nexits == 1
+	if p.opts.SkipSingleExit && single {
+		p.train(addr, true, 0, 0, &p.undo, nil)
+		f.exitAux = phtSkipped
+		return 0
+	}
+	idx := p.path.index(addr)
+	pred := clampExits(p.pht.predict(idx), nexits)
+	p.train(addr, single, idx, pred, &p.undo, nil)
+	f.exitAux = uint64(idx)
+	return pred
+}
+
+// phtSkipped marks a fused frame whose task skipped the PHT.
+const phtSkipped = ^uint64(0)
+
+// train is the index→train helper of every PATH update (idealized,
+// speculative and fused alike): it trains PHT entry idx (the step's
+// DOLC index; unused when a single-exit task skips the PHT) with exit
+// and shifts the task at addr into the path history, logging the PHT
+// write on log and the history push on histLog (each when non-nil).
+func (p *PathExit) train(addr isa.Addr, single bool, idx uint32, exit int, log, histLog *undoRing) {
 	if !(p.opts.SkipSingleExit && single) {
 		if p.opts.TrainLatency == 0 {
-			p.pht.update(p.path.index(t.Start), exit, log)
+			p.pht.update(idx, exit, log)
 		} else {
-			// Capture the context index now; train once the outcome has
-			// "travelled back" TrainLatency tasks later. (log is always
+			// Train once the outcome has "travelled back" TrainLatency
+			// tasks later, at the index captured now. (log is always
 			// nil here: specErr refuses TrainLatency under speculation.)
-			p.pendPush(p.path.index(t.Start), exit)
+			p.pendPush(idx, exit)
 		}
 	}
 	if !(p.opts.SkipSingleExitHistory && single) {
-		if log != nil {
-			logPathHist(log, &p.path.hist)
+		if histLog != nil {
+			logPathHist(histLog, &p.path.hist)
 		}
-		p.path.push(t.Start)
+		p.path.push(addr)
 	}
 }
 
@@ -245,7 +274,7 @@ type GlobalExit struct {
 
 	hist ExitHistory
 	pht  pht
-	undo undoRing
+	exitUndo
 }
 
 // NewGlobalExit builds a real GLOBAL exit predictor: depth 2-bit exit
@@ -295,12 +324,26 @@ func (p *GlobalExit) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
+func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.train(p.index(t.Start), exit, nil, nil) }
 
-func (p *GlobalExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	p.pht.update(p.index(t.Start), exit, log)
-	if log != nil {
-		log.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
+// specStepExit implements exitSpecKernel; the frame keeps the global
+// history the step started from.
+func (p *GlobalExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	f.exitAux = uint64(p.hist)
+	idx := p.index(addr)
+	pred := clampExits(p.pht.predict(idx), nexits)
+	p.train(idx, pred, &p.undo, nil)
+	return pred
+}
+
+// train is the index→train helper: PHT entry idx learns exit, which
+// then shifts into the global history (the PHT write logged on log, the
+// history on histLog).
+func (p *GlobalExit) train(idx uint32, exit int, log, histLog *undoRing) {
+	p.pht.update(idx, exit, log)
+	if histLog != nil {
+		histLog.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
 	}
 	p.hist = p.hist.Push(exit, p.depth)
 }
@@ -316,9 +359,9 @@ type PerExit struct {
 	taskBits  int // task address bits mixed into the PHT index
 	indexBits int
 
-	hrt  []ExitHistory
-	pht  pht
-	undo undoRing
+	hrt []ExitHistory
+	pht pht
+	exitUndo
 }
 
 // NewPerExit builds a real PER exit predictor.
@@ -371,13 +414,30 @@ func (p *PerExit) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *PerExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
-
-func (p *PerExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
+func (p *PerExit) UpdateExit(t *tfg.Task, exit int) {
 	h := p.hrtIndex(t.Start)
-	p.pht.update(p.phtIndex(t.Start, p.hrt[h]), exit, log)
-	if log != nil {
-		log.push(specUndo{kind: undoHRT, idx: h, prev: uint32(p.hrt[h])})
+	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, nil, nil)
+}
+
+// specStepExit implements exitSpecKernel; the frame keeps the HRT slot
+// and the history it held before the step.
+func (p *PerExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
+	p.undo.reserve()
+	h := p.hrtIndex(addr)
+	f.exitAux = uint64(h)<<32 | uint64(p.hrt[h])
+	idx := p.phtIndex(addr, p.hrt[h])
+	pred := clampExits(p.pht.predict(idx), nexits)
+	p.train(h, idx, pred, &p.undo, nil)
+	return pred
+}
+
+// train is the index→train helper: PHT entry idx learns exit, which
+// then shifts into the task's history at HRT slot h (the PHT write
+// logged on log, the history on histLog).
+func (p *PerExit) train(h, idx uint32, exit int, log, histLog *undoRing) {
+	p.pht.update(idx, exit, log)
+	if histLog != nil {
+		histLog.push(specUndo{kind: undoHRT, idx: h, prev: uint32(p.hrt[h])})
 	}
 	p.hrt[h] = p.hrt[h].Push(exit, p.depth)
 }

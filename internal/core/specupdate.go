@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"multiscalar/internal/isa"
-	"multiscalar/internal/obs"
 	"multiscalar/internal/tfg"
 )
 
@@ -14,7 +12,7 @@ import (
 // training). In this mode the sequencer trains its predictors at
 // prediction time with the *predicted* outcome, the way the XIOSim fetch
 // stage calls spec_update before the branch resolves, and repairs them
-// when a misprediction resolves:
+// when a misprediction resolves. The public protocol is:
 //
 //	pred := p.PredictExit(t)
 //	m := p.MarkExit()          // checkpoint: undo-log position (+ RAS mark)
@@ -32,9 +30,15 @@ import (
 // wrong-path *lookups* (PHT entries and map contexts materialized on
 // first touch): hardware tables exist whether or not an index is later
 // squashed, so States() in spec mode counts wrong-path pollution too.
-// The SpecExitSession / SpecTaskSession drivers below package the whole
-// protocol — windowed resolution at a configurable lag, commit, repair,
-// and the non-speculative catch-up replay after a squash.
+//
+// The built-in predictors also implement a fused form of the same
+// protocol (exitSpecKernel, targetSpecKernel, taskSpecKernel): one call
+// per step predicts and trains toward the prediction with a single
+// table index, the session reads checkpoints off the predictor's undo
+// ring and commits on it directly, and one call per squash drains the
+// log and replays the window's actual outcomes. The SpecExitSession /
+// SpecTaskSession drivers (specsession.go) take the fused path whenever
+// the predictor offers it and the public protocol otherwise.
 
 // SpecMark is a predictor checkpoint: an absolute position in the
 // predictor's undo log captured by MarkExit/MarkTarget before a
@@ -89,8 +93,64 @@ type SpecTaskPredictor interface {
 	CommitTask(TaskMark)
 }
 
-// Undo-log entry kinds. Each predictor interprets its own entries via
-// applyUndo; kinds are shared so the ring stays one flat struct type.
+// exitSpecKernel is the fused speculative step of the built-in exit
+// predictors.
+type exitSpecKernel interface {
+	SpecExitPredictor
+	// specStepExit predicts the task at addr, which has nexits exits,
+	// and trains toward that prediction through the same index→train
+	// helper as UpdateExit, computing the table index or ideal key once.
+	// It logs the table write on specLog and records in f what the
+	// catch-up needs instead of the history.
+	specStepExit(addr isa.Addr, nexits int, f *specFrame) int
+	// squashExit repairs the predictor to mark m, then replays the
+	// window's actual exits non-speculatively.
+	squashExit(m SpecMark, w *specWindow)
+	// specLog returns the undo ring the speculative updates log on.
+	specLog() *undoRing
+}
+
+// targetSpecKernel is the fused speculative step of the built-in target
+// buffers.
+type targetSpecKernel interface {
+	SpecTargetBuffer
+	// specStepTarget is one speculative buffer step for current: with
+	// lookup it predicts the target (zero on a miss), which replaces
+	// target; with train it trains toward target, sharing the lookup's
+	// index; then it advances the path history. Like specStepExit it
+	// logs on specLog and records its replay state in f, which keep
+	// requests for any step the catch-up may train (lookup and train
+	// imply it).
+	specStepTarget(current isa.Addr, lookup, train, keep bool, target isa.Addr, f *specFrame) isa.Addr
+	// squashTarget repairs the buffer to mark m, then replays the
+	// window's actual outcomes: training on every frame with an exit
+	// when all is set (a CTTB-only predictor), on indirect exits only
+	// otherwise (a header predictor, §5.4), and advancing on every frame.
+	squashTarget(m SpecMark, w *specWindow, all bool)
+	specLog() *undoRing
+}
+
+// taskSpecKernel is the fused speculative step of the built-in task
+// predictors.
+type taskSpecKernel interface {
+	SpecTaskPredictor
+	// specLogs returns the undo rings and RAS the session checkpoints
+	// and commits directly (nil for an absent component); ok is false
+	// when a component has no fused kernel, and the session then drives
+	// the public protocol.
+	specLogs() (exit, buf *undoRing, ras *RAS, ok bool)
+	// specStepTask predicts t and speculatively trains every component
+	// toward the prediction, recording replay state in f.
+	specStepTask(t *tfg.Task, f *specFrame) Prediction
+	// squashTask repairs every component to m, replays the window's
+	// actual outcomes non-speculatively, and reports an inexact RAS
+	// repair.
+	squashTask(m TaskMark, w *specWindow) (rasDamaged bool)
+}
+
+// Undo-log entry kinds. Each predictor interprets its own entries in
+// its RepairExit or RepairTarget drain; kinds are shared so the ring stays one flat struct
+// type.
 const (
 	undoPHT         uint8 = iota // real PHT states[idx]: restore prev word (0 frees the entry)
 	undoPathHist                 // PathHistory: restore overwritten slot + head
@@ -115,84 +175,107 @@ type specUndo struct {
 	prev uint32
 }
 
-// undoApplier is implemented by every spec-capable predictor: apply one
-// inverse operation against the predictor's own tables.
-type undoApplier interface {
-	applyUndo(e *specUndo)
-}
-
-// undoRing is a fixed-capacity ring of undo entries with absolute
-// positions: mark() returns base+n, repairTo pops newest→mark applying
-// inverses, commitTo drops oldest entries below a mark. It grows by
-// doubling only until it covers the largest in-flight window, so
-// steady-state speculation pushes and drains without allocating.
+// undoRing is a ring of undo entries addressed by absolute position:
+// the live entries occupy positions [base, top), mark() returns top, a
+// repair pops entries newest-first back to a mark (since, pop), and
+// commitTo drops the entries below a mark. Its capacity is a power of
+// two that doubles only until it covers the largest in-flight window,
+// so steady-state speculation pushes and drains without allocating.
+//
+// A mark is valid while it lies in the live log [base, top]. Repairing
+// or committing to any other mark — one already committed away, or one
+// never taken — is a programming error and panics (the package's panic
+// contract, see MustDOLC), since it would apply stale inverses or drop
+// live ones.
 type undoRing struct {
-	buf  []specUndo
-	head int    // index of the oldest entry
-	n    int    // live entries
-	base uint64 // absolute position of the oldest entry
+	buf       []specUndo // position p lives at buf[p & (len(buf)-1)]
+	base, top uint64
 }
 
-func (r *undoRing) mark() SpecMark { return SpecMark(r.base + uint64(r.n)) }
+func (r *undoRing) mark() SpecMark { return SpecMark(r.top) }
 
-func (r *undoRing) push(e specUndo) {
-	if r.n == len(r.buf) {
+// live returns how many entries the ring holds.
+func (r *undoRing) live() uint64 { return r.top - r.base }
+
+// undoCommitSlack is how many entries a fused session lets a ring hold
+// before it commits the resolved frames' entries in one go: committing
+// only drops dead inverses, so batching it changes nothing but the
+// per-step cost (and the ring, at most this plus a window of entries,
+// never outgrows its first 64 slots at the lags the workloads run).
+const undoCommitSlack = 32
+
+// undoStepMax bounds the entries one logged update pushes on a ring: an
+// ideal exit predictor logs a slot creation, the slot's state and its
+// history register.
+const undoStepMax = 3
+
+// reserve makes room for one logged update's entries. Every logged entry
+// point (SpecUpdateExit, SpecTrain, SpecAdvance, the fused steps) calls
+// it first, which keeps the growth check out of push.
+func (r *undoRing) reserve() {
+	if r.live()+undoStepMax > uint64(len(r.buf)) {
 		r.grow()
 	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = e
-	r.n++
 }
 
+func (r *undoRing) push(e specUndo) {
+	if r.live() == uint64(len(r.buf)) {
+		panic("core: undo log push without reserve")
+	}
+	r.buf[r.top&uint64(len(r.buf)-1)] = e
+	r.top++
+}
+
+// grow doubles the ring (at least 64 entries).
+//
+//go:noinline
 func (r *undoRing) grow() {
 	nb := make([]specUndo, max(2*len(r.buf), 64))
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		nb[i] = r.buf[j]
+	for p := r.base; p < r.top; p++ {
+		nb[p&uint64(len(nb)-1)] = r.buf[p&uint64(len(r.buf)-1)]
 	}
 	r.buf = nb
-	r.head = 0
 }
 
-// repairTo drains entries newest-first down to mark m, applying each
-// inverse through ap.
-func (r *undoRing) repairTo(m SpecMark, ap undoApplier) (frames int) {
-	keep := int(uint64(m) - r.base)
-	drained := r.n - keep
-	for r.n > keep {
-		i := r.head + r.n - 1
-		if i >= len(r.buf) {
-			i -= len(r.buf)
-		}
-		ap.applyUndo(&r.buf[i])
-		r.n--
+// since returns how many live entries are newer than mark m: the number
+// of pops that repair the log back to m.
+func (r *undoRing) since(m SpecMark) int {
+	if uint64(m)-r.base > r.live() {
+		panic(markError{"repair", m, SpecMark(r.base), r.mark()})
 	}
-	return drained
+	return int(r.top - uint64(m))
+}
+
+// pop removes the newest entry and returns it; the pointer is valid
+// until the next push.
+func (r *undoRing) pop() *specUndo {
+	r.top--
+	return &r.buf[r.top&uint64(len(r.buf)-1)]
 }
 
 // commitTo discards entries older than mark m: the speculation they
 // guard resolved correctly, so their inverses are dead.
 func (r *undoRing) commitTo(m SpecMark) {
-	drop := int(uint64(m) - r.base)
-	if drop > r.n {
-		drop = r.n
+	if uint64(m)-r.base > r.live() {
+		panic(markError{"commit", m, SpecMark(r.base), r.mark()})
 	}
-	r.head += drop
-	if r.head >= len(r.buf) {
-		r.head -= len(r.buf)
-	}
-	r.base += uint64(drop)
-	r.n -= drop
+	r.base = uint64(m)
+}
+
+// markError is the panic value of a repair or commit to a mark outside
+// the live log [lo, hi].
+type markError struct {
+	op     string
+	m      SpecMark
+	lo, hi SpecMark
+}
+
+func (e markError) Error() string {
+	return fmt.Sprintf("core: undo log %s to mark %d outside the live log [%d, %d]", e.op, e.m, e.lo, e.hi)
 }
 
 // reset clears the log (predictor Reset).
-func (r *undoRing) reset() { r.head, r.n, r.base = 0, 0, 0 }
+func (r *undoRing) reset() { r.base, r.top = 0, 0 }
 
 // logPathHist records the inverse of an imminent hist.Push(addr): the
 // head position and the ring slot the push will overwrite.
@@ -226,183 +309,310 @@ func undoTTB(e *ttbEntry, u *specUndo) {
 	e.valid = u.prev&(1<<8) != 0
 }
 
+// exitUndo is a spec-capable exit predictor's undo ring, with the
+// protocol methods that touch nothing else.
+type exitUndo struct{ undo undoRing }
+
+// MarkExit implements SpecExitPredictor.
+func (u *exitUndo) MarkExit() SpecMark { return u.undo.mark() }
+
+// CommitExit implements SpecExitPredictor.
+func (u *exitUndo) CommitExit(m SpecMark) { u.undo.commitTo(m) }
+
+func (u *exitUndo) specLog() *undoRing { return &u.undo }
+
+// targetUndo is exitUndo for a target buffer.
+type targetUndo struct{ undo undoRing }
+
+// MarkTarget implements SpecTargetBuffer.
+func (u *targetUndo) MarkTarget() SpecMark { return u.undo.mark() }
+
+// CommitTarget implements SpecTargetBuffer.
+func (u *targetUndo) CommitTarget(m SpecMark) { u.undo.commitTo(m) }
+
+func (u *targetUndo) specLog() *undoRing { return &u.undo }
+
+// Every family below implements the public protocol and the fused
+// kernel over its own undo ring, and both repair through one drain
+// (RepairExit, RepairTarget), which rebuilds a DOLC older-field
+// register once per repair rather than once per undone history push.
+//
+// The fused step logs only table writes. A history register's repair
+// state rides in the frame instead (specFrame.exitAux, bufAux), because
+// the squash replays the window's actual outcomes over the same tasks:
+//
+//   - Path-keyed tables (PATH, ideal PATH, CTTB) push the same task
+//     addresses whatever the outcome, so the history already stands
+//     where the catch-up would leave it. The frame keeps the step's
+//     table index, and the catch-up retrains exactly those entries.
+//   - GLOBAL restores the register the oldest frame started from, and
+//     PER the slots the window wrote (newest first); the catch-up then
+//     runs the ordinary update, recomputing each index. The ideal ones
+//     also keep each step's slot and reuse it when the replayed history
+//     equals the speculated one (same key, same slot), so a squash looks
+//     up only the contexts the wrong prediction actually changed.
+//
+// The ideal CTTB logs its history pushes and replays in full: its
+// speculative train may create the very slot the repair drops again, so
+// the catch-up must look the context up afresh.
+
 // --- PathExit ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *PathExit) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *PathExit) MarkExit() SpecMark { return p.undo.mark() }
+func (p *PathExit) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	var idx uint32
+	single := t.SingleExit()
+	if !(p.opts.SkipSingleExit && single) {
+		idx = p.path.index(t.Start)
+	}
+	p.train(t.Start, single, idx, exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *PathExit) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
-
-// CommitExit implements SpecExitPredictor.
-func (p *PathExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *PathExit) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoPHT:
-		p.pht.undo(e.idx, uint16(e.prev))
-	case undoPathHist:
-		undoPathHistApply(&p.path.hist, e)
+func (p *PathExit) RepairExit(m SpecMark) {
+	hist := false
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoPHT:
+			p.pht.undo(e.idx, uint16(e.prev))
+		case undoPathHist:
+			undoPathHistApply(&p.path.hist, e)
+			hist = true
+		}
+	}
+	if hist {
 		p.path.resync()
+	}
+}
+
+func (p *PathExit) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	for k := 0; k < w.n; k++ {
+		if f := w.at(k); f.exitAux != phtSkipped {
+			p.pht.update(uint32(f.exitAux), int(f.exit), nil)
+		}
 	}
 }
 
 // --- GlobalExit ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *GlobalExit) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *GlobalExit) MarkExit() SpecMark { return p.undo.mark() }
+func (p *GlobalExit) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	p.train(p.index(t.Start), exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *GlobalExit) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
+func (p *GlobalExit) RepairExit(m SpecMark) {
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoPHT:
+			p.pht.undo(e.idx, uint16(e.prev))
+		case undoExitHist:
+			p.hist = ExitHistory(e.prev)
+		}
+	}
+}
 
-// CommitExit implements SpecExitPredictor.
-func (p *GlobalExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *GlobalExit) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoPHT:
-		p.pht.undo(e.idx, uint16(e.prev))
-	case undoExitHist:
-		p.hist = ExitHistory(e.prev)
+func (p *GlobalExit) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	p.hist = ExitHistory(w.at(0).exitAux)
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		p.UpdateExit(f.task, int(f.exit))
 	}
 }
 
 // --- PerExit ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *PerExit) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *PerExit) MarkExit() SpecMark { return p.undo.mark() }
+func (p *PerExit) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	h := p.hrtIndex(t.Start)
+	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *PerExit) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
+func (p *PerExit) RepairExit(m SpecMark) {
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoPHT:
+			p.pht.undo(e.idx, uint16(e.prev))
+		case undoHRT:
+			p.hrt[e.idx] = ExitHistory(e.prev)
+		}
+	}
+}
 
-// CommitExit implements SpecExitPredictor.
-func (p *PerExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *PerExit) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoPHT:
-		p.pht.undo(e.idx, uint16(e.prev))
-	case undoHRT:
-		p.hrt[e.idx] = ExitHistory(e.prev)
+func (p *PerExit) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	for k := w.n - 1; k >= 0; k-- {
+		aux := w.at(k).exitAux
+		p.hrt[aux>>32] = ExitHistory(uint32(aux))
+	}
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		p.UpdateExit(f.task, int(f.exit))
 	}
 }
 
 // --- IdealGlobal ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealGlobal) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *IdealGlobal) MarkExit() SpecMark { return p.undo.mark() }
+func (p *IdealGlobal) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	p.train(p.table.slot(exitKey{addr: t.Start, hist: p.hist}, &p.undo), exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *IdealGlobal) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
+func (p *IdealGlobal) RepairExit(m SpecMark) {
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoIdealState:
+			p.table.slots[e.idx] = uint16(e.prev)
+		case undoIdealCreate:
+			p.table.drop(e.idx)
+		case undoExitHist:
+			p.hist = ExitHistory(e.prev)
+		}
+	}
+}
 
-// CommitExit implements SpecExitPredictor.
-func (p *IdealGlobal) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *IdealGlobal) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoIdealState:
-		p.table.slots[e.idx] = uint16(e.prev)
-	case undoIdealCreate:
-		p.table.drop(e.idx)
-	case undoExitHist:
-		p.hist = ExitHistory(e.prev)
+func (p *IdealGlobal) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	p.hist = ExitHistory(w.at(0).exitAux >> 32)
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		idx := uint32(f.exitAux)
+		if p.hist != ExitHistory(f.exitAux>>32) {
+			idx = p.table.slot(exitKey{addr: f.task.Start, hist: p.hist}, nil)
+		}
+		p.train(idx, int(f.exit), nil, nil)
 	}
 }
 
 // --- IdealPer ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealPer) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *IdealPer) MarkExit() SpecMark { return p.undo.mark() }
+func (p *IdealPer) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	h := p.hists[t.Start]
+	p.train(t.Start, h, p.table.slot(exitKey{addr: t.Start, hist: h}, &p.undo), exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *IdealPer) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
+func (p *IdealPer) RepairExit(m SpecMark) {
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoIdealState:
+			p.table.slots[e.idx] = uint16(e.prev)
+		case undoIdealCreate:
+			p.table.drop(e.idx)
+		case undoPerHist:
+			p.hists[e.addr] = ExitHistory(e.prev)
+		}
+	}
+}
 
-// CommitExit implements SpecExitPredictor.
-func (p *IdealPer) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *IdealPer) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoIdealState:
-		p.table.slots[e.idx] = uint16(e.prev)
-	case undoIdealCreate:
-		p.table.drop(e.idx)
-	case undoPerHist:
-		p.hists[e.addr] = ExitHistory(e.prev)
+func (p *IdealPer) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	for k := w.n - 1; k >= 0; k-- {
+		f := w.at(k)
+		p.hists[f.task.Start] = ExitHistory(f.exitAux >> 32)
+	}
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		addr := f.task.Start
+		h := p.hists[addr]
+		idx := uint32(f.exitAux)
+		if h != ExitHistory(f.exitAux>>32) {
+			idx = p.table.slot(exitKey{addr: addr, hist: h}, nil)
+		}
+		p.train(addr, h, idx, int(f.exit), nil, nil)
 	}
 }
 
 // --- IdealPath ---
 
 // SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealPath) SpecUpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, &p.undo) }
-
-// MarkExit implements SpecExitPredictor.
-func (p *IdealPath) MarkExit() SpecMark { return p.undo.mark() }
+func (p *IdealPath) SpecUpdateExit(t *tfg.Task, exit int) {
+	p.undo.reserve()
+	p.train(t.Start, p.table.slot(MakePathKey(&p.hist, t.Start, p.depth), &p.undo), exit, &p.undo, &p.undo)
+}
 
 // RepairExit implements SpecExitPredictor.
-func (p *IdealPath) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
+func (p *IdealPath) RepairExit(m SpecMark) {
+	for n := p.undo.since(m); n > 0; n-- {
+		e := p.undo.pop()
+		switch e.kind {
+		case undoIdealState:
+			p.table.slots[e.idx] = uint16(e.prev)
+		case undoIdealCreate:
+			p.table.drop(e.idx)
+		case undoPathHist:
+			undoPathHistApply(&p.hist, e)
+		}
+	}
+}
 
-// CommitExit implements SpecExitPredictor.
-func (p *IdealPath) CommitExit(m SpecMark) { p.undo.commitTo(m) }
-
-func (p *IdealPath) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoIdealState:
-		p.table.slots[e.idx] = uint16(e.prev)
-	case undoIdealCreate:
-		p.table.drop(e.idx)
-	case undoPathHist:
-		undoPathHistApply(&p.hist, e)
+func (p *IdealPath) squashExit(m SpecMark, w *specWindow) {
+	p.RepairExit(m)
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		p.table.train(uint32(f.exitAux), int(f.exit), nil)
 	}
 }
 
 // --- CTTB ---
 
 // SpecTrain implements SpecTargetBuffer.
-func (b *CTTB) SpecTrain(current, target isa.Addr) { b.train(current, target, &b.undo) }
+func (b *CTTB) SpecTrain(current, target isa.Addr) {
+	b.undo.reserve()
+	b.trainAt(b.path.index(current), target, &b.undo)
+}
 
 // SpecAdvance implements SpecTargetBuffer.
 func (b *CTTB) SpecAdvance(current isa.Addr) {
+	b.undo.reserve()
 	logPathHist(&b.undo, &b.path.hist)
 	b.path.push(current)
 }
 
-// MarkTarget implements SpecTargetBuffer.
-func (b *CTTB) MarkTarget() SpecMark { return b.undo.mark() }
-
 // RepairTarget implements SpecTargetBuffer.
-func (b *CTTB) RepairTarget(m SpecMark) { b.undo.repairTo(m, b) }
-
-// CommitTarget implements SpecTargetBuffer.
-func (b *CTTB) CommitTarget(m SpecMark) { b.undo.commitTo(m) }
-
-func (b *CTTB) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoTTBEntry:
-		ent := &b.entries[e.idx]
-		wasValid := ent.valid
-		undoTTB(ent, e)
-		if wasValid && !ent.valid {
-			b.touched--
+func (b *CTTB) RepairTarget(m SpecMark) {
+	hist := false
+	for n := b.undo.since(m); n > 0; n-- {
+		e := b.undo.pop()
+		switch e.kind {
+		case undoTTBEntry:
+			ent := &b.entries[e.idx]
+			wasValid := ent.valid
+			undoTTB(ent, e)
+			if wasValid && !ent.valid {
+				b.touched--
+			}
+		case undoPathHist:
+			undoPathHistApply(&b.path.hist, e)
+			hist = true
 		}
-	case undoPathHist:
-		undoPathHistApply(&b.path.hist, e)
+	}
+	if hist {
 		b.path.resync()
+	}
+}
+
+func (b *CTTB) squashTarget(m SpecMark, w *specWindow, all bool) {
+	b.RepairTarget(m)
+	for k := 0; k < w.n; k++ {
+		if f := w.at(k); f.trainsBuffer(all) {
+			b.trainAt(f.bufAux, f.target, nil)
+		}
 	}
 }
 
@@ -410,309 +620,40 @@ func (b *CTTB) applyUndo(e *specUndo) {
 
 // SpecTrain implements SpecTargetBuffer.
 func (b *IdealCTTB) SpecTrain(current, target isa.Addr) {
-	k := MakePathKey(&b.hist, current, b.depth)
-	i, created := b.entries.lookup(k, ttbEntry{})
-	e := &b.entries.slots[i]
-	if created {
-		b.undo.push(specUndo{kind: undoIdealCreate, idx: i})
-	} else {
-		b.undo.push(ttbUndo(undoTTBIdeal, i, e))
-	}
-	e.train(target)
+	b.undo.reserve()
+	i, created := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
+	b.trainSlot(i, created, target)
 }
 
 // SpecAdvance implements SpecTargetBuffer.
 func (b *IdealCTTB) SpecAdvance(current isa.Addr) {
+	b.undo.reserve()
 	logPathHist(&b.undo, &b.hist)
 	b.hist.Push(current)
 }
 
-// MarkTarget implements SpecTargetBuffer.
-func (b *IdealCTTB) MarkTarget() SpecMark { return b.undo.mark() }
-
 // RepairTarget implements SpecTargetBuffer.
-func (b *IdealCTTB) RepairTarget(m SpecMark) { b.undo.repairTo(m, b) }
-
-// CommitTarget implements SpecTargetBuffer.
-func (b *IdealCTTB) CommitTarget(m SpecMark) { b.undo.commitTo(m) }
-
-func (b *IdealCTTB) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoTTBIdeal:
-		undoTTB(&b.entries.slots[e.idx], e)
-	case undoIdealCreate:
-		b.entries.drop(e.idx)
-	case undoPathHist:
-		undoPathHistApply(&b.hist, e)
-	}
-}
-
-// --- Sessions ---
-
-// specExitFrame is one in-flight exit speculation: the task, the
-// predicted and actual exits, and the checkpoint taken before the
-// speculative update.
-type specExitFrame struct {
-	task *tfg.Task
-	pred int8
-	act  int8
-	mark SpecMark
-}
-
-// SpecExitSession drives an exit predictor through the speculative-
-// update protocol: every Step predicts, checkpoints and spec-updates
-// immediately; actual outcomes resolve in program order `lag` steps
-// later. A correct resolution commits the oldest frame's undo entries; a
-// wrong one repairs the predictor back to that frame's mark — undoing
-// its own wrong-outcome training *and* every younger frame's wrong-path
-// training — then replays all windowed actual outcomes non-speculatively
-// (the squash gives outcomes time to catch up) and clears the window.
-//
-// With lag 0 each frame resolves inside its own Step, so a committed
-// speculative update trained the actual outcome and a repaired one is
-// replaced by exactly the idealized update: lag-0 spec replay is
-// byte-identical to the §3.1 idealized mode (pinned by test).
-type SpecExitSession struct {
-	pred SpecExitPredictor
-	lag  int
-	win  []specExitFrame
-	head int
-	n    int
-
-	rollbacks    int
-	repairFrames int
-}
-
-// NewSpecExitSession wraps p for speculative-update replay with the
-// given resolution lag (outcomes return `lag` tasks late; 0 resolves
-// within the step). It fails if p does not support checkpoint repair —
-// notably DelayedUpdate wrappers and fault injectors, whose lag/fault
-// semantics compose with speculation at the session level instead.
-func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
-	sp, ok := p.(SpecExitPredictor)
-	if !ok {
-		return nil, fmt.Errorf("core: exit predictor %s does not support speculative update", p.Name())
-	}
-	if c, ok := p.(interface{ specErr() error }); ok {
-		if err := c.specErr(); err != nil {
-			return nil, err
+func (b *IdealCTTB) RepairTarget(m SpecMark) {
+	for n := b.undo.since(m); n > 0; n-- {
+		e := b.undo.pop()
+		switch e.kind {
+		case undoTTBIdeal:
+			undoTTB(&b.entries.slots[e.idx], e)
+		case undoIdealCreate:
+			b.entries.drop(e.idx)
+		case undoPathHist:
+			undoPathHistApply(&b.hist, e)
 		}
 	}
-	if lag < 0 {
-		lag = 0
-	}
-	return &SpecExitSession{
-		pred: sp,
-		lag:  lag,
-		win:  make([]specExitFrame, lag+1),
-	}, nil
 }
 
-// Step predicts task t, speculatively trains the predictor with its own
-// prediction, and resolves the step that fell due. It returns the
-// prediction for scoring.
-func (s *SpecExitSession) Step(t *tfg.Task, actual int) int {
-	pred := s.pred.PredictExit(t)
-	mark := s.pred.MarkExit()
-	s.pred.SpecUpdateExit(t, pred)
-	i := s.head + s.n
-	if i >= len(s.win) {
-		i -= len(s.win)
-	}
-	s.win[i] = specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark}
-	s.n++
-	if s.n > s.lag {
-		s.resolveOldest()
-	}
-	return pred
-}
-
-// Finish resolves every still-windowed outcome at trace end.
-func (s *SpecExitSession) Finish() {
-	for s.n > 0 {
-		s.resolveOldest()
-	}
-}
-
-func (s *SpecExitSession) resolveOldest() {
-	f := &s.win[s.head]
-	if f.pred == f.act {
-		// Correct: the oldest frame's speculative training becomes
-		// architectural. Its undo entries end where the next frame's
-		// begin (or at the current log head when it is alone).
-		next := s.pred.MarkExit()
-		if s.n > 1 {
-			j := s.head + 1
-			if j >= len(s.win) {
-				j -= len(s.win)
-			}
-			next = s.win[j].mark
+func (b *IdealCTTB) squashTarget(m SpecMark, w *specWindow, all bool) {
+	b.RepairTarget(m)
+	for k := 0; k < w.n; k++ {
+		f := w.at(k)
+		if f.trainsBuffer(all) {
+			b.Train(f.task.Start, f.target)
 		}
-		s.pred.CommitExit(next)
-		s.head++
-		if s.head >= len(s.win) {
-			s.head = 0
-		}
-		s.n--
-		return
-	}
-	// Mispredict: squash. Repair to the resolving frame's checkpoint,
-	// then apply every windowed actual outcome non-speculatively.
-	var start time.Time
-	timed := obs.On()
-	if timed {
-		start = time.Now() //detlint:allow det-time (obs-gated duration metric; never rendered deterministically)
-	}
-	s.pred.RepairExit(f.mark)
-	s.rollbacks++
-	s.repairFrames += s.n
-	for k := 0; k < s.n; k++ {
-		j := s.head + k
-		if j >= len(s.win) {
-			j -= len(s.win)
-		}
-		g := &s.win[j]
-		s.pred.UpdateExit(g.task, int(g.act))
-	}
-	s.head, s.n = 0, 0
-	if timed {
-		obsSpecRepairNanos.Add(time.Since(start).Nanoseconds())
-		obsSpecRollbacks.Inc()
+		b.hist.Push(f.task.Start)
 	}
 }
-
-// Rollbacks returns how many mispredict repairs the session performed.
-func (s *SpecExitSession) Rollbacks() int { return s.rollbacks }
-
-// RepairFrames returns the total frames squashed across all repairs.
-func (s *SpecExitSession) RepairFrames() int { return s.repairFrames }
-
-// specTaskFrame is one in-flight task speculation.
-type specTaskFrame struct {
-	task *tfg.Task
-	pred Prediction
-	act  Outcome
-	mark TaskMark
-}
-
-// SpecTaskSession drives a full task predictor through the speculative-
-// update protocol; see SpecExitSession for the windowing and repair
-// semantics. A frame resolves correctly only when its *entire* predicted
-// outcome matched — exit (when the predictor names one) and target — so
-// a committed speculative update is always identical to the idealized
-// update it replaces; anything less rolls back. Rollbacks can therefore
-// exceed the scored (target-only) miss count.
-type SpecTaskSession struct {
-	pred SpecTaskPredictor
-	lag  int
-	win  []specTaskFrame
-	head int
-	n    int
-
-	rollbacks    int
-	repairFrames int
-	rasDamage    int
-}
-
-// NewSpecTaskSession wraps p for speculative-update replay with the
-// given resolution lag. It fails if p or any of its components does not
-// support checkpoint repair.
-func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
-	sp, ok := p.(SpecTaskPredictor)
-	if !ok {
-		return nil, fmt.Errorf("core: task predictor %s does not support speculative update", p.Name())
-	}
-	if init, ok := p.(interface{ specInit() error }); ok {
-		if err := init.specInit(); err != nil {
-			return nil, err
-		}
-	}
-	if lag < 0 {
-		lag = 0
-	}
-	return &SpecTaskSession{
-		pred: sp,
-		lag:  lag,
-		win:  make([]specTaskFrame, lag+1),
-	}, nil
-}
-
-// Step predicts task t, speculatively trains the predictor with its own
-// prediction, and resolves the step that fell due. It returns the
-// prediction for scoring.
-func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
-	pred := s.pred.Predict(t)
-	mark := s.pred.MarkTask()
-	s.pred.SpecUpdate(t, pred)
-	i := s.head + s.n
-	if i >= len(s.win) {
-		i -= len(s.win)
-	}
-	s.win[i] = specTaskFrame{task: t, pred: pred, act: actual, mark: mark}
-	s.n++
-	if s.n > s.lag {
-		s.resolveOldest()
-	}
-	return pred
-}
-
-// Finish resolves every still-windowed outcome at trace end.
-func (s *SpecTaskSession) Finish() {
-	for s.n > 0 {
-		s.resolveOldest()
-	}
-}
-
-func (s *SpecTaskSession) resolveOldest() {
-	f := &s.win[s.head]
-	if f.pred.Target == f.act.Target && (f.pred.Exit < 0 || f.pred.Exit == f.act.Exit) {
-		next := s.pred.MarkTask()
-		if s.n > 1 {
-			j := s.head + 1
-			if j >= len(s.win) {
-				j -= len(s.win)
-			}
-			next = s.win[j].mark
-		}
-		s.pred.CommitTask(next)
-		s.head++
-		if s.head >= len(s.win) {
-			s.head = 0
-		}
-		s.n--
-		return
-	}
-	var start time.Time
-	timed := obs.On()
-	if timed {
-		start = time.Now() //detlint:allow det-time (obs-gated duration metric; never rendered deterministically)
-	}
-	if s.pred.RepairTask(f.mark) {
-		s.rasDamage++
-	}
-	s.rollbacks++
-	s.repairFrames += s.n
-	for k := 0; k < s.n; k++ {
-		j := s.head + k
-		if j >= len(s.win) {
-			j -= len(s.win)
-		}
-		g := &s.win[j]
-		s.pred.Update(g.task, g.act)
-	}
-	s.head, s.n = 0, 0
-	if timed {
-		obsSpecRepairNanos.Add(time.Since(start).Nanoseconds())
-		obsSpecRollbacks.Inc()
-	}
-}
-
-// Rollbacks returns how many mispredict repairs the session performed.
-func (s *SpecTaskSession) Rollbacks() int { return s.rollbacks }
-
-// RepairFrames returns the total frames squashed across all repairs.
-func (s *SpecTaskSession) RepairFrames() int { return s.repairFrames }
-
-// RASDamage returns how many repairs found live RAS entries clobbered by
-// deep wrong-path pushes (inexact repairs — see RAS.Repair).
-func (s *SpecTaskSession) RASDamage() int { return s.rasDamage }

@@ -272,3 +272,86 @@ func TestSpecUndoEntryIsCompact(t *testing.T) {
 		t.Errorf("specUndo is %d bytes, want 16", got)
 	}
 }
+
+// mustPanicMark runs f and checks it panics with the undo log's
+// out-of-range mark error.
+func mustPanicMark(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+		if _, ok := r.(markError); !ok {
+			t.Fatalf("%s: panic %v, want a markError", what, r)
+		}
+	}()
+	f()
+}
+
+// A repair to a mark below the ring's base names entries already
+// committed away: draining to it would apply stale inverses (or index
+// before the ring), so it must panic instead.
+func TestUndoRingRepairBelowBasePanics(t *testing.T) {
+	var r undoRing
+	r.reserve()
+	for i := 0; i < 3; i++ {
+		r.push(specUndo{idx: uint32(i)})
+	}
+	r.commitTo(2)
+	if got := r.since(2); got != 1 {
+		t.Fatalf("since(2) = %d, want 1", got)
+	}
+	mustPanicMark(t, "repair below base", func() { r.since(1) })
+	mustPanicMark(t, "repair beyond head", func() { r.since(4) })
+}
+
+// A commit to a mark beyond the log head names entries never pushed; it
+// used to clamp silently.
+func TestUndoRingCommitBeyondHeadPanics(t *testing.T) {
+	var r undoRing
+	r.reserve()
+	r.push(specUndo{})
+	r.push(specUndo{})
+	r.commitTo(2)
+	mustPanicMark(t, "commit beyond head", func() { r.commitTo(3) })
+	mustPanicMark(t, "commit below base", func() { r.commitTo(1) })
+	if e := (markError{"commit", 3, 2, 2}).Error(); e != "core: undo log commit to mark 3 outside the live log [2, 2]" {
+		t.Errorf("message %q", e)
+	}
+}
+
+// Every built-in family runs its fused kernel under a session; only a
+// predictor without one (here, behind a wrapper) drives the public
+// protocol.
+func TestBuiltinSessionsAreFused(t *testing.T) {
+	for name, mk := range specExitFamilies() {
+		s, err := NewSpecExitSession(mk(), 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.kern == nil {
+			t.Errorf("%s: exit session drives the public protocol", name)
+		}
+	}
+	for name, mk := range specTaskFamilies() {
+		s, err := NewSpecTaskSession(mk(), 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.kern == nil {
+			t.Errorf("%s: task session drives the public protocol", name)
+		}
+	}
+	type wrapped struct{ SpecExitPredictor }
+	s, err := NewSpecExitSession(wrapped{MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{})}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.kern != nil {
+		t.Error("a wrapped predictor took the fused path")
+	}
+	if s, err := newSpecExitSession(MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 2, false); err != nil || s.kern != nil {
+		t.Errorf("the oracle's session is fused (err %v)", err)
+	}
+}

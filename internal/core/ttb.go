@@ -77,7 +77,7 @@ type CTTB struct {
 	path    dolcPath
 	entries []ttbEntry
 	touched int
-	undo    undoRing
+	targetUndo
 }
 
 // NewCTTB builds a correlated task target buffer with the given index
@@ -152,12 +152,12 @@ func (b *CTTB) lookupAt(idx uint32) (isa.Addr, bool) {
 }
 
 // Train implements TargetBuffer.
-func (b *CTTB) Train(current isa.Addr, actual isa.Addr) { b.train(current, actual, nil) }
-
-func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
-	b.trainAt(b.path.index(current), actual, log)
+func (b *CTTB) Train(current isa.Addr, actual isa.Addr) {
+	b.trainAt(b.path.index(current), actual, nil)
 }
 
+// trainAt is the index→train helper: entry idx learns actual, its
+// prior state logged when log is non-nil.
 func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 	e := &b.entries[idx]
 	if log != nil {
@@ -178,6 +178,24 @@ func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 // Advance implements TargetBuffer.
 func (b *CTTB) Advance(current isa.Addr) { b.path.push(current) }
 
+// specStepTarget implements targetSpecKernel: Lookup and SpecTrain share
+// one DOLC index, which the frame keeps for the catch-up.
+func (b *CTTB) specStepTarget(current isa.Addr, lookup, train, keep bool, target isa.Addr, f *specFrame) isa.Addr {
+	if keep {
+		b.undo.reserve()
+		idx := b.path.index(current)
+		if lookup {
+			target, _ = b.lookupAt(idx)
+		}
+		if train {
+			b.trainAt(idx, target, &b.undo)
+		}
+		f.bufAux = idx
+	}
+	b.path.push(current)
+	return target
+}
+
 // IdealCTTB is the alias-free CTTB limit: entries keyed by the exact
 // (path, current task) context, with unbounded capacity (Figure 8).
 type IdealCTTB struct {
@@ -185,7 +203,7 @@ type IdealCTTB struct {
 	depth   int
 	hist    PathHistory
 	entries slotMap[PathKey, ttbEntry]
-	undo    undoRing
+	targetUndo
 }
 
 // NewIdealCTTB builds an infinite, alias-free correlated target buffer of
@@ -234,5 +252,40 @@ func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) {
 	b.entries.slots[i].train(actual)
 }
 
+// trainSlot is Train's logged form for slot i (created by this lookup,
+// or not): the slot's prior state, or its creation, goes on the undo
+// log before the entry learns actual.
+func (b *IdealCTTB) trainSlot(i uint32, created bool, actual isa.Addr) {
+	e := &b.entries.slots[i]
+	if created {
+		b.undo.push(specUndo{kind: undoIdealCreate, idx: i})
+	} else {
+		b.undo.push(ttbUndo(undoTTBIdeal, i, e))
+	}
+	e.train(actual)
+}
+
 // Advance implements TargetBuffer.
 func (b *IdealCTTB) Advance(current isa.Addr) { b.hist.Push(current) }
+
+// specStepTarget implements targetSpecKernel: Lookup and SpecTrain share
+// one path key and one map operation (a slot SpecTrain creates reads as
+// the miss Lookup would have reported).
+func (b *IdealCTTB) specStepTarget(current isa.Addr, lookup, train, _ bool, target isa.Addr, _ *specFrame) isa.Addr {
+	b.undo.reserve()
+	if train {
+		i, created := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
+		if lookup {
+			target = 0
+			if e := &b.entries.slots[i]; e.valid {
+				target = e.target
+			}
+		}
+		b.trainSlot(i, created, target)
+	} else if lookup {
+		target, _ = b.Lookup(current) // a CTTB-only step of a task without exits
+	}
+	logPathHist(&b.undo, &b.hist)
+	b.hist.Push(current)
+	return target
+}

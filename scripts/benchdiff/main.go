@@ -1,7 +1,8 @@
 // Command benchdiff is the benchmark regression gate for the replay hot
-// path: it runs the replay micro-benchmarks (go test -bench), parses the
-// results, and compares them against the committed baseline
-// (BENCH_baseline.json at the repository root) with a tolerance band.
+// path: it runs the replay, codec and timing-model micro-benchmarks (go
+// test -bench), parses the results, and compares them against the
+// committed baseline (BENCH_baseline.json at the repository root) with a
+// tolerance band.
 //
 //	go run ./scripts/benchdiff              # compare against the baseline
 //	go run ./scripts/benchdiff -write       # (re-)write the baseline
@@ -45,7 +46,7 @@ type Baseline struct {
 }
 
 var (
-	benchRE   = flag.String("bench", "^(BenchmarkEvaluate|BenchmarkColumnar)", "benchmark regex passed to go test -bench")
+	benchRE   = flag.String("bench", "^(BenchmarkEvaluate|BenchmarkColumnar|BenchmarkTimingSim)", "benchmark regex passed to go test -bench")
 	benchtime = flag.String("benchtime", "3x", "go test -benchtime per benchmark")
 	count     = flag.Int("count", 1, "go test -count; the best (minimum) of the runs is kept per benchmark")
 	baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline file, relative to the working directory")

@@ -59,7 +59,7 @@ go run ./cmd/mbench -exp fig7 -steps 6000 -journal '' \
 go run ./scripts/checkjson "$OBS_TMP/mbench-metrics.json" "$OBS_TMP/mbench-trace.json" >/dev/null
 rm -f "$OBS_TMP/mbench-metrics.json" "$OBS_TMP/mbench-trace.json"
 
-echo "==> speculative-update smoke (spec grammar end-to-end, rollback counters exported)"
+echo "==> speculative-update smoke (spec grammar end-to-end, rollback counters exported; composed timing and exit replay)"
 # One replay + timing run in spec mode must actually roll back: checkjson
 # asserts the core.spec.rollbacks counter is present and non-zero, so a
 # regression that silently idealizes the run fails the gate. The
@@ -70,6 +70,13 @@ go run ./cmd/msim -w exprc \
 go run ./scripts/checkjson -min-counter core.spec.rollbacks=1 \
 	-min-counter core.spec.repair_frames=1 "$OBS_TMP/msim-spec.json" >/dev/null
 rm -f "$OBS_TMP/msim-spec.json"
+# The same gate on an exit-mode replay, which runs the fused exit kernel
+# on its own: a kernel that silently stops repairing fails here.
+go run ./cmd/msim -w exprc -pred path:d7-o5-l6-c6-f3:leh2:dlat4:spec \
+	-steps 20000 -metrics-out "$OBS_TMP/msim-spec-exit.json" >/dev/null 2>&1
+go run ./scripts/checkjson -min-counter core.spec.rollbacks=1 \
+	-min-counter core.spec.repair_frames=1 "$OBS_TMP/msim-spec-exit.json" >/dev/null
+rm -f "$OBS_TMP/msim-spec-exit.json"
 
 echo "==> mserve selftest smoke (admission, dedup, deadline, drain invariants)"
 go run ./cmd/mserve -selftest -clients 8 -requests 10 -steps 3000 >/dev/null
