@@ -77,15 +77,11 @@ func BenchmarkSpecUpdate(b *testing.B)            { benchExperiment(b, "specupda
 // benchTrace returns a shared truncated trace for microbenchmarks.
 func benchTrace(b *testing.B, name string, steps int) *trace.Trace {
 	b.Helper()
-	w, err := workload.ByName(name)
+	c, err := workload.CachedColumnar(name, steps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := w.TraceN(steps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
+	return c.Materialize()
 }
 
 // BenchmarkPathExitPredict measures the per-step cost of the real

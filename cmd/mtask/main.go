@@ -46,27 +46,19 @@ func report(w *workload.Workload, steps int) error {
 	if err != nil {
 		return err
 	}
-	var trLen, distinct int
-	var dynHist [5]int
-	dynKinds := map[isa.ControlKind]int{}
-	if steps > 0 {
-		tr, err := w.TraceN(steps)
-		if err != nil {
-			return err
-		}
-		trLen, distinct, dynHist, dynKinds = tr.Len(), tr.DistinctTasks(), tr.DynamicExitHistogram(), tr.DynamicExitKinds()
-	} else {
-		tr, st, err := w.Trace()
-		if err != nil {
-			return err
-		}
-		trLen, distinct, dynHist, dynKinds = tr.Len(), tr.DistinctTasks(), tr.DynamicExitHistogram(), tr.DynamicExitKinds()
+	tr, err := workload.CachedColumnar(w.Name, steps)
+	if err != nil {
+		return err
+	}
+	if steps <= 0 {
+		_, st, _ := w.Columnar() // cannot fail: CachedColumnar just filled this memo
 		defer fmt.Printf("  avg task length: %.1f instructions\n\n", st.InstrsPerTask())
 	}
+	trLen, dynHist, dynKinds := tr.Len(), tr.DynamicExitHistogram(), tr.DynamicExitKinds()
 
 	fmt.Printf("%s (%s analog): %q\n", w.Name, w.Analog, w.Description)
 	fmt.Printf("  program: %d instructions, %d static tasks\n", len(g.Prog.Code), g.NumTasks())
-	fmt.Printf("  dynamic: %d tasks, %d distinct seen\n", trLen, distinct)
+	fmt.Printf("  dynamic: %d tasks, %d distinct seen\n", trLen, tr.DistinctTasks())
 
 	sh := g.StaticExitHistogram()
 	fmt.Printf("  exits/task  static:")

@@ -1,24 +1,22 @@
-// Command mtrace records, inspects, converts, and replays dynamic task
-// traces. Recording a trace once lets predictor sweeps run without
-// re-executing the workload; the columnar format ("MSTC") additionally
-// replays block-wise in bounded memory.
+// Command mtrace records, inspects, and replays dynamic task traces.
+// Recording a trace once lets predictor sweeps run without re-executing
+// the workload; trace files use the columnar block format ("MSTC"), which
+// is written and replayed block-wise in bounded memory.
 //
 // Usage:
 //
-//	mtrace record  -w exprc [-steps N] [-columnar] FILE   # execute & save
-//	mtrace info    -w exprc FILE                          # validate & summarize (either format)
-//	mtrace stat    -w exprc FILE                          # columnar layout statistics
-//	mtrace convert -w exprc IN OUT                        # legacy ⇄ columnar (sniffs input)
-//	mtrace replay  -w exprc FILE                          # predictor sweep (either format)
+//	mtrace record  -w exprc [-steps N] FILE         # execute & save
+//	mtrace info    -w exprc FILE                    # validate & summarize
+//	mtrace stat    -w exprc FILE                    # columnar layout statistics
+//	mtrace replay  -w exprc FILE                    # predictor sweep
 //	mtrace stream  -w exprc [-steps N] [-repeat K] [-max-heap-mb M]
-//	                                                      # generate→replay pipeline, nothing materialized
-//	mtrace stream  -w exprc -steps N -progress 256        # live progress lines on stderr
-//	mtrace stream  -w exprc -metrics-out m.json           # JSON metrics snapshot (peak-heap gauge) on exit
+//	                                                # generate→replay pipeline, nothing materialized
+//	mtrace stream  -w exprc -steps N -progress 256  # live progress lines on stderr
+//	mtrace stream  -w exprc -metrics-out m.json     # JSON metrics snapshot (peak-heap gauge) on exit
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,11 +24,11 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"unsafe"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
 	"multiscalar/internal/obs"
-	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 	"multiscalar/internal/workload"
@@ -50,8 +48,6 @@ func main() {
 		err = cmdInfo(args)
 	case "stat":
 		err = cmdStat(args)
-	case "convert":
-		err = cmdConvert(args)
 	case "replay":
 		err = cmdReplay(args)
 	case "stream":
@@ -72,10 +68,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  mtrace record  -w WL [-steps N] [-columnar] FILE
+  mtrace record  -w WL [-steps N] FILE
   mtrace info    -w WL FILE
   mtrace stat    -w WL FILE
-  mtrace convert -w WL IN OUT
   mtrace replay  -w WL FILE
   mtrace stream  -w WL [-steps N] [-repeat K] [-max-heap-mb M] [-progress N] [-metrics-out FILE]
 workloads: `+strings.Join(workload.Names(), ", "))
@@ -99,7 +94,6 @@ func graphFor(wname string) (*tfg.Graph, error) {
 func cmdRecord(args []string) error {
 	fs, wname := flagSet("record")
 	steps := fs.Int("steps", 0, "dynamic task budget (0 = run to halt)")
-	columnar := fs.Bool("columnar", false, "write the columnar block format (streamed: the trace is never held in memory)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return errors.New("record needs exactly one output file")
@@ -114,87 +108,53 @@ func cmdRecord(args []string) error {
 	}
 	defer f.Close()
 	bw := bufio.NewWriter(f)
-
-	if *columnar {
-		w, err := trace.NewWriter(bw, g)
-		if err != nil {
-			return err
-		}
-		m := functional.NewMachine(g, functional.Config{})
-		total := 0
-		for {
-			chunk := trace.BlockSteps
-			if *steps > 0 {
-				if rem := *steps - total; rem < chunk {
-					chunk = rem
-				}
-			}
-			if chunk <= 0 {
-				break
-			}
-			seg, err := m.Run(functional.Config{MaxSteps: chunk})
-			if err != nil {
-				return err
-			}
-			if err := w.Append(seg.Steps); err != nil {
-				return err
-			}
-			total += len(seg.Steps)
-			if m.Stats().Halted || len(seg.Steps) == 0 {
-				break
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		fmt.Printf("recorded %d steps (%d instructions) to %s (columnar)\n", total, m.Stats().Instrs, fs.Arg(0))
-		return nil
-	}
-
-	tr, stats, err := functional.Run(g, functional.Config{MaxSteps: *steps})
+	w, err := trace.NewWriter(bw, g)
 	if err != nil {
 		return err
 	}
-	if err := tr.Write(bw); err != nil {
+	// The trace is streamed to disk segment by segment, never held in
+	// memory.
+	gen := workload.NewGenerator(g, *steps)
+	total := 0
+	for {
+		seg, err := gen.Next()
+		if err != nil {
+			return err
+		}
+		if seg == nil {
+			break
+		}
+		if err := w.Append(seg); err != nil {
+			return err
+		}
+		total += len(seg)
+	}
+	if err := w.Close(); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d steps (%d instructions) to %s\n", tr.Len(), stats.Instrs, fs.Arg(0))
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("recorded %d steps (%d instructions) to %s\n", total, gen.Machine().Stats().Instrs, fs.Arg(0))
 	return nil
 }
 
-// load sniffs the file's magic and decodes either trace format into a
-// columnar trace plus, for the legacy format, the original struct trace.
+// load decodes a trace file bound to g. A file that is not MSTC fails
+// with the reader's ErrCorrupt ("bad magic").
 func load(path string, g *tfg.Graph) (*trace.Columnar, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
+	c, err := trace.ReadColumnar(bufio.NewReader(f), g, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, trace.ErrTruncated)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if isColumnarMagic(magic) {
-		return trace.ReadColumnar(br, g, 0)
-	}
-	tr, err := trace.Read(br, g)
-	if err != nil {
-		return nil, err
-	}
-	return trace.FromTrace(tr)
-}
-
-// isColumnarMagic reports whether the 4 sniffed bytes are the columnar
-// magic ("MSTC" little-endian).
-func isColumnarMagic(b []byte) bool {
-	return len(b) >= 4 && b[0] == 0x43 && b[1] == 0x54 && b[2] == 0x53 && b[3] == 0x4d
+	return c, nil
 }
 
 func cmdInfo(args []string) error {
@@ -241,93 +201,21 @@ func cmdStat(args []string) error {
 	if err != nil {
 		return err
 	}
-	// On-disk size of the columnar framing for this trace (recomputed for
-	// legacy inputs so stat always describes the columnar layout).
-	var enc bytes.Buffer
-	if err := c.Encode(&enc); err != nil {
-		return err
-	}
 	steps := c.Len()
 	blocks := (steps + trace.BlockSteps - 1) / trace.BlockSteps
 	fmt.Printf("%s: %d steps in %d blocks of %d\n", path, steps, blocks, trace.BlockSteps)
 	fmt.Printf("dictionary: %d entries (%d distinct tasks)\n", c.Dict.Len(), c.DistinctTasks())
-	fmt.Printf("file: %d bytes (%.3f B/step as stored)\n", fi.Size(), float64(fi.Size())/float64(max(steps, 1)))
 	fmt.Printf("columnar encoding: %d bytes on disk (%.3f B/step), %d bytes in memory (%.2f B/step)\n",
-		enc.Len(), float64(enc.Len())/float64(max(steps, 1)),
+		fi.Size(), float64(fi.Size())/float64(max(steps, 1)),
 		c.Footprint(), float64(c.Footprint())/float64(max(steps, 1)))
-	fmt.Printf("legacy array-of-structs equivalent: %d bytes in memory (%d B/step)\n",
-		steps*12, 12)
+	fmt.Printf("array-of-structs equivalent: %d bytes in memory (%d B/step)\n",
+		steps*stepBytes, stepBytes)
 	return nil
 }
 
-func cmdConvert(args []string) error {
-	fs, wname := flagSet("convert")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return errors.New("convert needs an input and an output file")
-	}
-	g, err := graphFor(*wname)
-	if err != nil {
-		return err
-	}
-	in, out := fs.Arg(0), fs.Arg(1)
-
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", in, trace.ErrTruncated)
-	}
-	toColumnar := !isColumnarMagic(magic)
-
-	o, err := os.Create(out)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	defer o.Close()
-	bw := bufio.NewWriter(o)
-
-	var steps int
-	if toColumnar {
-		tr, err := trace.Read(br, g)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		c, err := trace.FromTrace(tr)
-		if err != nil {
-			return err
-		}
-		if err := c.Encode(bw); err != nil {
-			return err
-		}
-		steps = c.Len()
-	} else {
-		c, err := trace.ReadColumnar(br, g, 0)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if err := c.Materialize().Write(bw); err != nil {
-			return err
-		}
-		steps = c.Len()
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	dir := "legacy → columnar"
-	if !toColumnar {
-		dir = "columnar → legacy"
-	}
-	fmt.Printf("converted %s (%s, %d steps) to %s\n", in, dir, steps, out)
-	return nil
-}
+// stepBytes is the in-memory size of one array-of-structs trace step,
+// the baseline the columnar and streamed figures are compared against.
+const stepBytes = int(unsafe.Sizeof(trace.Step{}))
 
 // sweepPreds is the standard exit-predictor sweep replayed by `replay`
 // and `stream`.
@@ -481,7 +369,7 @@ func streamRun(wname string, steps, repeat, maxHeapMB int, predStr string, progr
 	fmt.Printf("streamed %d prediction steps in %d blocks through %s: %6.2f%% misses (%d states)\n",
 		res.Steps, sampler.blocks, res.Name, 100*res.MissRate(), res.States)
 	fmt.Printf("peak heap %.1f MiB (in-memory equivalent ≥ %.1f MiB)\n",
-		peakMB, float64(res.Steps)*44/(1<<20))
+		peakMB, float64(res.Steps*stepBytes)/(1<<20))
 	if maxHeapMB > 0 && peakMB > float64(maxHeapMB) {
 		return fmt.Errorf("peak heap %.1f MiB exceeds ceiling %d MiB", peakMB, maxHeapMB)
 	}

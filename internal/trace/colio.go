@@ -27,7 +27,8 @@ import (
 //	addr*   nNew × uvarint               — the new addresses, first-use order
 //	taskLen uvarint                      — byte length of the task column
 //	task    per step: zigzag varint of taskIdx delta (prev starts at 0)
-//	exit    per step: one byte, exit+1 (0 = halt)
+//	exit    per step: one byte, exit+1 (0 = halt, legal only on the
+//	        stream's final step)
 //	target  per non-halt step: zigzag varint of targetIdx − ref, where ref
 //	        is the next step's taskIdx (the taken target usually IS the
 //	        next task, so this column is almost all zero bytes); the
@@ -76,9 +77,10 @@ func unzigzag(u uint64) int {
 }
 
 // appendBlockPayload encodes one block's payload: the dictionary entries
-// in dict[emitted:] (those first used by this block) and the three step
-// columns for rows [lo, hi) of the encoder's columns.
-func appendBlockPayload(buf []byte, dict []DictEntry, emitted int, taskIdx []uint16, exits []int8, targetIdx []uint16) []byte {
+// in dict[emitted:] first used by this block and the block's three step
+// columns. It also returns the new emitted count: one past the highest
+// dictionary index written so far.
+func appendBlockPayload(buf []byte, dict []DictEntry, emitted int, taskIdx []uint16, exits []int8, targetIdx []uint16) ([]byte, int) {
 	maxIdx := emitted - 1
 	for i, ti := range taskIdx {
 		if int(ti) > maxIdx {
@@ -117,7 +119,54 @@ func appendBlockPayload(buf []byte, dict []DictEntry, emitted int, taskIdx []uin
 		}
 		buf = binary.AppendUvarint(buf, zigzag(int(targetIdx[i])-int(ref)))
 	}
-	return buf
+	return buf, maxIdx + 1
+}
+
+// framer writes the MSTC framing: the file header, one framed block per
+// call, and the sentinel. It is the only encoder of the format; Writer
+// and Columnar.Encode both go through it.
+type framer struct {
+	w       io.Writer
+	emitted int // dictionary entries already written
+	buf     []byte
+}
+
+// newFramer writes the stream header.
+func newFramer(w io.Writer) (*framer, error) {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:], colMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], colVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], BlockSteps)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return nil, fmt.Errorf("trace: write columnar header: %w", err)
+	}
+	return &framer{w: w}, nil
+}
+
+// block writes one framed block of parallel step columns, carrying the
+// dictionary entries it is the first to use.
+func (f *framer) block(dict []DictEntry, taskIdx []uint16, exits []int8, targetIdx []uint16) error {
+	f.buf, f.emitted = appendBlockPayload(f.buf[:0], dict, f.emitted, taskIdx, exits, targetIdx)
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(f.buf)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(exits)))
+	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(f.buf))
+	if _, err := f.w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("trace: write block header: %w", err)
+	}
+	if _, err := f.w.Write(f.buf); err != nil {
+		return fmt.Errorf("trace: write block payload: %w", err)
+	}
+	return nil
+}
+
+// close writes the terminating sentinel.
+func (f *framer) close() error {
+	var sentinel [12]byte
+	if _, err := f.w.Write(sentinel[:]); err != nil {
+		return fmt.Errorf("trace: write sentinel: %w", err)
+	}
+	return nil
 }
 
 // Writer streams a columnar trace to an io.Writer block by block. It
@@ -128,24 +177,19 @@ func appendBlockPayload(buf []byte, dict []DictEntry, emitted int, taskIdx []uin
 //	for each segment { w.Append(seg.Steps) }
 //	w.Close()
 type Writer struct {
-	w       io.Writer
-	enc     *Encoder
-	emitted int // dict entries already written
-	buf     []byte
-	err     error
+	f   *framer
+	enc *Encoder
+	err error
 }
 
 // NewWriter writes the stream header and returns a block writer bound to
 // graph (nil for structural-only streams).
 func NewWriter(w io.Writer, g *tfg.Graph) (*Writer, error) {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], colMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], colVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], BlockSteps)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: write columnar header: %w", err)
+	f, err := newFramer(w)
+	if err != nil {
+		return nil, err
 	}
-	return &Writer{w: w, enc: NewEncoder(g)}, nil
+	return &Writer{f: f, enc: NewEncoder(g)}, nil
 }
 
 // Append encodes a batch of steps, flushing every completed block. Batch
@@ -170,31 +214,10 @@ func (cw *Writer) Append(steps []Step) error {
 // the encoder's columns down.
 func (cw *Writer) flushBlock(n int) error {
 	e := cw.enc
-	cw.buf = appendBlockPayload(cw.buf[:0], e.dict.Entries, cw.emitted, e.taskIdx[:n], e.exits[:n], e.targetIdx[:n])
-	for _, ti := range e.taskIdx[:n] {
-		if int(ti) >= cw.emitted {
-			cw.emitted = int(ti) + 1
-		}
+	if err := cw.f.block(e.dict.Entries, e.taskIdx[:n], e.exits[:n], e.targetIdx[:n]); err != nil {
+		cw.err = err
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if e.exits[i] != HaltExit && int(e.targetIdx[i]) >= cw.emitted {
-			cw.emitted = int(e.targetIdx[i]) + 1
-		}
-	}
-
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(cw.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(cw.buf))
-	if _, err := cw.w.Write(hdr[:]); err != nil {
-		cw.err = fmt.Errorf("trace: write block header: %w", err)
-		return cw.err
-	}
-	if _, err := cw.w.Write(cw.buf); err != nil {
-		cw.err = fmt.Errorf("trace: write block payload: %w", err)
-		return cw.err
-	}
-
 	e.taskIdx = e.taskIdx[:copy(e.taskIdx, e.taskIdx[n:])]
 	e.exits = e.exits[:copy(e.exits, e.exits[n:])]
 	e.targetIdx = e.targetIdx[:copy(e.targetIdx, e.targetIdx[n:])]
@@ -212,10 +235,9 @@ func (cw *Writer) Close() error {
 			return err
 		}
 	}
-	var sentinel [12]byte
-	if _, err := cw.w.Write(sentinel[:]); err != nil {
-		cw.err = fmt.Errorf("trace: write sentinel: %w", err)
-		return cw.err
+	if err := cw.f.close(); err != nil {
+		cw.err = err
+		return err
 	}
 	cw.err = errors.New("trace: Writer closed")
 	return nil
@@ -223,46 +245,17 @@ func (cw *Writer) Close() error {
 
 // Encode streams the whole columnar trace in on-disk framing.
 func (c *Columnar) Encode(w io.Writer) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], colMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], colVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], BlockSteps)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("trace: write columnar header: %w", err)
+	f, err := newFramer(w)
+	if err != nil {
+		return err
 	}
-	var buf []byte
-	emitted := 0
 	for lo := 0; lo < c.Len(); lo += BlockSteps {
-		hi := lo + BlockSteps
-		if hi > c.Len() {
-			hi = c.Len()
-		}
-		taskIdx, exits, targetIdx := c.taskIdx[lo:hi], c.exits[lo:hi], c.targetIdx[lo:hi]
-		buf = appendBlockPayload(buf[:0], c.Dict.Entries, emitted, taskIdx, exits, targetIdx)
-		for i, ti := range taskIdx {
-			if int(ti) >= emitted {
-				emitted = int(ti) + 1
-			}
-			if exits[i] != HaltExit && int(targetIdx[i]) >= emitted {
-				emitted = int(targetIdx[i]) + 1
-			}
-		}
-		var bh [12]byte
-		binary.LittleEndian.PutUint32(bh[0:], uint32(len(buf)))
-		binary.LittleEndian.PutUint32(bh[4:], uint32(hi-lo))
-		binary.LittleEndian.PutUint32(bh[8:], crc32.ChecksumIEEE(buf))
-		if _, err := w.Write(bh[:]); err != nil {
-			return fmt.Errorf("trace: write block header: %w", err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("trace: write block payload: %w", err)
+		hi := min(lo+BlockSteps, c.Len())
+		if err := f.block(c.Dict.Entries, c.taskIdx[lo:hi], c.exits[lo:hi], c.targetIdx[lo:hi]); err != nil {
+			return err
 		}
 	}
-	var sentinel [12]byte
-	if _, err := w.Write(sentinel[:]); err != nil {
-		return fmt.Errorf("trace: write sentinel: %w", err)
-	}
-	return nil
+	return f.close()
 }
 
 // Reader decodes a columnar stream block by block, implementing
@@ -277,6 +270,7 @@ type Reader struct {
 	blockSteps int
 	blk        Block
 	payload    []byte
+	halted     bool // the last decoded step was a halt
 	done       bool
 	err        error
 }
@@ -304,7 +298,8 @@ func NewReader(r io.Reader, g *tfg.Graph) (*Reader, error) {
 
 // NextBlock implements BlockSource: it returns the next decoded block,
 // (nil, nil) after the sentinel, ErrTruncated if the stream ends early,
-// or ErrCorrupt if the bytes are invalid.
+// or ErrCorrupt if the bytes are invalid, including a halt step anywhere
+// but at the end of the stream.
 func (cr *Reader) NextBlock() (*Block, error) {
 	if cr.err != nil {
 		return nil, cr.err
@@ -323,6 +318,10 @@ func (cr *Reader) NextBlock() (*Block, error) {
 	if payloadLen == 0 && n == 0 && crc == 0 {
 		cr.done = true
 		return nil, nil
+	}
+	if cr.halted {
+		cr.err = fmt.Errorf("trace: block after a halt step: %w", ErrCorrupt)
+		return nil, cr.err
 	}
 	if n <= 0 || n > cr.blockSteps {
 		cr.err = fmt.Errorf("trace: block of %d steps (max %d): %w", n, cr.blockSteps, ErrCorrupt)
@@ -372,18 +371,7 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 			return fmt.Errorf("trace: block dict address: %w", ErrCorrupt)
 		}
 		p = p[k:]
-		ent := DictEntry{Addr: isa.Addr(a)}
-		if cr.g != nil {
-			if t := cr.g.TaskAt(ent.Addr); t != nil {
-				ent.Task = t
-				ent.NumExits = uint8(len(t.Exits))
-				for i, x := range t.Exits {
-					ent.Kinds[i] = x.Kind
-					ent.Indirect[i] = x.Kind.IsIndirect()
-				}
-			}
-		}
-		cr.dict.Entries = append(cr.dict.Entries, ent)
+		cr.dict.Entries = append(cr.dict.Entries, newDictEntry(cr.g, isa.Addr(a)))
 	}
 	dictLen := len(cr.dict.Entries)
 
@@ -428,12 +416,14 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 		if e < HaltExit || int(e) >= tfg.MaxExits {
 			return fmt.Errorf("trace: exit byte %d: %w", exitCol[i], ErrCorrupt)
 		}
-		if e != HaltExit {
-			if cr.g != nil {
-				ent := &cr.dict.Entries[taskIdx[i]]
-				if ent.Task == nil || int(e) >= int(ent.NumExits) {
-					return fmt.Errorf("trace: step @%d exit %d inconsistent with graph: %w", ent.Addr, e, ErrCorrupt)
-				}
+		if e == HaltExit {
+			if i != n-1 {
+				return fmt.Errorf("trace: halt at block step %d of %d: %w", i, n, ErrCorrupt)
+			}
+		} else if cr.g != nil {
+			ent := &cr.dict.Entries[taskIdx[i]]
+			if ent.Task == nil || int(e) >= int(ent.NumExits) {
+				return fmt.Errorf("trace: step @%d exit %d inconsistent with graph: %w", ent.Addr, e, ErrCorrupt)
 			}
 		}
 		exits[i] = e
@@ -463,6 +453,7 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 		return fmt.Errorf("trace: target column trailing bytes: %w", ErrCorrupt)
 	}
 
+	cr.halted = exits[n-1] == HaltExit
 	cr.blk.N = n
 	cr.blk.TaskIdx = taskIdx
 	cr.blk.Exits = exits
@@ -471,9 +462,10 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 	return nil
 }
 
-// ReadColumnar decodes a whole columnar stream into memory. It enforces
-// maxSteps the way Read does (0 means no limit) and returns ErrTruncated
-// or ErrCorrupt on invalid streams.
+// ReadColumnar decodes a whole columnar stream into memory. A stream
+// longer than maxSteps steps is rejected as ErrCorrupt before its excess
+// is buffered (0 means no limit); an invalid stream returns ErrTruncated
+// or ErrCorrupt.
 func ReadColumnar(r io.Reader, g *tfg.Graph, maxSteps int) (*Columnar, error) {
 	cr, err := NewReader(r, g)
 	if err != nil {

@@ -59,6 +59,23 @@ type Dict struct {
 // Len returns the number of interned addresses.
 func (d *Dict) Len() int { return len(d.Entries) }
 
+// newDictEntry resolves addr against g (nil for structural-only traces).
+func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
+	ent := DictEntry{Addr: addr}
+	if g == nil {
+		return ent
+	}
+	if t := g.TaskAt(addr); t != nil {
+		ent.Task = t
+		ent.NumExits = uint8(len(t.Exits))
+		for i, x := range t.Exits {
+			ent.Kinds[i] = x.Kind
+			ent.Indirect[i] = x.Kind.IsIndirect()
+		}
+	}
+	return ent
+}
+
 // Block is one decoded unit of a columnar trace: parallel per-step
 // columns plus the shared dictionary. The replay kernels walk the
 // columns in a tight loop, resolving tasks, kinds and targets through
@@ -279,7 +296,6 @@ type Encoder struct {
 	exits     []int8
 	targetIdx []uint16
 	predSteps int
-	halted    bool
 	done      bool
 }
 
@@ -298,18 +314,7 @@ func (e *Encoder) intern(addr isa.Addr) (uint16, error) {
 		return 0, fmt.Errorf("trace: dictionary past %d distinct addresses: %w", DictLimit, ErrNotColumnar)
 	}
 	idx := uint16(len(e.dict.Entries))
-	ent := DictEntry{Addr: addr}
-	if e.g != nil {
-		if t := e.g.TaskAt(addr); t != nil {
-			ent.Task = t
-			ent.NumExits = uint8(len(t.Exits))
-			for i, x := range t.Exits {
-				ent.Kinds[i] = x.Kind
-				ent.Indirect[i] = x.Kind.IsIndirect()
-			}
-		}
-	}
-	e.dict.Entries = append(e.dict.Entries, ent)
+	e.dict.Entries = append(e.dict.Entries, newDictEntry(e.g, addr))
 	e.index[addr] = idx
 	return idx, nil
 }
@@ -332,7 +337,6 @@ func (e *Encoder) Append(steps []Step) error {
 			e.taskIdx = append(e.taskIdx, ti)
 			e.exits = append(e.exits, HaltExit)
 			e.targetIdx = append(e.targetIdx, 0)
-			e.halted = true
 			continue
 		}
 		if e.g != nil {
@@ -363,11 +367,12 @@ func (e *Encoder) Append(steps []Step) error {
 // Len returns the number of steps appended so far.
 func (e *Encoder) Len() int { return len(e.exits) }
 
-// Finish freezes and returns the columnar trace. The encoder must not be
-// used afterwards.
+// Finish freezes and returns the columnar trace, which is Halted when its
+// last step halts. The encoder must not be used afterwards.
 func (e *Encoder) Finish() *Columnar {
 	e.done = true
 	e.index = nil // the dictionary is frozen; drop the map
+	n := len(e.exits)
 	return &Columnar{
 		Graph:     e.g,
 		Dict:      e.dict,
@@ -375,7 +380,7 @@ func (e *Encoder) Finish() *Columnar {
 		exits:     e.exits,
 		targetIdx: e.targetIdx,
 		predSteps: e.predSteps,
-		halted:    e.halted,
+		halted:    n > 0 && e.exits[n-1] == HaltExit,
 	}
 }
 

@@ -135,6 +135,37 @@ func TestEncoderValidation(t *testing.T) {
 	}
 }
 
+// TestEncoderHaltedMeansLastStep: a finished trace is Halted exactly when
+// its last step halts, as for Prefix and ReadColumnar, even when an
+// earlier step halted. BlockBuilder, whose repeat streams put a halt at
+// the end of every pass, accepts such steps mid-stream.
+func TestEncoderHaltedMeansLastStep(t *testing.T) {
+	halt := Step{Task: 1, Exit: HaltExit}
+	step := Step{Task: 1, Exit: 0, Target: 2}
+	for _, c := range []struct {
+		steps []Step
+		want  bool
+	}{
+		{nil, false},
+		{[]Step{step}, false},
+		{[]Step{step, halt}, true},
+		{[]Step{halt, step}, false},
+		{[]Step{step, halt, step, halt}, true},
+	} {
+		e := NewEncoder(graph())
+		if err := e.Append(c.steps); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Finish().Halted(); got != c.want {
+			t.Errorf("%+v: Halted = %v, want %v", c.steps, got, c.want)
+		}
+	}
+	b, err := NewBlockBuilder(graph()).Build([]Step{step, halt, step})
+	if err != nil || b.N != 3 || b.Exits[1] != HaltExit {
+		t.Fatalf("BlockBuilder with a mid-stream halt: %v, %+v", err, b)
+	}
+}
+
 func TestEncoderDictLimit(t *testing.T) {
 	// A graph-free encoder interns every address it sees; feeding it more
 	// than DictLimit distinct addresses must fail with ErrNotColumnar, not
@@ -277,6 +308,22 @@ func readAll(raw []byte) error {
 	}
 }
 
+// haltAt encodes a multi-block ping-pong trace whose steps at the given
+// positions are halts: framing and CRCs are pristine, only the halt
+// placement is wrong.
+func haltAt(t testing.TB, pos ...int) []byte {
+	t.Helper()
+	tr := pingPong(5000)
+	for _, i := range pos {
+		tr.Steps[i] = Step{Task: tr.Steps[i].Task, Exit: HaltExit}
+	}
+	var buf bytes.Buffer
+	if err := mustColumnar(t, tr).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestColumnarCorruption(t *testing.T) {
 	_, raw := colSample(t, 5000)
 	payloadLen := int(binary.LittleEndian.Uint32(raw[16:]))
@@ -298,6 +345,8 @@ func TestColumnarCorruption(t *testing.T) {
 		{"block n over blockSteps", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[20:], BlockSteps+1) })},
 		{"payload over cap", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[16:], 1<<30) })},
 		{"payload byte flipped", mut(func(b []byte) { b[28+payloadLen/2] ^= 0xff })},
+		{"halt mid-block", haltAt(t, 6)},
+		{"halt ends a block that is not the last", haltAt(t, BlockSteps-1)},
 	}
 	for _, c := range corrupt {
 		err := readAll(c.data)
@@ -372,6 +421,7 @@ func FuzzColumnarRead(f *testing.F) {
 	bad := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(bad[16:], 1<<30)
 	f.Add(bad)
+	f.Add(haltAt(f, 6))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadColumnar(bytes.NewReader(data), nil, 1<<20)
 		if err != nil {

@@ -1,148 +1,31 @@
 package trace_test
 
 import (
-	"bytes"
-	"encoding/binary"
-	"strings"
 	"testing"
 
 	"multiscalar/internal/trace"
 	"multiscalar/internal/workload"
 )
 
-// sample returns a real trace and its serialized bytes.
-func sample(t testing.TB, steps int) (*trace.Trace, []byte) {
-	t.Helper()
-	w, err := workload.ByName("exprc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := w.TraceN(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return tr, buf.Bytes()
-}
-
-func TestReadRoundTrip(t *testing.T) {
-	tr, raw := sample(t, 500)
-	got, err := trace.Read(bytes.NewReader(raw), tr.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip: %d steps, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Steps {
-		if got.Steps[i] != tr.Steps[i] {
-			t.Fatalf("step %d: %+v != %+v", i, got.Steps[i], tr.Steps[i])
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadTruncatedHeader(t *testing.T) {
-	tr, raw := sample(t, 10)
-	for _, n := range []int{0, 1, 4, 11} {
-		if _, err := trace.Read(bytes.NewReader(raw[:n]), tr.Graph); err == nil {
-			t.Errorf("%d-byte header accepted", n)
-		}
-	}
-}
-
-func TestReadBadMagic(t *testing.T) {
-	tr, raw := sample(t, 10)
-	bad := append([]byte(nil), raw...)
-	bad[0] ^= 0xff
-	if _, err := trace.Read(bytes.NewReader(bad), tr.Graph); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: %v", err)
-	}
-}
-
-func TestReadTruncatedBody(t *testing.T) {
-	tr, raw := sample(t, 10)
-	// Cut mid-step and at a step boundary before the declared count: both
-	// must error (never a silent short read).
-	for _, cut := range []int{len(raw) - 1, len(raw) - 5, 12 + 9*3, 12 + 9*3 + 4} {
-		if _, err := trace.Read(bytes.NewReader(raw[:cut]), tr.Graph); err == nil {
-			t.Errorf("truncation at %d of %d accepted", cut, len(raw))
-		}
-	}
-}
-
-func TestReadHugeCountTinyBody(t *testing.T) {
-	// A corrupted header declaring ~2^31 steps over an empty body must
-	// produce a read error, not a multi-gigabyte allocation.
-	tr, raw := sample(t, 4)
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(bad[4:], 1<<31)
-	if _, err := trace.Read(bytes.NewReader(bad), tr.Graph); err == nil {
-		t.Fatal("huge declared count over a tiny body accepted")
-	}
-}
-
-func TestReadImplausibleCount(t *testing.T) {
-	tr, raw := sample(t, 4)
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(bad[4:], 1<<40)
-	if _, err := trace.Read(bytes.NewReader(bad), tr.Graph); err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Fatalf("implausible count: %v", err)
-	}
-}
-
+// TestCorruptedStepFailsValidate clobbers single steps of a real trace
+// and checks that Validate catches what no encoding layer can know: an
+// out-of-range exit index and a task address outside the graph.
 func TestCorruptedStepFailsValidate(t *testing.T) {
-	tr, raw := sample(t, 200)
-	// Flip the exit byte of step 3 to a wildly out-of-range exit. The
-	// binary layer cannot know it is wrong — but Validate must.
-	bad := append([]byte(nil), raw...)
-	bad[12+9*3+4] = 0x7f
-	got, err := trace.Read(bytes.NewReader(bad), tr.Graph)
+	c, err := workload.CachedColumnar("exprc", 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err == nil {
-		t.Fatal("corrupted exit index validated cleanly")
-	}
-
-	// Same for a clobbered task address.
-	bad = append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bad[12+9*5:], 0xdeadbeef)
-	got, err = trace.Read(bytes.NewReader(bad), tr.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err == nil {
-		t.Fatal("corrupted task address validated cleanly")
-	}
-}
-
-// FuzzTraceRead feeds arbitrary bytes to the deserializer: it must
-// return an error or a trace, never panic or over-allocate.
-func FuzzTraceRead(f *testing.F) {
-	_, raw := sample(f, 20)
-	f.Add(raw)
-	f.Add(raw[:13])
-	f.Add([]byte("MSTRgarbage"))
-	f.Add([]byte{})
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr, 0x4d535452)
-	binary.LittleEndian.PutUint64(hdr[4:], 1<<30)
-	f.Add(hdr)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Read(bytes.NewReader(data), nil)
-		if err != nil {
-			return
+	for name, clobber := range map[string]func(s *trace.Step){
+		"exit index":   func(s *trace.Step) { s.Exit = 0x7f },
+		"task address": func(s *trace.Step) { s.Task = 0xdeadbeef },
+	} {
+		tr := c.Materialize()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("pristine trace: %v", err)
 		}
-		// A successful parse must be internally consistent with the input
-		// length: header + 9 bytes per step.
-		if want := 12 + 9*tr.Len(); want > len(data) {
-			t.Fatalf("parsed %d steps from %d bytes", tr.Len(), len(data))
+		clobber(&tr.Steps[3])
+		if err := tr.Validate(); err == nil {
+			t.Errorf("corrupted %s validated cleanly", name)
 		}
-	})
+	}
 }

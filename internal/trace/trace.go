@@ -10,9 +10,7 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
@@ -125,59 +123,4 @@ func (tr *Trace) DynamicExitKinds() map[isa.ControlKind]int {
 		m[tr.Graph.TaskAt(s.Task).Exits[s.Exit].Kind]++
 	}
 	return m
-}
-
-const traceMagic = uint32(0x4d535452) // "MSTR"
-
-// Write serializes the steps (not the graph) in a compact binary format.
-func (tr *Trace) Write(w io.Writer) error {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(tr.Steps)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	buf := make([]byte, 9)
-	for _, s := range tr.Steps {
-		binary.LittleEndian.PutUint32(buf[0:], uint32(s.Task))
-		buf[4] = byte(s.Exit)
-		binary.LittleEndian.PutUint32(buf[5:], uint32(s.Target))
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("trace: write step: %w", err)
-		}
-	}
-	return nil
-}
-
-// Read deserializes steps written by Write and binds them to graph.
-func Read(r io.Reader, graph *tfg.Graph) (*Trace, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	const maxSteps = 1 << 32
-	if n > maxSteps {
-		return nil, fmt.Errorf("trace: implausible step count %d", n)
-	}
-	// Grow the step slice as data actually arrives instead of trusting
-	// the header: a corrupted count must produce a read error, not a
-	// multi-gigabyte allocation.
-	const allocChunk = 1 << 16
-	steps := make([]Step, 0, min(n, allocChunk))
-	buf := make([]byte, 9)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("trace: read step %d of %d: %w", i, n, err)
-		}
-		steps = append(steps, Step{
-			Task:   isa.Addr(binary.LittleEndian.Uint32(buf[0:])),
-			Exit:   int8(buf[4]),
-			Target: isa.Addr(binary.LittleEndian.Uint32(buf[5:])),
-		})
-	}
-	return &Trace{Graph: graph, Steps: steps}, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"multiscalar/internal/isa"
@@ -92,40 +91,5 @@ func TestDynamicHistograms(t *testing.T) {
 	kinds := tr.DynamicExitKinds()
 	if kinds[isa.KindBranch] != 8 || kinds[isa.KindReturn] != 0 {
 		t.Fatalf("kinds = %v", kinds)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	tr := pingPong(7)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf, tr.Graph)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if len(got.Steps) != len(tr.Steps) {
-		t.Fatalf("length mismatch: %d vs %d", len(got.Steps), len(tr.Steps))
-	}
-	for i := range got.Steps {
-		if got.Steps[i] != tr.Steps[i] {
-			t.Fatalf("step %d mismatch: %+v vs %+v", i, got.Steps[i], tr.Steps[i])
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("round-tripped trace invalid: %v", err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace")), graph()); err == nil {
-		t.Fatalf("garbage should not parse")
-	}
-	var buf bytes.Buffer
-	_ = pingPong(1).Write(&buf)
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := Read(bytes.NewReader(trunc), graph()); err == nil {
-		t.Fatalf("truncated trace should not parse")
 	}
 }

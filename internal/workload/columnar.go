@@ -17,46 +17,72 @@ import (
 // counted.
 var obsCacheBytes = obs.Default().Gauge("workload.trace_cache.bytes")
 
-// runColumnar executes the workload's program on a fresh machine,
-// encoding the dynamic task trace segment by segment: at most
-// trace.BlockSteps array-of-structs steps exist at any moment, so peak
-// generation memory is the columns themselves plus one block. maxSteps
-// caps the run (0 = to halt). The machine is returned for self-checks.
-func runColumnar(g *tfg.Graph, maxSteps int) (*trace.Columnar, *functional.Machine, error) {
+// Generator runs a program once on a fresh machine and yields its
+// dynamic task trace in segments of at most trace.BlockSteps steps, so a
+// consumer never holds more than one segment of array-of-structs steps.
+// It is the one generation loop behind the trace memos, streamed replay
+// and recorded trace files.
+type Generator struct {
+	m        *functional.Machine
+	maxSteps int // cap (0 = to halt)
+	produced int
+}
+
+// NewGenerator starts a run of g's program capped at maxSteps dynamic
+// tasks (0 = to halt). Each generator counts as one simulation.
+func NewGenerator(g *tfg.Graph, maxSteps int) *Generator {
 	simulations.Add(1)
-	m := functional.NewMachine(g, functional.Config{})
+	return &Generator{m: functional.NewMachine(g, functional.Config{}), maxSteps: maxSteps}
+}
+
+// Next returns the next segment of steps, or nil once the program halted
+// or the cap was reached. A generator is not usable after an error.
+func (gen *Generator) Next() ([]trace.Step, error) {
+	chunk := trace.BlockSteps
+	if gen.maxSteps > 0 {
+		chunk = min(chunk, gen.maxSteps-gen.produced)
+	}
+	if chunk <= 0 || gen.m.Stats().Halted {
+		return nil, nil
+	}
+	seg, err := gen.m.Run(functional.Config{MaxSteps: chunk})
+	if err != nil {
+		return nil, err
+	}
+	gen.produced += len(seg.Steps)
+	return seg.Steps, nil
+}
+
+// Machine returns the generating machine, for execution stats and
+// output self-checks.
+func (gen *Generator) Machine() *functional.Machine { return gen.m }
+
+// runColumnar executes g's program and encodes its trace segment by
+// segment: peak generation memory is the columns themselves plus one
+// segment. maxSteps caps the run (0 = to halt). The machine is returned
+// for self-checks.
+func runColumnar(g *tfg.Graph, maxSteps int) (*trace.Columnar, *functional.Machine, error) {
+	gen := NewGenerator(g, maxSteps)
 	enc := trace.NewEncoder(g)
 	for {
-		chunk := trace.BlockSteps
-		if maxSteps > 0 {
-			if rem := maxSteps - enc.Len(); rem < chunk {
-				chunk = rem
-			}
-		}
-		if chunk <= 0 {
-			break
-		}
-		seg, err := m.Run(functional.Config{MaxSteps: chunk})
+		seg, err := gen.Next()
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := enc.Append(seg.Steps); err != nil {
+		if seg == nil {
+			return enc.Finish(), gen.Machine(), nil
+		}
+		if err := enc.Append(seg); err != nil {
 			return nil, nil, err
 		}
-		if m.Stats().Halted {
-			break
-		}
-		if len(seg.Steps) == 0 {
-			return nil, nil, fmt.Errorf("workload: simulation made no progress at step %d", enc.Len())
-		}
 	}
-	return enc.Finish(), m, nil
 }
 
 // Columnar returns the workload's full dynamic task trace in columnar
 // form (computed once and cached), with the execution stats of the
-// generating run. This is the primitive trace memo: Trace() materializes
-// its array-of-structs view from it.
+// generating run. This is the one full-trace memo: CachedColumnar
+// clamps oversized caps to it and serves later truncations as prefix
+// views of it.
 func (w *Workload) Columnar() (*trace.Columnar, functional.Stats, error) {
 	w.colOnce.Do(w.fullColumnar)
 	return w.col, w.colStats, w.colErr
@@ -218,10 +244,9 @@ func (w *Workload) cachedFullColumnar() (*trace.Columnar, error) {
 type blockStream struct {
 	g        *tfg.Graph
 	bb       *trace.BlockBuilder
-	m        *functional.Machine
-	maxSteps int // per-pass cap (0 = to halt)
-	produced int // steps produced this pass
-	passes   int // passes remaining (current one included once started)
+	gen      *Generator // current pass (nil between passes)
+	maxSteps int        // per-pass cap (0 = to halt)
+	passes   int        // passes not yet started
 	err      error
 }
 
@@ -251,39 +276,23 @@ func (s *blockStream) NextBlock() (*trace.Block, error) {
 		return nil, s.err
 	}
 	for {
-		if s.m == nil {
+		if s.gen == nil {
 			if s.passes <= 0 {
 				return nil, nil
 			}
 			s.passes--
-			simulations.Add(1)
-			s.m = functional.NewMachine(s.g, functional.Config{})
-			s.produced = 0
+			s.gen = NewGenerator(s.g, s.maxSteps)
 		}
-		chunk := trace.BlockSteps
-		if s.maxSteps > 0 {
-			if rem := s.maxSteps - s.produced; rem < chunk {
-				chunk = rem
-			}
-		}
-		if chunk <= 0 {
-			s.m = nil
-			continue
-		}
-		seg, err := s.m.Run(functional.Config{MaxSteps: chunk})
+		seg, err := s.gen.Next()
 		if err != nil {
 			s.err = err
 			return nil, err
 		}
-		if s.m.Stats().Halted {
-			s.m = nil
-		}
-		if len(seg.Steps) == 0 {
-			s.m = nil
+		if seg == nil {
+			s.gen = nil
 			continue
 		}
-		s.produced += len(seg.Steps)
-		b, err := s.bb.Build(seg.Steps)
+		b, err := s.bb.Build(seg)
 		if err != nil {
 			s.err = err
 			return nil, err

@@ -72,11 +72,6 @@ type Workload struct {
 	// fullCol mirrors the memoized full columnar trace for lock-free
 	// clamp/prefix checks outside colOnce.
 	fullCol atomic.Pointer[trace.Columnar]
-
-	traceOnce sync.Once
-	trace     *trace.Trace
-	stats     functional.Stats
-	traceErr  error
 }
 
 var (
@@ -156,35 +151,6 @@ func (w *Workload) Program() (*program.Program, error) {
 func (w *Workload) Graph() (*tfg.Graph, error) {
 	w.build()
 	return w.graph, w.err
-}
-
-// Trace returns the workload's full dynamic task trace in
-// array-of-structs form, materialized once from the columnar memo (see
-// Columnar) for callers that need Steps: validation, serialization and
-// the reference replays.
-func (w *Workload) Trace() (*trace.Trace, functional.Stats, error) {
-	w.traceOnce.Do(func() {
-		c, stats, err := w.Columnar()
-		if err != nil {
-			w.traceErr = err
-			return
-		}
-		w.trace, w.stats = c.Materialize(), stats
-	})
-	return w.trace, w.stats, w.traceErr
-}
-
-// TraceN runs the workload for at most maxSteps dynamic tasks. Unlike
-// Trace, each call re-executes the functional simulator; callers that
-// replay the same truncation repeatedly should use CachedColumnar.
-func (w *Workload) TraceN(maxSteps int) (*trace.Trace, error) {
-	g, err := w.Graph()
-	if err != nil {
-		return nil, err
-	}
-	simulations.Add(1)
-	tr, _, err := functional.Run(g, functional.Config{MaxSteps: maxSteps})
-	return tr, err
 }
 
 // readWord fetches a named scalar from machine memory (a helper for

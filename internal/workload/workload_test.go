@@ -1,11 +1,12 @@
 package workload
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
-	"sync"
-
 	"multiscalar/internal/isa"
+	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
@@ -56,20 +57,68 @@ func TestAllWorkloadsCompileAndPartition(t *testing.T) {
 	}
 }
 
+// TestShortTracesAreValid pins the segmented generation loop against
+// one uninterrupted functional.Run: the memoized columns, a fresh
+// runColumnar and the streamed blocks of a 20,000-step run (not a
+// multiple of trace.BlockSteps) must all hold exactly its steps.
 func TestShortTracesAreValid(t *testing.T) {
+	const steps = 20000
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			tr, err := w.TraceN(20000)
+			g, err := w.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := functional.Run(g, functional.Config{MaxSteps: steps})
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			c, err := CachedColumnar(w.Name, steps)
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}
+			tr := c.Materialize()
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("invalid trace: %v", err)
 			}
-			if tr.Len() != 20000 {
-				t.Fatalf("trace length %d, want 20000", tr.Len())
+			if tr.Len() != steps {
+				t.Fatalf("trace length %d, want %d", tr.Len(), steps)
+			}
+			if !reflect.DeepEqual(tr.Steps, ref.Steps) {
+				t.Error("CachedColumnar steps differ from the reference run")
+			}
+			fresh, _, err := runColumnar(g, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh.Materialize().Steps, ref.Steps) {
+				t.Error("runColumnar steps differ from the reference run")
+			}
+			src, err := StreamBlocks(w.Name, steps, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streamed []trace.Step
+			for {
+				b, err := src.NextBlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				for i := 0; i < b.N; i++ {
+					s := trace.Step{Task: b.Dict.Entries[b.TaskIdx[i]].Addr, Exit: b.Exits[i]}
+					if s.Exit != trace.HaltExit {
+						s.Target = b.Dict.Entries[b.TargetIdx[i]].Addr
+					}
+					streamed = append(streamed, s)
+				}
+			}
+			if !reflect.DeepEqual(streamed, ref.Steps) {
+				t.Errorf("streamed %d steps differ from the reference run's %d", len(streamed), len(ref.Steps))
 			}
 		})
 	}
@@ -86,7 +135,7 @@ func TestFullTracesAndSelfChecks(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			tr, stats, err := w.Trace()
+			tr, stats, err := w.Columnar()
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}
@@ -112,7 +161,7 @@ func TestWorkingSetOrdering(t *testing.T) {
 	}
 	distinct := map[string]int{}
 	for _, w := range All() {
-		tr, _, err := w.Trace()
+		tr, _, err := w.Columnar()
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -137,7 +186,7 @@ func TestExitKindCoverage(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			tr, err := w.TraceN(300000)
+			tr, err := CachedColumnar(w.Name, 300000)
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}

@@ -31,7 +31,6 @@ echo "==> bench harness: go vet + go test -race (its own module, built against t
 
 echo "==> fuzz smoke (5s per target)"
 go test ./internal/core -run '^$' -fuzz FuzzRAS -fuzztime 5s >/dev/null
-go test ./internal/trace -run '^$' -fuzz FuzzTraceRead -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
 
 echo "==> mlint -w all"
@@ -86,22 +85,31 @@ go run ./scripts/mservesmoke "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-sta
 go run ./scripts/checkjson "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-statusz.json" >/dev/null
 rm -f "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-statusz.json"
 
-echo "==> columnar round-trip gate (legacy ⇄ MSTC, byte-identical, same replay)"
+echo "==> trace file gate (deterministic record, valid file, file replay = streamed replay)"
+# Recording twice must give identical bytes; the file must validate
+# against the TFG; and replaying it must report the same real-PATH miss
+# figures as streaming the same 20,000 steps straight from generation,
+# so the file decode path agrees with the generation path.
 MT_TMP="${TMPDIR:-/tmp}"
-go run ./cmd/mtrace record -w boolmin -steps 20000 "$MT_TMP/mt-legacy.trace" >/dev/null
-go run ./cmd/mtrace convert -w boolmin "$MT_TMP/mt-legacy.trace" "$MT_TMP/mt-col.trace" >/dev/null
-go run ./cmd/mtrace convert -w boolmin "$MT_TMP/mt-col.trace" "$MT_TMP/mt-back.trace" >/dev/null
-cmp "$MT_TMP/mt-legacy.trace" "$MT_TMP/mt-back.trace"
-go run ./cmd/mtrace replay -w boolmin "$MT_TMP/mt-legacy.trace" > "$MT_TMP/mt-replay-legacy.txt"
-go run ./cmd/mtrace replay -w boolmin "$MT_TMP/mt-col.trace" > "$MT_TMP/mt-replay-col.txt"
-cmp "$MT_TMP/mt-replay-legacy.txt" "$MT_TMP/mt-replay-col.txt"
-rm -f "$MT_TMP/mt-legacy.trace" "$MT_TMP/mt-col.trace" "$MT_TMP/mt-back.trace" \
-	"$MT_TMP/mt-replay-legacy.txt" "$MT_TMP/mt-replay-col.txt"
+go run ./cmd/mtrace record -w boolmin -steps 20000 "$MT_TMP/mt-a.trace" >/dev/null
+go run ./cmd/mtrace record -w boolmin -steps 20000 "$MT_TMP/mt-b.trace" >/dev/null
+cmp "$MT_TMP/mt-a.trace" "$MT_TMP/mt-b.trace"
+go run ./cmd/mtrace info -w boolmin "$MT_TMP/mt-a.trace" >/dev/null
+file_misses=$(go run ./cmd/mtrace replay -w boolmin "$MT_TMP/mt-a.trace" |
+	sed -n 's/^PATH-real(7-5-6-6(3),LEH-2bit) *\(.*misses (.*states)\)$/\1/p')
+stream_misses=$(go run ./cmd/mtrace stream -w boolmin -steps 20000 |
+	sed -n 's/^streamed .* through PATH-real(7-5-6-6(3),LEH-2bit): *\(.*misses (.*states)\)$/\1/p')
+rm -f "$MT_TMP/mt-a.trace" "$MT_TMP/mt-b.trace"
+if [ -z "$file_misses" ] || [ "$file_misses" != "$stream_misses" ]; then
+	echo "trace file replay '$file_misses' != streamed replay '$stream_misses'" >&2
+	exit 1
+fi
 
 echo "==> streaming replay smoke (10M+ steps, bounded heap, peak-heap gauge)"
 # Six back-to-back passes of the full exprc trace: >10M prediction steps
-# whose in-memory equivalent exceeds 400 MiB, replayed under a 32 MiB
-# heap ceiling (the generate→replay pipeline never materializes a trace).
+# whose 12 B/step array-of-structs equivalent is ~120 MiB (over 3x the
+# ceiling), replayed under a 32 MiB heap ceiling (the generate→replay
+# pipeline never materializes a trace).
 # The sampled peak lands in the metrics snapshot as a gauge; checkjson
 # re-asserts the same 32 MiB ceiling on the exported value.
 go run ./cmd/mtrace stream -w exprc -repeat 6 -max-heap-mb 32 -progress 2048 \
