@@ -369,9 +369,20 @@ func BenchmarkColumnarDecode(b *testing.B) {
 
 // ---- substrate -----------------------------------------------------------
 
-// BenchmarkFunctionalInterp measures raw interpreter throughput
-// (instructions per op).
-func BenchmarkFunctionalInterp(b *testing.B) {
+// BenchmarkFunctionalInterp measures raw interpreter throughput on a
+// trace-only run (instructions per op, ns per instruction).
+func BenchmarkFunctionalInterp(b *testing.B) { benchFunctionalInterp(b, nil) }
+
+// BenchmarkFunctionalInterpObserver is the same run with a no-op
+// Observer: the per-instruction hook the timing model and the intratask
+// experiment drive the interpreter through.
+func BenchmarkFunctionalInterpObserver(b *testing.B) {
+	benchFunctionalInterp(b, func(functional.InstrEvent) {})
+}
+
+// benchFunctionalInterp runs 50,000 compressb tasks on a fresh machine
+// per op.
+func benchFunctionalInterp(b *testing.B, observer func(functional.InstrEvent)) {
 	w, err := workload.ByName("compressb")
 	if err != nil {
 		b.Fatal(err)
@@ -383,13 +394,14 @@ func BenchmarkFunctionalInterp(b *testing.B) {
 	b.ResetTimer()
 	instrs := uint64(0)
 	for i := 0; i < b.N; i++ {
-		m := functional.NewMachine(g, functional.Config{})
+		m := functional.NewMachine(g, functional.Config{Observer: observer})
 		if _, err := m.Run(functional.Config{MaxSteps: 50000}); err != nil {
 			b.Fatal(err)
 		}
 		instrs += m.Stats().Instrs
 	}
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }
 
 // BenchmarkTimingSim measures the ring timing model's throughput with

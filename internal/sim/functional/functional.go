@@ -54,10 +54,9 @@ const defaultMaxInstrs = 4_000_000_000
 
 // Stats are instruction-level execution statistics.
 type Stats struct {
-	Instrs    uint64 // dynamic instructions executed
-	Tasks     int    // dynamic tasks executed (including the halting one)
-	Halted    bool   // program executed Halt (vs. hitting a step bound)
-	TaskInstr uint64 // instructions attributed to traced tasks
+	Instrs uint64 // dynamic instructions executed
+	Tasks  int    // dynamic tasks executed (including the halting one)
+	Halted bool   // program executed Halt (vs. hitting a step bound)
 }
 
 // InstrsPerTask returns the average dynamic task length.
@@ -73,6 +72,7 @@ func (s Stats) InstrsPerTask() float64 {
 type Machine struct {
 	prog  *program.Program
 	graph *tfg.Graph
+	exec  *tfg.ExecTable
 	regs  [isa.NumRegs]int64
 	mem   []int64
 	pc    isa.Addr
@@ -85,6 +85,7 @@ func NewMachine(g *tfg.Graph, cfg Config) *Machine {
 	m := &Machine{
 		prog:  g.Prog,
 		graph: g,
+		exec:  g.Exec(),
 		mem:   make([]int64, g.Prog.DataSize+cfg.ExtraMem),
 		pc:    g.Prog.Entry,
 	}
@@ -106,8 +107,10 @@ func (m *Machine) Reg(r isa.Reg) int64 { return m.regs[r] }
 // Stats returns execution statistics accumulated so far.
 func (m *Machine) Stats() Stats { return m.stats }
 
-// execError annotates interpreter faults with the faulting PC.
-func (m *Machine) execError(format string, args ...any) error {
+// fault parks the machine on the faulting instruction and annotates the
+// error with its PC.
+func (m *Machine) fault(pc isa.Addr, instrs uint64, format string, args ...any) error {
+	m.pc, m.stats.Instrs = pc, instrs
 	return fmt.Errorf("functional: @%d (%v): %s", m.pc, m.prog.Code[m.pc], fmt.Sprintf(format, args...))
 }
 
@@ -118,21 +121,38 @@ func Run(g *tfg.Graph, cfg Config) (*trace.Trace, Stats, error) {
 	return tr, m.stats, err
 }
 
+// maxPresize caps how many steps Run reserves up front for a capped
+// run (768 KiB of steps), so a large cap on a short program wastes little.
+const maxPresize = 1 << 16
+
 // Run executes the machine until Halt or a configured bound, returning
-// the task trace.
+// the task trace. A capped run reserves its trace up front rather than
+// regrowing it.
 func (m *Machine) Run(cfg Config) (*trace.Trace, error) {
+	var steps []trace.Step
+	if cfg.MaxSteps > 0 {
+		steps = make([]trace.Step, 0, min(cfg.MaxSteps, maxPresize))
+	}
+	steps, err := m.AppendSteps(steps, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Trace{Graph: m.graph, Steps: steps}, nil
+}
+
+// AppendSteps is Run appending the task steps to dst instead of to a new
+// trace, so a caller that drains the machine segment by segment can
+// reuse one buffer. cfg.MaxSteps counts the steps of this call only.
+func (m *Machine) AppendSteps(dst []trace.Step, cfg Config) ([]trace.Step, error) {
 	maxInstrs := cfg.MaxInstrs
 	if maxInstrs == 0 {
 		maxInstrs = defaultMaxInstrs
 	}
-	tr := &trace.Trace{Graph: m.graph}
-
-	cur := m.graph.TaskAt(m.pc)
+	cur := m.exec.TaskAt(m.pc)
 	if cur == nil {
 		return nil, fmt.Errorf("functional: entry @%d is not a task start", m.pc)
 	}
-
-	for {
+	for n := 1; ; n++ {
 		next, exit, halted, err := m.runTask(cur, maxInstrs)
 		if err != nil {
 			return nil, err
@@ -140,11 +160,10 @@ func (m *Machine) Run(cfg Config) (*trace.Trace, error) {
 		m.stats.Tasks++
 		if halted {
 			m.stats.Halted = true
-			tr.Steps = append(tr.Steps, trace.Step{Task: cur.Start, Exit: trace.HaltExit})
-			return tr, nil
+			return append(dst, trace.Step{Task: cur.Start, Exit: trace.HaltExit}), nil
 		}
-		tr.Steps = append(tr.Steps, trace.Step{Task: cur.Start, Exit: int8(exit), Target: next})
-		nt := m.graph.TaskAt(next)
+		dst = append(dst, trace.Step{Task: cur.Start, Exit: int8(exit), Target: next})
+		nt := m.exec.TaskAt(next)
 		if nt == nil {
 			return nil, fmt.Errorf("functional: task @%d exit %d targets @%d, which is not a task start",
 				cur.Start, exit, next)
@@ -153,8 +172,8 @@ func (m *Machine) Run(cfg Config) (*trace.Trace, error) {
 		// Park the pc on the next task's start so the machine can be
 		// checkpointed and resumed (Run re-enters from m.pc).
 		m.pc = cur.Start
-		if cfg.MaxSteps > 0 && len(tr.Steps) >= cfg.MaxSteps {
-			return tr, nil
+		if cfg.MaxSteps > 0 && n >= cfg.MaxSteps {
+			return dst, nil
 		}
 		if m.stats.Instrs >= maxInstrs {
 			return nil, fmt.Errorf("functional: instruction budget of %d exhausted (runaway program?)", maxInstrs)
@@ -165,15 +184,18 @@ func (m *Machine) Run(cfg Config) (*trace.Trace, error) {
 // runTask interprets instructions from the task's start until control
 // leaves the task, returning the successor address and exit index (or
 // halted=true).
-func (m *Machine) runTask(t *tfg.Task, maxInstrs uint64) (next isa.Addr, exit int, halted bool, err error) {
-	m.pc = t.Start
-	code := m.prog.Code
+func (m *Machine) runTask(t *tfg.ExecTask, maxInstrs uint64) (next isa.Addr, exit int, halted bool, err error) {
+	code, mem, regs, obs := m.prog.Code, m.mem, &m.regs, m.obs
+	// The pc and the instruction count live in locals for the whole task;
+	// every return stores them back.
+	pc, instrs := t.Start, m.stats.Instrs
 	for {
-		if m.stats.Instrs >= maxInstrs {
+		if instrs >= maxInstrs {
+			m.pc, m.stats.Instrs = pc, instrs
 			return 0, 0, false, fmt.Errorf("functional: instruction budget of %d exhausted inside task @%d", maxInstrs, t.Start)
 		}
-		in := &code[m.pc]
-		m.stats.Instrs++
+		in := &code[pc]
+		instrs++
 
 		var target isa.Addr
 		slot := tfg.SlotPrimary
@@ -183,88 +205,88 @@ func (m *Machine) runTask(t *tfg.Task, maxInstrs uint64) (next isa.Addr, exit in
 		case isa.Nop:
 			transfer = false
 		case isa.Add:
-			m.setReg(in.Rd, m.regs[in.Rs]+m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]+regs[in.Rt])
 			transfer = false
 		case isa.Sub:
-			m.setReg(in.Rd, m.regs[in.Rs]-m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]-regs[in.Rt])
 			transfer = false
 		case isa.Mul:
-			m.setReg(in.Rd, m.regs[in.Rs]*m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]*regs[in.Rt])
 			transfer = false
 		case isa.Div:
-			if m.regs[in.Rt] == 0 {
-				return 0, 0, false, m.execError("division by zero")
+			if regs[in.Rt] == 0 {
+				return 0, 0, false, m.fault(pc, instrs, "division by zero")
 			}
-			m.setReg(in.Rd, m.regs[in.Rs]/m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]/regs[in.Rt])
 			transfer = false
 		case isa.Rem:
-			if m.regs[in.Rt] == 0 {
-				return 0, 0, false, m.execError("remainder by zero")
+			if regs[in.Rt] == 0 {
+				return 0, 0, false, m.fault(pc, instrs, "remainder by zero")
 			}
-			m.setReg(in.Rd, m.regs[in.Rs]%m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]%regs[in.Rt])
 			transfer = false
 		case isa.And:
-			m.setReg(in.Rd, m.regs[in.Rs]&m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]&regs[in.Rt])
 			transfer = false
 		case isa.Or:
-			m.setReg(in.Rd, m.regs[in.Rs]|m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]|regs[in.Rt])
 			transfer = false
 		case isa.Xor:
-			m.setReg(in.Rd, m.regs[in.Rs]^m.regs[in.Rt])
+			m.setReg(in.Rd, regs[in.Rs]^regs[in.Rt])
 			transfer = false
 		case isa.Shl:
-			m.setReg(in.Rd, m.regs[in.Rs]<<uint64(m.regs[in.Rt]&63))
+			m.setReg(in.Rd, regs[in.Rs]<<uint64(regs[in.Rt]&63))
 			transfer = false
 		case isa.Shr:
-			m.setReg(in.Rd, int64(uint64(m.regs[in.Rs])>>uint64(m.regs[in.Rt]&63)))
+			m.setReg(in.Rd, int64(uint64(regs[in.Rs])>>uint64(regs[in.Rt]&63)))
 			transfer = false
 		case isa.Sra:
-			m.setReg(in.Rd, m.regs[in.Rs]>>uint64(m.regs[in.Rt]&63))
+			m.setReg(in.Rd, regs[in.Rs]>>uint64(regs[in.Rt]&63))
 			transfer = false
 		case isa.Slt:
-			m.setBool(in.Rd, m.regs[in.Rs] < m.regs[in.Rt])
+			m.setBool(in.Rd, regs[in.Rs] < regs[in.Rt])
 			transfer = false
 		case isa.Sle:
-			m.setBool(in.Rd, m.regs[in.Rs] <= m.regs[in.Rt])
+			m.setBool(in.Rd, regs[in.Rs] <= regs[in.Rt])
 			transfer = false
 		case isa.Seq:
-			m.setBool(in.Rd, m.regs[in.Rs] == m.regs[in.Rt])
+			m.setBool(in.Rd, regs[in.Rs] == regs[in.Rt])
 			transfer = false
 		case isa.Sne:
-			m.setBool(in.Rd, m.regs[in.Rs] != m.regs[in.Rt])
+			m.setBool(in.Rd, regs[in.Rs] != regs[in.Rt])
 			transfer = false
 		case isa.AddI:
-			m.setReg(in.Rd, m.regs[in.Rs]+int64(in.Imm))
+			m.setReg(in.Rd, regs[in.Rs]+int64(in.Imm))
 			transfer = false
 		case isa.MulI:
-			m.setReg(in.Rd, m.regs[in.Rs]*int64(in.Imm))
+			m.setReg(in.Rd, regs[in.Rs]*int64(in.Imm))
 			transfer = false
 		case isa.AndI:
-			m.setReg(in.Rd, m.regs[in.Rs]&int64(in.Imm))
+			m.setReg(in.Rd, regs[in.Rs]&int64(in.Imm))
 			transfer = false
 		case isa.OrI:
-			m.setReg(in.Rd, m.regs[in.Rs]|int64(in.Imm))
+			m.setReg(in.Rd, regs[in.Rs]|int64(in.Imm))
 			transfer = false
 		case isa.XorI:
-			m.setReg(in.Rd, m.regs[in.Rs]^int64(in.Imm))
+			m.setReg(in.Rd, regs[in.Rs]^int64(in.Imm))
 			transfer = false
 		case isa.ShlI:
-			m.setReg(in.Rd, m.regs[in.Rs]<<uint64(uint32(in.Imm)&63))
+			m.setReg(in.Rd, regs[in.Rs]<<uint64(uint32(in.Imm)&63))
 			transfer = false
 		case isa.ShrI:
-			m.setReg(in.Rd, int64(uint64(m.regs[in.Rs])>>uint64(uint32(in.Imm)&63)))
+			m.setReg(in.Rd, int64(uint64(regs[in.Rs])>>uint64(uint32(in.Imm)&63)))
 			transfer = false
 		case isa.SltI:
-			m.setBool(in.Rd, m.regs[in.Rs] < int64(in.Imm))
+			m.setBool(in.Rd, regs[in.Rs] < int64(in.Imm))
 			transfer = false
 		case isa.SleI:
-			m.setBool(in.Rd, m.regs[in.Rs] <= int64(in.Imm))
+			m.setBool(in.Rd, regs[in.Rs] <= int64(in.Imm))
 			transfer = false
 		case isa.SeqI:
-			m.setBool(in.Rd, m.regs[in.Rs] == int64(in.Imm))
+			m.setBool(in.Rd, regs[in.Rs] == int64(in.Imm))
 			transfer = false
 		case isa.SneI:
-			m.setBool(in.Rd, m.regs[in.Rs] != int64(in.Imm))
+			m.setBool(in.Rd, regs[in.Rs] != int64(in.Imm))
 			transfer = false
 		case isa.Li:
 			m.setReg(in.Rd, int64(in.Imm))
@@ -273,21 +295,21 @@ func (m *Machine) runTask(t *tfg.Task, maxInstrs uint64) (next isa.Addr, exit in
 			m.setReg(in.Rd, int64(uint32(in.Imm)))
 			transfer = false
 		case isa.Lw:
-			addr := m.regs[in.Rs] + int64(in.Imm)
-			if addr < 0 || addr >= int64(len(m.mem)) {
-				return 0, 0, false, m.execError("load from %d outside memory of %d words", addr, len(m.mem))
+			addr := regs[in.Rs] + int64(in.Imm)
+			if addr < 0 || addr >= int64(len(mem)) {
+				return 0, 0, false, m.fault(pc, instrs, "load from %d outside memory of %d words", addr, len(mem))
 			}
-			m.setReg(in.Rd, m.mem[addr])
+			m.setReg(in.Rd, mem[addr])
 			transfer = false
 		case isa.Sw:
-			addr := m.regs[in.Rs] + int64(in.Imm)
-			if addr < 0 || addr >= int64(len(m.mem)) {
-				return 0, 0, false, m.execError("store to %d outside memory of %d words", addr, len(m.mem))
+			addr := regs[in.Rs] + int64(in.Imm)
+			if addr < 0 || addr >= int64(len(mem)) {
+				return 0, 0, false, m.fault(pc, instrs, "store to %d outside memory of %d words", addr, len(mem))
 			}
-			m.mem[addr] = m.regs[in.Rt]
+			mem[addr] = regs[in.Rt]
 			transfer = false
 		case isa.Br:
-			if m.regs[in.Rs] != 0 {
+			if regs[in.Rs] != 0 {
 				target = in.TargetA
 			} else {
 				target, slot = in.TargetB, tfg.SlotSecondary
@@ -298,42 +320,44 @@ func (m *Machine) runTask(t *tfg.Task, maxInstrs uint64) (next isa.Addr, exit in
 			m.setReg(isa.RA, int64(in.Link))
 			target = in.TargetA
 		case isa.Jr:
-			target = isa.Addr(m.regs[in.Rs])
+			target = isa.Addr(regs[in.Rs])
 		case isa.Jalr:
-			target = isa.Addr(m.regs[in.Rs])
+			target = isa.Addr(regs[in.Rs])
 			m.setReg(isa.RA, int64(in.Link))
 		case isa.Ret:
-			target = isa.Addr(m.regs[isa.RA])
+			target = isa.Addr(regs[isa.RA])
 		case isa.Halt:
-			if m.obs != nil {
-				m.obs(InstrEvent{PC: m.pc, EndsTask: true, Exit: -1})
+			m.pc, m.stats.Instrs = pc, instrs
+			if obs != nil {
+				obs(InstrEvent{PC: pc, EndsTask: true, Exit: -1})
 			}
 			return 0, 0, true, nil
 		default:
-			return 0, 0, false, m.execError("unimplemented opcode")
+			return 0, 0, false, m.fault(pc, instrs, "unimplemented opcode")
 		}
 
 		if !transfer {
-			if m.obs != nil {
-				m.obs(InstrEvent{PC: m.pc})
+			if obs != nil {
+				obs(InstrEvent{PC: pc})
 			}
-			m.pc++
+			pc++
 			continue
 		}
 		if int(target) >= len(code) {
-			return 0, 0, false, m.execError("transfer to @%d outside text of %d words", target, len(code))
+			return 0, 0, false, m.fault(pc, instrs, "transfer to @%d outside text of %d words", target, len(code))
 		}
-		if idx, isExit := t.ExitIndex[tfg.ExitRef{At: m.pc, Slot: slot}]; isExit {
-			if m.obs != nil {
-				m.obs(InstrEvent{PC: m.pc, Taken: slot == tfg.SlotPrimary,
+		if idx, isExit := t.Exit(pc, slot); isExit {
+			m.pc, m.stats.Instrs = pc, instrs
+			if obs != nil {
+				obs(InstrEvent{PC: pc, Taken: slot == tfg.SlotPrimary,
 					EndsTask: true, Exit: idx, Target: target})
 			}
 			return target, idx, false, nil
 		}
-		if m.obs != nil {
-			m.obs(InstrEvent{PC: m.pc, Taken: slot == tfg.SlotPrimary})
+		if obs != nil {
+			obs(InstrEvent{PC: pc, Taken: slot == tfg.SlotPrimary})
 		}
-		m.pc = target
+		pc = target
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/program"
@@ -150,6 +151,8 @@ type Graph struct {
 	Tasks map[isa.Addr]*Task
 	// Order lists task start addresses in ascending order.
 	Order []isa.Addr
+
+	exec atomic.Pointer[ExecTable] // memoized Exec view; nil until first use
 }
 
 // TaskAt returns the task starting at addr, or nil.
@@ -325,8 +328,12 @@ func sortAddrs(m map[isa.Addr]*Task) []isa.Addr {
 	return out
 }
 
-// Finalize recomputes Order after tasks have been inserted.
-func (g *Graph) Finalize() { g.Order = sortAddrs(g.Tasks) }
+// Finalize recomputes Order after tasks have been inserted, and drops
+// any execution table built from the graph's earlier state.
+func (g *Graph) Finalize() {
+	g.Order = sortAddrs(g.Tasks)
+	g.exec.Store(nil)
+}
 
 // StaticExitHistogram returns, for n = 1..MaxExits, the number of static
 // tasks with n exit points (index 0 counts zero-exit tasks, which occur

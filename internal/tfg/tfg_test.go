@@ -1,7 +1,9 @@
 package tfg
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"multiscalar/internal/isa"
@@ -183,6 +185,71 @@ func BenchmarkSuccessorsAlloc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s := g.Successors(task); len(s) != 4 {
 			b.Fatal("bad successor count")
+		}
+	}
+}
+
+func TestExecTable(t *testing.T) {
+	g := validGraph(t)
+	x := g.Exec()
+	if g.Exec() != x {
+		t.Fatal("Exec rebuilt the table on a second call")
+	}
+	for a := isa.Addr(0); a < 3; a++ {
+		if row := x.TaskAt(a); row == nil || row.Task != g.Tasks[a] {
+			t.Fatalf("TaskAt(%d) = %v, want the task keyed @%d", a, row, a)
+		}
+	}
+	if x.TaskAt(3) != nil || x.TaskAt(1<<31) != nil {
+		t.Fatal("TaskAt found a task outside the text")
+	}
+	row := x.TaskAt(0)
+	if idx, ok := row.Exit(0, SlotSecondary); !ok || idx != 1 {
+		t.Fatalf("Exit(0, secondary) = %d, %v; want 1, true", idx, ok)
+	}
+	if _, ok := row.Exit(1, SlotPrimary); ok {
+		t.Fatal("Exit found an edge of another task")
+	}
+	want := []ExitEdge{{Ref: ExitRef{At: 0, Slot: SlotPrimary}, Index: 0}, {Ref: ExitRef{At: 0, Slot: SlotSecondary}, Index: 1}}
+	if !reflect.DeepEqual(row.Edges, want) {
+		t.Fatalf("Edges = %v, want %v", row.Edges, want)
+	}
+
+	// A task keyed outside the text gets no row; Finalize drops the
+	// table so the next Exec sees the edit.
+	g.Tasks[7] = &Task{Start: 7, Blocks: []isa.Addr{7}, ExitIndex: map[ExitRef]int{}}
+	g.Tasks[1].ExitIndex[ExitRef{At: 1, Slot: SlotSecondary}] = 0
+	g.Finalize()
+	y := g.Exec()
+	if y == x {
+		t.Fatal("Finalize kept the stale table")
+	}
+	if y.TaskAt(7) != nil {
+		t.Fatal("task keyed outside the text got a row")
+	}
+	if idx, ok := y.TaskAt(1).Exit(1, SlotSecondary); !ok || idx != 0 {
+		t.Fatalf("rebuilt table misses the added edge: %d, %v", idx, ok)
+	}
+}
+
+// TestExecConcurrentFirstUse races the first Exec calls on a fresh
+// graph: every caller must get the one published table.
+func TestExecConcurrentFirstUse(t *testing.T) {
+	g := validGraph(t)
+	const n = 8
+	got := make([]*ExecTable, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.Exec()
+		}()
+	}
+	wg.Wait()
+	for i, x := range got {
+		if x == nil || x != g.Exec() {
+			t.Fatalf("caller %d got table %p, want the published %p", i, x, g.Exec())
 		}
 	}
 }

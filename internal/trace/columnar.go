@@ -65,7 +65,7 @@ func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
 	if g == nil {
 		return ent
 	}
-	if t := g.TaskAt(addr); t != nil {
+	if t := taskAt(g, addr); t != nil {
 		ent.Task = t
 		ent.NumExits = uint8(len(t.Exits))
 		for i, x := range t.Exits {
@@ -74,6 +74,19 @@ func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
 		}
 	}
 	return ent
+}
+
+// taskAt is g.TaskAt answered by the graph's execution table for
+// in-text addresses, so interning a run's addresses hashes nothing; only
+// addresses outside the text fall back to the task map.
+func taskAt(g *tfg.Graph, addr isa.Addr) *tfg.Task {
+	if g.Prog == nil || int(addr) >= len(g.Prog.Code) {
+		return g.TaskAt(addr)
+	}
+	if x := g.Exec().TaskAt(addr); x != nil {
+		return x.Task
+	}
+	return nil
 }
 
 // Block is one decoded unit of a columnar trace: parallel per-step
@@ -288,8 +301,12 @@ func (c *Columnar) DynamicExitKinds() map[isa.ControlKind]int {
 // the no-bounds-check replay kernels; all validation failures wrap
 // ErrNotColumnar.
 type Encoder struct {
-	g     *tfg.Graph
-	dict  *Dict
+	g    *tfg.Graph
+	dict *Dict
+	// dense maps each in-text address to its dictionary index + 1 (0 =
+	// not yet interned); index is the fallback for addresses outside
+	// the text and for graph-less encoders, made on first use.
+	dense []uint32
 	index map[isa.Addr]uint16
 
 	taskIdx   []uint16
@@ -301,20 +318,40 @@ type Encoder struct {
 
 // NewEncoder returns an encoder binding the trace to graph.
 func NewEncoder(g *tfg.Graph) *Encoder {
-	return &Encoder{g: g, dict: &Dict{}, index: make(map[isa.Addr]uint16)}
+	e := &Encoder{g: g, dict: &Dict{}}
+	if g != nil && g.Prog != nil {
+		e.dense = make([]uint32, len(g.Prog.Code))
+	}
+	return e
 }
 
 // intern returns the dictionary index for addr, adding an entry on first
-// use.
+// use. Entries keep first-appearance order whichever table finds them.
 func (e *Encoder) intern(addr isa.Addr) (uint16, error) {
-	if idx, ok := e.index[addr]; ok {
+	if int(addr) < len(e.dense) {
+		if v := e.dense[addr]; v != 0 {
+			return uint16(v - 1), nil
+		}
+	} else if idx, ok := e.index[addr]; ok {
 		return idx, nil
 	}
+	return e.add(addr)
+}
+
+// add appends addr's dictionary entry and records its index.
+func (e *Encoder) add(addr isa.Addr) (uint16, error) {
 	if len(e.dict.Entries) >= DictLimit {
 		return 0, fmt.Errorf("trace: dictionary past %d distinct addresses: %w", DictLimit, ErrNotColumnar)
 	}
 	idx := uint16(len(e.dict.Entries))
 	e.dict.Entries = append(e.dict.Entries, newDictEntry(e.g, addr))
+	if int(addr) < len(e.dense) {
+		e.dense[addr] = uint32(idx) + 1
+		return idx, nil
+	}
+	if e.index == nil {
+		e.index = make(map[isa.Addr]uint16)
+	}
 	e.index[addr] = idx
 	return idx, nil
 }
@@ -371,7 +408,7 @@ func (e *Encoder) Len() int { return len(e.exits) }
 // last step halts. The encoder must not be used afterwards.
 func (e *Encoder) Finish() *Columnar {
 	e.done = true
-	e.index = nil // the dictionary is frozen; drop the map
+	e.dense, e.index = nil, nil // the dictionary is frozen; drop the lookups
 	n := len(e.exits)
 	return &Columnar{
 		Graph:     e.g,

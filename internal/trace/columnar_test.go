@@ -14,6 +14,8 @@ import (
 	"unsafe"
 
 	"multiscalar/internal/isa"
+	"multiscalar/internal/program"
+	"multiscalar/internal/tfg"
 )
 
 func mustColumnar(t testing.TB, tr *Trace) *Columnar {
@@ -434,4 +436,49 @@ func FuzzColumnarRead(f *testing.F) {
 			t.Fatalf("parsed %d steps from %d bytes", c.Len(), len(data))
 		}
 	})
+}
+
+// TestEncoderDictOrder pins the dictionary's first-appearance order when
+// in-text addresses (the address-indexed table) and addresses outside
+// the text (the map fallback) interleave, and for a graph-less encoder
+// that has only the map: the MSTC bytes depend on that order.
+func TestEncoderDictOrder(t *testing.T) {
+	p := program.New()
+	p.Code = make([]isa.Instr, 8)
+	g := graph()
+	g.Prog = p
+	steps := []Step{
+		{Task: 2, Exit: 0, Target: 100}, // 100 lies outside the 8-word text
+		{Task: 1, Exit: 0, Target: 2},
+		{Task: 1, Exit: 1, Target: 70000},
+		{Task: 2, Exit: 0, Target: 1},
+		{Task: 1, Exit: 0, Target: 100},
+		{Task: 9999, Exit: HaltExit},
+	}
+	want := []isa.Addr{2, 100, 1, 70000, 9999}
+	for name, g := range map[string]*tfg.Graph{"graph": g, "graph-less": nil} {
+		for _, split := range []int{0, 3, len(steps)} {
+			e := NewEncoder(g)
+			if err := e.Append(steps[:split]); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Append(steps[split:]); err != nil {
+				t.Fatal(err)
+			}
+			c := e.Finish()
+			var got []isa.Addr
+			for _, ent := range c.Dict.Entries {
+				got = append(got, ent.Addr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, split %d: dictionary %v, want %v", name, split, got, want)
+			}
+			if tr := c.Materialize(); !reflect.DeepEqual(tr.Steps, steps) {
+				t.Errorf("%s, split %d: round trip %v, want %v", name, split, tr.Steps, steps)
+			}
+			if g != nil && c.Dict.Entries[0].Task != g.Tasks[2] {
+				t.Errorf("%s: entry @2 not resolved to its task", name)
+			}
+		}
+	}
 }

@@ -26,17 +26,27 @@ type Generator struct {
 	m        *functional.Machine
 	maxSteps int // cap (0 = to halt)
 	produced int
+	seg      []trace.Step // reused across Next calls
 }
 
 // NewGenerator starts a run of g's program capped at maxSteps dynamic
 // tasks (0 = to halt). Each generator counts as one simulation.
 func NewGenerator(g *tfg.Graph, maxSteps int) *Generator {
 	simulations.Add(1)
-	return &Generator{m: functional.NewMachine(g, functional.Config{}), maxSteps: maxSteps}
+	chunk := trace.BlockSteps
+	if maxSteps > 0 {
+		chunk = min(chunk, maxSteps)
+	}
+	return &Generator{
+		m:        functional.NewMachine(g, functional.Config{}),
+		maxSteps: maxSteps,
+		seg:      make([]trace.Step, 0, chunk),
+	}
 }
 
 // Next returns the next segment of steps, or nil once the program halted
-// or the cap was reached. A generator is not usable after an error.
+// or the cap was reached. The segment is valid only until the next call:
+// its buffer is reused. A generator is not usable after an error.
 func (gen *Generator) Next() ([]trace.Step, error) {
 	chunk := trace.BlockSteps
 	if gen.maxSteps > 0 {
@@ -45,12 +55,13 @@ func (gen *Generator) Next() ([]trace.Step, error) {
 	if chunk <= 0 || gen.m.Stats().Halted {
 		return nil, nil
 	}
-	seg, err := gen.m.Run(functional.Config{MaxSteps: chunk})
+	seg, err := gen.m.AppendSteps(gen.seg[:0], functional.Config{MaxSteps: chunk})
 	if err != nil {
 		return nil, err
 	}
-	gen.produced += len(seg.Steps)
-	return seg.Steps, nil
+	gen.seg = seg
+	gen.produced += len(seg)
+	return seg, nil
 }
 
 // Machine returns the generating machine, for execution stats and
