@@ -336,7 +336,7 @@ func BenchmarkEvaluateTaskSpecBlocks(b *testing.B) {
 }
 
 // BenchmarkColumnarEncode measures columnar encoding of an existing
-// trace (the cost a cache miss pays once per (workload, cap) pair).
+// trace (the cost a trace memo pays once per step it grows by).
 func BenchmarkColumnarEncode(b *testing.B) {
 	tr := benchColumnarTrace(b, "exprc").Materialize()
 	b.ResetTimer()

@@ -51,7 +51,10 @@ func report(w *workload.Workload, steps int) error {
 		return err
 	}
 	if steps <= 0 {
-		_, st, _ := w.Columnar() // cannot fail: CachedColumnar just filled this memo
+		_, st, err := w.Columnar()
+		if err != nil {
+			return err
+		}
 		defer fmt.Printf("  avg task length: %.1f instructions\n\n", st.InstrsPerTask())
 	}
 	trLen, dynHist, dynKinds := tr.Len(), tr.DynamicExitHistogram(), tr.DynamicExitKinds()

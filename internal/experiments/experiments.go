@@ -87,8 +87,9 @@ func ByName(name string) (Runner, error) {
 }
 
 // getTrace fetches a workload's columnar trace honouring cfg.MaxSteps,
-// through the process-level trace cache (each (workload, truncation)
-// pair is simulated once no matter how many experiments replay it).
+// through the process-level trace memo (each program is simulated once,
+// and every truncation is a prefix view, no matter how many experiments
+// replay it).
 func getTrace(w *workload.Workload, cfg Config) (*trace.Columnar, error) {
 	return workload.CachedColumnar(w.Name, cfg.MaxSteps)
 }

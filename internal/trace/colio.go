@@ -486,11 +486,5 @@ func ReadColumnar(r io.Reader, g *tfg.Graph, maxSteps int) (*Columnar, error) {
 		c.taskIdx = append(c.taskIdx, b.TaskIdx...)
 		c.exits = append(c.exits, b.Exits...)
 		c.targetIdx = append(c.targetIdx, b.TargetIdx...)
-		for _, e := range b.Exits {
-			if e != HaltExit {
-				c.predSteps++
-			}
-		}
-		c.halted = b.Exits[b.N-1] == HaltExit
 	}
 }

@@ -138,8 +138,6 @@ type Columnar struct {
 	exits     []int8
 	targetIdx []uint16
 
-	predSteps int
-	halted    bool
 	// shared marks a prefix view whose columns and dictionary are owned
 	// by another Columnar (memory accounting reports views as free).
 	shared bool
@@ -148,12 +146,21 @@ type Columnar struct {
 // Len returns the number of steps, including any halt steps.
 func (c *Columnar) Len() int { return len(c.exits) }
 
-// PredictionSteps returns the number of prediction events (non-halt
-// steps).
-func (c *Columnar) PredictionSteps() int { return c.predSteps }
+// PredictionSteps returns the number of prediction events: every step
+// but a trailing halt (the encoder and the decoder admit a halt only as
+// the last step).
+func (c *Columnar) PredictionSteps() int {
+	if c.Halted() {
+		return c.Len() - 1
+	}
+	return c.Len()
+}
 
 // Halted reports whether the trace ends in a halt step.
-func (c *Columnar) Halted() bool { return c.halted }
+func (c *Columnar) Halted() bool {
+	n := len(c.exits)
+	return n > 0 && c.exits[n-1] == HaltExit
+}
 
 // Footprint returns the heap bytes held by the columns and dictionary.
 // Prefix views report only their constant header size — their backing
@@ -207,15 +214,13 @@ func (cur *Cursor) NextBlock() (*Block, error) {
 // Prefix returns a view of the first n steps, sharing the dictionary and
 // column backing arrays (the functional simulator is deterministic, so a
 // capped run is exactly a prefix of the full run). n is clamped to
-// [0, Len].
+// [0, Len]; a view costs O(1) whatever its length.
 func (c *Columnar) Prefix(n int) *Columnar {
 	if n >= c.Len() {
 		return c
 	}
-	if n < 0 {
-		n = 0
-	}
-	p := &Columnar{
+	n = max(n, 0)
+	return &Columnar{
 		Graph:     c.Graph,
 		Dict:      c.Dict,
 		taskIdx:   c.taskIdx[:n:n],
@@ -223,13 +228,6 @@ func (c *Columnar) Prefix(n int) *Columnar {
 		targetIdx: c.targetIdx[:n:n],
 		shared:    true,
 	}
-	for _, e := range p.exits {
-		if e != HaltExit {
-			p.predSteps++
-		}
-	}
-	p.halted = n > 0 && p.exits[n-1] == HaltExit
-	return p
 }
 
 // Materialize decodes the columns back into an array-of-structs Trace
@@ -298,8 +296,13 @@ func (c *Columnar) DynamicExitKinds() map[isa.ControlKind]int {
 //
 // With a non-nil graph, Append validates every step (task exists, exit
 // in range, kind in enumeration) so the resulting columns are safe for
-// the no-bounds-check replay kernels; all validation failures wrap
-// ErrNotColumnar.
+// the no-bounds-check replay kernels. A halt step must be the last step
+// of the trace. All validation failures wrap ErrNotColumnar.
+//
+// The columns only grow by appending (Writer and BlockBuilder, which
+// reuse theirs, never snapshot), so a Snapshot stays valid while the
+// encoder keeps going: later steps land past its capped lengths or in
+// new backing arrays.
 type Encoder struct {
 	g    *tfg.Graph
 	dict *Dict
@@ -312,7 +315,6 @@ type Encoder struct {
 	taskIdx   []uint16
 	exits     []int8
 	targetIdx []uint16
-	predSteps int
 	done      bool
 }
 
@@ -358,10 +360,13 @@ func (e *Encoder) add(addr isa.Addr) (uint16, error) {
 
 // Append encodes a batch of steps. The batch may be any length; blocks
 // are a framing concern of the cursor and the on-disk format, not of
-// encoding.
+// encoding. Any step after a halt step is rejected.
 func (e *Encoder) Append(steps []Step) error {
 	if e.done {
 		return fmt.Errorf("trace: Encoder.Append after Finish")
+	}
+	if n := len(e.exits); n > 0 && e.exits[n-1] == HaltExit && len(steps) > 0 {
+		return fmt.Errorf("trace: step after a halt step: %w", ErrNotColumnar)
 	}
 	for i := range steps {
 		s := &steps[i]
@@ -371,6 +376,9 @@ func (e *Encoder) Append(steps []Step) error {
 		}
 		ent := &e.dict.Entries[ti]
 		if s.Exit == HaltExit {
+			if i != len(steps)-1 {
+				return fmt.Errorf("trace: step after a halt step: %w", ErrNotColumnar)
+			}
 			e.taskIdx = append(e.taskIdx, ti)
 			e.exits = append(e.exits, HaltExit)
 			e.targetIdx = append(e.targetIdx, 0)
@@ -396,7 +404,6 @@ func (e *Encoder) Append(steps []Step) error {
 		e.taskIdx = append(e.taskIdx, ti)
 		e.exits = append(e.exits, s.Exit)
 		e.targetIdx = append(e.targetIdx, gi)
-		e.predSteps++
 	}
 	return nil
 }
@@ -404,21 +411,27 @@ func (e *Encoder) Append(steps []Step) error {
 // Len returns the number of steps appended so far.
 func (e *Encoder) Len() int { return len(e.exits) }
 
-// Finish freezes and returns the columnar trace, which is Halted when its
-// last step halts. The encoder must not be used afterwards.
+// Snapshot returns the steps appended so far as an immutable Columnar
+// that owns its columns for memory accounting. Its columns and a fresh
+// Dict over the entries are capped at their current lengths, so the
+// encoder may keep appending while readers replay the snapshot.
+func (e *Encoder) Snapshot() *Columnar {
+	n, k := len(e.exits), len(e.dict.Entries)
+	return &Columnar{
+		Graph:     e.g,
+		Dict:      &Dict{Entries: e.dict.Entries[:k:k]},
+		taskIdx:   e.taskIdx[:n:n],
+		exits:     e.exits[:n:n],
+		targetIdx: e.targetIdx[:n:n],
+	}
+}
+
+// Finish freezes and returns the columnar trace. The encoder must not be
+// used afterwards.
 func (e *Encoder) Finish() *Columnar {
 	e.done = true
 	e.dense, e.index = nil, nil // the dictionary is frozen; drop the lookups
-	n := len(e.exits)
-	return &Columnar{
-		Graph:     e.g,
-		Dict:      e.dict,
-		taskIdx:   e.taskIdx,
-		exits:     e.exits,
-		targetIdx: e.targetIdx,
-		predSteps: e.predSteps,
-		halted:    n > 0 && e.exits[n-1] == HaltExit,
-	}
+	return e.Snapshot()
 }
 
 // FromTrace columnar-encodes an existing array-of-structs trace.
@@ -433,7 +446,8 @@ func FromTrace(tr *Trace) (*Columnar, error) {
 // BlockBuilder converts step batches into transient Blocks without
 // accumulating columns — the generation side of streaming replay. The
 // dictionary grows across blocks; the column buffers are reused, so a
-// built block is valid only until the next Build call.
+// built block is valid only until the next Build call. A halt step must
+// end its batch; the next batch may start a new run.
 type BlockBuilder struct {
 	enc *Encoder
 	blk Block

@@ -138,9 +138,10 @@ func TestEncoderValidation(t *testing.T) {
 }
 
 // TestEncoderHaltedMeansLastStep: a finished trace is Halted exactly when
-// its last step halts, as for Prefix and ReadColumnar, even when an
-// earlier step halted. BlockBuilder, whose repeat streams put a halt at
-// the end of every pass, accepts such steps mid-stream.
+// its last step halts, and a halt can only be the last step — the rule
+// Trace.Validate and the MSTC reader also enforce, which makes Halted
+// and PredictionSteps O(1). BlockBuilder, whose repeat streams put a
+// halt at the end of every pass, starts each batch afresh.
 func TestEncoderHaltedMeansLastStep(t *testing.T) {
 	halt := Step{Task: 1, Exit: HaltExit}
 	step := Step{Task: 1, Exit: 0, Target: 2}
@@ -151,8 +152,6 @@ func TestEncoderHaltedMeansLastStep(t *testing.T) {
 		{nil, false},
 		{[]Step{step}, false},
 		{[]Step{step, halt}, true},
-		{[]Step{halt, step}, false},
-		{[]Step{step, halt, step, halt}, true},
 	} {
 		e := NewEncoder(graph())
 		if err := e.Append(c.steps); err != nil {
@@ -162,9 +161,69 @@ func TestEncoderHaltedMeansLastStep(t *testing.T) {
 			t.Errorf("%+v: Halted = %v, want %v", c.steps, got, c.want)
 		}
 	}
-	b, err := NewBlockBuilder(graph()).Build([]Step{step, halt, step})
-	if err != nil || b.N != 3 || b.Exits[1] != HaltExit {
-		t.Fatalf("BlockBuilder with a mid-stream halt: %v, %+v", err, b)
+	for _, batches := range [][][]Step{
+		{{halt, step}},
+		{{step, halt, step, halt}},
+		{{step, halt}, {step}},
+	} {
+		e := NewEncoder(graph())
+		var err error
+		for _, b := range batches {
+			if err = e.Append(b); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, ErrNotColumnar) {
+			t.Errorf("%+v: step after a halt gave %v, want ErrNotColumnar", batches, err)
+		}
+	}
+	bb := NewBlockBuilder(graph())
+	if b, err := bb.Build([]Step{step, halt}); err != nil || b.N != 2 || b.Exits[1] != HaltExit {
+		t.Fatalf("BlockBuilder ending a pass: %v, %+v", err, b)
+	}
+	if b, err := bb.Build([]Step{step}); err != nil || b.N != 1 {
+		t.Fatalf("BlockBuilder starting the next pass: %v, %+v", err, b)
+	}
+}
+
+// TestFromTraceRejectsMidStreamHalt: a trace with a halt before its last
+// step is not columnar-encodable.
+func TestFromTraceRejectsMidStreamHalt(t *testing.T) {
+	tr := pingPong(3)
+	tr.Steps = append(tr.Steps, tr.Steps[0])
+	if _, err := FromTrace(tr); !errors.Is(err, ErrNotColumnar) {
+		t.Fatalf("FromTrace with a mid-stream halt: %v, want ErrNotColumnar", err)
+	}
+}
+
+// TestEncoderSnapshot: a snapshot keeps its steps and dictionary while
+// the encoder appends past it, and never hands out the encoder's own
+// dictionary.
+func TestEncoderSnapshot(t *testing.T) {
+	tr := pingPong(3000)
+	e := NewEncoder(tr.Graph)
+	if err := e.Append(tr.Steps[:1]); err != nil {
+		t.Fatal(err)
+	}
+	early := e.Snapshot()
+	if err := e.Append(tr.Steps[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if early.Len() != 1 || early.Dict.Len() != 2 || early.Halted() || early.shared {
+		t.Fatalf("early snapshot: Len=%d dict=%d halted=%v shared=%v", early.Len(), early.Dict.Len(), early.Halted(), early.shared)
+	}
+	if cap(early.exits) != 1 || cap(early.Dict.Entries) != 2 {
+		t.Fatal("snapshot columns are not capped at their length")
+	}
+	if !reflect.DeepEqual(early.Materialize().Steps, tr.Steps[:1]) {
+		t.Fatal("early snapshot changed under later appends")
+	}
+	full := e.Finish()
+	if full.Dict == e.dict || early.Dict == full.Dict {
+		t.Fatal("snapshots share a *Dict")
+	}
+	if !reflect.DeepEqual(full.Materialize().Steps, tr.Steps) || full.PredictionSteps() != tr.PredictionSteps() {
+		t.Fatal("final snapshot does not hold every step")
 	}
 }
 
@@ -315,12 +374,14 @@ func readAll(raw []byte) error {
 // placement is wrong.
 func haltAt(t testing.TB, pos ...int) []byte {
 	t.Helper()
-	tr := pingPong(5000)
+	c := mustColumnar(t, pingPong(5000))
+	// The encoder refuses a mid-stream halt, so write it into the
+	// columns directly: the stream a faulty producer would frame.
 	for _, i := range pos {
-		tr.Steps[i] = Step{Task: tr.Steps[i].Task, Exit: HaltExit}
+		c.exits[i], c.targetIdx[i] = HaltExit, 0
 	}
 	var buf bytes.Buffer
-	if err := mustColumnar(t, tr).Encode(&buf); err != nil {
+	if err := c.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"multiscalar/internal/obs"
@@ -11,17 +12,18 @@ import (
 	"multiscalar/internal/trace"
 )
 
-// obsCacheBytes gauges the heap bytes held by the columnar trace cache —
-// the actual resident cost of the cache layer. Materialized
-// array-of-structs views are derived, transient artifacts and are not
-// counted.
+// obsCacheBytes gauges the heap bytes held by the trace memos: each
+// growth adds its footprint delta, so the gauge is the sum of the memos'
+// current footprints. Prefix views and materialized array-of-structs
+// views are derived, transient artifacts and are not counted.
 var obsCacheBytes = obs.Default().Gauge("workload.trace_cache.bytes")
 
 // Generator runs a program once on a fresh machine and yields its
 // dynamic task trace in segments of at most trace.BlockSteps steps, so a
 // consumer never holds more than one segment of array-of-structs steps.
 // It is the one generation loop behind the trace memos, streamed replay
-// and recorded trace files.
+// and recorded trace files. A memo keeps its generator between growths:
+// resuming one is not a new simulation.
 type Generator struct {
 	m        *functional.Machine
 	maxSteps int // cap (0 = to halt)
@@ -68,99 +70,149 @@ func (gen *Generator) Next() ([]trace.Step, error) {
 // output self-checks.
 func (gen *Generator) Machine() *functional.Machine { return gen.m }
 
-// runColumnar executes g's program and encodes its trace segment by
-// segment: peak generation memory is the columns themselves plus one
-// segment. maxSteps caps the run (0 = to halt). The machine is returned
-// for self-checks.
-func runColumnar(g *tfg.Graph, maxSteps int) (*trace.Columnar, *functional.Machine, error) {
-	gen := NewGenerator(g, maxSteps)
-	enc := trace.NewEncoder(g)
-	for {
-		seg, err := gen.Next()
-		if err != nil {
-			return nil, nil, err
+// traceMemo is a program's one trace memo: the columns of a single
+// uncapped run, grown on demand. The functional simulator is
+// deterministic, so a run capped at n steps is exactly the first n steps
+// of any longer run, and every truncation is served as a prefix view of
+// the one memo. Memory is bounded by one trace per program, at the
+// longest length anyone asked for (plus at most one segment).
+//
+// A request covered by the published state takes no lock. Otherwise it
+// takes mu, checks again, resumes the retained generator one
+// trace.BlockSteps segment at a time until the columns cover it or the
+// program halts, and publishes a new state. Views handed out earlier
+// stay immutable: growth writes only past their capped lengths or into
+// new backing arrays (see trace.Encoder.Snapshot).
+type traceMemo struct {
+	state atomic.Pointer[memoState]
+	mu    sync.Mutex
+	gen   *Generator // nil before the first growth and after the last
+	enc   *trace.Encoder
+}
+
+// memoState is one published state of a traceMemo. Growth has stopped
+// for good once c halted or err is set.
+type memoState struct {
+	c *trace.Columnar // the steps so far, owned by the memo
+	// err is sticky. A generator or encoding error fails only requests
+	// for steps past c.Len(): c holds the steps encoded before it (for a
+	// generator error, the steps before its segment). A failed self-check
+	// (c halted) fails only requests that reach the halt.
+	err   error
+	stats functional.Stats // the halted run's execution stats
+}
+
+// covers reports whether s answers a request for n steps (n <= 0: the
+// whole run) without further growth.
+func (s *memoState) covers(n int) bool {
+	return s != nil && (n > 0 && n <= s.c.Len() || s.c.Halted() || s.err != nil)
+}
+
+// view answers a request for n steps from a state that covers it.
+func (s *memoState) view(n int) (*trace.Columnar, error) {
+	if s.c.Halted() && (n <= 0 || n >= s.c.Len()) {
+		return s.c, s.err
+	}
+	if n > 0 && n <= s.c.Len() {
+		return s.c.Prefix(n), nil
+	}
+	return nil, s.err
+}
+
+// memoized serves a request for the workload's first n dynamic tasks
+// (n <= 0: the whole run, with its execution stats) from its trace memo,
+// growing the memo when it is too short.
+func (w *Workload) memoized(n int) (*trace.Columnar, functional.Stats, error) {
+	s := w.memo.state.Load()
+	if s.covers(n) {
+		if obs.On() {
+			obsCacheHits.Inc()
 		}
-		if seg == nil {
-			return enc.Finish(), gen.Machine(), nil
-		}
-		if err := enc.Append(seg); err != nil {
-			return nil, nil, err
+	} else {
+		var err error
+		if s, err = w.grow(n); err != nil {
+			return nil, functional.Stats{}, err
 		}
 	}
+	c, err := s.view(n)
+	return c, s.stats, err
+}
+
+// grow extends the memo until it covers n steps, then publishes and
+// returns the new state. The first growth starts the generator; the
+// growth that reaches the halt runs the self-check, keeps the run's
+// stats and drops the generator.
+func (w *Workload) grow(n int) (*memoState, error) {
+	m := &w.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := m.state.Load()
+	if old.covers(n) { // a concurrent request grew it first
+		if obs.On() {
+			obsCacheHits.Inc()
+		}
+		return old, nil
+	}
+	g, err := w.Graph()
+	if err != nil {
+		return nil, err
+	}
+	if m.gen == nil {
+		m.gen, m.enc = NewGenerator(g, 0), trace.NewEncoder(g)
+	}
+	start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
+	mach := m.gen.Machine()
+	s := &memoState{}
+	for !mach.Stats().Halted && (n <= 0 || m.enc.Len() < n) {
+		seg, err := m.gen.Next()
+		if err == nil {
+			err = m.enc.Append(seg)
+		}
+		if err != nil {
+			s.err = fmt.Errorf("workload %s: %w", w.Name, err)
+			break
+		}
+	}
+	s.c = m.enc.Snapshot()
+	if s.err == nil && s.c.Halted() {
+		s.stats = mach.Stats()
+		if w.Check != nil {
+			if err := w.Check(mach, g.Prog); err != nil {
+				s.err = fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
+			}
+		}
+	}
+	if s.err != nil || s.c.Halted() {
+		m.gen, m.enc = nil, nil
+	}
+	if obs.On() {
+		obsCacheMisses.Inc()
+		obsDecodeSecs.Observe(time.Since(start).Seconds())
+		delta := s.c.Footprint()
+		if old != nil {
+			delta -= old.c.Footprint()
+		}
+		obsCacheBytes.Add(int64(delta))
+	}
+	m.state.Store(s)
+	return s, nil
 }
 
 // Columnar returns the workload's full dynamic task trace in columnar
-// form (computed once and cached), with the execution stats of the
-// generating run. This is the one full-trace memo: CachedColumnar
-// clamps oversized caps to it and serves later truncations as prefix
-// views of it.
+// form with the execution stats of the generating run, growing the trace
+// memo to the halt on first use. A failed output self-check is reported
+// here (and by every request that reaches the halt).
 func (w *Workload) Columnar() (*trace.Columnar, functional.Stats, error) {
-	w.colOnce.Do(w.fullColumnar)
-	return w.col, w.colStats, w.colErr
+	return w.memoized(0)
 }
-
-// fullColumnar is the body of the full-columnar memoization: simulate to
-// halt with segmented encoding, self-check, publish. Must be called
-// under colOnce.
-func (w *Workload) fullColumnar() {
-	g, err := w.Graph()
-	if err != nil {
-		w.colErr = err
-		return
-	}
-	c, m, err := runColumnar(g, 0)
-	if err != nil {
-		w.colErr = fmt.Errorf("workload %s: %w", w.Name, err)
-		return
-	}
-	if !m.Stats().Halted {
-		w.colErr = fmt.Errorf("workload %s: did not halt", w.Name)
-		return
-	}
-	if w.Check != nil {
-		if err := w.Check(m, g.Prog); err != nil {
-			w.colErr = fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
-			return
-		}
-	}
-	w.col, w.colStats = c, m.Stats()
-	w.fullCol.Store(c)
-	if obs.On() {
-		obsCacheBytes.Add(int64(c.Footprint()))
-	}
-}
-
-// colCacheKey identifies one memoized truncated columnar trace.
-type colCacheKey struct {
-	name     string
-	maxSteps int
-}
-
-// colCacheEntry generates its columns exactly once under concurrent
-// demand.
-type colCacheEntry struct {
-	once sync.Once
-	c    *trace.Columnar
-	err  error
-}
-
-var colCache sync.Map // colCacheKey -> *colCacheEntry
 
 // CachedColumnar returns the named workload's dynamic task trace in
-// columnar form, truncated to maxSteps tasks (0 = the full trace) and
-// memoized process-wide, so each (workload, truncation) pair is
-// simulated at most once no matter how many experiments or concurrent
-// workers replay it. The returned trace is shared: replays must treat it
-// as read-only (the block kernels do; faulted runs prove it with
-// checksums).
-//
-// A cap at or beyond the full run's length is the full trace: such
-// requests clamp to the one full-columnar memo instead of simulating and
-// storing a duplicate per distinct cap. Truncations requested after the
-// full columns exist are prefix views sharing its column backing arrays
-// and dictionary — the functional simulator is deterministic, so a
-// capped run is exactly a prefix of the full run — and cost no
-// simulation at all.
+// columnar form, truncated to maxSteps tasks (0 = the full trace). Every
+// truncation is a prefix view of the program's one trace memo, so each
+// program is simulated at most once per process no matter how many
+// experiments, truncations or concurrent workers replay it. The returned
+// trace is shared: replays must treat it as read-only (the block kernels
+// do; faulted runs prove it with checksums).
 //
 // A workload whose trace cannot be columnar-encoded (more than 64Ki
 // distinct addresses) reports an error wrapping trace.ErrNotColumnar.
@@ -169,81 +221,8 @@ func CachedColumnar(name string, maxSteps int) (*trace.Columnar, error) {
 	if err != nil {
 		return nil, err
 	}
-	if maxSteps <= 0 {
-		return w.cachedFullColumnar()
-	}
-	if full := w.fullCol.Load(); full != nil && maxSteps >= full.Len() {
-		if obs.On() {
-			obsCacheHits.Inc()
-		}
-		return full, nil
-	}
-	e, _ := colCache.LoadOrStore(colCacheKey{name: w.Name, maxSteps: maxSteps}, &colCacheEntry{})
-	entry := e.(*colCacheEntry)
-	generated := false
-	entry.once.Do(func() {
-		generated = true
-		if full := w.fullCol.Load(); full != nil {
-			// maxSteps < full.Len() here: a prefix view over the full
-			// columns, costing no simulation and ~no memory.
-			entry.c = full.Prefix(maxSteps)
-			if obs.On() {
-				obsCacheHits.Inc()
-			}
-			return
-		}
-		g, err := w.Graph()
-		if err != nil {
-			entry.err = err
-			return
-		}
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		var c *trace.Columnar
-		c, _, entry.err = runColumnar(g, maxSteps)
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
-		}
-		if entry.err != nil {
-			entry.err = fmt.Errorf("workload %s: %w", w.Name, entry.err)
-			return
-		}
-		entry.c = c
-		if c.Halted() {
-			// The cap never bit — this IS the full trace. Alias the
-			// full-columnar memo so every oversized cap shares one copy.
-			if full, ferr := w.cachedFullColumnar(); ferr == nil {
-				entry.c = full
-				return
-			}
-		}
-		if obs.On() {
-			obsCacheBytes.Add(int64(entry.c.Footprint()))
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return entry.c, entry.err
-}
-
-// cachedFullColumnar is CachedColumnar's full-trace arm: the colOnce
-// memo with cache-hit/miss accounting.
-func (w *Workload) cachedFullColumnar() (*trace.Columnar, error) {
-	generated := false
-	w.colOnce.Do(func() {
-		generated = true
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		w.fullColumnar()
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return w.col, w.colErr
+	c, _, err := w.memoized(maxSteps)
+	return c, err
 }
 
 // blockStream generates a workload's trace block by block, on the fly:

@@ -21,13 +21,13 @@ import (
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/taskform"
 	"multiscalar/internal/tfg"
-	"multiscalar/internal/trace"
 )
 
-// Trace-cache metrics: how often the process-level memoization absorbs a
-// replay (hits) versus pays a functional simulation (misses, with the
-// decode/simulation time in the histogram). Off the results path — the
-// cached traces themselves are identical either way.
+// Trace-cache metrics: how often a trace memo serves a request from
+// columns it already holds (hits) versus grows them (misses: one per
+// growth, with the growth's simulation and encoding time in the
+// histogram). Off the results path — the served traces are identical
+// either way.
 var (
 	obsCacheHits   = obs.Default().Counter("workload.trace_cache.hits")
 	obsCacheMisses = obs.Default().Counter("workload.trace_cache.misses")
@@ -36,12 +36,14 @@ var (
 
 // simulations counts functional-simulator executions process-wide,
 // unconditionally (not obs-gated): concurrency tests assert singleflight
-// behaviour against it — M concurrent demands for the same trace must
+// behaviour against it — M concurrent demands for a program's trace must
 // move this by exactly one.
 var simulations atomic.Int64
 
 // Simulations returns how many functional simulations this process has
-// run (full traces and truncations both count).
+// started: one per Generator (a trace memo's first growth, each streamed
+// pass, each recorded file). Growing an existing memo resumes its
+// generator and is not a new simulation.
 func Simulations() int64 { return simulations.Load() }
 
 // Workload is one benchmark program.
@@ -63,15 +65,9 @@ type Workload struct {
 	graph *tfg.Graph
 	err   error
 
-	// colOnce memoizes the columnar full trace — the primitive encoding
-	// every other trace view derives from (see columnar.go).
-	colOnce  sync.Once
-	col      *trace.Columnar
-	colStats functional.Stats
-	colErr   error
-	// fullCol mirrors the memoized full columnar trace for lock-free
-	// clamp/prefix checks outside colOnce.
-	fullCol atomic.Pointer[trace.Columnar]
+	// memo is the program's one dynamic task trace, grown on demand
+	// (see columnar.go).
+	memo traceMemo
 }
 
 var (

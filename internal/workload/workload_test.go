@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"multiscalar/internal/fault"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/tfg"
@@ -58,8 +59,8 @@ func TestAllWorkloadsCompileAndPartition(t *testing.T) {
 }
 
 // TestShortTracesAreValid pins the segmented generation loop against
-// one uninterrupted functional.Run: the memoized columns, a fresh
-// runColumnar and the streamed blocks of a 20,000-step run (not a
+// one uninterrupted functional.Run: the memoized columns, a fresh capped
+// generator run and the streamed blocks of a 20,000-step run (not a
 // multiple of trace.BlockSteps) must all hold exactly its steps.
 func TestShortTracesAreValid(t *testing.T) {
 	const steps = 20000
@@ -89,12 +90,9 @@ func TestShortTracesAreValid(t *testing.T) {
 			if !reflect.DeepEqual(tr.Steps, ref.Steps) {
 				t.Error("CachedColumnar steps differ from the reference run")
 			}
-			fresh, _, err := runColumnar(g, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh, _ := freshColumnar(t, g, steps)
 			if !reflect.DeepEqual(fresh.Materialize().Steps, ref.Steps) {
-				t.Error("runColumnar steps differ from the reference run")
+				t.Error("fresh generator steps differ from the reference run")
 			}
 			src, err := StreamBlocks(w.Name, steps, 1)
 			if err != nil {
@@ -205,37 +203,43 @@ func TestExitKindCoverage(t *testing.T) {
 	}
 }
 
-// TestCachedColumnarMemoizes checks the process-level trace cache:
-// repeated and concurrent demands for the same (workload, truncation)
-// pair share one simulated trace, while distinct truncations stay
-// distinct.
+// TestCachedColumnarMemoizes checks the process-level trace memo:
+// repeated and concurrent demands for a program's trace share one
+// simulation, and distinct truncations are distinct prefixes of it.
 func TestCachedColumnarMemoizes(t *testing.T) {
 	a, err := CachedColumnar("compressb", 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := Simulations()
 	b, err := CachedColumnar("compressb", 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("same truncation simulated twice")
+	if n := Simulations() - before; n != 0 {
+		t.Fatalf("same truncation ran %d more simulations", n)
 	}
-	if a.Len() != 5000 {
-		t.Fatalf("trace length %d, want 5000", a.Len())
+	if a.Len() != 5000 || b.Len() != 5000 {
+		t.Fatalf("trace lengths %d and %d, want 5000", a.Len(), b.Len())
+	}
+	if fault.Checksum(a) != fault.Checksum(b) {
+		t.Fatal("same truncation served different steps")
 	}
 	c, err := CachedColumnar("compressb", 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c == a {
-		t.Fatal("distinct truncations share a trace")
+	if c.Len() != 6000 {
+		t.Fatalf("distinct truncation length %d, want 6000", c.Len())
+	}
+	if fault.Checksum(c.Prefix(5000)) != fault.Checksum(a) {
+		t.Fatal("a longer truncation does not extend the shorter one")
 	}
 
-	// Concurrent first-touch of a fresh key must also converge on one
-	// trace and one simulation (the entry's once-guard; -race patrols
-	// the rest).
-	before := Simulations()
+	// Concurrent demands must also converge on the same steps and at
+	// most one simulation (the memo's growth lock; -race patrols the
+	// rest).
+	before = Simulations()
 	var wg sync.WaitGroup
 	got := make([]*trace.Columnar, 8)
 	for i := range got {
@@ -253,8 +257,8 @@ func TestCachedColumnarMemoizes(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
-			t.Fatalf("goroutine %d got a different trace", i)
+		if got[i].Len() != got[0].Len() || fault.Checksum(got[i]) != fault.Checksum(got[0]) {
+			t.Fatalf("goroutine %d got different steps", i)
 		}
 	}
 	if n := Simulations() - before; n > 1 {
@@ -266,18 +270,13 @@ func TestCachedColumnarMemoizes(t *testing.T) {
 	}
 }
 
-// TestCachedColumnarOversizedClampsToFull is the regression test for
-// the duplicate-trace bug: a cap at or beyond the full run's length must
-// not re-run the functional simulator and store a separate full-length
-// copy per distinct cap. Every such request returns the one memoized
-// full trace.
+// TestCachedColumnarOversizedClampsToFull: a cap at or beyond the full
+// run's length is the full trace. It must not re-run the functional
+// simulator or store a separate full-length copy per distinct cap.
 func TestCachedColumnarOversizedClampsToFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload execution in -short mode")
 	}
-	// Ask with an oversized cap first: even when the full trace has not
-	// been encoded yet, the completed (halted) capped run must alias the
-	// full-trace memo rather than stay a private copy.
 	huge := 1 << 30
 	a, err := CachedColumnar("exprc", huge)
 	if err != nil {
@@ -286,22 +285,22 @@ func TestCachedColumnarOversizedClampsToFull(t *testing.T) {
 	if !a.Halted() {
 		t.Fatal("oversized cap did not run to completion")
 	}
+	before := Simulations()
 	full, err := CachedColumnar("exprc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != full {
+	if full.Len() != a.Len() || &full.Dict.Entries[0] != &a.Dict.Entries[0] {
 		t.Fatal("oversized cap stored a duplicate of the full trace")
 	}
 	// Distinct oversized caps — including exactly the full length — all
-	// land on the same *trace.Columnar, without simulating.
-	before := Simulations()
+	// serve the one memoized trace, without simulating.
 	for _, n := range []int{full.Len(), full.Len() + 1, huge, huge + 7} {
 		c, err := CachedColumnar("exprc", n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c != full {
+		if c.Len() != full.Len() || !c.Halted() || &c.Dict.Entries[0] != &full.Dict.Entries[0] {
 			t.Fatalf("cap %d returned a different trace than the full memo", n)
 		}
 	}
@@ -311,9 +310,9 @@ func TestCachedColumnarOversizedClampsToFull(t *testing.T) {
 }
 
 // TestCachedColumnarTruncationSharesBacking: once the full trace exists,
-// a genuine truncation is served as a prefix view of its columns and
-// dictionary (the simulator is deterministic, so the capped run is
-// exactly that prefix) instead of re-simulating.
+// a truncation is a prefix view of its columns and dictionary (the
+// simulator is deterministic, so the capped run is exactly that prefix)
+// instead of a re-simulation.
 func TestCachedColumnarTruncationSharesBacking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload execution in -short mode")
@@ -333,7 +332,7 @@ func TestCachedColumnarTruncationSharesBacking(t *testing.T) {
 	if p.Len() != 1234 {
 		t.Fatalf("truncation length %d, want 1234", p.Len())
 	}
-	if p.Dict != full.Dict {
+	if &p.Dict.Entries[0] != &full.Dict.Entries[0] {
 		t.Fatal("truncation does not share the full trace's dictionary")
 	}
 	pb, _ := p.Blocks().NextBlock()
