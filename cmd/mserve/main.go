@@ -3,10 +3,6 @@
 // deadlines, panic isolation, single-flight result caching, and graceful
 // drain on SIGINT/SIGTERM. See README.md for the API and DESIGN.md §12
 // for the serving architecture.
-//
-// With -selftest it instead runs the built-in deterministic load test
-// against an in-process server and exits non-zero if any robustness
-// invariant is violated.
 package main
 
 import (
@@ -43,13 +39,6 @@ func run() int {
 
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot (JSON) here on exit")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file here on exit")
-
-		selftest = flag.Bool("selftest", false, "run the built-in load test instead of serving")
-		clients  = flag.Int("clients", 0, "selftest: concurrent clients (0 = 12)")
-		requests = flag.Int("requests", 0, "selftest: requests per client (0 = 30)")
-		steps    = flag.Int("steps", 0, "selftest: trace truncation per cell (0 = 4000)")
-		seed     = flag.Int64("seed", 0, "selftest: base RNG seed (0 = 1)")
-		burst    = flag.Int("burst", 0, "selftest: overload burst as a multiple of capacity (0 = 8)")
 	)
 	flag.Parse()
 
@@ -61,22 +50,6 @@ func run() int {
 		return 1
 	}
 	defer outputs.Flush()
-
-	if *selftest {
-		err := mserve.SelfTest(os.Stdout, mserve.SelfTestConfig{
-			Clients: *clients, Requests: *requests,
-			Workers: *workers, Queue: *queue,
-			Steps: *steps, Seed: *seed, BurstFactor: *burst,
-		})
-		if ferr := outputs.Flush(); err == nil && ferr != nil {
-			err = ferr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mserve: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	srv := mserve.New(mserve.Config{
 		Workers: *workers, Queue: *queue,

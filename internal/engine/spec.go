@@ -27,6 +27,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -255,6 +256,14 @@ func parseAutomaton(seg string) (core.AutomatonKind, error) {
 	return core.AutomatonKind{}, fmt.Errorf("engine: unknown automaton %q (have %s)", seg, strings.Join(toks, ", "))
 }
 
+// MaxBufferParam caps the ras<N>, lat<k> and dlat<k> parameters. Each
+// sizes a buffer when the spec is built (the RAS ring, the training
+// FIFO, the delayed-update queue or the speculative window), so Parse
+// rejects larger values rather than let a spec string size an
+// allocation. The experiment grids stay far below it (ras64, lat8,
+// dlat8).
+const MaxBufferParam = 4096
+
 // FormatDOLC renders a DOLC as a grammar parameter segment
 // ("d7-o5-l6-c6-f3"; the fold field is omitted when 1).
 func FormatDOLC(d core.DOLC) string {
@@ -455,6 +464,9 @@ func parseExit(segs []string) (*ExitSpec, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if v[0] > core.MaxHistoryDepth {
+			return nil, nil, fmt.Errorf("engine: %s depth %d exceeds MaxHistoryDepth=%d", kind, v[0], core.MaxHistoryDepth)
+		}
 		scheme := map[string]Scheme{"ipath": SchemeIdealPath, "iglobal": SchemeIdealGlobal, "iper": SchemeIdealPer}[kind]
 		es = &ExitSpec{Scheme: scheme, Depth: v[0], Automaton: a}
 		rest = segs[3:]
@@ -487,8 +499,8 @@ func (e *ExitSpec) applyFlag(seg string) (bool, error) {
 	}
 	num := func(prefix string) (int, error) {
 		n, err := strconv.Atoi(seg[len(prefix):])
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("engine: bad %s value %q", prefix, seg[len(prefix):])
+		if err != nil || n < 0 || n > MaxBufferParam {
+			return 0, fmt.Errorf("engine: bad %s value %q (want 0..%d)", prefix, seg[len(prefix):], MaxBufferParam)
 		}
 		return n, nil
 	}
@@ -522,9 +534,9 @@ func (e *ExitSpec) applyFlag(seg string) (bool, error) {
 		if err := pathOnly("seed"); err != nil {
 			return false, err
 		}
-		n, err := num("seed")
+		n, err := strconv.ParseUint(seg[4:], 10, 32)
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("engine: bad seed value %q (want 0..%d)", seg[4:], uint32(math.MaxUint32))
 		}
 		e.Seed = uint32(n)
 	default:
@@ -566,6 +578,9 @@ func parseTarget(segs []string) (*TargetSpec, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if v[0] > core.MaxHistoryDepth {
+			return nil, nil, fmt.Errorf("engine: icttb depth %d exceeds MaxHistoryDepth=%d", v[0], core.MaxHistoryDepth)
+		}
 		return &TargetSpec{Ideal: true, Depth: v[0]}, segs[2:], nil
 	default:
 		return nil, nil, fmt.Errorf("engine: unknown target buffer kind %q", segs[0])
@@ -585,8 +600,11 @@ func parseComposed(segs []string) (*Spec, error) {
 			sp.noRAS = true
 			rest = rest[1:]
 		case strings.HasPrefix(rest[0], "ras") && isDigits(rest[0][3:]):
-			n, _ := strconv.Atoi(rest[0][3:])
-			if n <= 0 {
+			n, err := strconv.Atoi(rest[0][3:])
+			if err != nil || n > MaxBufferParam {
+				return nil, fmt.Errorf("engine: bad ras value %q (want 1..%d)", rest[0][3:], MaxBufferParam)
+			}
+			if n == 0 {
 				return nil, fmt.Errorf("engine: RAS depth must be positive (use noras to drop the RAS)")
 			}
 			sp.rasDepth = n

@@ -69,6 +69,14 @@ func TestParseRoundTrip(t *testing.T) {
 			"composed:path:d7-o5-l6-c6-f3:leh2:noras:spec"},
 		{"perfect:spec", "perfect:spec"},
 		{"perfect:spec:rlat8", "perfect:spec:rlat8"},
+
+		// Range limits: the largest value of each bounded integer parses.
+		{"ipath:d11:leh2", "ipath:d11:leh2"},
+		{"icttb:d11", "icttb:d11"},
+		{"path:d2-o4-l5-c5:vc2rand:seed4294967295", "path:d2-o4-l5-c5:vc2rand:seed4294967295"},
+		{"path:d7-o5-l6-c6-f3:leh2:lat4096", "path:d7-o5-l6-c6-f3:leh2:lat4096"},
+		{"path:d7-o5-l6-c6-f3:leh2:dlat4096:spec", "path:d7-o5-l6-c6-f3:leh2:dlat4096:spec"},
+		{"composed:path:d7-o5-l6-c6-f3:leh2:ras4096", "composed:path:d7-o5-l6-c6-f3:leh2:ras4096"},
 	}
 	for _, c := range cases {
 		sp, err := Parse(c.in)
@@ -118,6 +126,19 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"path:d7-o5-l6-c6-f3:leh2:spec:nosse",                               // spec flags must come last
 		"composed:path:d7-o5-l6-c6-f3:leh2:spec:ras8",                       // likewise before ras
 		"path:d7-o5-l6-c6-f3:leh2:spec:spec:junk",                           // trailing after flags
+		// Out-of-range integers: a typed parse error, never a build-time
+		// panic or an allocation sized by the spec string.
+		"ipath:d12:leh2",   // ideal depths stop at core.MaxHistoryDepth
+		"iglobal:d12:leh2", // likewise
+		"iper:d99:leh2",    // likewise
+		"icttb:d12",        // likewise for the ideal buffer
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras4097",                 // ras above MaxBufferParam
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras99999999999999999999", // ras beyond int
+		"path:d7-o5-l6-c6-f3:leh2:lat4097",                          // lat above MaxBufferParam
+		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904",          // dlat near 2^62
+		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",     // the same as a spec-session lag
+		"composed:ipath:d7:leh2:dlat4097:ras32:cttb:d7-o4-l4-c5-f3", // dlat on a composed exit
+		"path:d7-o5-l6-c6-f3:leh2:seed4294967296",                   // seed beyond uint32
 	}
 	for _, s := range bad {
 		if sp, err := Parse(s); err == nil {

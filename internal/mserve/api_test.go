@@ -80,6 +80,7 @@ func TestValidateEvalRequest(t *testing.T) {
 		{"unknown workload", EvalRequest{Workload: "specint", Spec: exitSpec}, 400, "unknown_workload"},
 		{"missing spec", EvalRequest{Workload: "boolmin"}, 400, "missing_spec"},
 		{"unparsable spec", EvalRequest{Workload: "boolmin", Spec: "bogus"}, 400, "bad_spec"},
+		{"ideal depth beyond MaxHistoryDepth", EvalRequest{Workload: "boolmin", Spec: "ipath:d12:leh2"}, 400, "bad_spec"},
 		{"noncanonical spec", EvalRequest{Workload: "boolmin", Spec: "path:d7-o5-l6-c6-f3:LEH-2bit"}, 400, "noncanonical_spec"},
 		{"bad mode", EvalRequest{Workload: "boolmin", Spec: exitSpec, Mode: "yolo"}, 400, "bad_mode"},
 		{"mode/spec mismatch", EvalRequest{Workload: "boolmin", Spec: "cttb:d7-o4-l4-c5-f3", Mode: "exit"}, 400, "mode_mismatch"},

@@ -33,6 +33,15 @@ func FuzzEvalDecode(f *testing.F) {
 		"path:o5-d7-l6-c6:leh2",
 		"composed:path:d7-o5-l6-c6-f3:leh2:ras0:cttb:d7-o4-l4-c5-f3",
 		"bogus", "", "   ",
+		// Out-of-range integers: each must be a 400, not a panic or an
+		// allocation sized by the request.
+		"ipath:d12:leh2",
+		"icttb:d12",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras4097:cttb:d7-o4-l4-c5-f3",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras99999999999999999999",
+		"path:d7-o5-l6-c6-f3:leh2:lat4097",
+		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",
+		"path:d7-o5-l6-c6-f3:leh2:seed4294967296",
 	}
 	for _, sp := range specs {
 		f.Add(`{"workload":"boolmin","spec":"` + sp + `"}`)

@@ -40,12 +40,4 @@ var (
 	// reference), so streams - disconnects ≈ streams that saw "done".
 	obsProgressStreams     = obs.Default().Counter("mserve.progress.streams")
 	obsProgressDisconnects = obs.Default().Counter("mserve.progress.disconnects")
-
-	// Load-generator (selftest) client-side metrics: end-to-end latency
-	// of successful requests, sheds observed, backoff retries taken, and
-	// requests abandoned after exhausting the retry budget.
-	obsClientLatency = obs.Default().Histogram("mserve.client.latency_seconds", nil)
-	obsClientSheds   = obs.Default().Counter("mserve.client.sheds")
-	obsClientRetries = obs.Default().Counter("mserve.client.retries")
-	obsClientGiveups = obs.Default().Counter("mserve.client.giveups")
 )

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,44 +52,58 @@ func postEval(t *testing.T, url, body string) (int, http.Header, []byte) {
 // TestServerEvalMatchesDirectRun checks the served bytes are exactly what
 // a direct engine run of the same cell renders — the byte-identity
 // contract the result cache rests on — and that a repeat request is a
-// cache hit with identical bytes.
+// cache hit with identical bytes, for each spec class: a real PATH exit
+// predictor, an ideal GLOBAL one, a CTTB target buffer and the composed
+// task predictor.
 func TestServerEvalMatchesDirectRun(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		spec string
+		mode engine.Mode
+	}{
+		{"path:d7-o5-l6-c6-f3:leh2", engine.ModeExit},
+		{"iglobal:d7:leh2", engine.ModeExit},
+		{"cttb:d7-o4-l4-c5-f3", engine.ModeTarget},
+		{"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3", engine.ModeTask},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
 
-	cell := Cell{Workload: "boolmin", Spec: "path:d7-o5-l6-c6-f3:leh2", Mode: engine.ModeExit, Steps: 2000}
-	want, err := json.Marshal(RenderResponse(cell, engine.Do(cell.Run())))
-	if err != nil {
-		t.Fatalf("render direct run: %v", err)
-	}
-	want = append(want, '\n')
+			cell := Cell{Workload: "boolmin", Spec: tc.spec, Mode: tc.mode, Steps: 2000}
+			want, err := json.Marshal(RenderResponse(cell, engine.Do(cell.Run())))
+			if err != nil {
+				t.Fatalf("render direct run: %v", err)
+			}
+			want = append(want, '\n')
 
-	body := `{"workload":"boolmin","spec":"path:d7-o5-l6-c6-f3:leh2","steps":2000}`
-	status, hdr, got := postEval(t, ts.URL, body)
-	if status != 200 {
-		t.Fatalf("first eval: status %d body %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("served bytes differ from direct run:\n got: %s\nwant: %s", got, want)
-	}
-	if cp := hdr.Get("X-Mserve-Cache"); cp != "miss" {
-		t.Fatalf("first eval cache path = %q, want miss", cp)
-	}
+			body := `{"workload":"boolmin","spec":"` + tc.spec + `","steps":2000}`
+			status, hdr, got := postEval(t, ts.URL, body)
+			if status != 200 {
+				t.Fatalf("first eval: status %d body %s", status, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("served bytes differ from direct run:\n got: %s\nwant: %s", got, want)
+			}
+			if cp := hdr.Get("X-Mserve-Cache"); cp != "miss" {
+				t.Fatalf("first eval cache path = %q, want miss", cp)
+			}
 
-	status, hdr, got2 := postEval(t, ts.URL, body)
-	if status != 200 {
-		t.Fatalf("second eval: status %d body %s", status, got2)
-	}
-	if cp := hdr.Get("X-Mserve-Cache"); cp != "hit" {
-		t.Fatalf("second eval cache path = %q, want hit", cp)
-	}
-	if !bytes.Equal(got2, want) {
-		t.Fatal("cache hit bytes differ from first answer")
-	}
-	if n := s.Evals(); n != 1 {
-		t.Fatalf("evals = %d, want 1 (second request must be served from cache)", n)
-	}
-	if n := s.CacheLen(); n != 1 {
-		t.Fatalf("cache len = %d, want 1", n)
+			status, hdr, got2 := postEval(t, ts.URL, body)
+			if status != 200 {
+				t.Fatalf("second eval: status %d body %s", status, got2)
+			}
+			if cp := hdr.Get("X-Mserve-Cache"); cp != "hit" {
+				t.Fatalf("second eval cache path = %q, want hit", cp)
+			}
+			if !bytes.Equal(got2, want) {
+				t.Fatal("cache hit bytes differ from first answer")
+			}
+			if n := s.Evals(); n != 1 {
+				t.Fatalf("evals = %d, want 1 (second request must be served from cache)", n)
+			}
+			if n := s.CacheLen(); n != 1 {
+				t.Fatalf("cache len = %d, want 1", n)
+			}
+		})
 	}
 }
 
@@ -255,17 +271,124 @@ func TestServerPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestServerDrain checks Shutdown flips readiness before refusing work,
-// and that both /eval and /readyz answer accordingly.
+// TestServerDrain serves real load on a listening server — a miss, a
+// hit, a coalesced pair and one /progress stream — then checks Shutdown
+// leaves no goroutine behind, is idempotent, flips readiness before
+// refusing work, and that /eval and /readyz answer accordingly.
 func TestServerDrain(t *testing.T) {
-	s := New(Config{Workers: 1})
+	missCell := Cell{Workload: "boolmin", Spec: "path:d7-o5-l6-c6-f3:leh2", Mode: engine.ModeExit, Steps: 1500}
+	missBody := `{"workload":"boolmin","spec":"path:d7-o5-l6-c6-f3:leh2","steps":1500}`
+	pairCell := Cell{Workload: "exprc", Spec: "iglobal:d7:leh2", Mode: engine.ModeExit, Steps: 1500}
+	pairBody := `{"workload":"exprc","spec":"iglobal:d7:leh2","steps":1500}`
+	// Warm the process trace cache first so the baseline below counts
+	// only goroutines the server itself must retire.
+	engine.Do(missCell.Run())
+	engine.Do(pairCell.Run())
+	baseline := runtime.NumGoroutine()
+
+	// Four workers, so a pool that outlives Shutdown leaks more
+	// goroutines than the +2 slack below forgives.
+	s := New(Config{Workers: 4, ProgressInterval: 5 * time.Millisecond, SampleInterval: 5 * time.Millisecond})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) }) // idempotent; frees the listener on early failure
+	base := "http://" + addr.String()
+	client := &http.Client{Transport: &http.Transport{}, Timeout: time.Minute}
+	post := func(body string) (int, string, []byte) {
+		resp, err := client.Post(base+"/eval", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("POST /eval: %v", err)
+			return 0, "", nil
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("X-Mserve-Cache"), b
+	}
+
+	for _, want := range []string{"miss", "hit"} {
+		if status, cp, b := post(missBody); status != 200 || cp != want {
+			t.Fatalf("eval: status %d cache %q body %s, want 200 %s", status, cp, b, want)
+		}
+	}
+
+	// The coalesced pair: hold the leader's run until the second request
+	// has joined its flight, with a /progress watcher on the same cell.
+	release := make(chan struct{})
+	s.Pool().SetRunner(func(r engine.Run) engine.Result { <-release; return engine.Do(r) })
+	joined0 := obsCoalesced.Value()
+	type answer struct {
+		status int
+		cache  string
+		body   []byte
+	}
+	answers := make(chan answer, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			status, cp, b := post(pairBody)
+			answers <- answer{status, cp, b}
+		}()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		base+"/progress?key="+url.QueryEscape(pairCell.Key())+"&wait=10", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := client.Do(req)
+	if err != nil {
+		t.Fatalf("GET /progress: %v", err)
+	}
+	deadline := time.After(10 * time.Second)
+	for obsCoalesced.Value() == joined0 {
+		select {
+		case <-deadline:
+			close(release)
+			t.Fatal("second request never joined the flight")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(release)
+	var done ProgressDone
+	readSSE(t, stream, func(ev sseEvent) bool {
+		if ev.event != "done" {
+			return true
+		}
+		if err := json.Unmarshal([]byte(ev.data), &done); err != nil {
+			t.Errorf("bad done payload %q: %v", ev.data, err)
+		}
+		return false
+	})
+	stream.Body.Close()
+	if !done.OK || done.Key != pairCell.Key() {
+		t.Fatalf("progress done event = %+v, want ok for %q", done, pairCell.Key())
+	}
+	a, b := <-answers, <-answers
+	if a.status != 200 || b.status != 200 || !bytes.Equal(a.body, b.body) {
+		t.Fatalf("coalesced pair: statuses %d/%d, bodies equal %v", a.status, b.status, bytes.Equal(a.body, b.body))
+	}
+	if paths := a.cache + "+" + b.cache; paths != "miss+join" && paths != "join+miss" {
+		t.Fatalf("coalesced pair cache paths = %s, want one miss and one join", paths)
+	}
+	if n := s.Evals(); n != 2 {
+		t.Fatalf("evals = %d, want 2 (one per distinct cell)", n)
+	}
+
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := s.Shutdown(ctx); err != nil { // idempotent
 		t.Fatalf("second shutdown: %v", err)
+	}
+	client.CloseIdleConnections()
+	for i := 0; runtime.NumGoroutine() > baseline+2; i++ {
+		if i == 100 {
+			t.Fatalf("goroutine leak: %d alive after Shutdown, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 
 	w := httptest.NewRecorder()

@@ -237,9 +237,9 @@ func TestProgressCachedCell(t *testing.T) {
 	}
 }
 
-// TestStatusz checks the /statusz shape: pool occupancy, cache stats,
-// the run registry with the evaluated cell retired into recent, and a
-// time-series tail.
+// TestStatusz checks the /statusz shape: the request id header, pool
+// occupancy, cache stats, the run registry with the evaluated cell
+// retired into recent, and a time-series tail.
 func TestStatusz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, SampleInterval: 5 * time.Millisecond})
 	status, _, _ := postEval(t, ts.URL, `{"workload":"boolmin","spec":"path:d7-o5-l6-c6-f3:leh2","steps":2000}`)
@@ -255,6 +255,9 @@ func TestStatusz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.Header.Get("X-Mserve-Request") == "" {
+		t.Fatal("/statusz response carried no X-Mserve-Request id")
+	}
 	var sz StatuszResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sz); err != nil {
 		t.Fatalf("decode /statusz: %v", err)

@@ -35,6 +35,7 @@ echo "==> bench harness: go vet + go test -race (its own module, built against t
 echo "==> fuzz smoke (5s per target)"
 go test ./internal/core -run '^$' -fuzz FuzzRAS -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
+go test ./internal/mserve -run '^$' -fuzz FuzzEvalDecode -fuzztime 5s >/dev/null
 
 echo "==> mlint -w all"
 go run ./cmd/mlint -w all >/dev/null
@@ -80,10 +81,7 @@ go run ./scripts/checkjson -min-counter core.spec.rollbacks=1 \
 	-min-counter core.spec.repair_frames=1 "$OBS_TMP/msim-spec-exit.json" >/dev/null
 rm -f "$OBS_TMP/msim-spec-exit.json"
 
-echo "==> mserve selftest smoke (admission, dedup, deadline, drain invariants)"
-go run ./cmd/mserve -selftest -clients 8 -requests 10 -steps 3000 >/dev/null
-
-echo "==> mserve end-to-end smoke (daemon: cold/warm grid, SSE progress, statusz, 413, 429 burst, SIGTERM drain)"
+echo "==> mserve end-to-end smoke (daemon: cold/warm grid, SSE progress, statusz, 413, 429-only burst, SIGTERM drain)"
 go run ./scripts/mservesmoke "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-statusz.json" >/dev/null
 go run ./scripts/checkjson "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-statusz.json" >/dev/null
 rm -f "$OBS_TMP/mserve-metrics.json" "$OBS_TMP/mserve-statusz.json"

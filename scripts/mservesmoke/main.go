@@ -6,9 +6,9 @@
 // progress events and terminate with exactly the cached result's key),
 // a /statusz capture (written to the second argument for checkjson), an
 // oversized body (413), an overload burst that must shed with
-// 429+Retry-After, and finally SIGTERM for a graceful drain with a
-// flushed metrics snapshot (validated by scripts/checkjson from
-// check.sh).
+// 429+Retry-After and answer nothing but 200 or 429, and finally SIGTERM
+// for a graceful drain with a flushed metrics snapshot (validated by
+// scripts/checkjson from check.sh). Any violation exits 1.
 //
 // Usage: mservesmoke <metrics-out-path> <statusz-out-path>
 package main
@@ -29,6 +29,9 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"multiscalar/internal/engine"
+	"multiscalar/internal/mserve"
 )
 
 type cell struct {
@@ -141,7 +144,7 @@ func run() error {
 	// require the stream to deliver progress events and terminate with a
 	// done event naming exactly the key the cached response body carries.
 	progCell := cell{workload: "boolmin", spec: "path:d2-o4-l5-c5:vc2rand:seed777", steps: 120000}
-	progKey := fmt.Sprintf("%s/%s@mode=exit,steps=%d,timing=0", progCell.workload, progCell.spec, progCell.steps)
+	progKey := mserve.Cell{Workload: progCell.workload, Spec: progCell.spec, Mode: engine.ModeExit, Steps: progCell.steps}.Key()
 
 	type streamResult struct {
 		progress int
@@ -259,12 +262,15 @@ func run() error {
 	// 2 queued = 3) of simultaneous distinct cells. Tiny cells evaluate
 	// fast, so a round can theoretically drain before the burst lands —
 	// retry a few rounds with fresh (uncached) cells; at least one round
-	// must produce a 429 carrying Retry-After >= 1.
+	// must produce a 429. Degradation must stay graceful in every round:
+	// each answer is a 200 or a 429 carrying Retry-After >= 1, never a
+	// 5xx or a dropped connection.
 	const burst = 24
 	shed := false
 	for round := 0; round < 5 && !shed; round++ {
 		var wg sync.WaitGroup
 		sheds := make([]int, burst)
+		failures := make([]string, burst)
 		barrier := make(chan struct{})
 		for i := 0; i < burst; i++ {
 			wg.Add(1)
@@ -277,28 +283,29 @@ func run() error {
 				}
 				<-barrier
 				status, hdr, body, err := post(client, base, c)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "mservesmoke: burst POST: %v\n", err)
-					return
-				}
-				switch status {
-				case 200:
-				case http.StatusTooManyRequests:
+				switch {
+				case err != nil:
+					failures[i] = fmt.Sprintf("POST: %v", err)
+				case status == 200:
+				case status == http.StatusTooManyRequests:
 					if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil && ra >= 1 {
 						sheds[i] = 1
 					} else {
-						fmt.Fprintf(os.Stderr, "mservesmoke: 429 without a positive Retry-After (%q)\n", hdr.Get("Retry-After"))
+						failures[i] = fmt.Sprintf("429 without a positive Retry-After (%q)", hdr.Get("Retry-After"))
 					}
 				default:
-					fmt.Fprintf(os.Stderr, "mservesmoke: burst status %d (want 200 or 429): %s\n", status, body)
+					failures[i] = fmt.Sprintf("status %d (want 200 or 429): %s", status, body)
 				}
 			}(i)
 		}
 		close(barrier)
 		wg.Wait()
 		n := 0
-		for _, s := range sheds {
-			n += s
+		for i := range sheds {
+			if failures[i] != "" {
+				return fmt.Errorf("burst round %d, request %d: %s", round+1, i, failures[i])
+			}
+			n += sheds[i]
 		}
 		fmt.Printf("mservesmoke: burst round %d: %d/%d shed with Retry-After\n", round+1, n, burst)
 		shed = n > 0
