@@ -17,14 +17,10 @@ type HeaderPredictor struct {
 	ras  *RAS
 	buf  TargetBuffer
 
-	// Spec-capable views of exit/buf, resolved at construction: the
-	// public protocol's and the fused kernels' (nil where a component
-	// lacks one; specInit refuses a session when the public one is
-	// missing).
-	specExit SpecExitPredictor
-	specBuf  SpecTargetBuffer
-	exitK    exitSpecKernel
-	bufK     targetSpecKernel
+	// The components' fused kernels, resolved at construction (nil
+	// where a component lacks one; specErr then refuses a session).
+	exitK exitSpecKernel
+	bufK  targetSpecKernel
 }
 
 // NewHeaderPredictor composes a task predictor from an exit predictor, a
@@ -36,10 +32,8 @@ func NewHeaderPredictor(name string, exit ExitPredictor, ras *RAS, buf TargetBuf
 		name = fmt.Sprintf("header(%s)", exit.Name())
 	}
 	p := &HeaderPredictor{name: name, exit: exit, ras: ras, buf: buf}
-	p.specExit, _ = exit.(SpecExitPredictor)
 	p.exitK, _ = exit.(exitSpecKernel)
 	if buf != nil {
-		p.specBuf, _ = buf.(SpecTargetBuffer)
 		p.bufK, _ = buf.(targetSpecKernel)
 	}
 	return p
@@ -128,94 +122,34 @@ func (p *HeaderPredictor) trainRAS(spec *tfg.ExitSpec) {
 	}
 }
 
-// specInit checks that every component can checkpoint-repair; a
-// speculative-update session calls it once at adoption and fails cleanly
-// when one cannot.
-func (p *HeaderPredictor) specInit() error {
-	if p.specExit == nil {
-		return fmt.Errorf("core: %s: exit predictor %s does not support speculative update", p.name, p.exit.Name())
+// specErr implements taskSpecKernel: every component must have a fused
+// kernel, and the exit predictor's must accept the session.
+func (p *HeaderPredictor) specErr() error {
+	if p.exitK == nil {
+		return errNoKernel(p.name, "exit predictor "+p.exit.Name())
 	}
-	if c, ok := p.exit.(interface{ specErr() error }); ok {
-		if err := c.specErr(); err != nil {
-			return err
-		}
+	if err := p.exitK.specErr(); err != nil {
+		return err
 	}
-	if p.buf != nil && p.specBuf == nil {
-		return fmt.Errorf("core: %s: target buffer %s does not support speculative update", p.name, p.buf.Name())
+	if p.buf != nil && p.bufK == nil {
+		return errNoKernel(p.name, "target buffer "+p.buf.Name())
 	}
 	return nil
 }
 
-// SpecUpdate implements SpecTaskPredictor: the same component training
-// as Update, driven by the *predicted* outcome — the exit predictor
-// trains toward the predicted exit, the CTTB toward the predicted target
-// when the predicted exit is indirect, and the RAS pushes/pops along the
-// predicted control kind (the spec_update-at-fetch discipline; mostly
-// relevant for the RAS, exactly as in XIOSim). Every mutation is
-// undo-logged for RepairTask.
-func (p *HeaderPredictor) SpecUpdate(t *tfg.Task, pr Prediction) {
-	if t.NumExits() > 0 {
-		p.specExit.SpecUpdateExit(t, pr.Exit)
-		spec := t.Exits[pr.Exit]
-		if spec.Kind.IsIndirect() && p.specBuf != nil {
-			p.specBuf.SpecTrain(t.Start, pr.Target)
-		}
-		if p.ras != nil {
-			p.trainRAS(&spec)
-		}
-	}
-	if p.specBuf != nil {
-		p.specBuf.SpecAdvance(t.Start)
-	}
-}
-
-// MarkTask implements SpecTaskPredictor.
-func (p *HeaderPredictor) MarkTask() TaskMark {
-	m := TaskMark{exit: p.specExit.MarkExit()}
-	if p.specBuf != nil {
-		m.buf = p.specBuf.MarkTarget()
-	}
-	if p.ras != nil {
-		m.ras = p.ras.Mark()
-	}
-	return m
-}
-
-// RepairTask implements SpecTaskPredictor. It reports whether the RAS
-// repair was inexact (live entries clobbered beyond the mark's reach).
-func (p *HeaderPredictor) RepairTask(m TaskMark) bool {
-	p.specExit.RepairExit(m.exit)
-	if p.specBuf != nil {
-		p.specBuf.RepairTarget(m.buf)
-	}
-	if p.ras != nil {
-		return p.ras.Repair(m.ras)
-	}
-	return false
-}
-
-// CommitTask implements SpecTaskPredictor.
-func (p *HeaderPredictor) CommitTask(m TaskMark) {
-	p.specExit.CommitExit(m.exit)
-	if p.specBuf != nil {
-		p.specBuf.CommitTarget(m.buf)
-	}
-}
-
-// specLogs implements taskSpecKernel: fused when the exit predictor and
-// the buffer (if any) are built-in.
-func (p *HeaderPredictor) specLogs() (exit, buf *undoRing, ras *RAS, ok bool) {
-	if p.exitK == nil || (p.buf != nil && p.bufK == nil) {
-		return nil, nil, nil, false
-	}
+// specLogs implements taskSpecKernel.
+func (p *HeaderPredictor) specLogs() (exit, buf *undoRing, ras *RAS) {
 	if p.bufK != nil {
 		buf = p.bufK.specLog()
 	}
-	return p.exitK.specLog(), buf, p.ras, true
+	return p.exitK.specLog(), buf, p.ras
 }
 
-// specStepTask implements taskSpecKernel: Predict and SpecUpdate in one
-// pass, each component indexed once.
+// specStepTask implements taskSpecKernel: Predict and an Update toward
+// the prediction in one pass, each component indexed once. The exit
+// predictor and buffer log their writes; the RAS pushes and pops along
+// the predicted control kind (the spec_update-at-fetch discipline,
+// exactly as in XIOSim) and is repaired by its own mark.
 func (p *HeaderPredictor) specStepTask(t *tfg.Task, f *specFrame) Prediction {
 	e := p.exitK.specStepExit(t.Start, len(t.Exits), f)
 	spec := &t.Exits[e]
@@ -240,7 +174,7 @@ func (p *HeaderPredictor) specStepTask(t *tfg.Task, f *specFrame) Prediction {
 
 // squashTask implements taskSpecKernel. The components hold disjoint
 // state, so each repairs and replays the whole window in turn.
-func (p *HeaderPredictor) squashTask(m TaskMark, w *specWindow) (rasDamaged bool) {
+func (p *HeaderPredictor) squashTask(m taskMark, w *specWindow) (rasDamaged bool) {
 	p.exitK.squashExit(m.exit, w)
 	if p.bufK != nil {
 		p.bufK.squashTarget(m.buf, w, false)
@@ -262,17 +196,12 @@ func (p *HeaderPredictor) squashTask(m TaskMark, w *specWindow) (rasDamaged bool
 type CTTBOnly struct {
 	name string
 	buf  TargetBuffer
-
-	// Spec-capable views of buf, resolved at construction (see
-	// HeaderPredictor).
-	specBuf SpecTargetBuffer
-	bufK    targetSpecKernel
+	bufK targetSpecKernel // buf's fused kernel, or nil (see HeaderPredictor)
 }
 
 // NewCTTBOnly builds a CTTB-only task predictor over the given buffer.
 func NewCTTBOnly(buf TargetBuffer) *CTTBOnly {
 	p := &CTTBOnly{name: fmt.Sprintf("cttb-only(%s)", buf.Name()), buf: buf}
-	p.specBuf, _ = buf.(SpecTargetBuffer)
 	p.bufK, _ = buf.(targetSpecKernel)
 	return p
 }
@@ -304,51 +233,27 @@ func (p *CTTBOnly) Update(t *tfg.Task, o Outcome) {
 	p.buf.Advance(t.Start)
 }
 
-// specInit checks the buffer can checkpoint-repair; see HeaderPredictor.
-func (p *CTTBOnly) specInit() error {
-	if p.specBuf == nil {
-		return fmt.Errorf("core: %s: target buffer %s does not support speculative update", p.name, p.buf.Name())
+// specErr implements taskSpecKernel.
+func (p *CTTBOnly) specErr() error {
+	if p.bufK == nil {
+		return errNoKernel(p.name, "target buffer "+p.buf.Name())
 	}
 	return nil
 }
 
-// SpecUpdate implements SpecTaskPredictor: Update driven by the
-// predicted target, undo-logged.
-func (p *CTTBOnly) SpecUpdate(t *tfg.Task, pr Prediction) {
-	if t.NumExits() > 0 {
-		p.specBuf.SpecTrain(t.Start, pr.Target)
-	}
-	p.specBuf.SpecAdvance(t.Start)
+// specLogs implements taskSpecKernel.
+func (p *CTTBOnly) specLogs() (exit, buf *undoRing, ras *RAS) {
+	return nil, p.bufK.specLog(), nil
 }
 
-// MarkTask implements SpecTaskPredictor.
-func (p *CTTBOnly) MarkTask() TaskMark { return TaskMark{buf: p.specBuf.MarkTarget()} }
-
-// RepairTask implements SpecTaskPredictor (no RAS: never inexact).
-func (p *CTTBOnly) RepairTask(m TaskMark) bool {
-	p.specBuf.RepairTarget(m.buf)
-	return false
-}
-
-// CommitTask implements SpecTaskPredictor.
-func (p *CTTBOnly) CommitTask(m TaskMark) { p.specBuf.CommitTarget(m.buf) }
-
-// specLogs implements taskSpecKernel: fused when the buffer is built-in.
-func (p *CTTBOnly) specLogs() (exit, buf *undoRing, ras *RAS, ok bool) {
-	if p.bufK == nil {
-		return nil, nil, nil, false
-	}
-	return nil, p.bufK.specLog(), nil, true
-}
-
-// specStepTask implements taskSpecKernel: Predict and SpecUpdate share
-// one buffer index.
+// specStepTask implements taskSpecKernel: Predict and an Update toward
+// the predicted target share one buffer index.
 func (p *CTTBOnly) specStepTask(t *tfg.Task, f *specFrame) Prediction {
 	return Prediction{Exit: -1, Target: p.bufK.specStepTarget(t.Start, true, t.NumExits() > 0, true, 0, f)}
 }
 
 // squashTask implements taskSpecKernel (no RAS: never inexact).
-func (p *CTTBOnly) squashTask(m TaskMark, w *specWindow) bool {
+func (p *CTTBOnly) squashTask(m taskMark, w *specWindow) bool {
 	p.bufK.squashTarget(m.buf, w, true)
 	return false
 }

@@ -177,8 +177,7 @@ func (p *dolcPath) push(addr isa.Addr) {
 }
 
 // resync rebuilds the older register from the history ring after the
-// ring changed behind push's back (undo-log repair, fault injection,
-// reset).
+// ring changed behind push's back (fault injection).
 func (p *dolcPath) resync() {
 	p.olderReg = 0
 	for i := p.depth; i >= 2; i-- {

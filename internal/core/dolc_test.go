@@ -147,7 +147,7 @@ func TestPaperDOLCFamiliesAreConsistent(t *testing.T) {
 // The predictors' incremental index (dolcPath) must equal DOLC.Index over
 // the same history at every step: across depths 0–MaxHistoryDepth, with
 // intermediate indexes wider than 64 bits, and after the ring is changed
-// behind push's back and resynced (undo-log repair, fault injection).
+// behind push's back and resynced (a rolled-back push, fault injection).
 func TestDOLCPathMatchesIndex(t *testing.T) {
 	cfgs := []DOLC{
 		MustDOLC(0, 0, 0, 12, 1),
@@ -171,11 +171,9 @@ func TestDOLCPathMatchesIndex(t *testing.T) {
 			}
 			switch r.intn(16) {
 			case 0:
-				var log undoRing
-				log.reserve()
-				logPathHist(&log, &p.hist)
+				prev := p.hist
 				p.push(cur)
-				undoPathHistApply(&p.hist, &log.buf[0])
+				p.hist = prev
 				p.resync()
 			case 1:
 				p.hist.FlipBit(func(n int) int { return r.intn(n) })

@@ -58,12 +58,11 @@ func (m *slotMap[K, E]) lookup(k K, fresh E) (idx uint32, created bool) {
 	return i, true
 }
 
-// drop undoes the creation of slot idx. Repair drains the undo log
-// newest-first, so every logged create younger than this one is already
-// gone and idx is normally the last slot, which is truncated away. Only
-// an unlogged create made since (a lookup materializing a context, which
-// repair deliberately keeps) can sit above it; then idx stays allocated
-// but unreachable.
+// drop undoes the creation of slot idx. Only the ideal CTTB logs
+// creates; its drain pops them newest-first, so every younger logged
+// create is already gone and idx is the last slot, which is truncated
+// away (an unlogged create above it would leave idx allocated but
+// unreachable).
 func (m *slotMap[K, E]) drop(idx uint32) {
 	delete(m.index, m.keys[idx])
 	if int(idx) == len(m.slots)-1 {
@@ -108,7 +107,7 @@ func (t *idealPHT[K]) predict(k K) (idx uint32, exit int) {
 }
 
 // train updates slot idx with the actual exit, logging the prior word
-// when log is non-nil.
+// when log is non-nil (a fused speculative step).
 func (t *idealPHT[K]) train(idx uint32, exit int, log *undoRing) {
 	if log != nil {
 		log.push(specUndo{kind: undoIdealState, idx: idx, prev: uint32(t.slots[idx])})
@@ -116,13 +115,9 @@ func (t *idealPHT[K]) train(idx uint32, exit int, log *undoRing) {
 	t.slots[idx] = t.kind.update(t.slots[idx], exit)
 }
 
-// slot returns k's slot for an update, creating it (and logging the
-// creation) when k is new.
-func (t *idealPHT[K]) slot(k K, log *undoRing) uint32 {
-	idx, created := t.lookup(k, autTouched)
-	if created && log != nil {
-		log.push(specUndo{kind: undoIdealCreate, idx: idx})
-	}
+// slot returns k's slot for an update, creating it when k is new.
+func (t *idealPHT[K]) slot(k K) uint32 {
+	idx, _ := t.lookup(k, autTouched)
 	return idx
 }
 
@@ -133,7 +128,7 @@ type IdealGlobal struct {
 	depth int
 	hist  ExitHistory
 	table idealPHT[exitKey]
-	exitUndo
+	undoLog
 }
 
 // NewIdealGlobal returns an alias-free GLOBAL exit predictor of the given
@@ -173,7 +168,7 @@ func (p *IdealGlobal) PredictExit(t *tfg.Task) int {
 
 // UpdateExit implements ExitPredictor.
 func (p *IdealGlobal) UpdateExit(t *tfg.Task, exit int) {
-	p.train(p.table.slot(exitKey{addr: t.Start, hist: p.hist}, nil), exit, nil, nil)
+	p.train(p.table.slot(exitKey{addr: t.Start, hist: p.hist}), exit, nil)
 }
 
 // specStepExit implements exitSpecKernel: one key, one map lookup; the
@@ -183,18 +178,15 @@ func (p *IdealGlobal) specStepExit(addr isa.Addr, nexits int, f *specFrame) int 
 	idx, e := p.table.predict(exitKey{addr: addr, hist: p.hist})
 	f.exitAux = uint64(p.hist)<<32 | uint64(idx)
 	pred := clampExits(e, nexits)
-	p.train(idx, pred, &p.undo, nil)
+	p.train(idx, pred, &p.undo)
 	return pred
 }
 
-// train is the index→train helper: slot idx learns exit, which then
-// shifts into the global history (the slot write logged on log, the
-// history on histLog).
-func (p *IdealGlobal) train(idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper: slot idx learns exit (the write
+// logged on log when non-nil), which then shifts into the global
+// history.
+func (p *IdealGlobal) train(idx uint32, exit int, log *undoRing) {
 	p.table.train(idx, exit, log)
-	if histLog != nil {
-		histLog.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
-	}
 	p.hist = p.hist.Push(exit, p.depth)
 }
 
@@ -206,7 +198,7 @@ type IdealPer struct {
 	depth int
 	hists map[isa.Addr]ExitHistory
 	table idealPHT[exitKey]
-	exitUndo
+	undoLog
 }
 
 // NewIdealPer returns an alias-free PER exit predictor. It panics on a
@@ -245,7 +237,7 @@ func (p *IdealPer) PredictExit(t *tfg.Task) int {
 // UpdateExit implements ExitPredictor.
 func (p *IdealPer) UpdateExit(t *tfg.Task, exit int) {
 	h := p.hists[t.Start]
-	p.train(t.Start, h, p.table.slot(exitKey{addr: t.Start, hist: h}, nil), exit, nil, nil)
+	p.train(t.Start, h, p.table.slot(exitKey{addr: t.Start, hist: h}), exit, nil)
 }
 
 // specStepExit implements exitSpecKernel: one history read, one table
@@ -257,18 +249,15 @@ func (p *IdealPer) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	idx, e := p.table.predict(exitKey{addr: addr, hist: h})
 	f.exitAux = uint64(h)<<32 | uint64(idx)
 	pred := clampExits(e, nexits)
-	p.train(addr, h, idx, pred, &p.undo, nil)
+	p.train(addr, h, idx, pred, &p.undo)
 	return pred
 }
 
-// train is the index→train helper: slot idx learns exit, which then
-// shifts into history h of the task at addr (the slot write logged on
-// log, the history on histLog).
-func (p *IdealPer) train(addr isa.Addr, h ExitHistory, idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper: slot idx learns exit (the write
+// logged on log when non-nil), which then shifts into history h of the
+// task at addr.
+func (p *IdealPer) train(addr isa.Addr, h ExitHistory, idx uint32, exit int, log *undoRing) {
 	p.table.train(idx, exit, log)
-	if histLog != nil {
-		histLog.push(specUndo{kind: undoPerHist, addr: addr, prev: uint32(h)})
-	}
 	p.hists[addr] = h.Push(exit, p.depth)
 }
 
@@ -280,7 +269,7 @@ type IdealPath struct {
 	depth int
 	hist  PathHistory
 	table idealPHT[PathKey]
-	exitUndo
+	undoLog
 }
 
 // NewIdealPath returns an alias-free PATH exit predictor. It panics on a
@@ -316,7 +305,7 @@ func (p *IdealPath) PredictExit(t *tfg.Task) int {
 
 // UpdateExit implements ExitPredictor.
 func (p *IdealPath) UpdateExit(t *tfg.Task, exit int) {
-	p.train(t.Start, p.table.slot(MakePathKey(&p.hist, t.Start, p.depth), nil), exit, nil, nil)
+	p.train(t.Start, p.table.slot(MakePathKey(&p.hist, t.Start, p.depth)), exit, nil)
 }
 
 // specStepExit implements exitSpecKernel: one path key, one map lookup;
@@ -325,18 +314,14 @@ func (p *IdealPath) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	p.undo.reserve()
 	idx, e := p.table.predict(MakePathKey(&p.hist, addr, p.depth))
 	pred := clampExits(e, nexits)
-	p.train(addr, idx, pred, &p.undo, nil)
+	p.train(addr, idx, pred, &p.undo)
 	f.exitAux = uint64(idx)
 	return pred
 }
 
-// train is the index→train helper: slot idx learns exit, then addr
-// shifts into the path history (the slot write logged on log, the
-// history on histLog).
-func (p *IdealPath) train(addr isa.Addr, idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper: slot idx learns exit (the write
+// logged on log when non-nil), then addr shifts into the path history.
+func (p *IdealPath) train(addr isa.Addr, idx uint32, exit int, log *undoRing) {
 	p.table.train(idx, exit, log)
-	if histLog != nil {
-		logPathHist(histLog, &p.hist)
-	}
 	p.hist.Push(addr)
 }

@@ -41,9 +41,8 @@ func (t *pht) predict(idx uint32) int {
 	return t.kind.predict(s, &t.rng)
 }
 
-// update trains entry idx with the actual exit. With a non-nil log the
-// prior word is recorded first; a logged zero means this update
-// allocated the entry, and undoing it frees the entry again.
+// update trains entry idx with the actual exit, recording the prior word
+// on log first when it is non-nil (a fused speculative step).
 func (t *pht) update(idx uint32, exit int, log *undoRing) {
 	s := t.states[idx]
 	if log != nil {
@@ -54,14 +53,6 @@ func (t *pht) update(idx uint32, exit int, log *undoRing) {
 		t.touched++
 	}
 	t.states[idx] = t.kind.update(s, exit)
-}
-
-// undo restores entry idx to a logged prior word.
-func (t *pht) undo(idx uint32, prev uint16) {
-	if prev == 0 {
-		t.touched--
-	}
-	t.states[idx] = prev
 }
 
 // Options for real (table-backed) exit predictors.
@@ -96,7 +87,7 @@ type PathExit struct {
 
 	path dolcPath
 	pht  pht
-	exitUndo
+	undoLog
 
 	// Pending automaton updates when TrainLatency > 0, kept in a
 	// fixed-size ring (head index + live count) so a full FIFO costs
@@ -167,13 +158,14 @@ func (p *PathExit) Reset() {
 	p.undo.reset()
 }
 
-// specErr reports why this predictor cannot run under speculative
-// update: the TrainLatency FIFO is itself an update-timing model and
-// composing it under checkpoint repair would double-count the lag (the
-// session's resolution window is the lag model in spec mode).
+// specErr implements exitSpecKernel: the TrainLatency FIFO is itself an
+// update-timing model and composing it under checkpoint repair would
+// double-count the lag (the session's resolution window is the lag
+// model in spec mode).
 func (p *PathExit) specErr() error {
 	if p.opts.TrainLatency > 0 {
-		return fmt.Errorf("core: %s: TrainLatency %d cannot combine with speculative update (the session's resolution lag models update timing)", p.Name(), p.opts.TrainLatency)
+		return &SpecUnsupportedError{Predictor: p.Name(), Reason: fmt.Sprintf(
+			"TrainLatency %d cannot combine with it (the session's resolution lag models update timing)", p.opts.TrainLatency)}
 	}
 	return nil
 }
@@ -193,7 +185,7 @@ func (p *PathExit) UpdateExit(t *tfg.Task, exit int) {
 	if !(p.opts.SkipSingleExit && single) {
 		idx = p.path.index(t.Start)
 	}
-	p.train(t.Start, single, idx, exit, nil, nil)
+	p.train(t.Start, single, idx, exit, nil)
 }
 
 // pendPush enqueues a delayed automaton update and, once the FIFO holds
@@ -217,20 +209,21 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 	}
 }
 
-// specStepExit implements exitSpecKernel: PredictExit and
-// SpecUpdateExit over one DOLC index, which the frame keeps for the
-// catch-up (phtSkipped when a single-exit task skips the PHT).
+// specStepExit implements exitSpecKernel: PredictExit and a logged
+// UpdateExit toward the prediction over one DOLC index, which the frame
+// keeps for the catch-up (phtSkipped when a single-exit task skips the
+// PHT).
 func (p *PathExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	p.undo.reserve()
 	single := nexits == 1
 	if p.opts.SkipSingleExit && single {
-		p.train(addr, true, 0, 0, &p.undo, nil)
+		p.train(addr, true, 0, 0, &p.undo)
 		f.exitAux = phtSkipped
 		return 0
 	}
 	idx := p.path.index(addr)
 	pred := clampExits(p.pht.predict(idx), nexits)
-	p.train(addr, single, idx, pred, &p.undo, nil)
+	p.train(addr, single, idx, pred, &p.undo)
 	f.exitAux = uint64(idx)
 	return pred
 }
@@ -238,12 +231,12 @@ func (p *PathExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 // phtSkipped marks a fused frame whose task skipped the PHT.
 const phtSkipped = ^uint64(0)
 
-// train is the index→train helper of every PATH update (idealized,
-// speculative and fused alike): it trains PHT entry idx (the step's
-// DOLC index; unused when a single-exit task skips the PHT) with exit
-// and shifts the task at addr into the path history, logging the PHT
-// write on log and the history push on histLog (each when non-nil).
-func (p *PathExit) train(addr isa.Addr, single bool, idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper of every PATH update (idealized and
+// speculative alike): it trains PHT entry idx (the step's DOLC index;
+// unused when a single-exit task skips the PHT) with exit, logging the
+// write on log when non-nil, and shifts the task at addr into the path
+// history.
+func (p *PathExit) train(addr isa.Addr, single bool, idx uint32, exit int, log *undoRing) {
 	if !(p.opts.SkipSingleExit && single) {
 		if p.opts.TrainLatency == 0 {
 			p.pht.update(idx, exit, log)
@@ -255,9 +248,6 @@ func (p *PathExit) train(addr isa.Addr, single bool, idx uint32, exit int, log, 
 		}
 	}
 	if !(p.opts.SkipSingleExitHistory && single) {
-		if histLog != nil {
-			logPathHist(histLog, &p.path.hist)
-		}
 		p.path.push(addr)
 	}
 }
@@ -274,7 +264,7 @@ type GlobalExit struct {
 
 	hist ExitHistory
 	pht  pht
-	exitUndo
+	undoLog
 }
 
 // NewGlobalExit builds a real GLOBAL exit predictor: depth 2-bit exit
@@ -324,7 +314,7 @@ func (p *GlobalExit) PredictExit(t *tfg.Task) int {
 }
 
 // UpdateExit implements ExitPredictor.
-func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.train(p.index(t.Start), exit, nil, nil) }
+func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.train(p.index(t.Start), exit, nil) }
 
 // specStepExit implements exitSpecKernel; the frame keeps the global
 // history the step started from.
@@ -333,18 +323,15 @@ func (p *GlobalExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	f.exitAux = uint64(p.hist)
 	idx := p.index(addr)
 	pred := clampExits(p.pht.predict(idx), nexits)
-	p.train(idx, pred, &p.undo, nil)
+	p.train(idx, pred, &p.undo)
 	return pred
 }
 
-// train is the index→train helper: PHT entry idx learns exit, which
-// then shifts into the global history (the PHT write logged on log, the
-// history on histLog).
-func (p *GlobalExit) train(idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper: PHT entry idx learns exit (the
+// write logged on log when non-nil), which then shifts into the global
+// history.
+func (p *GlobalExit) train(idx uint32, exit int, log *undoRing) {
 	p.pht.update(idx, exit, log)
-	if histLog != nil {
-		histLog.push(specUndo{kind: undoExitHist, prev: uint32(p.hist)})
-	}
 	p.hist = p.hist.Push(exit, p.depth)
 }
 
@@ -361,7 +348,7 @@ type PerExit struct {
 
 	hrt []ExitHistory
 	pht pht
-	exitUndo
+	undoLog
 }
 
 // NewPerExit builds a real PER exit predictor.
@@ -416,7 +403,7 @@ func (p *PerExit) PredictExit(t *tfg.Task) int {
 // UpdateExit implements ExitPredictor.
 func (p *PerExit) UpdateExit(t *tfg.Task, exit int) {
 	h := p.hrtIndex(t.Start)
-	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, nil, nil)
+	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, nil)
 }
 
 // specStepExit implements exitSpecKernel; the frame keeps the HRT slot
@@ -427,17 +414,14 @@ func (p *PerExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	f.exitAux = uint64(h)<<32 | uint64(p.hrt[h])
 	idx := p.phtIndex(addr, p.hrt[h])
 	pred := clampExits(p.pht.predict(idx), nexits)
-	p.train(h, idx, pred, &p.undo, nil)
+	p.train(h, idx, pred, &p.undo)
 	return pred
 }
 
-// train is the index→train helper: PHT entry idx learns exit, which
-// then shifts into the task's history at HRT slot h (the PHT write
-// logged on log, the history on histLog).
-func (p *PerExit) train(h, idx uint32, exit int, log, histLog *undoRing) {
+// train is the index→train helper: PHT entry idx learns exit (the
+// write logged on log when non-nil), which then shifts into the task's
+// history at HRT slot h.
+func (p *PerExit) train(h, idx uint32, exit int, log *undoRing) {
 	p.pht.update(idx, exit, log)
-	if histLog != nil {
-		histLog.push(specUndo{kind: undoHRT, idx: h, prev: uint32(p.hrt[h])})
-	}
 	p.hrt[h] = p.hrt[h].Push(exit, p.depth)
 }

@@ -74,7 +74,8 @@ func synthGraph() (*tfg.Graph, *trace.Trace) {
 
 // The eval* helpers replay a trace through the block kernels — the
 // production replay path — and hold every result to the unresolved
-// oracle, so each predictor test here is also a differential test.
+// oracle (the spec ones to the reference model of specref_test.go), so
+// each predictor test here is also a differential test.
 
 func columnar(t testing.TB, tr *trace.Trace) *trace.Columnar {
 	t.Helper()
@@ -109,28 +110,28 @@ func evalTask(t testing.TB, tr *trace.Trace, p TaskPredictor) TaskResult {
 	return got
 }
 
-func evalExitSpec(t testing.TB, tr *trace.Trace, p ExitPredictor, lag int) ExitResult {
+// evalExitSpec runs p through the speculative block kernel and holds
+// the result to the reference model, which builds its twins with mk.
+func evalExitSpec(t testing.TB, tr *trace.Trace, p ExitPredictor, mk func() ExitPredictor, lag int) ExitResult {
 	t.Helper()
 	got, err := EvaluateExitSpecBlocks(columnar(t, tr).Blocks(), p, lag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateExitSpecUnresolved(tr, p, lag)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s lag %d: blocks %+v != oracle %+v (%v)", p.Name(), lag, got, want, err)
+	if want := referenceExitSpec(tr, mk, lag); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s lag %d: blocks %+v != reference %+v", p.Name(), lag, got, want)
 	}
 	return got
 }
 
-func evalTaskSpec(t testing.TB, tr *trace.Trace, p TaskPredictor, lag int) TaskResult {
+func evalTaskSpec(t testing.TB, tr *trace.Trace, p TaskPredictor, mk func() TaskPredictor, lag int) TaskResult {
 	t.Helper()
 	got, err := EvaluateTaskSpecBlocks(columnar(t, tr).Blocks(), p, lag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateTaskSpecUnresolved(tr, p, lag)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s lag %d: blocks %+v != oracle %+v (%v)", p.Name(), lag, got, want, err)
+	if want := referenceTaskSpec(tr, mk, lag); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s lag %d: blocks %+v != reference %+v", p.Name(), lag, got, want)
 	}
 	return got
 }

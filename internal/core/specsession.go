@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"multiscalar/internal/isa"
@@ -17,7 +16,7 @@ import (
 // valid. An exit session uses the exit fields and mark.exit only.
 type specFrame struct {
 	task    *tfg.Task
-	mark    TaskMark
+	mark    taskMark
 	exitAux uint64   // exit kernel's replay state (see specupdate.go)
 	bufAux  uint32   // target buffer kernel's replay state
 	target  isa.Addr // actual next-task address
@@ -91,27 +90,23 @@ func recordSquash(start time.Time, timed bool) {
 	}
 }
 
-// SpecExitSession drives an exit predictor through the speculative-
-// update protocol: every Step predicts, checkpoints and spec-updates
+// SpecExitSession drives an exit predictor's fused kernel through
+// speculative update: every Step predicts, checkpoints and spec-updates
 // immediately; actual outcomes resolve in program order `lag` steps
-// later. A correct resolution commits the oldest frame's undo entries; a
-// wrong one repairs the predictor back to that frame's mark — undoing
-// its own wrong-outcome training *and* every younger frame's wrong-path
-// training — then replays all windowed actual outcomes non-speculatively
-// (the squash gives outcomes time to catch up) and clears the window.
-//
-// A built-in predictor runs the fused kernel: one call per step, commits
-// straight on its undo ring, one call per squash. Any other
-// SpecExitPredictor runs the public protocol, with the same result.
+// later. A correct resolution retires the oldest frame (its undo entries
+// are committed in batches); a wrong one repairs the predictor back to
+// that frame's mark — undoing its own wrong-outcome training *and* every
+// younger frame's wrong-path training — then replays all windowed
+// actual outcomes non-speculatively (the squash gives outcomes time to
+// catch up) and clears the window.
 //
 // With lag 0 each frame resolves inside its own Step, so a committed
 // speculative update trained the actual outcome and a repaired one is
 // replaced by exactly the idealized update: lag-0 spec replay is
 // byte-identical to the §3.1 idealized mode (pinned by test).
 type SpecExitSession struct {
-	pred SpecExitPredictor
-	kern exitSpecKernel // fused path; nil drives the public protocol
-	log  *undoRing      // kern's undo ring
+	kern exitSpecKernel
+	log  *undoRing // kern's undo ring
 	lag  int
 	win  specWindow
 
@@ -121,56 +116,31 @@ type SpecExitSession struct {
 
 // NewSpecExitSession wraps p for speculative-update replay with the
 // given resolution lag (outcomes return `lag` tasks late; 0 resolves
-// within the step). It fails if p does not support checkpoint repair —
-// notably DelayedUpdate wrappers and fault injectors, whose lag/fault
-// semantics compose with speculation at the session level instead.
+// within the step). It returns a *SpecUnsupportedError when p has no
+// fused kernel — notably DelayedUpdate wrappers and fault injectors,
+// whose lag/fault semantics compose with speculation at the session
+// level instead — or its configuration refuses one.
 func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
-	return newSpecExitSession(p, lag, true)
-}
-
-// newSpecExitSession is NewSpecExitSession; fused=false drives the
-// public protocol even for a built-in predictor (the differential
-// oracle's session).
-func newSpecExitSession(p ExitPredictor, lag int, fused bool) (*SpecExitSession, error) {
-	sp, ok := p.(SpecExitPredictor)
+	k, ok := p.(exitSpecKernel)
 	if !ok {
-		return nil, fmt.Errorf("core: exit predictor %s does not support speculative update", p.Name())
+		return nil, errNoKernel(p.Name(), "it")
 	}
-	if c, ok := p.(interface{ specErr() error }); ok {
-		if err := c.specErr(); err != nil {
-			return nil, err
-		}
+	if err := k.specErr(); err != nil {
+		return nil, err
 	}
 	lag = max(lag, 0)
-	s := &SpecExitSession{pred: sp, lag: lag, win: newSpecWindow(lag)}
-	if k, ok := p.(exitSpecKernel); ok && fused {
-		s.kern, s.log = k, k.specLog()
-	}
-	return s, nil
+	return &SpecExitSession{kern: k, log: k.specLog(), lag: lag, win: newSpecWindow(lag)}, nil
 }
 
 // Step predicts task t, speculatively trains the predictor with its own
 // prediction, and resolves the step that fell due. It returns the
 // prediction for scoring.
 func (s *SpecExitSession) Step(t *tfg.Task, actual int) int {
-	if s.kern != nil {
-		return s.step(t, t.Start, t.NumExits(), actual)
-	}
-	f := s.win.push()
-	f.task, f.exit = t, int8(actual)
-	pred := s.pred.PredictExit(t)
-	f.mark.exit = s.pred.MarkExit()
-	s.pred.SpecUpdateExit(t, pred)
-	f.pexit = int8(pred)
-	if s.win.n > s.lag {
-		s.resolveOldest()
-	}
-	return pred
+	return s.step(t, t.Start, t.NumExits(), actual)
 }
 
-// step is Step's fused path, given the task's address and exit count
-// (as the block dictionary carries them, so the kernel never touches
-// the task itself).
+// step is Step given the task's address and exit count (as the block
+// dictionary carries them, so the kernel never touches the task itself).
 func (s *SpecExitSession) step(t *tfg.Task, addr isa.Addr, nexits, actual int) int {
 	f := s.win.push()
 	f.task, f.exit = t, int8(actual)
@@ -183,7 +153,7 @@ func (s *SpecExitSession) step(t *tfg.Task, addr isa.Addr, nexits, actual int) i
 			// entries once enough of them have piled up.
 			s.win.pop()
 			if s.log.live() > undoCommitSlack {
-				s.commitFused()
+				s.commit()
 			}
 		} else {
 			s.resolveOldest()
@@ -203,41 +173,25 @@ func (s *SpecExitSession) resolveOldest() {
 	f := s.win.at(0)
 	if f.pexit == f.exit {
 		// Correct: the oldest frame's speculative training becomes
-		// architectural. Its undo entries end where the next frame's
-		// begin (or at the current log head when it is alone).
+		// architectural.
 		s.win.pop()
-		if s.kern != nil {
-			s.commitFused()
-			return
-		}
-		next := s.pred.MarkExit()
-		if s.win.n > 0 {
-			next = s.win.at(0).mark.exit
-		}
-		s.pred.CommitExit(next)
+		s.commit()
 		return
 	}
 	// Mispredict: squash. Repair to the resolving frame's checkpoint,
 	// then apply every windowed actual outcome non-speculatively.
 	start, timed := specTimer()
-	if s.kern != nil {
-		s.kern.squashExit(f.mark.exit, &s.win)
-	} else {
-		s.pred.RepairExit(f.mark.exit)
-		for k := 0; k < s.win.n; k++ {
-			g := s.win.at(k)
-			s.pred.UpdateExit(g.task, int(g.exit))
-		}
-	}
+	s.kern.squashExit(f.mark.exit, &s.win)
 	s.rollbacks++
 	s.repairFrames += s.win.n
 	s.win.clear()
 	recordSquash(start, timed)
 }
 
-// commitFused commits a fused session's undo ring up to the oldest
-// unresolved frame: every resolved frame's inverses are dead.
-func (s *SpecExitSession) commitFused() {
+// commit commits the undo ring up to the oldest unresolved frame: every
+// resolved frame's inverses are dead. A frame's entries end where the
+// next frame's begin (or at the log head when it is alone).
+func (s *SpecExitSession) commit() {
 	next := s.log.mark()
 	if s.win.n > 0 {
 		next = s.win.at(0).mark.exit
@@ -251,19 +205,17 @@ func (s *SpecExitSession) Rollbacks() int { return s.rollbacks }
 // RepairFrames returns the total frames squashed across all repairs.
 func (s *SpecExitSession) RepairFrames() int { return s.repairFrames }
 
-// SpecTaskSession drives a full task predictor through the speculative-
-// update protocol; see SpecExitSession for the windowing, repair and
-// fused-kernel semantics. A frame resolves correctly only when its
-// *entire* predicted outcome matched — exit (when the predictor names
-// one) and target — so a committed speculative update is always
-// identical to the idealized update it replaces; anything less rolls
-// back. Rollbacks can therefore exceed the scored (target-only) miss
-// count.
+// SpecTaskSession drives a full task predictor's fused kernel through
+// speculative update; see SpecExitSession for the windowing and repair
+// semantics. A frame resolves correctly only when its *entire*
+// predicted outcome matched — exit (when the predictor names one) and
+// target — so a committed speculative update is always identical to the
+// idealized update it replaces; anything less rolls back. Rollbacks can
+// therefore exceed the scored (target-only) miss count.
 type SpecTaskSession struct {
-	pred SpecTaskPredictor
-	kern taskSpecKernel // fused path; nil drives the public protocol
-	// The fused path's checkpointed state: the components' undo rings
-	// (none for an absent component) and RAS (nil when absent).
+	kern taskSpecKernel
+	// The checkpointed state: the components' undo rings (none for an
+	// absent component) and RAS (nil when absent).
 	exitLog, bufLog *undoRing
 	none            undoRing
 	ras             *RAS
@@ -276,36 +228,24 @@ type SpecTaskSession struct {
 }
 
 // NewSpecTaskSession wraps p for speculative-update replay with the
-// given resolution lag. It fails if p or any of its components does not
-// support checkpoint repair.
+// given resolution lag. It returns a *SpecUnsupportedError when p or
+// any of its components has no fused kernel, or refuses one.
 func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
-	return newSpecTaskSession(p, lag, true)
-}
-
-// newSpecTaskSession is NewSpecTaskSession; fused=false drives the
-// public protocol even for a built-in predictor.
-func newSpecTaskSession(p TaskPredictor, lag int, fused bool) (*SpecTaskSession, error) {
-	sp, ok := p.(SpecTaskPredictor)
+	k, ok := p.(taskSpecKernel)
 	if !ok {
-		return nil, fmt.Errorf("core: task predictor %s does not support speculative update", p.Name())
+		return nil, errNoKernel(p.Name(), "it")
 	}
-	if init, ok := p.(interface{ specInit() error }); ok {
-		if err := init.specInit(); err != nil {
-			return nil, err
-		}
+	if err := k.specErr(); err != nil {
+		return nil, err
 	}
 	lag = max(lag, 0)
-	s := &SpecTaskSession{pred: sp, lag: lag, win: newSpecWindow(lag)}
-	if k, ok := p.(taskSpecKernel); ok && fused {
-		if exit, buf, ras, ok := k.specLogs(); ok {
-			s.kern, s.exitLog, s.bufLog, s.ras = k, exit, buf, ras
-			if exit == nil {
-				s.exitLog = &s.none
-			}
-			if buf == nil {
-				s.bufLog = &s.none
-			}
-		}
+	s := &SpecTaskSession{kern: k, lag: lag, win: newSpecWindow(lag)}
+	s.exitLog, s.bufLog, s.ras = k.specLogs()
+	if s.exitLog == nil {
+		s.exitLog = &s.none
+	}
+	if s.bufLog == nil {
+		s.bufLog = &s.none
 	}
 	return s, nil
 }
@@ -316,25 +256,18 @@ func newSpecTaskSession(p TaskPredictor, lag int, fused bool) (*SpecTaskSession,
 func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
 	f := s.win.push()
 	f.task, f.exit, f.target = t, int8(actual.Exit), actual.Target
-	var pred Prediction
-	if s.kern != nil {
-		f.mark.exit, f.mark.buf = s.exitLog.mark(), s.bufLog.mark()
-		if s.ras != nil {
-			f.mark.ras = s.ras.Mark()
-		}
-		pred = s.kern.specStepTask(t, f)
-	} else {
-		pred = s.pred.Predict(t)
-		f.mark = s.pred.MarkTask()
-		s.pred.SpecUpdate(t, pred)
+	f.mark.exit, f.mark.buf = s.exitLog.mark(), s.bufLog.mark()
+	if s.ras != nil {
+		f.mark.ras = s.ras.Mark()
 	}
+	pred := s.kern.specStepTask(t, f)
 	f.pexit, f.ptarget = int8(pred.Exit), pred.Target
 	if s.win.n > s.lag {
-		if o := s.win.at(0); s.kern != nil && o.correct() {
-			// The common case, inline (see SpecExitSession.Step).
+		if o := s.win.at(0); o.correct() {
+			// The common case, inline (see SpecExitSession.step).
 			s.win.pop()
 			if s.exitLog.live() > undoCommitSlack || s.bufLog.live() > undoCommitSlack {
-				s.commitFused()
+				s.commit()
 			}
 		} else {
 			s.resolveOldest()
@@ -354,29 +287,11 @@ func (s *SpecTaskSession) resolveOldest() {
 	f := s.win.at(0)
 	if f.correct() {
 		s.win.pop()
-		if s.kern != nil {
-			s.commitFused()
-			return
-		}
-		next := s.pred.MarkTask()
-		if s.win.n > 0 {
-			next = s.win.at(0).mark
-		}
-		s.pred.CommitTask(next)
+		s.commit()
 		return
 	}
 	start, timed := specTimer()
-	var damaged bool
-	if s.kern != nil {
-		damaged = s.kern.squashTask(f.mark, &s.win)
-	} else {
-		damaged = s.pred.RepairTask(f.mark)
-		for k := 0; k < s.win.n; k++ {
-			g := s.win.at(k)
-			s.pred.Update(g.task, Outcome{Exit: int(g.exit), Target: g.target})
-		}
-	}
-	if damaged {
+	if s.kern.squashTask(f.mark, &s.win) {
 		s.rasDamage++
 	}
 	s.rollbacks++
@@ -385,9 +300,8 @@ func (s *SpecTaskSession) resolveOldest() {
 	recordSquash(start, timed)
 }
 
-// commitFused commits a fused session's undo rings up to the oldest
-// unresolved frame.
-func (s *SpecTaskSession) commitFused() {
+// commit commits the undo rings up to the oldest unresolved frame.
+func (s *SpecTaskSession) commit() {
 	exit, buf := s.exitLog.mark(), s.bufLog.mark()
 	if s.win.n > 0 {
 		next := &s.win.at(0).mark

@@ -12,91 +12,48 @@ import (
 // training). In this mode the sequencer trains its predictors at
 // prediction time with the *predicted* outcome, the way the XIOSim fetch
 // stage calls spec_update before the branch resolves, and repairs them
-// when a misprediction resolves. The public protocol is:
+// when a misprediction resolves.
 //
-//	pred := p.PredictExit(t)
-//	m := p.MarkExit()          // checkpoint: undo-log position (+ RAS mark)
-//	p.SpecUpdateExit(t, pred)  // full update, every mutation undo-logged
-//	...                        // outcome resolves up to `lag` tasks later
-//	p.CommitExit(m2)           // correct: discard the frame's undo entries
-//	p.RepairExit(m)            // wrong: drain the undo log back to the mark
+// Every built-in predictor implements it as a fused kernel
+// (exitSpecKernel, targetSpecKernel, taskSpecKernel), which the
+// SpecExitSession / SpecTaskSession drivers (specsession.go) run: one
+// call per step predicts and trains toward the prediction with a single
+// table index, logging each table write on the predictor's undo ring;
+// the session reads checkpoints off the ring and commits on it directly;
+// and one call per squash drains the ring back to the mispredicted
+// frame's mark and replays the window's actual outcomes. A predictor
+// without a kernel is refused with a *SpecUnsupportedError.
 //
 // Repair is a bounded drain of an in-place undo log — never a
 // re-simulation — so rollback-heavy replay stays allocation-free per
-// step. Every logged mutation records the exact prior word of state
-// (packed automaton, history register, table entry), and draining newest
-// to oldest restores predictor tables precisely to the mark. The only
-// speculative effects that survive a repair are allocations performed by
-// wrong-path *lookups* (PHT entries and map contexts materialized on
-// first touch): hardware tables exist whether or not an index is later
-// squashed, so States() in spec mode counts wrong-path pollution too.
-//
-// The built-in predictors also implement a fused form of the same
-// protocol (exitSpecKernel, targetSpecKernel, taskSpecKernel): one call
-// per step predicts and trains toward the prediction with a single
-// table index, the session reads checkpoints off the predictor's undo
-// ring and commits on it directly, and one call per squash drains the
-// log and replays the window's actual outcomes. The SpecExitSession /
-// SpecTaskSession drivers (specsession.go) take the fused path whenever
-// the predictor offers it and the public protocol otherwise.
+// step. Every logged write records the exact prior word of its entry,
+// so draining newest to oldest restores the tables precisely to the
+// mark. What survives a repair is what hardware cannot take back:
+// entries a wrong-path *lookup* allocated (PHT entries and ideal
+// contexts materialized on first touch, left in their fresh state, so
+// States() in spec mode counts wrong-path pollution too), the tie-break
+// RNG's draws, and whatever deep wrong-path pushes clobbered in the RAS
+// below its mark (RAS.Repair reports it). specref_test.go holds a
+// reference model that restores whole state from an architectural twin
+// instead of undo-logging, and carries exactly these survivors over.
 
-// SpecMark is a predictor checkpoint: an absolute position in the
-// predictor's undo log captured by MarkExit/MarkTarget before a
-// speculative update.
-type SpecMark uint64
+// specMark is a predictor checkpoint: an absolute position in the
+// predictor's undo log, captured before a speculative update.
+type specMark uint64
 
-// SpecExitPredictor is an exit predictor that supports speculative
-// update with checkpoint repair. SpecUpdateExit performs exactly the
-// same training as UpdateExit while recording inverse operations;
-// RepairExit(m) restores every table, history register and automaton to
-// its state when MarkExit returned m; CommitExit(m) discards undo
-// entries older than m once the speculation they guard has resolved
-// correctly.
-type SpecExitPredictor interface {
-	ExitPredictor
-	SpecUpdateExit(t *tfg.Task, exit int)
-	MarkExit() SpecMark
-	RepairExit(SpecMark)
-	CommitExit(SpecMark)
-}
-
-// SpecTargetBuffer is a target buffer that supports speculative
-// training with checkpoint repair, mirroring the Train/Advance contract
-// of TargetBuffer.
-type SpecTargetBuffer interface {
-	TargetBuffer
-	SpecTrain(current, target isa.Addr)
-	SpecAdvance(current isa.Addr)
-	MarkTarget() SpecMark
-	RepairTarget(SpecMark)
-	CommitTarget(SpecMark)
-}
-
-// TaskMark is the composed checkpoint of a full task predictor: the
+// taskMark is the composed checkpoint of a full task predictor: the
 // exit predictor's and target buffer's undo-log marks plus the RAS
 // repair point.
-type TaskMark struct {
-	exit SpecMark
-	buf  SpecMark
+type taskMark struct {
+	exit specMark
+	buf  specMark
 	ras  RASMark
-}
-
-// SpecTaskPredictor is a task predictor that supports speculative
-// update with checkpoint repair. RepairTask reports whether the RAS
-// repair was inexact (deep wrong-path pushes clobbered live entries the
-// mark cannot restore — see RAS.Repair).
-type SpecTaskPredictor interface {
-	TaskPredictor
-	SpecUpdate(t *tfg.Task, p Prediction)
-	MarkTask() TaskMark
-	RepairTask(TaskMark) bool
-	CommitTask(TaskMark)
 }
 
 // exitSpecKernel is the fused speculative step of the built-in exit
 // predictors.
 type exitSpecKernel interface {
-	SpecExitPredictor
+	ExitPredictor
 	// specStepExit predicts the task at addr, which has nexits exits,
 	// and trains toward that prediction through the same index→train
 	// helper as UpdateExit, computing the table index or ideal key once.
@@ -105,15 +62,18 @@ type exitSpecKernel interface {
 	specStepExit(addr isa.Addr, nexits int, f *specFrame) int
 	// squashExit repairs the predictor to mark m, then replays the
 	// window's actual exits non-speculatively.
-	squashExit(m SpecMark, w *specWindow)
+	squashExit(m specMark, w *specWindow)
 	// specLog returns the undo ring the speculative updates log on.
 	specLog() *undoRing
+	// specErr reports why the predictor cannot run under a session, or
+	// nil.
+	specErr() error
 }
 
 // targetSpecKernel is the fused speculative step of the built-in target
 // buffers.
 type targetSpecKernel interface {
-	SpecTargetBuffer
+	TargetBuffer
 	// specStepTarget is one speculative buffer step for current: with
 	// lookup it predicts the target (zero on a miss), which replaces
 	// target; with train it trains toward target, sharing the lookup's
@@ -126,48 +86,67 @@ type targetSpecKernel interface {
 	// window's actual outcomes: training on every frame with an exit
 	// when all is set (a CTTB-only predictor), on indirect exits only
 	// otherwise (a header predictor, §5.4), and advancing on every frame.
-	squashTarget(m SpecMark, w *specWindow, all bool)
+	squashTarget(m specMark, w *specWindow, all bool)
 	specLog() *undoRing
 }
 
 // taskSpecKernel is the fused speculative step of the built-in task
 // predictors.
 type taskSpecKernel interface {
-	SpecTaskPredictor
+	TaskPredictor
+	// specErr reports why the predictor — or one of its components —
+	// cannot run under a session, or nil.
+	specErr() error
 	// specLogs returns the undo rings and RAS the session checkpoints
-	// and commits directly (nil for an absent component); ok is false
-	// when a component has no fused kernel, and the session then drives
-	// the public protocol.
-	specLogs() (exit, buf *undoRing, ras *RAS, ok bool)
+	// and commits directly (nil for an absent component). It is valid
+	// once specErr has returned nil.
+	specLogs() (exit, buf *undoRing, ras *RAS)
 	// specStepTask predicts t and speculatively trains every component
 	// toward the prediction, recording replay state in f.
 	specStepTask(t *tfg.Task, f *specFrame) Prediction
 	// squashTask repairs every component to m, replays the window's
 	// actual outcomes non-speculatively, and reports an inexact RAS
 	// repair.
-	squashTask(m TaskMark, w *specWindow) (rasDamaged bool)
+	squashTask(m taskMark, w *specWindow) (rasDamaged bool)
 }
 
-// Undo-log entry kinds. Each predictor interprets its own entries in
-// its RepairExit or RepairTarget drain; kinds are shared so the ring stays one flat struct
-// type.
+// SpecUnsupportedError is a session's refusal of a predictor that cannot
+// run under speculative update: one without a fused kernel (a predictor
+// from outside this package, or a wrapper such as DelayedUpdate or a
+// fault injector, whose timing or fault model would have to checkpoint
+// too), or one whose configuration models update timing itself.
+type SpecUnsupportedError struct {
+	Predictor string // name of the refused predictor
+	Reason    string
+}
+
+func (e *SpecUnsupportedError) Error() string {
+	return fmt.Sprintf("core: %s does not support speculative update: %s", e.Predictor, e.Reason)
+}
+
+// errNoKernel refuses a predictor (or a component of one) without a
+// fused kernel.
+func errNoKernel(pred, component string) error {
+	return &SpecUnsupportedError{Predictor: pred, Reason: component + " has no speculative-update kernel"}
+}
+
+// Undo-log entry kinds. Only the ideal CTTB's drain tells them apart
+// (every other ring holds table writes of a single kind); they are
+// shared so the ring stays one flat struct type.
 const (
-	undoPHT         uint8 = iota // real PHT states[idx]: restore prev word (0 frees the entry)
-	undoPathHist                 // PathHistory: restore overwritten slot + head
-	undoExitHist                 // ExitHistory register: restore prev word
-	undoHRT                      // PerExit hrt[idx]: restore prev word
-	undoPerHist                  // IdealPer hists[addr]: restore prev word
+	undoPHT         uint8 = iota // real PHT states[idx]: restore prev word
 	undoIdealState               // ideal exit table slot idx: restore prev word
-	undoIdealCreate              // ideal table (exit or CTTB): drop slot idx and its key
 	undoTTBEntry                 // CTTB entries[idx]: restore target addr, counter|valid prev
 	undoTTBIdeal                 // IdealCTTB slot idx: likewise
+	undoIdealCreate              // IdealCTTB: drop slot idx and its key
+	undoPathHist                 // IdealCTTB PathHistory: restore overwritten slot + head
 )
 
 // specUndo is one logged inverse operation: idx and addr locate the
 // entry, prev (with addr, for a CTTB target) holds its prior state. Every
-// prior state fits 32 bits — a packed automaton, an exit history of at
-// most 2·MaxHistoryDepth bits, a CTTB counter and valid bit — so an
-// entry is 16 bytes of plain data the garbage collector never scans.
+// prior state fits 32 bits — a packed automaton, a CTTB counter and
+// valid bit — so an entry is 16 bytes of plain data the garbage
+// collector never scans.
 type specUndo struct {
 	kind uint8
 	idx  uint32
@@ -192,26 +171,24 @@ type undoRing struct {
 	base, top uint64
 }
 
-func (r *undoRing) mark() SpecMark { return SpecMark(r.top) }
+func (r *undoRing) mark() specMark { return specMark(r.top) }
 
 // live returns how many entries the ring holds.
 func (r *undoRing) live() uint64 { return r.top - r.base }
 
-// undoCommitSlack is how many entries a fused session lets a ring hold
-// before it commits the resolved frames' entries in one go: committing
-// only drops dead inverses, so batching it changes nothing but the
-// per-step cost (and the ring, at most this plus a window of entries,
-// never outgrows its first 64 slots at the lags the workloads run).
+// undoCommitSlack is how many entries a session lets a ring hold before
+// it commits the resolved frames' entries in one go: committing only
+// drops dead inverses, so batching it changes nothing but the per-step
+// cost (and the ring, at most this plus a window of entries, never
+// outgrows its first 64 slots at the lags the workloads run).
 const undoCommitSlack = 32
 
-// undoStepMax bounds the entries one logged update pushes on a ring: an
-// ideal exit predictor logs a slot creation, the slot's state and its
-// history register.
-const undoStepMax = 3
+// undoStepMax bounds the entries one fused step pushes on a ring: the
+// ideal CTTB logs a slot's state or creation and its history push.
+const undoStepMax = 2
 
-// reserve makes room for one logged update's entries. Every logged entry
-// point (SpecUpdateExit, SpecTrain, SpecAdvance, the fused steps) calls
-// it first, which keeps the growth check out of push.
+// reserve makes room for one fused step's entries. Every step calls it
+// first, which keeps the growth check out of push.
 func (r *undoRing) reserve() {
 	if r.live()+undoStepMax > uint64(len(r.buf)) {
 		r.grow()
@@ -239,9 +216,9 @@ func (r *undoRing) grow() {
 
 // since returns how many live entries are newer than mark m: the number
 // of pops that repair the log back to m.
-func (r *undoRing) since(m SpecMark) int {
+func (r *undoRing) since(m specMark) int {
 	if uint64(m)-r.base > r.live() {
-		panic(markError{"repair", m, SpecMark(r.base), r.mark()})
+		panic(markError{"repair", m, specMark(r.base), r.mark()})
 	}
 	return int(r.top - uint64(m))
 }
@@ -255,9 +232,9 @@ func (r *undoRing) pop() *specUndo {
 
 // commitTo discards entries older than mark m: the speculation they
 // guard resolved correctly, so their inverses are dead.
-func (r *undoRing) commitTo(m SpecMark) {
+func (r *undoRing) commitTo(m specMark) {
 	if uint64(m)-r.base > r.live() {
-		panic(markError{"commit", m, SpecMark(r.base), r.mark()})
+		panic(markError{"commit", m, specMark(r.base), r.mark()})
 	}
 	r.base = uint64(m)
 }
@@ -266,8 +243,8 @@ func (r *undoRing) commitTo(m SpecMark) {
 // the live log [lo, hi].
 type markError struct {
 	op     string
-	m      SpecMark
-	lo, hi SpecMark
+	m      specMark
+	lo, hi specMark
 }
 
 func (e markError) Error() string {
@@ -287,13 +264,6 @@ func logPathHist(log *undoRing, h *PathHistory) {
 	log.push(specUndo{kind: undoPathHist, idx: uint32(h.head), addr: h.ring[next]})
 }
 
-// undoPathHistApply reverses one hist.Push: restore the overwritten slot
-// and retreat the head.
-func undoPathHistApply(h *PathHistory, e *specUndo) {
-	h.ring[h.head] = e.addr
-	h.head = int(e.idx)
-}
-
 // ttbUndo logs entry e, at slot idx, for restoration by undoTTB.
 func ttbUndo(kind uint8, idx uint32, e *ttbEntry) specUndo {
 	u := specUndo{kind: kind, idx: idx, addr: e.target, prev: uint32(uint8(e.ctr))}
@@ -309,37 +279,39 @@ func undoTTB(e *ttbEntry, u *specUndo) {
 	e.valid = u.prev&(1<<8) != 0
 }
 
-// exitUndo is a spec-capable exit predictor's undo ring, with the
-// protocol methods that touch nothing else.
-type exitUndo struct{ undo undoRing }
+// undoLog is the undo ring every built-in predictor and buffer embeds
+// for its fused kernel.
+type undoLog struct{ undo undoRing }
 
-// MarkExit implements SpecExitPredictor.
-func (u *exitUndo) MarkExit() SpecMark { return u.undo.mark() }
+func (u *undoLog) specLog() *undoRing { return &u.undo }
 
-// CommitExit implements SpecExitPredictor.
-func (u *exitUndo) CommitExit(m SpecMark) { u.undo.commitTo(m) }
+// specErr implements exitSpecKernel: a built-in exit kernel runs under
+// any session unless its predictor overrides this (PathExit does).
+func (u *undoLog) specErr() error { return nil }
 
-func (u *exitUndo) specLog() *undoRing { return &u.undo }
+// drain pops log back to mark m, restoring each logged PHT word. A fused
+// step trains only the entry its own lookup has just allocated or found,
+// so no logged word is zero and a drain never frees an entry.
+func (t *pht) drain(log *undoRing, m specMark) {
+	for n := log.since(m); n > 0; n-- {
+		e := log.pop()
+		t.states[e.idx] = uint16(e.prev)
+	}
+}
 
-// targetUndo is exitUndo for a target buffer.
-type targetUndo struct{ undo undoRing }
+// drain is pht.drain for an ideal table: its contexts are created by
+// lookups, never by the logged trains, so each survives the drain.
+func (t *idealPHT[K]) drain(log *undoRing, m specMark) {
+	for n := log.since(m); n > 0; n-- {
+		e := log.pop()
+		t.slots[e.idx] = uint16(e.prev)
+	}
+}
 
-// MarkTarget implements SpecTargetBuffer.
-func (u *targetUndo) MarkTarget() SpecMark { return u.undo.mark() }
-
-// CommitTarget implements SpecTargetBuffer.
-func (u *targetUndo) CommitTarget(m SpecMark) { u.undo.commitTo(m) }
-
-func (u *targetUndo) specLog() *undoRing { return &u.undo }
-
-// Every family below implements the public protocol and the fused
-// kernel over its own undo ring, and both repair through one drain
-// (RepairExit, RepairTarget), which rebuilds a DOLC older-field
-// register once per repair rather than once per undone history push.
-//
-// The fused step logs only table writes. A history register's repair
-// state rides in the frame instead (specFrame.exitAux, bufAux), because
-// the squash replays the window's actual outcomes over the same tasks:
+// Each family's squash drains its ring and then runs the catch-up. The
+// fused step logs only table writes. A history register's repair state
+// rides in the frame instead (specFrame.exitAux, bufAux), because the
+// squash replays the window's actual outcomes over the same tasks:
 //
 //   - Path-keyed tables (PATH, ideal PATH, CTTB) push the same task
 //     addresses whatever the outcome, so the history already stands
@@ -356,39 +328,8 @@ func (u *targetUndo) specLog() *undoRing { return &u.undo }
 // speculative train may create the very slot the repair drops again, so
 // the catch-up must look the context up afresh.
 
-// --- PathExit ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *PathExit) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	var idx uint32
-	single := t.SingleExit()
-	if !(p.opts.SkipSingleExit && single) {
-		idx = p.path.index(t.Start)
-	}
-	p.train(t.Start, single, idx, exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *PathExit) RepairExit(m SpecMark) {
-	hist := false
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoPHT:
-			p.pht.undo(e.idx, uint16(e.prev))
-		case undoPathHist:
-			undoPathHistApply(&p.path.hist, e)
-			hist = true
-		}
-	}
-	if hist {
-		p.path.resync()
-	}
-}
-
-func (p *PathExit) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *PathExit) squashExit(m specMark, w *specWindow) {
+	p.pht.drain(&p.undo, m)
 	for k := 0; k < w.n; k++ {
 		if f := w.at(k); f.exitAux != phtSkipped {
 			p.pht.update(uint32(f.exitAux), int(f.exit), nil)
@@ -396,29 +337,8 @@ func (p *PathExit) squashExit(m SpecMark, w *specWindow) {
 	}
 }
 
-// --- GlobalExit ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *GlobalExit) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	p.train(p.index(t.Start), exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *GlobalExit) RepairExit(m SpecMark) {
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoPHT:
-			p.pht.undo(e.idx, uint16(e.prev))
-		case undoExitHist:
-			p.hist = ExitHistory(e.prev)
-		}
-	}
-}
-
-func (p *GlobalExit) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *GlobalExit) squashExit(m specMark, w *specWindow) {
+	p.pht.drain(&p.undo, m)
 	p.hist = ExitHistory(w.at(0).exitAux)
 	for k := 0; k < w.n; k++ {
 		f := w.at(k)
@@ -426,30 +346,8 @@ func (p *GlobalExit) squashExit(m SpecMark, w *specWindow) {
 	}
 }
 
-// --- PerExit ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *PerExit) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	h := p.hrtIndex(t.Start)
-	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *PerExit) RepairExit(m SpecMark) {
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoPHT:
-			p.pht.undo(e.idx, uint16(e.prev))
-		case undoHRT:
-			p.hrt[e.idx] = ExitHistory(e.prev)
-		}
-	}
-}
-
-func (p *PerExit) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *PerExit) squashExit(m specMark, w *specWindow) {
+	p.pht.drain(&p.undo, m)
 	for k := w.n - 1; k >= 0; k-- {
 		aux := w.at(k).exitAux
 		p.hrt[aux>>32] = ExitHistory(uint32(aux))
@@ -460,68 +358,21 @@ func (p *PerExit) squashExit(m SpecMark, w *specWindow) {
 	}
 }
 
-// --- IdealGlobal ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealGlobal) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	p.train(p.table.slot(exitKey{addr: t.Start, hist: p.hist}, &p.undo), exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *IdealGlobal) RepairExit(m SpecMark) {
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoIdealState:
-			p.table.slots[e.idx] = uint16(e.prev)
-		case undoIdealCreate:
-			p.table.drop(e.idx)
-		case undoExitHist:
-			p.hist = ExitHistory(e.prev)
-		}
-	}
-}
-
-func (p *IdealGlobal) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *IdealGlobal) squashExit(m specMark, w *specWindow) {
+	p.table.drain(&p.undo, m)
 	p.hist = ExitHistory(w.at(0).exitAux >> 32)
 	for k := 0; k < w.n; k++ {
 		f := w.at(k)
 		idx := uint32(f.exitAux)
 		if p.hist != ExitHistory(f.exitAux>>32) {
-			idx = p.table.slot(exitKey{addr: f.task.Start, hist: p.hist}, nil)
+			idx = p.table.slot(exitKey{addr: f.task.Start, hist: p.hist})
 		}
-		p.train(idx, int(f.exit), nil, nil)
+		p.train(idx, int(f.exit), nil)
 	}
 }
 
-// --- IdealPer ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealPer) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	h := p.hists[t.Start]
-	p.train(t.Start, h, p.table.slot(exitKey{addr: t.Start, hist: h}, &p.undo), exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *IdealPer) RepairExit(m SpecMark) {
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoIdealState:
-			p.table.slots[e.idx] = uint16(e.prev)
-		case undoIdealCreate:
-			p.table.drop(e.idx)
-		case undoPerHist:
-			p.hists[e.addr] = ExitHistory(e.prev)
-		}
-	}
-}
-
-func (p *IdealPer) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *IdealPer) squashExit(m specMark, w *specWindow) {
+	p.table.drain(&p.undo, m)
 	for k := w.n - 1; k >= 0; k-- {
 		f := w.at(k)
 		p.hists[f.task.Start] = ExitHistory(f.exitAux >> 32)
@@ -532,83 +383,30 @@ func (p *IdealPer) squashExit(m SpecMark, w *specWindow) {
 		h := p.hists[addr]
 		idx := uint32(f.exitAux)
 		if h != ExitHistory(f.exitAux>>32) {
-			idx = p.table.slot(exitKey{addr: addr, hist: h}, nil)
+			idx = p.table.slot(exitKey{addr: addr, hist: h})
 		}
-		p.train(addr, h, idx, int(f.exit), nil, nil)
+		p.train(addr, h, idx, int(f.exit), nil)
 	}
 }
 
-// --- IdealPath ---
-
-// SpecUpdateExit implements SpecExitPredictor.
-func (p *IdealPath) SpecUpdateExit(t *tfg.Task, exit int) {
-	p.undo.reserve()
-	p.train(t.Start, p.table.slot(MakePathKey(&p.hist, t.Start, p.depth), &p.undo), exit, &p.undo, &p.undo)
-}
-
-// RepairExit implements SpecExitPredictor.
-func (p *IdealPath) RepairExit(m SpecMark) {
-	for n := p.undo.since(m); n > 0; n-- {
-		e := p.undo.pop()
-		switch e.kind {
-		case undoIdealState:
-			p.table.slots[e.idx] = uint16(e.prev)
-		case undoIdealCreate:
-			p.table.drop(e.idx)
-		case undoPathHist:
-			undoPathHistApply(&p.hist, e)
-		}
-	}
-}
-
-func (p *IdealPath) squashExit(m SpecMark, w *specWindow) {
-	p.RepairExit(m)
+func (p *IdealPath) squashExit(m specMark, w *specWindow) {
+	p.table.drain(&p.undo, m)
 	for k := 0; k < w.n; k++ {
 		f := w.at(k)
 		p.table.train(uint32(f.exitAux), int(f.exit), nil)
 	}
 }
 
-// --- CTTB ---
-
-// SpecTrain implements SpecTargetBuffer.
-func (b *CTTB) SpecTrain(current, target isa.Addr) {
-	b.undo.reserve()
-	b.trainAt(b.path.index(current), target, &b.undo)
-}
-
-// SpecAdvance implements SpecTargetBuffer.
-func (b *CTTB) SpecAdvance(current isa.Addr) {
-	b.undo.reserve()
-	logPathHist(&b.undo, &b.path.hist)
-	b.path.push(current)
-}
-
-// RepairTarget implements SpecTargetBuffer.
-func (b *CTTB) RepairTarget(m SpecMark) {
-	hist := false
+func (b *CTTB) squashTarget(m specMark, w *specWindow, all bool) {
 	for n := b.undo.since(m); n > 0; n-- {
 		e := b.undo.pop()
-		switch e.kind {
-		case undoTTBEntry:
-			ent := &b.entries[e.idx]
-			wasValid := ent.valid
-			undoTTB(ent, e)
-			if wasValid && !ent.valid {
-				b.touched--
-			}
-		case undoPathHist:
-			undoPathHistApply(&b.path.hist, e)
-			hist = true
+		ent := &b.entries[e.idx]
+		wasValid := ent.valid
+		undoTTB(ent, e)
+		if wasValid && !ent.valid {
+			b.touched--
 		}
 	}
-	if hist {
-		b.path.resync()
-	}
-}
-
-func (b *CTTB) squashTarget(m SpecMark, w *specWindow, all bool) {
-	b.RepairTarget(m)
 	for k := 0; k < w.n; k++ {
 		if f := w.at(k); f.trainsBuffer(all) {
 			b.trainAt(f.bufAux, f.target, nil)
@@ -616,24 +414,7 @@ func (b *CTTB) squashTarget(m SpecMark, w *specWindow, all bool) {
 	}
 }
 
-// --- IdealCTTB ---
-
-// SpecTrain implements SpecTargetBuffer.
-func (b *IdealCTTB) SpecTrain(current, target isa.Addr) {
-	b.undo.reserve()
-	i, created := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
-	b.trainSlot(i, created, target)
-}
-
-// SpecAdvance implements SpecTargetBuffer.
-func (b *IdealCTTB) SpecAdvance(current isa.Addr) {
-	b.undo.reserve()
-	logPathHist(&b.undo, &b.hist)
-	b.hist.Push(current)
-}
-
-// RepairTarget implements SpecTargetBuffer.
-func (b *IdealCTTB) RepairTarget(m SpecMark) {
+func (b *IdealCTTB) squashTarget(m specMark, w *specWindow, all bool) {
 	for n := b.undo.since(m); n > 0; n-- {
 		e := b.undo.pop()
 		switch e.kind {
@@ -642,13 +423,10 @@ func (b *IdealCTTB) RepairTarget(m SpecMark) {
 		case undoIdealCreate:
 			b.entries.drop(e.idx)
 		case undoPathHist:
-			undoPathHistApply(&b.hist, e)
+			b.hist.ring[b.hist.head] = e.addr
+			b.hist.head = int(e.idx)
 		}
 	}
-}
-
-func (b *IdealCTTB) squashTarget(m SpecMark, w *specWindow, all bool) {
-	b.RepairTarget(m)
 	for k := 0; k < w.n; k++ {
 		f := w.at(k)
 		if f.trainsBuffer(all) {

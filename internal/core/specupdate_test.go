@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"multiscalar/internal/isa"
+	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
 
@@ -54,7 +59,7 @@ func TestSpecLagZeroMatchesIdealizedExit(t *testing.T) {
 	_, tr := synthGraph()
 	for name, mk := range specExitFamilies() {
 		ideal := evalExit(t, tr, mk())
-		spec := evalExitSpec(t, tr, mk(), 0)
+		spec := evalExitSpec(t, tr, mk(), mk, 0)
 		if spec.Rollbacks != spec.Misses {
 			t.Errorf("%s: lag-0 rollbacks %d != misses %d", name, spec.Rollbacks, spec.Misses)
 		}
@@ -69,7 +74,7 @@ func TestSpecLagZeroMatchesIdealizedTask(t *testing.T) {
 	_, tr := synthGraph()
 	for name, mk := range specTaskFamilies() {
 		ideal := evalTask(t, tr, mk())
-		spec := evalTaskSpec(t, tr, mk(), 0)
+		spec := evalTaskSpec(t, tr, mk(), mk, 0)
 		if spec.Rollbacks < spec.Misses {
 			t.Errorf("%s: rollbacks %d < misses %d (full-outcome mismatches include target misses)",
 				name, spec.Rollbacks, spec.Misses)
@@ -81,42 +86,24 @@ func TestSpecLagZeroMatchesIdealizedTask(t *testing.T) {
 	}
 }
 
-// At positive lag the block kernels and the unresolved oracle must
-// agree exactly, and repeated runs must be deterministic.
+// At positive lag the block kernels must reproduce the reference model
+// exactly, and repeated runs must be deterministic.
 func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 	_, tr := synthGraph()
 	c := columnar(t, tr)
 	for _, lag := range []int{1, 3, 7} {
 		for name, mk := range specExitFamilies() {
-			a, err := EvaluateExitSpecBlocks(c.Blocks(), mk(), lag)
-			if err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
-			b, err := EvaluateExitSpecUnresolved(tr, mk(), lag)
-			if err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
+			a := evalExitSpec(t, tr, mk(), mk, lag)
 			again, err := EvaluateExitSpecBlocks(c.Blocks(), mk(), lag)
 			if err != nil {
 				t.Fatalf("%s lag %d: %v", name, lag, err)
 			}
-			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, again) {
-				t.Errorf("%s lag %d: paths disagree:\n blocks     %+v\n unresolved %+v\n again      %+v",
-					name, lag, a, b, again)
+			if !reflect.DeepEqual(a, again) {
+				t.Errorf("%s lag %d: reruns disagree:\n %+v\n %+v", name, lag, a, again)
 			}
 		}
-		for name, mk := range specTaskFamilies() {
-			a, err := EvaluateTaskSpecBlocks(c.Blocks(), mk(), lag)
-			if err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
-			b, err := EvaluateTaskSpecUnresolved(tr, mk(), lag)
-			if err != nil {
-				t.Fatalf("%s lag %d: %v", name, lag, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s lag %d: paths disagree:\n blocks     %+v\n unresolved %+v", name, lag, a, b)
-			}
+		for _, mk := range specTaskFamilies() {
+			evalTaskSpec(t, tr, mk(), mk, lag)
 		}
 	}
 }
@@ -126,7 +113,8 @@ func TestSpecLagDeterministicAcrossPaths(t *testing.T) {
 // collapse to chance).
 func TestSpecLagRollsBackAndRecovers(t *testing.T) {
 	_, tr := synthGraph()
-	res := evalExitSpec(t, tr, MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 4)
+	mk := func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) }
+	res := evalExitSpec(t, tr, mk(), mk, 4)
 	if res.Rollbacks == 0 {
 		t.Fatal("expected rollbacks on a mispredicting trace")
 	}
@@ -138,76 +126,70 @@ func TestSpecLagRollsBackAndRecovers(t *testing.T) {
 	}
 }
 
-// Predictors whose update timing is modelled elsewhere must be refused,
-// never silently idealized.
-func TestSpecSessionRejectsUnsupported(t *testing.T) {
-	inner := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{})
-	if _, err := NewSpecExitSession(NewDelayedUpdate(inner, 3), 0); err == nil {
-		t.Error("DelayedUpdate wrapper must not support speculative update")
-	}
-	lat := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{TrainLatency: 2})
-	if _, err := NewSpecExitSession(lat, 0); err == nil {
-		t.Error("TrainLatency predictor must not support speculative update")
-	}
-	if _, err := NewSpecTaskSession(NewHeaderPredictor("x", lat, nil, nil), 0); err == nil {
-		t.Error("composed predictor over a TrainLatency exit must be refused")
-	}
-}
+// customExit is an exit predictor from outside the package, like the
+// tournament of examples/custompredictor: it has no fused kernel.
+type customExit struct{ ExitPredictor }
 
-// The undo log must restore predictor state exactly: interleave
-// speculative updates with repairs and verify the predictor replays the
-// trace identically to a never-speculated twin from that point on. This
-// exercises mark/repair nesting beyond what the session drivers do.
-func TestSpecRepairRestoresExactState(t *testing.T) {
-	_, tr := synthGraph()
-	for name, mk := range specExitFamilies() {
-		clean := mk()
-		clean.Reset()
-		dirty := mk()
-		dirty.Reset()
-		sd := dirty.(SpecExitPredictor)
-		if c, ok := dirty.(interface{ specErr() error }); ok && c.specErr() != nil {
+func (customExit) Name() string { return "custom-exit" }
+
+// customBuffer is customExit's target-buffer counterpart.
+type customBuffer struct{ TargetBuffer }
+
+func (customBuffer) Name() string { return "custom-buffer" }
+
+// A predictor without a fused kernel, or whose update timing is modelled
+// elsewhere, must be refused with a typed error naming it — never
+// silently idealized, never a panic.
+func TestSpecSessionRejectsUnsupported(t *testing.T) {
+	path := func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) }
+	lat := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{TrainLatency: 2})
+	exitSession := func(p ExitPredictor) func() error {
+		return func() error { _, err := NewSpecExitSession(p, 2); return err }
+	}
+	taskSession := func(p TaskPredictor) func() error {
+		return func() error { _, err := NewSpecTaskSession(p, 2); return err }
+	}
+	for _, c := range []struct {
+		name  string
+		open  func() error
+		names []string // what the error must name
+	}{
+		{"custom exit", exitSession(customExit{path()}), []string{"custom-exit"}},
+		{"DelayedUpdate", exitSession(NewDelayedUpdate(path(), 3)), []string{"+lag3"}},
+		{"PATH TrainLatency", exitSession(lat), []string{lat.Name(), "TrainLatency 2"}},
+		{"header over custom exit", taskSession(NewHeaderPredictor("hdr", customExit{path()}, NewRAS(8), nil)),
+			[]string{"hdr", "custom-exit"}},
+		{"header over custom buffer", taskSession(NewHeaderPredictor("hdr", path(), nil, customBuffer{NewTTB(6)})),
+			[]string{"hdr", "custom-buffer"}},
+		{"header over PATH TrainLatency", taskSession(NewHeaderPredictor("hdr", lat, nil, nil)),
+			[]string{lat.Name(), "TrainLatency 2"}},
+		{"CTTB-only over custom buffer", taskSession(NewCTTBOnly(customBuffer{NewTTB(6)})),
+			[]string{"cttb-only(custom-buffer)"}},
+	} {
+		err := c.open()
+		var unsupported *SpecUnsupportedError
+		if !errors.As(err, &unsupported) {
+			t.Errorf("%s: error %v, want a *SpecUnsupportedError", c.name, err)
 			continue
 		}
-		for i, st := range tr.Steps {
-			if st.Exit == trace.HaltExit {
-				continue
+		for _, n := range c.names {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("%s: error %q does not name %q", c.name, err, n)
 			}
-			task := tr.Graph.TaskAt(st.Task)
-			pc := clean.PredictExit(task)
-			pd := dirty.PredictExit(task)
-			if pc != pd {
-				t.Fatalf("%s: step %d: predictions diverge (%d vs %d) after repairs", name, i, pc, pd)
-			}
-			// Every few steps, speculate a burst of wrong-path updates on
-			// the dirty twin, then repair them all away — nested marks.
-			if i%3 == 0 {
-				m1 := sd.MarkExit()
-				sd.SpecUpdateExit(task, (pd+1)%4)
-				m2 := sd.MarkExit()
-				sd.SpecUpdateExit(task, (pd+2)%4)
-				sd.RepairExit(m2)
-				sd.SpecUpdateExit(task, (pd+3)%4)
-				sd.RepairExit(m1)
-			}
-			clean.UpdateExit(task, int(st.Exit))
-			dirty.UpdateExit(task, int(st.Exit))
-		}
-		if clean.States() != dirty.States() {
-			t.Errorf("%s: States diverge after repairs: %d vs %d", name, clean.States(), dirty.States())
 		}
 	}
 }
 
-// Speculative sessions never leave unreachable ideal-table slots: every
-// logged create is repaired newest-first, so each dropped slot is the
-// last one and is truncated away (see slotMap.drop).
+// Speculative sessions never leave unreachable ideal-table slots: an
+// exit table's contexts are created only by lookups, which repair keeps,
+// and the ideal CTTB's logged creates are dropped newest-first, so each
+// is the last slot and is truncated away (see slotMap.drop).
 func TestSpecIdealTablesStayDense(t *testing.T) {
 	_, tr := synthGraph()
 	for _, lag := range []int{0, 1, 4} {
 		for name, mk := range specExitFamilies() {
 			p := mk()
-			evalExitSpec(t, tr, p, lag)
+			evalExitSpec(t, tr, p, mk, lag)
 			var slots, states int
 			switch q := p.(type) {
 			case *IdealGlobal:
@@ -225,7 +207,7 @@ func TestSpecIdealTablesStayDense(t *testing.T) {
 		}
 		for name, mk := range specTaskFamilies() {
 			p := mk()
-			evalTaskSpec(t, tr, p, lag)
+			evalTaskSpec(t, tr, p, mk, lag)
 			var buf TargetBuffer
 			switch q := p.(type) {
 			case *HeaderPredictor:
@@ -236,32 +218,6 @@ func TestSpecIdealTablesStayDense(t *testing.T) {
 			if b, ok := buf.(*IdealCTTB); ok && len(b.entries.slots) != b.States() {
 				t.Errorf("%s lag %d: %d CTTB slots for %d live contexts", name, lag, len(b.entries.slots), b.States())
 			}
-		}
-	}
-}
-
-// A speculative update that creates its context (no lookup before it)
-// is undone completely: the context, its slot and its history shift.
-func TestSpecRepairUndoesIdealCreate(t *testing.T) {
-	g, _ := synthGraph()
-	task := g.TaskAt(10) // task A: two exits, so no predictor skips it
-	for name, mk := range specExitFamilies() {
-		p := mk()
-		p.Reset()
-		sp := p.(SpecExitPredictor)
-		m := sp.MarkExit()
-		sp.SpecUpdateExit(task, 1)
-		if p.States() == 0 {
-			t.Fatalf("%s: speculative update touched no state", name)
-		}
-		sp.RepairExit(m)
-		if got := p.States(); got != 0 {
-			t.Errorf("%s: %d states survive repair of a creating update", name, got)
-		}
-		fresh := mk()
-		fresh.Reset()
-		if a, b := p.PredictExit(task), fresh.PredictExit(task); a != b {
-			t.Errorf("%s: repaired predictor predicts %d, fresh one %d", name, a, b)
 		}
 	}
 }
@@ -321,17 +277,17 @@ func TestUndoRingCommitBeyondHeadPanics(t *testing.T) {
 	}
 }
 
-// Every built-in family runs its fused kernel under a session; only a
-// predictor without one (here, behind a wrapper) drives the public
-// protocol.
+// Every built-in family is accepted by a session, which then
+// checkpoints and commits on the family's own undo ring.
 func TestBuiltinSessionsAreFused(t *testing.T) {
 	for name, mk := range specExitFamilies() {
-		s, err := NewSpecExitSession(mk(), 2)
+		p := mk()
+		s, err := NewSpecExitSession(p, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.kern == nil {
-			t.Errorf("%s: exit session drives the public protocol", name)
+		if s.log != p.(exitSpecKernel).specLog() {
+			t.Errorf("%s: exit session does not log on the predictor's ring", name)
 		}
 	}
 	for name, mk := range specTaskFamilies() {
@@ -339,19 +295,83 @@ func TestBuiltinSessionsAreFused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.kern == nil {
-			t.Errorf("%s: task session drives the public protocol", name)
+		if s.exitLog == &s.none && s.bufLog == &s.none {
+			t.Errorf("%s: task session checkpoints no ring", name)
 		}
 	}
-	type wrapped struct{ SpecExitPredictor }
-	s, err := NewSpecExitSession(wrapped{MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{})}, 2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// specFuzzFamilies lists the exit and task families in a fixed order for
+// the fuzz decoder.
+func specFuzzFamilies() (names []string, exits map[string]func() ExitPredictor, tasks map[string]func() TaskPredictor) {
+	exits, tasks = specExitFamilies(), specTaskFamilies()
+	for n := range exits {
+		names = append(names, n)
 	}
-	if s.kern != nil {
-		t.Error("a wrapped predictor took the fused path")
+	for n := range tasks {
+		names = append(names, n)
 	}
-	if s, err := newSpecExitSession(MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}), 2, false); err != nil || s.kern != nil {
-		t.Errorf("the oracle's session is fused (err %v)", err)
+	sort.Strings(names)
+	return names, exits, tasks
+}
+
+// fuzzTrace decodes an exit/target sequence over synthGraph's tasks into
+// a trace: starting at A, each byte picks the current task's exit (low
+// bits) and, for an exit without a static target (D's RETURN), a target
+// task (high bits) — so returns may land anywhere and calls nest
+// arbitrarily deep.
+func fuzzTrace(g *tfg.Graph, data []byte) *trace.Trace {
+	addrs := []isa.Addr{10, 20, 25, 30, 40}
+	tr := &trace.Trace{Graph: g}
+	cur := addrs[0]
+	for _, b := range data {
+		t := g.TaskAt(cur)
+		exit := int(b) % t.NumExits()
+		target := t.Exits[exit].Target
+		if !t.Exits[exit].HasTarget {
+			target = addrs[int(b>>2)%len(addrs)]
+		}
+		tr.Steps = append(tr.Steps, trace.Step{Task: cur, Exit: int8(exit), Target: target})
+		cur = target
 	}
+	return tr
+}
+
+// FuzzSpecSessionMatchesReference holds the fused kernels to the
+// reference model on arbitrary traces. Input encoding: byte 0 selects
+// the family (specFuzzFamilies order), byte 1 the lag (0..8), and the
+// rest is fuzzTrace's exit/target sequence (at most 1024 steps).
+func FuzzSpecSessionMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{3, 1, 1, 1, 0, 0, 0x10, 1, 1, 0, 0x14, 0, 1, 1, 0, 0x0c})
+	f.Add([]byte{9, 8, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0x04, 0, 1, 1, 0, 0x08, 1, 1})
+	f.Add([]byte{12, 2, 0, 1, 0, 0, 1, 1, 0, 0x04, 1, 0, 1, 1, 0, 0x0c, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		names, exits, tasks := specFuzzFamilies()
+		name, lag := names[int(data[0])%len(names)], int(data[1]%9)
+		g, _ := synthGraph()
+		tr := fuzzTrace(g, data[2:min(len(data), 1026)])
+		c := columnar(t, tr)
+		if mk, ok := exits[name]; ok {
+			got, err := EvaluateExitSpecBlocks(c.Blocks(), mk(), lag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceExitSpec(tr, mk, lag); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s lag %d: fused %+v != reference %+v", name, lag, got, want)
+			}
+			return
+		}
+		mk := tasks[name]
+		got, err := EvaluateTaskSpecBlocks(c.Blocks(), mk(), lag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceTaskSpec(tr, mk, lag); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s lag %d: fused %+v != reference %+v", name, lag, got, want)
+		}
+	})
 }

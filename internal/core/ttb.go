@@ -77,7 +77,7 @@ type CTTB struct {
 	path    dolcPath
 	entries []ttbEntry
 	touched int
-	targetUndo
+	undoLog
 }
 
 // NewCTTB builds a correlated task target buffer with the given index
@@ -178,8 +178,8 @@ func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 // Advance implements TargetBuffer.
 func (b *CTTB) Advance(current isa.Addr) { b.path.push(current) }
 
-// specStepTarget implements targetSpecKernel: Lookup and SpecTrain share
-// one DOLC index, which the frame keeps for the catch-up.
+// specStepTarget implements targetSpecKernel: Lookup and a logged Train
+// share one DOLC index, which the frame keeps for the catch-up.
 func (b *CTTB) specStepTarget(current isa.Addr, lookup, train, keep bool, target isa.Addr, f *specFrame) isa.Addr {
 	if keep {
 		b.undo.reserve()
@@ -203,7 +203,7 @@ type IdealCTTB struct {
 	depth   int
 	hist    PathHistory
 	entries slotMap[PathKey, ttbEntry]
-	targetUndo
+	undoLog
 }
 
 // NewIdealCTTB builds an infinite, alias-free correlated target buffer of
@@ -252,36 +252,30 @@ func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) {
 	b.entries.slots[i].train(actual)
 }
 
-// trainSlot is Train's logged form for slot i (created by this lookup,
-// or not): the slot's prior state, or its creation, goes on the undo
-// log before the entry learns actual.
-func (b *IdealCTTB) trainSlot(i uint32, created bool, actual isa.Addr) {
-	e := &b.entries.slots[i]
-	if created {
-		b.undo.push(specUndo{kind: undoIdealCreate, idx: i})
-	} else {
-		b.undo.push(ttbUndo(undoTTBIdeal, i, e))
-	}
-	e.train(actual)
-}
-
 // Advance implements TargetBuffer.
 func (b *IdealCTTB) Advance(current isa.Addr) { b.hist.Push(current) }
 
-// specStepTarget implements targetSpecKernel: Lookup and SpecTrain share
-// one path key and one map operation (a slot SpecTrain creates reads as
-// the miss Lookup would have reported).
+// specStepTarget implements targetSpecKernel: Lookup and a logged Train
+// share one path key and one map operation (a slot the train creates
+// reads as the miss Lookup would have reported).
 func (b *IdealCTTB) specStepTarget(current isa.Addr, lookup, train, _ bool, target isa.Addr, _ *specFrame) isa.Addr {
 	b.undo.reserve()
 	if train {
 		i, created := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
+		e := &b.entries.slots[i]
 		if lookup {
 			target = 0
-			if e := &b.entries.slots[i]; e.valid {
+			if e.valid {
 				target = e.target
 			}
 		}
-		b.trainSlot(i, created, target)
+		// The slot's prior state, or its creation, goes on the log.
+		if created {
+			b.undo.push(specUndo{kind: undoIdealCreate, idx: i})
+		} else {
+			b.undo.push(ttbUndo(undoTTBIdeal, i, e))
+		}
+		e.train(target)
 	} else if lookup {
 		target, _ = b.Lookup(current) // a CTTB-only step of a task without exits
 	}

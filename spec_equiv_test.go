@@ -1,11 +1,13 @@
 package multiscalar_test
 
-// Differential oracle for speculative-update mode: spec runs must agree
-// between the block kernels and the unresolved oracle, between streamed
-// and cached blocks, and across engine worker counts, and with a
-// resolution lag of zero they must be byte-identical to the idealized
-// kernels (a committed speculative update trains exactly what the
-// idealized update would have).
+// Differential checks of speculative-update mode across replay paths:
+// spec runs must agree between streamed and cached blocks, across
+// engine worker counts, and between block replay and the timing model,
+// and with a resolution lag of zero they must be byte-identical to the
+// idealized kernels (a committed speculative update trains exactly what
+// the idealized update would have). The kernels themselves are held to
+// an independent reference model in internal/core
+// (TestSpecKernelsMatchReference).
 
 import (
 	"reflect"
@@ -13,8 +15,7 @@ import (
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
-	"multiscalar/internal/isa"
-	"multiscalar/internal/tfg"
+	"multiscalar/internal/sim/timing"
 	"multiscalar/internal/workload"
 )
 
@@ -33,59 +34,52 @@ var specEquivTaskSpecs = []string{
 	"cttb:d7-o4-l4-c5-f3",
 }
 
-// TestSpecReplayEquivalence: the spec-mode block kernels agree exactly
-// with the oracle, per workload, at zero and positive lag.
+// TestSpecReplayEquivalence: a spec replay of a block stream generated
+// on the fly agrees exactly with one over the cached columns, per
+// workload, at zero and positive lag.
 func TestSpecReplayEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			c, tr := equivTrace(t, name)
+			c := equivColumnar(t, name)
 			for _, lag := range []int{0, 3} {
 				for _, spec := range specEquivExitSpecs {
-					oracle, err := core.EvaluateExitSpecUnresolved(tr, engine.MustBuildExit(spec), lag)
+					src, err := workload.StreamBlocks(name, equivSteps, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					streamed, err := core.EvaluateExitSpecBlocks(src, engine.MustBuildExit(spec), lag)
 					if err != nil {
 						t.Fatalf("exit %s lag %d: %v", spec, lag, err)
 					}
-					blocks, err := core.EvaluateExitSpecBlocks(c.Blocks(), engine.MustBuildExit(spec), lag)
+					cached, err := core.EvaluateExitSpecBlocks(c.Blocks(), engine.MustBuildExit(spec), lag)
 					if err != nil {
 						t.Fatalf("exit %s lag %d: %v", spec, lag, err)
 					}
-					if !reflect.DeepEqual(oracle, blocks) {
-						t.Errorf("exit %s lag %d: paths disagree:\n oracle %+v\n blocks %+v",
-							spec, lag, oracle, blocks)
+					if !reflect.DeepEqual(streamed, cached) {
+						t.Errorf("exit %s lag %d: paths disagree:\n streamed %+v\n cached   %+v",
+							spec, lag, streamed, cached)
 					}
 				}
 				for _, spec := range specEquivTaskSpecs {
-					oracle, err := core.EvaluateTaskSpecUnresolved(tr, engine.MustBuild(spec), lag)
+					src, err := workload.StreamBlocks(name, equivSteps, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					streamed, err := core.EvaluateTaskSpecBlocks(src, engine.MustBuild(spec), lag)
 					if err != nil {
 						t.Fatalf("task %s lag %d: %v", spec, lag, err)
 					}
-					blocks, err := core.EvaluateTaskSpecBlocks(c.Blocks(), engine.MustBuild(spec), lag)
+					cached, err := core.EvaluateTaskSpecBlocks(c.Blocks(), engine.MustBuild(spec), lag)
 					if err != nil {
 						t.Fatalf("task %s lag %d: %v", spec, lag, err)
 					}
-					if !reflect.DeepEqual(oracle, blocks) {
-						t.Errorf("task %s lag %d: paths disagree:\n oracle %+v\n blocks %+v",
-							spec, lag, oracle, blocks)
+					if !reflect.DeepEqual(streamed, cached) {
+						t.Errorf("task %s lag %d: paths disagree:\n streamed %+v\n cached   %+v",
+							spec, lag, streamed, cached)
 					}
 				}
-			}
-			// A generated-on-the-fly stream must replay identically too.
-			src, err := workload.StreamBlocks(name, equivSteps, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := core.EvaluateExitSpecBlocks(src, engine.MustBuildExit(specEquivExitSpecs[0]), 3)
-			if err != nil {
-				t.Fatalf("stream spec replay: %v", err)
-			}
-			cached, err := core.EvaluateExitSpecBlocks(c.Blocks(), engine.MustBuildExit(specEquivExitSpecs[0]), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(streamed, cached) {
-				t.Errorf("streamed %+v != cached columnar %+v", streamed, cached)
 			}
 		})
 	}
@@ -206,70 +200,99 @@ func TestSpecTimingOracle(t *testing.T) {
 	}
 }
 
-// specProbeExit is a stateless SpecExitPredictor: it isolates the
-// session and kernel overhead from predictor-table population, the same
-// role probeExit plays for the idealized kernels. It mispredicts every
-// non-zero exit, so the session's repair path runs constantly.
-type specProbeExit struct{ n int }
-
-func (p *specProbeExit) Name() string                         { return "spec-probe-exit" }
-func (p *specProbeExit) PredictExit(t *tfg.Task) int          { p.n++; return 0 }
-func (p *specProbeExit) UpdateExit(t *tfg.Task, exit int)     {}
-func (p *specProbeExit) Reset()                               { p.n = 0 }
-func (p *specProbeExit) States() int                          { return p.n }
-func (p *specProbeExit) SpecUpdateExit(t *tfg.Task, exit int) {}
-func (p *specProbeExit) MarkExit() core.SpecMark              { return 0 }
-func (p *specProbeExit) RepairExit(core.SpecMark)             {}
-func (p *specProbeExit) CommitExit(core.SpecMark)             {}
-
-// specProbeTask is the SpecTaskPredictor analog (last-target predictor).
-type specProbeTask struct{ last isa.Addr }
-
-func (p *specProbeTask) Name() string { return "spec-probe-task" }
-func (p *specProbeTask) Predict(t *tfg.Task) core.Prediction {
-	return core.Prediction{Exit: 0, Target: p.last}
+// TestSpecTimingMatchesBlockReplay: the timing model drives the same
+// task session as block replay, one Step per retired task, so over the
+// same prefix of the same program it mispredicts and rolls back exactly
+// as often as EvaluateTaskSpecBlocks, and it charges rlat cycles per
+// rollback.
+func TestSpecTimingMatchesBlockReplay(t *testing.T) {
+	const steps = 20000
+	for _, name := range []string{"boolmin", "minilisp"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := w.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := workload.CachedColumnar(name, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{
+			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat0",
+			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8",
+			"composed:path:d7-o5-l6-c6-f3:leh2:dlat4:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8",
+			"composed:ipath:d7:leh2:dlat2:ras32:icttb:d7:spec:rlat0",
+		} {
+			sp, err := engine.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timed, err := timing.Run(g, engine.MustBuild(spec), timing.Config{
+				MaxSteps: steps, SpecUpdate: true, SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, spec, err)
+			}
+			replayed, err := core.EvaluateTaskSpecBlocks(c.Blocks(), engine.MustBuild(spec), sp.SpecLag())
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, spec, err)
+			}
+			if timed.Rollbacks == 0 {
+				t.Errorf("%s %s: no rollbacks", name, spec)
+			}
+			if timed.TaskMispredicts != replayed.Misses || timed.Rollbacks != replayed.Rollbacks {
+				t.Errorf("%s %s: timing %d misses / %d rollbacks, block replay %d / %d",
+					name, spec, timed.TaskMispredicts, timed.Rollbacks, replayed.Misses, replayed.Rollbacks)
+			}
+			if want := uint64(timed.Rollbacks) * uint64(sp.RepairLat()); timed.RepairCycles != want {
+				t.Errorf("%s %s: RepairCycles = %d, want rollbacks×rlat = %d", name, spec, timed.RepairCycles, want)
+			}
+		}
+	}
 }
-func (p *specProbeTask) Update(t *tfg.Task, o core.Outcome)         { p.last = o.Target }
-func (p *specProbeTask) Reset()                                     { p.last = 0 }
-func (p *specProbeTask) SpecUpdate(t *tfg.Task, pr core.Prediction) { p.last = pr.Target }
-func (p *specProbeTask) MarkTask() core.TaskMark                    { return core.TaskMark{} }
-func (p *specProbeTask) RepairTask(core.TaskMark) bool              { return false }
-func (p *specProbeTask) CommitTask(core.TaskMark)                   {}
 
 // TestSpecBlockReplayAllocationBound pins the spec-mode allocation
-// contract two ways. With stateless probes, a spec replay of tens of
-// thousands of rollback-heavy steps costs only the constant session
-// setup (window ring + cursor) — never per-step or per-rollback
-// allocations. With a real predictor, spec mode allocates no more than
-// idealized mode does with the same predictor (both populate the same
-// PHT after Reset; the undo log is a reusable ring the predictor owns).
+// contract two ways. With warmed built-in predictors, a spec replay of
+// tens of thousands of rollback-heavy steps costs only the constant
+// session setup (window ring + cursor, plus the ByKind map of a task
+// result) — never per-step or per-rollback allocations. And spec mode
+// allocates no more than idealized mode does with the same predictor
+// (both populate the same PHT after Reset; the undo log is a reusable
+// ring the predictor owns).
 func TestSpecBlockReplayAllocationBound(t *testing.T) {
 	c := equivColumnar(t, "exprc")
 
-	ep := &specProbeExit{}
-	if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), ep, 4); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), ep, 4); err != nil {
+	// Each predictor is warmed by one run first, so its undo ring and
+	// ideal tables have grown and the measured runs reuse them.
+	for _, spec := range []string{"path:d7-o5-l6-c6-f3:leh2", "ipath:d7:leh2", "global:d7-c14-i14:leh2"} {
+		p := engine.MustBuildExit(spec)
+		if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 8 {
-		t.Errorf("EvaluateExitSpecBlocks: %.1f allocs per %d-step replay, want <= 8 (session + cursor)", allocs, c.Len())
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("EvaluateExitSpecBlocks %s: %.1f allocs per %d-step replay, want <= 8 (session + cursor)", spec, allocs, c.Len())
+		}
 	}
-
-	tp := &specProbeTask{}
-	if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), tp, 4); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(3, func() {
-		if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), tp, 4); err != nil {
+	for _, spec := range []string{"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3", "cttb:d7-o4-l4-c5-f3"} {
+		p := engine.MustBuild(spec)
+		if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 16 {
-		t.Errorf("EvaluateTaskSpecBlocks: %.1f allocs per %d-step replay, want <= 16 (session + cursor + ByKind map)", allocs, c.Len())
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("EvaluateTaskSpecBlocks %s: %.1f allocs per %d-step replay, want <= 16 (session + cursor + ByKind map)", spec, allocs, c.Len())
+		}
 	}
 
 	// Real predictor: spec-mode allocations are bounded by idealized-mode
