@@ -1,6 +1,7 @@
 // Command mlint runs the static analyzer over built-in workloads, MSL
 // source files, or MSA assembly files, together with an optional
-// predictor configuration. Error-severity diagnostics set a nonzero exit
+// predictor spec (the engine grammar; the paper's standard composed
+// predictor by default). Error-severity diagnostics set a nonzero exit
 // status, so CI can gate on a clean lint.
 //
 // Usage:
@@ -10,10 +11,9 @@
 //	mlint -w all -report                  # static predictability report (JSON)
 //	mlint prog.msl other.msl              # lint MSL sources
 //	mlint -asm prog.s                     # lint MSA assembly
-//	mlint -w exprc -dolc 7-5-6-6-3 -cttb 7-4-4-5-3 -ras 32
-//	mlint -w exprc -pred composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3
-//	mlint -w minilisp -cttb none          # no CTTB: indirect-coverage warns
-//	mlint -w exprc -exit-entries 16384    # check a declared table budget
+//	mlint -w exprc -pred path:d4-o2-l6-c8:leh2  # lint under another predictor
+//	mlint -w minilisp -pred composed:path:d7-o5-l6-c6-f3:leh2:ras32
+//	                                      # no CTTB: indirect-coverage warns
 //	mlint -w exprc -fault all=1e-3,seed=7 # validate a fault-injection spec
 //	mlint -w exprc -min warn              # hide info diagnostics
 package main
@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"multiscalar/internal/asm"
-	"multiscalar/internal/core"
 	"multiscalar/internal/lint"
 	"multiscalar/internal/msl"
 	"multiscalar/internal/program"
@@ -33,72 +32,27 @@ import (
 	"multiscalar/internal/workload"
 )
 
+// stdSpec is the paper's standard composed task predictor: depth-7
+// path-based exit prediction, a 32-entry RAS and the small CTTB.
+const stdSpec = "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3"
+
 func main() {
 	wname := flag.String("w", "", "lint a built-in workload by name, or 'all': "+strings.Join(workload.Names(), ", "))
 	asAsm := flag.Bool("asm", false, "treat file arguments as MSA assembly instead of MSL")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	reportOut := flag.Bool("report", false, "emit the static predictability report (per-task dataflow facts) as JSON instead of diagnostics")
-	predStr := flag.String("pred", "", "predictor spec string (engine grammar); overrides -dolc/-cttb/-ras")
-	dolcStr := flag.String("dolc", "7-5-6-6-3", "exit predictor DOLC as D-O-L-C-F, or 'none'")
-	cttbStr := flag.String("cttb", "7-4-4-5-3", "CTTB DOLC as D-O-L-C-F, or 'none'")
-	rasDepth := flag.Int("ras", core.DefaultRASDepth, "return address stack depth")
-	exitEntries := flag.Int("exit-entries", 0, "declared exit-PHT entry count to check (0 = derived)")
-	cttbEntries := flag.Int("cttb-entries", 0, "declared CTTB entry count to check (0 = derived)")
+	predStr := flag.String("pred", stdSpec, "predictor spec string (engine grammar) the config passes check")
 	faultStr := flag.String("fault", "", "fault injection spec to validate (e.g. all=1e-3,seed=7; '' = none)")
 	minStr := flag.String("min", "info", "minimum severity to print: info | warn | error")
 	maxInstr := flag.Int("task-instr", 0, "task former instruction budget (0 = default)")
 	flag.Parse()
 
-	code, err := run(*wname, flag.Args(), *asAsm, *jsonOut, *reportOut, *predStr, *dolcStr, *cttbStr, *faultStr,
-		*rasDepth, *exitEntries, *cttbEntries, *minStr, *maxInstr)
+	code, err := run(*wname, flag.Args(), *asAsm, *jsonOut, *reportOut, *predStr, *faultStr, *minStr, *maxInstr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlint:", err)
 		os.Exit(2)
 	}
 	os.Exit(code)
-}
-
-// parseConfig assembles the predictor configuration from flags. The
-// fault and predictor specs are passed through raw: validating them is
-// exactly the job of the cfg-fault-spec and cfg-pred-spec passes. A
-// -pred spec supersedes the hand-rolled -dolc/-cttb/-ras flags — the
-// config-layer passes then derive those structures from the spec.
-func parseConfig(predStr, dolcStr, cttbStr, faultStr string, ras, exitEntries, cttbEntries int) (*lint.PredictorConfig, error) {
-	if predStr != "" {
-		return &lint.PredictorConfig{
-			PredSpec:    predStr,
-			ExitEntries: exitEntries,
-			CTTBEntries: cttbEntries,
-			FaultSpec:   faultStr,
-		}, nil
-	}
-	cfg := &lint.PredictorConfig{
-		RASDepth:    ras,
-		ExitEntries: exitEntries,
-		CTTBEntries: cttbEntries,
-		FaultSpec:   faultStr,
-	}
-	parse := func(s string) (*core.DOLC, error) {
-		d, err := core.ParseDOLC(s)
-		// Unparseable syntax (zero DOLC back) is a usage error; a parsed
-		// but invalid configuration is exactly what the cfg passes report.
-		if err != nil && d == (core.DOLC{}) {
-			return nil, err
-		}
-		return &d, nil
-	}
-	var err error
-	if dolcStr != "none" {
-		if cfg.ExitDOLC, err = parse(dolcStr); err != nil {
-			return nil, err
-		}
-	}
-	if cttbStr != "none" {
-		if cfg.CTTB, err = parse(cttbStr); err != nil {
-			return nil, err
-		}
-	}
-	return cfg, nil
 }
 
 // target is one lint subject: a named program (with its TFG when the
@@ -152,16 +106,14 @@ func collectTargets(wname string, files []string, asAsm bool) ([]target, error) 
 	return out, nil
 }
 
-func run(wname string, files []string, asAsm, jsonOut, reportOut bool, predStr, dolcStr, cttbStr, faultStr string,
-	ras, exitEntries, cttbEntries int, minStr string, maxInstr int) (int, error) {
+func run(wname string, files []string, asAsm, jsonOut, reportOut bool, predStr, faultStr, minStr string, maxInstr int) (int, error) {
 	min, err := lint.ParseSeverity(minStr)
 	if err != nil {
 		return 0, err
 	}
-	cfg, err := parseConfig(predStr, dolcStr, cttbStr, faultStr, ras, exitEntries, cttbEntries)
-	if err != nil {
-		return 0, err
-	}
+	// The specs are passed through raw: validating them is exactly the
+	// job of the cfg-pred-spec and cfg-fault-spec passes.
+	cfg := &lint.PredictorConfig{PredSpec: predStr, FaultSpec: faultStr}
 	targets, err := collectTargets(wname, files, asAsm)
 	if err != nil {
 		return 0, err

@@ -97,35 +97,36 @@ func run(wname, predStr, faultStr string, steps int, doTiming bool) error {
 		return fmt.Errorf("lint found %d errors in %s under this configuration", rep.Count(lint.Error), wname)
 	}
 
-	if sp.Class() == engine.ClassPerfect && !doTiming {
-		return fmt.Errorf("spec %q is the perfect predictor; it is only meaningful with -timing", predStr)
-	}
-
-	if sp.Class() != engine.ClassPerfect {
+	// The perfect oracle has no replayable state: under -timing it skips
+	// the replay, and without it the engine refuses its task replay.
+	if !doTiming || sp.Class() != engine.ClassPerfect {
+		replay := engine.Run{Workload: w.Name, Spec: predStr, Fault: faultStr, MaxSteps: steps}
+		if sp.Class() == engine.ClassPerfect {
+			replay.Mode = engine.ModeTask
+		}
+		res := engine.Do(replay)
+		if res.Err != nil {
+			return res.Err
+		}
 		c, err := workload.CachedColumnar(w.Name, steps)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("workload %s (%s analog): %d dynamic tasks, %d distinct\n",
 			w.Name, w.Analog, c.Len(), c.DistinctTasks())
-
-		res := engine.Do(engine.Run{Workload: w.Name, Spec: predStr, Fault: faultStr, MaxSteps: steps})
-		if res.Err != nil {
-			return res.Err
-		}
 		fmt.Printf("predictor %s\n", sp)
-		switch sp.Class() {
-		case engine.ClassExit:
+		switch res.Mode {
+		case engine.ModeExit:
 			fmt.Printf("  exit miss rate     %6.2f%%  (%d / %d)\n",
 				100*res.Exit.MissRate(), res.Exit.Misses, res.Exit.Steps)
 			if sp.SpecUpdate() {
 				fmt.Printf("  rollbacks          %d  (%d speculative frames repaired)\n",
 					res.Exit.Rollbacks, res.Exit.RepairFrames)
 			}
-		case engine.ClassTarget:
+		case engine.ModeTarget:
 			fmt.Printf("  target miss rate   %6.2f%%  (%d / %d indirect exits)\n",
 				100*res.Target.MissRate(), res.Target.Misses, res.Target.Steps)
-		case engine.ClassTask:
+		case engine.ModeTask:
 			fmt.Printf("  task miss rate     %6.2f%%  (%d / %d)\n",
 				100*res.Task.MissRate(), res.Task.Misses, res.Task.Steps)
 			if sp.HasExit() {

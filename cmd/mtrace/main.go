@@ -247,7 +247,7 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-32s %6.2f%% misses (%d states)\n", res.Name, 100*res.MissRate(), res.States)
+		fmt.Printf("%-32s %6.2f%% misses (%d / %d, %d states)\n", res.Name, 100*res.MissRate(), res.Misses, res.Steps, res.States)
 	}
 	return nil
 }
@@ -326,11 +326,9 @@ func cmdStream(args []string) error {
 }
 
 func streamRun(wname string, steps, repeat, maxHeapMB int, predStr string, progress int) error {
-	sp, err := engine.Parse(predStr)
-	if err != nil {
-		return err
-	}
-	p, err := sp.BuildExit()
+	// The engine admits the spec as a streamed exit replay: a :spec run
+	// replays through the speculative session, never idealized.
+	sp, mode, err := engine.Resolve(engine.Run{Workload: wname, Spec: predStr, Mode: engine.ModeExit, Stream: true})
 	if err != nil {
 		return err
 	}
@@ -341,7 +339,7 @@ func streamRun(wname string, steps, repeat, maxHeapMB int, predStr string, progr
 
 	// The run status is the stream's telemetry side channel: the engine
 	// wrapper credits steps, the printer and any -http viewer read them.
-	st := obs.Runs().Start("stream:"+wname, wname, predStr, "exit")
+	st := obs.Runs().Start("stream:"+wname, wname, predStr, mode.String())
 	if steps > 0 {
 		st.SetTotal(int64(steps * repeat))
 	}
@@ -352,11 +350,12 @@ func streamRun(wname string, steps, repeat, maxHeapMB int, predStr string, progr
 	if progress > 0 {
 		outer = &progressPrinter{src: sampler, st: st, every: progress, w: os.Stderr}
 	}
-	res, err := core.EvaluateExitBlocks(outer, p)
-	if err != nil {
+	var out engine.Result
+	if err := engine.ReplayBlocks(sp, mode, outer, &out); err != nil {
 		st.Fail()
 		return err
 	}
+	res := out.Exit
 	st.Finish()
 	// One final sample after the run so short streams still report.
 	var ms runtime.MemStats
@@ -366,8 +365,11 @@ func streamRun(wname string, steps, repeat, maxHeapMB int, predStr string, progr
 	}
 	obs.Default().Gauge("mtrace.stream.peak_heap_bytes").Set(int64(sampler.peak))
 	peakMB := float64(sampler.peak) / (1 << 20)
-	fmt.Printf("streamed %d prediction steps in %d blocks through %s: %6.2f%% misses (%d states)\n",
-		res.Steps, sampler.blocks, res.Name, 100*res.MissRate(), res.States)
+	fmt.Printf("streamed %d prediction steps in %d blocks through %s: %6.2f%% misses (%d / %d, %d states)\n",
+		res.Steps, sampler.blocks, res.Name, 100*res.MissRate(), res.Misses, res.Steps, res.States)
+	if sp.SpecUpdate() {
+		fmt.Printf("rollbacks %d (%d speculative frames repaired)\n", res.Rollbacks, res.RepairFrames)
+	}
 	fmt.Printf("peak heap %.1f MiB (in-memory equivalent ≥ %.1f MiB)\n",
 		peakMB, float64(res.Steps*stepBytes)/(1<<20))
 	if maxHeapMB > 0 && peakMB > float64(maxHeapMB) {

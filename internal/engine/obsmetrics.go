@@ -73,23 +73,10 @@ func doObserved(r Run, worker int, submitted time.Time) Result {
 	}
 
 	if tr := obs.ActiveTracer(); tr != nil {
-		mode := r.Mode
-		if mode == ModeAuto && res.Spec != nil {
-			switch res.Spec.Class() {
-			case ClassExit:
-				mode = ModeExit
-			case ClassTarget:
-				mode = ModeTarget
-			case ClassTask:
-				mode = ModeTask
-			case ClassPerfect:
-				mode = ModeTiming
-			}
-		}
 		args := map[string]any{
 			"workload": r.Workload,
 			"spec":     r.Spec,
-			"mode":     mode.String(),
+			"mode":     res.Mode.String(),
 			"worker":   worker,
 			"run_id":   r.Status.ID(),
 		}

@@ -48,6 +48,19 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
+// ParseMode is the inverse of Mode.String; the empty string is ModeAuto.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModeAuto, nil
+	}
+	for m := ModeAuto; m <= ModeTiming; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return ModeAuto, fmt.Errorf("engine: unknown mode %q (want auto, exit, target, task, or timing)", s)
+}
+
 // Run is one cell of an evaluation grid: one workload replayed under one
 // predictor spec. The zero values of Mode, Fault, MaxSteps and
 // TimingSteps mean auto-derived mode, no injection, the full trace, and
@@ -86,14 +99,17 @@ type Run struct {
 }
 
 // Result is one run's outcome. Exactly one of Exit, Target, Task, Timing
-// is meaningful, matching the resolved mode; Err reports parse, build,
-// run, or invariant failures (recovered panics come back as
-// *fault.PanicError, never crash the scheduler).
+// is meaningful, matching Mode; Err reports parse, build, run, or
+// invariant failures (recovered panics come back as *fault.PanicError,
+// never crash the scheduler).
 type Result struct {
 	// Run echoes the submitted run.
 	Run Run
 	// Spec is the parsed spec (nil when parsing failed).
 	Spec *Spec
+	// Mode is the mode Resolve resolved the run to (Run.Mode when the
+	// spec did not parse).
+	Mode Mode
 	// Err is nil on success.
 	Err error
 	// Exit is the exit-prediction result (ModeExit).
@@ -140,55 +156,10 @@ func run(r Run, res *Result) (err error) {
 		}
 	}()
 
-	sp, err := Parse(r.Spec)
+	sp, fs, mode, err := resolve(r)
+	res.Spec, res.Mode = sp, mode
 	if err != nil {
 		return err
-	}
-	res.Spec = sp
-	fs, err := fault.ParseSpec(r.Fault)
-	if err != nil {
-		return err
-	}
-
-	mode := r.Mode
-	if mode == ModeAuto {
-		switch sp.Class() {
-		case ClassExit:
-			mode = ModeExit
-		case ClassTarget:
-			mode = ModeTarget
-		case ClassTask:
-			mode = ModeTask
-		case ClassPerfect:
-			mode = ModeTiming
-		}
-	}
-	if fs.Enabled() && mode != ModeTask && mode != ModeTiming {
-		return &UnsupportedError{Feature: "fault injection",
-			Reason: fmt.Sprintf("wraps a task predictor; %s runs cannot inject", mode)}
-	}
-
-	// Speculative update (the :spec flag) drives exit/task prediction
-	// sessions and the timing model; every other combination is refused
-	// explicitly so a spec run is never silently idealized.
-	if sp.SpecUpdate() {
-		if mode == ModeTarget {
-			return &UnsupportedError{Feature: "speculative update",
-				Reason: "target replay has no prediction-time training to speculate; spec applies to exit, task and timing runs"}
-		}
-		if fs.Enabled() {
-			return &UnsupportedError{Feature: "fault injection",
-				Reason: "the injector wrapper cannot checkpoint predictor state; speculative-update runs cannot inject"}
-		}
-	}
-
-	if r.Stream && mode == ModeTiming {
-		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "the timing model replays the functional machine, not a block stream; timing runs cannot stream"}
-	}
-	if r.Stream && fs.Enabled() {
-		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "faulted runs checksum the resident trace columns, which a stream never holds; streaming runs cannot inject"}
 	}
 
 	if mode == ModeTiming {
@@ -206,14 +177,6 @@ func run(r Run, res *Result) (err error) {
 		}
 		var inj *fault.Injector
 		if fs.Enabled() {
-			// The perfect predictor is the timing model's built-in oracle
-			// (pred == nil): there is no predictor state to corrupt, so a
-			// fault spec here would silently do nothing. Refuse it
-			// explicitly, like the replay modes do.
-			if pred == nil {
-				return &UnsupportedError{Feature: "fault injection",
-					Reason: "wraps a task predictor; perfect timing runs have no predictor state to inject into"}
-			}
 			if inj, err = fault.New(fs, pred); err != nil {
 				return err
 			}
@@ -249,7 +212,7 @@ func run(r Run, res *Result) (err error) {
 		if r.MaxSteps > 0 {
 			r.Status.SetTotal(int64(r.MaxSteps))
 		}
-		return replayBlocks(sp, mode, WithProgress(src, r.Status), res)
+		return ReplayBlocks(sp, mode, WithProgress(src, r.Status), res)
 	}
 
 	c, err := workload.CachedColumnar(r.Workload, r.MaxSteps)
@@ -261,7 +224,7 @@ func run(r Run, res *Result) (err error) {
 	if fs.Enabled() {
 		return replayFaulted(sp, fs, c, src, res)
 	}
-	return replayBlocks(sp, mode, src, res)
+	return ReplayBlocks(sp, mode, src, res)
 }
 
 // replayFaulted evaluates a faulted task run over the cached columns: the
@@ -270,7 +233,7 @@ func run(r Run, res *Result) (err error) {
 // untouched, and the trace still valid against its TFG. Panics are caught
 // by run's recover and surface as *fault.PanicError.
 func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSource, res *Result) error {
-	p, err := buildReplayTask(sp)
+	p, err := sp.BuildTask()
 	if err != nil {
 		return err
 	}
@@ -295,24 +258,13 @@ func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSo
 	return nil
 }
 
-// buildReplayTask builds the task predictor of a replay run, refusing the
-// perfect predictor (it exists only inside the timing model).
-func buildReplayTask(sp *Spec) (core.TaskPredictor, error) {
-	p, err := sp.BuildTask()
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, &UnsupportedError{Feature: "perfect predictor",
-			Reason: "only meaningful in timing runs (it has no replayable state)"}
-	}
-	return p, nil
-}
-
-// replayBlocks evaluates one replay-mode run through the block-wise
+// ReplayBlocks evaluates one replay-mode run through the block-wise
 // kernels over any block source (columnar cache cursor or generated
-// stream).
-func replayBlocks(sp *Spec, mode Mode, src trace.BlockSource, res *Result) error {
+// stream): speculative-update specs run the speculative session, every
+// other spec the idealized kernel. sp and mode must come from an
+// admitted Resolve, which guarantees the spec has the component the
+// mode replays.
+func ReplayBlocks(sp *Spec, mode Mode, src trace.BlockSource, res *Result) error {
 	switch mode {
 	case ModeExit:
 		p, err := sp.BuildExit()
@@ -333,7 +285,7 @@ func replayBlocks(sp *Spec, mode Mode, src trace.BlockSource, res *Result) error
 		res.Target, err = core.EvaluateIndirectBlocks(src, b)
 		return err
 	case ModeTask:
-		p, err := buildReplayTask(sp)
+		p, err := sp.BuildTask()
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,7 @@ func TestDoModeAutoFollowsClass(t *testing.T) {
 	if exit.Err != nil {
 		t.Fatal(exit.Err)
 	}
-	if exit.Exit.Steps == 0 || exit.Task.Steps != 0 {
+	if exit.Exit.Steps == 0 || exit.Task.Steps != 0 || exit.Mode != ModeExit {
 		t.Fatalf("exit spec did not run in exit mode: %+v", exit)
 	}
 
@@ -55,7 +55,7 @@ func TestDoModeAutoFollowsClass(t *testing.T) {
 	if target.Err != nil {
 		t.Fatal(target.Err)
 	}
-	if target.Target.Steps == 0 {
+	if target.Target.Steps == 0 || target.Mode != ModeTarget {
 		t.Fatal("target spec did not run in target mode")
 	}
 
@@ -65,7 +65,7 @@ func TestDoModeAutoFollowsClass(t *testing.T) {
 	if asTask.Err != nil {
 		t.Fatal(asTask.Err)
 	}
-	if asTask.Task.Steps == 0 {
+	if asTask.Task.Steps == 0 || asTask.Mode != ModeTask {
 		t.Fatal("ModeTask override ignored")
 	}
 }
@@ -214,5 +214,75 @@ func TestDoTimingRejectsFaultedPerfect(t *testing.T) {
 	}
 	if !ok.Faulted {
 		t.Error("faulted timing run with a real predictor did not inject")
+	}
+}
+
+// TestResolve pins the admission check: ModeAuto resolves from the
+// spec's class, a spec lacking the component its mode evaluates is a
+// typed refusal, and every refusal Resolve makes is the one Do returns.
+func TestResolve(t *testing.T) {
+	for spec, want := range map[string]Mode{
+		"path:d7-o5-l6-c6-f3:leh2": ModeExit,
+		"cttb:d7-o4-l4-c5-f3":      ModeTarget,
+		stdSpec:                    ModeTask,
+		"perfect":                  ModeTiming,
+	} {
+		sp, mode, err := Resolve(Run{Spec: spec})
+		if err != nil || sp == nil || mode != want {
+			t.Errorf("Resolve(%q) = %v, %v, %v; want mode %v", spec, sp, mode, err, want)
+		}
+	}
+
+	refused := []struct {
+		name string
+		run  Run
+		want string
+	}{
+		{"exit mode on a target spec", Run{Spec: "cttb:d7-o4-l4-c5-f3", Mode: ModeExit}, "no exit predictor"},
+		{"target mode on an exit spec", Run{Spec: "path:d7-o5-l6-c6-f3:leh2", Mode: ModeTarget}, "no target buffer"},
+		{"bare exit spec as a task replay", Run{Spec: "path:d7-o5-l6-c6-f3:leh2", Mode: ModeTask}, "composed:"},
+		{"bare exit spec in timing", Run{Spec: "ipath:d7:leh2", Mode: ModeTiming}, "composed:"},
+		{"perfect as an exit replay", Run{Spec: "perfect", Mode: ModeExit}, "timing"},
+		{"perfect with faults", Run{Spec: "perfect", Fault: "ctr=0.01"}, "no predictor state"},
+		{"spec target replay", Run{Spec: "cttb:d7-o4-l4-c5-f3:spec"}, "speculative update"},
+		{"spec with faults", Run{Spec: stdSpec + ":spec", Fault: "all=0.01"}, "cannot inject"},
+		{"streamed timing", Run{Spec: stdSpec, Mode: ModeTiming, Stream: true}, "cannot stream"},
+		{"streamed faults", Run{Spec: stdSpec, Fault: "all=0.01", Stream: true}, "cannot inject"},
+	}
+	for _, c := range refused {
+		sp, _, err := Resolve(c.run)
+		var ue *UnsupportedError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resolve error %v, want an *UnsupportedError mentioning %q", c.name, err, c.want)
+			continue
+		}
+		if sp == nil {
+			t.Errorf("%s: refused run lost its parsed spec", c.name)
+		}
+		c.run.Workload, c.run.MaxSteps, c.run.TimingSteps = "boolmin", 100, 100
+		if res := Do(c.run); res.Err == nil || res.Err.Error() != err.Error() {
+			t.Errorf("%s: Do error %v, Resolve error %v", c.name, res.Err, err)
+		}
+	}
+
+	if _, _, err := Resolve(Run{Spec: "warp9"}); err == nil || errors.As(err, new(*UnsupportedError)) {
+		t.Errorf("unparseable spec: %v, want a parse error", err)
+	}
+	if sp, _, err := Resolve(Run{Spec: stdSpec, Fault: "chaos"}); sp == nil || err == nil || errors.As(err, new(*UnsupportedError)) {
+		t.Errorf("bad fault spec: %v, %v; want the parsed spec and a parse error", sp, err)
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for m := ModeAuto; m <= ModeTiming; m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMode(""); err != nil || got != ModeAuto {
+		t.Errorf(`ParseMode("") = %v, %v; want auto`, got, err)
+	}
+	if _, err := ParseMode("yolo"); err == nil {
+		t.Errorf("ParseMode accepted junk")
 	}
 }

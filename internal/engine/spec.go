@@ -436,6 +436,9 @@ func parseExit(segs []string) (*ExitSpec, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if v[0] > core.MaxHistoryDepth || v[2] < 1 || v[2] > 30 {
+			return nil, nil, fmt.Errorf("engine: global %s out of range (want d<=%d, i in 1..30)", segs[1], core.MaxHistoryDepth)
+		}
 		es = &ExitSpec{Scheme: SchemeGlobal, Depth: v[0], Current: v[1], Index: v[2], Automaton: a}
 		rest = segs[3:]
 	case "per":
@@ -449,6 +452,9 @@ func parseExit(segs []string) (*ExitSpec, []string, error) {
 		a, err := parseAutomaton(segs[2])
 		if err != nil {
 			return nil, nil, err
+		}
+		if v[0] > core.MaxHistoryDepth || v[1] < 1 || v[1] > 24 || v[3] < 1 || v[3] > 30 {
+			return nil, nil, fmt.Errorf("engine: per %s out of range (want d<=%d, h in 1..24, i in 1..30)", segs[1], core.MaxHistoryDepth)
 		}
 		es = &ExitSpec{Scheme: SchemePer, Depth: v[0], HRT: v[1], TaskBits: v[2], Index: v[3], Automaton: a}
 		rest = segs[3:]

@@ -139,6 +139,15 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",     // the same as a spec-session lag
 		"composed:ipath:d7:leh2:dlat4097:ras32:cttb:d7-o4-l4-c5-f3", // dlat on a composed exit
 		"path:d7-o5-l6-c6-f3:leh2:seed4294967296",                   // seed beyond uint32
+		// Table widths the constructors refuse: rejected at parse time,
+		// so every spec that parses also builds.
+		"global:d12-c14-i14:leh2", // depth beyond core.MaxHistoryDepth
+		"global:d7-c14-i31:leh2",  // index above 30 bits
+		"global:d7-c14-i0:leh2",   // empty index
+		"per:d12-h12-t14-i14:leh2",
+		"per:d7-h25-t14-i14:leh2", // HRT above 24 bits
+		"per:d7-h0-t14-i14:leh2",
+		"per:d7-h12-t14-i31:leh2",
 	}
 	for _, s := range bad {
 		if sp, err := Parse(s); err == nil {

@@ -1,5 +1,5 @@
-// Configuration-layer passes: DOLC bit budgets, table sizing, static
-// alias pressure, and RAS depth against the program's call nesting.
+// Configuration-layer passes: DOLC bit budgets and static alias pressure
+// of the predictor spec's tables.
 package lint
 
 import (
@@ -12,7 +12,6 @@ import (
 // the dataflow-backed tfg-call-depth pass owns RAS sizing now.)
 const (
 	CheckDOLCBudget    = "cfg-dolc-budget"
-	CheckTableSize     = "cfg-table-size"
 	CheckAliasPressure = "cfg-alias-pressure"
 )
 
@@ -24,11 +23,6 @@ func configPasses() []Pass {
 			Run:  runCfgDOLC,
 		},
 		{
-			Name: "cfg-tables",
-			Doc:  "declared predictor table sizes are powers of two matching their DOLC index widths",
-			Run:  runCfgTables,
-		},
-		{
 			Name: "cfg-alias",
 			Doc:  "static alias pressure: multi-exit task population vs exit-PHT entries (per-site CTTB pressure moved to tfg-indirect-targets)",
 			Run:  runCfgAlias,
@@ -36,18 +30,12 @@ func configPasses() []Pass {
 	}
 }
 
-// checkDOLC validates one DOLC and flags dead history fields the fold
+// checkDOLC sizes one DOLC and flags dead history fields the fold
 // silently ignores — the exact mis-sizing that turns "realizable"
-// results into alias noise (Figures 9–10).
+// results into alias noise (Figures 9–10). An invalid DOLC never gets
+// here: engine.Parse rejects it, and cfg-pred-spec reports that.
 func checkDOLC(what string, d core.DOLC) []Diagnostic {
 	var out []Diagnostic
-	if err := d.Validate(); err != nil {
-		out = append(out, Diagnostic{
-			Check: CheckDOLCBudget, Sev: Error,
-			Msg: fmt.Sprintf("%s DOLC %v: %v", what, d, err),
-		})
-		return out
-	}
 	if d.Older > 0 && d.Depth < 2 {
 		out = append(out, Diagnostic{
 			Check: CheckDOLCBudget, Sev: Warn,
@@ -69,59 +57,17 @@ func checkDOLC(what string, d core.DOLC) []Diagnostic {
 }
 
 func runCfgDOLC(c *Context) []Diagnostic {
-	if c.Config == nil {
+	sp := c.Config.spec()
+	if sp == nil {
 		return nil
 	}
 	var out []Diagnostic
-	if d := c.Config.exitDOLC(); d != nil {
+	if d := sp.ExitDOLC(); d != nil {
 		out = append(out, checkDOLC("exit predictor", *d)...)
 	}
-	if d := c.Config.cttbDOLC(); d != nil {
+	if d := sp.CTTBDOLC(); d != nil {
 		out = append(out, checkDOLC("CTTB", *d)...)
 	}
-	return out
-}
-
-// checkTable verifies a declared entry count against the index width
-// that addresses it.
-func checkTable(what string, entries int, d *core.DOLC) []Diagnostic {
-	if entries == 0 {
-		return nil
-	}
-	var out []Diagnostic
-	if entries < 0 || entries&(entries-1) != 0 {
-		out = append(out, Diagnostic{
-			Check: CheckTableSize, Sev: Error,
-			Msg: fmt.Sprintf("%s table of %d entries is not a power of two; index bits cannot address it exactly", what, entries),
-		})
-		return out
-	}
-	if d == nil {
-		out = append(out, Diagnostic{
-			Check: CheckTableSize, Sev: Warn,
-			Msg: fmt.Sprintf("%s table of %d entries declared but no %s DOLC is configured", what, entries, what),
-		})
-		return out
-	}
-	if d.Validate() != nil {
-		return nil // cfg-dolc-budget already reports the broken DOLC
-	}
-	if want := d.TableSize(); entries != want {
-		out = append(out, Diagnostic{
-			Check: CheckTableSize, Sev: Error,
-			Msg: fmt.Sprintf("%s table declares %d entries but the %d-bit DOLC index addresses %d; the difference is wasted or aliased", what, entries, d.IndexBits(), want),
-		})
-	}
-	return out
-}
-
-func runCfgTables(c *Context) []Diagnostic {
-	if c.Config == nil {
-		return nil
-	}
-	var out []Diagnostic
-	out = append(out, checkTable("exit predictor", c.Config.ExitEntries, c.Config.exitDOLC())...)
-	out = append(out, checkTable("CTTB", c.Config.CTTBEntries, c.Config.cttbDOLC())...)
 	return out
 }
 
@@ -132,11 +78,12 @@ func runCfgTables(c *Context) []Diagnostic {
 // (CTTB pressure is judged per indirect site by tfg-indirect-targets,
 // which knows each site's inferred target set.)
 func runCfgAlias(c *Context) []Diagnostic {
-	if c.Config == nil || c.Graph == nil || c.Graph.NumTasks() == 0 {
+	sp := c.Config.spec()
+	if sp == nil || c.Graph == nil || c.Graph.NumTasks() == 0 {
 		return nil
 	}
-	d := c.Config.exitDOLC()
-	if d == nil || d.Validate() != nil {
+	d := sp.ExitDOLC()
+	if d == nil {
 		return nil
 	}
 	multi := 0

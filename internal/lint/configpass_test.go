@@ -9,12 +9,19 @@ import (
 	"multiscalar/internal/tfg"
 )
 
+// TestCheckDOLCInvalid: an invalid DOLC cannot reach the budget pass —
+// engine.Parse rejects the spec, cfg-pred-spec reports the error, and
+// cfg-dolc-budget stays silent.
 func TestCheckDOLCInvalid(t *testing.T) {
 	// (3-1)*3 + 3 + 4 = 13 intermediate bits do not fold into F=2 fields.
-	bad := core.DOLC{Depth: 3, Older: 3, Last: 3, Current: 4, Folds: 2}
-	diags := checkDOLC("exit predictor", bad)
-	if len(diags) != 1 || diags[0].Check != CheckDOLCBudget || diags[0].Sev != Error {
-		t.Errorf("invalid DOLC: %v, want one %s error", diags, CheckDOLCBudget)
+	cfg := &PredictorConfig{PredSpec: "composed:path:d3-o3-l3-c4-f2:leh2:ras32"}
+	diags := predSpecDiags(cfg)
+	if len(diags) != 1 || diags[0].Check != CheckPredSpec || diags[0].Sev != Error ||
+		!strings.Contains(diags[0].Msg, "not a multiple of F=2") {
+		t.Errorf("invalid DOLC: %v, want one %s error naming the fold", diags, CheckPredSpec)
+	}
+	if diags := runCfgDOLC(&Context{Config: cfg}); diags != nil {
+		t.Errorf("invalid DOLC reached %s: %v", CheckDOLCBudget, diags)
 	}
 }
 
@@ -55,35 +62,6 @@ func TestCheckDOLCValid(t *testing.T) {
 	}
 }
 
-func TestCheckTable(t *testing.T) {
-	flagship := core.MustDOLC(7, 5, 6, 6, 3) // 42 bits / 3 folds = 14 -> 16384 entries
-	cases := []struct {
-		name    string
-		entries int
-		d       *core.DOLC
-		wantSev Severity
-		wantNil bool
-	}{
-		{"zero entries is silent", 0, &flagship, 0, true},
-		{"non-power-of-two", 5000, &flagship, Error, false},
-		{"entries without a DOLC", 1024, nil, Warn, false},
-		{"mismatched size", 4096, &flagship, Error, false},
-		{"exact match", 16384, &flagship, 0, true},
-	}
-	for _, tc := range cases {
-		diags := checkTable("exit predictor", tc.entries, tc.d)
-		if tc.wantNil {
-			if len(diags) != 0 {
-				t.Errorf("%s: %v, want none", tc.name, diags)
-			}
-			continue
-		}
-		if len(diags) != 1 || diags[0].Check != CheckTableSize || diags[0].Sev != tc.wantSev {
-			t.Errorf("%s: %v, want one %s at %s", tc.name, diags, CheckTableSize, tc.wantSev)
-		}
-	}
-}
-
 // aliasGraph builds a bare graph with n multi-exit tasks.
 func aliasGraph(n int) *tfg.Graph {
 	g := &tfg.Graph{Tasks: map[isa.Addr]*tfg.Task{}}
@@ -97,11 +75,8 @@ func aliasGraph(n int) *tfg.Graph {
 }
 
 func TestCfgAliasPressure(t *testing.T) {
-	tiny := core.DOLC{Depth: 1, Older: 0, Last: 0, Current: 1, Folds: 1} // 2 entries
-	if err := tiny.Validate(); err != nil {
-		t.Fatalf("tiny DOLC invalid: %v", err)
-	}
-	diags := runCfgAlias(&Context{Graph: aliasGraph(3), Config: &PredictorConfig{ExitDOLC: &tiny}})
+	tiny := &PredictorConfig{PredSpec: "path:d1-o0-l0-c1:leh2"} // 2 entries
+	diags := runCfgAlias(&Context{Graph: aliasGraph(3), Config: tiny})
 	if len(diags) != 1 || diags[0].Check != CheckAliasPressure || diags[0].Sev != Warn {
 		t.Fatalf("3 tasks on 2 entries: %v, want one %s warning", diags, CheckAliasPressure)
 	}
@@ -109,8 +84,8 @@ func TestCfgAliasPressure(t *testing.T) {
 		t.Errorf("warning text: %q", diags[0].Msg)
 	}
 
-	roomy := core.MustDOLC(7, 5, 6, 6, 3)
-	diags = runCfgAlias(&Context{Graph: aliasGraph(3), Config: &PredictorConfig{ExitDOLC: &roomy}})
+	roomy := &PredictorConfig{PredSpec: "path:d7-o5-l6-c6-f3:leh2"}
+	diags = runCfgAlias(&Context{Graph: aliasGraph(3), Config: roomy})
 	if len(diags) != 1 || diags[0].Sev != Info {
 		t.Errorf("3 tasks on 16384 entries: %v, want one info", diags)
 	}
@@ -138,21 +113,21 @@ func TestCallDepthRASVerdicts(t *testing.T) {
 .func g
   ret
 `)
-	ctx := func(depth int) *Context {
-		return &Context{Prog: p, Graph: g, Config: &PredictorConfig{RASDepth: depth}}
+	ctx := func(ras string) *Context {
+		return &Context{Prog: p, Graph: g, Config: &PredictorConfig{PredSpec: "composed:path:d7-o5-l6-c6-f3:leh2:" + ras}}
 	}
-	if d := findDiag(runTFGCallDepth(ctx(-1)), "negative"); d == nil || d.Sev != Error {
-		t.Errorf("negative depth: want a %s error", CheckCallDepth)
+	if d := findDiag(runTFGCallDepth(ctx("noras")), "holds 0 entries"); d == nil || d.Sev != Warn {
+		t.Errorf("no RAS: want an overflow warning naming a 0-entry RAS, got %v", runTFGCallDepth(ctx("noras")))
 	}
 	// Static call depth is 2 (main -> f -> g): a 1-entry RAS overflows.
-	if d := findDiag(runTFGCallDepth(ctx(1)), `verdict "may-overflow"`); d == nil || d.Sev != Warn ||
+	if d := findDiag(runTFGCallDepth(ctx("ras1")), `verdict "may-overflow"`); d == nil || d.Sev != Warn ||
 		!strings.Contains(d.Msg, "reaches 2") {
-		t.Errorf("1-entry RAS vs depth 2: want an overflow warning naming depth 2, got %v", runTFGCallDepth(ctx(1)))
+		t.Errorf("1-entry RAS vs depth 2: want an overflow warning naming depth 2, got %v", runTFGCallDepth(ctx("ras1")))
 	}
-	if d := findDiag(runTFGCallDepth(ctx(32)), `verdict "fits"`); d == nil || d.Sev != Info {
-		t.Errorf("32-entry RAS: want a fits info, got %v", runTFGCallDepth(ctx(32)))
+	if d := findDiag(runTFGCallDepth(ctx("ras32")), `verdict "fits"`); d == nil || d.Sev != Info {
+		t.Errorf("32-entry RAS: want a fits info, got %v", runTFGCallDepth(ctx("ras32")))
 	}
-	if d := findDiag(runTFGCallDepth(ctx(32)), "no recursion"); d == nil {
+	if d := findDiag(runTFGCallDepth(ctx("ras32")), "no recursion"); d == nil {
 		t.Errorf("bounded chain: want a no-recursion info")
 	}
 }
@@ -167,7 +142,7 @@ func TestCallDepthRecursion(t *testing.T) {
   jal  @f
   ret
 `)
-	diags := runTFGCallDepth(&Context{Prog: p, Graph: g, Config: &PredictorConfig{}})
+	diags := runTFGCallDepth(&Context{Prog: p, Graph: g, Config: standardConfig()})
 	if d := findDiag(diags, "recursion detected"); d == nil || d.Sev != Info || !d.HasTask {
 		t.Errorf("recursive chain: want a recursion info naming a task, got %v", diags)
 	}
@@ -194,7 +169,7 @@ done:
 .func f
   ret
 `)
-	diags := runTFGCallDepth(&Context{Prog: p, Graph: g, Config: &PredictorConfig{RASDepth: 32}})
+	diags := runTFGCallDepth(&Context{Prog: p, Graph: g, Config: standardConfig()})
 	if d := findDiag(diags, "recursion detected"); d != nil {
 		t.Errorf("branch loop with a call misclassified as recursion: %v", d)
 	}

@@ -149,22 +149,13 @@ func runTFGCallDepth(c *Context) []Diagnostic {
 			Msg: fmt.Sprintf("maximum static call depth %d; no recursion", f.depth.MaxHi),
 		})
 	}
-	if c.Config == nil {
+	sp := c.Config.spec()
+	if sp == nil || sp.Class() != engine.ClassTask {
+		// No predictor, or an exit-only, target-only or perfect spec:
+		// no return addresses are predicted, so RAS sizing is moot.
 		return out
 	}
-	if s := c.Config.spec(); s != nil && s.Class() != engine.ClassTask {
-		// Exit-only, target-only and perfect specs predict no return
-		// addresses; RAS sizing is moot.
-		return out
-	}
-	depth := c.Config.rasDepth()
-	if depth < 0 {
-		out = append(out, Diagnostic{
-			Check: CheckCallDepth, Sev: Error,
-			Msg: fmt.Sprintf("RAS depth %d is negative", depth),
-		})
-		return out
-	}
+	depth := sp.RASDepth()
 	switch v := rasVerdict(f.depth, depth); v {
 	case RASUnbounded:
 		out = append(out, Diagnostic{
@@ -205,8 +196,8 @@ func runTFGIndirectTargets(c *Context) []Diagnostic {
 		return nil
 	}
 	var cttbEntries int
-	if c.Config != nil {
-		if d := c.Config.cttbDOLC(); d != nil && d.Validate() == nil {
+	if sp := c.Config.spec(); sp != nil {
+		if d := sp.CTTBDOLC(); d != nil {
 			cttbEntries = d.TableSize()
 		}
 	}
@@ -260,11 +251,12 @@ const maxAliasDiagsPerRun = 16
 // — the destructive aliasing of Figure 10, established without running
 // a single trace.
 func runTFGDOLCAlias(c *Context) []Diagnostic {
-	if c.Graph == nil || c.Config == nil {
+	sp := c.Config.spec()
+	if c.Graph == nil || sp == nil {
 		return nil
 	}
-	d := c.Config.exitDOLC()
-	if d == nil || d.Validate() != nil {
+	d := sp.ExitDOLC()
+	if d == nil {
 		return nil
 	}
 	f := c.dataflowFacts()

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/program"
 	"multiscalar/internal/tfg"
@@ -39,11 +38,8 @@ func diamondGraph() *tfg.Graph {
 // same 2-entry index (2 and 4 share their low bit) — the statically
 // guaranteed aliasing the check exists for.
 func TestDOLCAliasFixture(t *testing.T) {
-	tiny := core.DOLC{Depth: 1, Older: 0, Last: 1, Current: 1, Folds: 1}
-	if err := tiny.Validate(); err != nil {
-		t.Fatalf("tiny DOLC invalid: %v", err)
-	}
-	diags := runTFGDOLCAlias(&Context{Graph: diamondGraph(), Config: &PredictorConfig{ExitDOLC: &tiny}})
+	tiny := &PredictorConfig{PredSpec: "path:d1-o0-l1-c1:leh2"}
+	diags := runTFGDOLCAlias(&Context{Graph: diamondGraph(), Config: tiny})
 	d := findDiag(diags, "destructive aliasing is statically guaranteed")
 	if d == nil || d.Check != CheckDOLCAlias || d.Sev != Warn {
 		t.Fatalf("no alias warning on the folding diamond: %v", diags)
@@ -54,8 +50,7 @@ func TestDOLCAliasFixture(t *testing.T) {
 
 	// A wide DOLC (14-bit index) separates the two histories: only the
 	// enumeration summary info remains.
-	roomy := core.MustDOLC(7, 5, 6, 6, 3)
-	diags = runTFGDOLCAlias(&Context{Graph: diamondGraph(), Config: &PredictorConfig{ExitDOLC: &roomy}})
+	diags = runTFGDOLCAlias(&Context{Graph: diamondGraph(), Config: standardConfig()})
 	if d := findDiag(diags, "destructive aliasing"); d != nil {
 		t.Errorf("wide DOLC still aliases: %v", d)
 	}
@@ -113,11 +108,7 @@ c3:
 `)
 	// A 1-bit CTTB index (2 entries) against a 3-target dispatch site:
 	// per-site pressure guarantees aliasing.
-	cttb := core.DOLC{Depth: 1, Older: 0, Last: 0, Current: 1, Folds: 1}
-	if err := cttb.Validate(); err != nil {
-		t.Fatalf("cttb DOLC invalid: %v", err)
-	}
-	diags := runTFGIndirectTargets(NewContext(p, g, &PredictorConfig{CTTB: &cttb}))
+	diags := runTFGIndirectTargets(NewContext(p, g, &PredictorConfig{PredSpec: "cttb:d1-o0-l0-c1"}))
 	site := findDiag(diags, "dispatch-table data[0:3)")
 	if site == nil || site.Check != CheckIndirectTargets {
 		t.Fatalf("dispatch table not inferred: %v", diags)
@@ -130,8 +121,7 @@ c3:
 	}
 
 	// With the flagship CTTB (2048 entries) the same site is an info.
-	roomy := core.MustDOLC(7, 4, 4, 5, 3)
-	diags = runTFGIndirectTargets(NewContext(p, g, &PredictorConfig{CTTB: &roomy}))
+	diags = runTFGIndirectTargets(NewContext(p, g, standardConfig()))
 	if d := findDiag(diags, "3 target(s) inferred"); d == nil || d.Sev != Info {
 		t.Errorf("roomy CTTB: want an info site diagnostic, got %v", diags)
 	}

@@ -1,6 +1,7 @@
 // Fault-spec configuration pass: validates fault-injection spec strings
-// against the predictor configuration before a run spends hours injecting
-// into structures that do not exist.
+// before a run spends hours injecting noise. Whether each enabled fault
+// kind has a structure to hit is cfg-pred-spec's check, which sees the
+// structures the predictor spec builds.
 package lint
 
 import (
@@ -22,9 +23,8 @@ func faultPasses() []Pass {
 
 // runCfgFault validates the raw fault spec: a spec that does not parse is
 // an error (the run would refuse it anyway — fail at lint time instead);
-// an enabled fault kind whose target structure is not configured warns
-// (the injection rolls would silently do nothing); rates past 0.5 warn
-// (beyond graceful degradation — the predictor is mostly noise).
+// rates past 0.5 warn (beyond graceful degradation — the predictor is
+// mostly noise).
 func runCfgFault(c *Context) []Diagnostic {
 	if c.Config == nil || c.Config.FaultSpec == "" {
 		return nil
@@ -46,26 +46,6 @@ func runCfgFault(c *Context) []Diagnostic {
 	var out []Diagnostic
 	warn := func(format string, args ...any) {
 		out = append(out, Diagnostic{Check: CheckFaultSpec, Sev: Warn, Msg: fmt.Sprintf(format, args...)})
-	}
-	// Structure-compatibility warnings derive from the explicit DOLC
-	// fields; when a predictor spec string is configured, cfg-pred-spec
-	// owns that comparison (it sees schemes the DOLC fields cannot
-	// express, e.g. global/per exit predictors).
-	if c.Config.PredSpec == "" {
-		hasExit := c.Config.ExitDOLC != nil
-		hasCTTB := c.Config.CTTB != nil
-		if spec.Rate[fault.KindCounter] > 0 && !hasExit {
-			warn("ctr faults at rate %g but no exit predictor DOLC is configured; counter injections will find no PHT", spec.Rate[fault.KindCounter])
-		}
-		if spec.Rate[fault.KindHistory] > 0 && !hasExit && !hasCTTB {
-			warn("hist faults at rate %g but neither exit predictor nor CTTB is configured; no history register to corrupt", spec.Rate[fault.KindHistory])
-		}
-		if spec.Rate[fault.KindTTB] > 0 && !hasCTTB {
-			warn("ttb faults at rate %g but no CTTB is configured; entry clobbers will find no buffer", spec.Rate[fault.KindTTB])
-		}
-		if spec.Rate[fault.KindRAS] > 0 && c.Config.rasDepth() <= 0 {
-			warn("ras faults at rate %g but the RAS has no capacity", spec.Rate[fault.KindRAS])
-		}
 	}
 	for _, k := range fault.Kinds() {
 		if r := spec.Rate[k]; r > 0.5 {

@@ -3,8 +3,6 @@ package lint
 import (
 	"strings"
 	"testing"
-
-	"multiscalar/internal/core"
 )
 
 // faultDiags runs only the cfg-fault pass over a bare config context.
@@ -35,45 +33,15 @@ func TestCfgFaultDisabledSpec(t *testing.T) {
 	}
 }
 
-func TestCfgFaultStructureMismatch(t *testing.T) {
-	// ttb faults with no CTTB, ctr faults with no exit predictor: both
-	// warn that the injections will find nothing.
-	diags := faultDiags(&PredictorConfig{FaultSpec: "ctr=0.01,ttb=0.01"})
-	warns := map[string]bool{}
-	for _, d := range diags {
-		if d.Check != CheckFaultSpec {
-			t.Fatalf("foreign check ID %q", d.Check)
-		}
-		if d.Sev == Warn {
-			switch {
-			case strings.Contains(d.Msg, "ctr"):
-				warns["ctr"] = true
-			case strings.Contains(d.Msg, "ttb"):
-				warns["ttb"] = true
-			}
-		}
-	}
-	if !warns["ctr"] || !warns["ttb"] {
-		t.Fatalf("missing structure-mismatch warnings: %v", diags)
-	}
-}
-
 func TestCfgFaultCleanSpec(t *testing.T) {
-	exit := core.MustDOLC(7, 5, 6, 6, 3)
-	cttb := core.MustDOLC(7, 4, 4, 5, 3)
-	diags := faultDiags(&PredictorConfig{
-		ExitDOLC:  &exit,
-		CTTB:      &cttb,
-		FaultSpec: "all=1e-3,seed=7",
-	})
+	diags := faultDiags(&PredictorConfig{PredSpec: stdSpec, FaultSpec: "all=1e-3,seed=7"})
 	if len(diags) != 1 || diags[0].Sev != Info || !strings.Contains(diags[0].Msg, "5 kinds enabled") {
 		t.Fatalf("clean spec: %v, want a single summary info", diags)
 	}
 }
 
 func TestCfgFaultExtremeRate(t *testing.T) {
-	exit := core.MustDOLC(7, 5, 6, 6, 3)
-	diags := faultDiags(&PredictorConfig{ExitDOLC: &exit, FaultSpec: "ctr=0.9"})
+	diags := faultDiags(&PredictorConfig{PredSpec: stdSpec, FaultSpec: "ctr=0.9"})
 	found := false
 	for _, d := range diags {
 		if d.Sev == Warn && strings.Contains(d.Msg, "graceful degradation") {

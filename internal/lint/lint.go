@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/program"
@@ -108,39 +107,24 @@ func (d Diagnostic) String() string {
 }
 
 // PredictorConfig describes the predictor hardware a program is to run
-// under, for the config-layer passes. Nil DOLC fields mean "no such
-// structure configured"; zero entry counts mean "derived from the DOLC
-// index width".
+// under, for the config-layer passes. The predictor spec string is the
+// one description of the hardware: every pass derives the exit DOLC,
+// CTTB DOLC and RAS depth from the parsed spec.
 type PredictorConfig struct {
 	// PredSpec is the engine predictor spec string the run will build
-	// ("" = none). When set, the cfg-pred-spec pass validates it, and the
-	// other config-layer passes derive the exit DOLC, CTTB DOLC, and RAS
-	// depth from the parsed spec wherever the explicit fields below are
-	// unset.
+	// ("" = none, which skips every predictor-dependent check). The
+	// cfg-pred-spec pass validates it.
 	PredSpec string
-	// ExitDOLC is the path-based exit predictor index function.
-	ExitDOLC *core.DOLC
-	// ExitEntries optionally declares the exit-PHT entry count to check
-	// against ExitDOLC's index width.
-	ExitEntries int
-	// CTTB is the correlated task target buffer index function.
-	CTTB *core.DOLC
-	// CTTBEntries optionally declares the CTTB entry count.
-	CTTBEntries int
-	// RASDepth is the return address stack capacity (0 = the default
-	// depth, core.DefaultRASDepth, or the spec's depth when PredSpec is
-	// set).
-	RASDepth int
 	// FaultSpec is the raw fault-injection spec string the run will use
-	// ("" = no injection). The cfg-fault-spec pass validates it against
-	// the rest of the configuration.
+	// ("" = no injection). The cfg-fault-spec pass validates it, and
+	// cfg-pred-spec checks it against the structures the spec builds.
 	FaultSpec string
 }
 
 // spec returns the parsed predictor spec, or nil when PredSpec is unset
 // or malformed (cfg-pred-spec owns reporting the parse error).
 func (c *PredictorConfig) spec() *engine.Spec {
-	if c.PredSpec == "" {
+	if c == nil || c.PredSpec == "" {
 		return nil
 	}
 	s, err := engine.Parse(c.PredSpec)
@@ -148,43 +132,6 @@ func (c *PredictorConfig) spec() *engine.Spec {
 		return nil
 	}
 	return s
-}
-
-// exitDOLC resolves the exit predictor index function: the explicit
-// field wins, else the spec's path-based exit DOLC (nil for non-path
-// schemes, which carry no DOLC).
-func (c *PredictorConfig) exitDOLC() *core.DOLC {
-	if c.ExitDOLC != nil {
-		return c.ExitDOLC
-	}
-	if s := c.spec(); s != nil {
-		return s.ExitDOLC()
-	}
-	return nil
-}
-
-// cttbDOLC resolves the CTTB index function analogously.
-func (c *PredictorConfig) cttbDOLC() *core.DOLC {
-	if c.CTTB != nil {
-		return c.CTTB
-	}
-	if s := c.spec(); s != nil {
-		return s.CTTBDOLC()
-	}
-	return nil
-}
-
-// rasDepth resolves the effective RAS capacity: the explicit field when
-// set, else the spec's resolved depth (0 = no RAS in the spec), else
-// the default.
-func (c *PredictorConfig) rasDepth() int {
-	if c.RASDepth != 0 {
-		return c.RASDepth
-	}
-	if s := c.spec(); s != nil {
-		return s.RASDepth()
-	}
-	return core.DefaultRASDepth
 }
 
 // Context is the shared state passes analyze. Any field other than Prog

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"multiscalar/internal/asm"
-	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/program"
 	"multiscalar/internal/taskform"
@@ -35,9 +34,7 @@ func assemble(t *testing.T, src string) (*program.Program, *tfg.Graph) {
 
 // standardConfig mirrors the paper's flagship predictor configuration.
 func standardConfig() *PredictorConfig {
-	exit := core.MustDOLC(7, 5, 6, 6, 3)
-	cttb := core.MustDOLC(7, 4, 4, 5, 3)
-	return &PredictorConfig{ExitDOLC: &exit, CTTB: &cttb, RASDepth: core.DefaultRASDepth}
+	return &PredictorConfig{PredSpec: stdSpec}
 }
 
 func TestSeverityRoundTrip(t *testing.T) {
@@ -178,8 +175,7 @@ func TestGoldenJSON(t *testing.T) {
 .func f
   ret
 `)
-	exit := core.MustDOLC(2, 4, 5, 5, 1)
-	cfg := &PredictorConfig{ExitDOLC: &exit, ExitEntries: 5000, RASDepth: 4}
+	cfg := &PredictorConfig{PredSpec: "composed:path:d2-o4-l5-c5:leh2:ras4"}
 	rep := Run(NewContext(p, g, cfg))
 
 	var buf bytes.Buffer

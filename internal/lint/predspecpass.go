@@ -1,10 +1,11 @@
 // Predictor-spec configuration pass: validates engine predictor spec
-// strings before a run builds hardware from them, and cross-checks the
-// fault-injection spec against the structures the predictor spec
-// actually instantiates.
+// strings before a run builds hardware from them, reports the engine's
+// refusal of the configured run, and cross-checks the fault-injection
+// spec against the structures the predictor spec actually instantiates.
 package lint
 
 import (
+	"errors"
 	"fmt"
 
 	"multiscalar/internal/engine"
@@ -25,7 +26,9 @@ func predSpecPasses() []Pass {
 // runCfgPredSpec validates the raw predictor spec. A spec that does not
 // parse is an error (msim/mbench would refuse it anyway — fail at lint
 // time instead); a parseable spec reports its canonical form so callers
-// can see how the grammar resolved defaults. When a fault spec is also
+// can see how the grammar resolved defaults. The engine's admission
+// check (engine.Resolve) then judges the spec and fault spec together in
+// the spec's own mode, and a refusal warns. When a fault spec is
 // configured, each enabled fault kind is checked against the structures
 // the predictor spec instantiates — an injection aimed at a structure
 // that does not exist silently does nothing, which is almost always a
@@ -34,37 +37,32 @@ func runCfgPredSpec(c *Context) []Diagnostic {
 	if c.Config == nil || c.Config.PredSpec == "" {
 		return nil
 	}
-	sp, err := engine.Parse(c.Config.PredSpec)
-	if err != nil {
+	sp, mode, err := engine.Resolve(engine.Run{Spec: c.Config.PredSpec, Fault: c.Config.FaultSpec})
+	if sp == nil {
 		return []Diagnostic{{
 			Check: CheckPredSpec, Sev: Error,
-			Msg: fmt.Sprintf("predictor spec %q: %v", c.Config.PredSpec, err),
+			Msg: err.Error(),
 		}}
 	}
 	out := []Diagnostic{{
 		Check: CheckPredSpec, Sev: Info,
 		Msg: fmt.Sprintf("predictor spec parsed: %s (%s class)", sp, sp.Class()),
 	}}
-	if c.Config.FaultSpec == "" {
+	warn := func(format string, args ...any) {
+		out = append(out, Diagnostic{Check: CheckPredSpec, Sev: Warn, Msg: fmt.Sprintf(format, args...)})
+	}
+	var refused *engine.UnsupportedError
+	if errors.As(err, &refused) {
+		warn("the engine refuses the %s run of spec %s: %v", mode, sp, err)
 		return out
 	}
 	fs, err := fault.ParseSpec(c.Config.FaultSpec)
 	if err != nil || !fs.Enabled() {
 		return out // cfg-fault-spec reports parse errors and no-op specs
 	}
-	warn := func(format string, args ...any) {
-		out = append(out, Diagnostic{Check: CheckPredSpec, Sev: Warn, Msg: fmt.Sprintf(format, args...)})
-	}
-	if sp.Class() != engine.ClassTask {
-		warn("fault injection wraps a task predictor but spec %s is %s-class; the run will refuse to inject", sp, sp.Class())
-		return out
-	}
-	if fs.Rate[fault.KindCounter] > 0 && !sp.HasExit() {
-		warn("ctr faults at rate %g but spec %s builds no exit predictor; counter injections will find no PHT", fs.Rate[fault.KindCounter], sp)
-	}
-	if fs.Rate[fault.KindHistory] > 0 && !sp.HasExit() && !sp.HasTarget() {
-		warn("hist faults at rate %g but spec %s builds neither exit predictor nor CTTB; no history register to corrupt", fs.Rate[fault.KindHistory], sp)
-	}
+	// Admitted with faults enabled, so the spec is a composed task
+	// predictor: it always has the exit PHT and history that ctr and hist
+	// faults hit, and only the CTTB and RAS are optional.
 	if fs.Rate[fault.KindTTB] > 0 && !sp.HasTarget() {
 		warn("ttb faults at rate %g but spec %s builds no CTTB; entry clobbers will find no buffer", fs.Rate[fault.KindTTB], sp)
 	}

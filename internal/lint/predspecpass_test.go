@@ -3,8 +3,6 @@ package lint
 import (
 	"strings"
 	"testing"
-
-	"multiscalar/internal/core"
 )
 
 const stdSpec = "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3"
@@ -52,7 +50,7 @@ func TestCfgPredSpecFaultOnNonTaskClass(t *testing.T) {
 	})
 	var warned bool
 	for _, d := range diags {
-		if d.Sev == Warn && strings.Contains(d.Msg, "refuse to inject") {
+		if d.Sev == Warn && strings.Contains(d.Msg, "engine refuses the exit run") && strings.Contains(d.Msg, "cannot inject") {
 			warned = true
 		}
 	}
@@ -96,33 +94,25 @@ func TestCfgPredSpecCleanFaultedConfig(t *testing.T) {
 	}
 }
 
-// TestPredSpecDrivesConfigPasses checks that the DOLC-based configuration
-// passes resolve their inputs from PredSpec when the explicit fields are
-// unset — the spec is the single source of structural truth.
-func TestPredSpecDrivesConfigPasses(t *testing.T) {
-	cfg := &PredictorConfig{PredSpec: stdSpec}
-	if d := cfg.exitDOLC(); d == nil || *d != core.MustDOLC(7, 5, 6, 6, 3) {
-		t.Fatalf("exitDOLC not derived from spec: %v", d)
+// TestCfgPredSpecReportsEngineRefusal: a spec the engine refuses in its
+// own mode warns with the engine's reason, faults or not.
+func TestCfgPredSpecReportsEngineRefusal(t *testing.T) {
+	for _, c := range []struct{ spec, fault, want string }{
+		{"cttb:d7-o4-l4-c5-f3:spec", "", "speculative update"},
+		{stdSpec + ":spec", "all=0.01,seed=1", "speculative-update runs cannot inject"},
+		{"perfect", "ctr=0.01", "perfect timing runs have no predictor state"},
+	} {
+		diags := predSpecDiags(&PredictorConfig{PredSpec: c.spec, FaultSpec: c.fault})
+		if d := findDiag(diags, c.want); d == nil || d.Sev != Warn || d.Check != CheckPredSpec {
+			t.Errorf("%s with faults %q: want a %s warning naming %q, got %v", c.spec, c.fault, CheckPredSpec, c.want, diags)
+		}
 	}
-	if d := cfg.cttbDOLC(); d == nil || *d != core.MustDOLC(7, 4, 4, 5, 3) {
-		t.Fatalf("cttbDOLC not derived from spec: %v", d)
-	}
-	if depth := cfg.rasDepth(); depth != 32 {
-		t.Fatalf("rasDepth not derived from spec: %d", depth)
-	}
-	// Explicit fields still win over the spec.
-	exit := core.MustDOLC(2, 4, 5, 5, 1)
-	over := &PredictorConfig{PredSpec: stdSpec, ExitDOLC: &exit, RASDepth: 4}
-	if d := over.exitDOLC(); d == nil || *d != exit {
-		t.Fatalf("explicit ExitDOLC overridden: %v", d)
-	}
-	if over.rasDepth() != 4 {
-		t.Fatalf("explicit RASDepth overridden: %d", over.rasDepth())
-	}
+}
 
-	// An exit-only spec silences the RAS verdict of tfg-call-depth (no
-	// returns are predicted, so no depth advice applies); the depth
-	// profile info still reports.
+// TestPredSpecDrivesConfigPasses checks that the DOLC-based configuration
+// passes take their inputs from the parsed spec — the spec is the single
+// source of structural truth.
+func TestPredSpecDrivesConfigPasses(t *testing.T) {
 	_, g := assemble(t, `
 .entry main
 .func main
@@ -131,6 +121,21 @@ func TestPredSpecDrivesConfigPasses(t *testing.T) {
 .func f
   ret
 `)
+	cfg := &PredictorConfig{PredSpec: stdSpec}
+	dolc := runCfgDOLC(&Context{Config: cfg})
+	if d := findDiag(dolc, "exit predictor DOLC 7-5-6-6(3)"); d == nil {
+		t.Fatalf("exit DOLC not derived from spec: %v", dolc)
+	}
+	if d := findDiag(dolc, "CTTB DOLC 7-4-4-5(3)"); d == nil {
+		t.Fatalf("CTTB DOLC not derived from spec: %v", dolc)
+	}
+	if d := findDiag(runTFGCallDepth(&Context{Graph: g, Config: cfg}), "32-entry RAS"); d == nil {
+		t.Fatalf("RAS depth not derived from spec")
+	}
+
+	// An exit-only spec silences the RAS verdict of tfg-call-depth (no
+	// returns are predicted, so no depth advice applies); the depth
+	// profile info still reports.
 	diags := runTFGCallDepth(&Context{Graph: g, Config: &PredictorConfig{PredSpec: "path:d7-o5-l6-c6-f3:leh2"}})
 	if d := findDiag(diags, "verdict"); d != nil {
 		t.Fatalf("RAS verdict fired for an exit-only spec: %v", d)

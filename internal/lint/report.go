@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"multiscalar/internal/core"
 )
 
 // ReportVersion is bumped on incompatible report schema changes.
@@ -94,6 +96,11 @@ func BuildReportTarget(name string, c *Context) (ReportTarget, error) {
 	for _, de := range f.dead {
 		deadByTask[uint32(de.Task)] = append(deadByTask[uint32(de.Task)], de.Exit)
 	}
+	sp := c.Config.spec()
+	var exitDOLC *core.DOLC
+	if sp != nil {
+		exitDOLC = sp.ExitDOLC()
+	}
 	for i, t := range f.view.Tasks {
 		tf := TaskFacts{
 			Task:        uint32(t.Start),
@@ -116,10 +123,8 @@ func BuildReportTarget(name string, c *Context) (ReportTarget, error) {
 			rt.Summary.SaturatedTasks++
 		} else {
 			tf.Histories = len(hf.Hs)
-			if c.Config != nil {
-				if dolc := c.Config.exitDOLC(); dolc != nil && dolc.Validate() == nil && len(hf.Hs) > 1 {
-					tf.AliasedIndices = len(aliasedIndices(*dolc, t.Start, hf.Hs))
-				}
+			if exitDOLC != nil && len(hf.Hs) > 1 {
+				tf.AliasedIndices = len(aliasedIndices(*exitDOLC, t.Start, hf.Hs))
 			}
 		}
 		if tf.AliasedIndices > 0 {
@@ -139,8 +144,8 @@ func BuildReportTarget(name string, c *Context) (ReportTarget, error) {
 	rt.Summary.MaxCallDepth = f.depth.MaxHi
 	rt.Summary.RecursiveTasks = len(f.depth.Recursive)
 	rt.Summary.IndirectSites = len(rt.Indirect)
-	if c.Config != nil {
-		rt.Summary.RASDepth = c.Config.rasDepth()
+	if sp != nil {
+		rt.Summary.RASDepth = sp.RASDepth()
 		rt.Summary.RASVerdict = rasVerdict(f.depth, rt.Summary.RASDepth)
 	}
 	return rt, nil

@@ -5,6 +5,7 @@ package lint
 import (
 	"fmt"
 
+	"multiscalar/internal/engine"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
 )
@@ -37,7 +38,7 @@ func tfgPasses() []Pass {
 		},
 		{
 			Name: "tfg-indirect-coverage",
-			Doc:  "indirect exits with no CTTB configured have unpredictable targets",
+			Doc:  "indirect exits under a task-predictor spec with no target buffer have unpredictable targets",
 			Run:  runTFGIndirectCoverage,
 		},
 		{
@@ -199,11 +200,13 @@ func runTFGRASBalance(c *Context) []Diagnostic {
 }
 
 // runTFGIndirectCoverage warns about tasks whose header contains an
-// indirect exit while the predictor configuration has no CTTB: the
-// header carries no target for those exits (Table 1), so without a
-// target buffer every dynamic instance is an unpredictable task switch.
+// indirect exit while the predictor spec is a full task predictor with
+// no target buffer: the header carries no target for those exits
+// (Table 1), so every dynamic instance is an unpredictable task switch.
+// Exit-only and target-only specs predict no task targets to cover.
 func runTFGIndirectCoverage(c *Context) []Diagnostic {
-	if c.Graph == nil || c.Config == nil || c.Config.CTTB != nil {
+	sp := c.Config.spec()
+	if c.Graph == nil || sp == nil || sp.Class() != engine.ClassTask || sp.HasTarget() {
 		return nil
 	}
 	var out []Diagnostic
@@ -214,7 +217,7 @@ func runTFGIndirectCoverage(c *Context) []Diagnostic {
 		out = append(out, Diagnostic{
 			Check: CheckIndirectUncovered, Sev: Warn,
 			Task: t.Start, HasTask: true, Line: c.lineOf(t.Start),
-			Msg: "task has an indirect exit but the configuration has no CTTB; its targets cannot be predicted",
+			Msg: "task has an indirect exit but the predictor spec has no target buffer; its targets cannot be predicted",
 		})
 	}
 	return out

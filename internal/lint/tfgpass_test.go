@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
 )
@@ -91,7 +90,9 @@ func TestOrphanTask(t *testing.T) {
 }
 
 // TestIndirectCoverage: a task with an INDIRECT_CALL exit warns when the
-// configuration has no CTTB and stays silent when it has one.
+// spec is a task predictor without a CTTB, and stays silent when the
+// spec builds one — the standard composed spec included — or predicts
+// no task targets at all.
 func TestIndirectCoverage(t *testing.T) {
 	p, g := assemble(t, `
 .entry main
@@ -102,15 +103,22 @@ func TestIndirectCoverage(t *testing.T) {
 .func f
   ret
 `)
-	noCTTB := &Context{Prog: p, Graph: g, Config: &PredictorConfig{}}
+	noCTTB := &Context{Prog: p, Graph: g, Config: &PredictorConfig{PredSpec: "composed:path:d7-o5-l6-c6-f3:leh2:ras32"}}
 	diags := runTFGIndirectCoverage(noCTTB)
 	if len(diags) != 1 || diags[0].Check != CheckIndirectUncovered || diags[0].Sev != Warn {
 		t.Fatalf("uncovered indirect exit not warned: %v", diags)
 	}
-	cttb := core.MustDOLC(7, 4, 4, 5, 3)
-	withCTTB := &Context{Prog: p, Graph: g, Config: &PredictorConfig{CTTB: &cttb}}
-	if diags := runTFGIndirectCoverage(withCTTB); len(diags) != 0 {
-		t.Errorf("covered indirect exit still warned: %v", diags)
+	for _, spec := range []string{
+		stdSpec,
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:icttb:d7",
+		"path:d7-o5-l6-c6-f3:leh2",
+		"cttb:d7-o4-l4-c5-f3",
+		"",
+	} {
+		c := &Context{Prog: p, Graph: g, Config: &PredictorConfig{PredSpec: spec}}
+		if diags := runTFGIndirectCoverage(c); len(diags) != 0 {
+			t.Errorf("spec %q: indirect exit warned: %v", spec, diags)
+		}
 	}
 }
 

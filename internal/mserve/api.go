@@ -137,47 +137,14 @@ func DecodeEvalRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*
 	return &req, nil
 }
 
-// parseMode maps the request's mode string to an engine mode.
-func parseMode(s string) (engine.Mode, error) {
-	switch s {
-	case "", "auto":
-		return engine.ModeAuto, nil
-	case "exit":
-		return engine.ModeExit, nil
-	case "target":
-		return engine.ModeTarget, nil
-	case "task":
-		return engine.ModeTask, nil
-	case "timing":
-		return engine.ModeTiming, nil
-	}
-	return engine.ModeAuto, fmt.Errorf("unknown mode %q (want auto, exit, target, task, or timing)", s)
-}
-
-// resolveMode derives the concrete evaluation mode the engine would use
-// for sp (mirrors engine run resolution for ModeAuto).
-func resolveMode(sp *engine.Spec, m engine.Mode) engine.Mode {
-	if m != engine.ModeAuto {
-		return m
-	}
-	switch sp.Class() {
-	case engine.ClassExit:
-		return engine.ModeExit
-	case engine.ClassTarget:
-		return engine.ModeTarget
-	case engine.ClassTask:
-		return engine.ModeTask
-	default:
-		return engine.ModeTiming
-	}
-}
-
 // ValidateEvalRequest turns a decoded request into a canonical Cell or a
 // structured RequestError. Every accepted request is fully canonical:
-// the workload exists, the spec string is the engine's canonical form
-// (Parse∘String fixed point, checked by round-trip), the mode is
-// resolved and buildable, and step budgets are only present where they
-// are meaningful — so equal cells, and only equal cells, share a key.
+// the workload exists, engine.Resolve admits the spec under the mode
+// (the engine's own admission check, so a cell validation accepts is a
+// cell the engine runs), the spec string is the engine's canonical form
+// (Parse∘String fixed point, checked by round-trip), and step budgets are
+// only present where they are meaningful — so equal cells, and only
+// equal cells, share a key.
 func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 	var c Cell
 	if strings.TrimSpace(req.Workload) == "" {
@@ -189,8 +156,18 @@ func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 	if strings.TrimSpace(req.Spec) == "" {
 		return c, badRequest("missing_spec", "spec is required")
 	}
-	sp, err := engine.Parse(req.Spec)
+	m, err := engine.ParseMode(req.Mode)
 	if err != nil {
+		return c, badRequest("bad_mode", "%v", err)
+	}
+	// Refused combinations are a 400 here instead of wasting an
+	// admission slot to fail inside the pool.
+	sp, mode, err := engine.Resolve(engine.Run{Workload: req.Workload, Spec: req.Spec, Mode: m})
+	if err != nil {
+		var ue *engine.UnsupportedError
+		if errors.As(err, &ue) {
+			return c, badRequest("mode_mismatch", "%v", err)
+		}
 		return c, badRequest("bad_spec", "%v", err)
 	}
 	if canonical := sp.String(); canonical != req.Spec {
@@ -199,36 +176,6 @@ func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 		// the exact string to send instead.
 		return c, badRequest("noncanonical_spec",
 			"spec %q is not canonical; send %q", req.Spec, canonical)
-	}
-	m, err := parseMode(req.Mode)
-	if err != nil {
-		return c, badRequest("bad_mode", "%v", err)
-	}
-	mode := resolveMode(sp, m)
-
-	// Mode/spec compatibility, checked here so an impossible cell is a
-	// 400 instead of wasting an admission slot to fail inside the pool.
-	switch mode {
-	case engine.ModeExit:
-		if _, err := sp.BuildExit(); err != nil {
-			return c, badRequest("mode_mismatch", "%v", err)
-		}
-	case engine.ModeTarget:
-		if _, err := sp.BuildTarget(); err != nil {
-			return c, badRequest("mode_mismatch", "%v", err)
-		}
-	case engine.ModeTask:
-		p, err := sp.BuildTask()
-		if err != nil {
-			return c, badRequest("mode_mismatch", "%v", err)
-		}
-		if p == nil {
-			return c, badRequest("mode_mismatch", "the perfect predictor is only meaningful in timing runs")
-		}
-	case engine.ModeTiming:
-		if _, err := sp.BuildTask(); err != nil {
-			return c, badRequest("mode_mismatch", "%v", err)
-		}
 	}
 
 	if req.Steps < 0 {

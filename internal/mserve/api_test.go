@@ -1,11 +1,13 @@
 package mserve
 
 import (
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"multiscalar/internal/engine"
+	"multiscalar/internal/experiments"
 )
 
 // decode runs one body through the hardened decoder with the given cap.
@@ -85,6 +87,7 @@ func TestValidateEvalRequest(t *testing.T) {
 		{"bad mode", EvalRequest{Workload: "boolmin", Spec: exitSpec, Mode: "yolo"}, 400, "bad_mode"},
 		{"mode/spec mismatch", EvalRequest{Workload: "boolmin", Spec: "cttb:d7-o4-l4-c5-f3", Mode: "exit"}, 400, "mode_mismatch"},
 		{"perfect outside timing", EvalRequest{Workload: "boolmin", Spec: "perfect", Mode: "task"}, 400, "mode_mismatch"},
+		{"spec target replay", EvalRequest{Workload: "boolmin", Spec: "cttb:d7-o4-l4-c5-f3:spec"}, 400, "mode_mismatch"},
 		{"negative steps", EvalRequest{Workload: "boolmin", Spec: exitSpec, Steps: -1}, 400, "bad_steps"},
 		{"negative timing steps", EvalRequest{Workload: "boolmin", Spec: "perfect", Mode: "timing", TimingSteps: -1}, 400, "bad_timing_steps"},
 		{"negative timeout", EvalRequest{Workload: "boolmin", Spec: exitSpec, TimeoutMS: -1}, 400, "bad_timeout"},
@@ -136,4 +139,65 @@ func TestValidateEvalRequest(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestValidateAgreesWithEngine holds request validation to the engine
+// over a spec × mode matrix: ValidateEvalRequest accepts exactly the
+// cells for which engine.Do returns no *engine.UnsupportedError, and
+// every accepted cell runs without error. A refusal the validator misses
+// would take a pool slot and come back as a 500 for a client error.
+func TestValidateAgreesWithEngine(t *testing.T) {
+	const steps, timingSteps = 300, 300
+	specs := append(experiments.AllSpecs(),
+		"cttb:d7-o4-l4-c5-f3:spec",
+		"icttb:d7:spec",
+		"perfect",
+		"perfect:spec:rlat8",
+		"path:d7-o5-l6-c6-f3:leh2",
+	)
+	seen := map[string]bool{}
+	modes := []engine.Mode{engine.ModeAuto, engine.ModeExit, engine.ModeTarget, engine.ModeTask, engine.ModeTiming}
+	accepted, refused := 0, 0
+	for _, s := range specs {
+		sp := engine.MustParse(s)
+		spec := sp.String()
+		if seen[spec] {
+			continue
+		}
+		seen[spec] = true
+		for _, mode := range modes {
+			run := engine.Run{Workload: "boolmin", Spec: spec, Mode: mode}
+			req := EvalRequest{Workload: run.Workload, Spec: spec, Mode: mode.String()}
+			if mode == engine.ModeTiming || (mode == engine.ModeAuto && sp.Class() == engine.ClassPerfect) {
+				run.TimingSteps, req.TimingSteps = timingSteps, timingSteps
+			} else {
+				run.MaxSteps, req.Steps = steps, steps
+			}
+			res := engine.Do(run)
+			var ue *engine.UnsupportedError
+			unsupported := errors.As(res.Err, &ue)
+			cell, err := ValidateEvalRequest(&req)
+			switch {
+			case err == nil && unsupported:
+				t.Errorf("%s mode=%s: validation accepts a cell the engine refuses: %v", spec, mode, res.Err)
+			case err == nil && res.Err != nil:
+				t.Errorf("%s mode=%s: accepted cell fails to run: %v", spec, mode, res.Err)
+			case err == nil && cell.Mode != res.Mode:
+				t.Errorf("%s mode=%s: cell mode %s, engine ran %s", spec, mode, cell.Mode, res.Mode)
+			case err == nil:
+				accepted++
+			case !unsupported:
+				t.Errorf("%s mode=%s: validation refuses (%v) a cell the engine runs (err %v)", spec, mode, err, res.Err)
+			default:
+				refused++
+				if re, ok := err.(*RequestError); !ok || re.Code != "mode_mismatch" {
+					t.Errorf("%s mode=%s: refusal %v, want mode_mismatch", spec, mode, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d specs: %d cells accepted, %d refused", len(seen), accepted, refused)
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("degenerate matrix: %d accepted, %d refused", accepted, refused)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"multiscalar/internal/engine"
 )
 
 // FuzzEvalDecode drives raw bytes through the full untrusted-input path —
@@ -42,6 +44,8 @@ func FuzzEvalDecode(f *testing.F) {
 		"path:d7-o5-l6-c6-f3:leh2:lat4097",
 		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",
 		"path:d7-o5-l6-c6-f3:leh2:seed4294967296",
+		// Parses, but the engine refuses it: a 400, never a pool slot.
+		"cttb:d7-o4-l4-c5-f3:spec",
 	}
 	for _, sp := range specs {
 		f.Add(`{"workload":"boolmin","spec":"` + sp + `"}`)
@@ -74,7 +78,8 @@ func FuzzEvalDecode(f *testing.F) {
 			}
 			return
 		}
-		// Accepted: the cell must be self-canonical — re-validating a
+		// Accepted: the engine admits the cell, and it must be
+		// self-canonical — re-validating a
 		// request built from the cell reproduces the identical cell/key.
 		again, err := ValidateEvalRequest(&EvalRequest{
 			Workload: cell.Workload, Spec: cell.Spec, Mode: cell.Mode.String(),
@@ -85,6 +90,9 @@ func FuzzEvalDecode(f *testing.F) {
 		}
 		if again.Key() != cell.Key() {
 			t.Fatalf("key not stable: %q -> %q", cell.Key(), again.Key())
+		}
+		if _, _, err := engine.Resolve(cell.Run()); err != nil {
+			t.Fatalf("accepted cell %q is refused by the engine: %v", cell.Key(), err)
 		}
 	})
 }

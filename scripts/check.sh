@@ -108,6 +108,20 @@ if [ -z "$file_misses" ] || [ "$file_misses" != "$stream_misses" ]; then
 	exit 1
 fi
 
+echo "==> streamed spec replay = msim (mtrace stream runs the speculative session, never idealized)"
+# The same :spec exit predictor over the same 20,000 boolmin steps must
+# miss exactly as often streamed through mtrace as replayed by msim; an
+# idealized stream (the spec flag dropped) misses less and fails here.
+SPEC_PRED=path:d7-o5-l6-c6-f3:leh2:dlat4:spec
+stream_spec=$(go run ./cmd/mtrace stream -w boolmin -steps 20000 -pred "$SPEC_PRED" |
+	sed -n 's/^streamed .*misses (\([0-9]* \/ [0-9]*\),.*$/\1/p')
+msim_spec=$(go run ./cmd/msim -w boolmin -steps 20000 -pred "$SPEC_PRED" 2>/dev/null |
+	sed -n 's/^  exit miss rate .*(\([0-9]* \/ [0-9]*\))$/\1/p')
+if [ -z "$stream_spec" ] || [ "$stream_spec" != "$msim_spec" ]; then
+	echo "mtrace stream '$stream_spec' != msim '$msim_spec' for $SPEC_PRED" >&2
+	exit 1
+fi
+
 echo "==> streaming replay smoke (10M+ steps, bounded heap, peak-heap gauge)"
 # Six back-to-back passes of the full exprc trace: >10M prediction steps
 # whose 12 B/step array-of-structs equivalent is ~120 MiB (over 3x the
