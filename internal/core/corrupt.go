@@ -5,7 +5,7 @@ package core
 // performance hints, never architectural state — a bit flip in a PHT
 // automaton, a clobbered CTTB entry, or a misrepaired RAS must only ever
 // cost accuracy, not correctness. These hooks let internal/fault flip
-// exactly those bits so the recovery-validation harness can prove that
+// exactly those bits so the engine's faulted runs can prove that
 // property end to end.
 //
 // Every hook takes the fault layer's die roll as a rnd func(n int) int

@@ -20,3 +20,19 @@ type UnsupportedError struct {
 func (e *UnsupportedError) Error() string {
 	return "engine: " + e.Feature + ": " + e.Reason
 }
+
+// BudgetError reports a step budget the engine refuses: a negative one,
+// or one the run's mode would ignore (MaxSteps on a timing run,
+// TimingSteps on a replay run). Front ends map it to their own budget
+// field with errors.As.
+type BudgetError struct {
+	// Budget names the refused Run field: "MaxSteps" or "TimingSteps".
+	Budget string
+	// Reason explains the refusal in one sentence.
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *BudgetError) Error() string {
+	return "engine: " + e.Budget + ": " + e.Reason
+}

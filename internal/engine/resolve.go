@@ -13,7 +13,8 @@ import (
 // can validate a run at the cost of a parse. Parse errors come back as
 // Parse and fault.ParseSpec report them. The spec and resolved mode are
 // returned whenever the spec parses, so a refused run can still be
-// labelled. The workload name and step budgets are not checked here.
+// labelled. Step budgets are checked last, as a *BudgetError; the
+// workload name is not checked here.
 func Resolve(r Run) (*Spec, Mode, error) {
 	sp, _, mode, err := resolve(r)
 	return sp, mode, err
@@ -42,12 +43,12 @@ func resolve(r Run) (*Spec, fault.Spec, Mode, error) {
 	if err != nil {
 		return sp, fs, mode, err
 	}
-	return sp, fs, mode, admit(sp, fs, mode, r.Stream)
+	return sp, fs, mode, admit(sp, fs, mode, r)
 }
 
 // admit returns the refusal for a parsed run configuration, or nil when
 // the engine can run it.
-func admit(sp *Spec, fs fault.Spec, mode Mode, stream bool) error {
+func admit(sp *Spec, fs fault.Spec, mode Mode, r Run) error {
 	if mode < ModeExit || mode > ModeTiming {
 		return fmt.Errorf("engine: unknown mode %s", mode)
 	}
@@ -70,11 +71,11 @@ func admit(sp *Spec, fs fault.Spec, mode Mode, stream bool) error {
 		}
 	}
 
-	if stream && mode == ModeTiming {
+	if r.Stream && mode == ModeTiming {
 		return &UnsupportedError{Feature: "streaming replay",
 			Reason: "the timing model replays the functional machine, not a block stream; timing runs cannot stream"}
 	}
-	if stream && fs.Enabled() {
+	if r.Stream && fs.Enabled() {
 		return &UnsupportedError{Feature: "streaming replay",
 			Reason: "faulted runs checksum the resident trace columns, which a stream never holds; streaming runs cannot inject"}
 	}
@@ -104,6 +105,20 @@ func admit(sp *Spec, fs fault.Spec, mode Mode, stream bool) error {
 	case (mode == ModeTask || mode == ModeTiming) && sp.Class() == ClassExit:
 		return &UnsupportedError{Feature: fmt.Sprintf("%s run", mode),
 			Reason: fmt.Sprintf("exit-only spec %s builds no task predictor (wrap it in composed:)", sp)}
+	}
+
+	// Each step budget bounds one kind of run. A budget the mode would
+	// ignore, or a negative one, is refused rather than silently
+	// dropped or read as "no limit".
+	switch {
+	case r.MaxSteps < 0:
+		return &BudgetError{Budget: "MaxSteps", Reason: fmt.Sprintf("%d is negative (0 = the full trace)", r.MaxSteps)}
+	case r.TimingSteps < 0:
+		return &BudgetError{Budget: "TimingSteps", Reason: fmt.Sprintf("%d is negative (0 = the timing model's default)", r.TimingSteps)}
+	case mode == ModeTiming && r.MaxSteps != 0:
+		return &BudgetError{Budget: "MaxSteps", Reason: "truncates replay traces; timing runs are bounded by TimingSteps"}
+	case mode != ModeTiming && r.TimingSteps != 0:
+		return &BudgetError{Budget: "TimingSteps", Reason: fmt.Sprintf("bounds timing runs; %s runs are bounded by MaxSteps", mode)}
 	}
 	return nil
 }

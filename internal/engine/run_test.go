@@ -219,7 +219,8 @@ func TestDoTimingRejectsFaultedPerfect(t *testing.T) {
 
 // TestResolve pins the admission check: ModeAuto resolves from the
 // spec's class, a spec lacking the component its mode evaluates is a
-// typed refusal, and every refusal Resolve makes is the one Do returns.
+// typed refusal, so is a step budget the run cannot honour, and every
+// refusal Resolve makes is the one Do returns.
 func TestResolve(t *testing.T) {
 	for spec, want := range map[string]Mode{
 		"path:d7-o5-l6-c6-f3:leh2": ModeExit,
@@ -260,6 +261,32 @@ func TestResolve(t *testing.T) {
 			t.Errorf("%s: refused run lost its parsed spec", c.name)
 		}
 		c.run.Workload, c.run.MaxSteps, c.run.TimingSteps = "boolmin", 100, 100
+		if res := Do(c.run); res.Err == nil || res.Err.Error() != err.Error() {
+			t.Errorf("%s: Do error %v, Resolve error %v", c.name, res.Err, err)
+		}
+	}
+
+	// Step budgets: a negative budget, or one the mode would ignore, is
+	// a typed refusal naming the budget, never a silent full-length run.
+	budgets := []struct {
+		name string
+		run  Run
+		want string
+	}{
+		{"negative MaxSteps", Run{Spec: "path:d7-o5-l6-c6-f3:leh2", MaxSteps: -1}, "MaxSteps"},
+		{"negative MaxSteps, streamed", Run{Spec: "path:d7-o5-l6-c6-f3:leh2", MaxSteps: -1, Stream: true}, "MaxSteps"},
+		{"negative TimingSteps", Run{Spec: "perfect", TimingSteps: -1}, "TimingSteps"},
+		{"MaxSteps on a timing run", Run{Spec: stdSpec, Mode: ModeTiming, MaxSteps: 100}, "MaxSteps"},
+		{"TimingSteps on a replay run", Run{Spec: stdSpec, TimingSteps: 100}, "TimingSteps"},
+	}
+	for _, c := range budgets {
+		sp, _, err := Resolve(c.run)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Budget != c.want || sp == nil {
+			t.Errorf("%s: Resolve = %v, %v; want a *BudgetError for %s", c.name, sp, err, c.want)
+			continue
+		}
+		c.run.Workload = "boolmin"
 		if res := Do(c.run); res.Err == nil || res.Err.Error() != err.Error() {
 			t.Errorf("%s: Do error %v, Resolve error %v", c.name, res.Err, err)
 		}

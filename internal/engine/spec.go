@@ -2,8 +2,8 @@
 // predictor configurations are described, constructed, and run.
 //
 // A predictor is described by a compact spec string, parsed by Parse and
-// built by the Build* methods — every layer (experiments, CLIs, the
-// fault harness, lint) constructs predictors through this grammar so
+// built by the Build* methods — every layer (experiments, CLIs, mserve,
+// lint) constructs predictors through this grammar so
 // there is exactly one implementation of it:
 //
 //	path:d7-o5-l6-c6-f3:leh2          real DOLC-indexed path exit predictor

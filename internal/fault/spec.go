@@ -21,9 +21,10 @@
 //   - upd:  lost delayed updates — training outcomes that never make it
 //     back from the execution ring to the sequencer.
 //
-// The recovery harness (CheckRecovery) replays a faulted predictor
-// against the trace oracle and checks the degradation invariants: no
-// panic, no divergence, accuracy loss only.
+// The evaluation engine runs faulted task replays (engine.Run with a
+// Fault spec) and holds each to the recovery invariants: no panic, every
+// oracle step scored, the shared trace columns unchanged (Checksum).
+// Its tests add the degradation invariant: accuracy loss only.
 package fault
 
 import (

@@ -139,12 +139,12 @@ func DecodeEvalRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*
 
 // ValidateEvalRequest turns a decoded request into a canonical Cell or a
 // structured RequestError. Every accepted request is fully canonical:
-// the workload exists, engine.Resolve admits the spec under the mode
-// (the engine's own admission check, so a cell validation accepts is a
-// cell the engine runs), the spec string is the engine's canonical form
-// (Parse∘String fixed point, checked by round-trip), and step budgets are
-// only present where they are meaningful — so equal cells, and only
-// equal cells, share a key.
+// the workload exists, engine.Resolve admits the spec, mode and step
+// budgets (the engine's own admission check, so a cell validation
+// accepts is a cell the engine runs, and a budget is present only where
+// it is meaningful), and the spec string is the engine's canonical form
+// (Parse∘String fixed point, checked by round-trip) — so equal cells,
+// and only equal cells, share a key.
 func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 	var c Cell
 	if strings.TrimSpace(req.Workload) == "" {
@@ -160,13 +160,22 @@ func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 	if err != nil {
 		return c, badRequest("bad_mode", "%v", err)
 	}
-	// Refused combinations are a 400 here instead of wasting an
-	// admission slot to fail inside the pool.
-	sp, mode, err := engine.Resolve(engine.Run{Workload: req.Workload, Spec: req.Spec, Mode: m})
+	// Refused combinations and step budgets are a 400 here instead of
+	// wasting an admission slot to fail inside the pool.
+	sp, mode, err := engine.Resolve(engine.Run{Workload: req.Workload, Spec: req.Spec, Mode: m,
+		MaxSteps: req.Steps, TimingSteps: req.TimingSteps})
 	if err != nil {
 		var ue *engine.UnsupportedError
-		if errors.As(err, &ue) {
+		var be *engine.BudgetError
+		switch {
+		case errors.As(err, &ue):
 			return c, badRequest("mode_mismatch", "%v", err)
+		case errors.As(err, &be):
+			code := "bad_steps"
+			if be.Budget == "TimingSteps" {
+				code = "bad_timing_steps"
+			}
+			return c, badRequest(code, "%v", err)
 		}
 		return c, badRequest("bad_spec", "%v", err)
 	}
@@ -177,24 +186,8 @@ func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 		return c, badRequest("noncanonical_spec",
 			"spec %q is not canonical; send %q", req.Spec, canonical)
 	}
-
-	if req.Steps < 0 {
-		return c, badRequest("bad_steps", "steps must be >= 0")
-	}
-	if req.TimingSteps < 0 {
-		return c, badRequest("bad_timing_steps", "timing_steps must be >= 0")
-	}
 	if req.TimeoutMS < 0 {
 		return c, badRequest("bad_timeout", "timeout_ms must be >= 0")
-	}
-	// Budgets only where they mean something: a steps field on a timing
-	// run (or timing_steps on a replay) would be silently ignored by the
-	// engine but would still split the cache key — reject instead.
-	if mode == engine.ModeTiming && req.Steps != 0 {
-		return c, badRequest("bad_steps", "steps does not apply to timing runs (use timing_steps)")
-	}
-	if mode != engine.ModeTiming && req.TimingSteps != 0 {
-		return c, badRequest("bad_timing_steps", "timing_steps only applies to timing runs")
 	}
 
 	c = Cell{

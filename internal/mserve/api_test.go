@@ -2,6 +2,7 @@ package mserve
 
 import (
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -142,9 +143,10 @@ func TestValidateEvalRequest(t *testing.T) {
 }
 
 // TestValidateAgreesWithEngine holds request validation to the engine
-// over a spec × mode matrix: ValidateEvalRequest accepts exactly the
-// cells for which engine.Do returns no *engine.UnsupportedError, and
-// every accepted cell runs without error. A refusal the validator misses
+// over a spec × mode × step-budget matrix: ValidateEvalRequest accepts
+// exactly the cells for which engine.Do returns no *engine.UnsupportedError
+// or *engine.BudgetError, maps each refusal to its wire code, and every
+// accepted cell runs without error. A refusal the validator misses
 // would take a pool slot and come back as a 500 for a client error.
 func TestValidateAgreesWithEngine(t *testing.T) {
 	const steps, timingSteps = 300, 300
@@ -155,6 +157,18 @@ func TestValidateAgreesWithEngine(t *testing.T) {
 		"perfect:spec:rlat8",
 		"path:d7-o5-l6-c6-f3:leh2",
 	)
+	// Each budget set is applied to a cell whose mode is timing (or
+	// resolves to it) and to one whose mode is a replay.
+	type budget struct{ steps, timing int }
+	budgets := []struct {
+		name           string
+		timing, replay budget
+	}{
+		{"fitting", budget{0, timingSteps}, budget{steps, 0}},
+		{"swapped", budget{steps, 0}, budget{0, timingSteps}},
+		{"negative steps", budget{-1, timingSteps}, budget{-1, 0}},
+		{"negative timing_steps", budget{0, -1}, budget{steps, -1}},
+	}
 	seen := map[string]bool{}
 	modes := []engine.Mode{engine.ModeAuto, engine.ModeExit, engine.ModeTarget, engine.ModeTask, engine.ModeTiming}
 	accepted, refused := 0, 0
@@ -166,32 +180,43 @@ func TestValidateAgreesWithEngine(t *testing.T) {
 		}
 		seen[spec] = true
 		for _, mode := range modes {
-			run := engine.Run{Workload: "boolmin", Spec: spec, Mode: mode}
-			req := EvalRequest{Workload: run.Workload, Spec: spec, Mode: mode.String()}
-			if mode == engine.ModeTiming || (mode == engine.ModeAuto && sp.Class() == engine.ClassPerfect) {
-				run.TimingSteps, req.TimingSteps = timingSteps, timingSteps
-			} else {
-				run.MaxSteps, req.Steps = steps, steps
-			}
-			res := engine.Do(run)
-			var ue *engine.UnsupportedError
-			unsupported := errors.As(res.Err, &ue)
-			cell, err := ValidateEvalRequest(&req)
-			switch {
-			case err == nil && unsupported:
-				t.Errorf("%s mode=%s: validation accepts a cell the engine refuses: %v", spec, mode, res.Err)
-			case err == nil && res.Err != nil:
-				t.Errorf("%s mode=%s: accepted cell fails to run: %v", spec, mode, res.Err)
-			case err == nil && cell.Mode != res.Mode:
-				t.Errorf("%s mode=%s: cell mode %s, engine ran %s", spec, mode, cell.Mode, res.Mode)
-			case err == nil:
-				accepted++
-			case !unsupported:
-				t.Errorf("%s mode=%s: validation refuses (%v) a cell the engine runs (err %v)", spec, mode, err, res.Err)
-			default:
-				refused++
-				if re, ok := err.(*RequestError); !ok || re.Code != "mode_mismatch" {
-					t.Errorf("%s mode=%s: refusal %v, want mode_mismatch", spec, mode, err)
+			for _, b := range budgets {
+				bud := b.replay
+				if mode == engine.ModeTiming || (mode == engine.ModeAuto && sp.Class() == engine.ClassPerfect) {
+					bud = b.timing
+				}
+				run := engine.Run{Workload: "boolmin", Spec: spec, Mode: mode, MaxSteps: bud.steps, TimingSteps: bud.timing}
+				req := EvalRequest{Workload: run.Workload, Spec: spec, Mode: mode.String(), Steps: bud.steps, TimingSteps: bud.timing}
+				res := engine.Do(run)
+				var ue *engine.UnsupportedError
+				var be *engine.BudgetError
+				wantCode := ""
+				switch {
+				case errors.As(res.Err, &ue):
+					wantCode = "mode_mismatch"
+				case errors.As(res.Err, &be) && be.Budget == "TimingSteps":
+					wantCode = "bad_timing_steps"
+				case errors.As(res.Err, &be):
+					wantCode = "bad_steps"
+				}
+				cell, err := ValidateEvalRequest(&req)
+				at := fmt.Sprintf("%s mode=%s %s budgets", spec, mode, b.name)
+				switch {
+				case err == nil && wantCode != "":
+					t.Errorf("%s: validation accepts a cell the engine refuses: %v", at, res.Err)
+				case err == nil && res.Err != nil:
+					t.Errorf("%s: accepted cell fails to run: %v", at, res.Err)
+				case err == nil && cell.Mode != res.Mode:
+					t.Errorf("%s: cell mode %s, engine ran %s", at, cell.Mode, res.Mode)
+				case err == nil:
+					accepted++
+				case wantCode == "":
+					t.Errorf("%s: validation refuses (%v) a cell the engine runs (err %v)", at, err, res.Err)
+				default:
+					refused++
+					if re, ok := err.(*RequestError); !ok || re.Code != wantCode {
+						t.Errorf("%s: refusal %v, want %s", at, err, wantCode)
+					}
 				}
 			}
 		}

@@ -169,8 +169,8 @@ func (m *Machine) AppendSteps(dst []trace.Step, cfg Config) ([]trace.Step, error
 				cur.Start, exit, next)
 		}
 		cur = nt
-		// Park the pc on the next task's start so the machine can be
-		// checkpointed and resumed (Run re-enters from m.pc).
+		// Park the pc on the next task's start so the next call resumes
+		// there (Run re-enters from m.pc).
 		m.pc = cur.Start
 		if cfg.MaxSteps > 0 && n >= cfg.MaxSteps {
 			return dst, nil

@@ -7,6 +7,7 @@ import (
 	"multiscalar/internal/isa"
 	"multiscalar/internal/taskform"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // testProgram exercises every control-flow type: a counted loop (branch),
@@ -113,7 +114,8 @@ func TestRunProducesValidTrace(t *testing.T) {
 	if !stats.Halted {
 		t.Fatalf("program did not halt")
 	}
-	if err := tr.Validate(); err != nil {
+	c, err := trace.FromTrace(tr) // checks every step against g
+	if err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	if tr.Len() < 12 {
@@ -124,7 +126,7 @@ func TestRunProducesValidTrace(t *testing.T) {
 	}
 
 	// Every control-flow type must appear as a dynamic exit.
-	kinds := tr.DynamicExitKinds()
+	kinds := c.DynamicExitKinds()
 	for _, k := range []isa.ControlKind{
 		isa.KindBranch, isa.KindCall, isa.KindReturn,
 		isa.KindIndirectBranch, isa.KindIndirectCall,

@@ -58,8 +58,8 @@ var (
 	// before the terminating sentinel.
 	ErrTruncated = errors.New("trace: truncated columnar stream")
 	// ErrCorrupt marks a structurally invalid stream: bad magic, absurd
-	// counts, CRC mismatch, or columns inconsistent with themselves or
-	// the bound graph.
+	// counts, CRC mismatch, columns inconsistent with themselves, or a
+	// step that breaks the bound graph's step rule.
 	ErrCorrupt = errors.New("trace: corrupt columnar stream")
 )
 
@@ -275,9 +275,10 @@ type Reader struct {
 	err        error
 }
 
-// NewReader validates the stream header and returns a block reader. A
-// nil graph decodes structurally (no task binding, range checks only) —
-// the mode the fuzzer drives.
+// NewReader validates the stream header and returns a block reader. With
+// a graph, every decoded step is held to the step rule (checkStep), the
+// same rule the Encoder applies; a nil graph decodes structurally (no
+// task binding, range checks only).
 func NewReader(r io.Reader, g *tfg.Graph) (*Reader, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -416,15 +417,8 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 		if e < HaltExit || int(e) >= tfg.MaxExits {
 			return fmt.Errorf("trace: exit byte %d: %w", exitCol[i], ErrCorrupt)
 		}
-		if e == HaltExit {
-			if i != n-1 {
-				return fmt.Errorf("trace: halt at block step %d of %d: %w", i, n, ErrCorrupt)
-			}
-		} else if cr.g != nil {
-			ent := &cr.dict.Entries[taskIdx[i]]
-			if ent.Task == nil || int(e) >= int(ent.NumExits) {
-				return fmt.Errorf("trace: step @%d exit %d inconsistent with graph: %w", ent.Addr, e, ErrCorrupt)
-			}
+		if e == HaltExit && i != n-1 {
+			return fmt.Errorf("trace: halt at block step %d of %d: %w", i, n, ErrCorrupt)
 		}
 		exits[i] = e
 	}
@@ -451,6 +445,14 @@ func (cr *Reader) decodeBlock(p []byte, n int) error {
 	}
 	if len(targetCol) != 0 {
 		return fmt.Errorf("trace: target column trailing bytes: %w", ErrCorrupt)
+	}
+	if cr.g != nil {
+		entries := cr.dict.Entries
+		for i := 0; i < n; i++ {
+			if err := checkStep(&entries[taskIdx[i]], exits[i], &entries[targetIdx[i]]); err != nil {
+				return fmt.Errorf("%w: %w", err, ErrCorrupt)
+			}
+		}
 	}
 
 	cr.halted = exits[n-1] == HaltExit

@@ -23,9 +23,10 @@ const BlockSteps = 4096
 // columnar-encodable and cannot be replayed.
 const DictLimit = 1 << 16
 
-// ErrNotColumnar marks a trace that cannot be columnar-encoded (unknown
-// task addresses, out-of-range exits, or a dictionary past DictLimit).
-// There is no other replay path: callers report the wrapped error.
+// ErrNotColumnar marks a trace that cannot be columnar-encoded: a step
+// that breaks the bound graph's step rule (see checkStep), a step after
+// a halt, or a dictionary past DictLimit. There is no other replay path:
+// callers report the wrapped error.
 var ErrNotColumnar = errors.New("trace: not columnar-encodable")
 
 // DictEntry is one interned address of a columnar trace: the address
@@ -34,9 +35,8 @@ var ErrNotColumnar = errors.New("trace: not columnar-encodable")
 type DictEntry struct {
 	// Addr is the interned instruction address.
 	Addr isa.Addr
-	// Task is the task starting at Addr (nil when the address was only
-	// ever a target and starts no task — legal for the final target of a
-	// capped trace).
+	// Task is the task starting at Addr. It is nil only in graph-less
+	// traces: a graph-bound trace admits no address that starts no task.
 	Task *tfg.Task
 	// NumExits is len(Task.Exits) (0 for non-task entries).
 	NumExits uint8
@@ -74,6 +74,38 @@ func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
 		}
 	}
 	return ent
+}
+
+// checkStep is the graph-bound step rule, the one check that makes a
+// replayed trace agree with its task headers: the step's task exists
+// (on a halt step too); a non-halt exit is in range and has a valid
+// kind; a statically known exit target matches the header; and the
+// target starts a task. task and target are the step's dictionary
+// entries, resolved against the graph (target is unread on a halt
+// step). Encoder.Append and Reader.decodeBlock call it for every step
+// whenever a graph is bound, so a graph-bound Columnar is valid by
+// construction; graph-less encoding and decoding check structure only.
+func checkStep(task *DictEntry, exit int8, target *DictEntry) error {
+	t := task.Task
+	if t == nil {
+		return fmt.Errorf("trace: step @%d is not a task", task.Addr)
+	}
+	if exit == HaltExit {
+		return nil
+	}
+	if exit < 0 || int(exit) >= int(task.NumExits) {
+		return fmt.Errorf("trace: task @%d exit %d of %d", task.Addr, exit, task.NumExits)
+	}
+	if k := task.Kinds[exit]; k >= isa.NumControlKinds {
+		return fmt.Errorf("trace: task @%d exit %d has kind %d", task.Addr, exit, k)
+	}
+	if x := t.Exits[exit]; x.HasTarget && x.Target != target.Addr {
+		return fmt.Errorf("trace: task @%d exit %d target @%d != header @%d", task.Addr, exit, target.Addr, x.Target)
+	}
+	if target.Task == nil {
+		return fmt.Errorf("trace: target @%d is not a task", target.Addr)
+	}
+	return nil
 }
 
 // taskAt is g.TaskAt answered by the graph's execution table for
@@ -230,9 +262,10 @@ func (c *Columnar) Prefix(n int) *Columnar {
 	}
 }
 
-// Materialize decodes the columns back into an array-of-structs Trace
-// (the adapter view for callers that need Steps: validation, checksums,
-// per-step attribution studies). The round trip is lossless.
+// Materialize decodes the columns back into an array-of-structs Trace,
+// for tests and studies that need Steps. The round trip is lossless.
+// Validity needs no second pass: a graph-bound Columnar was checked step
+// by step when its columns were built.
 func (c *Columnar) Materialize() *Trace {
 	steps := make([]Step, c.Len())
 	entries := c.Dict.Entries
@@ -248,7 +281,7 @@ func (c *Columnar) Materialize() *Trace {
 }
 
 // DistinctTasks returns the number of distinct static tasks appearing in
-// the trace (Trace.DistinctTasks over the task column).
+// the trace (the "Distinct Tasks Seen" column of the paper's Table 2).
 func (c *Columnar) DistinctTasks() int {
 	seen := make([]bool, len(c.Dict.Entries))
 	n := 0
@@ -261,8 +294,10 @@ func (c *Columnar) DistinctTasks() int {
 	return n
 }
 
-// DynamicExitHistogram mirrors Trace.DynamicExitHistogram over the
-// columns.
+// DynamicExitHistogram returns, indexed by exit count 0..tfg.MaxExits,
+// how many dynamic task steps executed a task with that many exit points
+// (the dynamic series of the paper's Figure 3). It reads the dictionary,
+// so the trace must be graph-bound.
 func (c *Columnar) DynamicExitHistogram() [tfg.MaxExits + 1]int {
 	var h [tfg.MaxExits + 1]int
 	entries := c.Dict.Entries
@@ -272,7 +307,9 @@ func (c *Columnar) DynamicExitHistogram() [tfg.MaxExits + 1]int {
 	return h
 }
 
-// DynamicExitKinds mirrors Trace.DynamicExitKinds over the columns.
+// DynamicExitKinds returns the count of dynamic exits taken, by control
+// kind (the dynamic series of the paper's Figure 4). Like the histogram,
+// it needs a graph-bound trace.
 func (c *Columnar) DynamicExitKinds() map[isa.ControlKind]int {
 	var byKind [isa.NumControlKinds]int
 	entries := c.Dict.Entries
@@ -294,10 +331,10 @@ func (c *Columnar) DynamicExitKinds() map[isa.ControlKind]int {
 // capture side of the streaming pipeline: generators append a segment at
 // a time and never need the whole trace in array-of-structs form.
 //
-// With a non-nil graph, Append validates every step (task exists, exit
-// in range, kind in enumeration) so the resulting columns are safe for
-// the no-bounds-check replay kernels. A halt step must be the last step
-// of the trace. All validation failures wrap ErrNotColumnar.
+// With a non-nil graph, Append holds every step to the step rule
+// (checkStep), so the resulting columns are valid against the graph and
+// safe for the no-bounds-check replay kernels. A halt step must be the
+// last step of the trace. All validation failures wrap ErrNotColumnar.
 //
 // The columns only grow by appending (Writer and BlockBuilder, which
 // reuse theirs, never snapshot), so a Snapshot stays valid while the
@@ -374,32 +411,20 @@ func (e *Encoder) Append(steps []Step) error {
 		if err != nil {
 			return err
 		}
-		ent := &e.dict.Entries[ti]
+		var gi uint16
 		if s.Exit == HaltExit {
 			if i != len(steps)-1 {
 				return fmt.Errorf("trace: step after a halt step: %w", ErrNotColumnar)
 			}
-			e.taskIdx = append(e.taskIdx, ti)
-			e.exits = append(e.exits, HaltExit)
-			e.targetIdx = append(e.targetIdx, 0)
-			continue
+		} else if e.g == nil && (s.Exit < 0 || int(s.Exit) >= tfg.MaxExits) {
+			return fmt.Errorf("trace: exit %d outside header range: %w", s.Exit, ErrNotColumnar)
+		} else if gi, err = e.intern(s.Target); err != nil {
+			return err
 		}
 		if e.g != nil {
-			if ent.Task == nil {
-				return fmt.Errorf("trace: step @%d is not a task: %w", s.Task, ErrNotColumnar)
+			if err := checkStep(&e.dict.Entries[ti], s.Exit, &e.dict.Entries[gi]); err != nil {
+				return fmt.Errorf("%w: %w", err, ErrNotColumnar)
 			}
-			if int(s.Exit) < 0 || int(s.Exit) >= int(ent.NumExits) {
-				return fmt.Errorf("trace: task @%d exit %d of %d: %w", s.Task, s.Exit, ent.NumExits, ErrNotColumnar)
-			}
-			if ent.Kinds[s.Exit] >= isa.NumControlKinds {
-				return fmt.Errorf("trace: task @%d exit %d has kind %d: %w", s.Task, s.Exit, ent.Kinds[s.Exit], ErrNotColumnar)
-			}
-		} else if int(s.Exit) < 0 || int(s.Exit) >= tfg.MaxExits {
-			return fmt.Errorf("trace: exit %d outside header range: %w", s.Exit, ErrNotColumnar)
-		}
-		gi, err := e.intern(s.Target)
-		if err != nil {
-			return err
 		}
 		e.taskIdx = append(e.taskIdx, ti)
 		e.exits = append(e.exits, s.Exit)
@@ -434,7 +459,8 @@ func (e *Encoder) Finish() *Columnar {
 	return e.Snapshot()
 }
 
-// FromTrace columnar-encodes an existing array-of-structs trace.
+// FromTrace columnar-encodes an existing array-of-structs trace, holding
+// every step to the step rule when tr.Graph is set.
 func FromTrace(tr *Trace) (*Columnar, error) {
 	e := NewEncoder(tr.Graph)
 	if err := e.Append(tr.Steps); err != nil {

@@ -39,26 +39,35 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if !c.Halted() {
 		t.Fatal("Halted = false on a halting trace")
 	}
-	got := c.Materialize()
-	if !reflect.DeepEqual(got.Steps, tr.Steps) {
+	if !reflect.DeepEqual(c.Materialize().Steps, tr.Steps) {
 		t.Fatal("Materialize does not reproduce the original steps")
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// TestColumnarStatsMatchTrace holds the column analytics to a reference
+// computed step by step over the array-of-structs steps and the graph.
 func TestColumnarStatsMatchTrace(t *testing.T) {
 	tr := pingPong(300)
 	c := mustColumnar(t, tr)
-	if c.DistinctTasks() != tr.DistinctTasks() {
-		t.Errorf("DistinctTasks = %d, want %d", c.DistinctTasks(), tr.DistinctTasks())
+	seen := map[isa.Addr]bool{}
+	var hist [tfg.MaxExits + 1]int
+	kinds := map[isa.ControlKind]int{}
+	for _, s := range tr.Steps {
+		task := tr.Graph.TaskAt(s.Task)
+		seen[s.Task] = true
+		hist[len(task.Exits)]++
+		if s.Exit != HaltExit {
+			kinds[task.Exits[s.Exit].Kind]++
+		}
 	}
-	if c.DynamicExitHistogram() != tr.DynamicExitHistogram() {
-		t.Errorf("DynamicExitHistogram = %v, want %v", c.DynamicExitHistogram(), tr.DynamicExitHistogram())
+	if c.DistinctTasks() != len(seen) {
+		t.Errorf("DistinctTasks = %d, want %d", c.DistinctTasks(), len(seen))
 	}
-	if !reflect.DeepEqual(c.DynamicExitKinds(), tr.DynamicExitKinds()) {
-		t.Errorf("DynamicExitKinds = %v, want %v", c.DynamicExitKinds(), tr.DynamicExitKinds())
+	if c.DynamicExitHistogram() != hist {
+		t.Errorf("DynamicExitHistogram = %v, want %v", c.DynamicExitHistogram(), hist)
+	}
+	if !reflect.DeepEqual(c.DynamicExitKinds(), kinds) {
+		t.Errorf("DynamicExitKinds = %v, want %v", c.DynamicExitKinds(), kinds)
 	}
 }
 
@@ -130,18 +139,21 @@ func TestEncoderValidation(t *testing.T) {
 			t.Errorf("case %d: error %v does not wrap ErrNotColumnar", i, err)
 		}
 	}
-	// A halt step is always legal, even at an address that is no task.
-	e := NewEncoder(g)
-	if err := e.Append([]Step{{Task: 9, Exit: HaltExit}}); err != nil {
-		t.Fatalf("halt step rejected: %v", err)
+	// A halt step's task must exist too; only a graph-less encoder,
+	// which checks structure alone, takes one at any address.
+	if err := NewEncoder(g).Append([]Step{{Task: 9, Exit: HaltExit}}); !errors.Is(err, ErrNotColumnar) {
+		t.Errorf("halt at a non-task: %v, want ErrNotColumnar", err)
+	}
+	if err := NewEncoder(nil).Append([]Step{{Task: 9, Exit: HaltExit}}); err != nil {
+		t.Fatalf("graph-less halt step rejected: %v", err)
 	}
 }
 
 // TestEncoderHaltedMeansLastStep: a finished trace is Halted exactly when
 // its last step halts, and a halt can only be the last step — the rule
-// Trace.Validate and the MSTC reader also enforce, which makes Halted
-// and PredictionSteps O(1). BlockBuilder, whose repeat streams put a
-// halt at the end of every pass, starts each batch afresh.
+// the MSTC reader also enforces, which makes Halted and PredictionSteps
+// O(1). BlockBuilder, whose repeat streams put a halt at the end of
+// every pass, starts each batch afresh.
 func TestEncoderHaltedMeansLastStep(t *testing.T) {
 	halt := Step{Task: 1, Exit: HaltExit}
 	step := Step{Task: 1, Exit: 0, Target: 2}
@@ -369,22 +381,16 @@ func readAll(raw []byte) error {
 	}
 }
 
-// haltAt encodes a multi-block ping-pong trace whose steps at the given
+// haltAt frames a multi-block ping-pong trace whose steps at the given
 // positions are halts: framing and CRCs are pristine, only the halt
 // placement is wrong.
 func haltAt(t testing.TB, pos ...int) []byte {
 	t.Helper()
-	c := mustColumnar(t, pingPong(5000))
-	// The encoder refuses a mid-stream halt, so write it into the
-	// columns directly: the stream a faulty producer would frame.
+	steps := pingPong(5000).Steps
 	for _, i := range pos {
-		c.exits[i], c.targetIdx[i] = HaltExit, 0
+		steps[i] = Step{Task: steps[i].Task, Exit: HaltExit}
 	}
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return frameUnchecked(t, steps)
 }
 
 func TestColumnarCorruption(t *testing.T) {
@@ -471,10 +477,14 @@ func TestColumnarGraphInconsistencyRejected(t *testing.T) {
 }
 
 // FuzzColumnarRead drives the hardened MSTC decoder with arbitrary
-// bytes: it must return a trace or a typed error, never panic, and a
-// successful parse must be size-consistent with the input (every step
-// costs at least two payload bytes).
+// bytes, graph-less and bound to the ping-pong graph: it must return a
+// trace or a typed error, never panic, and a successful parse must be
+// size-consistent with the input (every step costs at least two payload
+// bytes). A graph-bound decode that succeeds must re-encode through a
+// graph-bound Encoder, so the reader and the encoder apply one step
+// rule.
 func FuzzColumnarRead(f *testing.F) {
+	bound := graph()
 	_, raw := colSample(f, 200)
 	f.Add(raw)
 	f.Add(raw[:16])
@@ -486,15 +496,23 @@ func FuzzColumnarRead(f *testing.F) {
 	f.Add(bad)
 	f.Add(haltAt(f, 6))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadColumnar(bytes.NewReader(data), nil, 1<<20)
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
+		for _, g := range []*tfg.Graph{nil, bound} {
+			c, err := ReadColumnar(bytes.NewReader(data), g, 1<<20)
+			if err != nil {
+				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("untyped decode error: %v", err)
+				}
+				continue
 			}
-			return
-		}
-		if 2*c.Len() > len(data) {
-			t.Fatalf("parsed %d steps from %d bytes", c.Len(), len(data))
+			if 2*c.Len() > len(data) {
+				t.Fatalf("parsed %d steps from %d bytes", c.Len(), len(data))
+			}
+			if g == nil {
+				continue
+			}
+			if err := NewEncoder(g).Append(c.Materialize().Steps); err != nil {
+				t.Fatalf("graph-bound decode does not re-encode: %v", err)
+			}
 		}
 	})
 }
@@ -502,18 +520,30 @@ func FuzzColumnarRead(f *testing.F) {
 // TestEncoderDictOrder pins the dictionary's first-appearance order when
 // in-text addresses (the address-indexed table) and addresses outside
 // the text (the map fallback) interleave, and for a graph-less encoder
-// that has only the map: the MSTC bytes depend on that order.
+// that has only the map: the MSTC bytes depend on that order. The graph
+// keys tasks outside its 8-word text too, so every step keeps the step
+// rule: a dynamic (return) exit may target any task.
 func TestEncoderDictOrder(t *testing.T) {
 	p := program.New()
 	p.Code = make([]isa.Instr, 8)
-	g := graph()
-	g.Prog = p
+	ret := []tfg.ExitSpec{{Kind: isa.KindReturn}}
+	g := &tfg.Graph{Prog: p, Tasks: map[isa.Addr]*tfg.Task{
+		1: {Start: 1, Blocks: []isa.Addr{1}, Exits: []tfg.ExitSpec{
+			{Kind: isa.KindBranch, Target: 2, HasTarget: true},
+			{Kind: isa.KindReturn},
+		}},
+		2:     {Start: 2, Blocks: []isa.Addr{2}, Exits: ret},
+		100:   {Start: 100, Exits: ret},
+		9999:  {Start: 9999, Exits: ret},
+		70000: {Start: 70000, Exits: ret},
+	}}
+	g.Finalize()
 	steps := []Step{
 		{Task: 2, Exit: 0, Target: 100}, // 100 lies outside the 8-word text
 		{Task: 1, Exit: 0, Target: 2},
 		{Task: 1, Exit: 1, Target: 70000},
 		{Task: 2, Exit: 0, Target: 1},
-		{Task: 1, Exit: 0, Target: 100},
+		{Task: 1, Exit: 1, Target: 100},
 		{Task: 9999, Exit: HaltExit},
 	}
 	want := []isa.Addr{2, 100, 1, 70000, 9999}

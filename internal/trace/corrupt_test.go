@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"errors"
 	"testing"
 
 	"multiscalar/internal/trace"
@@ -8,8 +9,9 @@ import (
 )
 
 // TestCorruptedStepFailsValidate clobbers single steps of a real trace
-// and checks that Validate catches what no encoding layer can know: an
-// out-of-range exit index and a task address outside the graph.
+// and checks that encoding against the trace's graph catches what no
+// encoding layer without the graph can know: an out-of-range exit index
+// and a task address outside the graph.
 func TestCorruptedStepFailsValidate(t *testing.T) {
 	c, err := workload.CachedColumnar("exprc", 200)
 	if err != nil {
@@ -20,12 +22,12 @@ func TestCorruptedStepFailsValidate(t *testing.T) {
 		"task address": func(s *trace.Step) { s.Task = 0xdeadbeef },
 	} {
 		tr := c.Materialize()
-		if err := tr.Validate(); err != nil {
+		if err := trace.NewEncoder(tr.Graph).Append(tr.Steps); err != nil {
 			t.Fatalf("pristine trace: %v", err)
 		}
 		clobber(&tr.Steps[3])
-		if err := tr.Validate(); err == nil {
-			t.Errorf("corrupted %s validated cleanly", name)
+		if err := trace.NewEncoder(tr.Graph).Append(tr.Steps); !errors.Is(err, trace.ErrNotColumnar) {
+			t.Errorf("corrupted %s: Append = %v, want ErrNotColumnar", name, err)
 		}
 	}
 }

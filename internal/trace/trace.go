@@ -10,8 +10,6 @@
 package trace
 
 import (
-	"fmt"
-
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
 )
@@ -33,8 +31,10 @@ type Step struct {
 
 // Trace is a dynamic task trace bound to the TFG it was produced from:
 // the array-of-structs form the functional simulator emits and the
-// reference replays walk. Replay proper runs over its columnar encoding
-// (Columnar). Traces are shared read-only across concurrent replays.
+// reference replays walk. Replay, validation and the trace analytics run
+// over its columnar encoding (Columnar, built by FromTrace or an
+// Encoder), which checks every step against the graph. Traces are shared
+// read-only across concurrent replays.
 type Trace struct {
 	Graph *tfg.Graph
 	Steps []Step
@@ -59,68 +59,4 @@ func (tr *Trace) PredictionSteps() int {
 		n--
 	}
 	return n
-}
-
-// Validate cross-checks every step against the TFG: the task must exist,
-// the exit index must be valid, and statically-known exit targets must
-// match the recorded target.
-func (tr *Trace) Validate() error {
-	for i, s := range tr.Steps {
-		t := tr.Graph.TaskAt(s.Task)
-		if t == nil {
-			return fmt.Errorf("trace: step %d: no task @%d", i, s.Task)
-		}
-		if s.Exit == HaltExit {
-			if i != len(tr.Steps)-1 {
-				return fmt.Errorf("trace: step %d: halt before end of trace", i)
-			}
-			continue
-		}
-		if int(s.Exit) >= len(t.Exits) {
-			return fmt.Errorf("trace: step %d: task @%d exit %d of %d", i, s.Task, s.Exit, len(t.Exits))
-		}
-		spec := t.Exits[s.Exit]
-		if spec.HasTarget && spec.Target != s.Target {
-			return fmt.Errorf("trace: step %d: task @%d exit %d target @%d != header @%d",
-				i, s.Task, s.Exit, s.Target, spec.Target)
-		}
-		if tr.Graph.TaskAt(s.Target) == nil {
-			return fmt.Errorf("trace: step %d: target @%d is not a task", i, s.Target)
-		}
-	}
-	return nil
-}
-
-// DistinctTasks returns the number of distinct static tasks appearing in
-// the trace (the "Distinct Tasks Seen" column of the paper's Table 2).
-func (tr *Trace) DistinctTasks() int {
-	seen := make(map[isa.Addr]bool)
-	for _, s := range tr.Steps {
-		seen[s.Task] = true
-	}
-	return len(seen)
-}
-
-// DynamicExitHistogram returns, indexed by exit count 0..tfg.MaxExits,
-// how many dynamic task steps executed a task with that many exit points
-// (the dynamic series of the paper's Figure 3).
-func (tr *Trace) DynamicExitHistogram() [tfg.MaxExits + 1]int {
-	var h [tfg.MaxExits + 1]int
-	for _, s := range tr.Steps {
-		h[len(tr.Graph.TaskAt(s.Task).Exits)]++
-	}
-	return h
-}
-
-// DynamicExitKinds returns the count of dynamic exits taken, by control
-// kind (the dynamic series of the paper's Figure 4).
-func (tr *Trace) DynamicExitKinds() map[isa.ControlKind]int {
-	m := make(map[isa.ControlKind]int)
-	for _, s := range tr.Steps {
-		if s.Exit == HaltExit {
-			continue
-		}
-		m[tr.Graph.TaskAt(s.Task).Exits[s.Exit].Kind]++
-	}
-	return m
 }

@@ -81,7 +81,7 @@ func TestShortTracesAreValid(t *testing.T) {
 				t.Fatalf("trace: %v", err)
 			}
 			tr := c.Materialize()
-			if err := tr.Validate(); err != nil {
+			if _, err := trace.FromTrace(tr); err != nil {
 				t.Fatalf("invalid trace: %v", err)
 			}
 			if tr.Len() != steps {
@@ -340,7 +340,7 @@ func TestCachedColumnarTruncationSharesBacking(t *testing.T) {
 	if &pb.TaskIdx[0] != &fb.TaskIdx[0] || &pb.Exits[0] != &fb.Exits[0] || &pb.TargetIdx[0] != &fb.TargetIdx[0] {
 		t.Fatal("truncation does not share the full trace's column backing arrays")
 	}
-	if err := p.Materialize().Validate(); err != nil {
+	if _, err := trace.FromTrace(p.Materialize()); err != nil {
 		t.Fatalf("shared-prefix truncation does not validate: %v", err)
 	}
 }
