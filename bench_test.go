@@ -221,9 +221,19 @@ func BenchmarkEvaluateExitPerBlocks(b *testing.B) { benchExitBlocks(b, "per:d7-h
 
 func BenchmarkEvaluateExitIdealPathBlocks(b *testing.B) { benchExitBlocks(b, "ipath:d7:leh2") }
 
-func BenchmarkEvaluateIndirectCTTBBlocks(b *testing.B) {
+func BenchmarkEvaluateExitIdealGlobalBlocks(b *testing.B) { benchExitBlocks(b, "iglobal:d7:leh2") }
+
+func BenchmarkEvaluateExitIdealPerBlocks(b *testing.B) { benchExitBlocks(b, "iper:d7:leh2") }
+
+func BenchmarkEvaluateIndirectCTTBBlocks(b *testing.B) { benchIndirectBlocks(b, "cttb:d7-o4-l4-c5-f3") }
+
+func BenchmarkEvaluateIndirectIdealCTTBBlocks(b *testing.B) { benchIndirectBlocks(b, "icttb:d7") }
+
+// benchIndirectBlocks replays spec's target buffer over the minilisp
+// columns, warm-up replay included (see benchExitBlocks).
+func benchIndirectBlocks(b *testing.B, spec string) {
 	c := benchColumnarTrace(b, "minilisp")
-	buf := engine.MustBuildTarget("cttb:d7-o4-l4-c5-f3")
+	buf := engine.MustBuildTarget(spec)
 	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil { // warm-up, as benchExitBlocks
 		b.Fatal(err)
 	}
@@ -264,8 +274,20 @@ func BenchmarkEvaluateTaskBlocks(b *testing.B) {
 // predictor (PATH exit, RAS, CTTB) — the predictor sweep and serve cells
 // run — over the indirect-heavy minilisp columns.
 func BenchmarkEvaluateTaskComposedBlocks(b *testing.B) {
+	benchTaskBlocks(b, "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+}
+
+// BenchmarkEvaluateTaskComposedIdealBlocks is the composed row with
+// ideal components: the alias-free PATH exit predictor and CTTB.
+func BenchmarkEvaluateTaskComposedIdealBlocks(b *testing.B) {
+	benchTaskBlocks(b, "composed:ipath:d7:leh2:ras32:icttb:d7")
+}
+
+// benchTaskBlocks replays spec's task predictor over the minilisp
+// columns, warm-up replay included (see benchExitBlocks).
+func benchTaskBlocks(b *testing.B, spec string) {
 	c := benchColumnarTrace(b, "minilisp")
-	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	p := engine.MustBuild(spec)
 	if _, err := core.EvaluateTaskBlocks(c.Blocks(), p); err != nil { // warm-up, as benchExitBlocks
 		b.Fatal(err)
 	}

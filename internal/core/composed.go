@@ -18,9 +18,10 @@ type HeaderPredictor struct {
 	buf  TargetBuffer
 
 	// The components' fused kernels, resolved at construction (nil
-	// where a component lacks one; specErr then refuses a session).
-	exitK exitSpecKernel
-	bufK  targetSpecKernel
+	// where a component lacks one: specErr then refuses a session, and
+	// ReplayTaskBlock replays through Predict and Update).
+	exitK exitKernel
+	bufK  targetKernel
 }
 
 // NewHeaderPredictor composes a task predictor from an exit predictor, a
@@ -32,9 +33,9 @@ func NewHeaderPredictor(name string, exit ExitPredictor, ras *RAS, buf TargetBuf
 		name = fmt.Sprintf("header(%s)", exit.Name())
 	}
 	p := &HeaderPredictor{name: name, exit: exit, ras: ras, buf: buf}
-	p.exitK, _ = exit.(exitSpecKernel)
+	p.exitK, _ = exit.(exitKernel)
 	if buf != nil {
-		p.bufK, _ = buf.(targetSpecKernel)
+		p.bufK, _ = buf.(targetKernel)
 	}
 	return p
 }
@@ -196,13 +197,13 @@ func (p *HeaderPredictor) squashTask(m taskMark, w *specWindow) (rasDamaged bool
 type CTTBOnly struct {
 	name string
 	buf  TargetBuffer
-	bufK targetSpecKernel // buf's fused kernel, or nil (see HeaderPredictor)
+	bufK targetKernel // buf's fused kernel, or nil (see HeaderPredictor)
 }
 
 // NewCTTBOnly builds a CTTB-only task predictor over the given buffer.
 func NewCTTBOnly(buf TargetBuffer) *CTTBOnly {
 	p := &CTTBOnly{name: fmt.Sprintf("cttb-only(%s)", buf.Name()), buf: buf}
-	p.bufK, _ = buf.(targetSpecKernel)
+	p.bufK, _ = buf.(targetKernel)
 	return p
 }
 

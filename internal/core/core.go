@@ -8,7 +8,7 @@
 //     tie-breaking;
 //   - history generation schemes (§5.2): GLOBAL (exit-number history),
 //     PER (per-task exit history) and PATH (task-address path history),
-//     each as an ideal, alias-free predictor (map-backed, used for the
+//     each as an ideal, alias-free predictor (exact keys, used for the
 //     paper's limit studies) and — for PATH — as a real implementation
 //     indexed by the DOLC folding scheme of §6 (Figure 9);
 //   - target-address prediction (§5.3): a return address stack, and the

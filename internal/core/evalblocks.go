@@ -147,35 +147,15 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 		if b == nil {
 			break
 		}
+		var s, em, m int
 		if isFast {
-			s, em, m := fast.ReplayTaskBlock(b, &byKind)
-			steps += s
-			exitMisses += em
-			misses += m
-			continue
+			s, em, m = fast.ReplayTaskBlock(b, &byKind)
+		} else {
+			s, em, m = replayTaskSteps(p, b, &byKind)
 		}
-		entries := b.Dict.Entries
-		taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
-			if e == trace.HaltExit {
-				continue
-			}
-			ent := &entries[taskIdx[i]]
-			target := entries[targetIdx[i]].Addr
-			pred := p.Predict(ent.Task)
-			steps++
-			km := &byKind[ent.Kinds[e]]
-			km.Steps++
-			if pred.Exit >= 0 && pred.Exit != int(e) {
-				exitMisses++
-			}
-			if pred.Target != target {
-				misses++
-				km.Misses++
-			}
-			p.Update(ent.Task, Outcome{Exit: int(e), Target: target})
-		}
+		steps += s
+		exitMisses += em
+		misses += m
 	}
 	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
 	res.ByKind = make(map[isa.ControlKind]KindMisses)
@@ -188,12 +168,44 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 	return res, nil
 }
 
-// The kernels below implement ExitBlockReplayer / TargetBlockReplayer
-// for the built-in predictors. Each inlines its PredictExit/UpdateExit
-// (or Lookup/Train/Advance) pair over the block's flat columns, with the
-// task header fields read from the block dictionary instead of chased
-// through *tfg.Task, and computes the step's table index, fold or key
-// once for both the prediction and the training.
+// replayTaskSteps replays one block through p's Predict and Update, the
+// path of task predictors without a block kernel.
+func replayTaskSteps(p TaskPredictor, b *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+	entries := b.Dict.Entries
+	taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
+	for i := 0; i < b.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		target := entries[targetIdx[i]].Addr
+		pred := p.Predict(ent.Task)
+		steps++
+		km := &byKind[ent.Kinds[e]]
+		km.Steps++
+		if pred.Exit >= 0 && pred.Exit != int(e) {
+			exitMisses++
+		}
+		if pred.Target != target {
+			misses++
+			km.Misses++
+		}
+		p.Update(ent.Task, Outcome{Exit: int(e), Target: target})
+	}
+	return steps, exitMisses, misses
+}
+
+// The kernels below implement the *BlockReplayer interfaces for the
+// built-in predictors. Each replays its predictor's PredictExit/
+// UpdateExit (or Lookup/Train/Advance) pair over the block's flat
+// columns, with the task header fields read from the block dictionary
+// instead of chased through *tfg.Task, and computes the step's table
+// index, fold or key once for both the prediction and the training.
+// The ideal exit kernels call the predictor's fused step
+// (exitKernel.replayExitStep, which the composed kernel calls too); the
+// real ones and the target buffers' inline the same body, because a
+// call per step costs the real PATH kernel ~15%.
 
 // ReplayExitBlock implements ExitBlockReplayer for the real PATH
 // predictor: single-exit skip, clamping and training latency included.
@@ -278,7 +290,7 @@ func (p *PerExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the ideal GLOBAL
-// predictor: one map lookup per step.
+// predictor.
 func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
@@ -287,21 +299,16 @@ func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		if e == trace.HaltExit {
 			continue
 		}
-		ent := &entries[taskIdx[i]]
 		steps++
-		idx, pred := p.table.predict(exitKey{addr: ent.Addr, hist: p.hist})
-		if clampExits(pred, int(ent.NumExits)) != int(e) {
+		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
 			misses++
 		}
-		p.table.train(idx, int(e), nil)
-		p.hist = p.hist.Push(int(e), p.depth)
 	}
 	return steps, misses
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the ideal PER
-// predictor: one history read, one table lookup and one history write
-// per step.
+// predictor.
 func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
@@ -310,21 +317,16 @@ func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		if e == trace.HaltExit {
 			continue
 		}
-		ent := &entries[taskIdx[i]]
 		steps++
-		h := p.hists[ent.Addr]
-		idx, pred := p.table.predict(exitKey{addr: ent.Addr, hist: h})
-		if clampExits(pred, int(ent.NumExits)) != int(e) {
+		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
 			misses++
 		}
-		p.table.train(idx, int(e), nil)
-		p.hists[ent.Addr] = h.Push(int(e), p.depth)
 	}
 	return steps, misses
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the ideal PATH
-// predictor: one path key and one map lookup per step.
+// predictor.
 func (p *IdealPath) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
@@ -333,14 +335,10 @@ func (p *IdealPath) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		if e == trace.HaltExit {
 			continue
 		}
-		ent := &entries[taskIdx[i]]
 		steps++
-		idx, pred := p.table.predict(MakePathKey(&p.hist, ent.Addr, p.depth))
-		if clampExits(pred, int(ent.NumExits)) != int(e) {
+		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
 			misses++
 		}
-		p.table.train(idx, int(e), nil)
-		p.hist.Push(ent.Addr)
 	}
 	return steps, misses
 }
@@ -368,7 +366,8 @@ func (b *CTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 }
 
 // ReplayTargetBlock implements TargetBlockReplayer for the ideal CTTB:
-// Lookup and Train on an indirect step share one path key.
+// Lookup and Train on an indirect step share one path key and one
+// table probe.
 func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
@@ -378,14 +377,74 @@ func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 		if e != trace.HaltExit && ent.Indirect[e] {
 			target := entries[targetIdx[i]].Addr
 			steps++
-			idx, _ := b.entries.lookup(MakePathKey(&b.hist, ent.Addr, b.depth), ttbEntry{})
-			slot := &b.entries.slots[idx]
+			idx, _ := b.entry(ent.Addr)
+			slot := &b.entries[idx]
 			if !slot.valid || slot.target != target {
 				misses++
 			}
 			slot.train(target)
 		}
-		b.hist.Push(ent.Addr)
+		b.path.push(ent.Addr)
 	}
 	return steps, misses
+}
+
+// ReplayTaskBlock implements TaskBlockReplayer for the composed
+// predictor: per step, one fused exit step and one fused buffer step,
+// each computing its index or key once, in Predict/Update's order
+// within each component (the exit table's tie-break RNG draws at the
+// prediction; the RAS is read before it pushes or pops; the buffer is
+// looked up, trained and advanced, in that order). A composition with a
+// component that has no fused step — a DelayedUpdate wrapper, say, or a
+// predictor from outside this package — replays through the generic
+// Predict/Update loop instead.
+func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+	if p.exitK == nil || (p.buf != nil && p.bufK == nil) {
+		return replayTaskSteps(p, blk, byKind)
+	}
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		target := entries[targetIdx[i]].Addr
+		steps++
+		km := &byKind[ent.Kinds[e]]
+		km.Steps++
+		pe := p.exitK.replayExitStep(ent, int(e))
+		if pe != int(e) {
+			exitMisses++
+		}
+		var pred isa.Addr
+		lookup := false
+		switch {
+		case ent.HasTarget[pe]:
+			pred = ent.Targets[pe]
+		case ent.Indirect[pe]:
+			lookup = p.bufK != nil
+		case p.ras != nil: // RETURN
+			pred, _ = p.ras.Top()
+		}
+		if p.ras != nil {
+			switch k := ent.Kinds[e]; {
+			case k.IsCall():
+				p.ras.Push(ent.Returns[e])
+			case k == isa.KindReturn:
+				p.ras.Pop()
+			}
+		}
+		if p.bufK != nil {
+			if got, _ := p.bufK.replayTargetStep(ent.Addr, lookup, ent.Indirect[e], target); lookup {
+				pred = got
+			}
+		}
+		if pred != target {
+			misses++
+			km.Misses++
+		}
+	}
+	return steps, exitMisses, misses
 }

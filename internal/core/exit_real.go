@@ -5,6 +5,7 @@ import (
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // pht is the pattern history table of a real exit predictor: one packed
@@ -158,7 +159,7 @@ func (p *PathExit) Reset() {
 	p.undo.reset()
 }
 
-// specErr implements exitSpecKernel: the TrainLatency FIFO is itself an
+// specErr implements exitKernel: the TrainLatency FIFO is itself an
 // update-timing model and composing it under checkpoint repair would
 // double-count the lag (the session's resolution window is the lag
 // model in spec mode).
@@ -188,6 +189,22 @@ func (p *PathExit) UpdateExit(t *tfg.Task, exit int) {
 	p.train(t.Start, single, idx, exit, nil)
 }
 
+// replayExitStep implements exitKernel: PredictExit and UpdateExit over
+// one DOLC index.
+func (p *PathExit) replayExitStep(ent *trace.DictEntry, exit int) int {
+	single := ent.NumExits == 1
+	if p.opts.SkipSingleExit && single {
+		// PredictExit returns 0, the only valid exit; no PHT access, as
+		// in UpdateExit.
+		p.train(ent.Addr, true, 0, exit, nil)
+		return 0
+	}
+	idx := p.path.index(ent.Addr)
+	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
+	p.train(ent.Addr, single, idx, exit, nil)
+	return pred
+}
+
 // pendPush enqueues a delayed automaton update and, once the FIFO holds
 // more than TrainLatency entries, trains the oldest — the same order as
 // the original shifting FIFO, at O(1) per step.
@@ -209,7 +226,7 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 	}
 }
 
-// specStepExit implements exitSpecKernel: PredictExit and a logged
+// specStepExit implements exitKernel: PredictExit and a logged
 // UpdateExit toward the prediction over one DOLC index, which the frame
 // keeps for the catch-up (phtSkipped when a single-exit task skips the
 // PHT).
@@ -316,7 +333,16 @@ func (p *GlobalExit) PredictExit(t *tfg.Task) int {
 // UpdateExit implements ExitPredictor.
 func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.train(p.index(t.Start), exit, nil) }
 
-// specStepExit implements exitSpecKernel; the frame keeps the global
+// replayExitStep implements exitKernel: PredictExit and UpdateExit over
+// one index.
+func (p *GlobalExit) replayExitStep(ent *trace.DictEntry, exit int) int {
+	idx := p.index(ent.Addr)
+	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
+	p.train(idx, exit, nil)
+	return pred
+}
+
+// specStepExit implements exitKernel; the frame keeps the global
 // history the step started from.
 func (p *GlobalExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	p.undo.reserve()
@@ -406,7 +432,17 @@ func (p *PerExit) UpdateExit(t *tfg.Task, exit int) {
 	p.train(h, p.phtIndex(t.Start, p.hrt[h]), exit, nil)
 }
 
-// specStepExit implements exitSpecKernel; the frame keeps the HRT slot
+// replayExitStep implements exitKernel: PredictExit and UpdateExit over
+// one HRT slot and one PHT index.
+func (p *PerExit) replayExitStep(ent *trace.DictEntry, exit int) int {
+	h := p.hrtIndex(ent.Addr)
+	idx := p.phtIndex(ent.Addr, p.hrt[h])
+	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
+	p.train(h, idx, exit, nil)
+	return pred
+}
+
+// specStepExit implements exitKernel; the frame keeps the HRT slot
 // and the history it held before the step.
 func (p *PerExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 	p.undo.reserve()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"unsafe"
 
@@ -189,7 +188,7 @@ func restoreExit(spec, arch ExitPredictor) {
 	case *IdealPer:
 		a, t := arch.(*IdealPer), s.table
 		*s = *a
-		s.table, s.hists = restoreIdeal(t, &a.table), maps.Clone(a.hists)
+		s.table, s.hists = restoreIdeal(t, &a.table), slices.Clone(a.hists)
 	case *IdealPath:
 		a, t := arch.(*IdealPath), s.table
 		*s = *a
@@ -209,7 +208,7 @@ func restoreBuffer(spec, arch TargetBuffer) {
 	case *IdealCTTB:
 		a := arch.(*IdealCTTB)
 		*s = *a
-		s.entries = cloneSlots(a.entries)
+		s.ctx, s.entries = cloneSlots(a.ctx), slices.Clone(a.entries)
 	default:
 		panic(fmt.Sprintf("reference: cannot restore %T", spec))
 	}
@@ -266,21 +265,22 @@ func sameBytes(a, b []byte) bool {
 // and arch lacks are added to arch, and spec gets a copy of arch's
 // table with spec's RNG. The two tables share the key order of the last
 // restore, so only spec's keys past their common prefix are looked up.
-func restoreIdeal[K comparable](spec idealPHT[K], arch *idealPHT[K]) idealPHT[K] {
+func restoreIdeal(spec idealPHT, arch *idealPHT) idealPHT {
 	common := 0
-	for common < min(len(spec.keys), len(arch.keys)) && spec.keys[common] == arch.keys[common] {
+	for common < min(spec.size(), arch.size()) && spec.key(uint32(common)) == arch.key(uint32(common)) {
 		common++
 	}
-	for _, k := range spec.keys[common:] {
-		arch.lookup(k, autTouched)
+	for s := common; s < spec.size(); s++ {
+		arch.slot(spec.key(uint32(s)))
 	}
 	out := *arch
-	out.slotMap, out.rng = cloneSlots(arch.slotMap), spec.rng
+	out.slotMap, out.slots, out.rng = cloneSlots(arch.slotMap), slices.Clone(arch.slots), spec.rng
 	return out
 }
 
-func cloneSlots[K comparable, E any](m slotMap[K, E]) slotMap[K, E] {
-	return slotMap[K, E]{index: maps.Clone(m.index), slots: slices.Clone(m.slots), keys: slices.Clone(m.keys)}
+func cloneSlots(m slotMap) slotMap {
+	m.index, m.keys = slices.Clone(m.index), slices.Clone(m.keys)
+	return m
 }
 
 // referenceExitSpec replays tr through an exit predictor built by mk in

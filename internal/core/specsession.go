@@ -105,7 +105,7 @@ func recordSquash(start time.Time, timed bool) {
 // replaced by exactly the idealized update: lag-0 spec replay is
 // byte-identical to the §3.1 idealized mode (pinned by test).
 type SpecExitSession struct {
-	kern exitSpecKernel
+	kern exitKernel
 	log  *undoRing // kern's undo ring
 	lag  int
 	win  specWindow
@@ -121,7 +121,7 @@ type SpecExitSession struct {
 // whose lag/fault semantics compose with speculation at the session
 // level instead — or its configuration refuses one.
 func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
-	k, ok := p.(exitSpecKernel)
+	k, ok := p.(exitKernel)
 	if !ok {
 		return nil, errNoKernel(p.Name(), "it")
 	}

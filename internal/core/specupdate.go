@@ -5,6 +5,7 @@ import (
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // Speculative update with checkpoint repair — the realistic replacement
@@ -15,7 +16,7 @@ import (
 // when a misprediction resolves.
 //
 // Every built-in predictor implements it as a fused kernel
-// (exitSpecKernel, targetSpecKernel, taskSpecKernel), which the
+// (exitKernel, targetKernel, taskSpecKernel), which the
 // SpecExitSession / SpecTaskSession drivers (specsession.go) run: one
 // call per step predicts and trains toward the prediction with a single
 // table index, logging each table write on the predictor's undo ring;
@@ -50,10 +51,15 @@ type taskMark struct {
 	ras  RASMark
 }
 
-// exitSpecKernel is the fused speculative step of the built-in exit
-// predictors.
-type exitSpecKernel interface {
+// exitKernel is the pair of fused steps of the built-in exit
+// predictors: the idealized one the block kernels replay, and the
+// speculative one a session runs.
+type exitKernel interface {
 	ExitPredictor
+	// replayExitStep is PredictExit for the task of ent followed by
+	// UpdateExit with the actual exit, computing the table index or ideal
+	// key once for both; it returns the prediction.
+	replayExitStep(ent *trace.DictEntry, exit int) int
 	// specStepExit predicts the task at addr, which has nexits exits,
 	// and trains toward that prediction through the same index→train
 	// helper as UpdateExit, computing the table index or ideal key once.
@@ -70,10 +76,14 @@ type exitSpecKernel interface {
 	specErr() error
 }
 
-// targetSpecKernel is the fused speculative step of the built-in target
+// targetKernel is the pair of fused steps of the built-in target
 // buffers.
-type targetSpecKernel interface {
+type targetKernel interface {
 	TargetBuffer
+	// replayTargetStep is one idealized buffer step for current: Lookup
+	// when lookup (target is zero on a miss), Train toward actual when
+	// train, both at one index or key, then Advance.
+	replayTargetStep(current isa.Addr, lookup, train bool, actual isa.Addr) (target isa.Addr, hit bool)
 	// specStepTarget is one speculative buffer step for current: with
 	// lookup it predicts the target (zero on a miss), which replaces
 	// target; with train it trains toward target, sharing the lookup's
@@ -139,7 +149,7 @@ const (
 	undoTTBEntry                 // CTTB entries[idx]: restore target addr, counter|valid prev
 	undoTTBIdeal                 // IdealCTTB slot idx: likewise
 	undoIdealCreate              // IdealCTTB: drop slot idx and its key
-	undoPathHist                 // IdealCTTB PathHistory: restore overwritten slot + head
+	undoPathHist                 // IdealCTTB pathReg: unpush, restoring the evicted field prev
 )
 
 // specUndo is one logged inverse operation: idx and addr locate the
@@ -254,16 +264,6 @@ func (e markError) Error() string {
 // reset clears the log (predictor Reset).
 func (r *undoRing) reset() { r.base, r.top = 0, 0 }
 
-// logPathHist records the inverse of an imminent hist.Push(addr): the
-// head position and the ring slot the push will overwrite.
-func logPathHist(log *undoRing, h *PathHistory) {
-	next := h.head + 1
-	if next == len(h.ring) {
-		next = 0
-	}
-	log.push(specUndo{kind: undoPathHist, idx: uint32(h.head), addr: h.ring[next]})
-}
-
 // ttbUndo logs entry e, at slot idx, for restoration by undoTTB.
 func ttbUndo(kind uint8, idx uint32, e *ttbEntry) specUndo {
 	u := specUndo{kind: kind, idx: idx, addr: e.target, prev: uint32(uint8(e.ctr))}
@@ -285,7 +285,7 @@ type undoLog struct{ undo undoRing }
 
 func (u *undoLog) specLog() *undoRing { return &u.undo }
 
-// specErr implements exitSpecKernel: a built-in exit kernel runs under
+// specErr implements exitKernel: a built-in exit kernel runs under
 // any session unless its predictor overrides this (PathExit does).
 func (u *undoLog) specErr() error { return nil }
 
@@ -301,7 +301,7 @@ func (t *pht) drain(log *undoRing, m specMark) {
 
 // drain is pht.drain for an ideal table: its contexts are created by
 // lookups, never by the logged trains, so each survives the drain.
-func (t *idealPHT[K]) drain(log *undoRing, m specMark) {
+func (t *idealPHT) drain(log *undoRing, m specMark) {
 	for n := log.since(m); n > 0; n-- {
 		e := log.pop()
 		t.slots[e.idx] = uint16(e.prev)
@@ -365,7 +365,7 @@ func (p *IdealGlobal) squashExit(m specMark, w *specWindow) {
 		f := w.at(k)
 		idx := uint32(f.exitAux)
 		if p.hist != ExitHistory(f.exitAux>>32) {
-			idx = p.table.slot(exitKey{addr: f.task.Start, hist: p.hist})
+			idx = p.table.slot(exitCtx(f.task.Start, p.hist))
 		}
 		p.train(idx, int(f.exit), nil)
 	}
@@ -375,17 +375,17 @@ func (p *IdealPer) squashExit(m specMark, w *specWindow) {
 	p.table.drain(&p.undo, m)
 	for k := w.n - 1; k >= 0; k-- {
 		f := w.at(k)
-		p.hists[f.task.Start] = ExitHistory(f.exitAux >> 32)
+		*p.hist(f.task.Start) = ExitHistory(f.exitAux >> 32)
 	}
 	for k := 0; k < w.n; k++ {
 		f := w.at(k)
 		addr := f.task.Start
-		h := p.hists[addr]
+		h := p.hist(addr)
 		idx := uint32(f.exitAux)
-		if h != ExitHistory(f.exitAux>>32) {
-			idx = p.table.slot(exitKey{addr: addr, hist: h})
+		if *h != ExitHistory(f.exitAux>>32) {
+			idx = p.table.slot(exitCtx(addr, *h))
 		}
-		p.train(addr, h, idx, int(f.exit), nil)
+		p.train(h, idx, int(f.exit), nil)
 	}
 }
 
@@ -419,12 +419,13 @@ func (b *IdealCTTB) squashTarget(m specMark, w *specWindow, all bool) {
 		e := b.undo.pop()
 		switch e.kind {
 		case undoTTBIdeal:
-			undoTTB(&b.entries.slots[e.idx], e)
+			undoTTB(&b.entries[e.idx], e)
 		case undoIdealCreate:
-			b.entries.drop(e.idx)
+			if b.ctx.drop(e.idx) {
+				b.entries = b.entries[:e.idx]
+			}
 		case undoPathHist:
-			b.hist.ring[b.hist.head] = e.addr
-			b.hist.head = int(e.idx)
+			b.path.unpush(e.prev)
 		}
 	}
 	for k := 0; k < w.n; k++ {
@@ -432,6 +433,6 @@ func (b *IdealCTTB) squashTarget(m specMark, w *specWindow, all bool) {
 		if f.trainsBuffer(all) {
 			b.Train(f.task.Start, f.target)
 		}
-		b.hist.Push(f.task.Start)
+		b.path.push(f.task.Start)
 	}
 }

@@ -215,8 +215,8 @@ func TestSpecIdealTablesStayDense(t *testing.T) {
 			case *CTTBOnly:
 				buf = q.Buffer()
 			}
-			if b, ok := buf.(*IdealCTTB); ok && len(b.entries.slots) != b.States() {
-				t.Errorf("%s lag %d: %d CTTB slots for %d live contexts", name, lag, len(b.entries.slots), b.States())
+			if b, ok := buf.(*IdealCTTB); ok && len(b.entries) != b.States() {
+				t.Errorf("%s lag %d: %d CTTB slots for %d live contexts", name, lag, len(b.entries), b.States())
 			}
 		}
 	}
@@ -286,7 +286,7 @@ func TestBuiltinSessionsAreFused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.log != p.(exitSpecKernel).specLog() {
+		if s.log != p.(exitKernel).specLog() {
 			t.Errorf("%s: exit session does not log on the predictor's ring", name)
 		}
 	}

@@ -178,7 +178,23 @@ func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 // Advance implements TargetBuffer.
 func (b *CTTB) Advance(current isa.Addr) { b.path.push(current) }
 
-// specStepTarget implements targetSpecKernel: Lookup and a logged Train
+// replayTargetStep implements targetKernel: Lookup and Train share one
+// DOLC index.
+func (b *CTTB) replayTargetStep(current isa.Addr, lookup, train bool, actual isa.Addr) (target isa.Addr, hit bool) {
+	if lookup || train {
+		idx := b.path.index(current)
+		if lookup {
+			target, hit = b.lookupAt(idx)
+		}
+		if train {
+			b.trainAt(idx, actual, nil)
+		}
+	}
+	b.path.push(current)
+	return target, hit
+}
+
+// specStepTarget implements targetKernel: Lookup and a logged Train
 // share one DOLC index, which the frame keeps for the catch-up.
 func (b *CTTB) specStepTarget(current isa.Addr, lookup, train, keep bool, target isa.Addr, f *specFrame) isa.Addr {
 	if keep {
@@ -200,9 +216,9 @@ func (b *CTTB) specStepTarget(current isa.Addr, lookup, train, keep bool, target
 // (path, current task) context, with unbounded capacity (Figure 8).
 type IdealCTTB struct {
 	name    string
-	depth   int
-	hist    PathHistory
-	entries slotMap[PathKey, ttbEntry]
+	path    pathReg
+	ctx     slotMap
+	entries []ttbEntry // by slot
 	undoLog
 }
 
@@ -218,9 +234,9 @@ func NewIdealCTTB(depth int) *IdealCTTB {
 		panic(fmt.Sprintf("core: IdealCTTB depth %d out of range", depth))
 	}
 	return &IdealCTTB{
-		name:    fmt.Sprintf("CTTB-ideal(d=%d)", depth),
-		depth:   depth,
-		entries: newSlotMap[PathKey, ttbEntry](),
+		name: fmt.Sprintf("CTTB-ideal(d=%d)", depth),
+		path: newPathReg(depth),
+		ctx:  newSlotMap(pathWidth(depth)),
 	}
 }
 
@@ -228,41 +244,70 @@ func NewIdealCTTB(depth int) *IdealCTTB {
 func (b *IdealCTTB) Name() string { return b.name }
 
 // States implements TargetBuffer.
-func (b *IdealCTTB) States() int { return b.entries.contexts() }
+func (b *IdealCTTB) States() int { return b.ctx.contexts() }
 
 // Reset implements TargetBuffer.
 func (b *IdealCTTB) Reset() {
-	b.hist.Reset()
-	b.entries.reset()
+	b.path.reset()
+	b.ctx.reset()
+	b.entries = b.entries[:0]
 	b.undo.reset()
 }
 
 // Lookup implements TargetBuffer.
 func (b *IdealCTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	i, ok := b.entries.find(MakePathKey(&b.hist, current, b.depth))
-	if !ok || !b.entries.slots[i].valid {
+	i, ok := b.ctx.find(b.path.key(current))
+	if !ok || !b.entries[i].valid {
 		return 0, false
 	}
-	return b.entries.slots[i].target, true
+	return b.entries[i].target, true
 }
 
 // Train implements TargetBuffer.
 func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) {
-	i, _ := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
-	b.entries.slots[i].train(actual)
+	i, _ := b.entry(current)
+	b.entries[i].train(actual)
+}
+
+// entry returns the slot of the current task's context, creating it
+// (an invalid entry) when the context is new.
+func (b *IdealCTTB) entry(current isa.Addr) (idx uint32, created bool) {
+	idx, created = b.ctx.lookup(b.path.key(current))
+	if created {
+		b.entries = append(b.entries, ttbEntry{})
+	}
+	return idx, created
 }
 
 // Advance implements TargetBuffer.
-func (b *IdealCTTB) Advance(current isa.Addr) { b.hist.Push(current) }
+func (b *IdealCTTB) Advance(current isa.Addr) { b.path.push(current) }
 
-// specStepTarget implements targetSpecKernel: Lookup and a logged Train
-// share one path key and one map operation (a slot the train creates
+// replayTargetStep implements targetKernel: Lookup and Train share one
+// path key and one table probe (a slot the train creates reads as the
+// miss Lookup would have reported).
+func (b *IdealCTTB) replayTargetStep(current isa.Addr, lookup, train bool, actual isa.Addr) (target isa.Addr, hit bool) {
+	if train {
+		i, _ := b.entry(current)
+		e := &b.entries[i]
+		if lookup && e.valid {
+			target, hit = e.target, true
+		}
+		e.train(actual)
+	} else if lookup {
+		target, hit = b.Lookup(current)
+	}
+	b.path.push(current)
+	return target, hit
+}
+
+// specStepTarget implements targetKernel: Lookup and a logged Train
+// share one path key and one table probe (a slot the train creates
 // reads as the miss Lookup would have reported).
 func (b *IdealCTTB) specStepTarget(current isa.Addr, lookup, train, _ bool, target isa.Addr, _ *specFrame) isa.Addr {
 	b.undo.reserve()
 	if train {
-		i, created := b.entries.lookup(MakePathKey(&b.hist, current, b.depth), ttbEntry{})
-		e := &b.entries.slots[i]
+		i, created := b.entry(current)
+		e := &b.entries[i]
 		if lookup {
 			target = 0
 			if e.valid {
@@ -279,7 +324,7 @@ func (b *IdealCTTB) specStepTarget(current isa.Addr, lookup, train, _ bool, targ
 	} else if lookup {
 		target, _ = b.Lookup(current) // a CTTB-only step of a task without exits
 	}
-	logPathHist(&b.undo, &b.hist)
-	b.hist.Push(current)
+	b.undo.push(specUndo{kind: undoPathHist, prev: b.path.oldest()})
+	b.path.push(current)
 	return target
 }

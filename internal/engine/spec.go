@@ -76,7 +76,7 @@ const (
 	SchemeGlobal
 	// SchemePer is the real per-task-history PER predictor.
 	SchemePer
-	// SchemeIdealPath is the alias-free map-backed PATH predictor.
+	// SchemeIdealPath is the alias-free (exact-key) PATH predictor.
 	SchemeIdealPath
 	// SchemeIdealGlobal is the alias-free GLOBAL predictor.
 	SchemeIdealGlobal

@@ -44,6 +44,13 @@ type DictEntry struct {
 	Kinds [tfg.MaxExits]isa.ControlKind
 	// Indirect caches Kinds[i].IsIndirect().
 	Indirect [tfg.MaxExits]bool
+	// HasTarget and Targets copy each exit's statically known target
+	// from the header (BRANCH and CALL exits), and Returns each call
+	// exit's return address, so neither the step rule nor a replay
+	// kernel chases them through Task.
+	HasTarget [tfg.MaxExits]bool
+	Targets   [tfg.MaxExits]isa.Addr
+	Returns   [tfg.MaxExits]isa.Addr
 }
 
 // Dict is the address dictionary of a columnar trace: every distinct
@@ -71,6 +78,7 @@ func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
 		for i, x := range t.Exits {
 			ent.Kinds[i] = x.Kind
 			ent.Indirect[i] = x.Kind.IsIndirect()
+			ent.HasTarget[i], ent.Targets[i], ent.Returns[i] = x.HasTarget, x.Target, x.Return
 		}
 	}
 	return ent
@@ -86,8 +94,7 @@ func newDictEntry(g *tfg.Graph, addr isa.Addr) DictEntry {
 // whenever a graph is bound, so a graph-bound Columnar is valid by
 // construction; graph-less encoding and decoding check structure only.
 func checkStep(task *DictEntry, exit int8, target *DictEntry) error {
-	t := task.Task
-	if t == nil {
+	if task.Task == nil {
 		return fmt.Errorf("trace: step @%d is not a task", task.Addr)
 	}
 	if exit == HaltExit {
@@ -99,8 +106,8 @@ func checkStep(task *DictEntry, exit int8, target *DictEntry) error {
 	if k := task.Kinds[exit]; k >= isa.NumControlKinds {
 		return fmt.Errorf("trace: task @%d exit %d has kind %d", task.Addr, exit, k)
 	}
-	if x := t.Exits[exit]; x.HasTarget && x.Target != target.Addr {
-		return fmt.Errorf("trace: task @%d exit %d target @%d != header @%d", task.Addr, exit, target.Addr, x.Target)
+	if task.HasTarget[exit] && task.Targets[exit] != target.Addr {
+		return fmt.Errorf("trace: task @%d exit %d target @%d != header @%d", task.Addr, exit, target.Addr, task.Targets[exit])
 	}
 	if target.Task == nil {
 		return fmt.Errorf("trace: target @%d is not a task", target.Addr)

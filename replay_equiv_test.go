@@ -63,6 +63,11 @@ var equivTaskSpecs = []string{
 	"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3",
 	"composed:ipath:d7:leh2:ras32:icttb:d7",
 	"composed:path:d7-o5-l6-c6-f3:leh2:noras",
+	"composed:path:d7-o5-l6-c6-f3:leh2:ssh:lat4:ras4:icttb:d7",
+	"composed:path:d7-o5-l6-c6-f3:leh2:dlat4:ras32:cttb:d7-o4-l4-c5-f3", // no fused exit step: generic loop
+	"composed:global:d7-c14-i14:leh2:ras16:cttb:d5-o3-l6-c4-f2",
+	"composed:iglobal:d4:vc2mru:ras8:icttb:d3",
+	"composed:iper:d5:vc2rand:ras8:cttb:d3-o4-l4-c4-f1",
 	"cttb:d7-o4-l4-c5-f3",
 }
 

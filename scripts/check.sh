@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 verification: formatting, build, vet, race-enabled tests (with a
 # per-package watchdog so a hung test cannot wedge CI; the bench/ harness
-# module included), a fuzz smoke over the hardened parsers and the
-# speculative-update kernels, and the static analyzer over every
-# built-in workload (zero error diagnostics required). Run from the
-# repository root.
+# module included), a fuzz smoke over the hardened parsers, the
+# speculative-update kernels and the ideal tables, and the static
+# analyzer over every built-in workload (zero error diagnostics
+# required). Run from the repository root.
 set -eu
 
 echo "==> gofmt -l (every Go source file formatted)"
@@ -36,6 +36,7 @@ echo "==> bench harness: go vet + go test -race (its own module, built against t
 echo "==> fuzz smoke (5s per target)"
 go test ./internal/core -run '^$' -fuzz FuzzRAS -fuzztime 5s >/dev/null
 go test ./internal/core -run '^$' -fuzz FuzzSpecSessionMatchesReference -fuzztime 5s >/dev/null
+go test ./internal/core -run '^$' -fuzz FuzzIdealMatchesReference -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
 go test ./internal/mserve -run '^$' -fuzz FuzzEvalDecode -fuzztime 5s >/dev/null
 
