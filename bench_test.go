@@ -392,19 +392,9 @@ func BenchmarkColumnarDecode(b *testing.B) {
 // ---- substrate -----------------------------------------------------------
 
 // BenchmarkFunctionalInterp measures raw interpreter throughput on a
-// trace-only run (instructions per op, ns per instruction).
-func BenchmarkFunctionalInterp(b *testing.B) { benchFunctionalInterp(b, nil) }
-
-// BenchmarkFunctionalInterpObserver is the same run with a no-op
-// Observer: the per-instruction hook the timing model and the intratask
-// experiment drive the interpreter through.
-func BenchmarkFunctionalInterpObserver(b *testing.B) {
-	benchFunctionalInterp(b, func(functional.InstrEvent) {})
-}
-
-// benchFunctionalInterp runs 50,000 compressb tasks on a fresh machine
-// per op.
-func benchFunctionalInterp(b *testing.B, observer func(functional.InstrEvent)) {
+// trace-only run (instructions per op, ns per instruction): 50,000
+// compressb tasks on a fresh machine per op.
+func BenchmarkFunctionalInterp(b *testing.B) {
 	w, err := workload.ByName("compressb")
 	if err != nil {
 		b.Fatal(err)
@@ -416,7 +406,7 @@ func benchFunctionalInterp(b *testing.B, observer func(functional.InstrEvent)) {
 	b.ResetTimer()
 	instrs := uint64(0)
 	for i := 0; i < b.N; i++ {
-		m := functional.NewMachine(g, functional.Config{Observer: observer})
+		m := functional.NewMachine(g, functional.Config{})
 		if _, err := m.Run(functional.Config{MaxSteps: 50000}); err != nil {
 			b.Fatal(err)
 		}
@@ -438,13 +428,11 @@ func BenchmarkTimingSimSpec(b *testing.B) {
 }
 
 // benchTimingSim runs 30,000 boolmin tasks through the ring timing model
-// with spec's predictor.
+// with spec's predictor, fed as engine.Do feeds it: from the trace
+// memo's steps and branch column, acquired before the timer starts.
 func benchTimingSim(b *testing.B, spec string) {
-	w, err := workload.ByName("boolmin")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := w.Graph()
+	const tasks = 30000
+	c, bits, err := workload.CachedBranches("boolmin", tasks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,13 +444,14 @@ func benchTimingSim(b *testing.B, spec string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := timing.Config{MaxSteps: 30000, SpecUpdate: sp.SpecUpdate(), SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()}
+	cfg := timing.Config{MaxSteps: tasks, SpecUpdate: sp.SpecUpdate(), SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Run(g, p, cfg); err != nil {
+		if _, err := timing.RunTrace(c, bits, p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
 }
 
 // BenchmarkMSLCompile measures end-to-end compilation of the largest

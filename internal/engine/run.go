@@ -165,14 +165,14 @@ func run(r Run, res *Result) (err error) {
 	}
 
 	if mode == ModeTiming {
-		w, err := workload.ByName(r.Workload)
+		// The ring model walks static code from the trace memo's steps
+		// and branch column, so a timing run grows the memo to its
+		// budget instead of re-running the program.
+		c, bits, err := workload.CachedBranches(r.Workload, r.TimingSteps)
 		if err != nil {
 			return err
 		}
-		g, err := w.Graph()
-		if err != nil {
-			return err
-		}
+		r.Status.SetTotal(int64(c.Len()))
 		pred, err := sp.BuildTask()
 		if err != nil {
 			return err
@@ -184,7 +184,7 @@ func run(r Run, res *Result) (err error) {
 			}
 			pred, res.Faulted = inj, true
 		}
-		tres, err := timing.Run(g, pred, timing.Config{
+		tres, err := timing.RunTrace(c, bits, pred, timing.Config{
 			MaxSteps:      r.TimingSteps,
 			SpecUpdate:    sp.SpecUpdate(),
 			SpecLag:       sp.SpecLag(),
@@ -197,8 +197,8 @@ func run(r Run, res *Result) (err error) {
 		if inj != nil {
 			res.Injection = inj.Stats()
 		}
-		// Timing runs have no step total up front; credit the tasks
-		// retired so the status at least shows forward motion.
+		// The model reports no progress while it runs; credit the tasks
+		// retired at the end.
 		r.Status.AddSteps(int64(tres.Tasks))
 		return nil
 	}

@@ -90,13 +90,13 @@ const (
 func IntraTaskData(cfg Config) ([]IntraTaskResult, error) {
 	var out []IntraTaskResult
 	for _, wl := range workload.All() {
-		g, err := wl.Graph()
-		if err != nil {
-			return nil, err
-		}
 		steps := cfg.MaxSteps
 		if steps == 0 {
 			steps = 600000
+		}
+		c, bits, err := workload.CachedBranches(wl.Name, steps)
+		if err != nil {
+			return nil, err
 		}
 
 		type bimodal []uint8
@@ -126,25 +126,33 @@ func IntraTaskData(cfg Config) ([]IntraTaskResult, error) {
 			units[u] = newTable()
 		}
 		var branches, sharedMiss, unitMiss uint64
-		taskIdx := 0
-		code := g.Prog.Code
+		code := c.Graph.Prog.Code
 
-		m := functional.NewMachine(g, functional.Config{Observer: func(ev functional.InstrEvent) {
-			if code[ev.PC].Op == isa.Br && !ev.EndsTask {
-				branches++
-				if !predictAndTrain(shared, ev.PC, ev.Taken) {
-					sharedMiss++
+		// Walk each task's path as the timing model does; its last
+		// instruction leaves the task, so only the ones before it are
+		// intra-task branches.
+		walk := functional.NewWalker(c.Graph, bits)
+		cur, taskIdx := c.Blocks(), 0
+		for blk, _ := cur.NextBlock(); blk != nil; blk, _ = cur.NextBlock() {
+			for i := 0; i < blk.N; i++ {
+				path, err := walk.Task(blk.Dict.Entries[blk.TaskIdx[i]].Addr, blk.Exits[i])
+				if err != nil {
+					return nil, err
 				}
-				if !predictAndTrain(units[taskIdx%intraUnits], ev.PC, ev.Taken) {
-					unitMiss++
+				for _, pi := range path[:len(path)-1] {
+					if code[pi.PC].Op != isa.Br {
+						continue
+					}
+					branches++
+					if !predictAndTrain(shared, pi.PC, pi.Taken) {
+						sharedMiss++
+					}
+					if !predictAndTrain(units[taskIdx%intraUnits], pi.PC, pi.Taken) {
+						unitMiss++
+					}
 				}
-			}
-			if ev.EndsTask {
 				taskIdx++
 			}
-		}})
-		if _, err := m.Run(functional.Config{MaxSteps: steps}); err != nil {
-			return nil, err
 		}
 		res := IntraTaskResult{Workload: wl.Name, Branches: branches}
 		if branches > 0 {

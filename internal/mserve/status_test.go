@@ -165,7 +165,7 @@ func TestProgressStreamClientDisconnect(t *testing.T) {
 	got := make(chan struct{})
 	go readSSE(t, resp, func(ev sseEvent) bool {
 		close(got)
-		return true
+		return false // one event is enough; a second would close got again
 	})
 	<-got
 	cancel() // client walks away mid-run

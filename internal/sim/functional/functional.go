@@ -26,27 +26,11 @@ type Config struct {
 	// InitMem, if non-nil, is called with the zeroed data memory before
 	// execution so workloads can install their inputs.
 	InitMem func(mem []int64)
-	// Observer, if non-nil, is called after every executed instruction —
-	// the hook microarchitectural models (the timing simulator) attach
-	// to. It slows interpretation; leave nil for trace-only runs.
-	Observer func(ev InstrEvent)
-}
-
-// InstrEvent describes one executed instruction to an Observer.
-type InstrEvent struct {
-	// PC is the instruction's address; the instruction itself is
-	// Prog.Code[PC].
-	PC isa.Addr
-	// Taken reports, for conditional branches, whether TargetA was
-	// selected.
-	Taken bool
-	// EndsTask is set on the final instruction of a dynamic task.
-	EndsTask bool
-	// Exit is the exit index taken when EndsTask (trace.HaltExit's value,
-	// -1, for a halt).
-	Exit int
-	// Target is the next task's start address when EndsTask.
-	Target isa.Addr
+	// Branches, if non-nil, receives one bit per executed conditional
+	// branch (see Branches): the run's path record for models that walk
+	// static code instead of re-running the interpreter. Leave nil for
+	// trace-only runs.
+	Branches *Branches
 }
 
 // defaultMaxInstrs backstops runaway programs.
@@ -77,7 +61,7 @@ type Machine struct {
 	mem   []int64
 	pc    isa.Addr
 	stats Stats
-	obs   func(ev InstrEvent)
+	br    *Branches
 }
 
 // NewMachine prepares an interpreter for the program underlying g.
@@ -93,7 +77,7 @@ func NewMachine(g *tfg.Graph, cfg Config) *Machine {
 	if cfg.InitMem != nil {
 		cfg.InitMem(m.mem)
 	}
-	m.obs = cfg.Observer
+	m.br = cfg.Branches
 	return m
 }
 
@@ -185,7 +169,7 @@ func (m *Machine) AppendSteps(dst []trace.Step, cfg Config) ([]trace.Step, error
 // leaves the task, returning the successor address and exit index (or
 // halted=true).
 func (m *Machine) runTask(t *tfg.ExecTask, maxInstrs uint64) (next isa.Addr, exit int, halted bool, err error) {
-	code, mem, regs, obs := m.prog.Code, m.mem, &m.regs, m.obs
+	code, mem, regs, br := m.prog.Code, m.mem, &m.regs, m.br
 	// The pc and the instruction count live in locals for the whole task;
 	// every return stores them back.
 	pc, instrs := t.Start, m.stats.Instrs
@@ -309,10 +293,14 @@ func (m *Machine) runTask(t *tfg.ExecTask, maxInstrs uint64) (next isa.Addr, exi
 			mem[addr] = regs[in.Rt]
 			transfer = false
 		case isa.Br:
-			if regs[in.Rs] != 0 {
+			taken := regs[in.Rs] != 0
+			if taken {
 				target = in.TargetA
 			} else {
 				target, slot = in.TargetB, tfg.SlotSecondary
+			}
+			if br != nil {
+				br.push(taken)
 			}
 		case isa.J:
 			target = in.TargetA
@@ -328,18 +316,12 @@ func (m *Machine) runTask(t *tfg.ExecTask, maxInstrs uint64) (next isa.Addr, exi
 			target = isa.Addr(regs[isa.RA])
 		case isa.Halt:
 			m.pc, m.stats.Instrs = pc, instrs
-			if obs != nil {
-				obs(InstrEvent{PC: pc, EndsTask: true, Exit: -1})
-			}
 			return 0, 0, true, nil
 		default:
 			return 0, 0, false, m.fault(pc, instrs, "unimplemented opcode")
 		}
 
 		if !transfer {
-			if obs != nil {
-				obs(InstrEvent{PC: pc})
-			}
 			pc++
 			continue
 		}
@@ -348,14 +330,7 @@ func (m *Machine) runTask(t *tfg.ExecTask, maxInstrs uint64) (next isa.Addr, exi
 		}
 		if idx, isExit := t.Exit(pc, slot); isExit {
 			m.pc, m.stats.Instrs = pc, instrs
-			if obs != nil {
-				obs(InstrEvent{PC: pc, Taken: slot == tfg.SlotPrimary,
-					EndsTask: true, Exit: idx, Target: target})
-			}
 			return target, idx, false, nil
-		}
-		if obs != nil {
-			obs(InstrEvent{PC: pc, Taken: slot == tfg.SlotPrimary})
 		}
 		pc = target
 	}

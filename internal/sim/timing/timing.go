@@ -14,6 +14,13 @@
 // all younger (speculative) work is squashed: the sequencer restarts
 // dispatch after the mispredicted task commits, plus a restart penalty.
 //
+// The model never re-executes the program. It reads each task's exit
+// and successor from a recorded trace and walks the task's instructions
+// through static code with the run's branch column (functional.Walker):
+// a task's path is fixed by its start and its conditional-branch
+// outcomes, so the walk sees exactly the instructions the interpreter
+// ran.
+//
 // Simplifications, documented in DESIGN.md: memory disambiguation is
 // perfect (the ARB is a separate paper), wrong-path execution occupies no
 // modelled resources beyond the restart bubble, and functional-unit
@@ -21,12 +28,14 @@
 package timing
 
 import (
+	"errors"
 	"fmt"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // Config parameterizes the ring model. Zero values select the defaults
@@ -125,17 +134,43 @@ func latency(op isa.Op) uint64 {
 
 // Run executes the program under g with the given inter-task predictor
 // and returns timing results. A nil predictor models perfect inter-task
-// prediction (the paper's "Perfect" row).
+// prediction (the paper's "Perfect" row). It interprets the program
+// once, recording its task trace and branch column, and runs RunTrace
+// over them.
 func Run(g *tfg.Graph, pred core.TaskPredictor, cfg Config) (Result, error) {
+	var br functional.Branches
+	tr, _, err := functional.Run(g, functional.Config{MaxSteps: cfg.MaxSteps, Branches: &br})
+	if err != nil {
+		return Result{}, fmt.Errorf("timing: %w", err)
+	}
+	c, err := trace.FromTrace(tr)
+	if err != nil {
+		return Result{}, fmt.Errorf("timing: %w", err)
+	}
+	return RunTrace(c, br.Bits(), pred, cfg)
+}
+
+// RunTrace runs the model over a recorded run: the first cfg.MaxSteps
+// steps of c (all of them when 0), which must be bound to its graph,
+// and the run's branch column, which must cover those steps (it may run
+// past them). Each task's instructions come from walking static code
+// (functional.Walker) and its exit and successor from the trace, so the
+// result is the one the interpreter-driven run computes; a path the
+// walk cannot recover is an error.
+func RunTrace(c *trace.Columnar, bits functional.BranchBits, pred core.TaskPredictor, cfg Config) (Result, error) {
+	if c.Graph == nil {
+		return Result{}, errors.New("timing: trace is not bound to a graph")
+	}
+	if cfg.MaxSteps > 0 {
+		c = c.Prefix(cfg.MaxSteps)
+	}
 	cfg = cfg.withDefaults()
 	if pred != nil {
 		pred.Reset()
 	}
-
 	s := &simState{
 		cfg:      cfg,
-		graph:    g,
-		code:     g.Prog.Code,
+		rows:     decodeRows(c.Graph.Prog.Code),
 		pred:     pred,
 		unitFree: make([]uint64, cfg.Units),
 		bimodal:  make([][]uint8, cfg.Units),
@@ -155,33 +190,75 @@ func Run(g *tfg.Graph, pred core.TaskPredictor, cfg Config) (Result, error) {
 		}
 	}
 
-	m := functional.NewMachine(g, functional.Config{Observer: s.observe})
-	_, err := m.Run(functional.Config{MaxSteps: cfg.MaxSteps})
-	if err != nil {
-		return Result{}, fmt.Errorf("timing: %w", err)
+	w := functional.NewWalker(c.Graph, bits)
+	cur := c.Blocks()
+	for {
+		blk, err := cur.NextBlock()
+		if err != nil {
+			return Result{}, fmt.Errorf("timing: %w", err)
+		}
+		if blk == nil {
+			break
+		}
+		ents := blk.Dict.Entries
+		for i := 0; i < blk.N; i++ {
+			task, exit := &ents[blk.TaskIdx[i]], blk.Exits[i]
+			path, err := w.Task(task.Addr, exit)
+			if err != nil {
+				return Result{}, fmt.Errorf("timing: %w", err)
+			}
+			s.execute(path)
+			s.endTask(task.Task, exit, ents[blk.TargetIdx[i]].Addr)
+		}
 	}
 	if s.sess != nil {
 		s.sess.Finish()
 		s.res.Rollbacks = s.sess.Rollbacks()
 	}
-	s.res.Instrs = m.Stats().Instrs
 	s.res.Cycles = s.prevCommit
 	return s.res, nil
 }
 
-// simState is the ring model's accumulator, driven by instruction events.
+// row is one static instruction as the model sees it, decoded once per
+// address.
+type row struct {
+	src  [2]isa.Reg // the registers it reads, isa.Zero excluded
+	nsrc uint8
+	dst  isa.Reg // isa.Zero when it writes none
+	lat  uint8
+	br   bool // a conditional branch
+}
+
+// decodeRows decodes every instruction of code.
+func decodeRows(code []isa.Instr) []row {
+	rows := make([]row, len(code))
+	var uses []isa.Reg
+	for pc := range code {
+		in, r := &code[pc], &rows[pc]
+		uses = in.Uses(uses[:0])
+		for _, u := range uses {
+			if u != isa.Zero {
+				r.src[r.nsrc] = u
+				r.nsrc++
+			}
+		}
+		r.dst, r.lat, r.br = in.Def(), uint8(latency(in.Op)), in.Op == isa.Br
+	}
+	return rows
+}
+
+// simState is the ring model's accumulator, driven one task path at a
+// time.
 type simState struct {
-	cfg   Config
-	graph *tfg.Graph
-	code  []isa.Instr
-	pred  core.TaskPredictor
-	sess  *core.SpecTaskSession // non-nil in speculative-update mode
+	cfg  Config
+	rows []row
+	pred core.TaskPredictor
+	sess *core.SpecTaskSession // non-nil in speculative-update mode
 
 	res Result
 
 	// Scoreboard.
-	regReady  [isa.NumRegs]uint64
-	regWriter [isa.NumRegs]int
+	regs [isa.NumRegs]regState
 
 	unitFree []uint64
 	bimodal  [][]uint8
@@ -190,102 +267,93 @@ type simState struct {
 	prevCommit uint64
 
 	// Current task state.
-	taskIdx   int
-	curUnit   int
-	started   bool
-	slotCycle uint64
-	slotUsed  int
-	complete  uint64
-	curTask   isa.Addr
-
-	useBuf []isa.Reg
+	taskIdx  int
+	curUnit  int
+	complete uint64 // the cycle its last result is ready
 }
 
-// beginTask sets up per-task pipeline state.
-func (s *simState) beginTask(start isa.Addr) {
+// regState is one register's scoreboard entry: the cycle its value is
+// ready and the task that wrote it.
+type regState struct {
+	ready  uint64
+	writer int
+}
+
+// execute dispatches the current task to its unit and issues its path,
+// the last instruction of which ends the task.
+func (s *simState) execute(path []functional.PathInstr) {
 	s.curUnit = s.taskIdx % s.cfg.Units
 	t := s.dispatch
 	if f := s.unitFree[s.curUnit]; f > t {
 		t = f
 	}
 	s.dispatch = t + 1 // the sequencer predicts/dispatches one task per cycle
-	s.slotCycle = t
-	s.slotUsed = 0
-	s.complete = t
-	s.curTask = start
-	s.started = true
+	s.res.Instrs += uint64(len(path))
+
+	// The issue state lives in locals for the whole path.
+	slotCycle, slotUsed, complete := t, 0, t
+	fwd, width := uint64(s.cfg.ForwardLatency), s.cfg.IssueWidth
+	task, rows, regs := s.taskIdx, s.rows, &s.regs
+	bimodal := s.bimodal[s.curUnit]
+	mask := uint32(len(bimodal) - 1)
+	last := len(path) - 1
+	for k, pi := range path {
+		r := &rows[pi.PC]
+
+		// Operand readiness through the scoreboard.
+		ready := slotCycle
+		for _, src := range r.src[:r.nsrc] {
+			reg := &regs[src]
+			t := reg.ready
+			if reg.writer != task {
+				t += fwd
+			}
+			ready = max(ready, t)
+		}
+
+		// In-order issue, IssueWidth per cycle.
+		if slotUsed >= width {
+			slotCycle++
+			slotUsed = 0
+		}
+		if ready > slotCycle {
+			slotCycle = ready
+			slotUsed = 0
+		}
+		issue := slotCycle
+		slotUsed++
+
+		done := issue + uint64(r.lat)
+		if r.dst != isa.Zero {
+			regs[r.dst] = regState{ready: done, writer: task}
+		}
+		complete = max(complete, done)
+
+		// Intra-task branch prediction (per-unit bimodal); a branch
+		// that leaves the task is the inter-task predictor's.
+		if r.br && k != last {
+			ctr := &bimodal[uint32(pi.PC)&mask]
+			if (*ctr >= 2) != pi.Taken {
+				s.res.IntraMispredicts++
+				slotCycle = issue + uint64(s.cfg.BranchPenalty)
+				slotUsed = 0
+			}
+			if pi.Taken {
+				if *ctr < 3 {
+					*ctr++
+				}
+			} else if *ctr > 0 {
+				*ctr--
+			}
+		}
+	}
+	s.complete = complete
 }
 
-// observe consumes one executed instruction.
-func (s *simState) observe(ev functional.InstrEvent) {
-	if !s.started {
-		s.beginTask(ev.PC)
-	}
-	in := &s.code[ev.PC]
-
-	// Operand readiness through the scoreboard.
-	ready := s.slotCycle
-	s.useBuf = in.Uses(s.useBuf[:0])
-	for _, r := range s.useBuf {
-		if r == isa.Zero {
-			continue
-		}
-		t := s.regReady[r]
-		if s.regWriter[r] != s.taskIdx {
-			t += uint64(s.cfg.ForwardLatency)
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-
-	// In-order issue, IssueWidth per cycle.
-	if s.slotUsed >= s.cfg.IssueWidth {
-		s.slotCycle++
-		s.slotUsed = 0
-	}
-	issue := s.slotCycle
-	if ready > issue {
-		issue = ready
-		s.slotCycle = ready
-		s.slotUsed = 0
-	}
-	s.slotUsed++
-
-	done := issue + latency(in.Op)
-	if d := in.Def(); d != isa.Zero {
-		s.regReady[d] = done
-		s.regWriter[d] = s.taskIdx
-	}
-	if done > s.complete {
-		s.complete = done
-	}
-
-	// Intra-task branch prediction (per-unit bimodal).
-	if in.Op == isa.Br && !ev.EndsTask {
-		idx := uint32(ev.PC) & (1<<uint(s.cfg.BimodalBits) - 1)
-		ctr := &s.bimodal[s.curUnit][idx]
-		predTaken := *ctr >= 2
-		if predTaken != ev.Taken {
-			s.res.IntraMispredicts++
-			s.slotCycle = issue + uint64(s.cfg.BranchPenalty)
-			s.slotUsed = 0
-		}
-		if ev.Taken {
-			if *ctr < 3 {
-				*ctr++
-			}
-		} else if *ctr > 0 {
-			*ctr--
-		}
-	}
-
-	if !ev.EndsTask {
-		return
-	}
-
-	// Task boundary: commit in FIFO order, then score the inter-task
-	// prediction that dispatched our successor.
+// endTask retires the current task, which left through exit to target
+// (trace.HaltExit: it halted): commit in FIFO order, then score the
+// inter-task prediction that dispatched its successor.
+func (s *simState) endTask(task *tfg.Task, exit int8, target isa.Addr) {
 	commit := s.complete
 	if commit <= s.prevCommit {
 		commit = s.prevCommit + 1
@@ -294,8 +362,8 @@ func (s *simState) observe(ev functional.InstrEvent) {
 	s.prevCommit = commit
 	s.res.Tasks++
 
-	if ev.Exit >= 0 {
-		task := s.graph.TaskAt(s.curTask)
+	if exit != trace.HaltExit {
+		out := core.Outcome{Exit: int(exit), Target: target}
 		correct := true
 		rolledBack := false
 		if s.sess != nil {
@@ -304,13 +372,13 @@ func (s *simState) observe(ev functional.InstrEvent) {
 			// rollback here is a predictor-state repair, charged below on
 			// top of whatever restart bubble the mispredict itself costs.
 			before := s.sess.Rollbacks()
-			p := s.sess.Step(task, core.Outcome{Exit: ev.Exit, Target: ev.Target})
-			correct = p.Target == ev.Target
+			p := s.sess.Step(task, out)
+			correct = p.Target == target
 			rolledBack = s.sess.Rollbacks() > before
 		} else if s.pred != nil {
 			p := s.pred.Predict(task)
-			correct = p.Target == ev.Target
-			s.pred.Update(task, core.Outcome{Exit: ev.Exit, Target: ev.Target})
+			correct = p.Target == target
+			s.pred.Update(task, out)
 		}
 		if !correct {
 			s.res.TaskMispredicts++
@@ -327,5 +395,4 @@ func (s *simState) observe(ev functional.InstrEvent) {
 		}
 	}
 	s.taskIdx++
-	s.started = false
 }

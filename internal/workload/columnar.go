@@ -34,13 +34,19 @@ type Generator struct {
 // NewGenerator starts a run of g's program capped at maxSteps dynamic
 // tasks (0 = to halt). Each generator counts as one simulation.
 func NewGenerator(g *tfg.Graph, maxSteps int) *Generator {
+	return newGenerator(g, maxSteps, nil)
+}
+
+// newGenerator is NewGenerator recording the run's branch column into br
+// (nil: none).
+func newGenerator(g *tfg.Graph, maxSteps int, br *functional.Branches) *Generator {
 	simulations.Add(1)
 	chunk := trace.BlockSteps
 	if maxSteps > 0 {
 		chunk = min(chunk, maxSteps)
 	}
 	return &Generator{
-		m:        functional.NewMachine(g, functional.Config{}),
+		m:        functional.NewMachine(g, functional.Config{Branches: br}),
 		maxSteps: maxSteps,
 		seg:      make([]trace.Step, 0, chunk),
 	}
@@ -71,29 +77,35 @@ func (gen *Generator) Next() ([]trace.Step, error) {
 func (gen *Generator) Machine() *functional.Machine { return gen.m }
 
 // traceMemo is a program's one trace memo: the columns of a single
-// uncapped run, grown on demand. The functional simulator is
-// deterministic, so a run capped at n steps is exactly the first n steps
-// of any longer run, and every truncation is served as a prefix view of
-// the one memo. Memory is bounded by one trace per program, at the
-// longest length anyone asked for (plus at most one segment).
+// uncapped run, grown on demand, and the run's branch column (one bit
+// per executed conditional branch, about one per task), which lets the
+// timing model walk each task's path without re-running the program.
+// The functional simulator is deterministic, so a run capped at n steps
+// is exactly the first n steps of any longer run, and every truncation
+// is served as a prefix view of the one memo. Memory is bounded by one
+// trace per program, at the longest length anyone asked for (plus at
+// most one segment).
 //
 // A request covered by the published state takes no lock. Otherwise it
 // takes mu, checks again, resumes the retained generator one
 // trace.BlockSteps segment at a time until the columns cover it or the
 // program halts, and publishes a new state. Views handed out earlier
 // stay immutable: growth writes only past their capped lengths or into
-// new backing arrays (see trace.Encoder.Snapshot).
+// new backing arrays (see trace.Encoder.Snapshot and
+// functional.Branches.Bits).
 type traceMemo struct {
 	state atomic.Pointer[memoState]
 	mu    sync.Mutex
 	gen   *Generator // nil before the first growth and after the last
 	enc   *trace.Encoder
+	br    *functional.Branches
 }
 
 // memoState is one published state of a traceMemo. Growth has stopped
 // for good once c halted or err is set.
 type memoState struct {
-	c *trace.Columnar // the steps so far, owned by the memo
+	c  *trace.Columnar       // the steps so far, owned by the memo
+	br functional.BranchBits // the branch column of (at least) those steps
 	// err is sticky. A generator or encoding error fails only requests
 	// for steps past c.Len(): c holds the steps encoded before it (for a
 	// generator error, the steps before its segment). A failed self-check
@@ -120,9 +132,10 @@ func (s *memoState) view(n int) (*trace.Columnar, error) {
 }
 
 // memoized serves a request for the workload's first n dynamic tasks
-// (n <= 0: the whole run, with its execution stats) from its trace memo,
-// growing the memo when it is too short.
-func (w *Workload) memoized(n int) (*trace.Columnar, functional.Stats, error) {
+// (n <= 0: the whole run) from its trace memo, growing the memo when it
+// is too short. The returned state holds the branch column and, for a
+// whole run, its execution stats.
+func (w *Workload) memoized(n int) (*trace.Columnar, *memoState, error) {
 	s := w.memo.state.Load()
 	if s.covers(n) {
 		if obs.On() {
@@ -131,11 +144,11 @@ func (w *Workload) memoized(n int) (*trace.Columnar, functional.Stats, error) {
 	} else {
 		var err error
 		if s, err = w.grow(n); err != nil {
-			return nil, functional.Stats{}, err
+			return nil, nil, err
 		}
 	}
 	c, err := s.view(n)
-	return c, s.stats, err
+	return c, s, err
 }
 
 // grow extends the memo until it covers n steps, then publishes and
@@ -158,7 +171,8 @@ func (w *Workload) grow(n int) (*memoState, error) {
 		return nil, err
 	}
 	if m.gen == nil {
-		m.gen, m.enc = NewGenerator(g, 0), trace.NewEncoder(g)
+		m.br = &functional.Branches{}
+		m.gen, m.enc = newGenerator(g, 0, m.br), trace.NewEncoder(g)
 	}
 	start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
 	mach := m.gen.Machine()
@@ -173,7 +187,7 @@ func (w *Workload) grow(n int) (*memoState, error) {
 			break
 		}
 	}
-	s.c = m.enc.Snapshot()
+	s.c, s.br = m.enc.Snapshot(), m.br.Bits()
 	if s.err == nil && s.c.Halted() {
 		s.stats = mach.Stats()
 		if w.Check != nil {
@@ -183,14 +197,14 @@ func (w *Workload) grow(n int) (*memoState, error) {
 		}
 	}
 	if s.err != nil || s.c.Halted() {
-		m.gen, m.enc = nil, nil
+		m.gen, m.enc, m.br = nil, nil, nil
 	}
 	if obs.On() {
 		obsCacheMisses.Inc()
 		obsDecodeSecs.Observe(time.Since(start).Seconds())
-		delta := s.c.Footprint()
+		delta := s.c.Footprint() + s.br.Footprint()
 		if old != nil {
-			delta -= old.c.Footprint()
+			delta -= old.c.Footprint() + old.br.Footprint()
 		}
 		obsCacheBytes.Add(int64(delta))
 	}
@@ -203,7 +217,11 @@ func (w *Workload) grow(n int) (*memoState, error) {
 // memo to the halt on first use. A failed output self-check is reported
 // here (and by every request that reaches the halt).
 func (w *Workload) Columnar() (*trace.Columnar, functional.Stats, error) {
-	return w.memoized(0)
+	c, s, err := w.memoized(0)
+	if s == nil {
+		return c, functional.Stats{}, err
+	}
+	return c, s.stats, err
 }
 
 // CachedColumnar returns the named workload's dynamic task trace in
@@ -223,6 +241,22 @@ func CachedColumnar(name string, maxSteps int) (*trace.Columnar, error) {
 	}
 	c, _, err := w.memoized(maxSteps)
 	return c, err
+}
+
+// CachedBranches is CachedColumnar plus the trace memo's branch column,
+// which covers the returned steps and may run past them: the input of
+// timing.RunTrace. A timing run through it holds the memo to its task
+// budget.
+func CachedBranches(name string, maxSteps int) (*trace.Columnar, functional.BranchBits, error) {
+	w, err := ByName(name)
+	if err != nil {
+		return nil, functional.BranchBits{}, err
+	}
+	c, s, err := w.memoized(maxSteps)
+	if s == nil {
+		return nil, functional.BranchBits{}, err
+	}
+	return c, s.br, err
 }
 
 // blockStream generates a workload's trace block by block, on the fly:

@@ -10,6 +10,7 @@ import (
 	"multiscalar/internal/fault"
 	"multiscalar/internal/obs"
 	"multiscalar/internal/sim/functional"
+	"multiscalar/internal/sim/timing"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
@@ -239,5 +240,71 @@ func TestMemoMemoryBounded(t *testing.T) {
 	}
 	if n := Simulations() - sims0; n > 1 {
 		t.Fatalf("%d truncations ran %d simulations, want at most 1", len(lengths), n)
+	}
+}
+
+// TestMemoTimingConcurrentGrowth runs the timing model over memo
+// prefixes and over whole published states while another goroutine
+// grows the same memo past them. The branch column keeps the memo's
+// immutable-snapshot rule: growth never rewrites a word a published
+// view holds (under -race, a rewrite of the partial last word that a
+// whole state's run reads is a reported race), so every run, during
+// growth or after it, equals a run of its own fresh interpretation.
+func TestMemoTimingConcurrentGrowth(t *testing.T) {
+	const rounds, stride = 4, 2500
+	w := freshWorkload(t, "boolmin")
+	g, err := w.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		c    *trace.Columnar
+		bits functional.BranchBits
+		res  timing.Result
+	}
+	var runs []run
+	grow, grown := make(chan int), make(chan struct{})
+	go func() {
+		defer close(grown)
+		for n := range grow {
+			if _, _, err := w.memoized(n); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for r := 1; r <= rounds; r++ {
+		c, s, err := w.memoized(r * stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow <- s.c.Len() + trace.BlockSteps // grows while the runs below read s
+		for _, view := range []*trace.Columnar{c, s.c} {
+			res, err := timing.RunTrace(view, s.br, nil, timing.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, run{view, s.br, res})
+		}
+	}
+	close(grow)
+	<-grown
+	want := map[int]timing.Result{}
+	for _, r := range runs {
+		n := r.c.Len()
+		if _, ok := want[n]; !ok {
+			if want[n], err = timing.Run(g, nil, timing.Config{MaxSteps: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.res != want[n] {
+			t.Fatalf("%d-task run during growth: %+v, want %+v", n, r.res, want[n])
+		}
+		again, err := timing.RunTrace(r.c, r.bits, nil, timing.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != want[n] {
+			t.Fatalf("%d-task view changed after growth: %+v, want %+v", n, again, want[n])
+		}
 	}
 }

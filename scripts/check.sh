@@ -27,8 +27,8 @@ go run ./scripts/detlint
 echo "==> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
 
-echo "==> trace memo growth race (20 runs: interleavings are probabilistic)"
-go test -race -count 20 -timeout 10m -run '^TestMemoConcurrentGrowth$' ./internal/workload >/dev/null
+echo "==> trace memo growth race, replay and timing views (20 runs: interleavings are probabilistic)"
+go test -race -count 20 -timeout 10m -run '^(TestMemoConcurrentGrowth|TestMemoTimingConcurrentGrowth)$' ./internal/workload >/dev/null
 
 echo "==> bench harness: go vet + go test -race (its own module, built against this checkout)"
 (cd bench && go vet ./... && go test -race -timeout 10m ./...)
