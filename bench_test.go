@@ -421,15 +421,17 @@ func BenchmarkFunctionalInterp(b *testing.B) {
 func BenchmarkTimingSim(b *testing.B) { benchTimingSim(b, "perfect") }
 
 // BenchmarkTimingSimSpec adds the standard composed predictor under
-// speculative update with an 8-cycle repair latency: the timing model's
-// per-task session step, rollbacks included.
+// speculative update with an 8-cycle repair latency: the speculative
+// task kernel's pass over the run, rollbacks included, then the ring
+// pass over its outcome column.
 func BenchmarkTimingSimSpec(b *testing.B) {
 	benchTimingSim(b, "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8")
 }
 
 // benchTimingSim runs 30,000 boolmin tasks through the ring timing model
-// with spec's predictor, fed as engine.Do feeds it: from the trace
-// memo's steps and branch column, acquired before the timer starts.
+// with spec's predictor, fed as engine.Do feeds it: the trace memo's
+// steps and branch column, acquired before the timer starts, and the
+// task kernel's outcome column (timing.Outcomes), computed per run.
 func benchTimingSim(b *testing.B, spec string) {
 	const tasks = 30000
 	c, bits, err := workload.CachedBranches("boolmin", tasks)
@@ -447,7 +449,11 @@ func benchTimingSim(b *testing.B, spec string) {
 	cfg := timing.Config{MaxSteps: tasks, SpecUpdate: sp.SpecUpdate(), SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.RunTrace(c, bits, p, cfg); err != nil {
+		col, _, err := timing.Outcomes(c, p, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := timing.RunTrace(c, bits, col, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

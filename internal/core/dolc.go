@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"multiscalar/internal/isa"
 )
@@ -192,26 +190,6 @@ func (p *dolcPath) reset() {
 	p.olderReg = 0
 }
 
-// ParseDOLC parses a configuration written as "D-O-L-C-F" (five
-// dash-separated integers, e.g. "7-5-6-6-3") and validates it. It is the
-// flag syntax shared by msim and mlint.
-func ParseDOLC(s string) (DOLC, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 5 {
-		return DOLC{}, fmt.Errorf("core: bad DOLC %q (want D-O-L-C-F)", s)
-	}
-	var v [5]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return DOLC{}, fmt.Errorf("core: bad DOLC %q: %v", s, err)
-		}
-		v[i] = n
-	}
-	d := DOLC{Depth: v[0], Older: v[1], Last: v[2], Current: v[3], Folds: v[4]}
-	return d, d.Validate()
-}
-
 // MustDOLC builds a DOLC configuration and panics if it is invalid; it is
 // a convenience for the experiment tables, whose configurations are
 // static.
@@ -220,7 +198,7 @@ func ParseDOLC(s string) (DOLC, error) {
 // their statically-known arguments fail Validate — a programming error,
 // never a data-dependent condition. Runtime-provided configurations (CLI
 // flags, fault specs) must go through the error-returning constructors
-// (ParseDOLC, NewPathExit, NewCTTB, ...).
+// (DOLC.Validate, NewPathExit, NewCTTB, ...).
 func MustDOLC(depth, older, last, current, folds int) DOLC {
 	d := DOLC{Depth: depth, Older: older, Last: last, Current: current, Folds: folds}
 	if err := d.Validate(); err != nil {

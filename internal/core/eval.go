@@ -107,7 +107,9 @@ type TaskResult struct {
 	Steps      int
 	ExitMisses int // wrong exit number (meaningful for header predictors)
 	Misses     int // wrong next-task address — the paper's task miss rate
-	ByKind     map[isa.ControlKind]KindMisses
+	// ByKind breaks Steps and Misses down by the actual exit's control
+	// kind (a kind no step took reads zero).
+	ByKind [isa.NumControlKinds]KindMisses
 
 	// Speculative-update accounting; zero in idealized mode. Rollbacks
 	// counts full-outcome mismatches and so can exceed Misses (a right
@@ -143,7 +145,7 @@ func (r TaskResult) ExitMissRate() float64 {
 // scoring the predicted next-task address on every prediction step.
 func EvaluateTaskUnresolved(tr *trace.Trace, p TaskPredictor) TaskResult {
 	p.Reset()
-	res := TaskResult{Name: p.Name(), ByKind: make(map[isa.ControlKind]KindMisses)}
+	res := TaskResult{Name: p.Name()}
 	for _, s := range tr.Steps {
 		if s.Exit == trace.HaltExit {
 			continue
@@ -151,8 +153,7 @@ func EvaluateTaskUnresolved(tr *trace.Trace, p TaskPredictor) TaskResult {
 		t := tr.Graph.TaskAt(s.Task)
 		pred := p.Predict(t)
 		res.Steps++
-		kind := t.Exits[s.Exit].Kind
-		km := res.ByKind[kind]
+		km := &res.ByKind[t.Exits[s.Exit].Kind]
 		km.Steps++
 		if pred.Exit >= 0 && pred.Exit != int(s.Exit) {
 			res.ExitMisses++
@@ -161,7 +162,6 @@ func EvaluateTaskUnresolved(tr *trace.Trace, p TaskPredictor) TaskResult {
 			res.Misses++
 			km.Misses++
 		}
-		res.ByKind[kind] = km
 		p.Update(t, Outcome{Exit: int(s.Exit), Target: s.Target})
 	}
 	recordTaskResult(res)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"multiscalar/internal/isa"
 	"multiscalar/internal/trace"
 )
@@ -20,6 +22,12 @@ import (
 // the *BlockReplayer interfaces replay whole blocks through a single
 // devirtualized call, so interface dispatch is paid once per 4096 steps
 // instead of twice per step.
+//
+// The task kernels are the only driver of a task predictor: idealized
+// and speculative, fast and generic, every task step is scored through
+// one TaskTally, which can also record each step's outcome in a
+// caller's OutcomeColumn for the ring timing model and per-task miss
+// accounting.
 
 // ExitBlockReplayer is implemented by exit predictors that can replay a
 // whole block themselves. ReplayExitBlock must issue the same
@@ -36,9 +44,10 @@ type TargetBlockReplayer interface {
 }
 
 // TaskBlockReplayer is the block fast path for full task predictors.
-// ByKind accounting accumulates into the caller's fixed array.
+// ReplayTaskBlock must issue the same Predict/Update sequence as the
+// generic loop and score every prediction step through t.Score.
 type TaskBlockReplayer interface {
-	ReplayTaskBlock(b *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int)
+	ReplayTaskBlock(b *trace.Block, t *TaskTally)
 }
 
 // EvaluateExitBlocks replays a block source through an exit predictor,
@@ -129,48 +138,119 @@ func EvaluateIndirectBlocks(src trace.BlockSource, b TargetBuffer) (TargetResult
 	return res, nil
 }
 
-// EvaluateTaskBlocks replays a block source through a full task
-// predictor. The per-kind accounting accumulates into a fixed
-// ControlKind-indexed array that becomes the result map once, at the
-// end: no map operations and no allocations per step.
-func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, error) {
-	p.Reset()
-	res := TaskResult{Name: p.Name()}
-	var byKind [isa.NumControlKinds]KindMisses
-	steps, exitMisses, misses := 0, 0, 0
-	fast, isFast := p.(TaskBlockReplayer)
+// An OutcomeColumn records each trace step's task-prediction outcome in
+// plain words, two bits per step: bit 2(i%32) of word i/32 is set when
+// step i's predicted next-task address missed, and the bit above it when
+// a speculative-update replay rolled back during step i. Halt steps
+// predict nothing and stay clear. The task kernels fill it; the ring
+// timing model and per-task miss accounting read it.
+type OutcomeColumn []uint64
+
+// NewOutcomeColumn returns a cleared column for a trace of steps steps.
+func NewOutcomeColumn(steps int) OutcomeColumn { return make(OutcomeColumn, (steps+31)/32) }
+
+// Miss reports whether step i's prediction missed.
+func (c OutcomeColumn) Miss(i int) bool { return c[i>>5]>>(uint(i&31)*2)&1 != 0 }
+
+// Rollback reports whether a rollback happened during step i.
+func (c OutcomeColumn) Rollback(i int) bool { return c[i>>5]>>(uint(i&31)*2+1)&1 != 0 }
+
+// set sets step i's miss (bit 0) or rollback (bit 1) bit.
+func (c OutcomeColumn) set(i int, bit uint) { c[i>>5] |= 1 << (uint(i&31)*2 + bit) }
+
+// TaskTally is the task kernels' one scoring copy: every replayed
+// prediction step, on every task path, is scored through it. It keeps
+// the trace position so it can fill an optional outcome column.
+type TaskTally struct {
+	byKind     [isa.NumControlKinds]KindMisses // sums to Steps and Misses
+	exitMisses int
+	col        OutcomeColumn // nil: no column
+	base       int           // trace index of the block's first step
+}
+
+// Score scores step i of the block being replayed, whose actual exit is
+// of the given kind: exitMiss reports a wrong exit, miss a wrong
+// next-task address.
+func (t *TaskTally) Score(i int, kind isa.ControlKind, exitMiss, miss bool) {
+	km := &t.byKind[kind]
+	km.Steps++
+	if exitMiss {
+		t.exitMisses++
+	}
+	if miss {
+		km.Misses++
+		if t.col != nil {
+			t.col.set(t.base+i, 0)
+		}
+	}
+}
+
+// rolledBack marks a rollback during step i of the current block.
+func (t *TaskTally) rolledBack(i int) {
+	if t.col != nil {
+		t.col.set(t.base+i, 1)
+	}
+}
+
+// replay clears the column and feeds src's blocks to block, keeping the
+// trace position.
+func (t *TaskTally) replay(src trace.BlockSource, block func(*trace.Block)) error {
+	clear(t.col)
 	for {
 		b, err := src.NextBlock()
-		if err != nil {
-			return res, err
+		if err != nil || b == nil {
+			return err
 		}
-		if b == nil {
-			break
+		if t.col != nil && t.base+b.N > 32*len(t.col) {
+			return fmt.Errorf("core: outcome column holds %d steps, the trace has more", 32*len(t.col))
 		}
-		var s, em, m int
+		block(b)
+		t.base += b.N
+	}
+}
+
+// result returns the tallied counts.
+func (t *TaskTally) result(name string) TaskResult {
+	res := TaskResult{Name: name, ExitMisses: t.exitMisses, ByKind: t.byKind}
+	for _, km := range t.byKind {
+		res.Steps += km.Steps
+		res.Misses += km.Misses
+	}
+	return res
+}
+
+// EvaluateTaskBlocks replays a block source through a full task
+// predictor, scoring every prediction step. The predictor is Reset
+// first; the call sequence and result match EvaluateTaskUnresolved.
+func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, error) {
+	return EvaluateTaskBlocksInto(src, p, nil)
+}
+
+// EvaluateTaskBlocksInto is EvaluateTaskBlocks that also records each
+// step's outcome in col, which must cover the source's steps (a nil col
+// records nothing).
+func EvaluateTaskBlocksInto(src trace.BlockSource, p TaskPredictor, col OutcomeColumn) (TaskResult, error) {
+	p.Reset()
+	t := TaskTally{col: col}
+	fast, isFast := p.(TaskBlockReplayer)
+	err := t.replay(src, func(b *trace.Block) {
 		if isFast {
-			s, em, m = fast.ReplayTaskBlock(b, &byKind)
+			fast.ReplayTaskBlock(b, &t)
 		} else {
-			s, em, m = replayTaskSteps(p, b, &byKind)
+			replayTaskSteps(p, b, &t)
 		}
-		steps += s
-		exitMisses += em
-		misses += m
+	})
+	if err != nil {
+		return TaskResult{Name: p.Name()}, err
 	}
-	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
-	res.ByKind = make(map[isa.ControlKind]KindMisses)
-	for k := range byKind {
-		if byKind[k].Steps > 0 {
-			res.ByKind[isa.ControlKind(k)] = byKind[k]
-		}
-	}
+	res := t.result(p.Name())
 	recordTaskResult(res)
 	return res, nil
 }
 
 // replayTaskSteps replays one block through p's Predict and Update, the
 // path of task predictors without a block kernel.
-func replayTaskSteps(p TaskPredictor, b *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+func replayTaskSteps(p TaskPredictor, b *trace.Block, t *TaskTally) {
 	entries := b.Dict.Entries
 	taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
 	for i := 0; i < b.N; i++ {
@@ -181,19 +261,9 @@ func replayTaskSteps(p TaskPredictor, b *trace.Block, byKind *[isa.NumControlKin
 		ent := &entries[taskIdx[i]]
 		target := entries[targetIdx[i]].Addr
 		pred := p.Predict(ent.Task)
-		steps++
-		km := &byKind[ent.Kinds[e]]
-		km.Steps++
-		if pred.Exit >= 0 && pred.Exit != int(e) {
-			exitMisses++
-		}
-		if pred.Target != target {
-			misses++
-			km.Misses++
-		}
+		t.Score(i, ent.Kinds[e], pred.Exit >= 0 && pred.Exit != int(e), pred.Target != target)
 		p.Update(ent.Task, Outcome{Exit: int(e), Target: target})
 	}
-	return steps, exitMisses, misses
 }
 
 // The kernels below implement the *BlockReplayer interfaces for the
@@ -398,9 +468,10 @@ func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 // component that has no fused step — a DelayedUpdate wrapper, say, or a
 // predictor from outside this package — replays through the generic
 // Predict/Update loop instead.
-func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, t *TaskTally) {
 	if p.exitK == nil || (p.buf != nil && p.bufK == nil) {
-		return replayTaskSteps(p, blk, byKind)
+		replayTaskSteps(p, blk, t)
+		return
 	}
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
@@ -411,13 +482,7 @@ func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumCont
 		}
 		ent := &entries[taskIdx[i]]
 		target := entries[targetIdx[i]].Addr
-		steps++
-		km := &byKind[ent.Kinds[e]]
-		km.Steps++
 		pe := p.exitK.replayExitStep(ent, int(e))
-		if pe != int(e) {
-			exitMisses++
-		}
 		var pred isa.Addr
 		lookup := false
 		switch {
@@ -441,10 +506,6 @@ func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumCont
 				pred = got
 			}
 		}
-		if pred != target {
-			misses++
-			km.Misses++
-		}
+		t.Score(i, ent.Kinds[e], pe != int(e), pred != target)
 	}
-	return steps, exitMisses, misses
 }

@@ -1,16 +1,14 @@
 package core
 
-import (
-	"multiscalar/internal/isa"
-	"multiscalar/internal/trace"
-)
+import "multiscalar/internal/trace"
 
 // Speculative-update replay: the evaluators below mirror the idealized
 // block kernels of evalblocks.go, with each predictor call routed
-// through a SpecExitSession / SpecTaskSession so training happens at
+// through a specExitSession / specTaskSession so training happens at
 // prediction time with the predicted outcome and mispredicts repair
 // through the undo log. Scoring is unchanged — a step's prediction is
-// scored against its actual outcome exactly as in idealized mode — so a
+// scored against its actual outcome exactly as in idealized mode, and a
+// task step through the idealized kernels' tally (TaskTally) — so a
 // spec result differs from the idealized one only through wrong-path
 // training and delayed resolution, never through different bookkeeping.
 // specref_test.go checks both against a reference model that restores
@@ -28,7 +26,7 @@ import (
 // given resolution lag. The predictor is Reset first.
 func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (ExitResult, error) {
 	p.Reset()
-	s, err := NewSpecExitSession(p, lag)
+	s, err := newSpecExitSession(p, lag)
 	if err != nil {
 		return ExitResult{}, err
 	}
@@ -57,10 +55,10 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 			}
 		}
 	}
-	s.Finish()
+	s.finish()
 	res.Steps, res.Misses = steps, misses
 	res.States = p.States()
-	res.Rollbacks, res.RepairFrames = s.Rollbacks(), s.RepairFrames()
+	res.Rollbacks, res.RepairFrames = s.rollbacks, s.repairFrames
 	recordExitResult(res)
 	return res, nil
 }
@@ -68,22 +66,23 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 // EvaluateTaskSpecBlocks replays a block source through a full task
 // predictor in speculative-update mode.
 func EvaluateTaskSpecBlocks(src trace.BlockSource, p TaskPredictor, lag int) (TaskResult, error) {
+	return EvaluateTaskSpecBlocksInto(src, p, lag, nil)
+}
+
+// EvaluateTaskSpecBlocksInto is EvaluateTaskSpecBlocks that also records
+// each step's outcome in col, which must cover the source's steps (a nil
+// col records nothing). A step's rollback bit is set when the session's
+// rollback count rose during that step; the repairs the session makes
+// after the last step, resolving its window, are in the result's
+// Rollbacks only.
+func EvaluateTaskSpecBlocksInto(src trace.BlockSource, p TaskPredictor, lag int, col OutcomeColumn) (TaskResult, error) {
 	p.Reset()
-	s, err := NewSpecTaskSession(p, lag)
+	s, err := newSpecTaskSession(p, lag)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	res := TaskResult{Name: p.Name()}
-	var byKind [isa.NumControlKinds]KindMisses
-	steps, exitMisses, misses := 0, 0, 0
-	for {
-		b, err := src.NextBlock()
-		if err != nil {
-			return res, err
-		}
-		if b == nil {
-			break
-		}
+	t := TaskTally{col: col}
+	err = t.replay(src, func(b *trace.Block) {
 		entries := b.Dict.Entries
 		taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
 		for i := 0; i < b.N; i++ {
@@ -93,28 +92,20 @@ func EvaluateTaskSpecBlocks(src trace.BlockSource, p TaskPredictor, lag int) (Ta
 			}
 			ent := &entries[taskIdx[i]]
 			target := entries[targetIdx[i]].Addr
-			pred := s.Step(ent.Task, Outcome{Exit: int(e), Target: target})
-			steps++
-			km := &byKind[ent.Kinds[e]]
-			km.Steps++
-			if pred.Exit >= 0 && pred.Exit != int(e) {
-				exitMisses++
-			}
-			if pred.Target != target {
-				misses++
-				km.Misses++
+			before := s.rollbacks
+			pred := s.step(ent.Task, Outcome{Exit: int(e), Target: target})
+			t.Score(i, ent.Kinds[e], pred.Exit >= 0 && pred.Exit != int(e), pred.Target != target)
+			if s.rollbacks != before {
+				t.rolledBack(i)
 			}
 		}
+	})
+	if err != nil {
+		return TaskResult{Name: p.Name()}, err
 	}
-	s.Finish()
-	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
-	res.ByKind = make(map[isa.ControlKind]KindMisses)
-	for k := range byKind {
-		if byKind[k].Steps > 0 {
-			res.ByKind[isa.ControlKind(k)] = byKind[k]
-		}
-	}
-	res.Rollbacks, res.RepairFrames, res.RASDamage = s.Rollbacks(), s.RepairFrames(), s.RASDamage()
+	s.finish()
+	res := t.result(p.Name())
+	res.Rollbacks, res.RepairFrames, res.RASDamage = s.rollbacks, s.repairFrames, s.rasDamage
 	recordTaskResult(res)
 	return res, nil
 }

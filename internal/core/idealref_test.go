@@ -264,7 +264,6 @@ func checkIdealReference(steps []trace.Block, depth int) error {
 		return NewHeaderPredictor("", newIdealExit(cs, depth, ckind), NewRAS(8), NewIdealCTTB(depth))
 	}
 	kernTask, directTask := mkTask(), mkTask()
-	var byKind [isa.NumControlKinds]KindMisses
 
 	for i := range steps {
 		blk := &steps[i]
@@ -317,7 +316,10 @@ func checkIdealReference(steps []trace.Block, depth int) error {
 			}
 		}
 
-		_, kernExitMiss, kernTargetMiss := kernTask.ReplayTaskBlock(blk, &byKind)
+		var tally TaskTally
+		kernTask.ReplayTaskBlock(blk, &tally)
+		kern := tally.result("")
+		kernExitMiss, kernTargetMiss := kern.ExitMisses, kern.Misses
 		if halt {
 			continue
 		}

@@ -85,7 +85,7 @@ func recordTaskResult(r TaskResult) {
 	obsSpecRepairFrames.Add(int64(r.RepairFrames))
 	obsSpecRASDamage.Add(int64(r.RASDamage))
 	for kind, km := range r.ByKind {
-		if int(kind) >= len(obsKindSteps) || obsKindSteps[kind] == nil {
+		if obsKindSteps[kind] == nil {
 			continue
 		}
 		obsKindSteps[kind].Add(int64(km.Steps))

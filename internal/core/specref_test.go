@@ -309,7 +309,7 @@ func referenceExitSpec(tr *trace.Trace, mk func() ExitPredictor, lag int) ExitRe
 // result EvaluateTaskSpecBlocks must reproduce.
 func referenceTaskSpec(tr *trace.Trace, mk func() TaskPredictor, lag int) TaskResult {
 	s := newRefSession(mk, false, lag)
-	res := TaskResult{Name: s.spec.Name(), ByKind: make(map[isa.ControlKind]KindMisses)}
+	res := TaskResult{Name: s.spec.Name()}
 	for _, st := range tr.Steps {
 		if st.Exit == trace.HaltExit {
 			continue
@@ -317,8 +317,7 @@ func referenceTaskSpec(tr *trace.Trace, mk func() TaskPredictor, lag int) TaskRe
 		t := tr.Graph.TaskAt(st.Task)
 		pred := s.step(t, Outcome{Exit: int(st.Exit), Target: st.Target})
 		res.Steps++
-		kind := t.Exits[st.Exit].Kind
-		km := res.ByKind[kind]
+		km := &res.ByKind[t.Exits[st.Exit].Kind]
 		km.Steps++
 		if pred.Exit >= 0 && pred.Exit != int(st.Exit) {
 			res.ExitMisses++
@@ -327,7 +326,6 @@ func referenceTaskSpec(tr *trace.Trace, mk func() TaskPredictor, lag int) TaskRe
 			res.Misses++
 			km.Misses++
 		}
-		res.ByKind[kind] = km
 	}
 	s.finish()
 	res.Rollbacks, res.RepairFrames, res.RASDamage = s.rollbacks, s.repairFrames, s.rasDamage

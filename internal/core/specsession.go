@@ -90,21 +90,22 @@ func recordSquash(start time.Time, timed bool) {
 	}
 }
 
-// SpecExitSession drives an exit predictor's fused kernel through
-// speculative update: every Step predicts, checkpoints and spec-updates
+// specExitSession drives an exit predictor's fused kernel through
+// speculative update: every step predicts, checkpoints and spec-updates
 // immediately; actual outcomes resolve in program order `lag` steps
 // later. A correct resolution retires the oldest frame (its undo entries
 // are committed in batches); a wrong one repairs the predictor back to
 // that frame's mark — undoing its own wrong-outcome training *and* every
 // younger frame's wrong-path training — then replays all windowed
 // actual outcomes non-speculatively (the squash gives outcomes time to
-// catch up) and clears the window.
+// catch up) and clears the window. The spec evaluators of evalspec.go
+// are its only drivers.
 //
-// With lag 0 each frame resolves inside its own Step, so a committed
+// With lag 0 each frame resolves inside its own step, so a committed
 // speculative update trained the actual outcome and a repaired one is
 // replaced by exactly the idealized update: lag-0 spec replay is
 // byte-identical to the §3.1 idealized mode (pinned by test).
-type SpecExitSession struct {
+type specExitSession struct {
 	kern exitKernel
 	log  *undoRing // kern's undo ring
 	lag  int
@@ -114,13 +115,13 @@ type SpecExitSession struct {
 	repairFrames int
 }
 
-// NewSpecExitSession wraps p for speculative-update replay with the
+// newSpecExitSession wraps p for speculative-update replay with the
 // given resolution lag (outcomes return `lag` tasks late; 0 resolves
 // within the step). It returns a *SpecUnsupportedError when p has no
 // fused kernel — notably DelayedUpdate wrappers and fault injectors,
 // whose lag/fault semantics compose with speculation at the session
 // level instead — or its configuration refuses one.
-func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
+func newSpecExitSession(p ExitPredictor, lag int) (*specExitSession, error) {
 	k, ok := p.(exitKernel)
 	if !ok {
 		return nil, errNoKernel(p.Name(), "it")
@@ -129,19 +130,15 @@ func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
 		return nil, err
 	}
 	lag = max(lag, 0)
-	return &SpecExitSession{kern: k, log: k.specLog(), lag: lag, win: newSpecWindow(lag)}, nil
+	return &specExitSession{kern: k, log: k.specLog(), lag: lag, win: newSpecWindow(lag)}, nil
 }
 
-// Step predicts task t, speculatively trains the predictor with its own
-// prediction, and resolves the step that fell due. It returns the
-// prediction for scoring.
-func (s *SpecExitSession) Step(t *tfg.Task, actual int) int {
-	return s.step(t, t.Start, t.NumExits(), actual)
-}
-
-// step is Step given the task's address and exit count (as the block
-// dictionary carries them, so the kernel never touches the task itself).
-func (s *SpecExitSession) step(t *tfg.Task, addr isa.Addr, nexits, actual int) int {
+// step predicts task t, whose address and exit count come from the
+// block dictionary (so the kernel never touches the task itself),
+// speculatively trains the predictor with its own prediction, and
+// resolves the step that fell due. It returns the prediction for
+// scoring.
+func (s *specExitSession) step(t *tfg.Task, addr isa.Addr, nexits, actual int) int {
 	f := s.win.push()
 	f.task, f.exit = t, int8(actual)
 	f.mark.exit = s.log.mark()
@@ -162,14 +159,14 @@ func (s *SpecExitSession) step(t *tfg.Task, addr isa.Addr, nexits, actual int) i
 	return pred
 }
 
-// Finish resolves every still-windowed outcome at trace end.
-func (s *SpecExitSession) Finish() {
+// finish resolves every still-windowed outcome at trace end.
+func (s *specExitSession) finish() {
 	for s.win.n > 0 {
 		s.resolveOldest()
 	}
 }
 
-func (s *SpecExitSession) resolveOldest() {
+func (s *specExitSession) resolveOldest() {
 	f := s.win.at(0)
 	if f.pexit == f.exit {
 		// Correct: the oldest frame's speculative training becomes
@@ -191,7 +188,7 @@ func (s *SpecExitSession) resolveOldest() {
 // commit commits the undo ring up to the oldest unresolved frame: every
 // resolved frame's inverses are dead. A frame's entries end where the
 // next frame's begin (or at the log head when it is alone).
-func (s *SpecExitSession) commit() {
+func (s *specExitSession) commit() {
 	next := s.log.mark()
 	if s.win.n > 0 {
 		next = s.win.at(0).mark.exit
@@ -199,20 +196,14 @@ func (s *SpecExitSession) commit() {
 	s.log.commitTo(next)
 }
 
-// Rollbacks returns how many mispredict repairs the session performed.
-func (s *SpecExitSession) Rollbacks() int { return s.rollbacks }
-
-// RepairFrames returns the total frames squashed across all repairs.
-func (s *SpecExitSession) RepairFrames() int { return s.repairFrames }
-
-// SpecTaskSession drives a full task predictor's fused kernel through
-// speculative update; see SpecExitSession for the windowing and repair
+// specTaskSession drives a full task predictor's fused kernel through
+// speculative update; see specExitSession for the windowing and repair
 // semantics. A frame resolves correctly only when its *entire*
 // predicted outcome matched — exit (when the predictor names one) and
 // target — so a committed speculative update is always identical to the
 // idealized update it replaces; anything less rolls back. Rollbacks can
 // therefore exceed the scored (target-only) miss count.
-type SpecTaskSession struct {
+type specTaskSession struct {
 	kern taskSpecKernel
 	// The checkpointed state: the components' undo rings (none for an
 	// absent component) and RAS (nil when absent).
@@ -227,10 +218,10 @@ type SpecTaskSession struct {
 	rasDamage    int
 }
 
-// NewSpecTaskSession wraps p for speculative-update replay with the
+// newSpecTaskSession wraps p for speculative-update replay with the
 // given resolution lag. It returns a *SpecUnsupportedError when p or
 // any of its components has no fused kernel, or refuses one.
-func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
+func newSpecTaskSession(p TaskPredictor, lag int) (*specTaskSession, error) {
 	k, ok := p.(taskSpecKernel)
 	if !ok {
 		return nil, errNoKernel(p.Name(), "it")
@@ -239,7 +230,7 @@ func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
 		return nil, err
 	}
 	lag = max(lag, 0)
-	s := &SpecTaskSession{kern: k, lag: lag, win: newSpecWindow(lag)}
+	s := &specTaskSession{kern: k, lag: lag, win: newSpecWindow(lag)}
 	s.exitLog, s.bufLog, s.ras = k.specLogs()
 	if s.exitLog == nil {
 		s.exitLog = &s.none
@@ -250,10 +241,10 @@ func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
 	return s, nil
 }
 
-// Step predicts task t, speculatively trains the predictor with its own
+// step predicts task t, speculatively trains the predictor with its own
 // prediction, and resolves the step that fell due. It returns the
 // prediction for scoring.
-func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
+func (s *specTaskSession) step(t *tfg.Task, actual Outcome) Prediction {
 	f := s.win.push()
 	f.task, f.exit, f.target = t, int8(actual.Exit), actual.Target
 	f.mark.exit, f.mark.buf = s.exitLog.mark(), s.bufLog.mark()
@@ -264,7 +255,7 @@ func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
 	f.pexit, f.ptarget = int8(pred.Exit), pred.Target
 	if s.win.n > s.lag {
 		if o := s.win.at(0); o.correct() {
-			// The common case, inline (see SpecExitSession.step).
+			// The common case, inline (see specExitSession.step).
 			s.win.pop()
 			if s.exitLog.live() > undoCommitSlack || s.bufLog.live() > undoCommitSlack {
 				s.commit()
@@ -276,14 +267,14 @@ func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
 	return pred
 }
 
-// Finish resolves every still-windowed outcome at trace end.
-func (s *SpecTaskSession) Finish() {
+// finish resolves every still-windowed outcome at trace end.
+func (s *specTaskSession) finish() {
 	for s.win.n > 0 {
 		s.resolveOldest()
 	}
 }
 
-func (s *SpecTaskSession) resolveOldest() {
+func (s *specTaskSession) resolveOldest() {
 	f := s.win.at(0)
 	if f.correct() {
 		s.win.pop()
@@ -301,7 +292,7 @@ func (s *SpecTaskSession) resolveOldest() {
 }
 
 // commit commits the undo rings up to the oldest unresolved frame.
-func (s *SpecTaskSession) commit() {
+func (s *specTaskSession) commit() {
 	exit, buf := s.exitLog.mark(), s.bufLog.mark()
 	if s.win.n > 0 {
 		next := &s.win.at(0).mark
@@ -310,13 +301,3 @@ func (s *SpecTaskSession) commit() {
 	s.exitLog.commitTo(exit)
 	s.bufLog.commitTo(buf)
 }
-
-// Rollbacks returns how many mispredict repairs the session performed.
-func (s *SpecTaskSession) Rollbacks() int { return s.rollbacks }
-
-// RepairFrames returns the total frames squashed across all repairs.
-func (s *SpecTaskSession) RepairFrames() int { return s.repairFrames }
-
-// RASDamage returns how many repairs found live RAS entries clobbered by
-// deep wrong-path pushes (inexact repairs — see RAS.Repair).
-func (s *SpecTaskSession) RASDamage() int { return s.rasDamage }

@@ -17,7 +17,7 @@ import (
 //
 // Every built-in predictor implements it as a fused kernel
 // (exitKernel, targetKernel, taskSpecKernel), which the
-// SpecExitSession / SpecTaskSession drivers (specsession.go) run: one
+// specExitSession / specTaskSession drivers (specsession.go) run: one
 // call per step predicts and trains toward the prediction with a single
 // table index, logging each table write on the predictor's undo ring;
 // the session reads checkpoints off the ring and commits on it directly;

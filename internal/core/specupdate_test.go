@@ -144,10 +144,10 @@ func TestSpecSessionRejectsUnsupported(t *testing.T) {
 	path := func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) }
 	lat := MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{TrainLatency: 2})
 	exitSession := func(p ExitPredictor) func() error {
-		return func() error { _, err := NewSpecExitSession(p, 2); return err }
+		return func() error { _, err := newSpecExitSession(p, 2); return err }
 	}
 	taskSession := func(p TaskPredictor) func() error {
-		return func() error { _, err := NewSpecTaskSession(p, 2); return err }
+		return func() error { _, err := newSpecTaskSession(p, 2); return err }
 	}
 	for _, c := range []struct {
 		name  string
@@ -282,7 +282,7 @@ func TestUndoRingCommitBeyondHeadPanics(t *testing.T) {
 func TestBuiltinSessionsAreFused(t *testing.T) {
 	for name, mk := range specExitFamilies() {
 		p := mk()
-		s, err := NewSpecExitSession(p, 2)
+		s, err := newSpecExitSession(p, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -291,7 +291,7 @@ func TestBuiltinSessionsAreFused(t *testing.T) {
 		}
 	}
 	for name, mk := range specTaskFamilies() {
-		s, err := NewSpecTaskSession(mk(), 2)
+		s, err := newSpecTaskSession(mk(), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

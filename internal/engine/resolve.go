@@ -73,7 +73,7 @@ func admit(sp *Spec, fs fault.Spec, mode Mode, r Run) error {
 
 	if r.Stream && mode == ModeTiming {
 		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "the timing model replays the functional machine, not a block stream; timing runs cannot stream"}
+			Reason: "the timing model walks static code with the trace memo's branch column, which a block stream does not record; timing runs cannot stream"}
 	}
 	if r.Stream && fs.Enabled() {
 		return &UnsupportedError{Feature: "streaming replay",

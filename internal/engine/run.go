@@ -165,9 +165,11 @@ func run(r Run, res *Result) (err error) {
 	}
 
 	if mode == ModeTiming {
-		// The ring model walks static code from the trace memo's steps
-		// and branch column, so a timing run grows the memo to its
-		// budget instead of re-running the program.
+		// One kernel pass scores the predictor over the trace memo's
+		// steps into an outcome column; one ring pass walks static code
+		// from those steps, the memo's branch column and the outcome
+		// column. A timing run grows the memo to its budget instead of
+		// re-running the program.
 		c, bits, err := workload.CachedBranches(r.Workload, r.TimingSteps)
 		if err != nil {
 			return err
@@ -184,15 +186,23 @@ func run(r Run, res *Result) (err error) {
 			}
 			pred, res.Faulted = inj, true
 		}
-		tres, err := timing.RunTrace(c, bits, pred, timing.Config{
+		cfg := timing.Config{
 			MaxSteps:      r.TimingSteps,
 			SpecUpdate:    sp.SpecUpdate(),
 			SpecLag:       sp.SpecLag(),
 			RepairLatency: sp.RepairLat(),
-		})
+		}
+		// The kernel's result stays out of res.Task: a timing run
+		// reports Timing only.
+		col, task, err := timing.Outcomes(c, pred, cfg)
 		if err != nil {
 			return err
 		}
+		tres, err := timing.RunTrace(c, bits, col, cfg)
+		if err != nil {
+			return err
+		}
+		tres.Rollbacks = task.Rollbacks
 		res.Timing = tres
 		if inj != nil {
 			res.Injection = inj.Stats()

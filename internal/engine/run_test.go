@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"multiscalar/internal/core"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/workload"
 )
@@ -158,6 +159,11 @@ func TestDoSpecRouting(t *testing.T) {
 	}
 	if timing.Timing.Rollbacks == 0 || timing.Timing.RepairCycles == 0 {
 		t.Fatalf("spec timing run charged no repairs: %+v", timing.Timing)
+	}
+	// The kernel pass behind it stays out of Result.Task: front ends sum
+	// the Exit, Task and Timing rollbacks.
+	if timing.Task != (core.TaskResult{}) {
+		t.Fatalf("timing run reports a task result: %+v", timing.Task)
 	}
 
 	rejected := []struct {

@@ -5,7 +5,13 @@ import (
 	"testing"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/trace"
 )
+
+// noBlocks is an empty block source.
+type noBlocks struct{}
+
+func (noBlocks) NextBlock() (*trace.Block, error) { return nil, nil }
 
 // TestParseRoundTrip pins the grammar: every accepted spelling parses to
 // a spec whose String() is the canonical form, and the canonical form is
@@ -205,13 +211,14 @@ func TestSpecAccessors(t *testing.T) {
 	if !spec.SpecUpdate() || spec.RepairLat() != 8 || spec.SpecLag() != 4 {
 		t.Fatalf("spec flags not surfaced: %v %d %d", spec.SpecUpdate(), spec.RepairLat(), spec.SpecLag())
 	}
-	// In spec mode dlat is the session lag, not a DelayedUpdate wrap: a
-	// session must accept the built predictor (it refuses the wrapper).
+	// In spec mode dlat is the session lag, not a DelayedUpdate wrap: the
+	// spec kernel must accept the built predictor (its session refuses
+	// the wrapper).
 	p, err := spec.BuildExit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewSpecExitSession(p, spec.SpecLag()); err != nil {
+	if _, err := core.EvaluateExitSpecBlocks(noBlocks{}, p, spec.SpecLag()); err != nil {
 		t.Fatalf("spec-mode exit predictor refused by session: %v", err)
 	}
 }

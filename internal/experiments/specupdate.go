@@ -23,6 +23,7 @@ import (
 // composed task predictor across lags, and the timing model's IPC as the
 // per-rollback repair latency grows (spec:rlat<k>).
 func SpecUpdate(w io.Writer, cfg Config) error {
+	cfg = cfg.withDefaults() // the timing budget Table 4 runs the same predictor at
 	lags := []int{1, 2, 4, 8}
 
 	// Exit prediction: idealized vs speculative update at each lag.

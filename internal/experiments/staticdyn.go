@@ -107,8 +107,9 @@ func StaticDynData(cfg Config) ([]StaticDynRow, error) {
 }
 
 // perTaskCounts replays the standard composed predictor over the
-// columnar trace, accounting misses per static task, and returns the
-// predictor for post-run state inspection (the RAS overflow counter).
+// columnar trace through the task kernel, accounts its outcome column's
+// misses per static task, and returns the predictor for post-run state
+// inspection (the RAS overflow counter).
 func perTaskCounts(c *trace.Columnar) (map[isa.Addr]*StaticDynGroup, core.TaskPredictor, error) {
 	sp, err := engine.Parse(StdSpec())
 	if err != nil {
@@ -118,35 +119,31 @@ func perTaskCounts(c *trace.Columnar) (map[isa.Addr]*StaticDynGroup, core.TaskPr
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Reset()
-	counts := map[isa.Addr]*StaticDynGroup{}
-	at := func(a isa.Addr) *StaticDynGroup {
-		g := counts[a]
-		if g == nil {
-			g = &StaticDynGroup{}
-			counts[a] = g
-		}
-		return g
+	col := core.NewOutcomeColumn(c.Len())
+	if _, err := core.EvaluateTaskBlocksInto(c.Blocks(), p, col); err != nil {
+		return nil, nil, err
 	}
+	counts := map[isa.Addr]*StaticDynGroup{}
+	step := 0
 	cur := c.Blocks()
 	// A cursor over resident columns never returns an error.
 	for b, _ := cur.NextBlock(); b != nil; b, _ = cur.NextBlock() {
-		entries := b.Dict.Entries
 		for i := 0; i < b.N; i++ {
-			e := b.Exits[i]
-			if e == trace.HaltExit {
+			if b.Exits[i] == trace.HaltExit {
 				continue
 			}
-			ent := &entries[b.TaskIdx[i]]
-			target := entries[b.TargetIdx[i]].Addr
-			pred := p.Predict(ent.Task)
-			cnt := at(ent.Addr)
-			cnt.Steps++
-			if pred.Target != target {
-				cnt.Misses++
+			a := b.Dict.Entries[b.TaskIdx[i]].Addr
+			g := counts[a]
+			if g == nil {
+				g = &StaticDynGroup{}
+				counts[a] = g
 			}
-			p.Update(ent.Task, core.Outcome{Exit: int(e), Target: target})
+			g.Steps++
+			if col.Miss(step + i) {
+				g.Misses++
+			}
 		}
+		step += b.N
 	}
 	return counts, p, nil
 }

@@ -139,9 +139,6 @@ func (i *Injector) Name() string {
 	return fmt.Sprintf("fault(%s)+%s", i.spec, i.inner.Name())
 }
 
-// Inner returns the wrapped predictor.
-func (i *Injector) Inner() core.TaskPredictor { return i.inner }
-
 // Spec returns the injection configuration.
 func (i *Injector) Spec() Spec { return i.spec }
 

@@ -128,8 +128,8 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses a compact fault spec string — the msim/mbench/mlint
-// flag syntax, shared the way core.ParseDOLC is. The grammar is
-// comma-separated key=value pairs:
+// flag syntax, shared the way engine.Parse's predictor grammar is. The
+// grammar is comma-separated key=value pairs:
 //
 //	all=RATE    set every fault kind to RATE
 //	ctr=RATE    exit-automata counter bit flips

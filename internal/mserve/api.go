@@ -25,6 +25,7 @@ import (
 
 	"multiscalar/internal/engine"
 	"multiscalar/internal/fault"
+	"multiscalar/internal/isa"
 	"multiscalar/internal/workload"
 )
 
@@ -286,7 +287,9 @@ func RenderResult(mode engine.Mode, res engine.Result) ResultJSON {
 			MissRate: r.MissRate(), ExitMissRate: r.ExitMissRate(),
 		}
 		for kind, km := range r.ByKind {
-			tj.ByKind = append(tj.ByKind, KindJSON{Kind: kind.String(), Steps: km.Steps, Misses: km.Misses})
+			if km.Steps > 0 {
+				tj.ByKind = append(tj.ByKind, KindJSON{Kind: isa.ControlKind(kind).String(), Steps: km.Steps, Misses: km.Misses})
+			}
 		}
 		sort.Slice(tj.ByKind, func(i, j int) bool { return tj.ByKind[i].Kind < tj.ByKind[j].Kind })
 		out.Task = tj

@@ -121,7 +121,7 @@ func runRow(t *testing.T, row oracleRow) timing.Result {
 
 // runMemo runs one row over the workload's trace memo: through
 // engine.Do when the row is configured as the engine configures it,
-// else through timing.RunTrace.
+// else through timing.Outcomes and timing.RunTrace.
 func runMemo(t *testing.T, row oracleRow) timing.Result {
 	t.Helper()
 	sp := engine.MustParse(row.Spec)
@@ -141,10 +141,15 @@ func runMemo(t *testing.T, row oracleRow) timing.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := timing.RunTrace(c, bits, pred, row.Config)
+	col, task, err := timing.Outcomes(c, pred, row.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := timing.RunTrace(c, bits, col, row.Config)
 	if err != nil {
 		t.Fatalf("%s: %v", rowName(row), err)
 	}
+	res.Rollbacks = task.Rollbacks
 	return res
 }
 

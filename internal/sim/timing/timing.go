@@ -19,7 +19,10 @@
 // through static code with the run's branch column (functional.Walker):
 // a task's path is fixed by its start and its conditional-branch
 // outcomes, so the walk sees exactly the instructions the interpreter
-// ran.
+// ran. Nor does it drive the inter-task predictor: the task kernels
+// (internal/core) score the trace first and hand it a per-step outcome
+// column, of which it reads two facts per task — did the prediction
+// miss, and did the predictor roll back.
 //
 // Simplifications, documented in DESIGN.md: memory disambiguation is
 // perfect (the ARB is a separate paper), wrong-path execution occupies no
@@ -52,16 +55,17 @@ type Config struct {
 
 	// SpecUpdate trains the inter-task predictor speculatively at
 	// prediction time and repairs it through its undo log on every
-	// rollback (core.SpecTaskSession) instead of the idealized
-	// train-on-commit update. Ignored for the perfect (nil) predictor,
-	// which has no state to speculate.
+	// rollback (core.EvaluateTaskSpecBlocksInto) instead of the
+	// idealized train-on-commit update. Outcomes reads it to choose the
+	// task kernel; ignored for the perfect (nil) predictor, which has
+	// no state to speculate.
 	SpecUpdate bool
 	// SpecLag is the speculative session's resolution lag in tasks
 	// (SpecUpdate only; 0 resolves each prediction at the next boundary).
 	SpecLag int
 	// RepairLatency is charged against sequencer dispatch on every
-	// predictor rollback (SpecUpdate only), modelling the cycles the
-	// repair drain occupies the prediction structures.
+	// predictor rollback (the outcome column's rollback bits), modelling
+	// the cycles the repair drain occupies the prediction structures.
 	RepairLatency int
 }
 
@@ -97,7 +101,10 @@ type Result struct {
 
 	// Rollbacks counts predictor-state repairs and RepairCycles the
 	// dispatch cycles they cost (speculative-update runs only; both stay
-	// zero in idealized mode and under the perfect predictor).
+	// zero in idealized mode and under the perfect predictor). RunTrace
+	// charges the rollbacks its outcome column marks and leaves
+	// Rollbacks to the caller that ran the task kernel: the kernel's
+	// count also holds the repairs made after the last task.
 	Rollbacks    int
 	RepairCycles uint64
 }
@@ -135,8 +142,9 @@ func latency(op isa.Op) uint64 {
 // Run executes the program under g with the given inter-task predictor
 // and returns timing results. A nil predictor models perfect inter-task
 // prediction (the paper's "Perfect" row). It interprets the program
-// once, recording its task trace and branch column, and runs RunTrace
-// over them.
+// once, recording its task trace and branch column, scores the
+// predictor over the trace (Outcomes), and runs RunTrace over the
+// outcome column.
 func Run(g *tfg.Graph, pred core.TaskPredictor, cfg Config) (Result, error) {
 	var br functional.Branches
 	tr, _, err := functional.Run(g, functional.Config{MaxSteps: cfg.MaxSteps, Branches: &br})
@@ -147,47 +155,74 @@ func Run(g *tfg.Graph, pred core.TaskPredictor, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("timing: %w", err)
 	}
-	return RunTrace(c, br.Bits(), pred, cfg)
+	col, task, err := Outcomes(c, pred, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := RunTrace(c, br.Bits(), col, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Rollbacks = task.Rollbacks
+	return res, nil
+}
+
+// Outcomes scores pred over the steps RunTrace(c, …, cfg) walks through
+// the task kernel cfg selects (speculative when cfg.SpecUpdate) and
+// returns their outcome column and the kernel's result, whose
+// Rollbacks the caller copies into RunTrace's. A nil pred (perfect
+// prediction) scores nothing and returns a nil column.
+func Outcomes(c *trace.Columnar, pred core.TaskPredictor, cfg Config) (core.OutcomeColumn, core.TaskResult, error) {
+	if pred == nil {
+		return nil, core.TaskResult{}, nil
+	}
+	if cfg.MaxSteps > 0 {
+		c = c.Prefix(cfg.MaxSteps)
+	}
+	col := core.NewOutcomeColumn(c.Len())
+	var task core.TaskResult
+	var err error
+	if cfg.SpecUpdate {
+		task, err = core.EvaluateTaskSpecBlocksInto(c.Blocks(), pred, cfg.SpecLag, col)
+	} else {
+		task, err = core.EvaluateTaskBlocksInto(c.Blocks(), pred, col)
+	}
+	if err != nil {
+		return nil, task, fmt.Errorf("timing: %w", err)
+	}
+	return col, task, nil
 }
 
 // RunTrace runs the model over a recorded run: the first cfg.MaxSteps
 // steps of c (all of them when 0), which must be bound to its graph,
-// and the run's branch column, which must cover those steps (it may run
-// past them). Each task's instructions come from walking static code
-// (functional.Walker) and its exit and successor from the trace, so the
-// result is the one the interpreter-driven run computes; a path the
-// walk cannot recover is an error.
-func RunTrace(c *trace.Columnar, bits functional.BranchBits, pred core.TaskPredictor, cfg Config) (Result, error) {
+// the run's branch column, and the inter-task predictor's outcome
+// column over the same steps (Outcomes; nil for perfect prediction).
+// Both columns must cover those steps and may run past them. Each
+// task's instructions come from walking static code (functional.Walker)
+// and its exit and successor from the trace, so the result is the one
+// the interpreter-driven run computes; a path the walk cannot recover
+// is an error.
+func RunTrace(c *trace.Columnar, bits functional.BranchBits, col core.OutcomeColumn, cfg Config) (Result, error) {
 	if c.Graph == nil {
 		return Result{}, errors.New("timing: trace is not bound to a graph")
 	}
 	if cfg.MaxSteps > 0 {
 		c = c.Prefix(cfg.MaxSteps)
 	}
-	cfg = cfg.withDefaults()
-	if pred != nil {
-		pred.Reset()
+	if col != nil && 32*len(col) < c.Len() {
+		return Result{}, fmt.Errorf("timing: outcome column covers %d steps, the run has %d", 32*len(col), c.Len())
 	}
+	cfg = cfg.withDefaults()
 	s := &simState{
 		cfg:      cfg,
 		rows:     decodeRows(c.Graph.Prog.Code),
-		pred:     pred,
+		col:      col,
 		unitFree: make([]uint64, cfg.Units),
-		bimodal:  make([][]uint8, cfg.Units),
+		bimodal:  make([]uint8, cfg.Units<<uint(cfg.BimodalBits)),
 	}
-	if cfg.SpecUpdate && pred != nil {
-		sess, err := core.NewSpecTaskSession(pred, cfg.SpecLag)
-		if err != nil {
-			return Result{}, fmt.Errorf("timing: %w", err)
-		}
-		s.sess = sess
-	}
-	for u := range s.bimodal {
-		s.bimodal[u] = make([]uint8, 1<<uint(cfg.BimodalBits))
-		// Initialize weakly-taken so loops start reasonably.
-		for i := range s.bimodal[u] {
-			s.bimodal[u][i] = 2
-		}
+	// Initialize weakly-taken so loops start reasonably.
+	for i := range s.bimodal {
+		s.bimodal[i] = 2
 	}
 
 	w := functional.NewWalker(c.Graph, bits)
@@ -208,12 +243,8 @@ func RunTrace(c *trace.Columnar, bits functional.BranchBits, pred core.TaskPredi
 				return Result{}, fmt.Errorf("timing: %w", err)
 			}
 			s.execute(path)
-			s.endTask(task.Task, exit, ents[blk.TargetIdx[i]].Addr)
+			s.endTask()
 		}
-	}
-	if s.sess != nil {
-		s.sess.Finish()
-		s.res.Rollbacks = s.sess.Rollbacks()
 	}
 	s.res.Cycles = s.prevCommit
 	return s.res, nil
@@ -252,8 +283,7 @@ func decodeRows(code []isa.Instr) []row {
 type simState struct {
 	cfg  Config
 	rows []row
-	pred core.TaskPredictor
-	sess *core.SpecTaskSession // non-nil in speculative-update mode
+	col  core.OutcomeColumn // nil: perfect prediction
 
 	res Result
 
@@ -261,7 +291,7 @@ type simState struct {
 	regs [isa.NumRegs]regState
 
 	unitFree []uint64
-	bimodal  [][]uint8
+	bimodal  []uint8 // the units' tables, 1<<cfg.BimodalBits entries each, unit 0 first
 
 	dispatch   uint64 // earliest cycle the sequencer can dispatch the next task
 	prevCommit uint64
@@ -294,8 +324,9 @@ func (s *simState) execute(path []functional.PathInstr) {
 	slotCycle, slotUsed, complete := t, 0, t
 	fwd, width := uint64(s.cfg.ForwardLatency), s.cfg.IssueWidth
 	task, rows, regs := s.taskIdx, s.rows, &s.regs
-	bimodal := s.bimodal[s.curUnit]
-	mask := uint32(len(bimodal) - 1)
+	size := 1 << uint(s.cfg.BimodalBits)
+	bimodal := s.bimodal[s.curUnit*size : (s.curUnit+1)*size]
+	mask := uint32(size - 1)
 	last := len(path) - 1
 	for k, pi := range path {
 		r := &rows[pi.PC]
@@ -350,10 +381,10 @@ func (s *simState) execute(path []functional.PathInstr) {
 	s.complete = complete
 }
 
-// endTask retires the current task, which left through exit to target
-// (trace.HaltExit: it halted): commit in FIFO order, then score the
-// inter-task prediction that dispatched its successor.
-func (s *simState) endTask(task *tfg.Task, exit int8, target isa.Addr) {
+// endTask retires the current task: commit in FIFO order, then apply
+// the outcome of the inter-task prediction that dispatched its
+// successor (a halt step's bits are clear: it predicts nothing).
+func (s *simState) endTask() {
 	commit := s.complete
 	if commit <= s.prevCommit {
 		commit = s.prevCommit + 1
@@ -362,31 +393,14 @@ func (s *simState) endTask(task *tfg.Task, exit int8, target isa.Addr) {
 	s.prevCommit = commit
 	s.res.Tasks++
 
-	if exit != trace.HaltExit {
-		out := core.Outcome{Exit: int(exit), Target: target}
-		correct := true
-		rolledBack := false
-		if s.sess != nil {
-			// Speculative-update mode: the session trains the predicted
-			// outcome at prediction time and repairs on resolution; a
-			// rollback here is a predictor-state repair, charged below on
-			// top of whatever restart bubble the mispredict itself costs.
-			before := s.sess.Rollbacks()
-			p := s.sess.Step(task, out)
-			correct = p.Target == target
-			rolledBack = s.sess.Rollbacks() > before
-		} else if s.pred != nil {
-			p := s.pred.Predict(task)
-			correct = p.Target == target
-			s.pred.Update(task, out)
-		}
-		if !correct {
+	if s.col != nil {
+		if s.col.Miss(s.taskIdx) {
 			s.res.TaskMispredicts++
 			// Squash: younger speculative work is discarded; dispatch
 			// resumes after this task commits, plus a restart penalty.
 			s.dispatch = commit + uint64(s.cfg.RestartPenalty)
 		}
-		if rolledBack && s.cfg.RepairLatency > 0 {
+		if s.col.Rollback(s.taskIdx) && s.cfg.RepairLatency > 0 {
 			// The repair drain occupies the prediction structures: the
 			// sequencer cannot dispatch (or re-dispatch after a squash)
 			// until it completes.

@@ -208,7 +208,7 @@ func (b *probeBuf) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 	return steps, misses
 }
 
-func (p *probeTask) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumControlKinds]core.KindMisses) (steps, exitMisses, misses int) {
+func (p *probeTask) ReplayTaskBlock(blk *trace.Block, t *core.TaskTally) {
 	entries := blk.Dict.Entries
 	for i := 0; i < blk.N; i++ {
 		e := blk.Exits[i]
@@ -217,25 +217,16 @@ func (p *probeTask) ReplayTaskBlock(blk *trace.Block, byKind *[isa.NumControlKin
 		}
 		ent := &entries[blk.TaskIdx[i]]
 		target := entries[blk.TargetIdx[i]].Addr
-		steps++
-		km := &byKind[ent.Kinds[e]]
-		km.Steps++
-		if e != 0 { // probe always predicts exit 0
-			exitMisses++
-		}
-		if p.last != target {
-			misses++
-			km.Misses++
-		}
+		t.Score(i, ent.Kinds[e], e != 0, p.last != target) // probe always predicts exit 0
 		p.last = target
 	}
-	return steps, exitMisses, misses
 }
 
 // TestBlockReplayAllocationFree pins the kernels' allocation contract:
 // replaying N steps costs a constant few allocations (the cursor and,
-// for task replay, the end-of-run ByKind map) — never per-step or
-// per-block ones.
+// for task replay, the tally a block kernel scores through) — never
+// per-step or per-block ones, and none for filling a caller's outcome
+// column.
 func TestBlockReplayAllocationFree(t *testing.T) {
 	c := equivColumnar(t, "exprc")
 
@@ -283,7 +274,25 @@ func TestBlockReplayAllocationFree(t *testing.T) {
 	if _, err := core.EvaluateTaskBlocks(c.Blocks(), tp); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateTaskBlocks(c.Blocks(), tp) }); allocs > 10 {
-		t.Errorf("EvaluateTaskBlocks: %.1f allocs per %d-step replay, want <= 10 (cursor + ByKind map)", allocs, c.Len())
+	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateTaskBlocks(c.Blocks(), tp) }); allocs > 2 {
+		t.Errorf("EvaluateTaskBlocks: %.1f allocs per %d-step replay, want <= 2 (cursor + tally)", allocs, c.Len())
+	}
+
+	// The composed predictor's block kernel, with and without a column
+	// (warmed first, so its tables have grown): the cursor, the tally and
+	// the two rings RAS.Reset makes.
+	composed := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	col := core.NewOutcomeColumn(c.Len())
+	for _, arm := range []struct {
+		name string
+		col  core.OutcomeColumn
+	}{{"no column", nil}, {"column", col}} {
+		if _, err := core.EvaluateTaskBlocksInto(c.Blocks(), composed, arm.col); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() { core.EvaluateTaskBlocksInto(c.Blocks(), composed, arm.col) })
+		if allocs > 4 {
+			t.Errorf("EvaluateTaskBlocksInto(composed, %s): %.1f allocs per %d-step replay, want <= 4 (cursor + tally + RAS rings)", arm.name, allocs, c.Len())
+		}
 	}
 }
