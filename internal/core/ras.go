@@ -164,7 +164,9 @@ func (s *RAS) Overflows() int { return s.overflow }
 // Underflows returns how many pops found the stack empty.
 func (s *RAS) Underflows() int { return s.underflow }
 
-// Reset clears the stack and its statistics.
+// Reset clears the stack and its statistics, reusing its rings.
 func (s *RAS) Reset() {
-	*s = RAS{ring: make([]isa.Addr, s.depth), stamps: make([]uint64, s.depth), depth: s.depth}
+	clear(s.ring)
+	clear(s.stamps)
+	*s = RAS{ring: s.ring, stamps: s.stamps, depth: s.depth}
 }

@@ -180,11 +180,12 @@ func run(r Run, res *Result) (err error) {
 			return err
 		}
 		var inj *fault.Injector
+		var sum uint64
 		if fs.Enabled() {
 			if inj, err = fault.New(fs, pred); err != nil {
 				return err
 			}
-			pred, res.Faulted = inj, true
+			pred, res.Faulted, sum = inj, true, fault.Checksum(c)
 		}
 		cfg := timing.Config{
 			MaxSteps:      r.TimingSteps,
@@ -197,6 +198,11 @@ func run(r Run, res *Result) (err error) {
 		col, task, err := timing.Outcomes(c, pred, cfg)
 		if err != nil {
 			return err
+		}
+		if inj != nil {
+			if err := checkRecovery(c, task.Steps, sum); err != nil {
+				return err
+			}
 		}
 		tres, err := timing.RunTrace(c, bits, col, cfg)
 		if err != nil {
@@ -239,13 +245,10 @@ func run(r Run, res *Result) (err error) {
 	return ReplayBlocks(sp, mode, src, res)
 }
 
-// replayFaulted evaluates a faulted task run over the cached columns: the
-// predictor is wrapped in the injector and the run is held to the
-// recovery invariants — every prediction step scored and the shared
-// columns untouched. The columns were valid against their TFG when they
-// were encoded (a graph-bound Columnar is valid by construction), so an
-// unchanged checksum proves they still are. Panics are caught by run's
-// recover and surface as *fault.PanicError.
+// replayFaulted evaluates a faulted task run over the cached columns:
+// the predictor is wrapped in the injector and the run is held to the
+// recovery invariants. Panics are caught by run's recover and surface
+// as *fault.PanicError.
 func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSource, res *Result) error {
 	p, err := sp.BuildTask()
 	if err != nil {
@@ -260,11 +263,21 @@ func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSo
 		return err
 	}
 	res.Injection, res.Faulted = inj.Stats(), true
-	if want := c.PredictionSteps(); res.Task.Steps != want {
-		return fmt.Errorf("engine: faulted replay scored %d steps, oracle has %d", res.Task.Steps, want)
+	return checkRecovery(c, res.Task.Steps, sum)
+}
+
+// checkRecovery holds a faulted task or timing run over c to the
+// recovery invariants: its kernel scored every prediction step of c,
+// and the shared columns still hash to sum, their checksum before the
+// run. The columns were valid against their TFG when they were encoded
+// (a graph-bound Columnar is valid by construction), so an unchanged
+// checksum proves they still are.
+func checkRecovery(c *trace.Columnar, scored int, sum uint64) error {
+	if want := c.PredictionSteps(); scored != want {
+		return fmt.Errorf("engine: faulted run scored %d steps, oracle has %d", scored, want)
 	}
 	if fault.Checksum(c) != sum {
-		return fmt.Errorf("engine: trace contents changed during faulted replay")
+		return fmt.Errorf("engine: trace contents changed during faulted run")
 	}
 	return nil
 }

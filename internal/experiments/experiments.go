@@ -13,7 +13,6 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
 	"multiscalar/internal/stats"
-	"multiscalar/internal/trace"
 	"multiscalar/internal/workload"
 )
 
@@ -84,27 +83,6 @@ func ByName(name string) (Runner, error) {
 	}
 	sort.Strings(names)
 	return Runner{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, names)
-}
-
-// getTrace fetches a workload's columnar trace honouring cfg.MaxSteps,
-// through the process-level trace memo (each program is simulated once,
-// and every truncation is a prefix view, no matter how many experiments
-// replay it).
-func getTrace(w *workload.Workload, cfg Config) (*trace.Columnar, error) {
-	return workload.CachedColumnar(w.Name, cfg.MaxSteps)
-}
-
-// execute runs an evaluation grid through the engine's deterministic
-// scheduler and surfaces the first failed cell as an error.
-func execute(cfg Config, runs []engine.Run) ([]engine.Result, error) {
-	results := engine.Execute(runs, cfg.Workers)
-	for i := range results {
-		if err := results[i].Err; err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s: %w",
-				results[i].Run.Workload, results[i].Label(), err)
-		}
-	}
-	return results, nil
 }
 
 // ExitDOLC14 is the DOLC sweep used for the real exit predictor studies:

@@ -4,6 +4,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"multiscalar/internal/core"
+	"multiscalar/internal/engine"
 )
 
 // quickCfg truncates traces so the full experiment matrix stays fast in
@@ -57,15 +60,16 @@ func TestFig6AutomataStratify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical shape test")
 	}
-	data, err := Figure6Data(Config{MaxSteps: 400000})
+	cfg := Config{MaxSteps: 400000}
+	res, err := figure6Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string][]float64{}
-	for _, r := range data {
-		byName[r.Automaton] = r.Miss
+	byName := map[string][]engine.Result{}
+	for i, kind := range core.AllAutomata {
+		byName[kind.Name()] = res[i]
 	}
-	at7 := func(name string) float64 { return byName[name][7] }
+	at7 := func(name string) float64 { return byName[name][7].Exit.MissRate() }
 	// LE is strictly worst; LEH-2 ties the 3-bit voting counters and
 	// beats the 2-bit tier.
 	for _, other := range []string{"LEH-2bit", "LEH-1bit", "3bit-VC-MRU", "2bit-VC-MRU"} {
@@ -87,27 +91,32 @@ func TestFig7PathDominatesGlobalAndWinsOverall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical shape test")
 	}
-	data, err := Figure7Data(Config{MaxSteps: 400000})
+	cfg := Config{MaxSteps: 400000}
+	res, err := figure7Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pathWins := 0
-	for _, s := range data {
+	// Each workload has one row per fig7Schemes entry: GLOBAL, PER, PATH.
+	for w := 0; w < len(res); w += len(fig7Schemes) {
+		name := res[w][0].Run.Workload
+		miss := func(scheme, d int) float64 { return res[w+scheme][d].Exit.MissRate() }
+		global, per, path := 0, 1, 2
 		// Depth 0: all schemes coincide.
-		if s.Global[0] != s.Per[0] || s.Per[0] != s.Path[0] {
-			t.Errorf("%s: depth-0 rates differ: %v %v %v", s.Workload, s.Global[0], s.Per[0], s.Path[0])
+		if miss(global, 0) != miss(per, 0) || miss(per, 0) != miss(path, 0) {
+			t.Errorf("%s: depth-0 rates differ: %v %v %v", name, miss(global, 0), miss(per, 0), miss(path, 0))
 		}
 		// PATH never loses to GLOBAL by more than noise at depth 7.
-		if s.Path[7] > s.Global[7]*1.02+0.0005 {
+		if miss(path, 7) > miss(global, 7)*1.02+0.0005 {
 			t.Errorf("%s: PATH (%.4f) worse than GLOBAL (%.4f) at depth 7",
-				s.Workload, s.Path[7], s.Global[7])
+				name, miss(path, 7), miss(global, 7))
 		}
 		// Depth helps (weak monotonicity end-to-end).
-		if s.Path[7] > s.Path[0]+0.0005 {
+		if miss(path, 7) > miss(path, 0)+0.0005 {
 			t.Errorf("%s: PATH depth 7 (%.4f) worse than depth 0 (%.4f)",
-				s.Workload, s.Path[7], s.Path[0])
+				name, miss(path, 7), miss(path, 0))
 		}
-		if s.Path[7] <= s.Per[7] {
+		if miss(path, 7) <= miss(per, 7) {
 			pathWins++
 		}
 	}
@@ -120,16 +129,18 @@ func TestFig8CorrelationRescuesTargetPrediction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical shape test")
 	}
-	data, err := Figure8Data(Config{MaxSteps: 600000})
+	cfg := Config{MaxSteps: 600000}
+	res, err := figure8Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, series := range data {
-		if series[0] < 0.3 {
-			t.Errorf("%s: naive TTB limit suspiciously good (%.2f)", name, series[0])
+	for _, rs := range res {
+		name, d0, d8 := rs[0].Run.Workload, rs[0].Target.MissRate(), rs[8].Target.MissRate()
+		if d0 < 0.3 {
+			t.Errorf("%s: naive TTB limit suspiciously good (%.2f)", name, d0)
 		}
-		if series[8] >= series[0] {
-			t.Errorf("%s: correlation does not help (%.2f -> %.2f)", name, series[0], series[8])
+		if d8 >= d0 {
+			t.Errorf("%s: correlation does not help (%.2f -> %.2f)", name, d0, d8)
 		}
 	}
 }
@@ -138,14 +149,16 @@ func TestTable3CTTBOnlyIsWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical shape test")
 	}
-	data, err := Table3Data(Config{MaxSteps: 400000})
+	cfg := Config{MaxSteps: 400000}
+	res, err := table3Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range data {
-		if r.CTTBOnly < r.Header-0.0005 {
+	for _, rs := range res {
+		cttbOnly, header := rs[0].Task.MissRate(), rs[1].Task.MissRate()
+		if cttbOnly < header-0.0005 {
 			t.Errorf("%s: CTTB-only (%.4f) beats the header predictor (%.4f)",
-				r.Workload, r.CTTBOnly, r.Header)
+				rs[0].Run.Workload, cttbOnly, header)
 		}
 	}
 }
@@ -154,15 +167,20 @@ func TestTable4Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing shape test")
 	}
-	data, err := Table4Data(Config{TimingSteps: 100000})
+	cfg := Config{TimingSteps: 100000}
+	res, err := table4Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range data {
-		perfect, path, simple := r.IPC["Perfect"], r.IPC["PATH"], r.IPC["Simple"]
+	for _, rs := range res {
+		ipc := map[string]float64{}
+		for i := range rs {
+			ipc[rs[i].Label()] = rs[i].Timing.IPC()
+		}
+		perfect, path, simple := ipc["Perfect"], ipc["PATH"], ipc["Simple"]
 		if !(perfect >= path && path >= simple-0.02) {
 			t.Errorf("%s: IPC ordering violated: simple %.3f path %.3f perfect %.3f",
-				r.Workload, simple, path, perfect)
+				rs[0].Run.Workload, simple, path, perfect)
 		}
 	}
 }
@@ -171,17 +189,21 @@ func TestFig11StatesIdealExceedsReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical shape test")
 	}
-	data, err := Figure11Data(Config{MaxSteps: 400000})
+	cfg := Config{MaxSteps: 400000}
+	res, err := figure11Plan(cfg).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range data {
-		if s.Ideal[7] < s.Real[7] {
+	// Each workload has its ideal row, then its real row.
+	for w := 0; w < len(res); w += 2 {
+		ideal, measured := res[w], res[w+1]
+		name := ideal[0].Run.Workload
+		if ideal[7].Exit.States < measured[7].Exit.States {
 			t.Errorf("%s: ideal states (%d) below real (%d) at depth 7",
-				s.Workload, s.Ideal[7], s.Real[7])
+				name, ideal[7].Exit.States, measured[7].Exit.States)
 		}
-		if s.Ideal[7] <= s.Ideal[0] {
-			t.Errorf("%s: ideal states do not grow with depth", s.Workload)
+		if ideal[7].Exit.States <= ideal[0].Exit.States {
+			t.Errorf("%s: ideal states do not grow with depth", name)
 		}
 	}
 }

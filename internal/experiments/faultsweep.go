@@ -17,16 +17,6 @@ var FaultSweepRates = []float64{0, 1e-4, 1e-3, 1e-2, 1e-1}
 // FaultSweepSeed pins the injection RNG so the sweep is reproducible.
 const FaultSweepSeed = 0x5eed
 
-// FaultSweepRow is one workload's degradation curve.
-type FaultSweepRow struct {
-	// Workload is the workload name.
-	Workload string
-	// MissRate is the task miss rate at each FaultSweepRates point.
-	MissRate []float64
-	// Injected is the number of faults actually injected at each point.
-	Injected []int
-}
-
 // faultSpec renders the all-kinds injection spec for one sweep point
 // ("" at rate 0 keeps the baseline cell injection-free).
 func faultSpec(rate float64) string {
@@ -36,8 +26,18 @@ func faultSpec(rate float64) string {
 	return fmt.Sprintf("all=%g,seed=%d", rate, FaultSweepSeed)
 }
 
-// FaultSweepData replays every workload's trace through the standard
-// composed predictor under each injection rate. The engine enforces the
+// faultSweepPlan replays every workload's trace through the standard
+// composed predictor under each injection rate: a row per workload, a
+// column per FaultSweepRates point, the rate-0 baseline first.
+func faultSweepPlan(cfg Config) plan {
+	var rates []engine.Run
+	for _, rate := range FaultSweepRates {
+		rates = append(rates, engine.Run{Spec: StdSpec(), Fault: faultSpec(rate), MaxSteps: cfg.MaxSteps})
+	}
+	return byWorkload(workload.Names(), rates)
+}
+
+// faultSweepResults runs faultSweepPlan. The engine enforces the
 // recovery invariants per cell (no panic, no divergence from the trace
 // oracle); on top of that this asserts graceful degradation — a faulted
 // run may not score meaningfully *fewer* misses than its own fault-free
@@ -45,43 +45,28 @@ func faultSpec(rate float64) string {
 // The complement to Figures 6–8: where those show how much accuracy the
 // predictor wins, this shows how gracefully it loses accuracy as its
 // state decays.
-func FaultSweepData(cfg Config) ([]FaultSweepRow, error) {
-	var runs []engine.Run
-	for _, wl := range workload.All() {
-		for _, rate := range FaultSweepRates {
-			runs = append(runs, engine.Run{Workload: wl.Name, Spec: StdSpec(),
-				Fault: faultSpec(rate), MaxSteps: cfg.MaxSteps})
-		}
-	}
-	results, err := execute(cfg, runs)
+func faultSweepResults(cfg Config) ([][]engine.Result, error) {
+	res, err := faultSweepPlan(cfg).run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var out []FaultSweepRow
-	i := 0
-	for _, wl := range workload.All() {
-		row := FaultSweepRow{Workload: wl.Name}
-		base := results[i].Task // the rate-0 cell is the baseline
-		for _, rate := range FaultSweepRates {
-			res := results[i]
-			if res.Task.Misses+res.Task.Steps/100 < base.Misses {
+	for _, rs := range res {
+		base := rs[0].Task
+		for j, r := range rs {
+			if r.Task.Misses+r.Task.Steps/100 < base.Misses {
 				return nil, fmt.Errorf(
 					"experiments: fault sweep %s rate %g: faulted run scored %d misses, below fault-free baseline %d",
-					wl.Name, rate, res.Task.Misses, base.Misses)
+					r.Run.Workload, FaultSweepRates[j], r.Task.Misses, base.Misses)
 			}
-			row.MissRate = append(row.MissRate, res.Task.MissRate())
-			row.Injected = append(row.Injected, res.Injection.TotalInjected())
-			i++
 		}
-		out = append(out, row)
 	}
-	return out, nil
+	return res, nil
 }
 
 // FaultSweep renders the graceful-degradation table: task miss rate as a
 // function of the per-step fault rate, per workload.
 func FaultSweep(w io.Writer, cfg Config) error {
-	data, err := FaultSweepData(cfg)
+	res, err := faultSweepResults(cfg)
 	if err != nil {
 		return err
 	}
@@ -92,15 +77,10 @@ func FaultSweep(w io.Writer, cfg Config) error {
 	tbl := stats.New("Fault sweep — task miss rate vs injection rate (all fault kinds)", cols...)
 	tbl.Note = "standard predictor (exit+RAS+CTTB); faults corrupt predictor state only — accuracy degrades, execution never diverges"
 	inj := stats.New("Fault sweep supplement — faults injected per run", cols...)
-	for _, row := range data {
-		cells := []string{row.Workload}
-		icells := []string{row.Workload}
-		for i := range FaultSweepRates {
-			cells = append(cells, stats.Pct(row.MissRate[i]))
-			icells = append(icells, stats.I(row.Injected[i]))
-		}
-		tbl.AddRow(cells...)
-		inj.AddRow(icells...)
+	injected := func(r *engine.Result) string { return stats.I(r.Injection.TotalInjected()) }
+	for _, rs := range res {
+		tbl.AddRow(row(rs, taskMiss, rs[0].Run.Workload)...)
+		inj.AddRow(row(rs, injected, rs[0].Run.Workload)...)
 	}
 	return writeTables(w, tbl, inj)
 }

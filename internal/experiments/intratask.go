@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"io"
 
-	"multiscalar/internal/engine"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/stats"
 	"multiscalar/internal/workload"
 )
 
-// AblationUpdateDelay measures the §3.1 "Update Timing" idealization in
+// updateDelays are the update latencies the ablation sweeps.
+var updateDelays = []int{1, 2, 4, 8}
+
+// updateDelayPlan measures the §3.1 "Update Timing" idealization in
 // two forms:
 //
 //   - train-lag k (realistic): the path history register advances
@@ -21,42 +23,34 @@ import (
 //   - full-lag k (pessimistic): the whole update — history included —
 //     waits, i.e. the sequencer predicts from a history that is k tasks
 //     stale.
-func AblationUpdateDelay(w io.Writer, cfg Config) error {
-	delays := []int{1, 2, 4, 8}
-	cols := []string{"workload", "immediate"}
-	for _, d := range delays {
-		cols = append(cols, "train-lag "+stats.I(d))
-	}
-	for _, d := range delays {
-		cols = append(cols, "full-lag "+stats.I(d))
-	}
+func updateDelayPlan(cfg Config) plan {
 	specs := []string{PathSpec(Depth7Exit)}
-	for _, d := range delays {
+	for _, d := range updateDelays {
 		specs = append(specs, fmt.Sprintf("%s:lat%d", PathSpec(Depth7Exit), d))
 	}
-	for _, d := range delays {
+	for _, d := range updateDelays {
 		specs = append(specs, fmt.Sprintf("%s:dlat%d", PathSpec(Depth7Exit), d))
 	}
-	var runs []engine.Run
-	for _, wl := range workload.All() {
-		for _, s := range specs {
-			runs = append(runs, engine.Run{Workload: wl.Name, Spec: s, MaxSteps: cfg.MaxSteps})
-		}
-	}
-	results, err := execute(cfg, runs)
+	return byWorkload(workload.Names(), replays(cfg, specs...))
+}
+
+// AblationUpdateDelay renders updateDelayPlan.
+func AblationUpdateDelay(w io.Writer, cfg Config) error {
+	res, err := updateDelayPlan(cfg).run(cfg)
 	if err != nil {
 		return err
 	}
+	cols := []string{"workload", "immediate"}
+	for _, d := range updateDelays {
+		cols = append(cols, "train-lag "+stats.I(d))
+	}
+	for _, d := range updateDelays {
+		cols = append(cols, "full-lag "+stats.I(d))
+	}
 	tbl := stats.New("Ablation — update latency (real PATH, depth 7)", cols...)
 	tbl.Note = "exit miss rate; the paper idealizes immediate update (§3.1 Update Timing)"
-	i := 0
-	for _, wl := range workload.All() {
-		cells := []string{wl.Name}
-		for range specs {
-			cells = append(cells, stats.Pct(results[i].Exit.MissRate()))
-			i++
-		}
-		tbl.AddRow(cells...)
+	for _, rs := range res {
+		tbl.AddRow(row(rs, exitMiss, rs[0].Run.Workload)...)
 	}
 	return writeTables(w, tbl)
 }

@@ -235,31 +235,32 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-workload sweep")
 	}
-	rows, err := FaultSweepData(Config{MaxSteps: 4000})
+	res, err := faultSweepResults(Config{MaxSteps: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 3 {
-		t.Fatalf("%d workloads in sweep, want >= 3", len(rows))
+	if len(res) < 3 {
+		t.Fatalf("%d workloads in sweep, want >= 3", len(res))
 	}
 	last := len(FaultSweepRates) - 1
-	for _, row := range rows {
-		if len(row.MissRate) != len(FaultSweepRates) {
-			t.Fatalf("%s: %d points", row.Workload, len(row.MissRate))
+	for _, rs := range res {
+		name := rs[0].Run.Workload
+		if len(rs) != len(FaultSweepRates) {
+			t.Fatalf("%s: %d points", name, len(rs))
 		}
 		// The degradation endpoints must be ordered: heavy injection cannot
 		// beat the fault-free baseline (Report.Check already allows for
 		// small lucky-flip wiggle at adjacent rates; the endpoints give the
 		// curve its monotone shape).
-		if row.MissRate[last] < row.MissRate[0] {
+		if rs[last].Task.MissRate() < rs[0].Task.MissRate() {
 			t.Errorf("%s: miss rate at rate %g (%.4f) below fault-free (%.4f)",
-				row.Workload, FaultSweepRates[last], row.MissRate[last], row.MissRate[0])
+				name, FaultSweepRates[last], rs[last].Task.MissRate(), rs[0].Task.MissRate())
 		}
-		if row.Injected[0] != 0 {
-			t.Errorf("%s: fault-free point injected %d faults", row.Workload, row.Injected[0])
+		if n := rs[0].Injection.TotalInjected(); n != 0 {
+			t.Errorf("%s: fault-free point injected %d faults", name, n)
 		}
-		if row.Injected[last] == 0 {
-			t.Errorf("%s: heaviest point injected nothing", row.Workload)
+		if rs[last].Injection.TotalInjected() == 0 {
+			t.Errorf("%s: heaviest point injected nothing", name)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func StaticDynData(cfg Config) ([]StaticDynRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := getTrace(wl, cfg)
+		tr, err := workload.CachedColumnar(wl.Name, cfg.MaxSteps)
 		if err != nil {
 			return nil, err
 		}

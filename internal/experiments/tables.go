@@ -20,7 +20,7 @@ func Table2(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		tr, err := getTrace(wl, cfg)
+		tr, err := workload.CachedColumnar(wl.Name, cfg.MaxSteps)
 		if err != nil {
 			return err
 		}
@@ -38,53 +38,31 @@ func Table2(w io.Writer, cfg Config) error {
 	return writeTables(w, tbl)
 }
 
-// Table3Row is one workload's comparison in Table 3.
-type Table3Row struct {
-	Workload string
-	CTTBOnly float64 // task (address) miss rate, CTTB-only 64 KB predictor
-	Header   float64 // task miss rate, exit predictor + RAS + small CTTB (16 KB)
+// table3Plan compares header-less CTTB-only task prediction (64 KB)
+// against the standard composed predictor (exit predictor + RAS + small
+// CTTB, 16 KB), both at history depth 7 (§5.4 / Table 3).
+func table3Plan(cfg Config) plan {
+	return byWorkload(workload.Names(), []engine.Run{
+		{Spec: CTTBSpec(Depth7CTTBLarge), Mode: engine.ModeTask, MaxSteps: cfg.MaxSteps},
+		{Spec: StdSpec(), MaxSteps: cfg.MaxSteps},
+	})
 }
 
-// Table3Data compares header-less CTTB-only task prediction against the
-// standard composed predictor, both at history depth 7 (§5.4 / Table 3).
-func Table3Data(cfg Config) ([]Table3Row, error) {
-	var runs []engine.Run
-	for _, wl := range workload.All() {
-		runs = append(runs,
-			engine.Run{Workload: wl.Name, Spec: CTTBSpec(Depth7CTTBLarge),
-				Mode: engine.ModeTask, MaxSteps: cfg.MaxSteps},
-			engine.Run{Workload: wl.Name, Spec: StdSpec(), MaxSteps: cfg.MaxSteps})
-	}
-	results, err := execute(cfg, runs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table3Row
-	for i, wl := range workload.All() {
-		out = append(out, Table3Row{
-			Workload: wl.Name,
-			CTTBOnly: results[2*i].Task.MissRate(),
-			Header:   results[2*i+1].Task.MissRate(),
-		})
-	}
-	return out, nil
-}
-
-// Table3 renders Table3Data.
+// Table3 renders table3Plan.
 func Table3(w io.Writer, cfg Config) error {
-	data, err := Table3Data(cfg)
+	res, err := table3Plan(cfg).run(cfg)
 	if err != nil {
 		return err
 	}
 	tbl := stats.New("Table 3 — CTTB-only vs exit predictor with RAS & CTTB (depth 7)",
 		"workload", "CTTB-only (64KB)", "exit+RAS+CTTB (16KB)", "CTTB-only worse by")
 	tbl.Note = "overall task (next-address) miss rates"
-	for _, r := range data {
+	for _, rs := range res {
 		worse := "-"
-		if r.Header > 0 {
-			worse = stats.Pct(r.CTTBOnly/r.Header - 1)
+		if header := rs[1].Task.MissRate(); header > 0 {
+			worse = stats.Pct(rs[0].Task.MissRate()/header - 1)
 		}
-		tbl.AddRow(r.Workload, stats.Pct(r.CTTBOnly), stats.Pct(r.Header), worse)
+		tbl.AddRow(append(row(rs, taskMiss, rs[0].Run.Workload), worse)...)
 	}
 	return writeTables(w, tbl)
 }
@@ -110,65 +88,34 @@ func Table4Specs() []Table4Spec {
 	}
 }
 
-// Table4Row is one workload's IPC row.
-type Table4Row struct {
-	Workload string
-	IPC      map[string]float64
-	MissRate map[string]float64
-}
-
-// Table4Data runs the timing simulator for each workload × predictor.
-func Table4Data(cfg Config) ([]Table4Row, error) {
+// table4Plan runs the timing simulator for each workload × Table 4
+// predictor, each run labelled with its predictor's display name.
+func table4Plan(cfg Config) plan {
 	cfg = cfg.withDefaults()
-	preds := Table4Specs()
-	var runs []engine.Run
-	for _, wl := range workload.All() {
-		for _, p := range preds {
-			runs = append(runs, engine.Run{Workload: wl.Name, Spec: p.Spec, Label: p.Name,
-				Mode: engine.ModeTiming, TimingSteps: cfg.TimingSteps})
-		}
+	var preds []engine.Run
+	for _, p := range Table4Specs() {
+		preds = append(preds, engine.Run{Spec: p.Spec, Label: p.Name,
+			Mode: engine.ModeTiming, TimingSteps: cfg.TimingSteps})
 	}
-	results, err := execute(cfg, runs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table4Row
-	i := 0
-	for _, wl := range workload.All() {
-		row := Table4Row{Workload: wl.Name,
-			IPC: map[string]float64{}, MissRate: map[string]float64{}}
-		for _, p := range preds {
-			row.IPC[p.Name] = results[i].Timing.IPC()
-			row.MissRate[p.Name] = results[i].Timing.TaskMissRate()
-			i++
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return byWorkload(workload.Names(), preds)
 }
 
-// Table4 renders Table4Data.
+// Table4 renders table4Plan.
 func Table4(w io.Writer, cfg Config) error {
-	data, err := Table4Data(cfg)
+	res, err := table4Plan(cfg).run(cfg)
 	if err != nil {
 		return err
 	}
-	preds := Table4Specs()
 	cols := []string{"workload"}
-	for _, p := range preds {
+	for _, p := range Table4Specs() {
 		cols = append(cols, p.Name)
 	}
 	tbl := stats.New("Table 4 — IPC from the timing simulator (4 units, 2-way)", cols...)
 	miss := stats.New("Table 4 supplement — task miss rates observed by the timing run", cols...)
-	for _, r := range data {
-		cells := []string{r.Workload}
-		mcells := []string{r.Workload}
-		for _, p := range preds {
-			cells = append(cells, stats.F2(r.IPC[p.Name]))
-			mcells = append(mcells, stats.Pct(r.MissRate[p.Name]))
-		}
-		tbl.AddRow(cells...)
-		miss.AddRow(mcells...)
+	timingMiss := func(r *engine.Result) string { return stats.Pct(r.Timing.TaskMissRate()) }
+	for _, rs := range res {
+		tbl.AddRow(row(rs, ipc, rs[0].Run.Workload)...)
+		miss.AddRow(row(rs, timingMiss, rs[0].Run.Workload)...)
 	}
 	return writeTables(w, tbl, miss)
 }

@@ -279,8 +279,8 @@ func TestBlockReplayAllocationFree(t *testing.T) {
 	}
 
 	// The composed predictor's block kernel, with and without a column
-	// (warmed first, so its tables have grown): the cursor, the tally and
-	// the two rings RAS.Reset makes.
+	// (warmed first, so its tables have grown): the cursor and the tally;
+	// RAS.Reset clears its rings in place.
 	composed := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
 	col := core.NewOutcomeColumn(c.Len())
 	for _, arm := range []struct {
@@ -291,8 +291,8 @@ func TestBlockReplayAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(3, func() { core.EvaluateTaskBlocksInto(c.Blocks(), composed, arm.col) })
-		if allocs > 4 {
-			t.Errorf("EvaluateTaskBlocksInto(composed, %s): %.1f allocs per %d-step replay, want <= 4 (cursor + tally + RAS rings)", arm.name, allocs, c.Len())
+		if allocs > 2 {
+			t.Errorf("EvaluateTaskBlocksInto(composed, %s): %.1f allocs per %d-step replay, want <= 2 (cursor + tally)", arm.name, allocs, c.Len())
 		}
 	}
 }

@@ -54,8 +54,16 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 
-echo "==> mbench parallel smoke (-workers 4, truncated traces)"
-go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers 4 -journal '' >/dev/null
+echo "==> mbench smoke (truncated traces): the same tables at -workers 1 and -workers 4"
+# Durations are wall-clock, so the "[… done in …]" lines and the trailing
+# "Run summary" table are dropped before the two outputs are compared.
+MB_TMP="${TMPDIR:-/tmp}"
+for n in 1 4; do
+	go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers "$n" -journal '' >"$MB_TMP/mbench-w$n.out"
+	sed -e '/^\[.* done in .*\]$/d' -e '/^## Run summary$/,$d' "$MB_TMP/mbench-w$n.out" >"$MB_TMP/mbench-w$n.tables"
+done
+cmp "$MB_TMP/mbench-w1.tables" "$MB_TMP/mbench-w4.tables"
+rm -f "$MB_TMP"/mbench-w[14].out "$MB_TMP"/mbench-w[14].tables
 
 echo "==> obs smoke (-metrics-out / -trace-out produce valid JSON)"
 OBS_TMP="${TMPDIR:-/tmp}"

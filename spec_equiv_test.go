@@ -206,11 +206,34 @@ func TestSpecTimingOracle(t *testing.T) {
 // same program its mispredicts and rollbacks equal block replay's by
 // construction. The test holds that construction — the column reaches
 // the ring model whole — and that the model charges rlat cycles per
-// rollback.
+// rollback bit of the column. A session at lag > 0 can repair once
+// after the last task: Rollbacks counts that repair, but no dispatch
+// waits for it (DESIGN §15), so it costs no cycles. The minilisp case at
+// lag 4 over 60,000 steps ends with such a repair, and the test requires
+// that some case does.
 func TestSpecTimingMatchesBlockReplay(t *testing.T) {
-	const steps = 20000
+	type tc struct {
+		workload string
+		steps    int
+		spec     string
+	}
+	var cases []tc
 	for _, name := range []string{"boolmin", "minilisp"} {
-		w, err := workload.ByName(name)
+		for _, spec := range []string{
+			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat0",
+			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8",
+			"composed:path:d7-o5-l6-c6-f3:leh2:dlat4:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8",
+			"composed:ipath:d7:leh2:dlat2:ras32:icttb:d7:spec:rlat0",
+		} {
+			cases = append(cases, tc{name, 20000, spec})
+		}
+	}
+	cases = append(cases, tc{"minilisp", 60000,
+		"composed:path:d7-o5-l6-c6-f3:leh2:dlat4:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8"})
+
+	tailRepairs := 0
+	for _, k := range cases {
+		w, err := workload.ByName(k.workload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,48 +241,50 @@ func TestSpecTimingMatchesBlockReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := workload.CachedColumnar(name, steps)
+		c, err := workload.CachedColumnar(k.workload, k.steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range []string{
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat0",
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8",
-			"composed:path:d7-o5-l6-c6-f3:leh2:dlat4:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8",
-			"composed:ipath:d7:leh2:dlat2:ras32:icttb:d7:spec:rlat0",
-		} {
-			sp, err := engine.Parse(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			timed, err := timing.Run(g, engine.MustBuild(spec), timing.Config{
-				MaxSteps: steps, SpecUpdate: true, SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()})
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, spec, err)
-			}
-			replayed, err := core.EvaluateTaskSpecBlocks(c.Blocks(), engine.MustBuild(spec), sp.SpecLag())
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, spec, err)
-			}
-			if timed.Rollbacks == 0 {
-				t.Errorf("%s %s: no rollbacks", name, spec)
-			}
-			if timed.TaskMispredicts != replayed.Misses || timed.Rollbacks != replayed.Rollbacks {
-				t.Errorf("%s %s: timing %d misses / %d rollbacks, block replay %d / %d",
-					name, spec, timed.TaskMispredicts, timed.Rollbacks, replayed.Misses, replayed.Rollbacks)
-			}
-			if want := uint64(timed.Rollbacks) * uint64(sp.RepairLat()); timed.RepairCycles != want {
-				t.Errorf("%s %s: RepairCycles = %d, want rollbacks×rlat = %d", name, spec, timed.RepairCycles, want)
-			}
+		sp, err := engine.Parse(k.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		timed, err := timing.Run(g, engine.MustBuild(k.spec), timing.Config{
+			MaxSteps: k.steps, SpecUpdate: true, SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()})
+		if err != nil {
+			t.Fatalf("%s %s: %v", k.workload, k.spec, err)
+		}
+		col := core.NewOutcomeColumn(c.Len())
+		replayed, err := core.EvaluateTaskSpecBlocksInto(c.Blocks(), engine.MustBuild(k.spec), sp.SpecLag(), col)
+		if err != nil {
+			t.Fatalf("%s %s: %v", k.workload, k.spec, err)
+		}
+		if timed.Rollbacks == 0 {
+			t.Errorf("%s %s: no rollbacks", k.workload, k.spec)
+		}
+		if timed.TaskMispredicts != replayed.Misses || timed.Rollbacks != replayed.Rollbacks {
+			t.Errorf("%s %s: timing %d misses / %d rollbacks, block replay %d / %d",
+				k.workload, k.spec, timed.TaskMispredicts, timed.Rollbacks, replayed.Misses, replayed.Rollbacks)
+		}
+		_, rollbackBits := columnCounts(col)
+		if rollbackBits < replayed.Rollbacks {
+			tailRepairs++
+		}
+		if want := uint64(rollbackBits) * uint64(sp.RepairLat()); timed.RepairCycles != want {
+			t.Errorf("%s %s: RepairCycles = %d, want rollback bits×rlat = %d×%d",
+				k.workload, k.spec, timed.RepairCycles, rollbackBits, sp.RepairLat())
+		}
+	}
+	if tailRepairs == 0 {
+		t.Error("no case repairs after its last task; the after-last-task accounting goes unchecked")
 	}
 }
 
 // TestSpecBlockReplayAllocationBound pins the spec-mode allocation
 // contract two ways. With warmed built-in predictors, a spec replay of
 // tens of thousands of rollback-heavy steps costs only the constant
-// session setup (session, window ring and cursor, plus the two rings
-// RAS.Reset makes in a composed predictor) — never per-step or
+// session setup (session, window ring and cursor; a composed
+// predictor's RAS.Reset clears its rings in place) — never per-step or
 // per-rollback allocations. And spec mode
 // allocates no more than idealized mode does with the same predictor
 // (both populate the same PHT after Reset; the undo log is a reusable
@@ -293,8 +318,8 @@ func TestSpecBlockReplayAllocationBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 5 {
-			t.Errorf("EvaluateTaskSpecBlocks %s: %.1f allocs per %d-step replay, want <= 5 (session + window + cursor + RAS rings)", spec, allocs, c.Len())
+		if allocs > 3 {
+			t.Errorf("EvaluateTaskSpecBlocks %s: %.1f allocs per %d-step replay, want <= 3 (session + window + cursor)", spec, allocs, c.Len())
 		}
 	}
 
