@@ -491,3 +491,25 @@ func BenchmarkTaskform(b *testing.B) {
 		}
 	}
 }
+
+// specSink keeps BenchmarkParseSpec's canonical forms live.
+var specSink string
+
+// BenchmarkParseSpec measures the spec grammar every front end pays per
+// request: one op parses every spec of experiments.AllSpecs and renders
+// its canonical form.
+func BenchmarkParseSpec(b *testing.B) {
+	specs := experiments.AllSpecs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			sp, err := engine.Parse(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specSink = sp.String()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/spec")
+}

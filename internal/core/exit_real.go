@@ -144,9 +144,6 @@ func (p *PathExit) Name() string { return p.name }
 // DOLC returns the predictor's index configuration.
 func (p *PathExit) DOLC() DOLC { return p.dolc }
 
-// SizeBits returns the PHT storage in bits (entries × automaton width).
-func (p *PathExit) SizeBits() int { return p.dolc.TableSize() * p.pht.kind.Bits }
-
 // States implements ExitPredictor: the number of distinct PHT entries
 // touched (Figure 11's "real implementation" series).
 func (p *PathExit) States() int { return p.pht.touched }
@@ -284,6 +281,11 @@ type GlobalExit struct {
 	undoLog
 }
 
+// addrBits is the width of an isa.Addr, the most task address bits an
+// index can take; with it a GLOBAL or PER intermediate index stays
+// within 64 bits (at most 32 + 2·MaxHistoryDepth).
+const addrBits = 32
+
 // NewGlobalExit builds a real GLOBAL exit predictor: depth 2-bit exit
 // steps of global history concatenated with currentBits of the task
 // address, folded to indexBits.
@@ -293,6 +295,9 @@ func NewGlobalExit(depth, currentBits, indexBits int, kind AutomatonKind) (*Glob
 	}
 	if indexBits <= 0 || indexBits > 30 {
 		return nil, fmt.Errorf("core: GlobalExit index bits %d out of range", indexBits)
+	}
+	if currentBits < 0 || currentBits > addrBits {
+		return nil, fmt.Errorf("core: GlobalExit current-task bits %d out of range 0..%d", currentBits, addrBits)
 	}
 	return &GlobalExit{
 		name:  fmt.Sprintf("GLOBAL-real(d=%d,c=%d,i=%d,%s)", depth, currentBits, indexBits, kind.Name()),
@@ -384,6 +389,9 @@ func NewPerExit(depth, hrtBits, taskBits, indexBits int, kind AutomatonKind) (*P
 	}
 	if indexBits <= 0 || indexBits > 30 || hrtBits <= 0 || hrtBits > 24 {
 		return nil, fmt.Errorf("core: PerExit table sizes out of range")
+	}
+	if taskBits < 0 || taskBits > addrBits {
+		return nil, fmt.Errorf("core: PerExit task bits %d out of range 0..%d", taskBits, addrBits)
 	}
 	return &PerExit{
 		name:  fmt.Sprintf("PER-real(d=%d,h=%d,i=%d,%s)", depth, hrtBits, indexBits, kind.Name()),

@@ -281,3 +281,20 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 		}
 	}
 }
+
+// TestRealExitAddressBitBounds holds the GLOBAL and PER constructors to
+// the width of a task address: a field above 32 bits would shift the
+// history out of the 64-bit intermediate index, so it is refused.
+func TestRealExitAddressBitBounds(t *testing.T) {
+	for _, c := range []struct {
+		bits int
+		ok   bool
+	}{{0, true}, {32, true}, {33, false}, {64, false}, {-1, false}} {
+		if _, err := NewGlobalExit(MaxHistoryDepth, c.bits, 14, LEH2); (err == nil) != c.ok {
+			t.Errorf("NewGlobalExit(current bits %d): err %v, want ok=%v", c.bits, err, c.ok)
+		}
+		if _, err := NewPerExit(MaxHistoryDepth, 12, c.bits, 14, LEH2); (err == nil) != c.ok {
+			t.Errorf("NewPerExit(task bits %d): err %v, want ok=%v", c.bits, err, c.ok)
+		}
+	}
+}

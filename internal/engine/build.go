@@ -6,64 +6,32 @@ import (
 	"multiscalar/internal/core"
 )
 
-// BuildExit constructs the spec's exit predictor component. In
-// speculative-update mode the exit's dlat<k> becomes the spec session's
-// resolution lag instead of a core.DelayedUpdate wrapper (the wrapper
-// cannot checkpoint, and the session already models the delay).
+// BuildExit constructs the spec's exit predictor component from its
+// kind's row. In speculative-update mode the exit's dlat<k> becomes the
+// spec session's resolution lag instead of a core.DelayedUpdate wrapper
+// (the wrapper cannot checkpoint, and the session already models the
+// delay).
 func (s *Spec) BuildExit() (core.ExitPredictor, error) {
-	if s.exit == nil {
+	if !s.HasExit() {
 		return nil, fmt.Errorf("engine: spec %q has no exit predictor", s)
 	}
-	return s.exit.build(s.specUpdate)
-}
-
-// build constructs the exit predictor an ExitSpec describes. specMode
-// suppresses the DelayedUpdate wrap (see Spec.BuildExit).
-func (e *ExitSpec) build(specMode bool) (core.ExitPredictor, error) {
-	var p core.ExitPredictor
-	var err error
-	switch e.Scheme {
-	case SchemePath:
-		p, err = core.NewPathExit(e.DOLC, e.Automaton, core.PathExitOptions{
-			SkipSingleExit:        !e.NoSSE,
-			SkipSingleExitHistory: e.SSH,
-			TrainLatency:          e.Lat,
-			Seed:                  e.Seed,
-		})
-	case SchemeGlobal:
-		p, err = core.NewGlobalExit(e.Depth, e.Current, e.Index, e.Automaton)
-	case SchemePer:
-		p, err = core.NewPerExit(e.Depth, e.HRT, e.TaskBits, e.Index, e.Automaton)
-	case SchemeIdealPath:
-		p = core.NewIdealPath(e.Depth, e.Automaton)
-	case SchemeIdealGlobal:
-		p = core.NewIdealGlobal(e.Depth, e.Automaton)
-	case SchemeIdealPer:
-		p = core.NewIdealPer(e.Depth, e.Automaton)
-	}
+	p, err := s.exit.kind.exit(&s.exit.part)
 	if err != nil {
 		return nil, err
 	}
-	if e.DLat > 0 && !specMode {
-		p = core.NewDelayedUpdate(p, e.DLat)
+	if lag := s.exit.flags[flagDLat]; lag > 0 && !s.specUpdate {
+		p = core.NewDelayedUpdate(p, lag)
 	}
 	return p, nil
 }
 
-// BuildTarget constructs the spec's target buffer component.
+// BuildTarget constructs the spec's target buffer component from its
+// kind's row.
 func (s *Spec) BuildTarget() (core.TargetBuffer, error) {
-	if s.buf == nil {
+	if !s.HasTarget() {
 		return nil, fmt.Errorf("engine: spec %q has no target buffer", s)
 	}
-	return s.buf.build()
-}
-
-// build constructs the target buffer a TargetSpec describes.
-func (t *TargetSpec) build() (core.TargetBuffer, error) {
-	if t.Ideal {
-		return core.NewIdealCTTB(t.Depth), nil
-	}
-	return core.NewCTTB(t.DOLC)
+	return s.buf.kind.buf(&s.buf.part)
 }
 
 // BuildTask constructs a full task predictor from the spec. A
@@ -75,31 +43,28 @@ func (s *Spec) BuildTask() (core.TaskPredictor, error) {
 	switch s.class {
 	case ClassPerfect:
 		return nil, nil
-	case ClassTarget:
-		buf, err := s.buf.build()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCTTBOnly(buf), nil
-	case ClassTask:
-		exit, err := s.exit.build(s.specUpdate)
-		if err != nil {
-			return nil, err
-		}
-		var ras *core.RAS
-		if !s.noRAS {
-			ras = core.NewRAS(s.rasDepth)
-		}
-		var buf core.TargetBuffer
-		if s.buf != nil {
-			if buf, err = s.buf.build(); err != nil {
-				return nil, err
-			}
-		}
-		return core.NewHeaderPredictor(s.String(), exit, ras, buf), nil
-	default:
+	case ClassExit:
 		return nil, fmt.Errorf("engine: exit-only spec %q cannot build a task predictor (wrap it in composed:)", s)
 	}
+	var buf core.TargetBuffer
+	if s.HasTarget() {
+		var err error
+		if buf, err = s.BuildTarget(); err != nil {
+			return nil, err
+		}
+	}
+	if s.class == ClassTarget {
+		return core.NewCTTBOnly(buf), nil
+	}
+	exit, err := s.BuildExit()
+	if err != nil {
+		return nil, err
+	}
+	var ras *core.RAS
+	if s.rasDepth > 0 {
+		ras = core.NewRAS(s.rasDepth)
+	}
+	return core.NewHeaderPredictor(s.String(), exit, ras, buf), nil
 }
 
 // Build parses a spec string and constructs its task predictor — the
@@ -112,31 +77,25 @@ func Build(spec string) (core.TaskPredictor, error) {
 	return sp.BuildTask()
 }
 
-// MustBuild is Build, panicking on error.
-func MustBuild(spec string) core.TaskPredictor {
-	p, err := Build(spec)
+// must returns v, panicking on err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return p
+	return v
 }
+
+// MustParse is Parse, panicking on error (for compile-time-constant
+// specs).
+func MustParse(s string) *Spec { return must(Parse(s)) }
+
+// MustBuild is Build, panicking on error.
+func MustBuild(spec string) core.TaskPredictor { return must(Build(spec)) }
 
 // MustBuildExit parses a spec string and constructs its exit predictor,
 // panicking on error.
-func MustBuildExit(spec string) core.ExitPredictor {
-	p, err := MustParse(spec).BuildExit()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+func MustBuildExit(spec string) core.ExitPredictor { return must(MustParse(spec).BuildExit()) }
 
 // MustBuildTarget parses a spec string and constructs its target buffer,
 // panicking on error.
-func MustBuildTarget(spec string) core.TargetBuffer {
-	b, err := MustParse(spec).BuildTarget()
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
+func MustBuildTarget(spec string) core.TargetBuffer { return must(MustParse(spec).BuildTarget()) }

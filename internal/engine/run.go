@@ -175,18 +175,6 @@ func run(r Run, res *Result) (err error) {
 			return err
 		}
 		r.Status.SetTotal(int64(c.Len()))
-		pred, err := sp.BuildTask()
-		if err != nil {
-			return err
-		}
-		var inj *fault.Injector
-		var sum uint64
-		if fs.Enabled() {
-			if inj, err = fault.New(fs, pred); err != nil {
-				return err
-			}
-			pred, res.Faulted, sum = inj, true, fault.Checksum(c)
-		}
 		cfg := timing.Config{
 			MaxSteps:      r.TimingSteps,
 			SpecUpdate:    sp.SpecUpdate(),
@@ -195,14 +183,15 @@ func run(r Run, res *Result) (err error) {
 		}
 		// The kernel's result stays out of res.Task: a timing run
 		// reports Timing only.
-		col, task, err := timing.Outcomes(c, pred, cfg)
+		var col core.OutcomeColumn
+		var task core.TaskResult
+		err = scoreTask(sp, fs, c, res, func(p core.TaskPredictor) (int, error) {
+			var err error
+			col, task, err = timing.Outcomes(c, p, cfg)
+			return task.Steps, err
+		})
 		if err != nil {
 			return err
-		}
-		if inj != nil {
-			if err := checkRecovery(c, task.Steps, sum); err != nil {
-				return err
-			}
 		}
 		tres, err := timing.RunTrace(c, bits, col, cfg)
 		if err != nil {
@@ -210,9 +199,6 @@ func run(r Run, res *Result) (err error) {
 		}
 		tres.Rollbacks = task.Rollbacks
 		res.Timing = tres
-		if inj != nil {
-			res.Injection = inj.Stats()
-		}
 		// The model reports no progress while it runs; credit the tasks
 		// retired at the end.
 		r.Status.AddSteps(int64(tres.Tasks))
@@ -240,18 +226,27 @@ func run(r Run, res *Result) (err error) {
 	r.Status.SetTotal(int64(c.Len()))
 	src := WithProgress(c.Blocks(), r.Status)
 	if fs.Enabled() {
-		return replayFaulted(sp, fs, c, src, res)
+		return scoreTask(sp, fs, c, res, func(p core.TaskPredictor) (int, error) {
+			var err error
+			res.Task, err = core.EvaluateTaskBlocks(src, p)
+			return res.Task.Steps, err
+		})
 	}
 	return ReplayBlocks(sp, mode, src, res)
 }
 
-// replayFaulted evaluates a faulted task run over the cached columns:
-// the predictor is wrapped in the injector and the run is held to the
-// recovery invariants. Panics are caught by run's recover and surface
-// as *fault.PanicError.
-func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSource, res *Result) error {
+// scoreTask builds the spec's task predictor and hands it to score,
+// which runs it over c and returns the steps it scored. When fs injects
+// faults the predictor is wrapped in the injector, whose activity lands
+// in res, and the run is held to the recovery invariants. Panics are
+// caught by run's recover and surface as *fault.PanicError.
+func scoreTask(sp *Spec, fs fault.Spec, c *trace.Columnar, res *Result, score func(core.TaskPredictor) (int, error)) error {
 	p, err := sp.BuildTask()
 	if err != nil {
+		return err
+	}
+	if !fs.Enabled() {
+		_, err = score(p)
 		return err
 	}
 	inj, err := fault.New(fs, p)
@@ -259,11 +254,12 @@ func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSo
 		return err
 	}
 	sum := fault.Checksum(c)
-	if res.Task, err = core.EvaluateTaskBlocks(src, inj); err != nil {
+	scored, err := score(inj)
+	if err != nil {
 		return err
 	}
 	res.Injection, res.Faulted = inj.Stats(), true
-	return checkRecovery(c, res.Task.Steps, sum)
+	return checkRecovery(c, scored, sum)
 }
 
 // checkRecovery holds a faulted task or timing run over c to the

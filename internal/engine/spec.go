@@ -17,6 +17,9 @@
 //	                                  header predictor: exit + RAS + buffer
 //	perfect                           always-correct predictor (timing runs only)
 //
+// Each kind is one row of the kinds table and each exit flag one row of
+// exitFlags; Parse, String and the Build methods all read those rows.
+//
 // Spec.String returns the canonical form: Parse(s).String() is a fixed
 // point, and journal keys and result labels use it so they survive
 // cosmetic respellings of the same configuration.
@@ -26,6 +29,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -51,17 +55,12 @@ const (
 	ClassPerfect
 )
 
+var classNames = [...]string{"exit", "target", "task", "perfect"}
+
 // String implements fmt.Stringer.
 func (c Class) String() string {
-	switch c {
-	case ClassExit:
-		return "exit"
-	case ClassTarget:
-		return "target"
-	case ClassTask:
-		return "task"
-	case ClassPerfect:
-		return "perfect"
+	if int(c) < len(classNames) {
+		return classNames[c]
 	}
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
@@ -84,58 +83,157 @@ const (
 	SchemeIdealPer
 )
 
+// MaxBufferParam caps the ras<N>, lat<k> and dlat<k> parameters. Each
+// sizes a buffer when the spec is built (the RAS ring, the training
+// FIFO, the delayed-update queue or the speculative window), so Parse
+// rejects larger values rather than let a spec string size an
+// allocation. The experiment grids stay far below it (ras64, lat8,
+// dlat8).
+const MaxBufferParam = 4096
+
+// addrBits is the width of an isa.Addr: the most task address bits a
+// GLOBAL or PER index can take.
+const addrBits = 32
+
+// field is one dash-separated integer field of a kind's parameter
+// segment ("c14" in "d7-c14-i14"), with its inclusive range.
+type field struct {
+	key      string
+	min, max int
+	// optional marks a trailing field that may be omitted; def is its
+	// value then, and String elides it at that value.
+	optional bool
+	def      int
+}
+
+// kind is one row of the grammar: a predictor kind and everything
+// Parse, String and the Build methods know about it. Exit kinds also
+// take an automaton segment and the exit flags whose rows admit them.
+type kind struct {
+	name   string
+	class  Class
+	scheme Scheme // ClassExit only
+	fields []field
+	// dolc marks fields that spell a core.DOLC: DOLC.Validate checks
+	// them together, and ExitDOLC/CTTBDOLC expose it.
+	dolc bool
+	exit func(p *part) (core.ExitPredictor, error)
+	buf  func(p *part) (core.TargetBuffer, error)
+}
+
+// The exit flags, indices into exitFlags and part.flags.
+const (
+	flagNoSSE = iota
+	flagSSH
+	flagLat
+	flagDLat
+	flagSeed
+	numFlags
+)
+
+// flag is one exit flag row: a bare word ("nosse") when max is 0, else
+// a word and a value in 0..max ("lat4"). only names the one kind that
+// takes the flag; "" admits every exit kind.
+type flag struct {
+	name string
+	max  int
+	only string
+}
+
+// exitFlags holds the flag rows in canonical order.
+var exitFlags = [numFlags]flag{
+	flagNoSSE: {name: "nosse", only: "path"},
+	flagSSH:   {name: "ssh", only: "path"},
+	flagLat:   {name: "lat", max: MaxBufferParam, only: "path"},
+	flagDLat:  {name: "dlat", max: MaxBufferParam},
+	flagSeed:  {name: "seed", max: math.MaxUint32, only: "path"},
+}
+
+var (
+	depthField = field{key: "d", max: core.MaxHistoryDepth}
+	depthOnly  = []field{depthField}
+	// The DOLC widths' bound keeps (D-1)·O + L + C from overflowing;
+	// DOLC.Validate bounds the folded index itself.
+	dolcFields = []field{
+		depthField,
+		{key: "o", max: math.MaxInt32},
+		{key: "l", max: math.MaxInt32},
+		{key: "c", max: math.MaxInt32},
+		{key: "f", min: 1, max: math.MaxInt32, optional: true, def: 1},
+	}
+	phtIndex = field{key: "i", min: 1, max: 30}
+)
+
+// kinds is the grammar's table of predictor kinds.
+var kinds = []kind{
+	{name: "perfect", class: ClassPerfect},
+	{name: "path", class: ClassExit, scheme: SchemePath, fields: dolcFields, dolc: true,
+		exit: func(p *part) (core.ExitPredictor, error) {
+			return core.NewPathExit(*p.dolc(), p.autom, core.PathExitOptions{
+				SkipSingleExit:        p.flags[flagNoSSE] == 0,
+				SkipSingleExitHistory: p.flags[flagSSH] != 0,
+				TrainLatency:          p.flags[flagLat],
+				Seed:                  uint32(p.flags[flagSeed]),
+			})
+		}},
+	{name: "global", class: ClassExit, scheme: SchemeGlobal,
+		fields: []field{depthField, {key: "c", max: addrBits}, phtIndex},
+		exit: func(p *part) (core.ExitPredictor, error) {
+			return core.NewGlobalExit(p.vals[0], p.vals[1], p.vals[2], p.autom)
+		}},
+	{name: "per", class: ClassExit, scheme: SchemePer,
+		fields: []field{depthField, {key: "h", min: 1, max: 24}, {key: "t", max: addrBits}, phtIndex},
+		exit: func(p *part) (core.ExitPredictor, error) {
+			return core.NewPerExit(p.vals[0], p.vals[1], p.vals[2], p.vals[3], p.autom)
+		}},
+	{name: "ipath", class: ClassExit, scheme: SchemeIdealPath, fields: depthOnly,
+		exit: func(p *part) (core.ExitPredictor, error) { return core.NewIdealPath(p.vals[0], p.autom), nil }},
+	{name: "iglobal", class: ClassExit, scheme: SchemeIdealGlobal, fields: depthOnly,
+		exit: func(p *part) (core.ExitPredictor, error) { return core.NewIdealGlobal(p.vals[0], p.autom), nil }},
+	{name: "iper", class: ClassExit, scheme: SchemeIdealPer, fields: depthOnly,
+		exit: func(p *part) (core.ExitPredictor, error) { return core.NewIdealPer(p.vals[0], p.autom), nil }},
+	{name: "cttb", class: ClassTarget, fields: dolcFields, dolc: true,
+		buf: func(p *part) (core.TargetBuffer, error) { return core.NewCTTB(*p.dolc()) }},
+	{name: "icttb", class: ClassTarget, fields: depthOnly,
+		buf: func(p *part) (core.TargetBuffer, error) { return core.NewIdealCTTB(p.vals[0]), nil }},
+}
+
+// lookup returns the row named name, or nil.
+func lookup(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
+}
+
+// part is one parsed component of a spec: its kind's row and the values
+// the spec gave that row's fields, automaton and flags.
+type part struct {
+	kind  *kind  // nil: the spec has no such component
+	vals  [5]int // field values in row order; DOLC has the most fields
+	autom core.AutomatonKind
+	flags [numFlags]int // a set bare flag is 1
+}
+
 // ExitSpec is a parsed exit predictor description.
 type ExitSpec struct {
+	// Scheme is the predictor's history scheme.
 	Scheme Scheme
-	// DOLC is the index function (SchemePath only).
-	DOLC core.DOLC
-	// Depth is the history depth (all schemes but SchemePath, which
-	// carries it inside DOLC).
-	Depth int
-	// Current is the new-path bit width (SchemeGlobal).
-	Current int
-	// HRT is the history register table index width (SchemePer).
-	HRT int
-	// TaskBits is the per-task history field width (SchemePer).
-	TaskBits int
-	// Index is the PHT index width (SchemeGlobal, SchemePer).
-	Index int
-	// Automaton is the PHT entry automaton.
-	Automaton core.AutomatonKind
-	// NoSSE disables the single-exit-task optimization (SchemePath,
-	// which enables it by default).
-	NoSSE bool
-	// SSH additionally keeps single-exit tasks out of the path history
-	// (SchemePath).
-	SSH bool
-	// Lat delays automaton training by this many tasks (SchemePath).
-	Lat int
-	// DLat wraps the predictor in core.DelayedUpdate: the whole update,
-	// history included, lags by this many tasks (any scheme).
-	DLat int
-	// Seed seeds the tie-break RNG of voting-counter automata
-	// (SchemePath).
-	Seed uint32
+	part
 }
 
 // TargetSpec is a parsed target buffer description.
-type TargetSpec struct {
-	// Ideal selects the infinite alias-free CTTB.
-	Ideal bool
-	// DOLC is the real CTTB's index function (!Ideal).
-	DOLC core.DOLC
-	// Depth is the ideal CTTB's history depth (Ideal).
-	Depth int
-}
+type TargetSpec struct{ part }
 
 // Spec is a parsed predictor specification. The zero value is not
 // valid; obtain Specs from Parse.
 type Spec struct {
 	class    Class
-	exit     *ExitSpec
-	buf      *TargetSpec
-	rasDepth int // resolved capacity (ClassTask, unless noRAS)
-	noRAS    bool
+	exit     ExitSpec
+	buf      TargetSpec
+	rasDepth int // resolved capacity (ClassTask); 0 for noras
 
 	// specUpdate selects speculative-update mode: predictors train at
 	// prediction time with the predicted outcome and mispredicts repair
@@ -150,16 +248,26 @@ type Spec struct {
 func (s *Spec) Class() Class { return s.class }
 
 // Exit returns the exit predictor component (nil when absent).
-func (s *Spec) Exit() *ExitSpec { return s.exit }
+func (s *Spec) Exit() *ExitSpec {
+	if !s.HasExit() {
+		return nil
+	}
+	return &s.exit
+}
 
 // Target returns the target buffer component (nil when absent).
-func (s *Spec) Target() *TargetSpec { return s.buf }
+func (s *Spec) Target() *TargetSpec {
+	if !s.HasTarget() {
+		return nil
+	}
+	return &s.buf
+}
 
 // HasExit reports whether the spec contains any exit predictor.
-func (s *Spec) HasExit() bool { return s.exit != nil }
+func (s *Spec) HasExit() bool { return s.exit.kind != nil }
 
 // HasTarget reports whether the spec contains any target buffer.
-func (s *Spec) HasTarget() bool { return s.buf != nil }
+func (s *Spec) HasTarget() bool { return s.buf.kind != nil }
 
 // SpecUpdate reports whether the spec selects speculative-update mode.
 func (s *Spec) SpecUpdate() bool { return s.specUpdate }
@@ -173,63 +281,45 @@ func (s *Spec) RepairLat() int { return s.repairLat }
 // number of younger in-flight predictions between a prediction and its
 // resolution (instead of wrapping the predictor in core.DelayedUpdate).
 func (s *Spec) SpecLag() int {
-	if !s.specUpdate || s.exit == nil {
+	if !s.specUpdate {
 		return 0
 	}
-	return s.exit.DLat
+	return s.exit.flags[flagDLat]
 }
 
 // RASDepth returns the effective return address stack capacity the spec
 // builds: 0 when the spec carries no RAS at all (exit-only, target-only,
 // perfect, or composed:...:noras).
-func (s *Spec) RASDepth() int {
-	if s.class != ClassTask || s.noRAS {
-		return 0
-	}
-	return s.rasDepth
-}
+func (s *Spec) RASDepth() int { return s.rasDepth }
 
 // ExitDOLC returns the real path exit predictor's index function, or nil
 // when the spec has no DOLC-indexed exit predictor.
-func (s *Spec) ExitDOLC() *core.DOLC {
-	if s.exit != nil && s.exit.Scheme == SchemePath {
-		d := s.exit.DOLC
-		return &d
-	}
-	return nil
-}
+func (s *Spec) ExitDOLC() *core.DOLC { return s.exit.dolc() }
 
 // CTTBDOLC returns the real CTTB's index function, or nil when the spec
 // has no DOLC-indexed target buffer.
-func (s *Spec) CTTBDOLC() *core.DOLC {
-	if s.buf != nil && !s.buf.Ideal {
-		d := s.buf.DOLC
-		return &d
+func (s *Spec) CTTBDOLC() *core.DOLC { return s.buf.dolc() }
+
+// dolc returns the DOLC a dolc row's fields spell, or nil for a part of
+// another kind.
+func (p *part) dolc() *core.DOLC {
+	if p.kind == nil || !p.kind.dolc {
+		return nil
 	}
-	return nil
+	v := p.vals
+	return &core.DOLC{Depth: v[0], Older: v[1], Last: v[2], Current: v[3], Folds: v[4]}
 }
 
-// automTokens maps the grammar's compact automaton tokens to the kinds
-// of core.AllAutomata.
-var automTokens = []struct {
-	tok  string
-	kind core.AutomatonKind
-}{
-	{"le", core.LE},
-	{"leh1", core.LEH1},
-	{"leh2", core.LEH2},
-	{"vc2mru", core.VC2MRU},
-	{"vc2rand", core.VC2Random},
-	{"vc3mru", core.VC3MRU},
-	{"vc3rand", core.VC3Random},
-}
+// automTokens holds the grammar's compact token of each automaton of
+// core.AllAutomata, in that order.
+var automTokens = []string{"vc2mru", "vc2rand", "leh1", "vc3mru", "vc3rand", "leh2", "le"}
 
 // AutomatonToken returns the grammar's compact token for an automaton
 // kind ("leh2" for LEH-2bit), for callers composing spec strings.
 func AutomatonToken(k core.AutomatonKind) string {
-	for _, e := range automTokens {
-		if e.kind.Name() == k.Name() {
-			return e.tok
+	for i, a := range core.AllAutomata {
+		if a.Name() == k.Name() {
+			return automTokens[i]
 		}
 	}
 	return strings.ToLower(k.Name())
@@ -238,468 +328,283 @@ func AutomatonToken(k core.AutomatonKind) string {
 // parseAutomaton resolves an automaton segment: a compact token or a
 // display name ("LEH-2bit"), case-insensitively.
 func parseAutomaton(seg string) (core.AutomatonKind, error) {
-	low := strings.ToLower(seg)
-	for _, e := range automTokens {
-		if e.tok == low {
-			return e.kind, nil
+	for i, a := range core.AllAutomata {
+		if strings.EqualFold(automTokens[i], seg) || strings.EqualFold(a.Name(), seg) {
+			return a, nil
 		}
 	}
-	for _, k := range core.AllAutomata {
-		if strings.ToLower(k.Name()) == low {
-			return k, nil
-		}
-	}
-	toks := make([]string, len(automTokens))
-	for i, e := range automTokens {
-		toks[i] = e.tok
-	}
-	return core.AutomatonKind{}, fmt.Errorf("engine: unknown automaton %q (have %s)", seg, strings.Join(toks, ", "))
+	return core.AutomatonKind{}, fmt.Errorf("unknown automaton %q (have %s)", seg, strings.Join(automTokens, ", "))
 }
-
-// MaxBufferParam caps the ras<N>, lat<k> and dlat<k> parameters. Each
-// sizes a buffer when the spec is built (the RAS ring, the training
-// FIFO, the delayed-update queue or the speculative window), so Parse
-// rejects larger values rather than let a spec string size an
-// allocation. The experiment grids stay far below it (ras64, lat8,
-// dlat8).
-const MaxBufferParam = 4096
 
 // FormatDOLC renders a DOLC as a grammar parameter segment
 // ("d7-o5-l6-c6-f3"; the fold field is omitted when 1).
 func FormatDOLC(d core.DOLC) string {
-	s := fmt.Sprintf("d%d-o%d-l%d-c%d", d.Depth, d.Older, d.Last, d.Current)
-	if d.Folds > 1 {
-		s += fmt.Sprintf("-f%d", d.Folds)
-	}
-	return s
+	vals := []int{d.Depth, d.Older, d.Last, d.Current, d.Folds}
+	return string(appendFields(nil, dolcFields, vals))
 }
 
-// parseParams splits a dash-separated parameter segment ("d7-c14-i14")
-// into the integers following the given single-letter keys, in order.
-// The last `optional` keys may be omitted; omitted values come back -1.
-func parseParams(seg string, keys []string, optional int) ([]int, error) {
-	parts := strings.Split(seg, "-")
-	want := strings.Join(keys, "<n>-") + "<n>"
-	if len(parts) < len(keys)-optional || len(parts) > len(keys) {
-		return nil, fmt.Errorf("engine: parameter segment %q: want %s", seg, want)
-	}
-	vals := make([]int, len(keys))
-	for i := range vals {
-		vals[i] = -1
-	}
-	for i, p := range parts {
-		key := keys[i]
-		if !strings.HasPrefix(p, key) || len(p) == len(key) {
-			return nil, fmt.Errorf("engine: parameter segment %q: field %d must be %s<n>", seg, i+1, key)
+// appendFields renders a parameter segment, eliding optional fields at
+// their default.
+func appendFields(b []byte, fields []field, vals []int) []byte {
+	for i, f := range fields {
+		if f.optional && vals[i] == f.def {
+			continue
 		}
-		n, err := strconv.Atoi(p[len(key):])
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("engine: parameter segment %q: bad %s value %q", seg, key, p[len(key):])
+		if i > 0 {
+			b = append(b, '-')
 		}
-		vals[i] = n
+		b = strconv.AppendInt(append(b, f.key...), int64(vals[i]), 10)
 	}
-	return vals, nil
+	return b
 }
 
-// parseDOLCSeg parses and validates a DOLC parameter segment.
-func parseDOLCSeg(seg string) (core.DOLC, error) {
-	v, err := parseParams(seg, []string{"d", "o", "l", "c", "f"}, 1)
-	if err != nil {
-		return core.DOLC{}, err
-	}
-	f := v[4]
-	if f < 0 {
-		f = 1
-	}
-	d := core.DOLC{Depth: v[0], Older: v[1], Last: v[2], Current: v[3], Folds: f}
-	if err := d.Validate(); err != nil {
-		return core.DOLC{}, fmt.Errorf("engine: %w", err)
-	}
-	return d, nil
+// atoi is the grammar's one integer rule: decimal digits only (no sign)
+// and a value in min..max.
+func atoi(s string, min, max int) (int, bool) {
+	n, err := strconv.ParseUint(s, 10, 63)
+	return int(n), err == nil && n >= uint64(min) && n <= uint64(max)
 }
 
 // Parse parses a predictor spec string. The result's String method
 // returns the canonical respelling.
 func Parse(s string) (*Spec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("engine: empty predictor spec")
+	sp, err := parse(strings.TrimSpace(s))
+	if err != nil {
+		return nil, fmt.Errorf("engine: spec %q: %w", s, err)
 	}
+	return sp, nil
+}
+
+func parse(s string) (*Spec, error) {
+	if s == "" {
+		return nil, errors.New("empty predictor spec")
+	}
+	sp := &Spec{}
 	segs := strings.Split(s, ":")
-	var sp *Spec
-	var err error
-	switch segs[0] {
-	case "perfect":
-		// perfect takes no parameters beyond the trailing spec flags
-		// (perfect:spec:rlat<k> parameterizes the timing model's repair
-		// charge while the oracle itself never rolls back).
-		sp, err = finishSpec(&Spec{class: ClassPerfect}, segs[1:])
-	case "composed":
-		sp, err = parseComposed(segs[1:])
-	case "cttb", "icttb":
-		var buf *TargetSpec
-		var rest []string
-		if buf, rest, err = parseTarget(segs); err == nil {
-			sp, err = finishSpec(&Spec{class: ClassTarget, buf: buf}, rest)
-		}
-	default:
-		var exit *ExitSpec
-		var rest []string
-		if exit, rest, err = parseExit(segs); err == nil {
-			sp, err = finishSpec(&Spec{class: ClassExit, exit: exit}, rest)
-		}
+	if segs[0] == "composed" {
+		return sp, sp.parseComposed(segs[1:])
 	}
-	if err != nil {
-		return nil, fmt.Errorf("engine: spec %q: %w", s, unwrapPrefix(err))
-	}
-	return sp, nil
-}
-
-// finishSpec consumes the trailing speculative-update flags (":spec",
-// ":rlat<k>") into sp, rejects anything left over, and validates the
-// flag interactions.
-func finishSpec(sp *Spec, rest []string) (*Spec, error) {
-	sawRlat := false
-	for len(rest) > 0 {
-		switch seg := rest[0]; {
-		case seg == "spec":
-			sp.specUpdate = true
-		case strings.HasPrefix(seg, "rlat") && isDigits(seg[4:]):
-			n, err := strconv.Atoi(seg[4:])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("engine: bad rlat value %q", seg[4:])
-			}
-			sp.repairLat, sawRlat = n, true
-		default:
-			return nil, fmt.Errorf("engine: trailing segments %q", strings.Join(rest, ":"))
-		}
-		rest = rest[1:]
-	}
-	if sawRlat && !sp.specUpdate {
-		return nil, fmt.Errorf("engine: rlat<k> is a speculative-update parameter (add the spec flag)")
-	}
-	if sp.specUpdate && sp.exit != nil && sp.exit.Lat > 0 {
-		return nil, fmt.Errorf("engine: spec is incompatible with lat<k>; the dlat<k> session lag is the speculative update-timing model")
-	}
-	return sp, nil
-}
-
-// MustParse is Parse, panicking on error (for compile-time-constant
-// specs).
-func MustParse(s string) *Spec {
-	sp, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
-// unwrapPrefix strips the "engine: " prefix from nested parse errors so
-// wrapped messages do not stutter.
-func unwrapPrefix(err error) error {
-	msg := strings.TrimPrefix(err.Error(), "engine: ")
-	return fmt.Errorf("%s", msg)
-}
-
-// parseExit consumes an exit predictor spec from the head of segs and
-// returns the unconsumed tail.
-func parseExit(segs []string) (*ExitSpec, []string, error) {
-	if len(segs) == 0 {
-		return nil, nil, fmt.Errorf("engine: missing exit predictor")
-	}
-	kind := segs[0]
-	var es *ExitSpec
-	var rest []string
-	switch kind {
-	case "path":
-		if len(segs) < 3 {
-			return nil, nil, fmt.Errorf("engine: path needs <dolc>:<automaton>")
-		}
-		d, err := parseDOLCSeg(segs[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := parseAutomaton(segs[2])
-		if err != nil {
-			return nil, nil, err
-		}
-		es, rest = &ExitSpec{Scheme: SchemePath, DOLC: d, Depth: d.Depth, Automaton: a}, segs[3:]
-	case "global":
-		if len(segs) < 3 {
-			return nil, nil, fmt.Errorf("engine: global needs d<D>-c<C>-i<I>:<automaton>")
-		}
-		v, err := parseParams(segs[1], []string{"d", "c", "i"}, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := parseAutomaton(segs[2])
-		if err != nil {
-			return nil, nil, err
-		}
-		if v[0] > core.MaxHistoryDepth || v[2] < 1 || v[2] > 30 {
-			return nil, nil, fmt.Errorf("engine: global %s out of range (want d<=%d, i in 1..30)", segs[1], core.MaxHistoryDepth)
-		}
-		es = &ExitSpec{Scheme: SchemeGlobal, Depth: v[0], Current: v[1], Index: v[2], Automaton: a}
-		rest = segs[3:]
-	case "per":
-		if len(segs) < 3 {
-			return nil, nil, fmt.Errorf("engine: per needs d<D>-h<H>-t<T>-i<I>:<automaton>")
-		}
-		v, err := parseParams(segs[1], []string{"d", "h", "t", "i"}, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := parseAutomaton(segs[2])
-		if err != nil {
-			return nil, nil, err
-		}
-		if v[0] > core.MaxHistoryDepth || v[1] < 1 || v[1] > 24 || v[3] < 1 || v[3] > 30 {
-			return nil, nil, fmt.Errorf("engine: per %s out of range (want d<=%d, h in 1..24, i in 1..30)", segs[1], core.MaxHistoryDepth)
-		}
-		es = &ExitSpec{Scheme: SchemePer, Depth: v[0], HRT: v[1], TaskBits: v[2], Index: v[3], Automaton: a}
-		rest = segs[3:]
-	case "ipath", "iglobal", "iper":
-		if len(segs) < 3 {
-			return nil, nil, fmt.Errorf("engine: %s needs d<D>:<automaton>", kind)
-		}
-		v, err := parseParams(segs[1], []string{"d"}, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := parseAutomaton(segs[2])
-		if err != nil {
-			return nil, nil, err
-		}
-		if v[0] > core.MaxHistoryDepth {
-			return nil, nil, fmt.Errorf("engine: %s depth %d exceeds MaxHistoryDepth=%d", kind, v[0], core.MaxHistoryDepth)
-		}
-		scheme := map[string]Scheme{"ipath": SchemeIdealPath, "iglobal": SchemeIdealGlobal, "iper": SchemeIdealPer}[kind]
-		es = &ExitSpec{Scheme: scheme, Depth: v[0], Automaton: a}
-		rest = segs[3:]
-	default:
-		return nil, nil, fmt.Errorf("engine: unknown predictor kind %q", kind)
-	}
-	for len(rest) > 0 {
-		consumed, err := es.applyFlag(rest[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		if !consumed {
-			break
-		}
-		rest = rest[1:]
-	}
-	return es, rest, nil
-}
-
-// applyFlag consumes one exit flag segment. It reports (false, nil) for
-// segments that are not flags — the caller's cue to hand parsing over to
-// the next component — and errors for flags that do not apply to the
-// scheme.
-func (e *ExitSpec) applyFlag(seg string) (bool, error) {
-	pathOnly := func(name string) error {
-		if e.Scheme != SchemePath {
-			return fmt.Errorf("engine: flag %q only applies to path exit predictors", name)
-		}
-		return nil
-	}
-	num := func(prefix string) (int, error) {
-		n, err := strconv.Atoi(seg[len(prefix):])
-		if err != nil || n < 0 || n > MaxBufferParam {
-			return 0, fmt.Errorf("engine: bad %s value %q (want 0..%d)", prefix, seg[len(prefix):], MaxBufferParam)
-		}
-		return n, nil
-	}
-	switch {
-	case seg == "nosse":
-		if err := pathOnly(seg); err != nil {
-			return false, err
-		}
-		e.NoSSE = true
-	case seg == "ssh":
-		if err := pathOnly(seg); err != nil {
-			return false, err
-		}
-		e.SSH = true
-	case strings.HasPrefix(seg, "lat") && isDigits(seg[3:]):
-		if err := pathOnly("lat"); err != nil {
-			return false, err
-		}
-		n, err := num("lat")
-		if err != nil {
-			return false, err
-		}
-		e.Lat = n
-	case strings.HasPrefix(seg, "dlat") && isDigits(seg[4:]):
-		n, err := num("dlat")
-		if err != nil {
-			return false, err
-		}
-		e.DLat = n
-	case strings.HasPrefix(seg, "seed") && isDigits(seg[4:]):
-		if err := pathOnly("seed"); err != nil {
-			return false, err
-		}
-		n, err := strconv.ParseUint(seg[4:], 10, 32)
-		if err != nil {
-			return false, fmt.Errorf("engine: bad seed value %q (want 0..%d)", seg[4:], uint32(math.MaxUint32))
-		}
-		e.Seed = uint32(n)
-	default:
-		return false, nil
-	}
-	return true, nil
-}
-
-// isDigits reports a non-empty all-digit string.
-func isDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// parseTarget consumes a target buffer spec from the head of segs.
-func parseTarget(segs []string) (*TargetSpec, []string, error) {
-	switch segs[0] {
-	case "cttb":
-		if len(segs) < 2 {
-			return nil, nil, fmt.Errorf("engine: cttb needs a <dolc> segment")
-		}
-		d, err := parseDOLCSeg(segs[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		return &TargetSpec{DOLC: d}, segs[2:], nil
-	case "icttb":
-		if len(segs) < 2 {
-			return nil, nil, fmt.Errorf("engine: icttb needs a d<D> segment")
-		}
-		v, err := parseParams(segs[1], []string{"d"}, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		if v[0] > core.MaxHistoryDepth {
-			return nil, nil, fmt.Errorf("engine: icttb depth %d exceeds MaxHistoryDepth=%d", v[0], core.MaxHistoryDepth)
-		}
-		return &TargetSpec{Ideal: true, Depth: v[0]}, segs[2:], nil
-	default:
-		return nil, nil, fmt.Errorf("engine: unknown target buffer kind %q", segs[0])
-	}
-}
-
-// parseComposed parses the segments after "composed:".
-func parseComposed(segs []string) (*Spec, error) {
-	exit, rest, err := parseExit(segs)
+	p, rest, err := parsePart(segs)
 	if err != nil {
 		return nil, err
 	}
-	sp := &Spec{class: ClassTask, exit: exit, rasDepth: core.DefaultRASDepth}
-	if len(rest) > 0 {
+	sp.class = p.kind.class
+	sp.add(p)
+	return sp, sp.finish(rest)
+}
+
+// parseComposed parses the segments after "composed:".
+func (sp *Spec) parseComposed(segs []string) error {
+	p, rest, err := parsePart(segs)
+	if err != nil {
+		return err
+	}
+	if p.kind.class != ClassExit {
+		return fmt.Errorf("composed needs an exit predictor, not %s", p.kind.name)
+	}
+	sp.class, sp.rasDepth = ClassTask, core.DefaultRASDepth
+	sp.add(p)
+	if firstOf(rest) == "noras" {
+		sp.rasDepth, rest = 0, rest[1:]
+	} else if v, ok := strings.CutPrefix(firstOf(rest), "ras"); ok {
+		if sp.rasDepth, ok = atoi(v, 1, MaxBufferParam); !ok {
+			return fmt.Errorf("%s: want ras in 1..%d (noras drops the RAS)", rest[0], MaxBufferParam)
+		}
+		rest = rest[1:]
+	}
+	if k := lookup(firstOf(rest)); k != nil && k.class == ClassTarget {
+		if p, rest, err = parsePart(rest); err != nil {
+			return err
+		}
+		sp.add(p)
+	}
+	return sp.finish(rest)
+}
+
+// firstOf returns segs[0], or "" when segs is empty.
+func firstOf(segs []string) string {
+	if len(segs) == 0 {
+		return ""
+	}
+	return segs[0]
+}
+
+// add stores a parsed component in its class's slot.
+func (sp *Spec) add(p part) {
+	switch p.kind.class {
+	case ClassExit:
+		sp.exit = ExitSpec{Scheme: p.kind.scheme, part: p}
+	case ClassTarget:
+		sp.buf = TargetSpec{part: p}
+	}
+}
+
+// finish consumes the trailing speculative-update flags (":spec",
+// ":rlat<k>"), rejects anything left over, and validates the flag
+// interactions.
+func (sp *Spec) finish(rest []string) error {
+	sawRlat := false
+	for i, seg := range rest {
+		v, ok := strings.CutPrefix(seg, "rlat")
 		switch {
-		case rest[0] == "noras":
-			sp.noRAS = true
-			rest = rest[1:]
-		case strings.HasPrefix(rest[0], "ras") && isDigits(rest[0][3:]):
-			n, err := strconv.Atoi(rest[0][3:])
-			if err != nil || n > MaxBufferParam {
-				return nil, fmt.Errorf("engine: bad ras value %q (want 1..%d)", rest[0][3:], MaxBufferParam)
+		case seg == "spec":
+			sp.specUpdate = true
+		case !ok:
+			return fmt.Errorf("trailing segments %q", strings.Join(rest[i:], ":"))
+		default:
+			if sp.repairLat, ok = atoi(v, 0, math.MaxInt); !ok {
+				return fmt.Errorf("%s: want rlat in 0..%d", seg, math.MaxInt)
 			}
-			if n == 0 {
-				return nil, fmt.Errorf("engine: RAS depth must be positive (use noras to drop the RAS)")
-			}
-			sp.rasDepth = n
-			rest = rest[1:]
+			sawRlat = true
 		}
 	}
-	if len(rest) > 0 && (rest[0] == "cttb" || rest[0] == "icttb") {
-		buf, tail, err := parseTarget(rest)
-		if err != nil {
-			return nil, err
-		}
-		sp.buf = buf
-		rest = tail
+	if sawRlat && !sp.specUpdate {
+		return errors.New("rlat<k> is a speculative-update parameter (add the spec flag)")
 	}
-	return finishSpec(sp, rest)
+	if sp.specUpdate && sp.exit.flags[flagLat] > 0 {
+		return errors.New("spec is incompatible with lat<k>; the dlat<k> session lag is the speculative update-timing model")
+	}
+	return nil
+}
+
+// parsePart consumes one component from the head of segs by its kind's
+// row: the kind name, the parameter segment, and for exit kinds the
+// automaton and any exit flags. It returns the unconsumed tail.
+func parsePart(segs []string) (part, []string, error) {
+	k := lookup(firstOf(segs))
+	if k == nil {
+		return part{}, nil, fmt.Errorf("unknown predictor kind %q", firstOf(segs))
+	}
+	p := part{kind: k}
+	rest := segs[1:]
+	if len(k.fields) > 0 {
+		if err := p.parseFields(firstOf(rest)); err != nil {
+			return part{}, nil, err
+		}
+		rest = rest[1:]
+	}
+	if k.class != ClassExit {
+		return p, rest, nil
+	}
+	var err error
+	if p.autom, err = parseAutomaton(firstOf(rest)); err != nil {
+		return part{}, nil, err
+	}
+	for rest = rest[1:]; len(rest) > 0; rest = rest[1:] {
+		if ok, err := p.parseFlag(rest[0]); err != nil || !ok {
+			return p, rest, err
+		}
+	}
+	return p, rest, nil
+}
+
+// parseFields reads a parameter segment ("d7-c14-i14") into p.vals by
+// the row's fields, then applies the row's cross-field check.
+func (p *part) parseFields(seg string) error {
+	k := p.kind
+	rest, more := seg, true
+	for i, f := range k.fields {
+		if !more && f.optional {
+			p.vals[i] = f.def
+			continue
+		}
+		var tok string
+		tok, rest, more = strings.Cut(rest, "-")
+		v, ok := strings.CutPrefix(tok, f.key)
+		if !ok {
+			return fmt.Errorf("%s %q: field %d must be %s<n>", k.name, seg, i+1, f.key)
+		}
+		if p.vals[i], ok = atoi(v, f.min, f.max); !ok {
+			return fmt.Errorf("%s %s: want %s in %d..%d", k.name, tok, f.key, f.min, f.max)
+		}
+	}
+	if more {
+		return fmt.Errorf("%s %q: more than %d fields", k.name, seg, len(k.fields))
+	}
+	if k.dolc {
+		return p.dolc().Validate()
+	}
+	return nil
+}
+
+// parseFlag consumes one exit flag segment. It reports false for a
+// segment that is no flag (neither a bare flag nor a valued flag's
+// name), the cue to hand parsing to the next component, and errors for
+// a flag the kind does not take or a value out of the flag's range.
+func (p *part) parseFlag(seg string) (bool, error) {
+	for i, f := range exitFlags {
+		v, ok := strings.CutPrefix(seg, f.name)
+		if !ok || f.max == 0 && v != "" {
+			continue
+		}
+		if f.only != "" && f.only != p.kind.name {
+			return false, fmt.Errorf("flag %q only applies to %s", f.name, f.only)
+		}
+		n := 1
+		if f.max > 0 {
+			if n, ok = atoi(v, 0, f.max); !ok {
+				return false, fmt.Errorf("%s: want %s in 0..%d", seg, f.name, f.max)
+			}
+		}
+		p.flags[i] = n
+		return true, nil
+	}
+	return false, nil
 }
 
 // String returns the spec's canonical form: a fixed point of Parse, used
 // for journal keys and result labels.
 func (s *Spec) String() string {
-	var out string
+	var buf [128]byte
+	b := buf[:0]
 	switch s.class {
 	case ClassPerfect:
-		out = "perfect"
-	case ClassExit:
-		out = s.exit.String()
-	case ClassTarget:
-		out = s.buf.String()
+		b = append(b, ":perfect"...)
 	case ClassTask:
-		out = "composed:" + s.exit.String()
-		if s.noRAS {
-			out += ":noras"
-		} else {
-			out += fmt.Sprintf(":ras%d", s.rasDepth)
-		}
-		if s.buf != nil {
-			out += ":" + s.buf.String()
-		}
+		b = append(b, ":composed"...)
+	}
+	b = s.exit.appendTo(b)
+	switch {
+	case s.class != ClassTask:
+	case s.rasDepth == 0:
+		b = append(b, ":noras"...)
 	default:
-		return "invalid"
+		b = strconv.AppendInt(append(b, ":ras"...), int64(s.rasDepth), 10)
 	}
+	b = s.buf.appendTo(b)
 	if s.specUpdate {
-		out += ":spec"
-		if s.repairLat > 0 {
-			out += fmt.Sprintf(":rlat%d", s.repairLat)
+		b = append(b, ":spec"...)
+	}
+	if s.repairLat > 0 {
+		b = strconv.AppendInt(append(b, ":rlat"...), int64(s.repairLat), 10)
+	}
+	return string(b[1:])
+}
+
+// String renders the component canonically.
+func (p *part) String() string { return string(p.appendTo(nil)[1:]) }
+
+// appendTo renders the component canonically, each segment led by ':'.
+func (p *part) appendTo(b []byte) []byte {
+	if p.kind == nil {
+		return b
+	}
+	b = append(append(b, ':'), p.kind.name...)
+	if len(p.kind.fields) > 0 {
+		b = appendFields(append(b, ':'), p.kind.fields, p.vals[:])
+	}
+	if p.kind.class != ClassExit {
+		return b
+	}
+	b = append(append(b, ':'), AutomatonToken(p.autom)...)
+	for i, f := range exitFlags {
+		if p.flags[i] == 0 {
+			continue
+		}
+		b = append(append(b, ':'), f.name...)
+		if f.max > 0 {
+			b = strconv.AppendInt(b, int64(p.flags[i]), 10)
 		}
 	}
-	return out
-}
-
-// String renders the exit component canonically.
-func (e *ExitSpec) String() string {
-	var out string
-	switch e.Scheme {
-	case SchemePath:
-		out = "path:" + FormatDOLC(e.DOLC) + ":" + AutomatonToken(e.Automaton)
-	case SchemeGlobal:
-		out = fmt.Sprintf("global:d%d-c%d-i%d:%s", e.Depth, e.Current, e.Index, AutomatonToken(e.Automaton))
-	case SchemePer:
-		out = fmt.Sprintf("per:d%d-h%d-t%d-i%d:%s", e.Depth, e.HRT, e.TaskBits, e.Index, AutomatonToken(e.Automaton))
-	case SchemeIdealPath:
-		out = fmt.Sprintf("ipath:d%d:%s", e.Depth, AutomatonToken(e.Automaton))
-	case SchemeIdealGlobal:
-		out = fmt.Sprintf("iglobal:d%d:%s", e.Depth, AutomatonToken(e.Automaton))
-	case SchemeIdealPer:
-		out = fmt.Sprintf("iper:d%d:%s", e.Depth, AutomatonToken(e.Automaton))
-	}
-	if e.NoSSE {
-		out += ":nosse"
-	}
-	if e.SSH {
-		out += ":ssh"
-	}
-	if e.Lat > 0 {
-		out += fmt.Sprintf(":lat%d", e.Lat)
-	}
-	if e.DLat > 0 {
-		out += fmt.Sprintf(":dlat%d", e.DLat)
-	}
-	if e.Seed != 0 {
-		out += fmt.Sprintf(":seed%d", e.Seed)
-	}
-	return out
-}
-
-// String renders the target component canonically.
-func (t *TargetSpec) String() string {
-	if t.Ideal {
-		return fmt.Sprintf("icttb:d%d", t.Depth)
-	}
-	return "cttb:" + FormatDOLC(t.DOLC)
+	return b
 }

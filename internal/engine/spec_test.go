@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,78 +14,85 @@ type noBlocks struct{}
 
 func (noBlocks) NextBlock() (*trace.Block, error) { return nil, nil }
 
+// roundTripCases pins the grammar: each accepted spelling and the
+// canonical form it parses to.
+var roundTripCases = []struct{ in, want string }{
+	{"perfect", "perfect"},
+	{"  perfect \n", "perfect"},
+
+	// Exit predictors.
+	{"path:d7-o5-l6-c6-f3:leh2", "path:d7-o5-l6-c6-f3:leh2"},
+	{"path:d0-o0-l0-c14:leh2", "path:d0-o0-l0-c14:leh2"},
+	// An explicit -f1 is dropped canonically.
+	{"path:d0-o0-l0-c14-f1:leh2", "path:d0-o0-l0-c14:leh2"},
+	// Display names are accepted case-insensitively for automata.
+	{"path:d7-o5-l6-c6-f3:LEH-2bit", "path:d7-o5-l6-c6-f3:leh2"},
+	{"path:d7-o5-l6-c6-f3:Le", "path:d7-o5-l6-c6-f3:le"},
+	// Flags canonicalize to a fixed order regardless of input order.
+	{"path:d7-o5-l6-c6-f3:leh2:ssh:nosse", "path:d7-o5-l6-c6-f3:leh2:nosse:ssh"},
+	{"path:d7-o5-l6-c6-f3:leh2:lat4", "path:d7-o5-l6-c6-f3:leh2:lat4"},
+	{"path:d7-o5-l6-c6-f3:leh2:dlat8", "path:d7-o5-l6-c6-f3:leh2:dlat8"},
+	{"path:d2-o4-l5-c5:vc2rand:seed7", "path:d2-o4-l5-c5:vc2rand:seed7"},
+	{"global:d7-c14-i14:leh2", "global:d7-c14-i14:leh2"},
+	{"per:d7-h12-t14-i14:leh2", "per:d7-h12-t14-i14:leh2"},
+	{"ipath:d7:leh2", "ipath:d7:leh2"},
+	{"iglobal:d7:le", "iglobal:d7:le"},
+	{"iper:d7:vc3mru", "iper:d7:vc3mru"},
+
+	// Target buffers.
+	{"cttb:d7-o4-l4-c5-f3", "cttb:d7-o4-l4-c5-f3"},
+	{"icttb:d7", "icttb:d7"},
+
+	// Composed task predictors: an unstated RAS resolves to the
+	// default depth in the canonical form.
+	{"composed:path:d7-o5-l6-c6-f3:leh2:cttb:d7-o4-l4-c5-f3",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:noras:cttb:d7-o4-l4-c5-f3",
+		"composed:path:d7-o5-l6-c6-f3:leh2:noras:cttb:d7-o4-l4-c5-f3"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:ras8",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras8"},
+	{"composed:global:d7-c14-i14:leh2:icttb:d7",
+		"composed:global:d7-c14-i14:leh2:ras32:icttb:d7"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:nosse:ras32:cttb:d7-o4-l4-c5-f3",
+		"composed:path:d7-o5-l6-c6-f3:leh2:nosse:ras32:cttb:d7-o4-l4-c5-f3"},
+
+	// Speculative-update flags ride on every class, last in the
+	// canonical order; an explicit rlat0 is dropped canonically.
+	{"path:d7-o5-l6-c6-f3:leh2:spec", "path:d7-o5-l6-c6-f3:leh2:spec"},
+	{"path:d7-o5-l6-c6-f3:leh2:spec:rlat8", "path:d7-o5-l6-c6-f3:leh2:spec:rlat8"},
+	{"path:d7-o5-l6-c6-f3:leh2:rlat8:spec", "path:d7-o5-l6-c6-f3:leh2:spec:rlat8"},
+	{"path:d7-o5-l6-c6-f3:leh2:spec:rlat0", "path:d7-o5-l6-c6-f3:leh2:spec"},
+	{"path:d7-o5-l6-c6-f3:leh2:dlat4:spec", "path:d7-o5-l6-c6-f3:leh2:dlat4:spec"},
+	{"global:d7-c14-i14:leh2:spec", "global:d7-c14-i14:leh2:spec"},
+	{"ipath:d7:leh2:spec:rlat2", "ipath:d7:leh2:spec:rlat2"},
+	{"cttb:d7-o4-l4-c5-f3:spec", "cttb:d7-o4-l4-c5-f3:spec"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8",
+		"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:noras:spec",
+		"composed:path:d7-o5-l6-c6-f3:leh2:noras:spec"},
+	{"perfect:spec", "perfect:spec"},
+	{"perfect:spec:rlat8", "perfect:spec:rlat8"},
+
+	// Range limits: the largest value of each bounded integer parses.
+	{"ipath:d11:leh2", "ipath:d11:leh2"},
+	{"icttb:d11", "icttb:d11"},
+	{"path:d2-o4-l5-c5:vc2rand:seed4294967295", "path:d2-o4-l5-c5:vc2rand:seed4294967295"},
+	{"path:d7-o5-l6-c6-f3:leh2:lat4096", "path:d7-o5-l6-c6-f3:leh2:lat4096"},
+	{"path:d7-o5-l6-c6-f3:leh2:dlat4096:spec", "path:d7-o5-l6-c6-f3:leh2:dlat4096:spec"},
+	{"composed:path:d7-o5-l6-c6-f3:leh2:ras4096", "composed:path:d7-o5-l6-c6-f3:leh2:ras4096"},
+	{"global:d11-c32-i30:leh2", "global:d11-c32-i30:leh2"},
+	{"per:d11-h24-t32-i30:leh2", "per:d11-h24-t32-i30:leh2"},
+	// Leading zeros are digits; the canonical form drops them.
+	{"ipath:d07:leh2:dlat004", "ipath:d7:leh2:dlat4"},
+}
+
 // TestParseRoundTrip pins the grammar: every accepted spelling parses to
 // a spec whose String() is the canonical form, and the canonical form is
 // a fixed point of Parse ∘ String.
 func TestParseRoundTrip(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"perfect", "perfect"},
-		{"  perfect \n", "perfect"},
-
-		// Exit predictors.
-		{"path:d7-o5-l6-c6-f3:leh2", "path:d7-o5-l6-c6-f3:leh2"},
-		{"path:d0-o0-l0-c14:leh2", "path:d0-o0-l0-c14:leh2"},
-		// An explicit -f1 is dropped canonically.
-		{"path:d0-o0-l0-c14-f1:leh2", "path:d0-o0-l0-c14:leh2"},
-		// Display names are accepted case-insensitively for automata.
-		{"path:d7-o5-l6-c6-f3:LEH-2bit", "path:d7-o5-l6-c6-f3:leh2"},
-		{"path:d7-o5-l6-c6-f3:Le", "path:d7-o5-l6-c6-f3:le"},
-		// Flags canonicalize to a fixed order regardless of input order.
-		{"path:d7-o5-l6-c6-f3:leh2:ssh:nosse", "path:d7-o5-l6-c6-f3:leh2:nosse:ssh"},
-		{"path:d7-o5-l6-c6-f3:leh2:lat4", "path:d7-o5-l6-c6-f3:leh2:lat4"},
-		{"path:d7-o5-l6-c6-f3:leh2:dlat8", "path:d7-o5-l6-c6-f3:leh2:dlat8"},
-		{"path:d2-o4-l5-c5:vc2rand:seed7", "path:d2-o4-l5-c5:vc2rand:seed7"},
-		{"global:d7-c14-i14:leh2", "global:d7-c14-i14:leh2"},
-		{"per:d7-h12-t14-i14:leh2", "per:d7-h12-t14-i14:leh2"},
-		{"ipath:d7:leh2", "ipath:d7:leh2"},
-		{"iglobal:d7:le", "iglobal:d7:le"},
-		{"iper:d7:vc3mru", "iper:d7:vc3mru"},
-
-		// Target buffers.
-		{"cttb:d7-o4-l4-c5-f3", "cttb:d7-o4-l4-c5-f3"},
-		{"icttb:d7", "icttb:d7"},
-
-		// Composed task predictors: an unstated RAS resolves to the
-		// default depth in the canonical form.
-		{"composed:path:d7-o5-l6-c6-f3:leh2:cttb:d7-o4-l4-c5-f3",
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3",
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:noras:cttb:d7-o4-l4-c5-f3",
-			"composed:path:d7-o5-l6-c6-f3:leh2:noras:cttb:d7-o4-l4-c5-f3"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:ras8",
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras8"},
-		{"composed:global:d7-c14-i14:leh2:icttb:d7",
-			"composed:global:d7-c14-i14:leh2:ras32:icttb:d7"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:nosse:ras32:cttb:d7-o4-l4-c5-f3",
-			"composed:path:d7-o5-l6-c6-f3:leh2:nosse:ras32:cttb:d7-o4-l4-c5-f3"},
-
-		// Speculative-update flags ride on every class, last in the
-		// canonical order; an explicit rlat0 is dropped canonically.
-		{"path:d7-o5-l6-c6-f3:leh2:spec", "path:d7-o5-l6-c6-f3:leh2:spec"},
-		{"path:d7-o5-l6-c6-f3:leh2:spec:rlat8", "path:d7-o5-l6-c6-f3:leh2:spec:rlat8"},
-		{"path:d7-o5-l6-c6-f3:leh2:rlat8:spec", "path:d7-o5-l6-c6-f3:leh2:spec:rlat8"},
-		{"path:d7-o5-l6-c6-f3:leh2:spec:rlat0", "path:d7-o5-l6-c6-f3:leh2:spec"},
-		{"path:d7-o5-l6-c6-f3:leh2:dlat4:spec", "path:d7-o5-l6-c6-f3:leh2:dlat4:spec"},
-		{"global:d7-c14-i14:leh2:spec", "global:d7-c14-i14:leh2:spec"},
-		{"ipath:d7:leh2:spec:rlat2", "ipath:d7:leh2:spec:rlat2"},
-		{"cttb:d7-o4-l4-c5-f3:spec", "cttb:d7-o4-l4-c5-f3:spec"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8",
-			"composed:path:d7-o5-l6-c6-f3:leh2:ras8:cttb:d7-o4-l4-c5-f3:spec:rlat8"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:noras:spec",
-			"composed:path:d7-o5-l6-c6-f3:leh2:noras:spec"},
-		{"perfect:spec", "perfect:spec"},
-		{"perfect:spec:rlat8", "perfect:spec:rlat8"},
-
-		// Range limits: the largest value of each bounded integer parses.
-		{"ipath:d11:leh2", "ipath:d11:leh2"},
-		{"icttb:d11", "icttb:d11"},
-		{"path:d2-o4-l5-c5:vc2rand:seed4294967295", "path:d2-o4-l5-c5:vc2rand:seed4294967295"},
-		{"path:d7-o5-l6-c6-f3:leh2:lat4096", "path:d7-o5-l6-c6-f3:leh2:lat4096"},
-		{"path:d7-o5-l6-c6-f3:leh2:dlat4096:spec", "path:d7-o5-l6-c6-f3:leh2:dlat4096:spec"},
-		{"composed:path:d7-o5-l6-c6-f3:leh2:ras4096", "composed:path:d7-o5-l6-c6-f3:leh2:ras4096"},
-	}
-	for _, c := range cases {
+	for _, c := range roundTripCases {
 		sp, err := Parse(c.in)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", c.in, err)
@@ -106,60 +114,96 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs are spellings Parse must refuse.
+var badSpecs = []string{
+	"",
+	"   ",
+	"bogus",
+	"path",                           // missing parameters
+	"path:d7-o5-l6-c6-f3",            // missing automaton
+	"path:d7-o5-l6-c6-f3:nope",       // unknown automaton
+	"path:d7-o5-l6-c6-f3:leh2:ras32", // ras is not an exit flag
+	"path:d2-o4-l5-c5-f0:leh2",       // zero folds
+	"path:o5-d7-l6-c6:leh2",          // fields out of order
+	"perfect:now",                    // perfect takes no parameters
+	"cttb:d7-o4-l4-c5-f3:leh2",       // buffers take no automaton
+	"icttb:d7:leh2",                  // ideal buffer likewise
+	"global:d7-c14-i14",              // missing automaton
+	"per:d7-h12-i14:leh2",            // missing field
+	"composed:cttb:d7-o4-l4-c5-f3",   // composed needs an exit predictor
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras0:cttb:d7-o4-l4-c5-f3",        // RAS must be positive
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras32:noras:cttb:d7-o4-l4-c5-f3", // contradictory
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:junk",  // trailing
+	"path:d7-o5-l6-c6-f3:leh2:rlat8",                                    // rlat without spec
+	"perfect:rlat8",                                                     // likewise on perfect
+	"path:d7-o5-l6-c6-f3:leh2:lat4:spec",                                // lat conflicts with spec
+	"path:d7-o5-l6-c6-f3:leh2:spec:nosse",                               // spec flags must come last
+	"composed:path:d7-o5-l6-c6-f3:leh2:spec:ras8",                       // likewise before ras
+	"path:d7-o5-l6-c6-f3:leh2:spec:spec:junk",                           // trailing after flags
+	// Out-of-range integers: a typed parse error, never a build-time
+	// panic or an allocation sized by the spec string.
+	"ipath:d12:leh2",   // ideal depths stop at core.MaxHistoryDepth
+	"iglobal:d12:leh2", // likewise
+	"iper:d99:leh2",    // likewise
+	"icttb:d12",        // likewise for the ideal buffer
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras4097",                     // ras above MaxBufferParam
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras4097:cttb:d7-o4-l4-c5-f3", // likewise before a buffer
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras99999999999999999999",     // ras beyond int
+	"path:d7-o5-l6-c6-f3:leh2:lat4097",                              // lat above MaxBufferParam
+	"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904",              // dlat near 2^62
+	"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",         // the same as a spec-session lag
+	"composed:ipath:d7:leh2:dlat4097:ras32:cttb:d7-o4-l4-c5-f3",     // dlat on a composed exit
+	"path:d7-o5-l6-c6-f3:leh2:seed4294967296",                       // seed beyond uint32
+	// Table widths the constructors refuse: rejected at parse time,
+	// so every spec that parses also builds.
+	"global:d12-c14-i14:leh2", // depth beyond core.MaxHistoryDepth
+	"global:d7-c14-i31:leh2",  // index above 30 bits
+	"global:d7-c14-i0:leh2",   // empty index
+	"per:d12-h12-t14-i14:leh2",
+	"per:d7-h25-t14-i14:leh2", // HRT above 24 bits
+	"per:d7-h0-t14-i14:leh2",
+	"per:d7-h12-t14-i31:leh2",
+	// Address-bit fields stop at the 32 bits of a task address: a
+	// wider one shifts the history out of the 64-bit index.
+	"global:d7-c64-i14:leh2",
+	"per:d7-h12-t99-i14:leh2",
+	// Integers are digits only: no sign, in fields or flags.
+	"ipath:d+7:leh2",
+	"path:d7-o5-l6-c6-f3:leh2:lat+4",
+	"path:d7-o5-l6-c6-f3:leh2:spec:rlat+4",
+	"composed:path:d7-o5-l6-c6-f3:leh2:ras+8",
+	// DOLC widths stop where (D-1)·O + L + C could overflow.
+	"path:d0-o0-l4611686018427387904-c4611686018427387904:leh2",
+}
+
 func TestParseRejectsBadSpecs(t *testing.T) {
-	bad := []string{
-		"",
-		"   ",
-		"bogus",
-		"path",                           // missing parameters
-		"path:d7-o5-l6-c6-f3",            // missing automaton
-		"path:d7-o5-l6-c6-f3:nope",       // unknown automaton
-		"path:d7-o5-l6-c6-f3:leh2:ras32", // ras is not an exit flag
-		"path:d2-o4-l5-c5-f0:leh2",       // zero folds
-		"path:o5-d7-l6-c6:leh2",          // fields out of order
-		"perfect:now",                    // perfect takes no parameters
-		"cttb:d7-o4-l4-c5-f3:leh2",       // buffers take no automaton
-		"icttb:d7:leh2",                  // ideal buffer likewise
-		"global:d7-c14-i14",              // missing automaton
-		"per:d7-h12-i14:leh2",            // missing field
-		"composed:cttb:d7-o4-l4-c5-f3",   // composed needs an exit predictor
-		"composed:path:d7-o5-l6-c6-f3:leh2:ras0:cttb:d7-o4-l4-c5-f3",        // RAS must be positive
-		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:noras:cttb:d7-o4-l4-c5-f3", // contradictory
-		"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:junk",  // trailing
-		"path:d7-o5-l6-c6-f3:leh2:rlat8",                                    // rlat without spec
-		"perfect:rlat8",                                                     // likewise on perfect
-		"path:d7-o5-l6-c6-f3:leh2:lat4:spec",                                // lat conflicts with spec
-		"path:d7-o5-l6-c6-f3:leh2:spec:nosse",                               // spec flags must come last
-		"composed:path:d7-o5-l6-c6-f3:leh2:spec:ras8",                       // likewise before ras
-		"path:d7-o5-l6-c6-f3:leh2:spec:spec:junk",                           // trailing after flags
-		// Out-of-range integers: a typed parse error, never a build-time
-		// panic or an allocation sized by the spec string.
-		"ipath:d12:leh2",   // ideal depths stop at core.MaxHistoryDepth
-		"iglobal:d12:leh2", // likewise
-		"iper:d99:leh2",    // likewise
-		"icttb:d12",        // likewise for the ideal buffer
-		"composed:path:d7-o5-l6-c6-f3:leh2:ras4097",                 // ras above MaxBufferParam
-		"composed:path:d7-o5-l6-c6-f3:leh2:ras99999999999999999999", // ras beyond int
-		"path:d7-o5-l6-c6-f3:leh2:lat4097",                          // lat above MaxBufferParam
-		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904",          // dlat near 2^62
-		"path:d7-o5-l6-c6-f3:leh2:dlat4611686018427387904:spec",     // the same as a spec-session lag
-		"composed:ipath:d7:leh2:dlat4097:ras32:cttb:d7-o4-l4-c5-f3", // dlat on a composed exit
-		"path:d7-o5-l6-c6-f3:leh2:seed4294967296",                   // seed beyond uint32
-		// Table widths the constructors refuse: rejected at parse time,
-		// so every spec that parses also builds.
-		"global:d12-c14-i14:leh2", // depth beyond core.MaxHistoryDepth
-		"global:d7-c14-i31:leh2",  // index above 30 bits
-		"global:d7-c14-i0:leh2",   // empty index
-		"per:d12-h12-t14-i14:leh2",
-		"per:d7-h25-t14-i14:leh2", // HRT above 24 bits
-		"per:d7-h0-t14-i14:leh2",
-		"per:d7-h12-t14-i31:leh2",
-	}
-	for _, s := range bad {
-		if sp, err := Parse(s); err == nil {
+	for _, s := range badSpecs {
+		sp, err := Parse(s)
+		if err == nil {
 			t.Errorf("Parse(%q) accepted: %v", s, sp)
-		} else if strings.Contains(err.Error(), "engine: engine:") {
-			t.Errorf("Parse(%q) error stutters: %v", s, err)
+			continue
+		}
+		prefix := "engine: spec " + strconv.Quote(s) + ": "
+		if msg := err.Error(); !strings.HasPrefix(msg, prefix) || strings.HasPrefix(msg[len(prefix):], "engine:") {
+			t.Errorf("Parse(%q) error %q: want prefix %q, without a stutter", s, msg, prefix)
+		}
+	}
+}
+
+// TestParseNamesFieldRange pins that an out-of-range field or flag
+// error names the field and its inclusive range.
+func TestParseNamesFieldRange(t *testing.T) {
+	for spec, want := range map[string]string{
+		"global:d7-c64-i14:leh2":                  "c64: want c in 0..32",
+		"per:d7-h12-t99-i14:leh2":                 "t99: want t in 0..32",
+		"ipath:d+7:leh2":                          "d+7: want d in 0..11",
+		"per:d7-h25-t14-i14:leh2":                 "h25: want h in 1..24",
+		"path:d7-o5-l6-c6-f3:leh2:lat4097":        "lat4097: want lat in 0..4096",
+		"path:d7-o5-l6-c6-f3:leh2:seed4294967296": "seed4294967296: want seed in 0..4294967295",
+		"composed:ipath:d7:leh2:ras0":             "ras0: want ras in 1..4096",
+	} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", spec, err, want)
 		}
 	}
 }

@@ -84,6 +84,8 @@ func TestValidateEvalRequest(t *testing.T) {
 		{"missing spec", EvalRequest{Workload: "boolmin"}, 400, "missing_spec"},
 		{"unparsable spec", EvalRequest{Workload: "boolmin", Spec: "bogus"}, 400, "bad_spec"},
 		{"ideal depth beyond MaxHistoryDepth", EvalRequest{Workload: "boolmin", Spec: "ipath:d12:leh2"}, 400, "bad_spec"},
+		{"GLOBAL current bits beyond an address", EvalRequest{Workload: "boolmin", Spec: "global:d7-c64-i14:leh2"}, 400, "bad_spec"},
+		{"PER task bits beyond an address", EvalRequest{Workload: "boolmin", Spec: "per:d7-h12-t99-i14:leh2"}, 400, "bad_spec"},
 		{"noncanonical spec", EvalRequest{Workload: "boolmin", Spec: "path:d7-o5-l6-c6-f3:LEH-2bit"}, 400, "noncanonical_spec"},
 		{"bad mode", EvalRequest{Workload: "boolmin", Spec: exitSpec, Mode: "yolo"}, 400, "bad_mode"},
 		{"mode/spec mismatch", EvalRequest{Workload: "boolmin", Spec: "cttb:d7-o4-l4-c5-f3", Mode: "exit"}, 400, "mode_mismatch"},

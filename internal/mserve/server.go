@@ -205,9 +205,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // respondJSON writes v as one-line JSON with a trailing newline.
 func respondJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)

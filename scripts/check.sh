@@ -39,6 +39,7 @@ go test ./internal/core -run '^$' -fuzz FuzzSpecSessionMatchesReference -fuzztim
 go test ./internal/core -run '^$' -fuzz FuzzIdealMatchesReference -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
 go test ./internal/mserve -run '^$' -fuzz FuzzEvalDecode -fuzztime 5s >/dev/null
+go test ./internal/engine -run '^$' -fuzz FuzzParse -fuzztime 5s >/dev/null
 
 echo "==> mlint -w all"
 go run ./cmd/mlint -w all >/dev/null
