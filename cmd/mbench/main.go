@@ -1,8 +1,7 @@
 // Command mbench regenerates the paper's tables and figures, resiliently:
 // one experiment's failure (error, panic, or hang) is isolated and the
-// batch continues; multi-experiment runs journal their progress so a
-// killed run resumes where it stopped; SIGINT flushes the in-flight
-// experiment's partial tables before exiting.
+// batch continues, and SIGINT flushes the in-flight experiment's partial
+// tables before exiting.
 //
 // Usage:
 //
@@ -13,8 +12,6 @@
 //	mbench -exp all -workers 8      # shard evaluation grids over 8 workers
 //	                                # (output is byte-identical at any count)
 //	mbench -exp all -timeout 30m    # per-experiment watchdog
-//	mbench -exp all -journal run.j  # custom resume journal path
-//	mbench -exp all -fresh          # ignore (and restart) the journal
 //	mbench -list                    # list experiment names
 //
 // Observability (internal/obs) is opt-in and off the results path —
@@ -31,11 +28,7 @@
 // was recorded by then (the trace file is a shorter but valid JSON
 // array).
 //
-// A multi-experiment run appends each completed experiment to the resume
-// journal (default mbench.journal). If the process is killed, rerunning
-// the same command skips the completed experiments; a fully successful
-// run removes the journal. Exit status is 0 only when every selected
-// experiment succeeded.
+// Exit status is 0 only when every selected experiment succeeded.
 package main
 
 import (
@@ -56,8 +49,6 @@ func main() {
 	timing := flag.Int("timing", 0, "dynamic-task budget per timing run (0 = default 400000)")
 	workers := flag.Int("workers", 0, "evaluation-grid worker pool size (0 = GOMAXPROCS); output is identical at any count")
 	timeout := flag.Duration("timeout", 0, "per-experiment watchdog timeout (0 = none)")
-	journalPath := flag.String("journal", "mbench.journal", "resume journal path for multi-experiment runs ('' disables)")
-	fresh := flag.Bool("fresh", false, "ignore an existing resume journal and start over")
 	list := flag.Bool("list", false, "list experiments and exit")
 	httpAddr := flag.String("http", "", "serve pprof/expvar//metricz on this address (e.g. localhost:6060; '' = off)")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on exit ('' = off)")
@@ -84,7 +75,7 @@ func main() {
 			fmt.Printf("%-24s %s\n", r.Name, r.Brief)
 		}
 	} else {
-		code = run(*exp, *steps, *timing, *workers, *timeout, *journalPath, *fresh)
+		code = run(*exp, *steps, *timing, *workers, *timeout)
 	}
 
 	close(stopRuns)
@@ -101,7 +92,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(exp string, steps, timing, workers int, timeout time.Duration, journalPath string, fresh bool) int {
+func run(exp string, steps, timing, workers int, timeout time.Duration) int {
 	cfg := experiments.Config{MaxSteps: steps, TimingSteps: timing, Workers: workers}
 
 	// Static analysis gate: verify every workload TFG and predictor
@@ -130,33 +121,12 @@ func run(exp string, steps, timing, workers int, timeout time.Duration, journalP
 		opts.Progress = obs.NewProgress(os.Stderr, "mbench", len(runners))
 	}
 
-	// The resume journal only makes sense across a batch; a single
-	// experiment always reruns.
-	if len(runners) > 1 && journalPath != "" {
-		if fresh {
-			if err := os.Remove(journalPath); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "mbench:", err)
-				return 1
-			}
-		}
-		j, err := experiments.OpenJournal(journalPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mbench:", err)
-			return 1
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "mbench: resuming from %s (%d experiments already done; -fresh restarts)\n",
-				journalPath, j.Len())
-		}
-		opts.Journal = j
-	}
-
 	// SIGINT/SIGTERM close the interrupt channel: the in-flight
-	// experiment's partial tables are flushed, the summary still prints,
-	// and the journal keeps what completed. RunResilient returns on the
-	// same channel, so control falls through to main's exactly-once
-	// Flush — the -metrics-out snapshot and -trace-out buffer (a
-	// truncated-but-valid JSON array) survive an interrupt too.
+	// experiment's partial tables are flushed and the summary still
+	// prints. RunResilient returns on the same channel, so control falls
+	// through to main's exactly-once Flush — the -metrics-out snapshot
+	// and -trace-out buffer (a truncated-but-valid JSON array) survive
+	// an interrupt too.
 	intr := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -173,12 +143,6 @@ func run(exp string, steps, timing, workers int, timeout time.Duration, journalP
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "mbench: %d of %d experiments failed\n", failed, len(outcomes))
 		return 1
-	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Remove(); err != nil {
-			fmt.Fprintln(os.Stderr, "mbench:", err)
-			return 1
-		}
 	}
 	return 0
 }

@@ -53,16 +53,28 @@ func (d DOLC) IndexBits() int {
 // configuration (2^IndexBits).
 func (d DOLC) TableSize() int { return 1 << uint(d.IndexBits()) }
 
-// Validate checks that the configuration is well-formed: non-negative
-// fields, depth within MaxHistoryDepth, a positive index width, and an
-// intermediate length that divides evenly into F sub-fields (the paper's
-// "length of the intermediate index … must be a multiple of F").
+// Validate checks that the configuration is well-formed: depth within
+// MaxHistoryDepth, O, L and C within the 0..32 bits of a task address
+// (so (D-1)·O + L + C cannot overflow), no bits from a task the depth
+// does not track (O at depth 0 or 1, L at depth 0: the index would
+// ignore them, so one predictor would have several spellings), a
+// positive index width, and an intermediate length that divides evenly
+// into F sub-fields (the paper's "length of the intermediate index …
+// must be a multiple of F").
 func (d DOLC) Validate() error {
-	if d.Depth < 0 || d.Older < 0 || d.Last < 0 || d.Current < 0 {
-		return fmt.Errorf("core: DOLC %v: negative field", d)
+	if d.Depth < 0 || d.Depth > MaxHistoryDepth {
+		return fmt.Errorf("core: DOLC %v: depth out of range 0..%d", d, MaxHistoryDepth)
 	}
-	if d.Depth > MaxHistoryDepth {
-		return fmt.Errorf("core: DOLC %v: depth exceeds MaxHistoryDepth=%d", d, MaxHistoryDepth)
+	for _, f := range []int{d.Older, d.Last, d.Current} {
+		if f < 0 || f > addrBits {
+			return fmt.Errorf("core: DOLC %v: O, L and C must be in 0..%d", d, addrBits)
+		}
+	}
+	if d.Older > 0 && d.Depth < 2 {
+		return fmt.Errorf("core: DOLC %v: O=%d but depth %d tracks no older task", d, d.Older, d.Depth)
+	}
+	if d.Last > 0 && d.Depth < 1 {
+		return fmt.Errorf("core: DOLC %v: L=%d but depth 0 tracks no last task", d, d.Last)
 	}
 	if d.Folds < 1 {
 		return fmt.Errorf("core: DOLC %v: folds must be >= 1", d)

@@ -30,6 +30,12 @@ func TestDOLCValidate(t *testing.T) {
 		{Depth: 0, Older: 0, Last: 0, Current: 0, Folds: 1}, // empty
 		{Depth: 1, Last: 7, Current: 7, Folds: 0},           // F < 1
 		{Depth: MaxHistoryDepth + 1, Older: 1, Last: 1, Current: 1, Folds: 1},
+		{Depth: 1, Older: 2, Last: 3, Current: 4, Folds: 1},   // O unused at depth 1
+		{Depth: 0, Last: 2, Current: 3, Folds: 1},             // L unused at depth 0
+		{Depth: 0, Older: 7, Current: 14, Folds: 1},           // O unused at depth 0
+		{Depth: 7, Older: 33, Last: 6, Current: 6, Folds: 3},  // wider than an address
+		{Depth: 1, Last: 1 << 62, Current: 1 << 62, Folds: 1}, // would overflow the width
+		{Depth: 2, Older: -1, Last: 5, Current: 5, Folds: 1},
 	}
 	for _, d := range bad {
 		if err := d.Validate(); err == nil {

@@ -23,127 +23,41 @@ import (
 // devirtualized call, so interface dispatch is paid once per 4096 steps
 // instead of twice per step.
 //
-// The task kernels are the only driver of a task predictor: idealized
-// and speculative, fast and generic, every task step is scored through
-// one TaskTally, which can also record each step's outcome in a
-// caller's OutcomeColumn for the ring timing model and per-task miss
-// accounting.
+// One Tally drives every mode: idealized and speculative, exit, target
+// and task, block kernel and generic loop, every step is scored through
+// it, and it can also record each step's outcome in a caller's
+// OutcomeColumn for the ring timing model and per-task miss accounting.
 
 // ExitBlockReplayer is implemented by exit predictors that can replay a
 // whole block themselves. ReplayExitBlock must issue the same
-// PredictExit/UpdateExit sequence as the generic loop and return the
-// prediction-step and miss counts for the block.
+// PredictExit/UpdateExit sequence as the generic loop and score every
+// prediction step through t.Step.
 type ExitBlockReplayer interface {
-	ReplayExitBlock(b *trace.Block) (steps, misses int)
+	ReplayExitBlock(b *trace.Block, t *Tally)
 }
 
 // TargetBlockReplayer is the block fast path for target buffers
-// (Lookup/Train on indirect steps, Advance on every step).
+// (Lookup/Train on indirect steps, Advance on every step); it scores
+// every indirect step through t.Step.
 type TargetBlockReplayer interface {
-	ReplayTargetBlock(b *trace.Block) (steps, misses int)
+	ReplayTargetBlock(b *trace.Block, t *Tally)
 }
 
 // TaskBlockReplayer is the block fast path for full task predictors.
 // ReplayTaskBlock must issue the same Predict/Update sequence as the
 // generic loop and score every prediction step through t.Score.
 type TaskBlockReplayer interface {
-	ReplayTaskBlock(b *trace.Block, t *TaskTally)
+	ReplayTaskBlock(b *trace.Block, t *Tally)
 }
 
-// EvaluateExitBlocks replays a block source through an exit predictor,
-// scoring every prediction step. The predictor is Reset first; the call
-// sequence and result match EvaluateExitUnresolved.
-func EvaluateExitBlocks(src trace.BlockSource, p ExitPredictor) (ExitResult, error) {
-	p.Reset()
-	res := ExitResult{Name: p.Name()}
-	steps, misses := 0, 0
-	fast, isFast := p.(ExitBlockReplayer)
-	for {
-		b, err := src.NextBlock()
-		if err != nil {
-			return res, err
-		}
-		if b == nil {
-			break
-		}
-		if isFast {
-			s, m := fast.ReplayExitBlock(b)
-			steps += s
-			misses += m
-			continue
-		}
-		entries := b.Dict.Entries
-		taskIdx, exits := b.TaskIdx, b.Exits
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
-			if e == trace.HaltExit {
-				continue
-			}
-			t := entries[taskIdx[i]].Task
-			pred := p.PredictExit(t)
-			steps++
-			if pred != int(e) {
-				misses++
-			}
-			p.UpdateExit(t, int(e))
-		}
-	}
-	res.Steps, res.Misses = steps, misses
-	res.States = p.States()
-	recordExitResult(res)
-	return res, nil
-}
-
-// EvaluateIndirectBlocks replays a block source through a target buffer:
-// Lookup/Train on steps whose taken exit is indirect, Advance on every
-// step (halt steps included — exactly the EvaluateIndirectUnresolved
-// sequence).
-func EvaluateIndirectBlocks(src trace.BlockSource, b TargetBuffer) (TargetResult, error) {
-	b.Reset()
-	res := TargetResult{Name: b.Name()}
-	steps, misses := 0, 0
-	fast, isFast := b.(TargetBlockReplayer)
-	for {
-		blk, err := src.NextBlock()
-		if err != nil {
-			return res, err
-		}
-		if blk == nil {
-			break
-		}
-		if isFast {
-			s, m := fast.ReplayTargetBlock(blk)
-			steps += s
-			misses += m
-			continue
-		}
-		entries := blk.Dict.Entries
-		taskIdx, exits, targetIdx := blk.TaskIdx, blk.Exits, blk.TargetIdx
-		for i := 0; i < blk.N; i++ {
-			ent := &entries[taskIdx[i]]
-			if e := exits[i]; e != trace.HaltExit && ent.Indirect[e] {
-				target := entries[targetIdx[i]].Addr
-				steps++
-				if got, ok := b.Lookup(ent.Addr); !ok || got != target {
-					misses++
-				}
-				b.Train(ent.Addr, target)
-			}
-			b.Advance(ent.Addr)
-		}
-	}
-	res.Steps, res.Misses = steps, misses
-	res.States = b.States()
-	recordTargetResult(res)
-	return res, nil
-}
-
-// An OutcomeColumn records each trace step's task-prediction outcome in
+// An OutcomeColumn records each trace step's prediction outcome in
 // plain words, two bits per step: bit 2(i%32) of word i/32 is set when
-// step i's predicted next-task address missed, and the bit above it when
-// a speculative-update replay rolled back during step i. Halt steps
-// predict nothing and stay clear. The task kernels fill it; the ring
-// timing model and per-task miss accounting read it.
+// step i's prediction missed (its exit in exit mode, its target in
+// target and task mode), and the bit above it when a speculative-update
+// replay rolled back during step i. Steps that predict nothing — halt
+// steps, and in target mode every step whose exit is not indirect —
+// stay clear. The block kernels fill it; the ring timing model and
+// per-task miss accounting read it.
 type OutcomeColumn []uint64
 
 // NewOutcomeColumn returns a cleared column for a trace of steps steps.
@@ -158,20 +72,33 @@ func (c OutcomeColumn) Rollback(i int) bool { return c[i>>5]>>(uint(i&31)*2+1)&1
 // set sets step i's miss (bit 0) or rollback (bit 1) bit.
 func (c OutcomeColumn) set(i int, bit uint) { c[i>>5] |= 1 << (uint(i&31)*2 + bit) }
 
-// TaskTally is the task kernels' one scoring copy: every replayed
-// prediction step, on every task path, is scored through it. It keeps
-// the trace position so it can fill an optional outcome column.
-type TaskTally struct {
-	byKind     [isa.NumControlKinds]KindMisses // sums to Steps and Misses
-	exitMisses int
-	col        OutcomeColumn // nil: no column
-	base       int           // trace index of the block's first step
+// Tally is the block kernels' one scoring copy: every replayed step of
+// every mode — exit, target and task, idealized and speculative — is
+// scored through it, and its replay loop is the only one that pulls
+// blocks from a source. It keeps the trace position so it can fill an
+// optional outcome column.
+type Tally struct {
+	steps, misses int                             // exit and target steps
+	byKind        [isa.NumControlKinds]KindMisses // task steps, by the actual exit's kind
+	exitMisses    int
+	col           OutcomeColumn // nil: no column
+	base          int           // trace index of the block's first step
 }
 
-// Score scores step i of the block being replayed, whose actual exit is
-// of the given kind: exitMiss reports a wrong exit, miss a wrong
-// next-task address.
-func (t *TaskTally) Score(i int, kind isa.ControlKind, exitMiss, miss bool) {
+// Step scores step i of the block being replayed as one exit or target
+// prediction; miss reports a wrong one.
+func (t *Tally) Step(i int, miss bool) {
+	t.steps++
+	if miss {
+		t.misses++
+		t.mark(i, 0)
+	}
+}
+
+// Score scores step i of the block being replayed as one task
+// prediction whose actual exit is of the given kind: exitMiss reports a
+// wrong exit, miss a wrong next-task address.
+func (t *Tally) Score(i int, kind isa.ControlKind, exitMiss, miss bool) {
 	km := &t.byKind[kind]
 	km.Steps++
 	if exitMiss {
@@ -179,22 +106,21 @@ func (t *TaskTally) Score(i int, kind isa.ControlKind, exitMiss, miss bool) {
 	}
 	if miss {
 		km.Misses++
-		if t.col != nil {
-			t.col.set(t.base+i, 0)
-		}
+		t.mark(i, 0)
 	}
 }
 
-// rolledBack marks a rollback during step i of the current block.
-func (t *TaskTally) rolledBack(i int) {
+// mark sets bit (0 miss, 1 rollback) of step i of the current block in
+// the column, if there is one.
+func (t *Tally) mark(i int, bit uint) {
 	if t.col != nil {
-		t.col.set(t.base+i, 1)
+		t.col.set(t.base+i, bit)
 	}
 }
 
 // replay clears the column and feeds src's blocks to block, keeping the
 // trace position.
-func (t *TaskTally) replay(src trace.BlockSource, block func(*trace.Block)) error {
+func (t *Tally) replay(src trace.BlockSource, block func(*trace.Block)) error {
 	clear(t.col)
 	for {
 		b, err := src.NextBlock()
@@ -209,14 +135,84 @@ func (t *TaskTally) replay(src trace.BlockSource, block func(*trace.Block)) erro
 	}
 }
 
-// result returns the tallied counts.
-func (t *TaskTally) result(name string) TaskResult {
+// exitResult returns the tallied exit counts.
+func (t *Tally) exitResult(p ExitPredictor) ExitResult {
+	return ExitResult{Name: p.Name(), Steps: t.steps, Misses: t.misses, States: p.States()}
+}
+
+// taskResult returns the tallied task counts.
+func (t *Tally) taskResult(name string) TaskResult {
 	res := TaskResult{Name: name, ExitMisses: t.exitMisses, ByKind: t.byKind}
 	for _, km := range t.byKind {
 		res.Steps += km.Steps
 		res.Misses += km.Misses
 	}
 	return res
+}
+
+// EvaluateExitBlocks replays a block source through an exit predictor,
+// scoring every prediction step. The predictor is Reset first; the call
+// sequence and result match EvaluateExitUnresolved.
+func EvaluateExitBlocks(src trace.BlockSource, p ExitPredictor) (ExitResult, error) {
+	return EvaluateExitBlocksInto(src, p, nil)
+}
+
+// EvaluateExitBlocksInto is EvaluateExitBlocks that also records each
+// step's outcome in col, which must cover the source's steps (a nil col
+// records nothing). A predictor with a block kernel replays through it;
+// one with only a fused step (the ideal tables) through one loop over
+// that step; any other through PredictExit and UpdateExit.
+func EvaluateExitBlocksInto(src trace.BlockSource, p ExitPredictor, col OutcomeColumn) (ExitResult, error) {
+	p.Reset()
+	t := &Tally{col: col}
+	fast, isFast := p.(ExitBlockReplayer)
+	kern, isKern := p.(exitKernel)
+	err := t.replay(src, func(b *trace.Block) {
+		switch {
+		case isFast:
+			fast.ReplayExitBlock(b, t)
+		case isKern:
+			replayExitKernelSteps(kern, b, t)
+		default:
+			replayExitSteps(p, b, t)
+		}
+	})
+	if err != nil {
+		return ExitResult{Name: p.Name()}, err
+	}
+	res := t.exitResult(p)
+	recordExitResult(res)
+	return res, nil
+}
+
+// EvaluateIndirectBlocks replays a block source through a target buffer:
+// Lookup/Train on steps whose taken exit is indirect, Advance on every
+// step (halt steps included — exactly the EvaluateIndirectUnresolved
+// sequence).
+func EvaluateIndirectBlocks(src trace.BlockSource, b TargetBuffer) (TargetResult, error) {
+	return EvaluateIndirectBlocksInto(src, b, nil)
+}
+
+// EvaluateIndirectBlocksInto is EvaluateIndirectBlocks that also records
+// each indirect step's outcome in col, which must cover the source's
+// steps (a nil col records nothing).
+func EvaluateIndirectBlocksInto(src trace.BlockSource, b TargetBuffer, col OutcomeColumn) (TargetResult, error) {
+	b.Reset()
+	t := &Tally{col: col}
+	fast, isFast := b.(TargetBlockReplayer)
+	err := t.replay(src, func(blk *trace.Block) {
+		if isFast {
+			fast.ReplayTargetBlock(blk, t)
+		} else {
+			replayTargetSteps(b, blk, t)
+		}
+	})
+	if err != nil {
+		return TargetResult{Name: b.Name()}, err
+	}
+	res := TargetResult{Name: b.Name(), Steps: t.steps, Misses: t.misses, States: b.States()}
+	recordTargetResult(res)
+	return res, nil
 }
 
 // EvaluateTaskBlocks replays a block source through a full task
@@ -231,30 +227,78 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 // records nothing).
 func EvaluateTaskBlocksInto(src trace.BlockSource, p TaskPredictor, col OutcomeColumn) (TaskResult, error) {
 	p.Reset()
-	t := TaskTally{col: col}
+	t := &Tally{col: col}
 	fast, isFast := p.(TaskBlockReplayer)
 	err := t.replay(src, func(b *trace.Block) {
 		if isFast {
-			fast.ReplayTaskBlock(b, &t)
+			fast.ReplayTaskBlock(b, t)
 		} else {
-			replayTaskSteps(p, b, &t)
+			replayTaskSteps(p, b, t)
 		}
 	})
 	if err != nil {
 		return TaskResult{Name: p.Name()}, err
 	}
-	res := t.result(p.Name())
+	res := t.taskResult(p.Name())
 	recordTaskResult(res)
 	return res, nil
 }
 
+// replayExitSteps replays one block through p's PredictExit and
+// UpdateExit, the path of exit predictors without a block kernel or a
+// fused step.
+func replayExitSteps(p ExitPredictor, b *trace.Block, t *Tally) {
+	entries := b.Dict.Entries
+	exits := b.Exits[:b.N]
+	taskIdx := b.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e == trace.HaltExit {
+			continue
+		}
+		task := entries[taskIdx[i]].Task
+		t.Step(i, p.PredictExit(task) != int(e))
+		p.UpdateExit(task, int(e))
+	}
+}
+
+// replayExitKernelSteps replays one block through k's fused step, the
+// path of the ideal exit predictors.
+func replayExitKernelSteps(k exitKernel, b *trace.Block, t *Tally) {
+	entries := b.Dict.Entries
+	exits := b.Exits[:b.N]
+	taskIdx := b.TaskIdx[:len(exits)]
+	for i, e := range exits {
+		if e != trace.HaltExit {
+			t.Step(i, k.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e))
+		}
+	}
+}
+
+// replayTargetSteps replays one block through b's Lookup, Train and
+// Advance, the path of target buffers without a block kernel.
+func replayTargetSteps(b TargetBuffer, blk *trace.Block, t *Tally) {
+	entries := blk.Dict.Entries
+	exits := blk.Exits[:blk.N]
+	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
+	for i, e := range exits {
+		ent := &entries[taskIdx[i]]
+		if e != trace.HaltExit && ent.Indirect[e] {
+			target := entries[targetIdx[i]].Addr
+			got, ok := b.Lookup(ent.Addr)
+			t.Step(i, !ok || got != target)
+			b.Train(ent.Addr, target)
+		}
+		b.Advance(ent.Addr)
+	}
+}
+
 // replayTaskSteps replays one block through p's Predict and Update, the
 // path of task predictors without a block kernel.
-func replayTaskSteps(p TaskPredictor, b *trace.Block, t *TaskTally) {
+func replayTaskSteps(p TaskPredictor, b *trace.Block, t *Tally) {
 	entries := b.Dict.Entries
-	taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
-	for i := 0; i < b.N; i++ {
-		e := exits[i]
+	exits := b.Exits[:b.N]
+	taskIdx, targetIdx := b.TaskIdx[:len(exits)], b.TargetIdx[:len(exits)]
+	for i, e := range exits {
 		if e == trace.HaltExit {
 			continue
 		}
@@ -272,14 +316,16 @@ func replayTaskSteps(p TaskPredictor, b *trace.Block, t *TaskTally) {
 // columns, with the task header fields read from the block dictionary
 // instead of chased through *tfg.Task, and computes the step's table
 // index, fold or key once for both the prediction and the training.
-// The ideal exit kernels call the predictor's fused step
-// (exitKernel.replayExitStep, which the composed kernel calls too); the
-// real ones and the target buffers' inline the same body, because a
-// call per step costs the real PATH kernel ~15%.
+// The ideal exit predictors need no kernel of their own: the driver
+// runs their fused step (exitKernel.replayExitStep, which the composed
+// kernel calls too) in replayExitKernelSteps. The real ones and the
+// target buffers inline the same body, because a call per step costs
+// the real PATH kernel ~15% and a target kernel, which runs on every
+// trace step, about twice its time.
 
 // ReplayExitBlock implements ExitBlockReplayer for the real PATH
 // predictor: single-exit skip, clamping and training latency included.
-func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+func (p *PathExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
 	taskIdx := blk.TaskIdx[:len(exits)]
@@ -289,18 +335,13 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		}
 		ent := &entries[taskIdx[i]]
 		single := ent.NumExits == 1
-		steps++
 		if p.opts.SkipSingleExit && single {
 			// PredictExit returns 0; exit 0 is the only valid exit, so
 			// this step cannot miss. No PHT access, as in UpdateExit.
-			if e != 0 {
-				misses++
-			}
+			t.Step(i, e != 0)
 		} else {
 			idx := p.path.index(ent.Addr)
-			if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
-				misses++
-			}
+			t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
 			if p.opts.TrainLatency == 0 {
 				p.pht.update(idx, int(e), nil)
 			} else {
@@ -311,12 +352,11 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 			p.path.push(ent.Addr)
 		}
 	}
-	return steps, misses
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the real GLOBAL
 // predictor.
-func (p *GlobalExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+func (p *GlobalExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
 	taskIdx := blk.TaskIdx[:len(exits)]
@@ -325,20 +365,16 @@ func (p *GlobalExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 			continue
 		}
 		ent := &entries[taskIdx[i]]
-		steps++
 		idx := p.index(ent.Addr)
-		if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
-			misses++
-		}
+		t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
 		p.pht.update(idx, int(e), nil)
 		p.hist = p.hist.Push(int(e), p.depth)
 	}
-	return steps, misses
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the real PER
 // predictor.
-func (p *PerExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+func (p *PerExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
 	taskIdx := blk.TaskIdx[:len(exits)]
@@ -347,75 +383,17 @@ func (p *PerExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 			continue
 		}
 		ent := &entries[taskIdx[i]]
-		steps++
 		h := p.hrtIndex(ent.Addr)
 		idx := p.phtIndex(ent.Addr, p.hrt[h])
-		if clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e) {
-			misses++
-		}
+		t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
 		p.pht.update(idx, int(e), nil)
 		p.hrt[h] = p.hrt[h].Push(int(e), p.depth)
 	}
-	return steps, misses
-}
-
-// ReplayExitBlock implements ExitBlockReplayer for the ideal GLOBAL
-// predictor.
-func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
-	entries := blk.Dict.Entries
-	exits := blk.Exits[:blk.N]
-	taskIdx := blk.TaskIdx[:len(exits)]
-	for i, e := range exits {
-		if e == trace.HaltExit {
-			continue
-		}
-		steps++
-		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
-			misses++
-		}
-	}
-	return steps, misses
-}
-
-// ReplayExitBlock implements ExitBlockReplayer for the ideal PER
-// predictor.
-func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
-	entries := blk.Dict.Entries
-	exits := blk.Exits[:blk.N]
-	taskIdx := blk.TaskIdx[:len(exits)]
-	for i, e := range exits {
-		if e == trace.HaltExit {
-			continue
-		}
-		steps++
-		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
-			misses++
-		}
-	}
-	return steps, misses
-}
-
-// ReplayExitBlock implements ExitBlockReplayer for the ideal PATH
-// predictor.
-func (p *IdealPath) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
-	entries := blk.Dict.Entries
-	exits := blk.Exits[:blk.N]
-	taskIdx := blk.TaskIdx[:len(exits)]
-	for i, e := range exits {
-		if e == trace.HaltExit {
-			continue
-		}
-		steps++
-		if p.replayExitStep(&entries[taskIdx[i]], int(e)) != int(e) {
-			misses++
-		}
-	}
-	return steps, misses
 }
 
 // ReplayTargetBlock implements TargetBlockReplayer for the real CTTB:
 // Lookup and Train on an indirect step share one DOLC index.
-func (b *CTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+func (b *CTTB) ReplayTargetBlock(blk *trace.Block, t *Tally) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
 	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
@@ -423,22 +401,19 @@ func (b *CTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 		ent := &entries[taskIdx[i]]
 		if e != trace.HaltExit && ent.Indirect[e] {
 			target := entries[targetIdx[i]].Addr
-			steps++
 			idx := b.path.index(ent.Addr)
-			if got, ok := b.lookupAt(idx); !ok || got != target {
-				misses++
-			}
+			got, ok := b.lookupAt(idx)
+			t.Step(i, !ok || got != target)
 			b.trainAt(idx, target, nil)
 		}
 		b.path.push(ent.Addr)
 	}
-	return steps, misses
 }
 
 // ReplayTargetBlock implements TargetBlockReplayer for the ideal CTTB:
 // Lookup and Train on an indirect step share one path key and one
 // table probe.
-func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block, t *Tally) {
 	entries := blk.Dict.Entries
 	exits := blk.Exits[:blk.N]
 	taskIdx, targetIdx := blk.TaskIdx[:len(exits)], blk.TargetIdx[:len(exits)]
@@ -446,17 +421,13 @@ func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 		ent := &entries[taskIdx[i]]
 		if e != trace.HaltExit && ent.Indirect[e] {
 			target := entries[targetIdx[i]].Addr
-			steps++
 			idx, _ := b.entry(ent.Addr)
 			slot := &b.entries[idx]
-			if !slot.valid || slot.target != target {
-				misses++
-			}
+			t.Step(i, !slot.valid || slot.target != target)
 			slot.train(target)
 		}
 		b.path.push(ent.Addr)
 	}
-	return steps, misses
 }
 
 // ReplayTaskBlock implements TaskBlockReplayer for the composed
@@ -468,7 +439,7 @@ func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 // component that has no fused step — a DelayedUpdate wrapper, say, or a
 // predictor from outside this package — replays through the generic
 // Predict/Update loop instead.
-func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, t *TaskTally) {
+func (p *HeaderPredictor) ReplayTaskBlock(blk *trace.Block, t *Tally) {
 	if p.exitK == nil || (p.buf != nil && p.bufK == nil) {
 		replayTaskSteps(p, blk, t)
 		return

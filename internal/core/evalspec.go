@@ -7,10 +7,10 @@ import "multiscalar/internal/trace"
 // through a specExitSession / specTaskSession so training happens at
 // prediction time with the predicted outcome and mispredicts repair
 // through the undo log. Scoring is unchanged — a step's prediction is
-// scored against its actual outcome exactly as in idealized mode, and a
-// task step through the idealized kernels' tally (TaskTally) — so a
-// spec result differs from the idealized one only through wrong-path
-// training and delayed resolution, never through different bookkeeping.
+// scored against its actual outcome through the same Tally as in
+// idealized mode — so a spec result differs from the idealized one only
+// through wrong-path training and delayed resolution, never through
+// different bookkeeping.
 // specref_test.go checks both against a reference model that restores
 // whole state instead of undo-logging it.
 //
@@ -25,39 +25,40 @@ import "multiscalar/internal/trace"
 // stream) through an exit predictor in speculative-update mode with the
 // given resolution lag. The predictor is Reset first.
 func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (ExitResult, error) {
+	return EvaluateExitSpecBlocksInto(src, p, lag, nil)
+}
+
+// EvaluateExitSpecBlocksInto is EvaluateExitSpecBlocks that also records
+// each step's outcome in col, with rollback bits as
+// EvaluateTaskSpecBlocksInto sets them.
+func EvaluateExitSpecBlocksInto(src trace.BlockSource, p ExitPredictor, lag int, col OutcomeColumn) (ExitResult, error) {
 	p.Reset()
 	s, err := newSpecExitSession(p, lag)
 	if err != nil {
 		return ExitResult{}, err
 	}
-	res := ExitResult{Name: p.Name()}
-	steps, misses := 0, 0
-	for {
-		b, err := src.NextBlock()
-		if err != nil {
-			return res, err
-		}
-		if b == nil {
-			break
-		}
+	t := &Tally{col: col}
+	err = t.replay(src, func(b *trace.Block) {
 		entries := b.Dict.Entries
-		taskIdx, exits := b.TaskIdx, b.Exits
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
+		exits := b.Exits[:b.N]
+		taskIdx := b.TaskIdx[:len(exits)]
+		for i, e := range exits {
 			if e == trace.HaltExit {
 				continue
 			}
 			ent := &entries[taskIdx[i]]
-			pred := s.step(ent.Task, ent.Addr, int(ent.NumExits), int(e))
-			steps++
-			if pred != int(e) {
-				misses++
+			before := s.rollbacks
+			t.Step(i, s.step(ent.Task, ent.Addr, int(ent.NumExits), int(e)) != int(e))
+			if s.rollbacks != before {
+				t.mark(i, 1)
 			}
 		}
+	})
+	if err != nil {
+		return ExitResult{Name: p.Name()}, err
 	}
 	s.finish()
-	res.Steps, res.Misses = steps, misses
-	res.States = p.States()
+	res := t.exitResult(p)
 	res.Rollbacks, res.RepairFrames = s.rollbacks, s.repairFrames
 	recordExitResult(res)
 	return res, nil
@@ -81,12 +82,12 @@ func EvaluateTaskSpecBlocksInto(src trace.BlockSource, p TaskPredictor, lag int,
 	if err != nil {
 		return TaskResult{}, err
 	}
-	t := TaskTally{col: col}
+	t := &Tally{col: col}
 	err = t.replay(src, func(b *trace.Block) {
 		entries := b.Dict.Entries
-		taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
+		exits := b.Exits[:b.N]
+		taskIdx, targetIdx := b.TaskIdx[:len(exits)], b.TargetIdx[:len(exits)]
+		for i, e := range exits {
 			if e == trace.HaltExit {
 				continue
 			}
@@ -96,7 +97,7 @@ func EvaluateTaskSpecBlocksInto(src trace.BlockSource, p TaskPredictor, lag int,
 			pred := s.step(ent.Task, Outcome{Exit: int(e), Target: target})
 			t.Score(i, ent.Kinds[e], pred.Exit >= 0 && pred.Exit != int(e), pred.Target != target)
 			if s.rollbacks != before {
-				t.rolledBack(i)
+				t.mark(i, 1)
 			}
 		}
 	})
@@ -104,7 +105,7 @@ func EvaluateTaskSpecBlocksInto(src trace.BlockSource, p TaskPredictor, lag int,
 		return TaskResult{Name: p.Name()}, err
 	}
 	s.finish()
-	res := t.result(p.Name())
+	res := t.taskResult(p.Name())
 	res.Rollbacks, res.RepairFrames, res.RASDamage = s.rollbacks, s.repairFrames, s.rasDamage
 	recordTaskResult(res)
 	return res, nil

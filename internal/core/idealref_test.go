@@ -240,8 +240,8 @@ func newIdealExit(scheme string, depth int, kind AutomatonKind) ExitPredictor {
 }
 
 // checkIdealReference replays steps through every production path over
-// the ideal tables of the given depth — each exit scheme's block kernel
-// and PredictExit/UpdateExit, the ideal CTTB's block kernel and
+// the ideal tables of the given depth — each exit scheme's fused step,
+// as the block driver runs it, and PredictExit/UpdateExit, the ideal CTTB's block kernel and
 // Lookup/Train/Advance, and the composed predictor's block kernel and
 // Predict/Update — and holds each to the reference model after every
 // step: the same predictions (or misses, for a block kernel) and the
@@ -276,7 +276,9 @@ func checkIdealReference(steps []trace.Block, depth int) error {
 		halt := blk.Exits[0] == trace.HaltExit
 
 		for _, x := range ex {
-			_, kernMiss := x.kern.(ExitBlockReplayer).ReplayExitBlock(blk)
+			var tally Tally
+			replayExitKernelSteps(x.kern.(exitKernel), blk, &tally)
+			kernMiss := tally.misses
 			if halt {
 				continue
 			}
@@ -296,7 +298,9 @@ func checkIdealReference(steps []trace.Block, depth int) error {
 		}
 
 		indirect := !halt && ent.Indirect[e]
-		_, kernMiss := kernBuf.ReplayTargetBlock(blk)
+		var bufTally Tally
+		kernBuf.ReplayTargetBlock(blk, &bufTally)
+		kernMiss := bufTally.misses
 		if indirect {
 			want, wantOK := refBuf.lookup(t.Start)
 			if got, ok := directBuf.Lookup(t.Start); got != want || ok != wantOK {
@@ -316,9 +320,9 @@ func checkIdealReference(steps []trace.Block, depth int) error {
 			}
 		}
 
-		var tally TaskTally
+		var tally Tally
 		kernTask.ReplayTaskBlock(blk, &tally)
-		kern := tally.result("")
+		kern := tally.taskResult("")
 		kernExitMiss, kernTargetMiss := kern.ExitMisses, kern.Misses
 		if halt {
 			continue

@@ -21,7 +21,7 @@
 // exitFlags; Parse, String and the Build methods all read those rows.
 //
 // Spec.String returns the canonical form: Parse(s).String() is a fixed
-// point, and journal keys and result labels use it so they survive
+// point, and cache keys and result labels use it so they survive
 // cosmetic respellings of the same configuration.
 //
 // The engine's other half is the run model (run.go) and the
@@ -152,13 +152,14 @@ var exitFlags = [numFlags]flag{
 var (
 	depthField = field{key: "d", max: core.MaxHistoryDepth}
 	depthOnly  = []field{depthField}
-	// The DOLC widths' bound keeps (D-1)·O + L + C from overflowing;
-	// DOLC.Validate bounds the folded index itself.
+	// O, L and C take at most a task address's bits, the ranges
+	// DOLC.Validate holds them to; Validate also refuses the bits a
+	// depth does not use and bounds the folded index.
 	dolcFields = []field{
 		depthField,
-		{key: "o", max: math.MaxInt32},
-		{key: "l", max: math.MaxInt32},
-		{key: "c", max: math.MaxInt32},
+		{key: "o", max: addrBits},
+		{key: "l", max: addrBits},
+		{key: "c", max: addrBits},
 		{key: "f", min: 1, max: math.MaxInt32, optional: true, def: 1},
 	}
 	phtIndex = field{key: "i", min: 1, max: 30}
@@ -553,7 +554,7 @@ func (p *part) parseFlag(seg string) (bool, error) {
 }
 
 // String returns the spec's canonical form: a fixed point of Parse, used
-// for journal keys and result labels.
+// for cache keys and result labels.
 func (s *Spec) String() string {
 	var buf [128]byte
 	b := buf[:0]

@@ -172,8 +172,17 @@ var badSpecs = []string{
 	"path:d7-o5-l6-c6-f3:leh2:lat+4",
 	"path:d7-o5-l6-c6-f3:leh2:spec:rlat+4",
 	"composed:path:d7-o5-l6-c6-f3:leh2:ras+8",
-	// DOLC widths stop where (D-1)·O + L + C could overflow.
+	// DOLC widths stop at the 32 bits of a task address, so
+	// (D-1)·O + L + C cannot overflow.
 	"path:d0-o0-l4611686018427387904-c4611686018427387904:leh2",
+	"path:d7-o33-l6-c6-f3:leh2",
+	"cttb:d7-o4-l4-c33",
+	// Bits from a task the depth does not track: the index would ignore
+	// them, so one predictor would have two spellings.
+	"path:d1-o2-l3-c4:leh2", // O at depth 1
+	"path:d0-o0-l2-c3:leh2", // L at depth 0
+	"cttb:d0-o7-l0-c14",     // O at depth 0
+	"composed:path:d1-o9-l6-c8:leh2:ras32",
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {
@@ -201,6 +210,7 @@ func TestParseNamesFieldRange(t *testing.T) {
 		"path:d7-o5-l6-c6-f3:leh2:lat4097":        "lat4097: want lat in 0..4096",
 		"path:d7-o5-l6-c6-f3:leh2:seed4294967296": "seed4294967296: want seed in 0..4294967295",
 		"composed:ipath:d7:leh2:ras0":             "ras0: want ras in 1..4096",
+		"path:d7-o5-l6-c40:leh2":                  "c40: want c in 0..32",
 	} {
 		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Parse(%q) = %v, want an error naming %q", spec, err, want)

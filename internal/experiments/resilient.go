@@ -16,9 +16,9 @@ import (
 
 // The resilient runner executes a batch of experiments the way a
 // multi-hour mbench run needs: one experiment's failure (error, panic, or
-// hang) is isolated and recorded instead of aborting the batch, progress
-// is journaled so a killed run resumes where it stopped, and an interrupt
-// flushes whatever partial output the in-flight experiment produced.
+// hang) is isolated and recorded instead of aborting the batch, and an
+// interrupt flushes whatever partial output the in-flight experiment
+// produced.
 
 // ErrInterrupted marks experiments that did not run because the batch was
 // interrupted (SIGINT or the Interrupt channel closing).
@@ -46,11 +46,9 @@ type Outcome struct {
 	// watchdog kills, ErrInterrupted for experiments skipped by an
 	// interrupt, or the runner's own error).
 	Err error
-	// Duration is how long the experiment ran (zero when skipped).
+	// Duration is how long the experiment ran (zero when interrupted
+	// before it started).
 	Duration time.Duration
-	// Skipped reports that the journal showed the experiment already
-	// complete, so it did not run.
-	Skipped bool
 }
 
 // RunOptions tunes a resilient batch run.
@@ -59,16 +57,12 @@ type RunOptions struct {
 	// watchdog). A timed-out experiment's goroutine is abandoned — its
 	// output is withheld and the batch moves on.
 	Timeout time.Duration
-	// Journal, when non-nil, records completions for resume: experiments
-	// it already lists are skipped, and each success is appended
-	// immediately.
-	Journal *Journal
 	// Interrupt, when non-nil, aborts the batch once closed: the
 	// in-flight experiment's partial output is flushed with a marker,
 	// and remaining experiments are recorded as ErrInterrupted.
 	Interrupt <-chan struct{}
 	// Progress, when non-nil, receives one Step per finished experiment
-	// (and one Skip per journal skip) — the live completed/total + ETA
+	// — the live completed/total + ETA
 	// reporter mbench wires to stderr for multi-experiment batches. It
 	// writes to its own side channel, never to w, so batch output stays
 	// byte-identical with or without it.
@@ -122,20 +116,13 @@ func interrupted(ch <-chan struct{}) bool {
 }
 
 // RunResilient executes the runners in order with failure isolation,
-// watchdog timeouts, journal-based resume, and interrupt-graceful partial
-// flushing. It always returns one Outcome per runner; the caller renders
+// watchdog timeouts, and interrupt-graceful partial flushing. It always returns one Outcome per runner; the caller renders
 // the summary (see Summarize) and chooses the exit status.
 func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []Outcome {
 	outcomes := make([]Outcome, 0, len(runners))
 	for _, r := range runners {
 		if interrupted(opts.Interrupt) {
 			outcomes = append(outcomes, Outcome{Name: r.Name, Err: ErrInterrupted})
-			continue
-		}
-		if opts.Journal != nil && opts.Journal.IsDone(journalKey(r.Name, cfg)) {
-			fmt.Fprintf(w, "[%s already done per journal %s, skipping]\n\n", r.Name, opts.Journal.Path())
-			outcomes = append(outcomes, Outcome{Name: r.Name, Skipped: true})
-			opts.Progress.Skip(r.Name)
 			continue
 		}
 
@@ -162,11 +149,6 @@ func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []
 			io.WriteString(w, buf.snapshot())
 			if err == nil {
 				fmt.Fprintf(w, "[%s done in %v]\n\n", r.Name, out.Duration.Round(time.Millisecond))
-				if opts.Journal != nil {
-					if jerr := opts.Journal.MarkDone(journalKey(r.Name, cfg)); jerr != nil {
-						out.Err = jerr
-					}
-				}
 			} else {
 				fmt.Fprintf(w, "[%s FAILED after %v: %v]\n\n", r.Name, out.Duration.Round(time.Millisecond), err)
 			}
@@ -206,15 +188,13 @@ func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []
 }
 
 // Summarize renders the end-of-run summary table and returns the number
-// of failed (not skipped, not succeeded) experiments.
+// of failed experiments.
 func Summarize(w io.Writer, outcomes []Outcome) int {
 	tbl := stats.New("Run summary", "experiment", "status", "duration")
 	failed := 0
 	for _, o := range outcomes {
 		status := "ok"
 		switch {
-		case o.Skipped:
-			status = "skipped (journal)"
 		case errors.Is(o.Err, ErrInterrupted):
 			status = "interrupted"
 			failed++

@@ -5,70 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"multiscalar/internal/fault"
 )
-
-func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 0 || j.IsDone("a") {
-		t.Fatal("fresh journal not empty")
-	}
-	if err := j.MarkDone("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.MarkDone("b"); err != nil {
-		t.Fatal(err)
-	}
-
-	// A reopened journal sees both completions — this is the resume path.
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Len() != 2 || !j2.IsDone("a") || !j2.IsDone("b") || j2.IsDone("c") {
-		t.Fatalf("reopened journal: len %d, a %v, b %v", j2.Len(), j2.IsDone("a"), j2.IsDone("b"))
-	}
-
-	if err := j2.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	// Removing twice is fine (already gone).
-	if err := j2.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j3.Len() != 0 {
-		t.Fatal("journal survived Remove")
-	}
-}
-
-func TestJournalIgnoresUnknownLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	if err := os.WriteFile(path, []byte("done a\n# comment\nstarted b\ndone c extra words\ndone c\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.IsDone("a") || !j.IsDone("c") || j.IsDone("b") || j.Len() != 2 {
-		t.Fatalf("journal parsed %d entries", j.Len())
-	}
-}
 
 // namedRunner builds a Runner around fn for the resilient-runner tests.
 func namedRunner(name string, fn func(w io.Writer, cfg Config) error) Runner {
@@ -152,54 +94,6 @@ func TestRunResilientWatchdog(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "TIMED OUT") {
 		t.Fatal("timeout marker missing")
-	}
-}
-
-func TestRunResilientJournalSkipAndResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ran := map[string]int{}
-	mk := func(name string, fail bool) Runner {
-		return namedRunner(name, func(w io.Writer, cfg Config) error {
-			ran[name]++
-			if fail {
-				return errors.New("transient")
-			}
-			return nil
-		})
-	}
-	runners := []Runner{mk("a", false), mk("b", true), mk("c", false)}
-
-	// First run: a and c succeed and are journaled; b fails.
-	outcomes := RunResilient(io.Discard, Config{}, runners, RunOptions{Journal: j})
-	if outcomes[0].Err != nil || outcomes[1].Err == nil || outcomes[2].Err != nil {
-		t.Fatalf("first run outcomes: %+v", outcomes)
-	}
-
-	// Second run, reopened journal (as after a kill): only b re-runs.
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runners = []Runner{mk("a", false), mk("b", false), mk("c", false)}
-	outcomes = RunResilient(io.Discard, Config{}, runners, RunOptions{Journal: j2})
-	if !outcomes[0].Skipped || outcomes[1].Skipped || !outcomes[2].Skipped {
-		t.Fatalf("resume outcomes: %+v", outcomes)
-	}
-	if ran["a"] != 1 || ran["b"] != 2 || ran["c"] != 1 {
-		t.Fatalf("run counts: %v", ran)
-	}
-
-	var sum bytes.Buffer
-	if failed := Summarize(&sum, outcomes); failed != 0 {
-		t.Fatalf("resume run counted %d failures", failed)
-	}
-	if !strings.Contains(sum.String(), "skipped (journal)") {
-		t.Fatal("skip status missing from summary")
 	}
 }
 

@@ -19,7 +19,7 @@ func configPasses() []Pass {
 	return []Pass{
 		{
 			Name: "cfg-dolc",
-			Doc:  "DOLC bit budget: (D-1)·O+L+C must fold evenly into the index width, with no dead history fields",
+			Doc:  "DOLC bit budget: the (D-1)·O+L+C intermediate bits and the index width they fold to",
 			Run:  runCfgDOLC,
 		},
 		{
@@ -30,30 +30,16 @@ func configPasses() []Pass {
 	}
 }
 
-// checkDOLC sizes one DOLC and flags dead history fields the fold
-// silently ignores — the exact mis-sizing that turns "realizable"
-// results into alias noise (Figures 9–10). An invalid DOLC never gets
-// here: engine.Parse rejects it, and cfg-pred-spec reports that.
+// checkDOLC sizes one DOLC: how many intermediate bits fold to how wide
+// an index (Figures 9–10). An invalid DOLC — dead history fields
+// included — never gets here: engine.Parse rejects it, and
+// cfg-pred-spec reports that.
 func checkDOLC(what string, d core.DOLC) []Diagnostic {
-	var out []Diagnostic
-	if d.Older > 0 && d.Depth < 2 {
-		out = append(out, Diagnostic{
-			Check: CheckDOLCBudget, Sev: Warn,
-			Msg: fmt.Sprintf("%s DOLC %v: O=%d bits configured but depth %d tracks no older tasks; the bits are dead", what, d, d.Older, d.Depth),
-		})
-	}
-	if d.Last > 0 && d.Depth < 1 {
-		out = append(out, Diagnostic{
-			Check: CheckDOLCBudget, Sev: Warn,
-			Msg: fmt.Sprintf("%s DOLC %v: L=%d bits configured but depth 0 tracks no last task; the bits are dead", what, d, d.Last),
-		})
-	}
-	out = append(out, Diagnostic{
+	return []Diagnostic{{
 		Check: CheckDOLCBudget, Sev: Info,
 		Msg: fmt.Sprintf("%s DOLC %v: %d intermediate bits fold to a %d-bit index (%d entries)",
 			what, d, d.IntermediateBits(), d.IndexBits(), d.TableSize()),
-	})
-	return out
+	}}
 }
 
 func runCfgDOLC(c *Context) []Diagnostic {

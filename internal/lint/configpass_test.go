@@ -25,32 +25,29 @@ func TestCheckDOLCInvalid(t *testing.T) {
 	}
 }
 
+// TestCheckDOLCDeadFields: history bits the depth does not track (O at
+// depth 0 or 1, L at depth 0) make the DOLC invalid, so cfg-pred-spec
+// reports an error naming the dead field and cfg-dolc-budget stays
+// silent.
 func TestCheckDOLCDeadFields(t *testing.T) {
 	cases := []struct {
-		d    core.DOLC
+		spec string
 		want string
 	}{
 		// O bits configured but depth 1 tracks no older tasks.
-		{core.DOLC{Depth: 1, Older: 2, Last: 3, Current: 4, Folds: 1}, "O=2"},
+		{"composed:path:d1-o2-l3-c4-f1:leh2:ras32", "O=2"},
 		// L bits configured but depth 0 tracks no last task.
-		{core.DOLC{Depth: 0, Older: 0, Last: 2, Current: 3, Folds: 1}, "L=2"},
+		{"composed:path:d0-o0-l2-c3-f1:leh2:ras32", "L=2"},
 	}
 	for _, tc := range cases {
-		diags := checkDOLC("exit predictor", tc.d)
-		warns := 0
-		for _, d := range diags {
-			if d.Sev == Warn {
-				warns++
-				if !strings.Contains(d.Msg, tc.want) || !strings.Contains(d.Msg, "dead") {
-					t.Errorf("%v: warn %q does not name the dead field %s", tc.d, d.Msg, tc.want)
-				}
-			}
-			if d.Sev == Error {
-				t.Errorf("%v: unexpectedly invalid: %v", tc.d, d)
-			}
+		cfg := &PredictorConfig{PredSpec: tc.spec}
+		diags := predSpecDiags(cfg)
+		if len(diags) != 1 || diags[0].Check != CheckPredSpec || diags[0].Sev != Error ||
+			!strings.Contains(diags[0].Msg, tc.want) || !strings.Contains(diags[0].Msg, "tracks no") {
+			t.Errorf("%s: %v, want one %s error naming the dead field %s", tc.spec, diags, CheckPredSpec, tc.want)
 		}
-		if warns != 1 {
-			t.Errorf("%v: %d dead-field warnings, want 1: %v", tc.d, warns, diags)
+		if diags := runCfgDOLC(&Context{Config: cfg}); diags != nil {
+			t.Errorf("%s: dead-field DOLC reached %s: %v", tc.spec, CheckDOLCBudget, diags)
 		}
 	}
 }

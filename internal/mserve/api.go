@@ -69,10 +69,9 @@ type Cell struct {
 	TimingSteps int
 }
 
-// Key renders the cell's cache/singleflight key in the same spirit as
-// the resume journal's keys: the canonical spec plus the resolved
-// execution config, so cosmetic respellings can never mint distinct
-// entries. Validation guarantees one cell ⇔ one key ⇔ one result.
+// Key renders the cell's cache/singleflight key: the canonical spec
+// plus the resolved execution config, so cosmetic respellings can never
+// mint distinct entries. Validation guarantees one cell ⇔ one key ⇔ one result.
 func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s@mode=%s,steps=%d,timing=%d",
 		c.Workload, c.Spec, c.Mode, c.Steps, c.TimingSteps)

@@ -51,17 +51,3 @@ func (p *Progress) Step(name string, d time.Duration) {
 	}
 	fmt.Fprintln(p.w, line)
 }
-
-// Skip records an item that completed without running (journal resume);
-// it advances the count without skewing the ETA extrapolation base.
-func (p *Progress) Skip(name string) {
-	if !p.enabled() {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total-- // skipped items cost ~nothing; dropping them keeps the ETA honest
-	if rem := p.total - p.done; rem > 0 {
-		fmt.Fprintf(p.w, "%s: %s skipped (journal), %d to go\n", p.label, name, rem)
-	}
-}

@@ -171,22 +171,18 @@ func (b *probeBuf) States() int                          { return b.n }
 // pin the real predictors' fast paths against the oracle, and these
 // probe implementations are covered by TestBlockReplayAllocationFree.
 
-func (p *probeExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+func (p *probeExit) ReplayExitBlock(blk *trace.Block, t *core.Tally) {
 	for i := 0; i < blk.N; i++ {
 		e := blk.Exits[i]
 		if e == trace.HaltExit {
 			continue
 		}
-		p.n++ // PredictExit side effect
-		steps++
-		if e != 0 { // probe always predicts exit 0
-			misses++
-		}
+		p.n++             // PredictExit side effect
+		t.Step(i, e != 0) // probe always predicts exit 0
 	}
-	return steps, misses
 }
 
-func (b *probeBuf) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+func (b *probeBuf) ReplayTargetBlock(blk *trace.Block, t *core.Tally) {
 	entries := blk.Dict.Entries
 	n := blk.N
 	taskIdx, exits, targetIdx := blk.TaskIdx[:n], blk.Exits[:n], blk.TargetIdx[:n]
@@ -196,19 +192,15 @@ func (b *probeBuf) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
 		// non-halt exits are already validated < NumExits <= MaxExits.
 		if e != trace.HaltExit && ent.Indirect[e&3] {
 			target := entries[targetIdx[i]].Addr
-			steps++
-			if b.target == 0 || b.target != target {
-				misses++
-			}
+			t.Step(i, b.target == 0 || b.target != target)
 			b.target = target
 			b.n++
 		}
 		// Advance is a no-op for the probe.
 	}
-	return steps, misses
 }
 
-func (p *probeTask) ReplayTaskBlock(blk *trace.Block, t *core.TaskTally) {
+func (p *probeTask) ReplayTaskBlock(blk *trace.Block, t *core.Tally) {
 	entries := blk.Dict.Entries
 	for i := 0; i < blk.N; i++ {
 		e := blk.Exits[i]
@@ -223,51 +215,57 @@ func (p *probeTask) ReplayTaskBlock(blk *trace.Block, t *core.TaskTally) {
 }
 
 // TestBlockReplayAllocationFree pins the kernels' allocation contract:
-// replaying N steps costs a constant few allocations (the cursor and,
-// for task replay, the tally a block kernel scores through) — never
-// per-step or per-block ones, and none for filling a caller's outcome
-// column.
+// replaying N steps costs a constant few allocations (the cursor and the
+// tally a block kernel scores through) — never per-step or per-block
+// ones, and none for filling a caller's outcome column.
 func TestBlockReplayAllocationFree(t *testing.T) {
 	c := equivColumnar(t, "exprc")
+	col := core.NewOutcomeColumn(c.Len())
+	arms := []struct {
+		name string
+		col  core.OutcomeColumn
+	}{{"no column", nil}, {"column", col}}
 
-	ep := &probeExit{}
-	if _, err := core.EvaluateExitBlocks(c.Blocks(), ep); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitBlocks(c.Blocks(), ep) }); allocs > 2 {
-		t.Errorf("EvaluateExitBlocks: %.1f allocs per %d-step replay, want <= 2 (the cursor)", allocs, c.Len())
-	}
-
-	bp := &probeBuf{}
-	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), bp); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocks(c.Blocks(), bp) }); allocs > 2 {
-		t.Errorf("EvaluateIndirectBlocks: %.1f allocs per %d-step replay, want <= 2 (the cursor)", allocs, c.Len())
+	ep, bp := &probeExit{}, &probeBuf{}
+	for _, arm := range arms {
+		if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitBlocksInto(c.Blocks(), ep, arm.col) }); allocs > 2 {
+			t.Errorf("EvaluateExitBlocksInto(%s): %.1f allocs per %d-step replay, want <= 2 (cursor + tally)", arm.name, allocs, c.Len())
+		}
+		if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocksInto(c.Blocks(), bp, arm.col) }); allocs > 2 {
+			t.Errorf("EvaluateIndirectBlocksInto(%s): %.1f allocs per %d-step replay, want <= 2 (cursor + tally)", arm.name, allocs, c.Len())
+		}
 	}
 
 	// The real table-backed predictors replay through their own block
-	// kernels over flat packed PHTs: a handful of allocations per replay
-	// (the cursor and result), none per step.
+	// kernels over flat packed PHTs, the ideal exit tables through the
+	// driver's fused-step loop (warmed first, so their tables have
+	// grown): a handful of allocations per replay, none per step.
 	for _, spec := range []string{
 		"path:d7-o5-l6-c6-f3:leh2",
 		"global:d7-c14-i14:leh2",
 		"per:d7-h12-t14-i14:leh2",
+		"ipath:d7:leh2",
 	} {
 		p := engine.MustBuildExit(spec)
 		if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitBlocks(c.Blocks(), p) }); allocs > 8 {
-			t.Errorf("EvaluateExitBlocks(%s): %.1f allocs per %d-step replay, want <= 8", spec, allocs, c.Len())
+		for _, arm := range arms {
+			if allocs := testing.AllocsPerRun(3, func() { core.EvaluateExitBlocksInto(c.Blocks(), p, arm.col) }); allocs > 8 {
+				t.Errorf("EvaluateExitBlocksInto(%s, %s): %.1f allocs per %d-step replay, want <= 8", spec, arm.name, allocs, c.Len())
+			}
 		}
 	}
-	cttb := engine.MustBuildTarget("cttb:d7-o4-l4-c5-f3")
-	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), cttb); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocks(c.Blocks(), cttb) }); allocs > 8 {
-		t.Errorf("EvaluateIndirectBlocks(cttb): %.1f allocs per %d-step replay, want <= 8", allocs, c.Len())
+	for _, spec := range []string{"cttb:d7-o4-l4-c5-f3", "icttb:d7"} {
+		b := engine.MustBuildTarget(spec)
+		if _, err := core.EvaluateIndirectBlocks(c.Blocks(), b); err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range arms {
+			if allocs := testing.AllocsPerRun(3, func() { core.EvaluateIndirectBlocksInto(c.Blocks(), b, arm.col) }); allocs > 8 {
+				t.Errorf("EvaluateIndirectBlocksInto(%s, %s): %.1f allocs per %d-step replay, want <= 8", spec, arm.name, allocs, c.Len())
+			}
+		}
 	}
 
 	tp := &probeTask{}
@@ -282,11 +280,7 @@ func TestBlockReplayAllocationFree(t *testing.T) {
 	// (warmed first, so its tables have grown): the cursor and the tally;
 	// RAS.Reset clears its rings in place.
 	composed := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
-	col := core.NewOutcomeColumn(c.Len())
-	for _, arm := range []struct {
-		name string
-		col  core.OutcomeColumn
-	}{{"no column", nil}, {"column", col}} {
+	for _, arm := range arms {
 		if _, err := core.EvaluateTaskBlocksInto(c.Blocks(), composed, arm.col); err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ echo "==> mbench smoke (truncated traces): the same tables at -workers 1 and -wo
 # "Run summary" table are dropped before the two outputs are compared.
 MB_TMP="${TMPDIR:-/tmp}"
 for n in 1 4; do
-	go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers "$n" -journal '' >"$MB_TMP/mbench-w$n.out"
+	go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers "$n" >"$MB_TMP/mbench-w$n.out"
 	sed -e '/^\[.* done in .*\]$/d' -e '/^## Run summary$/,$d' "$MB_TMP/mbench-w$n.out" >"$MB_TMP/mbench-w$n.tables"
 done
 cmp "$MB_TMP/mbench-w1.tables" "$MB_TMP/mbench-w4.tables"
@@ -68,7 +68,7 @@ rm -f "$MB_TMP"/mbench-w[14].out "$MB_TMP"/mbench-w[14].tables
 
 echo "==> obs smoke (-metrics-out / -trace-out produce valid JSON)"
 OBS_TMP="${TMPDIR:-/tmp}"
-go run ./cmd/mbench -exp fig7 -steps 6000 -journal '' \
+go run ./cmd/mbench -exp fig7 -steps 6000 \
 	-metrics-out "$OBS_TMP/mbench-metrics.json" \
 	-trace-out "$OBS_TMP/mbench-trace.json" >/dev/null
 go run ./scripts/checkjson "$OBS_TMP/mbench-metrics.json" "$OBS_TMP/mbench-trace.json" >/dev/null

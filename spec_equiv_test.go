@@ -294,18 +294,23 @@ func TestSpecBlockReplayAllocationBound(t *testing.T) {
 
 	// Each predictor is warmed by one run first, so its undo ring and
 	// ideal tables have grown and the measured runs reuse them.
+	// A caller's outcome column costs nothing.
+	col := core.NewOutcomeColumn(c.Len())
 	for _, spec := range []string{"path:d7-o5-l6-c6-f3:leh2", "ipath:d7:leh2", "global:d7-c14-i14:leh2"} {
 		p := engine.MustBuildExit(spec)
 		if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
-				t.Fatal(err)
+		for _, col := range []core.OutcomeColumn{nil, col} {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := core.EvaluateExitSpecBlocksInto(c.Blocks(), p, 4, col); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 8 {
+				t.Errorf("EvaluateExitSpecBlocksInto %s (column %v): %.1f allocs per %d-step replay, want <= 8 (session + cursor)",
+					spec, col != nil, allocs, c.Len())
 			}
-		})
-		if allocs > 8 {
-			t.Errorf("EvaluateExitSpecBlocks %s: %.1f allocs per %d-step replay, want <= 8 (session + cursor)", spec, allocs, c.Len())
 		}
 	}
 	for _, spec := range []string{"composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3", "cttb:d7-o4-l4-c5-f3"} {
