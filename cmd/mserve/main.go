@@ -1,8 +1,9 @@
 // Command mserve is the prediction-as-a-service daemon: it serves the
 // evaluation engine over HTTP/JSON with admission control, per-request
-// deadlines, panic isolation, single-flight result caching, and graceful
-// drain on SIGINT/SIGTERM. See README.md for the API and DESIGN.md §12
-// for the serving architecture.
+// deadlines, panic isolation, a run memo that evaluates repeated and
+// concurrent identical cells once, and graceful drain on SIGINT/SIGTERM.
+// See README.md for the API and DESIGN.md §12 for the serving
+// architecture.
 package main
 
 import (
@@ -33,7 +34,7 @@ func run() int {
 		maxTO    = flag.Duration("max-timeout", 0, "upper clamp on client-requested deadlines (0 = 2m)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 		maxBody  = flag.Int64("max-body", 0, "request body cap in bytes (0 = 64KiB)")
-		cacheMax = flag.Int("cache-max", 0, "result cache capacity in entries (0 = 4096)")
+		cacheMax = flag.Int("cache-max", 0, "run memo capacity in results (0 = 4096)")
 		progTick = flag.Duration("progress-interval", 0, "SSE progress event period on /progress (0 = 250ms)")
 		sampTick = flag.Duration("sample-interval", 0, "/statusz time-series sampling period (0 = 1s)")
 

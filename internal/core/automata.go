@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"multiscalar/internal/tfg"
@@ -100,16 +99,6 @@ var (
 // AllAutomata lists the seven automata of Figure 6 in the paper's legend
 // order.
 var AllAutomata = []AutomatonKind{VC2MRU, VC2Random, LEH1, VC3MRU, VC3Random, LEH2, LE}
-
-// AutomatonKindByName resolves a kind by its display name.
-func AutomatonKindByName(name string) (AutomatonKind, error) {
-	for _, k := range AllAutomata {
-		if k.name == name {
-			return k, nil
-		}
-	}
-	return AutomatonKind{}, fmt.Errorf("core: unknown automaton kind %q", name)
-}
 
 const (
 	// autTouched marks an allocated automaton; a fresh one is exactly

@@ -148,18 +148,6 @@ func TestAutomataConvergeAndStayInRange(t *testing.T) {
 	}
 }
 
-func TestAutomatonKindByName(t *testing.T) {
-	for _, kind := range AllAutomata {
-		got, err := AutomatonKindByName(kind.Name())
-		if err != nil || got.Name() != kind.Name() {
-			t.Errorf("round-trip failed for %s: %v", kind.Name(), err)
-		}
-	}
-	if _, err := AutomatonKindByName("bogus"); err == nil {
-		t.Errorf("expected error for unknown kind")
-	}
-}
-
 func TestAutomatonStorageBitsOrdering(t *testing.T) {
 	// The paper's size argument: LEH-2 must be cheaper than the 3-bit
 	// voting counters it matches in accuracy.

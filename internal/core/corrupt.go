@@ -93,6 +93,11 @@ func (b *CTTB) CorruptEntry(rnd func(int) int) bool {
 		return false
 	}
 	start := rnd(n)
+	if b.touched == 0 {
+		// No valid entry to find; the start draw above still happens,
+		// so the injector's draw sequence does not depend on this exit.
+		return false
+	}
 	for i := 0; i < n; i++ {
 		e := &b.entries[(start+i)%n]
 		if !e.valid {
@@ -105,6 +110,7 @@ func (b *CTTB) CorruptEntry(rnd func(int) int) bool {
 			e.ctr = 0
 		default:
 			*e = ttbEntry{}
+			b.touched--
 		}
 		return true
 	}

@@ -88,6 +88,40 @@ func TestCTTBCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestCTTBInvalidatingUpsetCountsStates holds States to a recount of the
+// valid entries while invalidating upsets empty the buffer, and checks
+// that an emptied buffer still takes the start draw and injects nothing.
+func TestCTTBInvalidatingUpsetCountsStates(t *testing.T) {
+	b := MustCTTB(MustDOLC(0, 0, 0, 4, 1))
+	for a := isa.Addr(0); a < 6; a++ {
+		b.Train(a, 100+a)
+	}
+	recount := func() int {
+		n := 0
+		for _, e := range b.entries {
+			if e.valid {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 8; i++ {
+		// Script: start at entry i, corruption mode 2 (invalidate).
+		hit := b.CorruptEntry(fixedRnd(i, 2))
+		if hit != (i < 6) {
+			t.Fatalf("upset %d: injected = %v", i, hit)
+		}
+		if got, want := b.States(), recount(); got != want {
+			t.Fatalf("upset %d: States() = %d, recount = %d", i, got, want)
+		}
+	}
+	draws := 0
+	b.CorruptEntry(func(n int) int { draws++; return 0 })
+	if draws != 1 {
+		t.Fatalf("empty CTTB took %d draws, want the start draw only", draws)
+	}
+}
+
 func TestRASCorrupt(t *testing.T) {
 	s := NewRAS(4)
 	if s.Corrupt(fixedRnd(0)) {

@@ -116,11 +116,6 @@ func (b *CTTB) Name() string { return b.name }
 // DOLC returns the buffer's index configuration.
 func (b *CTTB) DOLC() DOLC { return b.dolc }
 
-// SizeBytes returns the buffer storage, counting 4 bytes per entry as the
-// paper does ("a CTTB entry is 8 times as large as an exit prediction
-// table entry": 32 bits vs 4 bits).
-func (b *CTTB) SizeBytes() int { return b.dolc.TableSize() * 4 }
-
 // States implements TargetBuffer.
 func (b *CTTB) States() int { return b.touched }
 

@@ -61,14 +61,6 @@ func TestNewTTBIsDepthZero(t *testing.T) {
 	}
 }
 
-func TestCTTBSizeBytes(t *testing.T) {
-	// The paper's 8 KB CTTB: 11-bit index, 4 bytes per entry.
-	b := MustCTTB(MustDOLC(7, 4, 4, 5, 3))
-	if got := b.SizeBytes(); got != 8192 {
-		t.Fatalf("SizeBytes = %d, want 8192", got)
-	}
-}
-
 func TestCTTBStatesAndReset(t *testing.T) {
 	b := MustCTTB(MustDOLC(0, 0, 0, 8, 1))
 	b.Train(1, 10)

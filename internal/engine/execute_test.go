@@ -26,13 +26,21 @@ func testGrid() []Run {
 	return runs
 }
 
+// execute runs a grid on a fresh pool of the given worker count, so no
+// memo outlives the call.
+func execute(runs []Run, workers int) []Result {
+	p := NewPool(workers, 0, 0, 0)
+	defer p.Close()
+	return p.Execute(runs)
+}
+
 // TestExecuteDeterministic is the scheduler's core contract: the same
 // grid produces identical results at any worker count, in submission
 // order. scripts/check.sh runs the package under -race, which also makes
 // this a data-race probe over the shared workload cache.
 func TestExecuteDeterministic(t *testing.T) {
 	runs := testGrid()
-	sequential := Execute(runs, 1)
+	sequential := execute(runs, 1)
 	if len(sequential) != len(runs) {
 		t.Fatalf("got %d results for %d runs", len(sequential), len(runs))
 	}
@@ -42,7 +50,7 @@ func TestExecuteDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{0, 2, 8, len(runs) + 7} {
-		parallel := Execute(runs, workers)
+		parallel := execute(runs, workers)
 		for i := range sequential {
 			// Errors are compared by message and parsed specs by their
 			// canonical string (two Parse calls yield distinct pointers);
@@ -79,7 +87,7 @@ func TestExecuteDeterministic(t *testing.T) {
 }
 
 func TestExecuteErrorIsolation(t *testing.T) {
-	results := Execute(testGrid(), 4)
+	results := execute(testGrid(), 4)
 	var bad, good int
 	for _, res := range results {
 		if res.Err != nil {
@@ -97,7 +105,7 @@ func TestExecuteErrorIsolation(t *testing.T) {
 }
 
 func TestExecuteEmpty(t *testing.T) {
-	if res := Execute(nil, 8); len(res) != 0 {
+	if res := execute(nil, 8); len(res) != 0 {
 		t.Fatalf("Execute(nil) returned %d results", len(res))
 	}
 }
@@ -109,7 +117,7 @@ func TestExecuteEmpty(t *testing.T) {
 // run produces.
 func TestExecuteObserved(t *testing.T) {
 	runs := testGrid()
-	baseline := Execute(runs, 4)
+	baseline := execute(runs, 4)
 
 	tr := obs.NewTracer()
 	obs.SetEnabled(true)
@@ -120,7 +128,7 @@ func TestExecuteObserved(t *testing.T) {
 	}()
 
 	before := obsRunsTotal.Value()
-	observed := Execute(runs, 4)
+	observed := execute(runs, 4)
 	if got := obsRunsTotal.Value() - before; got != int64(len(runs)) {
 		t.Errorf("engine.run.total advanced by %d, want %d", got, len(runs))
 	}

@@ -22,43 +22,28 @@ var (
 	obsGridSecs    = obs.Default().Histogram("engine.grid.seconds", nil)
 	obsGridWorkers = obs.Default().Gauge("engine.grid.workers")
 
-	// Pool metrics (the serving-side scheduler in pool.go). Sheds and
-	// watchdog kills are exceptional-path events, recorded
-	// unconditionally — they are precisely what an operator needs to see
-	// even before turning full observability on.
-	obsPoolSheds    = obs.Default().Counter("engine.pool.shed")
-	obsPoolTimeouts = obs.Default().Counter("engine.pool.timeouts")
+	// Pool metrics (pool.go), recorded unconditionally: sheds and
+	// watchdog kills are exceptional-path events an operator needs to
+	// see even before turning full observability on, and the memo
+	// counters are how a serving front end reports its hit rate.
+	obsPoolSheds     = obs.Default().Counter("engine.pool.shed")
+	obsPoolTimeouts  = obs.Default().Counter("engine.pool.timeouts")
+	obsMemoHits      = obs.Default().Counter("engine.memo.hits")
+	obsMemoJoins     = obs.Default().Counter("engine.memo.joins")
+	obsMemoMisses    = obs.Default().Counter("engine.memo.misses")
+	obsMemoEvictions = obs.Default().Counter("engine.memo.evictions")
 )
 
-// doObserved wraps Do with per-run metrics and span tracing. worker is
-// the zero-based worker lane; submitted is the queue-submit time (zero
-// when the run never waited in a queue, i.e. the sequential path).
+// doObserved wraps Do with per-run metrics and a span when
+// observability is on. worker is the zero-based worker lane; submitted
+// is when the run was queued. The pool drives the run's status.
 func doObserved(r Run, worker int, submitted time.Time) Result {
-	if !obs.On() && r.Status == nil {
-		return Do(r)
-	}
-	// Telemetry is on or the caller attached a status: keep the run's
-	// progress record live. A caller-less observed run still registers
-	// itself so /runz and /statusz see CLI and grid traffic too — but an
-	// auto-created status is scrubbed from the echoed Result.Run so
-	// observed and unobserved results stay deeply equal.
-	auto := r.Status == nil
-	if auto {
-		r.Status = obs.Runs().Start(r.Label, r.Workload, r.Spec, r.Mode.String())
-	}
-	r.Status.SetPhase(obs.PhaseRunning)
 	if !obs.On() {
-		res := Do(r)
-		finishStatus(r.Status, res.Err)
-		return res
+		return Do(r)
 	}
 	start := time.Now() //detlint:allow det-time (obs-gated duration metric; never rendered deterministically)
 	res := Do(r)
 	dur := time.Since(start)
-	finishStatus(r.Status, res.Err)
-	if auto {
-		res.Run.Status = nil
-	}
 
 	obsRunsTotal.Inc()
 	if res.Err != nil {
@@ -66,11 +51,8 @@ func doObserved(r Run, worker int, submitted time.Time) Result {
 	}
 	obsRunSeconds.Observe(dur.Seconds())
 	obsBusyNanos.Add(dur.Nanoseconds())
-	var queueWait time.Duration
-	if !submitted.IsZero() {
-		queueWait = start.Sub(submitted)
-		obsQueueWait.Observe(queueWait.Seconds())
-	}
+	queueWait := start.Sub(submitted)
+	obsQueueWait.Observe(queueWait.Seconds())
 
 	if tr := obs.ActiveTracer(); tr != nil {
 		args := map[string]any{

@@ -34,17 +34,3 @@ func WithProgress(src trace.BlockSource, st *obs.RunStatus) trace.BlockSource {
 	}
 	return &progressSource{src: src, st: st}
 }
-
-// finishStatus resolves a status to its terminal phase from a run
-// error. Terminal phases are sticky, so a watchdog's earlier Abandon
-// wins over the late completion recorded here.
-func finishStatus(st *obs.RunStatus, err error) {
-	if st == nil {
-		return
-	}
-	if err != nil {
-		st.Fail()
-		return
-	}
-	st.Finish()
-}

@@ -100,7 +100,7 @@ func TestRunProgressResultUnchanged(t *testing.T) {
 // TestPoolStatusLifecycle drives a status through the pool's queued →
 // running → done transitions with a stubbed runner.
 func TestPoolStatusLifecycle(t *testing.T) {
-	p := NewPool(1, 4, 0)
+	p := NewPool(1, 4, 0, 0)
 	defer p.Close()
 
 	release := make(chan struct{})
@@ -116,7 +116,7 @@ func TestPoolStatusLifecycle(t *testing.T) {
 	st := reg.Start("job", "w", "s", "exit")
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Submit(context.Background(), Run{Workload: "w", Status: st})
+		_, _, err := p.Submit(context.Background(), Run{Workload: "w", Status: st})
 		done <- err
 	}()
 
@@ -136,7 +136,7 @@ func TestPoolStatusLifecycle(t *testing.T) {
 // TestPoolStatusAbandoned checks a watchdog-killed run's status lands
 // in abandoned and stays there even when the hung goroutine completes.
 func TestPoolStatusAbandoned(t *testing.T) {
-	p := NewPool(1, 4, 30*time.Millisecond)
+	p := NewPool(1, 4, 0, 30*time.Millisecond)
 	defer p.Close()
 
 	release := make(chan struct{})
@@ -147,7 +147,7 @@ func TestPoolStatusAbandoned(t *testing.T) {
 
 	reg := obs.NewRunRegistry(4)
 	st := reg.Start("hung", "w", "s", "exit")
-	_, err := p.Submit(context.Background(), Run{Workload: "w", Status: st})
+	_, _, err := p.Submit(context.Background(), Run{Workload: "w", Status: st})
 	var te *RunTimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want RunTimeoutError", err)
@@ -165,7 +165,7 @@ func TestPoolStatusAbandoned(t *testing.T) {
 // TestPoolStatusCancelled checks a run cancelled while still queued is
 // marked cancelled, not failed.
 func TestPoolStatusCancelled(t *testing.T) {
-	p := NewPool(1, 4, 0)
+	p := NewPool(1, 4, 0, 0)
 	defer p.Close()
 
 	release := make(chan struct{})
@@ -186,7 +186,7 @@ func TestPoolStatusCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := p.Submit(ctx, Run{Workload: "w", Status: st})
+		_, _, err := p.Submit(ctx, Run{Workload: "w", Status: st})
 		errc <- err
 	}()
 	for st.Phase() != obs.PhaseQueued {

@@ -20,6 +20,32 @@ func Resolve(r Run) (*Spec, Mode, error) {
 	return sp, mode, err
 }
 
+// Key returns r's memo key: the canonical form of everything a run's
+// result depends on — workload, canonical spec, resolved mode and both
+// step budgets, then the stream bit and the canonical fault spec when
+// set. Runs with one key produce the same Result apart from its Run
+// echo, which is what lets Pool serve one from another. The error is
+// Resolve's.
+func Key(r Run) (string, error) {
+	sp, fs, mode, err := resolve(r)
+	if err != nil {
+		return "", err
+	}
+	return memoKey(r, sp, fs, mode), nil
+}
+
+// memoKey is Key over an admitted resolve of r.
+func memoKey(r Run, sp *Spec, fs fault.Spec, mode Mode) string {
+	k := fmt.Sprintf("%s/%s@mode=%s,steps=%d,timing=%d", r.Workload, sp, mode, r.MaxSteps, r.TimingSteps)
+	if r.Stream {
+		k += ",stream=1"
+	}
+	if fs.Enabled() {
+		k += ",fault=" + fs.String()
+	}
+	return k
+}
+
 // resolve is Resolve, also returning the parsed fault spec for run.
 func resolve(r Run) (*Spec, fault.Spec, Mode, error) {
 	sp, err := Parse(r.Spec)

@@ -28,6 +28,11 @@ type Config struct {
 	// Output is byte-identical at any worker count; only wall-clock
 	// changes.
 	Workers int
+
+	// pool runs every grid of a RunResilient batch, so a cell that an
+	// earlier experiment ran is a memo hit; nil opens one per grid. A
+	// grid pool has the default memo cap and no queue: grids never shed.
+	pool *engine.Pool
 }
 
 func (c Config) withDefaults() Config {

@@ -92,7 +92,9 @@ func TestObsByteInvariance(t *testing.T) {
 		if withStatus {
 			r.Status = obs.Runs().Start("invariance", r.Workload, r.Spec, "exit")
 		}
-		res := engine.Execute([]engine.Run{r}, 1)[0]
+		p := engine.NewPool(1, 0, 0, 0) // a fresh memo: every variant runs
+		defer p.Close()
+		res := p.Execute([]engine.Run{r})[0]
 		if res.Err != nil {
 			t.Fatalf("stream=%v observed=%v status=%v: %v", stream, observed, withStatus, res.Err)
 		}

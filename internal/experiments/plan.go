@@ -61,15 +61,21 @@ func dolcSpecs(sweep []core.DOLC, spec func(core.DOLC) string) []string {
 	return specs
 }
 
-// run executes every cell of p through the engine's deterministic
-// scheduler at cfg.Workers and returns the results in p's shape. The
-// first failed cell, in row-major order, comes back as the error.
+// run executes every cell of p as one grid on cfg's pool — a batch's
+// shared pool, or one opened for this call — and returns the results in
+// p's shape. The first failed cell, in row-major order, comes back as
+// the error.
 func (p plan) run(cfg Config) ([][]engine.Result, error) {
 	var runs []engine.Run
 	for _, cells := range p {
 		runs = append(runs, cells...)
 	}
-	flat := engine.Execute(runs, cfg.Workers)
+	pool := cfg.pool
+	if pool == nil {
+		pool = engine.NewPool(cfg.Workers, 0, 0, 0)
+		defer pool.Close()
+	}
+	flat := pool.Execute(runs)
 	for i := range flat {
 		if err := flat[i].Err; err != nil {
 			return nil, fmt.Errorf("experiments: %s under %s: %w",

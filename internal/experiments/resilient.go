@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"multiscalar/internal/engine"
 	"multiscalar/internal/fault"
 	"multiscalar/internal/obs"
 	"multiscalar/internal/stats"
@@ -116,9 +117,14 @@ func interrupted(ch <-chan struct{}) bool {
 }
 
 // RunResilient executes the runners in order with failure isolation,
-// watchdog timeouts, and interrupt-graceful partial flushing. It always returns one Outcome per runner; the caller renders
-// the summary (see Summarize) and chooses the exit status.
+// watchdog timeouts, and interrupt-graceful partial flushing. Every
+// grid of the batch runs on one pool, so a cell an earlier experiment
+// ran is served from the pool's memo. It always returns one Outcome per
+// runner; the caller renders the summary (see Summarize) and chooses
+// the exit status.
 func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []Outcome {
+	cfg.pool = engine.NewPool(cfg.Workers, 0, 0, 0)
+	defer func() { cfg.pool.Close() }()
 	outcomes := make([]Outcome, 0, len(runners))
 	for _, r := range runners {
 		if interrupted(opts.Interrupt) {
@@ -129,9 +135,9 @@ func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []
 		buf := &syncBuffer{}
 		done := make(chan error, 1)
 		start := time.Now() //detlint:allow det-time (watchdog deadline for hung runners; not rendered)
-		go func(r Runner) {
+		go func(r Runner, cfg Config) {
 			done <- safeRun(r, buf, cfg)
-		}(r)
+		}(r, cfg)
 
 		var watchdog <-chan time.Time
 		var timer *time.Timer
@@ -142,8 +148,10 @@ func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []
 		var intr <-chan struct{} = opts.Interrupt
 
 		out := Outcome{Name: r.Name}
+		abandoned := true
 		select {
 		case err := <-done:
+			abandoned = false
 			out.Err = err
 			out.Duration = time.Since(start)
 			io.WriteString(w, buf.snapshot())
@@ -168,6 +176,13 @@ func RunResilient(w io.Writer, cfg Config, runners []Runner, opts RunOptions) []
 		}
 		if timer != nil {
 			timer.Stop()
+		}
+		if abandoned {
+			// The abandoned runner may still be queueing cells. Its pool
+			// finishes them in the background, and the rest of the batch
+			// gets a fresh one, so those cells cannot delay theirs.
+			go cfg.pool.Close()
+			cfg.pool = engine.NewPool(cfg.Workers, 0, 0, 0)
 		}
 		// Observability: one experiment-phase span on lane 0 (engine run
 		// spans occupy the worker lanes) and one progress step. Both are

@@ -13,11 +13,11 @@ import (
 // Structured access logging: one slog line per request with a
 // process-unique request id, echoed to the client in the
 // X-Mserve-Request header so a client-reported failure can be joined
-// against the server's log (and, for flight leaders, against the pool
-// span stamped with the same id via Run.Label).
+// against the server's log (and, for memo misses, against the pool span
+// stamped with the same id via Run.Label).
 
 // accessRecord collects the request facts only the handler knows — the
-// canonical cell key and which cache path served it. It travels in the
+// canonical cell key and which memo path served it. It travels in the
 // request context; handlers fill it, the middleware logs it.
 type accessRecord struct {
 	mu    sync.Mutex

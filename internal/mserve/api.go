@@ -4,13 +4,14 @@
 // engine.Pool with the process-wide trace cache as the hot cache, and
 // wraps the whole thing in a production robustness envelope — admission
 // control with load shedding, per-request deadlines, panic isolation,
-// single-flight deduplication with a result cache, and graceful drain.
+// the pool's run memo (hits and joins of identical cells), and graceful
+// drain.
 //
 // The determinism contract carries over from the engine: a response body
 // is rendered purely from the engine.Result, so the bytes a client gets
 // are identical to what a direct mbench/engine run of the same cell
-// would render — which is what makes the result cache a correctness
-// proof rather than an approximation.
+// would render — which is what makes the memo a correctness proof
+// rather than an approximation.
 package mserve
 
 import (
@@ -36,7 +37,7 @@ const DefaultMaxBody = 1 << 16
 // EvalRequest is the /eval request body. Unknown fields are rejected
 // (DisallowUnknownFields), the body is size-capped, and the spec must be
 // in canonical form — untrusted input cannot smuggle two spellings of
-// the same cell past the cache key.
+// the same cell past the memo key.
 type EvalRequest struct {
 	// Workload is the workload short name ("exprc", "boolmin", ...).
 	Workload string `json:"workload"`
@@ -55,7 +56,7 @@ type EvalRequest struct {
 }
 
 // Cell is a validated, canonicalized evaluation cell — the unit the
-// result cache and singleflight key on.
+// pool's run memo keys on.
 type Cell struct {
 	// Workload is the validated workload name.
 	Workload string
@@ -69,12 +70,14 @@ type Cell struct {
 	TimingSteps int
 }
 
-// Key renders the cell's cache/singleflight key: the canonical spec
-// plus the resolved execution config, so cosmetic respellings can never
-// mint distinct entries. Validation guarantees one cell ⇔ one key ⇔ one result.
+// Key renders the cell's memo key (engine.Key of its run): the
+// canonical spec plus the resolved execution config, so cosmetic
+// respellings can never mint distinct entries. Validation guarantees
+// one cell ⇔ one key ⇔ one result; a cell the engine refuses has no key
+// ("").
 func (c Cell) Key() string {
-	return fmt.Sprintf("%s/%s@mode=%s,steps=%d,timing=%d",
-		c.Workload, c.Spec, c.Mode, c.Steps, c.TimingSteps)
+	k, _ := engine.Key(c.Run())
+	return k
 }
 
 // Run converts the cell to the engine's run form.
@@ -181,7 +184,7 @@ func ValidateEvalRequest(req *EvalRequest) (Cell, error) {
 	}
 	if canonical := sp.String(); canonical != req.Spec {
 		// Round-trip check: accepting non-canonical spellings would let
-		// equivalent requests mint distinct cache keys. Tell the client
+		// equivalent requests mint distinct memo keys. Tell the client
 		// the exact string to send instead.
 		return c, badRequest("noncanonical_spec",
 			"spec %q is not canonical; send %q", req.Spec, canonical)

@@ -18,14 +18,6 @@ var (
 	obsReqFailed   = obs.Default().Counter("mserve.http.failed")
 	obsReqDrain    = obs.Default().Counter("mserve.http.draining")
 
-	// Result cache + singleflight: hits served without touching the
-	// pool, misses that became flight leaders, and waiters coalesced
-	// onto an existing flight.
-	obsCacheHits      = obs.Default().Counter("mserve.cache.hits")
-	obsCacheMisses    = obs.Default().Counter("mserve.cache.misses")
-	obsCacheEvictions = obs.Default().Counter("mserve.cache.evictions")
-	obsCoalesced      = obs.Default().Counter("mserve.flight.coalesced")
-
 	// End-to-end request latency (admission wait + evaluation + render)
 	// and the run-level panic counter behind the 500 path.
 	obsReqSeconds = obs.Default().Histogram("mserve.request.seconds", nil)
@@ -36,8 +28,8 @@ var (
 
 	// Progress streaming: SSE streams opened and streams that ended by
 	// client disconnect rather than run completion. A disconnect must
-	// never cancel the shared run (the watcher holds no flight
-	// reference), so streams - disconnects ≈ streams that saw "done".
+	// never cancel the shared run (the watcher only peeks at the pool),
+	// so streams - disconnects ≈ streams that saw "done".
 	obsProgressStreams     = obs.Default().Counter("mserve.progress.streams")
 	obsProgressDisconnects = obs.Default().Counter("mserve.progress.disconnects")
 )

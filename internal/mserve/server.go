@@ -37,7 +37,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RunTimeout is the pool's per-run watchdog (0 = 5m; <0 disables).
 	RunTimeout time.Duration
-	// CacheCap bounds the result cache in entries (0 = DefaultCacheCap).
+	// CacheCap bounds the pool's run memo in results
+	// (0 = engine.DefaultMemoCap).
 	CacheCap int
 	// ErrLog receives operational messages — panic stacks, drain
 	// progress (nil = os.Stderr).
@@ -62,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.Queue == 0 {
 		c.Queue = 4 * c.Workers
 	}
-	if c.Queue < 0 {
-		c.Queue = 0
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = DefaultMaxBody
 	}
@@ -76,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RunTimeout == 0 {
 		c.RunTimeout = 5 * time.Minute
-	}
-	if c.RunTimeout < 0 {
-		c.RunTimeout = 0
 	}
 	if c.ErrLog == nil {
 		c.ErrLog = os.Stderr
@@ -96,26 +91,20 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the prediction-as-a-service daemon: the hardened HTTP front
-// end over one engine.Pool and one result cache. Construct with New,
-// serve with Start (or mount Handler in a test server), stop with
-// Shutdown.
+// end over one engine.Pool, whose memo serves repeated cells. Construct
+// with New, serve with Start (or mount Handler in a test server), stop
+// with Shutdown.
 type Server struct {
 	cfg       Config
 	pool      *engine.Pool
-	cache     *resultCache
 	health    *obs.Health
-	mux       *http.ServeMux
-	handler   http.Handler // mux wrapped in the access-log middleware
+	handler   http.Handler // the mux wrapped in the access-log middleware
 	http      *http.Server
-	ln        net.Listener
 	series    *obs.TimeSeries
 	accessLog *slog.Logger
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	evals    atomic.Int64 // pool submissions (flight leaders), for coalescing assertions
-	ewmaNs   atomic.Int64 // EWMA of observed submit-to-done latency, drives Retry-After
+	stopped  chan struct{} // closed when the first Shutdown completes
+	ewmaNs   atomic.Int64  // EWMA of observed submit-to-done latency, drives Retry-After
 	draining atomic.Bool
 }
 
@@ -124,27 +113,26 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		pool:      engine.NewPool(cfg.Workers, cfg.Queue, cfg.RunTimeout),
-		cache:     newResultCache(cfg.CacheCap),
+		pool:      engine.NewPool(cfg.Workers, cfg.Queue, cfg.CacheCap, cfg.RunTimeout),
 		health:    obs.NewHealth(),
 		series:    obs.NewTimeSeries(obs.Default(), cfg.SeriesCap, cfg.SampleInterval),
 		accessLog: cfg.AccessLog,
+		stopped:   make(chan struct{}),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.series.Start()
 
 	obsHandler := obs.HandlerWithHealth(obs.Default(), s.health)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/eval", s.handleEval)
-	s.mux.HandleFunc("/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("/statusz", s.handleStatusz)
-	s.mux.HandleFunc("/progress", s.handleProgress)
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/eval", s.handleEval)
+	mux.HandleFunc("/workloads", s.handleWorkloads)
+	mux.HandleFunc("/statusz", s.handleStatusz)
+	mux.HandleFunc("/progress", s.handleProgress)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/" {
 			fmt.Fprint(w, "multiscalar prediction service\n\n"+
 				"  POST /eval             evaluate one grid cell (JSON)\n"+
 				"  GET  /workloads        list workloads\n"+
-				"  GET  /statusz          live status (pool, cache, runs, series)\n"+
+				"  GET  /statusz          live status (pool, memo, runs, series)\n"+
 				"  GET  /progress?key=    per-cell progress stream (SSE)\n"+
 				"  GET  /healthz          liveness\n"+
 				"  GET  /readyz           readiness (flips during drain)\n"+
@@ -154,7 +142,7 @@ func New(cfg Config) *Server {
 		}
 		obsHandler.ServeHTTP(w, r)
 	})
-	s.handler = s.withAccessLog(s.mux)
+	s.handler = s.withAccessLog(mux)
 	s.http = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
 	return s
 }
@@ -165,15 +153,8 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Pool returns the evaluation pool (tests use it to install a stub
-// runner; production code has no reason to touch it).
+// runner and read its memo; production code has no reason to touch it).
 func (s *Server) Pool() *engine.Pool { return s.pool }
-
-// Evals returns how many evaluations were actually submitted to the
-// pool — the denominator coalescing and cache tests assert against.
-func (s *Server) Evals() int64 { return s.evals.Load() }
-
-// CacheLen returns the number of cached results.
-func (s *Server) CacheLen() int { return s.cache.Len() }
 
 // Start listens on addr (":0" picks a free port) and serves in the
 // background; it returns the bound address.
@@ -182,7 +163,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mserve: listen %s: %w", addr, err)
 	}
-	s.ln = ln
 	go s.http.Serve(ln)
 	return ln.Addr(), nil
 }
@@ -194,14 +174,14 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // handler goroutine.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
-		<-s.baseCtx.Done() // another Shutdown is driving; wait for it
+		<-s.stopped // another Shutdown is driving; wait for it
 		return nil
 	}
 	s.health.SetReady(false)
 	err := s.http.Shutdown(ctx)
 	s.pool.Close()
 	s.series.Stop()
-	s.baseCancel()
+	close(s.stopped)
 	return err
 }
 
@@ -217,14 +197,6 @@ func respondJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-// respondBody writes a pre-rendered success body.
-func respondBody(w http.ResponseWriter, cachePath string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mserve-Cache", cachePath)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
 // respondErrorJSON writes a structured error body.
 func respondErrorJSON(w http.ResponseWriter, status int, code, message string) {
 	respondJSON(w, status, &ErrorResponse{Error: ErrorBody{Code: code, Message: message}})
@@ -235,31 +207,17 @@ func respondErrorJSON(w http.ResponseWriter, status int, code, message string) {
 // the pool, clamped to [1,60] seconds.
 func (s *Server) retryAfterSeconds() int {
 	ewma := time.Duration(s.ewmaNs.Load())
-	if ewma <= 0 {
-		return 1
-	}
-	pending := s.pool.Pending()
-	est := ewma.Seconds() * float64(pending+1) / float64(s.pool.Workers())
-	secs := int(math.Ceil(est))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	est := ewma.Seconds() * float64(s.pool.Pending()+1) / float64(s.pool.Workers())
+	return min(max(int(math.Ceil(est)), 1), 60)
 }
 
 // observeLatency folds one submit-to-done duration into the EWMA
 // (weight 1/8) that Retry-After is derived from.
 func (s *Server) observeLatency(d time.Duration) {
 	for {
-		old := s.ewmaNs.Load()
-		var next int64
-		if old == 0 {
-			next = d.Nanoseconds()
-		} else {
-			next = old + (d.Nanoseconds()-old)/8
+		old, next := s.ewmaNs.Load(), d.Nanoseconds()
+		if old != 0 {
+			next = old + (next-old)/8
 		}
 		if s.ewmaNs.CompareAndSwap(old, next) {
 			return
@@ -267,51 +225,9 @@ func (s *Server) observeLatency(d time.Duration) {
 	}
 }
 
-// runFlight is the flight leader body: it submits the cell to the pool
-// under the flight's context (cancelled only when every waiter has given
-// up while the run is still queued), renders the deterministic success
-// body, and publishes the outcome.
-func (s *Server) runFlight(key string, f *flight) {
-	s.evals.Add(1)
-	obsQueueDepth.Set(int64(s.pool.Pending()))
-	start := time.Now()
-	run := f.cell.Run()
-	run.Status = f.status
-	run.Label = f.reqID // correlates the pool span with the access log
-	res, err := s.pool.Submit(f.ctx, run)
-	if err == nil {
-		s.observeLatency(time.Since(start))
-	}
-	// The pool resolves most terminal phases itself (done, failed,
-	// abandoned, cancelled-while-queued); runs it never admitted — shed
-	// or post-drain submits — are failed here. Terminal phases are
-	// sticky, so this is a no-op whenever the pool already decided.
-	if err != nil {
-		f.status.Fail()
-	}
-	var body []byte
-	if err == nil && res.Err == nil {
-		if b, merr := json.Marshal(RenderResponse(f.cell, res)); merr == nil {
-			body = append(b, '\n')
-		} else {
-			err = fmt.Errorf("mserve: encoding result: %w", merr)
-		}
-	}
-	if res.Err != nil {
-		var pe *fault.PanicError
-		if errors.As(res.Err, &pe) {
-			obsRunPanics.Inc()
-			// The full stack goes to the operator log, never the client.
-			fmt.Fprintf(s.cfg.ErrLog, "mserve: panic isolated in %s: %v\n", key, res.Err)
-		}
-	}
-	s.cache.complete(key, f, body, res, err)
-	obsQueueDepth.Set(int64(s.pool.Pending()))
-}
-
-// handleEval serves POST /eval: decode → validate → cache/singleflight →
-// pool → deterministic body. Every exit increments exactly one outcome
-// counter.
+// handleEval serves POST /eval: decode → validate → pool (memo hit,
+// join or miss) → deterministic body. Every exit increments exactly one
+// outcome counter.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	obsReqTotal.Inc()
 	start := time.Now()
@@ -350,72 +266,64 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
+	run := cell.Run()
+	run.Label = w.Header().Get("X-Mserve-Request") // correlates the pool span with the access log
+	obsQueueDepth.Set(int64(s.pool.Pending()))
+	submitted := time.Now()
+	res, path, err := s.pool.Submit(ctx, run)
+	obsQueueDepth.Set(int64(s.pool.Pending()))
 	key := cell.Key()
-	rec := accessRecordFrom(r.Context())
-	body, f, leader := s.cache.acquire(key, cell, s.baseCtx)
-	if body != nil {
-		obsCacheHits.Inc()
-		obsReqOK.Inc()
-		rec.set(key, "hit")
-		respondBody(w, "hit", body)
-		return
-	}
-	cachePath := "join"
-	if leader {
-		obsCacheMisses.Inc()
-		cachePath = "miss"
-		f.reqID = w.Header().Get("X-Mserve-Request")
-		go s.runFlight(key, f)
-	} else {
-		obsCoalesced.Inc()
-	}
-	rec.set(key, cachePath)
-
-	select {
-	case <-ctx.Done():
-		s.cache.release(f)
-		obsReqDeadline.Inc()
-		respondErrorJSON(w, http.StatusGatewayTimeout, "deadline",
-			fmt.Sprintf("request exceeded its %v deadline", timeout))
-		return
-	case <-f.done:
+	accessRecordFrom(r.Context()).set(key, path.String())
+	if path == engine.MemoMiss && err == nil {
+		s.observeLatency(time.Since(submitted))
+		var pe *fault.PanicError
+		if errors.As(res.Err, &pe) {
+			obsRunPanics.Inc()
+			// The full stack goes to the operator log, never the client.
+			fmt.Fprintf(s.cfg.ErrLog, "mserve: panic isolated in %s: %v\n", key, res.Err)
+		}
 	}
 
 	switch {
-	case errors.Is(f.err, engine.ErrPoolBusy):
+	case errors.Is(err, engine.ErrPoolBusy):
 		obsReqShed.Inc()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
 		respondErrorJSON(w, http.StatusTooManyRequests, "overloaded",
 			"evaluation queue is full; retry after the indicated delay")
-	case errors.Is(f.err, engine.ErrPoolClosed):
+	case errors.Is(err, engine.ErrPoolClosed):
 		obsReqDrain.Inc()
 		respondErrorJSON(w, http.StatusServiceUnavailable, "draining", "server is draining")
-	case f.err != nil:
-		status, code := errorCodeFor(f.err)
-		if code == "deadline" {
-			// The flight was cancelled out from under this waiter (its
-			// other waiters left while it was queued) — retryable.
-			obsReqDrain.Inc()
-			w.Header().Set("Retry-After", "1")
-			respondErrorJSON(w, http.StatusServiceUnavailable, "cancelled",
-				"evaluation was cancelled before it started; retry")
-			return
-		}
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		obsReqDeadline.Inc()
+		respondErrorJSON(w, http.StatusGatewayTimeout, "deadline",
+			fmt.Sprintf("request exceeded its %v deadline", timeout))
+	case err != nil:
 		obsReqFailed.Inc()
-		respondErrorJSON(w, status, code, f.err.Error())
-	case f.res.Err != nil:
+		status, code := errorCodeFor(err)
+		respondErrorJSON(w, status, code, err.Error())
+	case res.Err != nil:
 		obsReqFailed.Inc()
-		status, code := errorCodeFor(f.res.Err)
-		msg := f.res.Err.Error()
+		status, code := errorCodeFor(res.Err)
+		msg := res.Err.Error()
 		var pe *fault.PanicError
-		if errors.As(f.res.Err, &pe) {
+		if errors.As(res.Err, &pe) {
 			// Structured 500 without the stack (that went to the log).
 			msg = fmt.Sprintf("panic isolated during evaluation: %v", pe.Value)
 		}
 		respondErrorJSON(w, status, code, msg)
 	default:
+		b, err := json.Marshal(RenderResponse(cell, res))
+		if err != nil {
+			obsReqFailed.Inc()
+			respondErrorJSON(w, http.StatusInternalServerError, "run_failed",
+				fmt.Sprintf("mserve: encoding result: %v", err))
+			return
+		}
 		obsReqOK.Inc()
-		respondBody(w, cachePath, f.body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Mserve-Cache", path.String())
+		w.WriteHeader(http.StatusOK)
+		w.Write(append(b, '\n'))
 	}
 }
 

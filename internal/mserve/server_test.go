@@ -51,7 +51,7 @@ func postEval(t *testing.T, url, body string) (int, http.Header, []byte) {
 
 // TestServerEvalMatchesDirectRun checks the served bytes are exactly what
 // a direct engine run of the same cell renders — the byte-identity
-// contract the result cache rests on — and that a repeat request is a
+// contract the run memo rests on — and that a repeat request is a
 // cache hit with identical bytes, for each spec class: a real PATH exit
 // predictor, an ideal GLOBAL one, a CTTB target buffer and the composed
 // task predictor.
@@ -97,10 +97,10 @@ func TestServerEvalMatchesDirectRun(t *testing.T) {
 			if !bytes.Equal(got2, want) {
 				t.Fatal("cache hit bytes differ from first answer")
 			}
-			if n := s.Evals(); n != 1 {
+			if n := s.Pool().MemoStats().Misses; n != 1 {
 				t.Fatalf("evals = %d, want 1 (second request must be served from cache)", n)
 			}
-			if n := s.CacheLen(); n != 1 {
+			if n := s.Pool().MemoStats().Results; n != 1 {
 				t.Fatalf("cache len = %d, want 1", n)
 			}
 		})
@@ -110,7 +110,7 @@ func TestServerEvalMatchesDirectRun(t *testing.T) {
 // TestServerCoalescesIdenticalRequests fires M concurrent identical
 // requests and checks exactly one evaluation happened and every client
 // got byte-identical bodies. Run under -race this also proves the
-// flight/cache locking.
+// pool memo's locking.
 func TestServerCoalescesIdenticalRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 
@@ -144,7 +144,7 @@ func TestServerCoalescesIdenticalRequests(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if n := s.Evals(); n != 1 {
+	if n := s.Pool().MemoStats().Misses; n != 1 {
 		t.Fatalf("evals = %d, want exactly 1 for %d identical concurrent requests", n, M)
 	}
 	for i := 1; i < M; i++ {
@@ -205,7 +205,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 }
 
 // TestServerDeadline checks a request whose deadline expires while its
-// run is stuck gets a structured 504, and that the abandoned flight's
+// run is stuck gets a structured 504, and that the abandoned run's
 // result is still collected into the cache for the next caller.
 func TestServerDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
@@ -222,14 +222,14 @@ func TestServerDeadline(t *testing.T) {
 		t.Fatalf("deadline body = %s (unmarshal err %v), want code deadline", b, err)
 	}
 
-	// The run was already started, so the abandoned flight must still
+	// The run was already started, so the abandoned run must still
 	// complete and cache its result ("abandon, never corrupt").
 	close(release)
 	deadline := time.After(10 * time.Second)
-	for s.CacheLen() != 1 {
+	for s.Pool().MemoStats().Results != 1 {
 		select {
 		case <-deadline:
-			t.Fatalf("cache len = %d, want 1 (abandoned flight result collected)", s.CacheLen())
+			t.Fatalf("memo results = %d, want 1 (abandoned run's result collected)", s.Pool().MemoStats().Results)
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -313,11 +313,11 @@ func TestServerDrain(t *testing.T) {
 		}
 	}
 
-	// The coalesced pair: hold the leader's run until the second request
-	// has joined its flight, with a /progress watcher on the same cell.
+	// The coalesced pair: hold the first request's run until the second
+	// has joined it, with a /progress watcher on the same cell.
 	release := make(chan struct{})
 	s.Pool().SetRunner(func(r engine.Run) engine.Result { <-release; return engine.Do(r) })
-	joined0 := obsCoalesced.Value()
+	joined0 := s.Pool().MemoStats().Joins
 	type answer struct {
 		status int
 		cache  string
@@ -342,11 +342,11 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("GET /progress: %v", err)
 	}
 	deadline := time.After(10 * time.Second)
-	for obsCoalesced.Value() == joined0 {
+	for s.Pool().MemoStats().Joins == joined0 {
 		select {
 		case <-deadline:
 			close(release)
-			t.Fatal("second request never joined the flight")
+			t.Fatal("second request never joined the run")
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -373,7 +373,7 @@ func TestServerDrain(t *testing.T) {
 	if paths := a.cache + "+" + b.cache; paths != "miss+join" && paths != "join+miss" {
 		t.Fatalf("coalesced pair cache paths = %s, want one miss and one join", paths)
 	}
-	if n := s.Evals(); n != 2 {
+	if n := s.Pool().MemoStats().Misses; n != 2 {
 		t.Fatalf("evals = %d, want 2 (one per distinct cell)", n)
 	}
 

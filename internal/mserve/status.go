@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"multiscalar/internal/engine"
 	"multiscalar/internal/obs"
 )
 
@@ -14,15 +15,15 @@ import (
 // daemon is doing right now) and GET /progress (a per-cell SSE stream
 // over an in-flight evaluation). Both are pure readers of the side
 // channels the engine already maintains — the run registry, the metric
-// time series, the pool and cache — and never touch the results path,
+// time series, the pool and its memo — and never touch the results path,
 // so response bodies stay byte-identical with or without watchers.
 
 // StatuszResponse is the GET /statusz body.
 type StatuszResponse struct {
 	// Pool is the evaluation pool's occupancy.
 	Pool PoolStatus `json:"pool"`
-	// Cache is the result cache + singleflight occupancy and traffic.
-	Cache CacheStatus `json:"cache"`
+	// Cache is the pool's run memo: its occupancy and traffic.
+	Cache engine.MemoStats `json:"cache"`
 	// Runs is the run registry: in-flight cells with live progress plus
 	// the recently finished ring.
 	Runs RunsStatus `json:"runs"`
@@ -35,16 +36,6 @@ type PoolStatus struct {
 	Workers  int `json:"workers"`
 	Capacity int `json:"capacity"`
 	Pending  int `json:"pending"`
-}
-
-// CacheStatus is the cache section of /statusz.
-type CacheStatus struct {
-	Results   int   `json:"results"`
-	Flights   int   `json:"flights"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
 }
 
 // RunsStatus is the run-registry section of /statusz.
@@ -64,21 +55,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		respondErrorJSON(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
-	results, flights := s.cache.stats()
 	resp := &StatuszResponse{
 		Pool: PoolStatus{
 			Workers:  s.pool.Workers(),
 			Capacity: s.pool.Capacity(),
 			Pending:  s.pool.Pending(),
 		},
-		Cache: CacheStatus{
-			Results:   results,
-			Flights:   flights,
-			Hits:      obsCacheHits.Value(),
-			Misses:    obsCacheMisses.Value(),
-			Coalesced: obsCoalesced.Value(),
-			Evictions: obsCacheEvictions.Value(),
-		},
+		Cache: s.pool.MemoStats(),
 		Runs: RunsStatus{
 			Active: obs.Runs().Active(),
 			Recent: obs.Runs().Recent(),
@@ -92,7 +75,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ProgressDone is the data payload of a progress stream's final "done"
-// event: the cell's canonical key (matching the cached body's "key"
+// event: the cell's canonical key (matching the response body's "key"
 // field) and whether the evaluation succeeded.
 type ProgressDone struct {
 	Key string `json:"key"`
@@ -109,12 +92,12 @@ const maxProgressWait = 30 * time.Second
 //	event: progress   data: RunStatusSnapshot JSON (periodic)
 //	event: done       data: ProgressDone JSON (terminal; stream closes)
 //
-// Already-cached cells answer with an immediate "done". Unknown cells
-// 404 unless ?wait=<seconds> is given, in which case the watcher polls
-// for the cell to appear — the race-free way to open a stream before
-// POSTing the evaluation. Watchers hold no flight reference, so a
-// disconnecting client can never cancel a run other waiters (or the
-// cache) still want; the flight completes and caches regardless.
+// Memoized cells answer with an immediate "done". Unknown cells 404
+// unless ?wait=<seconds> is given, in which case the watcher polls for
+// the cell to appear — the race-free way to open a stream before
+// POSTing the evaluation. Watchers peek at the pool without joining, so
+// a disconnecting client can never cancel a run other waiters still
+// want; the run completes and is memoized regardless.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -144,19 +127,19 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Find the cell: cached, in flight, or (within the wait budget) not
-	// yet submitted.
+	// Find the cell: memoized, in flight, or (within the wait budget)
+	// not yet submitted.
 	deadline := time.Now().Add(wait)
-	var body []byte
-	var f *flight
+	var st *obs.RunStatus
+	var done <-chan struct{}
 	for {
-		body, f = s.cache.peek(key)
-		if body != nil || f != nil {
+		var found bool
+		if st, done, found = s.pool.Peek(key); found {
 			break
 		}
 		if !time.Now().Before(deadline) {
 			respondErrorJSON(w, http.StatusNotFound, "unknown_cell",
-				"no cached result or in-flight evaluation for this key")
+				"no memoized result or in-flight evaluation for this key")
 			return
 		}
 		select {
@@ -180,22 +163,19 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	if body != nil {
-		writeEvent("done", ProgressDone{Key: key, OK: true})
-		return
-	}
-
 	tick := time.NewTicker(s.cfg.ProgressInterval)
 	defer tick.Stop()
-	writeEvent("progress", f.status.Snapshot())
 	for {
 		select {
-		case <-f.done:
-			// f.err/f.res are written before done closes.
-			writeEvent("done", ProgressDone{Key: key, OK: f.err == nil && f.res.Err == nil})
+		case <-done:
+			writeEvent("done", ProgressDone{Key: key, OK: st == nil || st.Phase() == obs.PhaseDone})
 			return
+		default:
+		}
+		writeEvent("progress", st.Snapshot())
+		select {
+		case <-done:
 		case <-tick.C:
-			writeEvent("progress", f.status.Snapshot())
 		case <-r.Context().Done():
 			obsProgressDisconnects.Inc()
 			return

@@ -193,8 +193,8 @@ func TestProgressStreamClientDisconnect(t *testing.T) {
 	if er.Key != key {
 		t.Fatalf("eval key = %q, want %q", er.Key, key)
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache len = %d, want 1 (run must cache despite watcher disconnect)", s.CacheLen())
+	if s.Pool().MemoStats().Results != 1 {
+		t.Fatalf("cache len = %d, want 1 (run must cache despite watcher disconnect)", s.Pool().MemoStats().Results)
 	}
 }
 

@@ -29,9 +29,6 @@ func NewHealth() *Health {
 // SetReady flips the readiness state (false at the start of a drain).
 func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
 
-// Ready reports the current readiness state.
-func (h *Health) Ready() bool { return h.ready.Load() }
-
 // handleHealthz serves liveness: always 200 "ok\n".
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -43,7 +40,7 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func handleReadyz(h *Health) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if h != nil && !h.Ready() {
+		if h != nil && !h.ready.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte("draining\n"))
 			return

@@ -63,17 +63,6 @@ func (t *Tracer) Complete(name, cat string, tid int, start time.Time, dur time.D
 	t.mu.Unlock()
 }
 
-// Instant records a point event on lane tid at time now.
-func (t *Tracer) Instant(name, cat string, tid int, args map[string]any) {
-	ev := Event{
-		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS: t.micros(time.Now()), PID: 1, TID: tid, Args: args,
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
 // Len returns the number of buffered events.
 func (t *Tracer) Len() int {
 	t.mu.Lock()

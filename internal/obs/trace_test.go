@@ -16,7 +16,6 @@ func TestTracerWritesValidTraceEventJSON(t *testing.T) {
 		"workload": "exprc", "spec": "perfect", "worker": 0,
 	})
 	tr.Complete("experiment fig7", "experiment", 0, start, 80*time.Millisecond, nil)
-	tr.Instant("interrupt", "cli", 0, nil)
 
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
@@ -26,8 +25,8 @@ func TestTracerWritesValidTraceEventJSON(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &events); err != nil {
 		t.Fatalf("trace output is not a valid JSON array: %v\n%s", err, b.String())
 	}
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3", len(events))
+	if len(events) != 2 {
+		t.Fatalf("got %d events, want 2", len(events))
 	}
 	// The fields Perfetto requires of a complete event.
 	ev := events[0]
@@ -38,9 +37,6 @@ func TestTracerWritesValidTraceEventJSON(t *testing.T) {
 	}
 	if ev["ph"] != "X" {
 		t.Errorf("ph = %v, want X", ev["ph"])
-	}
-	if events[2]["ph"] != "i" {
-		t.Errorf("instant ph = %v, want i", events[2]["ph"])
 	}
 }
 

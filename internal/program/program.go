@@ -67,12 +67,6 @@ func (p *Program) LineOf(addr isa.Addr) int {
 	return 0
 }
 
-// AddrOf looks up a label address.
-func (p *Program) AddrOf(label string) (isa.Addr, bool) {
-	a, ok := p.Labels[label]
-	return a, ok
-}
-
 // NameOf returns the label for an address if one exists, preferring
 // function names. It is O(n) and intended for diagnostics only.
 func (p *Program) NameOf(addr isa.Addr) string {

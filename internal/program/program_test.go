@@ -139,14 +139,3 @@ func TestNameOfPrefersFunctions(t *testing.T) {
 		t.Errorf("NameOf(unlabelled) = %q", got)
 	}
 }
-
-func TestAddrOf(t *testing.T) {
-	p := tiny()
-	p.Labels["x"] = 4
-	if a, ok := p.AddrOf("x"); !ok || a != 4 {
-		t.Errorf("AddrOf = %d,%v", a, ok)
-	}
-	if _, ok := p.AddrOf("y"); ok {
-		t.Errorf("AddrOf(unknown) should fail")
-	}
-}

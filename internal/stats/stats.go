@@ -86,29 +86,3 @@ func (t *Table) WriteText(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// WriteCSV renders the table as CSV (quoting cells containing commas).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Cols)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

@@ -39,24 +39,6 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	if err := sample().WriteCSV(&b); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	out := b.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d", len(lines))
-	}
-	if lines[0] != "name,rate,count" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[2], `"beta, the second"`) {
-		t.Errorf("comma cell not quoted: %q", lines[2])
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Pct(0.5) != "50.00%" || F2(2.345) != "2.35" || I(9) != "9" {
 		t.Fatalf("formatter output wrong: %q %q %q", Pct(0.5), F2(2.345), I(9))

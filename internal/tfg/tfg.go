@@ -186,16 +186,11 @@ func (g *Graph) TaskList() []*Task {
 // contributes at most a target and a call return point.
 const MaxSuccessors = 2 * MaxExits
 
-// Successors returns the statically-known successor task starts of t:
-// every exit target and every call return point, deduplicated, in
+// SuccessorsInto returns the statically-known successor task starts of
+// t: every exit target and every call return point, deduplicated, in
 // ascending order. Dynamic targets (returns, indirect transfers)
-// contribute nothing.
-func (g *Graph) Successors(t *Task) []isa.Addr {
-	return g.SuccessorsInto(t, make([]isa.Addr, 0, MaxSuccessors))
-}
-
-// SuccessorsInto is Successors into a caller-provided buffer: it
-// appends into buf[:0] and returns the filled slice. With cap(buf) >=
+// contribute nothing. It appends into buf[:0] and returns the filled
+// slice. With cap(buf) >=
 // MaxSuccessors it performs no allocation, which matters in the lint
 // and dataflow loops that walk every task of every workload. The
 // header holds at most MaxSuccessors candidates, so dedup and ordering

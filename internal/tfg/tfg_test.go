@@ -115,7 +115,7 @@ func TestStaticHistograms(t *testing.T) {
 	}
 }
 
-// TestSuccessorsDedupOrder pins Successors semantics: exit targets and
+// TestSuccessorsDedupOrder pins SuccessorsInto semantics: exit targets and
 // call return points, deduplicated, ascending.
 func TestSuccessorsDedupOrder(t *testing.T) {
 	g := validGraph(t)
@@ -125,14 +125,14 @@ func TestSuccessorsDedupOrder(t *testing.T) {
 		{Kind: isa.KindBranch, Target: 1, HasTarget: true},
 		{Kind: isa.KindReturn},
 	}}
-	got := g.Successors(task)
+	got := g.SuccessorsInto(task, nil)
 	want := []isa.Addr{1, 3, 7}
 	if len(got) != len(want) {
-		t.Fatalf("Successors = %v, want %v", got, want)
+		t.Fatalf("SuccessorsInto = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Successors = %v, want %v", got, want)
+			t.Fatalf("SuccessorsInto = %v, want %v", got, want)
 		}
 	}
 }
@@ -168,22 +168,6 @@ func BenchmarkSuccessorsInto(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if s := g.SuccessorsInto(task, buf[:0]); len(s) != 4 {
-			b.Fatal("bad successor count")
-		}
-	}
-}
-
-func BenchmarkSuccessorsAlloc(b *testing.B) {
-	g := &Graph{Tasks: map[isa.Addr]*Task{}}
-	task := &Task{Start: 0, Exits: []ExitSpec{
-		{Kind: isa.KindCall, Target: 40, HasTarget: true, Return: 8},
-		{Kind: isa.KindBranch, Target: 8, HasTarget: true},
-		{Kind: isa.KindBranch, Target: 4, HasTarget: true},
-		{Kind: isa.KindBranch, Target: 16, HasTarget: true},
-	}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s := g.Successors(task); len(s) != 4 {
 			b.Fatal("bad successor count")
 		}
 	}

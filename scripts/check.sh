@@ -55,16 +55,21 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 
-echo "==> mbench smoke (truncated traces): the same tables at -workers 1 and -workers 4"
+echo "==> mbench smoke (truncated traces): the same tables at -workers 1 and -workers 4, grids sharing the run memo"
 # Durations are wall-clock, so the "[… done in …]" lines and the trailing
 # "Run summary" table are dropped before the two outputs are compared.
 MB_TMP="${TMPDIR:-/tmp}"
+go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers 1 >"$MB_TMP/mbench-w1.out"
+go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers 4 \
+	-metrics-out "$MB_TMP/mbench-w4-metrics.json" >"$MB_TMP/mbench-w4.out"
 for n in 1 4; do
-	go run ./cmd/mbench -exp all -steps 6000 -timing 4000 -workers "$n" >"$MB_TMP/mbench-w$n.out"
 	sed -e '/^\[.* done in .*\]$/d' -e '/^## Run summary$/,$d' "$MB_TMP/mbench-w$n.out" >"$MB_TMP/mbench-w$n.tables"
 done
 cmp "$MB_TMP/mbench-w1.tables" "$MB_TMP/mbench-w4.tables"
-rm -f "$MB_TMP"/mbench-w[14].out "$MB_TMP"/mbench-w[14].tables
+# Every grid of the batch runs on one engine.Pool, so a cell that several
+# experiments share must come back from the memo at least once.
+go run ./scripts/checkjson -min-counter engine.memo.hits=1 "$MB_TMP/mbench-w4-metrics.json" >/dev/null
+rm -f "$MB_TMP"/mbench-w[14].out "$MB_TMP"/mbench-w[14].tables "$MB_TMP/mbench-w4-metrics.json"
 
 echo "==> obs smoke (-metrics-out / -trace-out produce valid JSON)"
 OBS_TMP="${TMPDIR:-/tmp}"

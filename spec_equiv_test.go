@@ -145,8 +145,12 @@ func TestSpecWorkerCountDeterminism(t *testing.T) {
 			engine.Run{Workload: "exprc", Spec: spec, MaxSteps: 20000, Stream: true},
 		)
 	}
-	one := engine.Execute(runs, 1)
-	four := engine.Execute(runs, 4)
+	execute := func(workers int) []engine.Result {
+		p := engine.NewPool(workers, 0, 0, 0)
+		defer p.Close()
+		return p.Execute(runs)
+	}
+	one, four := execute(1), execute(4)
 	for i := range one {
 		if one[i].Err != nil {
 			t.Fatalf("run %d (%s): %v", i, runs[i].Spec, one[i].Err)
