@@ -217,6 +217,18 @@ func benchExitBlocks(b *testing.B, spec string) {
 
 func BenchmarkEvaluateExitGlobalBlocks(b *testing.B) { benchExitBlocks(b, "global:d7-c14-i14:leh2") }
 
+// The VC rows run the real PATH and GLOBAL tables with voting-counter
+// automata, whose steps take the tie-resolving predictVC path that four
+// of Figure 6's seven automata take and LEH-2 never does.
+
+func BenchmarkEvaluateExitPathVCBlocks(b *testing.B) {
+	benchExitBlocks(b, "path:d7-o5-l6-c6-f3:vc3rand")
+}
+
+func BenchmarkEvaluateExitGlobalVCBlocks(b *testing.B) {
+	benchExitBlocks(b, "global:d7-c14-i14:vc2mru")
+}
+
 func BenchmarkEvaluateExitPerBlocks(b *testing.B) { benchExitBlocks(b, "per:d7-h12-t14-i14:leh2") }
 
 func BenchmarkEvaluateExitIdealPathBlocks(b *testing.B) { benchExitBlocks(b, "ipath:d7:leh2") }
@@ -298,6 +310,35 @@ func benchTaskBlocks(b *testing.B, spec string) {
 		}
 	}
 	reportPerStepN(b, c.PredictionSteps())
+}
+
+// BenchmarkEvaluateTaskFaultedBlocks is one faulted run through
+// engine.Do: the standard composed predictor on 30,000 boolmin steps with
+// every fault class injected at rate 0.1 per step, so the injector, the
+// PHT and CTTB corruption scans and the recovery checksums are all on
+// the measured path, predictor build included. One untimed run first
+// grows the trace memo.
+func BenchmarkEvaluateTaskFaultedBlocks(b *testing.B) {
+	run := engine.Run{
+		Workload: "boolmin",
+		Spec:     "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3",
+		Fault:    "all=0.1,seed=7",
+		MaxSteps: 30000,
+	}
+	warm := engine.Do(run)
+	if warm.Err != nil {
+		b.Fatal(warm.Err)
+	}
+	if warm.Injection.TotalInjected() == 0 {
+		b.Fatal("faulted run injected no faults")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := engine.Do(run); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+	reportPerStepN(b, warm.Task.Steps)
 }
 
 // ---- speculative-update kernels ------------------------------------------

@@ -162,6 +162,22 @@ var vcTies = func() (t [vcCtrsMask + 1]uint8) {
 	return t
 }()
 
+// step is predict followed by update on one packed state, touched
+// first (a zero word steps as a fresh automaton): it returns the state
+// trained with the actual exit and the exit s predicted, drawing from r
+// exactly when predict would. The idealized replay kernels run it so a
+// step loads and stores its entry once.
+func (k *AutomatonKind) step(s uint16, exit int, r *rng) (next uint16, pred int) {
+	s |= autTouched
+	switch k.class {
+	case classLE:
+		return s&^3 | uint16(exit), int(s & 3)
+	case classLEH:
+		return k.updateLEH(s, exit), int(s & 3)
+	}
+	return k.updateVC(s, exit), k.predictVC(s, r)
+}
+
 // update returns s trained with the actual exit. LE remembers it; LEH
 // replaces its stored exit only when the hysteresis counter has decayed
 // to zero and the prediction is wrong again; voting counters increment

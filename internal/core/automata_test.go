@@ -159,3 +159,32 @@ func TestAutomatonStorageBitsOrdering(t *testing.T) {
 		t.Fatalf("LE family storage out of order")
 	}
 }
+
+// TestStepIsPredictThenUpdate holds the fused transition to its
+// definition exhaustively: for every kind, every packed word (zero, an
+// untouched entry, and autTouched with each 14-bit training state) and
+// every exit, step returns update's next state and predict's exit on the
+// touched word, and draws from its RNG exactly when predict does.
+func TestStepIsPredictThenUpdate(t *testing.T) {
+	words := []uint16{0}
+	for x := uint16(0); x < 1<<14; x++ {
+		words = append(words, autTouched|x)
+	}
+	for _, kind := range AllAutomata {
+		ra, rb := seeded(7), seeded(7)
+		for _, s := range words {
+			for e := 0; e < 4; e++ {
+				next, pred := kind.step(s, e, ra)
+				wantNext, wantPred := kind.update(s|autTouched, e), kind.predict(s|autTouched, rb)
+				if next != wantNext || pred != wantPred {
+					t.Fatalf("%s: step(%#04x, %d) = (%#04x, %d), want (%#04x, %d)",
+						kind.Name(), s, e, next, pred, wantNext, wantPred)
+				}
+				if *ra != *rb {
+					t.Fatalf("%s: step(%#04x, %d) left the RNG at %#x, predict at %#x",
+						kind.Name(), s, e, ra.state, rb.state)
+				}
+			}
+		}
+	}
+}

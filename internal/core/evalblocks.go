@@ -315,7 +315,9 @@ func replayTaskSteps(p TaskPredictor, b *trace.Block, t *Tally) {
 // UpdateExit (or Lookup/Train/Advance) pair over the block's flat
 // columns, with the task header fields read from the block dictionary
 // instead of chased through *tfg.Task, and computes the step's table
-// index, fold or key once for both the prediction and the training.
+// index, fold or key once for both the prediction and the training. An
+// exit step that trains at once is one automaton transition (pht.step,
+// idealPHT.step): the entry is loaded and stored once.
 // The ideal exit predictors need no kernel of their own: the driver
 // runs their fused step (exitKernel.replayExitStep, which the composed
 // kernel calls too) in replayExitKernelSteps. The real ones and the
@@ -341,12 +343,14 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 			t.Step(i, e != 0)
 		} else {
 			idx := p.path.index(ent.Addr)
-			t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
+			var pred int
 			if p.opts.TrainLatency == 0 {
-				p.pht.update(idx, int(e), nil)
+				pred = p.pht.step(idx, int(e))
 			} else {
+				pred = p.pht.predict(idx)
 				p.pendPush(idx, int(e))
 			}
+			t.Step(i, clampExits(pred, int(ent.NumExits)) != int(e))
 		}
 		if !(p.opts.SkipSingleExitHistory && single) {
 			p.path.push(ent.Addr)
@@ -365,9 +369,8 @@ func (p *GlobalExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 			continue
 		}
 		ent := &entries[taskIdx[i]]
-		idx := p.index(ent.Addr)
-		t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
-		p.pht.update(idx, int(e), nil)
+		pred := p.pht.step(p.index(ent.Addr), int(e))
+		t.Step(i, clampExits(pred, int(ent.NumExits)) != int(e))
 		p.hist = p.hist.Push(int(e), p.depth)
 	}
 }
@@ -384,9 +387,8 @@ func (p *PerExit) ReplayExitBlock(blk *trace.Block, t *Tally) {
 		}
 		ent := &entries[taskIdx[i]]
 		h := p.hrtIndex(ent.Addr)
-		idx := p.phtIndex(ent.Addr, p.hrt[h])
-		t.Step(i, clampExits(p.pht.predict(idx), int(ent.NumExits)) != int(e))
-		p.pht.update(idx, int(e), nil)
+		pred := p.pht.step(p.phtIndex(ent.Addr, p.hrt[h]), int(e))
+		t.Step(i, clampExits(pred, int(ent.NumExits)) != int(e))
 		p.hrt[h] = p.hrt[h].Push(int(e), p.depth)
 	}
 }

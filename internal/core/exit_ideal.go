@@ -237,6 +237,16 @@ func (t *idealPHT) predict(k ctxKey) (idx uint32, exit int) {
 	return idx, t.kind.predict(t.slots[idx], &t.rng)
 }
 
+// step is predict followed by an unlogged train of k's automaton
+// (created on first touch) — the idealized replay step — through one
+// load and one store of its slot.
+func (t *idealPHT) step(k ctxKey, exit int) int {
+	s := &t.slots[t.slot(k)]
+	next, pred := t.kind.step(*s, exit, &t.rng)
+	*s = next
+	return pred
+}
+
 // train updates slot idx with the actual exit, logging the prior word
 // when log is non-nil (a fused speculative step).
 func (t *idealPHT) train(idx uint32, exit int, log *undoRing) {
@@ -298,8 +308,8 @@ func (p *IdealGlobal) UpdateExit(t *tfg.Task, exit int) {
 
 // replayExitStep implements exitKernel: one key, one table probe.
 func (p *IdealGlobal) replayExitStep(ent *trace.DictEntry, exit int) int {
-	idx, e := p.table.predict(exitCtx(ent.Addr, p.hist))
-	p.train(idx, exit, nil)
+	e := p.table.step(exitCtx(ent.Addr, p.hist), exit)
+	p.hist = p.hist.Push(exit, p.depth)
 	return clampExits(e, int(ent.NumExits))
 }
 
@@ -390,8 +400,8 @@ func (p *IdealPer) UpdateExit(t *tfg.Task, exit int) {
 // probe, one history write.
 func (p *IdealPer) replayExitStep(ent *trace.DictEntry, exit int) int {
 	h := p.hist(ent.Addr)
-	idx, e := p.table.predict(exitCtx(ent.Addr, *h))
-	p.train(h, idx, exit, nil)
+	e := p.table.step(exitCtx(ent.Addr, *h), exit)
+	*h = h.Push(exit, p.depth)
 	return clampExits(e, int(ent.NumExits))
 }
 
@@ -464,8 +474,8 @@ func (p *IdealPath) UpdateExit(t *tfg.Task, exit int) {
 
 // replayExitStep implements exitKernel: one path key, one table probe.
 func (p *IdealPath) replayExitStep(ent *trace.DictEntry, exit int) int {
-	idx, e := p.table.predict(p.path.key(ent.Addr))
-	p.train(ent.Addr, idx, exit, nil)
+	e := p.table.step(p.path.key(ent.Addr), exit)
+	p.path.push(ent.Addr)
 	return clampExits(e, int(ent.NumExits))
 }
 

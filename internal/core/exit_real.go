@@ -11,12 +11,13 @@ import (
 // pht is the pattern history table of a real exit predictor: one packed
 // automaton (see AutomatonKind) per entry, zero while the entry has never
 // been touched, plus the tie-break RNG its voting counters draw from.
+// Every access ORs autTouched into the word it loads and stores the
+// result back, so the entries touched are the non-zero words (live).
 type pht struct {
-	kind    AutomatonKind
-	states  []uint16
-	touched int
-	seed    uint32
-	rng     rng
+	kind   AutomatonKind
+	states []uint16
+	seed   uint32
+	rng    rng
 }
 
 func newPHT(kind AutomatonKind, size int, seed uint32) pht {
@@ -26,19 +27,28 @@ func newPHT(kind AutomatonKind, size int, seed uint32) pht {
 // reset clears the table in place and reseeds the tie-break RNG.
 func (t *pht) reset() {
 	clear(t.states)
-	t.touched = 0
 	t.rng = newRNG(t.seed)
 }
 
-// predict returns entry idx's raw prediction, marking the entry touched
-// on its first lookup: States counts every entry a prediction reads.
-func (t *pht) predict(idx uint32) int {
-	s := t.states[idx]
-	if s == 0 {
-		s = autTouched
-		t.states[idx] = s
-		t.touched++
+// live returns the number of entries touched since the last reset: the
+// non-zero words. It is exact because every live word keeps autTouched
+// set — flipBit never inverts it, and an undo restores only a word that
+// a predict of the same step had already touched.
+func (t *pht) live() int {
+	n := 0
+	for _, s := range t.states {
+		if s != 0 {
+			n++
+		}
 	}
+	return n
+}
+
+// predict returns entry idx's raw prediction, marking the entry touched:
+// States counts every entry a prediction reads.
+func (t *pht) predict(idx uint32) int {
+	s := t.states[idx] | autTouched
+	t.states[idx] = s
 	return t.kind.predict(s, &t.rng)
 }
 
@@ -49,11 +59,15 @@ func (t *pht) update(idx uint32, exit int, log *undoRing) {
 	if log != nil {
 		log.push(specUndo{kind: undoPHT, idx: idx, prev: uint32(s)})
 	}
-	if s == 0 {
-		s = autTouched
-		t.touched++
-	}
-	t.states[idx] = t.kind.update(s, exit)
+	t.states[idx] = t.kind.update(s|autTouched, exit)
+}
+
+// step is predict followed by an unlogged update of entry idx — the
+// idealized replay step — through one load and one store.
+func (t *pht) step(idx uint32, exit int) int {
+	var pred int
+	t.states[idx], pred = t.kind.step(t.states[idx], exit, &t.rng)
+	return pred
 }
 
 // Options for real (table-backed) exit predictors.
@@ -146,7 +160,7 @@ func (p *PathExit) DOLC() DOLC { return p.dolc }
 
 // States implements ExitPredictor: the number of distinct PHT entries
 // touched (Figure 11's "real implementation" series).
-func (p *PathExit) States() int { return p.pht.touched }
+func (p *PathExit) States() int { return p.pht.live() }
 
 // Reset implements ExitPredictor.
 func (p *PathExit) Reset() {
@@ -187,7 +201,7 @@ func (p *PathExit) UpdateExit(t *tfg.Task, exit int) {
 }
 
 // replayExitStep implements exitKernel: PredictExit and UpdateExit over
-// one DOLC index.
+// one DOLC index, fused into one PHT step unless training is delayed.
 func (p *PathExit) replayExitStep(ent *trace.DictEntry, exit int) int {
 	single := ent.NumExits == 1
 	if p.opts.SkipSingleExit && single {
@@ -197,9 +211,17 @@ func (p *PathExit) replayExitStep(ent *trace.DictEntry, exit int) int {
 		return 0
 	}
 	idx := p.path.index(ent.Addr)
-	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
-	p.train(ent.Addr, single, idx, exit, nil)
-	return pred
+	var pred int
+	if p.opts.TrainLatency == 0 {
+		pred = p.pht.step(idx, exit)
+	} else {
+		pred = p.pht.predict(idx)
+		p.pendPush(idx, exit)
+	}
+	if !(p.opts.SkipSingleExitHistory && single) {
+		p.path.push(ent.Addr)
+	}
+	return clampExits(pred, int(ent.NumExits))
 }
 
 // pendPush enqueues a delayed automaton update and, once the FIFO holds
@@ -245,8 +267,8 @@ func (p *PathExit) specStepExit(addr isa.Addr, nexits int, f *specFrame) int {
 // phtSkipped marks a fused frame whose task skipped the PHT.
 const phtSkipped = ^uint64(0)
 
-// train is the index→train helper of every PATH update (idealized and
-// speculative alike): it trains PHT entry idx (the step's DOLC index;
+// train is the index→train helper of every PATH update but the fused
+// idealized PHT step: it trains PHT entry idx (the step's DOLC index;
 // unused when a single-exit task skips the PHT) with exit, logging the
 // write on log when non-nil, and shifts the task at addr into the path
 // history.
@@ -310,7 +332,7 @@ func NewGlobalExit(depth, currentBits, indexBits int, kind AutomatonKind) (*Glob
 func (p *GlobalExit) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *GlobalExit) States() int { return p.pht.touched }
+func (p *GlobalExit) States() int { return p.pht.live() }
 
 // Reset implements ExitPredictor.
 func (p *GlobalExit) Reset() {
@@ -339,12 +361,11 @@ func (p *GlobalExit) PredictExit(t *tfg.Task) int {
 func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.train(p.index(t.Start), exit, nil) }
 
 // replayExitStep implements exitKernel: PredictExit and UpdateExit over
-// one index.
+// one index and one PHT step.
 func (p *GlobalExit) replayExitStep(ent *trace.DictEntry, exit int) int {
-	idx := p.index(ent.Addr)
-	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
-	p.train(idx, exit, nil)
-	return pred
+	pred := p.pht.step(p.index(ent.Addr), exit)
+	p.hist = p.hist.Push(exit, p.depth)
+	return clampExits(pred, int(ent.NumExits))
 }
 
 // specStepExit implements exitKernel; the frame keeps the global
@@ -405,7 +426,7 @@ func NewPerExit(depth, hrtBits, taskBits, indexBits int, kind AutomatonKind) (*P
 func (p *PerExit) Name() string { return p.name }
 
 // States implements ExitPredictor.
-func (p *PerExit) States() int { return p.pht.touched }
+func (p *PerExit) States() int { return p.pht.live() }
 
 // Reset implements ExitPredictor.
 func (p *PerExit) Reset() {
@@ -441,13 +462,12 @@ func (p *PerExit) UpdateExit(t *tfg.Task, exit int) {
 }
 
 // replayExitStep implements exitKernel: PredictExit and UpdateExit over
-// one HRT slot and one PHT index.
+// one HRT slot and one PHT step.
 func (p *PerExit) replayExitStep(ent *trace.DictEntry, exit int) int {
 	h := p.hrtIndex(ent.Addr)
-	idx := p.phtIndex(ent.Addr, p.hrt[h])
-	pred := clampExits(p.pht.predict(idx), int(ent.NumExits))
-	p.train(h, idx, exit, nil)
-	return pred
+	pred := p.pht.step(p.phtIndex(ent.Addr, p.hrt[h]), exit)
+	p.hrt[h] = p.hrt[h].Push(exit, p.depth)
+	return clampExits(pred, int(ent.NumExits))
 }
 
 // specStepExit implements exitKernel; the frame keeps the HRT slot

@@ -222,7 +222,6 @@ func restorePHT(spec pht, arch *pht) pht {
 		for i, w := range s {
 			if w != 0 && a[i] == 0 {
 				a[i] = autTouched
-				arch.touched++
 			}
 		}
 		copy(s, a)

@@ -109,6 +109,7 @@ type Injector struct {
 	spec  Spec
 	inner core.TaskPredictor
 	rng   rng
+	rnd   func(int) int // rng.intn, bound once: a per-Predict method value allocates
 	stats Stats
 }
 
@@ -121,7 +122,9 @@ func New(spec Spec, inner core.TaskPredictor) (*Injector, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{spec: spec, inner: inner, rng: newRNG(spec.Seed)}, nil
+	inj := &Injector{spec: spec, inner: inner, rng: newRNG(spec.Seed)}
+	inj.rnd = inj.rng.intn
+	return inj, nil
 }
 
 // MustNew is New for statically-known specs; it panics iff New errors
@@ -184,7 +187,7 @@ func (i *Injector) inject(k Kind, ok bool) {
 // Predict implements core.TaskPredictor: state faults strike first, then
 // the (possibly injured) wrapped predictor answers.
 func (i *Injector) Predict(t *tfg.Task) core.Prediction {
-	rnd := i.rng.intn
+	rnd := i.rnd
 
 	if i.roll(KindCounter) {
 		ok := false

@@ -308,8 +308,14 @@ func RenderResult(mode engine.Mode, res engine.Result) ResultJSON {
 
 // RenderResponse builds the full deterministic success body for a cell.
 func RenderResponse(c Cell, res engine.Result) *EvalResponse {
+	return renderResponse(c.Key(), c, res)
+}
+
+// renderResponse is RenderResponse for a caller that already holds the
+// cell's key, which costs a spec parse to compute.
+func renderResponse(key string, c Cell, res engine.Result) *EvalResponse {
 	return &EvalResponse{
-		Key:         c.Key(),
+		Key:         key,
 		Workload:    c.Workload,
 		Spec:        c.Spec,
 		Mode:        c.Mode.String(),

@@ -312,7 +312,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		}
 		respondErrorJSON(w, status, code, msg)
 	default:
-		b, err := json.Marshal(RenderResponse(cell, res))
+		b, err := json.Marshal(renderResponse(key, cell, res))
 		if err != nil {
 			obsReqFailed.Inc()
 			respondErrorJSON(w, http.StatusInternalServerError, "run_failed",
